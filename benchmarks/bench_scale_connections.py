@@ -170,7 +170,7 @@ def run_sharded_tier(
         "fairness": round(jain_fairness(shares), 4),
         "peak_pool_bytes": receiver.pool.peak_lent,
         "cross_shard_packets": sender.cross_shard_packets,
-        "fanout_packets": receiver.router.fanout_packets,
+        "fanout_packets": receiver.fanout_packets,
         "evicted": evicted,
         "pool_after_sweep": receiver.pool.lent_total,
     }

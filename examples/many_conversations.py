@@ -111,7 +111,7 @@ def _run(loop: EventLoop | ShardedLoop, shards: int = 0) -> None:
         ]
         print(f"connections per shard: {per_shard}")
         print(f"cross-shard packets sent: {sender.cross_shard_packets}")
-        print(f"ingress fan-out packets: {receiver.router.fanout_packets}")
+        print(f"ingress fan-out packets: {receiver.fanout_packets}")
 
     # Idle eviction: advance past the idle timeout and sweep; every
     # conversation's placement bytes return to the shared pool (for the

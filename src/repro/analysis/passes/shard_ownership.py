@@ -12,10 +12,11 @@ in one of four owner domains, narrowest first:
 - ``per-connection`` — owned by a single conversation (sessions,
   placement buffers, touch ledgers);
 - ``per-shard`` — owned by one worker shard and its event loop
-  (connection table, tombstones, demux, the shard's egress queue);
+  (connection table, tombstones, demux);
 - ``per-endpoint`` — the sharded composition that owns every worker
-  (:class:`~repro.transport.shard.ShardedEndpoint`, its ingress router
-  and cross-shard packer, NIC models);
+  (:class:`~repro.transport.shard.ShardedEndpoint`, the
+  :class:`~repro.transport.egress.EgressPacker` its shards share, NIC
+  models);
 - ``global-pool`` — shared across every shard
   (:class:`~repro.host.budget.SharedPlacementBudget`,
   :class:`~repro.host.pool.GlobalBudgetPool`).
@@ -29,7 +30,7 @@ line; an unplaced transport/host class is itself a finding.  The rules:
   augmented assigns, and mutating method calls such as
   ``.append``/``.add``/``.pop``) — unless the call is one of the
   declared seams in :data:`SEAM_METHODS` (the placement budget's
-  token/byte API, the endpoint's egress enqueue, event-loop
+  token/byte API, the packer's egress enqueue, event-loop
   scheduling), which are the sanctioned cross-domain channels;
 - passing a wider-domain object into a module-level helper that
   mutates the corresponding parameter is the same violation laundered
@@ -80,9 +81,11 @@ OWNER_DOMAINS: dict[str, str] = {
     "ConnectionTable": "per-shard",
     "EndpointEvents": "per-shard",
     "EndpointShard": "per-shard",
-    # transport — per-endpoint (the sharded composition)
+    # transport — per-endpoint (the sharded composition, and the
+    # packer every shard's sessions enqueue into; a plain endpoint's
+    # one-lane packer is the same class, placed at its widest use)
     "ShardedEndpoint": "per-endpoint",
-    "ShardRouter": "per-endpoint",
+    "EgressPacker": "per-endpoint",
     # host — per-connection
     "PlacementBuffer": "per-connection",
     "FrameStore": "per-connection",
@@ -124,7 +127,7 @@ SEAM_METHODS: frozenset[tuple[str, str]] = frozenset(
         ("SharedPlacementBudget", "release_bytes"),
         ("GlobalBudgetPool", "lend"),
         ("GlobalBudgetPool", "reclaim"),
-        ("ChunkEndpoint", "_enqueue"),
+        ("EgressPacker", "enqueue"),
         ("EventLoop", "schedule"),
         ("EventLoop", "at"),
     }

@@ -100,28 +100,12 @@ class SharedBottleneck:
 
     def __post_init__(self) -> None:
         spec = self.bottleneck_spec
-        self.forward_link = Link(
-            loop=self.loop,
-            deliver=self._demux_forward,
-            rate_bps=spec.rate_bps,
-            delay=spec.delay,
-            mtu=spec.mtu,
-            loss_rate=spec.loss_rate,
-            corrupt_rate=spec.corrupt_rate,
-            dup_rate=spec.dup_rate,
-            rng=substream(self.seed, "bottleneck", 0),
+        self.forward_link = spec.link(
+            self.loop, self._demux_forward, substream(self.seed, "bottleneck", 0)
         )
         rev = self.reverse_spec if self.reverse_spec is not None else spec
-        self.reverse_link = Link(
-            loop=self.loop,
-            deliver=self._demux_reverse,
-            rate_bps=rev.rate_bps,
-            delay=rev.delay,
-            mtu=rev.mtu,
-            loss_rate=rev.loss_rate,
-            corrupt_rate=rev.corrupt_rate,
-            dup_rate=rev.dup_rate,
-            rng=substream(self.seed, "bottleneck-reverse", 0),
+        self.reverse_link = rev.link(
+            self.loop, self._demux_reverse, substream(self.seed, "bottleneck-reverse", 0)
         )
 
     # ------------------------------------------------------------------
@@ -135,16 +119,8 @@ class SharedBottleneck:
         """Wire one (sender host, receiver host) pair in; returns its port."""
         spec = access if access is not None else HopSpec(mtu=self.forward_link.mtu)
         index = len(self.ports)
-        access_link = Link(
-            loop=self.loop,
-            deliver=self.forward_link.send,
-            rate_bps=spec.rate_bps,
-            delay=spec.delay,
-            mtu=spec.mtu,
-            loss_rate=spec.loss_rate,
-            corrupt_rate=spec.corrupt_rate,
-            dup_rate=spec.dup_rate,
-            rng=substream(self.seed, "access", index),
+        access_link = spec.link(
+            self.loop, self.forward_link.send, substream(self.seed, "access", index)
         )
         port = BottleneckPort(
             index=index,

@@ -1,21 +1,18 @@
-"""Deterministic lockstep composition of several event loops.
+"""Several event loops on one heap and one clock.
 
 A sharded endpoint gives every worker shard its own
 :class:`~repro.netsim.events.EventLoop` so shard state never races, but
-the simulation still needs one global clock.  :class:`ShardedLoop`
-composes N member loops and advances them in deterministic lockstep:
-each iteration it picks the member with the earliest pending event —
-ties broken by member index — moves *every* member's idle clock to that
-time, then dispatches exactly one event on the chosen member.  Replaying
-the same seed therefore replays the same global event order regardless
-of how work is distributed across shards.
+the simulation still needs one global order.  :class:`ShardedLoop`
+composes N member loops that share a single heap keyed
+``(time, member, seq)`` and a single clock: events run by time, ties
+broken by member index and then by schedule order within the member.
+Replaying the same seed therefore replays the same global event order
+regardless of how work is distributed across shards, and dispatching
+an event costs the same however many members there are.
 
-Member 0 is the primary (network) loop: :meth:`at` and :meth:`schedule`
-delegate to it, so a ``ShardedLoop`` can stand in for a plain
-``EventLoop`` anywhere a driver only schedules and runs.  Sim-time is
-accounted once, by the composer, against the same
-``netsim/loop.sim_time_total`` counter the plain loop uses — member
-:meth:`~repro.netsim.events.EventLoop.step` calls deliberately skip it.
+Member 0 is the primary (network) loop: :meth:`at`, :meth:`schedule`
+and :meth:`run` delegate to it, so a ``ShardedLoop`` can stand in for a
+plain ``EventLoop`` anywhere a driver only schedules and runs.
 """
 
 from __future__ import annotations
@@ -23,13 +20,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.netsim.events import EventLoop
-from repro.obs import counter
 
 __all__ = ["ShardedLoop"]
-
-_OBS_SIM_TIME = counter(
-    "netsim", "loop.sim_time_total", "simulated seconds advanced across run() calls"
-)
 
 
 class ShardedLoop:
@@ -38,7 +30,9 @@ class ShardedLoop:
     def __init__(self, members: int = 1) -> None:
         if members < 1:
             raise ValueError(f"need at least one member loop (members={members})")
-        self._members: list[EventLoop] = [EventLoop() for _ in range(members)]
+        self._members: list[EventLoop] = [EventLoop()]
+        for _ in range(members - 1):
+            self.add_member()
 
     # -- membership ----------------------------------------------------
     @property
@@ -49,9 +43,8 @@ class ShardedLoop:
         return self._members[index]
 
     def add_member(self) -> EventLoop:
-        """Create, register, and return a new member loop at the global now."""
-        loop = EventLoop()
-        loop.now = self.now
+        """Create, register, and return a new member loop."""
+        loop = self._members[0].add_member()
         self._members.append(loop)
         return loop
 
@@ -68,46 +61,16 @@ class ShardedLoop:
         """Run *callback* at absolute *time* on the primary loop."""
         self._members[0].at(time, callback)
 
+    def run(self, until: float | None = None) -> float:
+        """Process every member's events (optionally up to *until*).
+
+        Returns the global simulated time after the last processed event.
+        """
+        return self._members[0].run(until)
+
     def pending(self) -> int:
         return sum(member.pending() for member in self._members)
 
     @property
     def events_processed(self) -> int:
         return sum(member.events_processed for member in self._members)
-
-    # -- lockstep run --------------------------------------------------
-    def _earliest(self) -> tuple[float, int] | None:
-        """(time, member index) of the globally earliest pending event."""
-        best: tuple[float, int] | None = None
-        for index, member in enumerate(self._members):
-            head = member.next_event_time()
-            if head is None:
-                continue
-            if best is None or (head, index) < best:
-                best = (head, index)
-        return best
-
-    def run(self, until: float | None = None) -> float:
-        """Process events across all members (optionally up to *until*).
-
-        Returns the global simulated time after the last processed event.
-        """
-        started = self.now
-        try:
-            while True:
-                best = self._earliest()
-                if best is None:
-                    break
-                time, index = best
-                if until is not None and time > until:
-                    break
-                for member in self._members:
-                    member.advance_to(time)
-                self._members[index].step()
-            if until is not None and until > self.now:
-                for member in self._members:
-                    member.advance_to(until)
-            return self.now
-        finally:
-            if self.now > started:
-                _OBS_SIM_TIME.inc(self.now - started)

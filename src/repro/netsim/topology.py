@@ -8,12 +8,15 @@ chunk-aware routers that re-envelope chunks for the next hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.router import ChunkRouter, RepackMode
 from repro.netsim.rng import substream
+
+if TYPE_CHECKING:
+    import random
 
 __all__ = ["HopSpec", "ChunkPath", "build_chunk_path"]
 
@@ -28,6 +31,22 @@ class HopSpec:
     loss_rate: float = 0.0
     corrupt_rate: float = 0.0
     dup_rate: float = 0.0
+
+    def link(
+        self, loop: EventLoop, deliver: Callable[[bytes], None], rng: random.Random
+    ) -> Link:
+        """The :class:`Link` this hop describes, drawing impairments from *rng*."""
+        return Link(
+            loop=loop,
+            deliver=deliver,
+            rate_bps=self.rate_bps,
+            delay=self.delay,
+            mtu=self.mtu,
+            loss_rate=self.loss_rate,
+            corrupt_rate=self.corrupt_rate,
+            dup_rate=self.dup_rate,
+            rng=rng,
+        )
 
 
 @dataclass
@@ -76,17 +95,7 @@ def build_chunk_path(
     # Build from the last hop backwards so each stage knows its successor.
     for position in range(len(hops) - 1, -1, -1):
         hop = hops[position]
-        link = Link(
-            loop=loop,
-            deliver=downstream,
-            rate_bps=hop.rate_bps,
-            delay=hop.delay,
-            mtu=hop.mtu,
-            loss_rate=hop.loss_rate,
-            corrupt_rate=hop.corrupt_rate,
-            dup_rate=hop.dup_rate,
-            rng=substream(seed, "hop", position),
-        )
+        link = hop.link(loop, downstream, substream(seed, "hop", position))
         links.insert(0, link)
         if position > 0:
             router = ChunkRouter(

@@ -9,6 +9,7 @@ from repro.transport.connection import (
     parse_signaling_chunk,
 )
 from repro.transport.acks import build_ack_chunk, parse_ack_chunk, piggyback
+from repro.transport.egress import EgressPacker
 from repro.transport.endpoint import (
     ChunkEndpoint,
     Connection,
@@ -20,7 +21,6 @@ from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
 from repro.transport.shard import (
     EndpointShard,
     ShardedEndpoint,
-    ShardRouter,
     shard_for,
 )
 from repro.transport.reliability import (
@@ -50,6 +50,6 @@ __all__ = [
     "EndpointEvents",
     "shard_for",
     "EndpointShard",
-    "ShardRouter",
     "ShardedEndpoint",
+    "EgressPacker",
 ]

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from repro.core.bounded import BoundedSet
 from repro.core.chunk import Chunk
 from repro.core.errors import CodecError, EndpointError, SignalingError
-from repro.core.packet import Packet, pack_chunks
+from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.host.budget import SharedPlacementBudget
 from repro.host.delivery import FrameStore, PlacementBuffer
@@ -44,6 +45,7 @@ from repro.host.memory import TouchLedger
 from repro.netsim.events import EventLoop
 from repro.obs import counter, flight_dump, gauge, journey_handle, labelled_counter, tracer
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
+from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
 from repro.transport.reliability import (
     AdaptiveTpduPolicy,
@@ -90,10 +92,6 @@ _OBS_STALLED = counter(
     "connections evicted for making no receive progress (slow-loris defense)",
 )
 _OBS_ACTIVE = gauge("transport", "endpoint.connections_active", "current table size")
-_OBS_PACKETS_SENT = counter("transport", "endpoint.packets_sent", "egress packets packed")
-_OBS_MIXED_PACKETS = counter(
-    "transport", "endpoint.mixed_packets", "egress packets mixing >1 conversation"
-)
 _OBS_TRACE = tracer("transport")
 _OBS_JOURNEY = journey_handle()
 
@@ -318,10 +316,6 @@ class ChunkEndpoint:
     close_linger: float | None = None
     #: capacity cap; admission beyond it is refused (None = unbounded).
     max_connections: int | None = None
-    #: auto-establish a default (anonymous) connection when DATA arrives
-    #: for an unknown C.ID with no establishment — the single-connection
-    #: compatibility mode for senders that never signal.
-    accept_unsignaled: bool = False
     #: egress batching window in sim seconds (0 = flush in a same-time
     #: event, still batching every chunk enqueued at this instant).
     flush_window: float = 0.0
@@ -342,13 +336,10 @@ class ChunkEndpoint:
     #: when this endpoint runs as one worker of a
     #: :class:`repro.transport.shard.ShardedEndpoint`, its shard number —
     #: obs counters, trace events, and journey records gain a
-    #: ``shard=<i>`` label.  ``None`` (the unsharded default) emits the
-    #: exact same telemetry as before sharding existed.
+    #: ``shard=<i>`` label, and its sessions enqueue into lane ``i`` of
+    #: :attr:`egress`.  ``None`` (the unsharded default) emits the exact
+    #: same telemetry as before sharding existed.
     shard_index: int | None = None
-    #: egress override: when set, :meth:`_enqueue` hands chunks here
-    #: instead of the endpoint's own packer — the sharded composition
-    #: points this at the cross-shard egress queue.
-    egress_sink: Callable[[list[Chunk]], None] | None = None
 
     packets_received: int = 0
     decode_failures: int = 0
@@ -357,12 +348,13 @@ class ChunkEndpoint:
     acks_unroutable: int = 0
     connections_refused: int = 0
     stalled_evictions: int = 0
-    bytes_sent: int = 0
-    packets_sent: int = 0
-    mixed_packets: int = 0
 
-    _egress: list[Chunk] = field(default_factory=list, repr=False)
-    _flush_scheduled: bool = field(default=False, repr=False)
+    #: the packer behind every session of this endpoint; the sharded
+    #: composition replaces each worker's with the one it shares.
+    egress: EgressPacker = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.egress = EgressPacker(self, self.loop, self.flush_window)
 
     # ------------------------------------------------------------------
     # Sending side
@@ -404,7 +396,7 @@ class ChunkEndpoint:
             rto=rto,
             max_retries=max_retries,
             policy=policy,
-            transmit_chunks=self._enqueue,
+            transmit_chunks=partial(self.egress.enqueue, self.shard_index or 0),
             resignal_until_acked=True,
         )
         connection = Connection(
@@ -417,49 +409,21 @@ class ChunkEndpoint:
         self.table.add(connection)  # state-table: open-local
         return connection
 
-    def _enqueue(self, chunks: list[Chunk]) -> None:
-        """Egress seam for sessions: collect chunks, flush as packets.
-
-        Chunks enqueued by different conversations inside one flush
-        window share envelopes — multi-connection packets are the
-        normal case here, not a special mode.
-        """
-        if self.egress_sink is not None:
-            self.egress_sink(chunks)
-            return
-        self._egress.extend(chunks)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.loop.schedule(self.flush_window, self._flush)
-
-    def _flush(self) -> None:
-        self._flush_scheduled = False
-        if not self._egress:
-            return
-        if self.transmit is None:
-            raise EndpointError("endpoint egress needs a transmit callback")
-        chunks = self._egress
-        self._egress = []
-        for packet in pack_chunks(chunks, self.mtu):
-            conversations = {c.c.ident for c in packet.chunks}
-            if len(conversations) > 1:
-                self.mixed_packets += 1
-                _OBS_MIXED_PACKETS.inc()
-            if _OBS_JOURNEY:
-                for chunk in packet.chunks:
-                    if chunk.is_data:
-                        _OBS_JOURNEY.chunk(
-                            "packed", chunk, t=self.loop.now, **self._shard_labels()
-                        )
-            encoded = packet.encode()
-            self.bytes_sent += len(encoded)
-            self.packets_sent += 1
-            _OBS_PACKETS_SENT.inc()
-            self.transmit(encoded)
-
     def flush(self) -> None:
         """Force any pending egress chunks onto the wire immediately."""
-        self._flush()
+        self.egress.flush()
+
+    @property
+    def bytes_sent(self) -> int:
+        return self.egress.bytes_sent
+
+    @property
+    def packets_sent(self) -> int:
+        return self.egress.packets_sent
+
+    @property
+    def mixed_packets(self) -> int:
+        return self.egress.mixed_packets
 
     # ------------------------------------------------------------------
     # Receiving side
@@ -473,24 +437,22 @@ class ChunkEndpoint:
 
     def receive_packet(self, frame: bytes) -> EndpointEvents:
         """Decode one wire packet and demultiplex its chunks by C.ID."""
-        events = EndpointEvents()
-        self.packets_received += 1
-        _OBS_PACKETS.inc()
         try:
-            packet = Packet.decode(frame)
+            chunks = Packet.decode(frame).chunks
         except CodecError:
+            # Still a received packet: count it, demultiplex nothing.
             self.decode_failures += 1
+            events = self.receive_chunks([])
             events.decode_failed = True
             return events
-        self._dispatch(packet.chunks, events)
-        return events
+        return self.receive_chunks(chunks)
 
     def receive_chunks(self, chunks: list[Chunk]) -> EndpointEvents:
         """Demultiplex already-decoded *chunks* (the decode-once path).
 
-        The :class:`repro.transport.shard.ShardedEndpoint` router decodes
-        each wire packet exactly once, then hands every shard its own
-        chunk group through this entry — re-encoding/re-decoding per
+        :meth:`repro.transport.shard.ShardedEndpoint.receive_packet`
+        decodes each wire packet exactly once, then hands every shard its
+        own chunk group through this entry — re-encoding/re-decoding per
         shard would break the touch budget the labels exist to protect.
         """
         events = EndpointEvents()
@@ -577,9 +539,8 @@ class ChunkEndpoint:
     ) -> Connection | None:
         """Establish (or attach a receiver session) from *group*.
 
-        A SIGNALING chunk carries the conversation's parameters; in
-        ``accept_unsignaled`` mode a bare DATA chunk establishes an
-        anonymous connection with defaults derived from its header.
+        A SIGNALING chunk carries the conversation's parameters; DATA
+        alone never establishes.
         """
         if cid in self.table.evicted_ids:
             return None
@@ -591,13 +552,6 @@ class ChunkEndpoint:
                 except SignalingError:
                     continue  # the session's strict parser counts it
                 break
-        if config is None and self.accept_unsignaled:
-            for chunk in group:
-                if chunk.is_data:
-                    config = ConnectionConfig(
-                        connection_id=cid, unit_words=chunk.size
-                    )
-                    break
         if config is None:
             return None
         if existing is None:
@@ -620,7 +574,7 @@ class ChunkEndpoint:
             transmit=None,
             mtu=self.mtu,
             receiver=receiver,
-            transmit_chunks=self._enqueue,
+            transmit_chunks=partial(self.egress.enqueue, self.shard_index or 0),
         )
         if existing is not None:
             existing.receiver = session

@@ -22,7 +22,6 @@ from repro.core.chunk import Chunk
 from repro.core.errors import CodecError, SignalingError
 from repro.core.packet import Packet
 from repro.core.types import ChunkType
-from repro.core.virtual import VirtualReassembler
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
 from repro.obs import counter, histogram, journey_handle
@@ -98,9 +97,6 @@ class ChunkTransportReceiver:
     verifier: EndToEndReceiver = field(default_factory=EndToEndReceiver)
     frames: FrameStore = field(default_factory=FrameStore)
     stream: PlacementBuffer = field(default_factory=PlacementBuffer)
-    _x_tracker: VirtualReassembler = field(
-        default_factory=lambda: VirtualReassembler(level="x")
-    )
 
     chunks_received: int = 0
     packets_received: int = 0

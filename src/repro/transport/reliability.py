@@ -17,16 +17,16 @@ wraps the transport receiver and emits ACK chunks for verified TPDUs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 from repro.core.chunk import Chunk
-from repro.core.errors import ChunkError
-from repro.core.packet import pack_chunks
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
 from repro.obs import counter, histogram, journey_handle, tracer
 from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig
+from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
 from repro.transport.sender import ChunkTransportSender
 
@@ -125,7 +125,6 @@ class ReliableSender:
     _established: bool = field(init=False, default=False)
     _acked_once: bool = field(init=False, default=False)
     retransmissions: int = field(init=False, default=0)
-    bytes_sent: int = field(init=False, default=0)
     gave_up: list[int] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
@@ -178,22 +177,23 @@ class ReliableSender:
     def finished(self) -> bool:
         return not self._outstanding
 
+    @cached_property
+    def _packer(self) -> EgressPacker:
+        """This session's own wire, for when no endpoint is in front of it."""
+        return EgressPacker(self, self.loop)
+
+    @property
+    def bytes_sent(self) -> int:
+        """Wire bytes this session transmitted itself (none behind an endpoint)."""
+        return self._packer.bytes_sent
+
     # ------------------------------------------------------------------
 
     def _ship(self, chunks: list[Chunk]) -> None:
         if self.transmit_chunks is not None:
             self.transmit_chunks(chunks)
-            return
-        if self.transmit is None:
-            raise ChunkError("ReliableSender needs transmit or transmit_chunks")
-        for packet in pack_chunks(chunks, self.mtu):
-            if _OBS_JOURNEY:
-                for chunk in packet.chunks:
-                    if chunk.type is ChunkType.DATA:
-                        _OBS_JOURNEY.chunk("packed", chunk, t=self.loop.now)
-            frame = packet.encode()
-            self.bytes_sent += len(frame)
-            self.transmit(frame)
+        else:
+            self._packer.ship(chunks)
 
     def _arm(self, t_id: int) -> None:
         state = self._outstanding.setdefault(t_id, _Outstanding())
@@ -257,8 +257,17 @@ class ReliableReceiver:
     #: the endpoint can mix acknowledgments for several conversations
     #: (and reverse-path data) into shared packets.
     transmit_chunks: Callable[[list[Chunk]], None] | None = None
-    acks_sent: int = field(init=False, default=0)
     _verified: set[int] = field(init=False, default_factory=set)
+
+    @cached_property
+    def _packer(self) -> EgressPacker:
+        """This session's own wire, for when no endpoint is in front of it."""
+        return EgressPacker(self)
+
+    @property
+    def acks_sent(self) -> int:
+        """ACK packets this session transmitted itself (none behind an endpoint)."""
+        return self._packer.packets_sent
 
     def receive_packet(self, frame: bytes) -> ReceiverEvents:
         events = self.receiver.receive_packet(frame)
@@ -295,9 +304,5 @@ class ReliableReceiver:
             chunks.append(build_ack_chunk(connection, t_ids[start : start + 64]))
         if self.transmit_chunks is not None:
             self.transmit_chunks(chunks)
-            return
-        if self.transmit is None:
-            raise ChunkError("ReliableReceiver needs transmit or transmit_chunks")
-        for packet in pack_chunks(chunks, self.mtu):
-            self.acks_sent += 1
-            self.transmit(packet.encode())
+        else:
+            self._packer.ship(chunks)

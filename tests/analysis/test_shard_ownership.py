@@ -129,6 +129,6 @@ class TestRealTree:
         assert owners == {
             "SharedPlacementBudget",
             "GlobalBudgetPool",
-            "ChunkEndpoint",
+            "EgressPacker",
             "EventLoop",
         }

@@ -128,7 +128,7 @@ def test_conversations_crossed_shards_on_one_wire(sharded_run):
     # fan-out, not degenerate into eight isolated endpoints.
     assert sender.mixed_packets > 0
     assert sender.cross_shard_packets > 0
-    assert receiver.router.fanout_packets > 0
+    assert receiver.fanout_packets > 0
     stats = receiver.stats()
     assert stats["established_total"] == CONVERSATIONS
     assert stats["active_connections"] == CONVERSATIONS

@@ -1,4 +1,4 @@
-"""Lockstep composition: N member loops, one deterministic clock."""
+"""Merged-heap composition: N member loops, one heap, one clock."""
 
 from __future__ import annotations
 
@@ -16,30 +16,6 @@ class TestEventLoopPrimitives:
         loop.at(1.0, lambda: None)
         assert loop.next_event_time() == 1.0
         assert loop.events_processed == 0
-
-    def test_step_dispatches_exactly_one_event(self):
-        loop = EventLoop()
-        ran: list[int] = []
-        loop.at(1.0, lambda: ran.append(1))
-        loop.at(2.0, lambda: ran.append(2))
-        assert loop.step() is True
-        assert ran == [1]
-        assert loop.now == 1.0
-        assert loop.step() is True
-        assert loop.step() is False
-        assert ran == [1, 2]
-
-    def test_advance_to_refuses_rewind_and_event_skips(self):
-        loop = EventLoop()
-        loop.advance_to(5.0)
-        assert loop.now == 5.0
-        with pytest.raises(ValueError):
-            loop.advance_to(4.0)
-        loop.at(6.0, lambda: None)
-        with pytest.raises(ValueError):
-            loop.advance_to(7.0)
-        loop.advance_to(6.0)  # exactly at the pending event is allowed
-        assert loop.now == 6.0
 
 
 class TestShardedLoop:
@@ -78,6 +54,40 @@ class TestShardedLoop:
         # Every member's clock ends at the global now.
         assert {member.now for member in loop.members} == {2.0}
 
+    def test_equal_time_events_dispatch_by_member_then_schedule_order(self):
+        loop = ShardedLoop(members=3)
+        order: list[str] = []
+        # Scheduled in the reverse of the order they must run in.
+        for member in (2, 1, 0):
+            for tag in "ab":
+                loop.member(member).at(1.0, lambda m=member, t=tag: order.append(f"{m}{t}"))
+        loop.run()
+        assert order == ["0a", "0b", "1a", "1b", "2a", "2b"]
+
+    def test_event_scheduled_now_on_an_earlier_member_runs_next(self):
+        loop = ShardedLoop(members=3)
+        order: list[str] = []
+
+        def on_member_two() -> None:
+            order.append("2:first")
+            loop.member(0).schedule(0.0, lambda: order.append("0:now"))
+
+        loop.member(2).at(1.0, on_member_two)
+        loop.member(2).at(1.0, lambda: order.append("2:second"))
+        loop.member(1).at(1.5, lambda: order.append("1:later"))
+        loop.run()
+        # Member 0 outranks member 2's own next event at the same time.
+        assert order == ["2:first", "0:now", "2:second", "1:later"]
+
+    def test_run_on_any_member_drains_the_shared_heap(self):
+        loop = ShardedLoop(members=2)
+        ran: list[int] = []
+        loop.member(0).at(1.0, lambda: ran.append(0))
+        loop.member(1).at(2.0, lambda: ran.append(1))
+        assert loop.member(1).run() == 2.0
+        assert ran == [0, 1]
+        assert [member.events_processed for member in loop.members] == [1, 1]
+
     def test_members_advance_together_so_cross_scheduling_works(self):
         loop = ShardedLoop()
         shard = loop.add_member()
@@ -85,7 +95,7 @@ class TestShardedLoop:
 
         def from_primary() -> None:
             # A callback on the primary may schedule on a shard member
-            # relative to *its* clock — lockstep keeps them equal.
+            # relative to *its* clock — there is only the one clock.
             shard.schedule(0.5, lambda: ran.append(loop.now))
 
         loop.at(1.0, from_primary)
@@ -100,6 +110,14 @@ class TestShardedLoop:
         assert loop.now == 3.0
         assert shard.now == 3.0
         assert shard.pending() == 1
+        assert loop.member(0).pending() == 0
+        # Scheduling relative to "now" on either member starts from 3.0.
+        seen: list[float] = []
+        loop.schedule(1.0, lambda: seen.append(loop.now))
+        shard.schedule(2.0, lambda: seen.append(shard.now))
+        loop.run(until=6.0)
+        assert seen == [4.0, 5.0]
+        assert loop.now == shard.now == 6.0
 
     def test_pending_and_events_processed_aggregate(self):
         loop = ShardedLoop()

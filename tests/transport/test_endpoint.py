@@ -80,16 +80,6 @@ def test_unknown_cid_data_is_refused_and_counted():
     assert endpoint.stats()["refused_unknown"] == 1
 
 
-def test_accept_unsignaled_mode_auto_establishes():
-    endpoint = ChunkEndpoint(EventLoop(), accept_unsignaled=True)
-    payload = make_payload(4)
-    chunk = make_chunk(units=4, c_id=77, payload=payload)
-    events = endpoint.receive_packet(Packet(chunks=[chunk]).encode())
-    assert events.refused_chunks == 0
-    assert events.established == [77]
-    assert endpoint.connection(77).stream_bytes() == payload
-
-
 def test_malformed_signaling_does_not_establish():
     endpoint = ChunkEndpoint(EventLoop())
     good = build_signaling_chunk(ConnectionConfig(connection_id=6))
@@ -179,7 +169,7 @@ def test_egress_mixes_conversations_into_shared_packets():
 
 def test_flush_requires_transmit():
     endpoint = ChunkEndpoint(EventLoop())
-    endpoint._enqueue([build_ack_chunk(1, [0])])
+    endpoint.egress.enqueue(0, [build_ack_chunk(1, [0])])
     with pytest.raises(EndpointError):
         endpoint.loop.run()
 

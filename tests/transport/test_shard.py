@@ -13,8 +13,10 @@ import pytest
 
 from repro.core.bounded import BoundedSet
 from repro.core.errors import EndpointError
+from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
 from repro.transport.connection import ConnectionConfig
+from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.shard import ShardedEndpoint, shard_for
 
 MTU = 600
@@ -70,7 +72,7 @@ class TestOwnershipRouting:
         _, _, receiver = make_pair(shards=2)
         events = receiver.receive_packet(b"\x00\x01not a packet")
         assert events.decode_failed
-        assert receiver.router.decode_failures == 1
+        assert receiver.decode_failures == 1
         assert receiver.stats()["decode_failures"] == 1
 
 
@@ -103,26 +105,38 @@ class TestBoundDivision:
 
 class TestRoundRobinPacker:
     def test_drain_interleaves_one_chunk_per_shard_per_cycle(self):
-        loop = ShardedLoop()
-        endpoint = ShardedEndpoint(loop, shards=3)
+        packer = ShardedEndpoint(ShardedLoop(), shards=3).egress
         # The drain never inspects the queued objects, so sentinels do.
-        endpoint.shards[0].egress.extend(["a1", "a2", "a3"])
-        endpoint.shards[1].egress.extend(["b1"])
-        endpoint.shards[2].egress.extend(["c1", "c2"])
-        assert endpoint._drain_round_robin() == [
-            "a1", "b1", "c1", "a2", "c2", "a3",
-        ]
+        packer.enqueue(0, ["a1", "a2", "a3"])
+        packer.enqueue(1, ["b1"])
+        packer.enqueue(2, ["c1", "c2"])
+        assert packer._drain() == ["a1", "b1", "c1", "a2", "c2", "a3"]
+        assert packer._drain() == []
 
     def test_starting_shard_rotates_between_flushes(self):
-        loop = ShardedLoop()
-        endpoint = ShardedEndpoint(loop, shards=3)
-        endpoint.shards[0].egress.append("a")
-        endpoint.shards[1].egress.append("b")
-        assert endpoint._drain_round_robin() == ["a", "b"]
-        endpoint.shards[0].egress.append("a")
-        endpoint.shards[1].egress.append("b")
+        packer = ShardedEndpoint(ShardedLoop(), shards=3).egress
+        packer.enqueue(0, ["a"])
+        packer.enqueue(1, ["b"])
+        assert packer._drain() == ["a", "b"]
+        packer.enqueue(0, ["a"])
+        packer.enqueue(1, ["b"])
         # Second flush starts at shard 1.
-        assert endpoint._drain_round_robin() == ["b", "a"]
+        assert packer._drain() == ["b", "a"]
+
+    def test_one_lane_is_plain_fifo(self):
+        # The unsharded endpoint's packer: whatever the sessions
+        # enqueued, in that order, flush after flush.
+        packer = ChunkEndpoint(EventLoop()).egress
+        packer.enqueue(0, ["a1", "a2"])
+        packer.enqueue(0, ["b1"])
+        packer.enqueue(0, ["a3"])
+        assert packer._drain() == ["a1", "a2", "b1", "a3"]
+        packer.enqueue(0, ["c1", "c2"])
+        assert packer._drain() == ["c1", "c2"]
+
+    def test_every_worker_enqueues_into_the_one_shared_packer(self):
+        endpoint = ShardedEndpoint(ShardedLoop(), shards=3)
+        assert all(shard.endpoint.egress is endpoint.egress for shard in endpoint.shards)
 
     def test_flush_without_transmit_is_an_error(self):
         loop, sender, _ = make_pair(shards=2)
@@ -151,8 +165,8 @@ class TestEndToEnd:
         stats = sender.stats()
         assert stats["cross_shard_packets"] > 0
         assert stats["mixed_packets"] >= stats["cross_shard_packets"]
-        assert receiver.router.fanout_packets > 0
-        assert receiver.stats()["fanout_packets"] == receiver.router.fanout_packets
+        assert receiver.fanout_packets > 0
+        assert receiver.stats()["fanout_packets"] == receiver.fanout_packets
 
     def test_sweep_covers_every_shard_and_reclaims_the_pool(self):
         loop, sender, receiver = make_pair(shards=4)
