@@ -119,9 +119,9 @@ def chunk_parse_cost(frame_bytes=512, frames=40):
     """Bytes a chunk receiver must examine to frame the same traffic:
     headers only — payload bytes are located, not parsed."""
     from repro.core.builder import ChunkStreamBuilder
-    from repro.core.types import HEADER_BYTES
+    from repro.core.types import HEADER_BYTES, MAX_TPDU_SYMBOLS
 
-    builder = ChunkStreamBuilder(connection_id=1, tpdu_units=10**6)
+    builder = ChunkStreamBuilder(connection_id=1, tpdu_units=MAX_TPDU_SYMBOLS)
     examined = 0
     for index in range(frames):
         chunks = builder.add_frame(make_bytes(frame_bytes, seed=index), frame_id=index)
@@ -143,8 +143,9 @@ def test_chunks_still_delimit_multiple_frames_per_packet():
     """...while keeping the flags' advantage: many frames per packet."""
     from repro.core.builder import ChunkStreamBuilder
     from repro.core.packet import pack_chunks
+    from repro.core.types import MAX_TPDU_SYMBOLS
 
-    builder = ChunkStreamBuilder(connection_id=1, tpdu_units=10**6)
+    builder = ChunkStreamBuilder(connection_id=1, tpdu_units=MAX_TPDU_SYMBOLS)
     chunks = []
     for index in range(6):
         chunks += builder.add_frame(make_bytes(64, seed=index), frame_id=index)

@@ -18,6 +18,7 @@ every conversation's data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from repro.core.errors import EndpointError
@@ -43,9 +44,15 @@ _OBS_COMPLETED = counter(
 _OBS_ACTIVE = gauge("app", "workload.conversations_active", "conversations in flight")
 
 
+@lru_cache(maxsize=256)
+def _payload_pattern(residue: int) -> bytes:
+    """The 256-byte pattern shared by every C.ID equal to *residue* mod 256."""
+    return bytes((residue * 97 + i * 31 + 7) % 256 for i in range(256))
+
+
 def deterministic_payload(connection_id: int, nbytes: int) -> bytes:
     """The conversation's payload — reproducible from its C.ID alone."""
-    pattern = bytes((connection_id * 97 + i * 31 + 7) % 256 for i in range(256))
+    pattern = _payload_pattern(connection_id % 256)
     reps = nbytes // len(pattern) + 1
     return (pattern * reps)[:nbytes]
 

@@ -6,16 +6,19 @@ sequence numbers that have identical TYPE and IDs can share a single
 header.  Thus, a chunk is a group of data, along with a single header to
 label the data" (Section 2).
 
-Two layers are provided:
+Two layers, the first the specification of the second:
 
 - :func:`chunks_from_labels` — the grouping rule itself: per-unit labels
   in, maximally shared chunk headers out (this regenerates the worked
-  example of Figure 2 exactly);
-- :class:`ChunkStreamBuilder` — a sender-side framer that takes a stream
-  of external PDUs (application frames, the ALF level), cuts transport
-  PDUs every ``tpdu_units`` data units, and emits the chunks.  The two
-  framings are independent, as in Figure 1: one external PDU may span
-  several TPDUs and vice versa.
+  example of Figure 2 exactly).  O(words), and on no send path;
+- :class:`ChunkStreamBuilder` — the sender-side framer.  A sender's
+  labels change only where a TPDU or the frame ends, so it never
+  materialises them: it forms one chunk per run between those cut
+  points, O(chunks) per frame.
+
+The framer is right only if it emits what the rule would make of the
+labels it skipped.  ``tests/properties/test_former_equivalence.py``
+keeps that per-unit labelling as the reference and checks them equal.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable, Iterator
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
 from repro.core.tuples import FramingTuple
-from repro.core.types import WORD_BYTES, ChunkType
+from repro.core.types import MAX_TPDU_SYMBOLS, WORD_BYTES, ChunkType
 
 __all__ = ["LabeledUnit", "chunks_from_labels", "ChunkStreamBuilder"]
 
@@ -104,16 +107,22 @@ class ChunkStreamBuilder:
 
     The builder maintains three independent framings over one
     uni-directional data stream (Section 2 treats the whole connection
-    as one large PDU):
+    as one large PDU; as in Figure 1, one external PDU may span several
+    TPDUs and vice versa):
 
     - connection: ``C.ID`` fixed, ``C.SN`` monotonically increasing;
-    - TPDU: a new ``T.ID`` every ``tpdu_units`` data units, ``T.SN``
-      restarting at zero (first piece of a PDU has SN zero).  Changing
+    - TPDU: a new ``T.ID`` every ``tpdu_units`` data units (at most
+      ``MAX_TPDU_SYMBOLS`` words), ``T.SN`` restarting at zero.  Changing
       ``tpdu_units`` takes effect at the next TPDU boundary, which is
       what lets a transport "reduce its TPDU size to match the observed
       network error rate" (Section 3);
     - external PDU: one ``X.ID`` per frame handed to :meth:`add_frame`,
       ``X.SN`` restarting at zero.
+
+    :meth:`add_frame` walks a frame in runs of ``min(units left in the
+    TPDU, units left in the frame)`` and advances all three framings
+    once per run — the chunks :func:`chunks_from_labels` would group
+    from per-unit labels, without forming the labels.
 
     Frame payloads must be a whole number of atomic units
     (``unit_words * 4`` bytes each); ciphertext callers pad upstream.
@@ -133,22 +142,21 @@ class ChunkStreamBuilder:
     _closed: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
-        if self.tpdu_units < 1:
-            raise ChunkError(f"tpdu_units must be >= 1, got {self.tpdu_units}")
         if self.unit_words < 1:
             raise ChunkError(f"unit_words must be >= 1, got {self.unit_words}")
+        self.set_tpdu_units(self.tpdu_units)  # validates; T.SN is 0, so it is in force at once
         if self.tpdu_ids is None:
             self.tpdu_ids = itertools.count()
         if self.xpdu_ids is None:
             self.xpdu_ids = itertools.count()
         self._c_sn = self.start_c_sn
         self._t_id = next(self.tpdu_ids)
-        self._current_tpdu_units = self.tpdu_units
 
     def set_tpdu_units(self, units: int) -> None:
         """Change the TPDU size from the *next* TPDU onward (Section 3)."""
-        if units < 1:
-            raise ChunkError(f"tpdu_units must be >= 1, got {units}")
+        limit = MAX_TPDU_SYMBOLS // self.unit_words
+        if not 1 <= units <= limit:
+            raise ChunkError(f"tpdu_units must be in 1..{limit}, got {units}")
         self.tpdu_units = units
         if self._t_sn == 0:
             # No data in the current TPDU yet: apply immediately.
@@ -175,42 +183,44 @@ class ChunkStreamBuilder:
             raise ChunkError("builder is closed (end_of_connection already sent)")
         if not payload:
             raise ChunkError("external PDU payload must be non-empty")
-        if len(payload) % self.unit_bytes:
+        unit_bytes = self.unit_bytes
+        if len(payload) % unit_bytes:
             raise ChunkError(
                 f"frame of {len(payload)} bytes is not a whole number of "
-                f"{self.unit_bytes}-byte atomic units"
+                f"{unit_bytes}-byte atomic units"
             )
         x_id = next(self.xpdu_ids) if frame_id is None else frame_id
-        n_units = len(payload) // self.unit_bytes
-        units: list[LabeledUnit] = []
-        for i in range(n_units):
-            last_of_frame = i == n_units - 1
-            last_of_tpdu = self._t_sn == self._current_tpdu_units - 1
-            if end_of_connection and last_of_frame:
-                last_of_tpdu = True
-            units.append(
-                LabeledUnit(
-                    data=payload[i * self.unit_bytes : (i + 1) * self.unit_bytes],
-                    c=FramingTuple(
-                        self.connection_id,
-                        self._c_sn,
-                        st=end_of_connection and last_of_frame,
-                    ),
-                    t=FramingTuple(self._t_id, self._t_sn, st=last_of_tpdu),
-                    x=FramingTuple(x_id, i, st=last_of_frame),
+        n_units = len(payload) // unit_bytes
+        data = memoryview(payload)
+        chunks: list[Chunk] = []
+        x_sn = 0
+        while x_sn < n_units:
+            run = min(self._current_tpdu_units - self._t_sn, n_units - x_sn)
+            last_of_frame = x_sn + run == n_units
+            last_of_connection = end_of_connection and last_of_frame
+            last_of_tpdu = last_of_connection or self._t_sn + run == self._current_tpdu_units
+            chunks.append(
+                Chunk(
+                    type=ChunkType.DATA,
                     size=self.unit_words,
+                    length=run,
+                    c=FramingTuple(self.connection_id, self._c_sn, st=last_of_connection),
+                    t=FramingTuple(self._t_id, self._t_sn, st=last_of_tpdu),
+                    x=FramingTuple(x_id, x_sn, st=last_of_frame),
+                    payload=bytes(data[x_sn * unit_bytes : (x_sn + run) * unit_bytes]),
                 )
             )
-            self._c_sn += 1
+            x_sn += run
+            self._c_sn += run
             if last_of_tpdu:
                 self._t_id = next(self.tpdu_ids)
                 self._t_sn = 0
                 self._current_tpdu_units = self.tpdu_units
             else:
-                self._t_sn += 1
+                self._t_sn += run
         if end_of_connection:
             self._closed = True
-        return chunks_from_labels(units)
+        return chunks
 
     @property
     def current_tpdu_id(self) -> int:

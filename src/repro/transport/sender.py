@@ -41,10 +41,6 @@ class _TpduRecord:
     chunks: list[Chunk] = field(default_factory=list)
     ed_chunk: Chunk | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.ed_chunk is not None
-
 
 @dataclass
 class ChunkTransportSender:
@@ -67,7 +63,6 @@ class ChunkTransportSender:
 
     _builder: ChunkStreamBuilder = field(init=False)
     _tpdus: dict[int, _TpduRecord] = field(init=False, default_factory=dict)
-    _order: list[int] = field(init=False, default_factory=list)
     frames_sent: int = field(init=False, default=0)
     tpdus_sent: int = field(init=False, default=0)
 
@@ -130,8 +125,8 @@ class ChunkTransportSender:
             if record is None:
                 record = _TpduRecord()
                 self._tpdus[chunk.t.ident] = record
-                self._order.append(chunk.t.ident)
-                self._trim_history()
+                while len(self._tpdus) > self.history_limit:
+                    del self._tpdus[next(iter(self._tpdus))]
             record.chunks.append(chunk)
             out.append(chunk)
             if chunk.t.st:
@@ -168,15 +163,8 @@ class ChunkTransportSender:
 
     def acknowledge(self, t_id: int) -> None:
         """Drop a verified TPDU from the retransmit history."""
-        if t_id in self._tpdus:
-            del self._tpdus[t_id]
-            self._order.remove(t_id)
+        self._tpdus.pop(t_id, None)
 
     def outstanding_tpdus(self) -> list[int]:
         """TPDU ids still unacknowledged, in emission order."""
-        return list(self._order)
-
-    def _trim_history(self) -> None:
-        while len(self._order) > self.history_limit:
-            oldest = self._order.pop(0)
-            del self._tpdus[oldest]
+        return list(self._tpdus)

@@ -23,6 +23,15 @@ def endpoint_pair(loop: EventLoop) -> tuple[ChunkEndpoint, ChunkEndpoint]:
     return sender, receiver
 
 
+def test_deterministic_payload_is_byte_identical_to_its_definition():
+    """The per-residue pattern cache must not change a single byte."""
+    for cid in range(1024):
+        pattern = bytes((cid * 97 + i * 31 + 7) % 256 for i in range(256))
+        for nbytes in (0, 1, 255, 257, 1001):
+            expected = (pattern * (nbytes // 256 + 1))[:nbytes]
+            assert deterministic_payload(cid, nbytes) == expected
+
+
 def test_deterministic_payload_depends_only_on_cid_and_length():
     assert deterministic_payload(5, 1000) == deterministic_payload(5, 1000)
     assert deterministic_payload(5, 100) == deterministic_payload(5, 1000)[:100]

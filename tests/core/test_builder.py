@@ -7,6 +7,7 @@ import pytest
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
 from repro.core.errors import ChunkError
 from repro.core.tuples import FramingTuple
+from repro.core.types import MAX_TPDU_SYMBOLS
 
 from tests.conftest import make_payload
 
@@ -178,3 +179,51 @@ class TestChunkStreamBuilder:
             ChunkStreamBuilder(connection_id=1, tpdu_units=0)
         with pytest.raises(ChunkError):
             ChunkStreamBuilder(connection_id=1, tpdu_units=4, unit_words=0)
+
+    @pytest.mark.parametrize("unit_words", [1, 2, 4])
+    def test_oversize_tpdu_rejected_at_construction(self, unit_words):
+        """A TPDU that cannot fit the Figure-5 data budget is refused
+        before any data is framed, not by the WSC-2 encoder afterwards."""
+        limit = MAX_TPDU_SYMBOLS // unit_words
+        ChunkStreamBuilder(connection_id=1, tpdu_units=limit, unit_words=unit_words)
+        with pytest.raises(ChunkError):
+            ChunkStreamBuilder(
+                connection_id=1, tpdu_units=limit + 1, unit_words=unit_words
+            )
+
+    def test_oversize_resize_rejected_without_moving_state(self):
+        builder = ChunkStreamBuilder(connection_id=1, tpdu_units=4, unit_words=2)
+        builder.add_frame(make_payload(3, size=2))
+        for bad in (0, MAX_TPDU_SYMBOLS // 2 + 1):
+            with pytest.raises(ChunkError):
+                builder.set_tpdu_units(bad)
+        assert builder.tpdu_units == 4
+        assert (builder.next_c_sn, builder.current_tpdu_id) == (3, 0)
+        # The TPDU in progress still closes at its original size.
+        assert [c.length for c in builder.add_frame(make_payload(3, size=2))] == [1, 2]
+
+    def test_tuples_allocated_per_chunk_not_per_word(self, monkeypatch):
+        """Allocation budget: a 64 KiB frame (16 384 words) at
+        tpdu_units=256 validates exactly three tuples per chunk formed."""
+        constructed = []
+        validate = FramingTuple.__post_init__
+
+        def counting(self):
+            constructed.append(self)
+            validate(self)
+
+        monkeypatch.setattr(FramingTuple, "__post_init__", counting)
+        builder = ChunkStreamBuilder(connection_id=9, tpdu_units=256)
+        chunks = builder.add_frame(make_payload(16 * 1024))
+        assert len(chunks) == 64
+        assert len(constructed) == 3 * len(chunks)
+
+    @pytest.mark.parametrize("view", [lambda buf: buf, memoryview], ids=["bytearray", "memoryview"])
+    def test_buffer_frames_yield_immutable_payload_copies(self, view):
+        original = make_payload(10)
+        backing = bytearray(original)
+        builder = ChunkStreamBuilder(connection_id=9, tpdu_units=4)
+        chunks = builder.add_frame(view(backing))
+        assert all(type(c.payload) is bytes for c in chunks)
+        backing[:] = bytes(len(backing))  # the caller reuses its buffer
+        assert b"".join(c.payload for c in chunks) == original

@@ -115,6 +115,23 @@ class TestSender:
         sender.send_frame(make_payload(10))
         assert len(sender.outstanding_tpdus()) == 3
 
+    def test_oversize_tpdu_rejected_before_any_state_moves(self):
+        """A TPDU larger than the WSC-2 data budget is refused where it
+        is configured — not inside send_frame, where C.SN would already
+        have advanced and an ED-less TPDU been recorded."""
+        with pytest.raises(ChunkError):
+            self._sender(tpdu_units=20000)
+        with pytest.raises(ChunkError):
+            self._sender(tpdu_units=5000, unit_words=4)
+        sender = self._sender(tpdu_units=8)
+        sender.send_frame(make_payload(4))
+        with pytest.raises(ChunkError):
+            sender.set_tpdu_units(20000)
+        assert sender.tpdu_units == 8
+        assert sender.outstanding_tpdus() == [0]
+        chunks = sender.send_frame(make_payload(4))
+        assert chunks[-1].type is ChunkType.ERROR_DETECTION  # TPDU 0 closed at 8
+
     def test_implicit_tid_allocation(self):
         sender = self._sender(tpdu_units=8, implicit_t_id=True)
         chunks = [c for c in sender.send_frame(make_payload(20)) if c.is_data]
