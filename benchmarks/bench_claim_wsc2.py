@@ -13,8 +13,9 @@ Reproduction — all three cells of that comparison:
    shuffled fragments and compare with the in-order value;
 2. detection power: miss rates on word transpositions (the Internet
    checksum's blind spot), burst errors, and random multi-bit garble;
-3. throughput of each code in this implementation (ablation: bit-serial
-   vs table-accelerated GF(2^32) multiply).
+3. throughput of each code in this implementation (ablation: WSC-2 as
+   the symbol-list Horner loop, the definition, vs the ``add_bytes``
+   lane-fold kernel the transport runs).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import random
 
 from _common import make_bytes, print_table, register_bench, scaled
 from repro.wsc.crc import Crc32, crc32
-from repro.wsc.gf32 import Gf32Mul, alpha_pow, gf_mul
+from repro.wsc.gf32 import gf_mul
 from repro.wsc.inet import InetChecksum, inet_checksum
 from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes, wsc2_encode
 
@@ -45,7 +46,7 @@ def fragments(data: bytes, pieces: int, seed: int):
 def wsc2_disordered(data: bytes, seed: int):
     acc = Wsc2Accumulator()
     for start, end in fragments(data, 8, seed):
-        acc.add_run(start // 4, symbols_from_bytes(data[start:end]))
+        acc.add_bytes(start // 4, data[start:end])
     return acc.value()
 
 
@@ -128,13 +129,22 @@ def test_wsc2_catches_bursts():
 
 
 # ----------------------------------------------------------------------
-# 3. Throughput (and the gf multiply ablation)
+# 3. Throughput (and the oracle-vs-kernel ablation)
 # ----------------------------------------------------------------------
 
 def test_wsc2_throughput(benchmark):
     symbols = symbols_from_bytes(DATA)
     result = benchmark(wsc2_encode, symbols)
     assert result != (0, 0)
+
+
+def test_wsc2_throughput_bytes(benchmark):
+    def run():
+        acc = Wsc2Accumulator()
+        acc.add_bytes(0, DATA)
+        return acc.value()
+
+    assert benchmark(run) == wsc2_encode(symbols_from_bytes(DATA))
 
 
 def test_crc32_throughput(benchmark):
@@ -154,19 +164,6 @@ def test_gf_mul_bit_serial(benchmark):
         acc = 0
         for value in values:
             acc ^= gf_mul(value, 0x9E3779B9)
-        return acc
-
-    assert benchmark(run) is not None
-
-
-def test_gf_mul_table(benchmark):
-    values = [random.Random(1).getrandbits(32) for _ in range(256)]
-    table = Gf32Mul(0x9E3779B9)
-
-    def run():
-        acc = 0
-        for value in values:
-            acc ^= table.mul(value)
         return acc
 
     assert benchmark(run) is not None

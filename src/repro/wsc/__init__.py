@@ -16,7 +16,6 @@ from repro.wsc.gf32 import (
     ALPHA,
     ORDER,
     POLY,
-    Gf32Mul,
     alpha_pow,
     gf_add,
     gf_inv,
@@ -55,7 +54,6 @@ __all__ = [
     "gf_inv",
     "alpha_pow",
     "mul_alpha",
-    "Gf32Mul",
     "MAX_POSITIONS",
     "Wsc2Accumulator",
     "wsc2_encode",

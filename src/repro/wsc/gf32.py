@@ -12,10 +12,9 @@ GF(2^32)".  We construct the field as GF(2)[x] / p(x) with
 0 <= i < 2^29 - 2 distinct weights.
 
 Addition is XOR; multiplication is carry-less multiply followed by
-reduction.  :func:`gf_mul` is the portable bit-serial version;
-:class:`Gf32Mul` is a nibble-table-accelerated variant used by the
-throughput benchmarks (the ablation the paper's "Implementation
-Considerations" appendix invites).
+reduction, written bit-serially.  This module is the definition; the
+byte-run kernel in :mod:`repro.wsc.wsc2` leans on ``alpha = x`` and on
+``p(x)`` being zlib's CRC-32 polynomial, and must agree with it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "gf_inv",
     "alpha_pow",
     "mul_alpha",
-    "Gf32Mul",
 ]
 
 #: Reduction polynomial including the x^32 term.
@@ -108,41 +106,6 @@ def alpha_pow(i: int) -> int:
         i >>= 1
         bit += 1
     return result
-
-
-class Gf32Mul:
-    """Nibble-table-accelerated multiplication.
-
-    Precomputes ``table[n][v]`` = ``(v << 4n) * other`` reduced, for a
-    *fixed* right operand — the classic windowed technique.  Useful when
-    one operand repeats (e.g. scaling a whole run by alpha**start).
-    General a*b still needs :func:`gf_mul`; this class exists so the
-    benchmark suite can quantify the trade-off.
-    """
-
-    def __init__(self, constant: int) -> None:
-        self.constant = constant & _MASK32
-        # table[nibble_index][nibble_value]
-        self._tables: list[list[int]] = []
-        for nibble_index in range(8):
-            row = []
-            for nibble_value in range(16):
-                row.append(gf_mul(nibble_value << (4 * nibble_index), self.constant))
-            self._tables.append(row)
-
-    def mul(self, a: int) -> int:
-        """a * constant using eight table lookups and XORs."""
-        tables = self._tables
-        return (
-            tables[0][a & 0xF]
-            ^ tables[1][(a >> 4) & 0xF]
-            ^ tables[2][(a >> 8) & 0xF]
-            ^ tables[3][(a >> 12) & 0xF]
-            ^ tables[4][(a >> 16) & 0xF]
-            ^ tables[5][(a >> 20) & 0xF]
-            ^ tables[6][(a >> 24) & 0xF]
-            ^ tables[7][(a >> 28) & 0xF]
-        )
 
 
 def mul_alpha(a: int) -> int:

@@ -19,19 +19,25 @@ Position map in the WSC-2 code space (32-bit symbols):
 Every input that decides a position or a trigger — T.SN, SIZE, the ST
 bits — is itself checked by virtual reassembly or by the code mismatch
 that a wrong position causes, which is exactly the Table 1 story.
+
+The map is the definition (``add_symbol`` / ``add_run`` there); the code
+spends no arithmetic on a position known in advance — fixed weights are
+constants, the X pair's is cached by final T.SN; payload: ``add_bytes``.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
 from repro.core.tuples import FramingTuple
 from repro.core.types import MAX_TPDU_SYMBOLS, ChunkType
 from repro.obs import counter
-from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes
+from repro.wsc.gf32 import alpha_pow, gf_mul, mul_alpha
+from repro.wsc.wsc2 import Wsc2Accumulator
 
 __all__ = [
     "T_ID_POS",
@@ -50,6 +56,8 @@ T_ID_POS = MAX_TPDU_SYMBOLS          # 16384
 C_ID_POS = MAX_TPDU_SYMBOLS + 1      # 16385
 C_ST_POS = MAX_TPDU_SYMBOLS + 2      # 16386
 X_PAIR_BASE = MAX_TPDU_SYMBOLS + 3   # 16387
+# alpha^position of the three fixed rows: constants too.
+_T_ID_WEIGHT, _C_ID_WEIGHT, _C_ST_WEIGHT = map(alpha_pow, (T_ID_POS, C_ID_POS, C_ST_POS))
 
 _ED_PAYLOAD = struct.Struct(">III")
 
@@ -60,6 +68,12 @@ _OBS_DECODE_FAIL_REASSEMBLY = counter(
 _OBS_DECODE_FAIL_CODE = counter(
     "wsc", "decode_fail.code-mismatch", "whole-TPDU decodes with parity mismatch"
 )
+
+
+@lru_cache(maxsize=1024)
+def _x_pair_weight(final_t_sn: int) -> int:
+    """alpha^position of the X.ID keyed to *final_t_sn*; X.ST's is the next."""
+    return alpha_pow(X_PAIR_BASE + 2 * final_t_sn)
 
 
 @dataclass
@@ -80,8 +94,13 @@ class TpduInvariant:
     def __post_init__(self) -> None:
         # T.ID and C.ID are constant for all chunks of a TPDU and are
         # encoded exactly once, at fixed positions (Figure 5).
-        self._acc.add_symbol(T_ID_POS, self.t_id & 0xFFFFFFFF)
-        self._acc.add_symbol(C_ID_POS, self.c_id & 0xFFFFFFFF)
+        self._add(_T_ID_WEIGHT, self.t_id & 0xFFFFFFFF)
+        self._add(_C_ID_WEIGHT, self.c_id & 0xFFFFFFFF)
+
+    def _add(self, weight: int, value: int) -> None:
+        """``add_symbol`` at a position whose weight is already known."""
+        self._acc.p0 ^= value
+        self._acc.p1 ^= gf_mul(weight, value)
 
     # ------------------------------------------------------------------
 
@@ -109,21 +128,21 @@ class TpduInvariant:
                 f">= limit {MAX_TPDU_SYMBOLS}"
             )
         payload = chunk.payload[first * chunk.unit_bytes : last * chunk.unit_bytes]
-        self._acc.add_run(start_unit * chunk.size, symbols_from_bytes(payload))
+        self._acc.add_bytes(start_unit * chunk.size, payload)
 
         final_unit_included = last == chunk.length
         if not final_unit_included:
             return
-        final_t_sn = chunk.t.sn + chunk.length - 1
         if chunk.c.st:
             # C.ST can be set at most once per TPDU; encode value 1.
-            self._acc.add_symbol(C_ST_POS, 1)
+            self._add(_C_ST_WEIGHT, 1)
         if chunk.x.st or chunk.t.st:
             # Figure 6: each X.ID encoded exactly once, keyed to the
             # boundary element's T.SN so no two pairs collide.
-            base = X_PAIR_BASE + 2 * final_t_sn
-            self._acc.add_symbol(base, chunk.x.ident & 0xFFFFFFFF)
-            self._acc.add_symbol(base + 1, 1 if chunk.x.st else 0)
+            weight = _x_pair_weight(chunk.t.sn + chunk.length - 1)
+            self._add(weight, chunk.x.ident & 0xFFFFFFFF)
+            if chunk.x.st:
+                self._add(mul_alpha(weight), 1)
 
     # ------------------------------------------------------------------
 

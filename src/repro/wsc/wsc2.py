@@ -17,11 +17,20 @@ computed **on disordered data**: contributions may be accumulated in any
 arrival order, split across any number of accumulators and combined.
 That is the property the whole chunk design leans on (a CRC has no such
 property — see :mod:`repro.wsc.crc` and the CLAIM-WSC bench).
+
+``add_symbol`` / ``add_run`` are those sums written out bit-serially:
+the specification and the tests' oracle.  ``add_bytes`` is the kernel
+the transport runs: a run is one big integer of 32-bit lanes, P0 its
+XOR-fold in halves; ``alpha = x`` makes ``alpha^j`` a left shift by j, so
+``H = sum_j d_j x^j`` is log2(n) pairwise lane merges, reduced once by
+``zlib.crc32`` (``POLY`` is CRC-32's; reflection and init/xor-out undone).
+The two must agree bit for bit: P0/P1 travel in every ED chunk.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,6 +62,37 @@ def bytes_from_symbols(symbols: Iterable[int]) -> bytes:
     return b"".join(_WORD.pack(s) for s in symbols)
 
 
+_BLOCK = 1024  # symbols folded at once; longer runs go block by block
+#: Byte -> bit-reversed byte (zlib's CRC-32 is bit-reflected).
+_BITREV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+#: Mask m: the later (low) half of every lane pair at merge level m; ~40 KiB.
+_LANE_MASKS = tuple(
+    int.from_bytes((bytes(4 << m) + b"\xff" * (4 << m)) * (_BLOCK >> m + 1), "big")
+    for m in range(_BLOCK.bit_length() - 1)
+)
+
+
+def _fold(data: memoryview) -> tuple[int, int]:
+    """``(sum_j d_j, sum_j d_j x^j)``, unreduced, of at most _BLOCK symbols."""
+    levels = (-(-len(data) // 4) - 1).bit_length()
+    # Top-aligned in 2^levels lanes: zero symbols appended contribute nothing.
+    h = p0 = int.from_bytes(data, "big") << ((32 << levels) - 8 * len(data))
+    for m in reversed(range(levels)):
+        p0 = (p0 >> (32 << m)) ^ (p0 & _LANE_MASKS[m])
+    for m, mask in enumerate(_LANE_MASKS[:levels]):
+        h = ((h >> (32 << m)) & mask) ^ ((h & mask) << (1 << m))
+    return p0, h
+
+
+def _reduce(h: int) -> int:
+    """*h* mod ``POLY``.  With ``h = q x^32 + r``, ``q x^32 mod POLY`` is
+    zlib's CRC-32 of q's bits, init and xor-out 0, both reflections undone."""
+    q = h >> 32
+    message = q.to_bytes((q.bit_length() + 7) >> 3, "big").translate(_BITREV8)
+    crc = zlib.crc32(message, 0xFFFFFFFF) ^ 0xFFFFFFFF
+    return (h & 0xFFFFFFFF) ^ int.from_bytes(crc.to_bytes(4, "little").translate(_BITREV8), "big")
+
+
 @dataclass
 class Wsc2Accumulator:
     """An order-independent WSC-2 accumulator.
@@ -61,11 +101,9 @@ class Wsc2Accumulator:
     in any order; accumulators merge with :meth:`combine`.  The final
     ``(p0, p1)`` pair equals what a single in-order pass would produce.
 
-    A run ``d_s .. d_{s+L-1}`` contributes ``alpha^s * H`` to P1 where
-    ``H = sum_j alpha^j d_{s+j}`` is computed by a cheap Horner loop
-    (one shift-reduce per symbol) and the single ``alpha^s`` scaling is
-    table-accelerated — so per-chunk cost is linear in the chunk with
-    only O(log s) full multiplications.
+    A run ``d_s .. d_{s+L-1}`` contributes ``alpha^s * H`` to P1, with
+    ``H = sum_j alpha^j d_{s+j}`` from :meth:`add_run`'s Horner loop (the
+    definition) or :meth:`add_bytes`'s lane folds (the kernel).
     """
 
     p0: int = 0
@@ -73,7 +111,7 @@ class Wsc2Accumulator:
 
     def add_symbol(self, position: int, value: int) -> None:
         """Add symbol *value* at weight position *position*."""
-        self._check(position, 1)
+        self._check(position, 1, value)
         self.p0 ^= value
         self.p1 ^= gf_mul(alpha_pow(position), value)
 
@@ -81,20 +119,30 @@ class Wsc2Accumulator:
         """Add a contiguous run of symbols starting at *start*."""
         if not values:
             return
-        self._check(start, len(values))
-        p0 = 0
-        horner = 0
+        p0 = horner = seen = 0
         # Horner over the run, highest index first, gives
         # H = v_0 + alpha*(v_1 + alpha*(v_2 + ...)) = sum_j alpha^j v_j.
         for value in reversed(values):
             horner = mul_alpha(horner) ^ value
             p0 ^= value
+            seen |= value
+        self._check(start, len(values), seen)
         self.p0 ^= p0
         self.p1 ^= gf_mul(alpha_pow(start), horner)
 
-    def add_bytes(self, start: int, data: bytes) -> None:
-        """Add a byte run occupying symbol positions start, start+1, ..."""
-        self.add_run(start, symbols_from_bytes(data))
+    def add_bytes(self, start: int, data: bytes | bytearray | memoryview) -> None:
+        """Add a bytes-like run, zero-padded to whole symbols, at start, start+1, ..."""
+        view = memoryview(data).cast("B")
+        if not view:
+            return
+        self._check(start, -(-len(view) // 4))
+        p0 = h = 0
+        for offset in range(0, len(view), 4 * _BLOCK):
+            block_p0, block_h = _fold(view[offset : offset + 4 * _BLOCK])
+            p0 ^= block_p0
+            h ^= block_h << (offset >> 2)
+        self.p0 ^= p0
+        self.p1 ^= gf_mul(alpha_pow(start), _reduce(h))
 
     def combine(self, other: "Wsc2Accumulator") -> None:
         """Merge another accumulator's contributions into this one."""
@@ -110,12 +158,14 @@ class Wsc2Accumulator:
         return self.p0 == p0 and self.p1 == p1
 
     @staticmethod
-    def _check(start: int, count: int) -> None:
+    def _check(start: int, count: int, symbol_bits: int = 0) -> None:
         if start < 0 or start + count > MAX_POSITIONS:
             raise ValueError(
                 f"positions [{start}, {start + count}) outside the WSC-2 "
                 f"budget 0..{MAX_POSITIONS - 1}"
             )
+        if not 0 <= symbol_bits <= 0xFFFFFFFF:
+            raise ValueError("symbol value outside 0 .. 2**32 - 1")
 
 
 def wsc2_encode(symbols: Sequence[int], start: int = 0) -> tuple[int, int]:

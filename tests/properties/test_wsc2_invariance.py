@@ -7,23 +7,31 @@ accumulate exactly the same (P0, P1) pair.  The suite also pins the
 algebraic property underneath — the accumulator is a homomorphism, so
 any partition of the symbol stream into runs, accumulated in any order
 across any number of accumulators and combined, equals the one-shot
-in-order encoding.
+in-order encoding — and the byte-run kernel the transport runs
+(``add_bytes``: big-integer lane folds, one CRC-32 reduction) equals the
+bit-serial definition (``add_run``) on every run, start and tail.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.fragment import split_to_unit_limit
 from repro.core.reassemble import coalesce
+from repro.wsc import wsc2 as wsc2_module
 from repro.wsc.invariant import encode_tpdu
-from repro.wsc.wsc2 import Wsc2Accumulator, wsc2_encode
-from tests.conftest import make_payload
+from repro.wsc.wsc2 import (
+    MAX_POSITIONS,
+    Wsc2Accumulator,
+    symbols_from_bytes,
+    wsc2_encode,
+)
+from tests.conftest import deterministic_bytes, make_payload
 
 
 @st.composite
@@ -107,3 +115,43 @@ def test_accumulator_position_shift(symbols, start):
     for offset, value in enumerate(symbols):
         stepwise.add_symbol(start + offset, value)
     assert stepwise.value() == one_shot.value()
+
+
+def _block_edge_examples(test):
+    """Force runs of 1x, 2x and 4x the fold block, +-1 symbol, aligned and
+    not, at the position budget's edge and off it."""
+    for multiple in (1, 2, 4):
+        for delta in (-4, -1, 0, 1, 4):
+            size = 4 * wsc2_module._BLOCK * multiple + delta
+            test = example(
+                data=deterministic_bytes(size, seed=size),
+                start=MAX_POSITIONS if delta else multiple,
+                wrap=(bytes, bytearray, memoryview)[multiple % 3],
+                cut=wsc2_module._BLOCK * multiple + delta,
+            )(test)
+    return test
+
+
+@_block_edge_examples
+@given(
+    data=st.binary(max_size=5000),
+    start=st.integers(0, MAX_POSITIONS),
+    wrap=st.sampled_from([bytes, bytearray, memoryview]),
+    cut=st.integers(0, 1 << 16),
+)
+def test_byte_kernel_equals_symbol_oracle(data, start, wrap, cut):
+    """add_bytes == add_run(symbols_from_bytes), whole and split in two."""
+    count = -(-len(data) // 4)
+    start = min(start, MAX_POSITIONS - count)  # up to the budget's edge
+    oracle = Wsc2Accumulator()
+    oracle.add_run(start, symbols_from_bytes(data))
+    kernel = Wsc2Accumulator()
+    kernel.add_bytes(start, wrap(data))
+    assert kernel.value() == oracle.value()
+
+    cut %= count + 1
+    head, tail = Wsc2Accumulator(), Wsc2Accumulator()
+    head.add_bytes(start, wrap(data[: 4 * cut]))
+    tail.add_bytes(start + cut, wrap(data[4 * cut :]))
+    head.combine(tail)
+    assert head.value() == oracle.value()

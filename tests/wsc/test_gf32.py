@@ -8,7 +8,6 @@ from repro.wsc.gf32 import (
     ALPHA,
     ORDER,
     POLY,
-    Gf32Mul,
     alpha_pow,
     gf_add,
     gf_inv,
@@ -111,14 +110,3 @@ class TestPrimitivity:
     def test_low_alpha_powers_are_shifts(self):
         for i in range(31):
             assert alpha_pow(i) == 1 << i
-
-
-class TestGf32Mul:
-    @given(elements, elements)
-    @settings(max_examples=50)
-    def test_table_matches_bit_serial(self, constant, a):
-        assert Gf32Mul(constant).mul(a) == gf_mul(a, constant)
-
-    def test_table_mul_by_one(self):
-        table = Gf32Mul(1)
-        assert table.mul(0xCAFEBABE) == 0xCAFEBABE

@@ -1,6 +1,7 @@
 """Unit and property tests for the Figure 5/6 TPDU invariant."""
 
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
 from repro.core.fragment import split_to_unit_limit
+from repro.core.types import MAX_TPDU_SYMBOLS
+from repro.wsc import invariant as invariant_module
+from repro.wsc import wsc2 as wsc2_module
 from repro.wsc.invariant import (
     C_ID_POS,
     C_ST_POS,
@@ -108,6 +112,64 @@ class TestPositionMap:
             invariant.add_units(chunk, 2, 2)
         with pytest.raises(ChunkError):
             invariant.add_units(chunk, 0, 5)
+
+
+class TestImplementationEqualsPositionMap:
+    """The constant / cached weights and the byte kernel must give what
+    ``add_symbol`` / ``add_run`` give at the documented positions."""
+
+    @given(
+        size=st.sampled_from([1, 2, 4]),
+        units=st.integers(1, 12),
+        t_sn=st.one_of(st.integers(0, 40), st.none()),  # None: end at the limit
+        ids=st.tuples(*[st.integers(0, 2**32 - 1)] * 3),
+        st_bits=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        first=st.integers(0, 11),
+        span=st.integers(1, 12),
+        to_the_end=st.booleans(),
+    )
+    def test_value_equals_hand_built_accumulator(
+        self, size, units, t_sn, ids, st_bits, first, span, to_the_end
+    ):
+        if t_sn is None:
+            t_sn = MAX_TPDU_SYMBOLS // size - units
+        c_id, t_id, x_id = ids
+        c_st, t_st, x_st = st_bits
+        chunk = make_chunk(
+            units=units, size=size, t_sn=t_sn, seed=units * size,
+            c_id=c_id, t_id=t_id, x_id=x_id, c_st=c_st, t_st=t_st, x_st=x_st,
+        )
+        first %= units
+        last = units if to_the_end else min(units, first + span)
+
+        invariant = TpduInvariant(c_id, t_id)
+        invariant.add_units(chunk, first, last)
+
+        expected = Wsc2Accumulator()
+        expected.add_symbol(T_ID_POS, t_id)
+        expected.add_symbol(C_ID_POS, c_id)
+        payload = chunk.payload[first * chunk.unit_bytes : last * chunk.unit_bytes]
+        expected.add_run((t_sn + first) * size, symbols_from_bytes(payload))
+        if last == units:
+            if c_st:
+                expected.add_symbol(C_ST_POS, 1)
+            if x_st or t_st:
+                base = X_PAIR_BASE + 2 * (t_sn + units - 1)
+                expected.add_symbol(base, x_id)
+                expected.add_symbol(base + 1, int(x_st))
+        assert invariant.value() == expected.value()
+
+    def test_kernel_state_is_bounded_and_immutable(self):
+        masks = wsc2_module._LANE_MASKS
+        acc = Wsc2Accumulator()
+        acc.add_bytes(0, make_payload(MAX_TPDU_SYMBOLS, seed=3))  # 4 * MAX bytes
+        for t_sn in range(2048):  # more keys than the cache holds
+            invariant_module._x_pair_weight(t_sn)
+        assert wsc2_module._LANE_MASKS is masks
+        assert isinstance(masks, tuple)
+        assert sys.getsizeof(masks) + sum(map(sys.getsizeof, masks)) <= 64 * 1024
+        cache = invariant_module._x_pair_weight.cache_info()
+        assert cache.maxsize <= 1024 and cache.currsize <= cache.maxsize
 
 
 class TestFragmentationInvariance:

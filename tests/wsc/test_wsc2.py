@@ -121,6 +121,63 @@ class TestOrderIndependence:
         b.add_run(10, symbols_from_bytes(data))
         assert a.value() == b.value()
 
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    @pytest.mark.parametrize("data", [b"abcde", b"abcdefgh", b"a", bytes(range(7))])
+    def test_add_bytes_takes_any_bytes_like_aligned_or_not(self, wrap, data):
+        """An unaligned memoryview used to raise TypeError."""
+        a = Wsc2Accumulator()
+        a.add_bytes(3, wrap(data))
+        b = Wsc2Accumulator()
+        b.add_run(3, symbols_from_bytes(data))
+        assert a.value() == b.value()
+
+    def test_add_bytes_pads_the_tail_with_zeros(self):
+        a = Wsc2Accumulator()
+        a.add_bytes(0, b"abcde")
+        b = Wsc2Accumulator()
+        b.add_bytes(0, b"abcde\x00\x00\x00")
+        assert a.value() == b.value()
+
+    def test_add_bytes_empty_is_a_no_op(self):
+        acc = Wsc2Accumulator(p0=5, p1=7)
+        for empty in (b"", bytearray(), memoryview(b"")):
+            acc.add_bytes(9, empty)
+        assert acc.value() == (5, 7)
+
+    def test_add_bytes_checks_positions_before_any_state_moves(self):
+        acc = Wsc2Accumulator()
+        with pytest.raises(ValueError):
+            acc.add_bytes(MAX_POSITIONS - 1, b"abcde")  # two symbols, one slot
+        with pytest.raises(ValueError):
+            acc.add_bytes(-1, b"abcd")
+        assert acc.value() == (0, 0)
+        acc.add_bytes(MAX_POSITIONS - 2, b"abcde")  # the last two positions
+
+
+class TestSymbolRange:
+    """Out-of-range symbols used to leave p0 outside 32 bits and only
+    fail later, as struct.error in EdPayload.encode."""
+
+    @pytest.mark.parametrize("value", [1 << 32, 1 << 40, -1])
+    def test_add_symbol_rejects(self, value):
+        acc = Wsc2Accumulator()
+        with pytest.raises(ValueError):
+            acc.add_symbol(0, value)
+        assert acc.value() == (0, 0)
+
+    @pytest.mark.parametrize("values", [[1 << 40, 5], [5, -1], [-1, 1 << 33]])
+    def test_add_run_rejects(self, values):
+        acc = Wsc2Accumulator()
+        with pytest.raises(ValueError):
+            acc.add_run(0, values)
+        assert acc.value() == (0, 0)
+
+    def test_full_range_accepted(self):
+        acc = Wsc2Accumulator()
+        acc.add_symbol(0, 0xFFFFFFFF)
+        acc.add_run(1, [0, 0xFFFFFFFF])
+        assert acc.p0 == 0
+
 
 class TestDetectionPower:
     def test_detects_single_symbol_change(self):
