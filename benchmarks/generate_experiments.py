@@ -106,9 +106,9 @@ or any single table with ``python benchmarks/bench_<id>.py``; timing
 numbers come from ``pytest benchmarks/ --benchmark-only``.  For the
 machine-gated form of these numbers, ``python -m repro.perf run``
 executes every bench's registered ``run(payload_scale)`` entry point
-into a ``BENCH_<n>.json`` telemetry artifact (wall-clock, obs counter
-snapshot, paper budgets) that CI compares exactly against the
-committed baseline — see ``docs/benchmarking.md``.
+into a ``BENCH_<n>.json`` telemetry artifact (figures, obs counter
+snapshot, paper budgets — no timing) that CI compares exactly against
+the committed baseline — see ``docs/benchmarking.md``.
 
 All numbers below come from the simulated substrate (see DESIGN.md for
 the substitutions); shapes, not absolute values, are the reproduction

@@ -17,9 +17,11 @@ With ``--shards N`` the same workload runs on a ``ShardedEndpoint``
 pair: N C.ID-hashed worker shards behind one wire and one global budget
 pool — same conversations, same delivered bytes, the state partitioned.
 
-With ``--trace PATH`` the run records per-layer counters (including the
-per-connection ``conn=<C.ID>``-labelled hot-path metrics) via
-``repro.obs``; inspect the trace with ``python -m repro.obs report``.
+With ``--trace PATH`` the run records per-layer counters and lifecycle
+events (``conn_established`` / ``conn_closed`` / ``conn_evicted``, each
+carrying ``conn=<C.ID>``) via ``repro.obs``; inspect the trace with
+``python -m repro.obs report PATH --events conn=7``.  The per-connection
+byte and touch numbers printed below come from each ``Connection``.
 """
 
 import argparse

@@ -69,16 +69,26 @@ class IntervalSet:
         i = bisect.bisect_right(self._starts, start) - 1
         return i >= 0 and self._ends[i] >= end
 
+    def gaps(self, start: int, end: int) -> list[tuple[int, int]]:
+        """The sub-ranges of ``[start, end)`` not present, in order
+        (bisects to the window and walks only it)."""
+        lo = bisect.bisect_right(self._ends, start)
+        hi = bisect.bisect_left(self._starts, end)
+        found: list[tuple[int, int]] = []
+        cursor = start
+        for i in range(lo, hi):
+            if self._starts[i] > cursor:
+                found.append((cursor, self._starts[i]))
+            cursor = self._ends[i]
+        if cursor < end:
+            found.append((cursor, end))
+        return found
+
     def overlaps(self, start: int, end: int) -> int:
         """Number of units of ``[start, end)`` already present."""
         if end <= start:
             return 0
-        lo = bisect.bisect_right(self._ends, start)
-        hi = bisect.bisect_left(self._starts, end)
-        total = 0
-        for i in range(lo, hi):
-            total += max(0, min(self._ends[i], end) - max(self._starts[i], start))
-        return total
+        return (end - start) - sum(e - s for s, e in self.gaps(start, end))
 
     def is_complete(self, total_units: int) -> bool:
         """True if every unit of ``[0, total_units)`` is present."""
@@ -86,17 +96,7 @@ class IntervalSet:
 
     def missing(self, total_units: int) -> list[tuple[int, int]]:
         """The gaps in ``[0, total_units)`` still to arrive."""
-        gaps: list[tuple[int, int]] = []
-        cursor = 0
-        for s, e in zip(self._starts, self._ends):
-            if s >= total_units:
-                break
-            if s > cursor:
-                gaps.append((cursor, min(s, total_units)))
-            cursor = max(cursor, e)
-        if cursor < total_units:
-            gaps.append((cursor, total_units))
-        return gaps
+        return self.gaps(0, total_units)
 
     def intervals(self) -> list[tuple[int, int]]:
         """A copy of the stored intervals."""

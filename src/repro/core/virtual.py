@@ -67,13 +67,19 @@ class PduState:
                     f"conflicting ST positions: PDU ends at {self.total_units} "
                     f"units but a new ST claims {end}"
                 )
+            if end < self.received.span_end:
+                # The same verdict the ST-first arrival order reaches.
+                raise VirtualReassemblyError(
+                    f"data units up to {self.received.span_end} lie beyond "
+                    f"PDU end {end}"
+                )
             self.total_units = end
         if self.total_units is not None and end > self.total_units:
             raise VirtualReassemblyError(
                 f"data unit range [{start}, {end}) lies beyond PDU end "
                 f"{self.total_units}"
             )
-        fresh = self._fresh_ranges(start, end)
+        fresh = self.received.gaps(start, end)
         new = self.received.add(start, end)
         dup = length - new
         was_complete = self.complete
@@ -85,24 +91,6 @@ class PduState:
             fresh_ranges=tuple(fresh),
             completed=self.complete and not was_complete,
         )
-
-    def _fresh_ranges(self, start: int, end: int) -> list[tuple[int, int]]:
-        """The sub-ranges of [start, end) not yet received."""
-        gaps: list[tuple[int, int]] = []
-        cursor = start
-        for s, e in self.received.intervals():
-            if e <= start:
-                continue
-            if s >= end:
-                break
-            if s > cursor:
-                gaps.append((cursor, min(s, end)))
-            cursor = max(cursor, e)
-            if cursor >= end:
-                break
-        if cursor < end:
-            gaps.append((cursor, end))
-        return gaps
 
     def missing(self) -> list[tuple[int, int]]:
         """Unit ranges still outstanding (needs ST to bound the tail)."""

@@ -76,22 +76,21 @@ class PlacementBuffer:
                 f"write [{offset}, {end}) beyond the {self.limit_bytes}-byte "
                 f"region limit (corrupted sequence number?)"
             )
-        if self._received and self._received.overlaps(offset, end):
-            # The views are released before any region growth below —
-            # a live export would pin the bytearray's size.
+        gaps = self._received.gaps(offset, end)
+        if gaps != [(offset, end)]:
+            # Some of the range is already placed: what lies between the
+            # gaps must agree.  The views are released before any region
+            # growth below — a live export would pin the bytearray's size.
             with memoryview(self._data) as placed, memoryview(data) as incoming:
-                for s, e in self._received.intervals():
-                    if e <= offset:
-                        continue
-                    if s >= end:
-                        break
-                    lo, hi = max(s, offset), min(e, end)
-                    if placed[lo:hi] != incoming[lo - offset : hi - offset]:
+                lo = offset
+                for gap_start, gap_end in gaps + [(end, end)]:
+                    if placed[lo:gap_start] != incoming[lo - offset : gap_start - offset]:
                         self.overlap_conflicts += 1
                         raise InconsistentOverlapError(
                             f"write [{offset}, {end}) disagrees with already-"
-                            f"placed bytes in [{lo}, {hi})"
+                            f"placed bytes in [{lo}, {gap_start})"
                         )
+                    lo = gap_end
         if len(self._data) < end:
             growth = end - len(self._data)
             if self.budget is not None:
@@ -163,24 +162,36 @@ class FrameStore:
 
         Raises:
             ValueError: the frame-count or per-frame size bound would be
-                exceeded (corrupted labels).
+                exceeded, or *last* contradicts the frame end already
+                known or bytes already placed beyond it (corrupted
+                labels).  Nothing is written.
         """
-        if frame_id not in self.frames and len(self.frames) >= self.max_frames:
-            raise ValueError(
-                f"more than {self.max_frames} concurrent frames "
-                f"(corrupted X.ID?)"
-            )
-        buffer = self.frames.setdefault(
-            frame_id,
-            PlacementBuffer(
+        buffer = self.frames.get(frame_id)
+        if buffer is None:
+            if len(self.frames) >= self.max_frames:
+                raise ValueError(
+                    f"more than {self.max_frames} concurrent frames "
+                    f"(corrupted X.ID?)"
+                )
+            buffer = self.frames[frame_id] = PlacementBuffer(
                 limit_bytes=self.frame_limit_bytes,
                 budget=self.budget,
                 budget_key=self.budget_key,
-            ),
-        )
+            )
+        end = offset + len(data)
+        if last:
+            # The frame's size must not depend on arrival order: a late
+            # end marker is held to what an early one would have refused.
+            placed_to = buffer._received.span_end
+            if buffer.total_bytes not in (None, end) or placed_to > end:
+                raise ValueError(
+                    f"frame {frame_id} end marker at {end} contradicts its "
+                    f"known end {buffer.total_bytes} or bytes already placed "
+                    f"up to {placed_to} (corrupted X.ST?)"
+                )
         buffer.place(offset, data)
         if last:
-            buffer.total_bytes = offset + len(data)
+            buffer.total_bytes = end
         if buffer.is_complete() and frame_id not in self.completed:
             self.completed.append(frame_id)
             return True

@@ -62,9 +62,6 @@ from repro.obs.runtime import (
     gauge,
     histogram,
     install,
-    labelled_counter,
-    labelled_gauge,
-    labelled_name,
     session,
     timer,
     tracer,
@@ -107,9 +104,6 @@ __all__ = [
     "histogram",
     "timer",
     "tracer",
-    "labelled_name",
-    "labelled_counter",
-    "labelled_gauge",
     "install",
     "uninstall",
     "session",

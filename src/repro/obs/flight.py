@@ -99,8 +99,8 @@ class FlightRecorder:
 
     def snapshot(self, trigger: str, tag: str = "") -> list[dict[str, object]]:
         """The dump's records: a meta header, per-conversation sections
-        (ring + that conversation's labelled metrics), and the full
-        metric snapshot of the active registry (when one is installed).
+        (the ring), and the full metric snapshot of the active registry
+        (when one is installed).
         """
         records: list[dict[str, object]] = [
             {
@@ -113,25 +113,19 @@ class FlightRecorder:
                 "records_seen": self.records_seen,
             }
         ]
-        registry = active_registry()
-        metrics = metric_snapshot(registry) if registry is not None else {}
         for c_id in self.conversation_ids():
             ring = self._rings[c_id]
-            conversation_metrics = {
-                name: value
-                for name, value in metrics.items()
-                if f"conn={c_id}}}" in name or f"conn={c_id}," in name
-            }
             records.append(
                 {
                     "kind": "flight-conversation",
                     "c_id": c_id,
                     "retained": len(ring),
                     "seen": self.records_seen,
-                    "metrics": conversation_metrics,
                 }
             )
             records.extend(record.as_dict() for record in ring)
+        registry = active_registry()
+        metrics = metric_snapshot(registry) if registry is not None else {}
         if metrics:
             records.append({"kind": "flight-metrics", "snapshot": metrics})
         tracker = active_journey()

@@ -46,38 +46,6 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _label_value(text: str) -> tuple[int, object]:
-    """A label value as a sortable atom: numbers before strings, and
-    numbers compared numerically (``conn=9`` before ``conn=10``)."""
-    try:
-        return (0, int(text))
-    except ValueError:
-        try:
-            return (0, float(text))
-        except ValueError:
-            return (1, text)
-
-
-def _name_sort_key(name: str) -> tuple[object, ...]:
-    """Deterministic ordering for possibly-labelled instrument names.
-
-    ``name{k=v,...}`` sorts by base name first, then by its label items
-    — so ``chunks_routed{conn=2}`` precedes ``chunks_routed{conn=10}``
-    and every tie between labelled variants breaks the same way on
-    every run.
-    """
-    if name.endswith("}") and "{" in name:
-        base, _, body = name.partition("{")
-        labels = tuple(
-            (key, _label_value(value))
-            for key, _, value in (
-                part.partition("=") for part in body[:-1].split(",")
-            )
-        )
-        return (base, 1, labels)
-    return (name, 0, ())
-
-
 def _event_matches(record: dict[str, object], needle: str) -> bool:
     """True when a trace event matches an ``--events FILTER`` string.
 
@@ -134,10 +102,7 @@ def summarize(
     lines: list[str] = []
     for record_scope in sorted(metrics):
         lines.append(f"== {record_scope} ==")
-        rows = sorted(
-            metrics[record_scope],
-            key=lambda r: _name_sort_key(str(r.get("name", ""))),
-        )
+        rows = sorted(metrics[record_scope], key=lambda r: str(r.get("name", "")))
         name_width = max(len(str(r.get("name", ""))) for r in rows)
         kind_width = max(len(str(r.get("kind", ""))) for r in rows)
         for row in rows:

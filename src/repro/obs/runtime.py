@@ -41,9 +41,6 @@ __all__ = [
     "histogram",
     "timer",
     "tracer",
-    "labelled_name",
-    "labelled_counter",
-    "labelled_gauge",
     "install",
     "uninstall",
     "active_registry",
@@ -280,37 +277,6 @@ def timer(scope: str, name: str, help: str = "") -> TimerHandle:
     handle = _handle(TimerHandle, scope, name, help)
     assert isinstance(handle, TimerHandle)
     return handle
-
-
-def labelled_name(name: str, labels: dict[str, object]) -> str:
-    """The registry name for a labelled instrument: ``name{k=v,...}``.
-
-    Labels are sorted by key so the same label set always produces the
-    same instrument, regardless of call-site keyword order.
-    """
-    if not labels:
-        return name
-    body = ",".join(f"{key}={labels[key]}" for key in sorted(labels))
-    return f"{name}{{{body}}}"
-
-
-def labelled_counter(
-    scope: str, name: str, help: str = "", **labels: object
-) -> CounterHandle:
-    """A counter handle carrying ``{k=v,...}`` labels in its name.
-
-    The multiplexed endpoint uses this for per-connection variants of
-    the hot-path metrics (``conn=<C.ID>``); cardinality is bounded by
-    the connection table, so labelled handles stay cheap.
-    """
-    return counter(scope, labelled_name(name, labels), help)
-
-
-def labelled_gauge(
-    scope: str, name: str, help: str = "", **labels: object
-) -> GaugeHandle:
-    """A gauge handle carrying ``{k=v,...}`` labels in its name."""
-    return gauge(scope, labelled_name(name, labels), help)
 
 
 def tracer(scope: str) -> TracerHandle:

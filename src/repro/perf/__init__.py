@@ -5,21 +5,17 @@ entry point; this package turns them into evidence:
 
 - :mod:`repro.perf.runner` executes every registered bench under an
   observed :func:`repro.obs.session` and writes one schema-versioned
-  ``BENCH_<n>.json`` artifact (wall-clock median-of-k + IQR, the bench's
-  deterministic figures, the full obs metric snapshot, simulated-time
-  totals).
-- :mod:`repro.perf.profile` extracts cProfile hotspots and checks the
-  paper's countable claims as machine-verified budgets (immediate
-  processing touches each byte once, reassembly at most twice, touch
-  counts are arrival-order invariant, ...).
+  ``BENCH_<n>.json`` artifact (the bench's deterministic figures, the
+  full obs metric snapshot, simulated-time totals).
+- :mod:`repro.perf.profile` checks the paper's countable claims as
+  machine-verified budgets (immediate processing touches each byte
+  once, reassembly at most twice, touch counts are arrival-order
+  invariant, ...) and prints one bench's cProfile hotspots.
 - :mod:`repro.perf.compare` gates a new artifact against a baseline:
-  exact equality on every deterministic counter and figure, IQR-derived
-  thresholds on wall clock.
-- :mod:`repro.perf.report` renders the trajectory across all committed
-  artifacts.
+  exact equality on every counter, figure and budget.
 
-CLI: ``python -m repro.perf run|compare|report|profile`` (see
-docs/benchmarking.md).
+Nothing here measures speed — ``bench_e2e/`` does.  CLI: ``python -m
+repro.perf run|compare|profile`` (see docs/benchmarking.md).
 """
 
 from __future__ import annotations
@@ -31,15 +27,12 @@ from repro.perf.compare import (
     render_comparison,
 )
 from repro.perf.profile import collect_hotspots, evaluate_budgets
-from repro.perf.report import load_trajectory, render_trajectory
 from repro.perf.runner import load_registry, run_bench, run_suite
 from repro.perf.schema import (
     SCHEMA_VERSION,
     Artifact,
     BenchRecord,
     BudgetCheck,
-    Hotspot,
-    WallStats,
     artifact_paths,
     dump_artifact,
     load_artifact,
@@ -51,8 +44,6 @@ __all__ = [
     "Artifact",
     "BenchRecord",
     "BudgetCheck",
-    "Hotspot",
-    "WallStats",
     "CompareResult",
     "Finding",
     "artifact_paths",
@@ -62,10 +53,8 @@ __all__ = [
     "evaluate_budgets",
     "load_artifact",
     "load_registry",
-    "load_trajectory",
     "next_artifact_path",
     "render_comparison",
-    "render_trajectory",
     "run_bench",
     "run_suite",
 ]

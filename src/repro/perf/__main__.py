@@ -1,8 +1,8 @@
-"""``python -m repro.perf`` — run, compare, report, profile.
+"""``python -m repro.perf`` — run, compare, profile.
 
-Exit codes: 0 success; 1 perf regression, deterministic drift, or a
-failed budget; 2 usage or schema errors (incomparable artifacts,
-malformed JSON, unknown bench).
+Exit codes: 0 success; 1 deterministic drift or a failed budget; 2
+usage or schema errors (incomparable artifacts, malformed JSON, unknown
+bench).
 """
 
 from __future__ import annotations
@@ -12,18 +12,10 @@ import sys
 from pathlib import Path
 
 from repro.core.errors import PerfError
-from repro.perf.compare import (
-    DEFAULT_WALL_FACTOR,
-    DEFAULT_WALL_RATIO,
-    compare_artifacts,
-    render_comparison,
-)
+from repro.perf.compare import compare_artifacts, render_comparison
 from repro.perf.profile import collect_hotspots
-from repro.perf.report import load_trajectory, render_trajectory
 from repro.perf.runner import (
-    DEFAULT_REPEATS,
     DEFAULT_SCALE,
-    QUICK_REPEATS,
     QUICK_SCALE,
     load_registry,
     repo_root,
@@ -37,8 +29,8 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="benchmark telemetry: run the suite, compare artifacts, "
-                    "render the trajectory",
+        description="benchmark telemetry: run the suite, compare artifacts "
+                    "exactly, profile one bench",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -46,16 +38,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run the bench suite and write a BENCH_<n>.json artifact"
     )
     run.add_argument("--quick", action="store_true",
-                     help=f"reduced scale ({QUICK_SCALE:g}) and repeats "
-                          f"({QUICK_REPEATS}) for CI and smoke tests")
+                     help=f"reduced scale ({QUICK_SCALE:g}) for CI and smoke tests")
     run.add_argument("--scale", type=float, default=None,
                      help=f"payload scale factor (default {DEFAULT_SCALE:g})")
-    run.add_argument("--repeats", type=int, default=None,
-                     help=f"wall-clock samples per bench (default {DEFAULT_REPEATS})")
     run.add_argument("--only", action="append", default=None, metavar="NAME",
                      help="run only benches whose name contains NAME (repeatable)")
-    run.add_argument("--profile", type=int, default=0, metavar="N",
-                     help="attach top-N cProfile hotspots per bench (default off)")
     run.add_argument("--out", type=Path, default=None,
                      help="artifact path (default: next BENCH_<n>.json at repo root)")
     run.add_argument("--bench-dir", type=Path, default=None,
@@ -66,21 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("old", type=Path, help="baseline BENCH_<n>.json")
     compare.add_argument("new", type=Path, help="candidate BENCH_<n>.json")
-    compare.add_argument("--no-wall", action="store_true",
-                         help="skip wall-clock gates; deterministic sections only "
-                              "(for cross-machine CI comparisons)")
-    compare.add_argument("--wall-factor", type=float, default=DEFAULT_WALL_FACTOR,
-                         help="IQR multiplier for the wall threshold "
-                              f"(default {DEFAULT_WALL_FACTOR:g})")
-    compare.add_argument("--wall-ratio", type=float, default=DEFAULT_WALL_RATIO,
-                         help="relative gate a wall regression must also exceed "
-                              f"(default {DEFAULT_WALL_RATIO:g})")
-
-    report = commands.add_parser(
-        "report", help="render the trajectory across all BENCH_*.json artifacts"
-    )
-    report.add_argument("--root", type=Path, default=None,
-                        help="directory holding the artifacts (default: repo root)")
 
     profile = commands.add_parser(
         "profile", help="print top-N cProfile hotspots for one bench"
@@ -97,16 +69,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     scale = args.scale if args.scale is not None else (
         QUICK_SCALE if quick else DEFAULT_SCALE
     )
-    repeats = args.repeats if args.repeats is not None else (
-        QUICK_REPEATS if quick else DEFAULT_REPEATS
-    )
     artifact = run_suite(
         payload_scale=scale,
-        repeats=repeats,
         quick=quick,
         only=args.only,
         bench_dir=args.bench_dir,
-        profile_top=args.profile,
         progress=lambda message: print(message, file=sys.stderr),
     )
     out = args.out if args.out is not None else next_artifact_path(repo_root())
@@ -114,7 +81,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     failed = artifact.failed_budgets
     print(f"wrote {out}: {len(artifact.benches)} benches, "
           f"{len(artifact.budgets)} budget checks, "
-          f"wall median total {artifact.total_wall_median_s * 1e3:.1f}ms, "
           f"sim time {artifact.total_sim_time_s:.3f}s")
     for budget in failed:
         print(f"BUDGET FAILED {budget.name}: {budget.claim} "
@@ -125,21 +91,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     old = load_artifact(args.old)
     new = load_artifact(args.new)
-    result = compare_artifacts(
-        old,
-        new,
-        check_wall=not args.no_wall,
-        wall_factor=args.wall_factor,
-        wall_ratio=args.wall_ratio,
-    )
+    result = compare_artifacts(old, new)
     print(render_comparison(result))
     return 0 if result.ok else 1
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    root = args.root if args.root is not None else repo_root()
-    print(render_trajectory(load_trajectory(root)))
-    return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
@@ -152,9 +106,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     hotspots = collect_hotspots(entry.fn, args.scale, args.top)
     print(f"top {len(hotspots)} by cumulative time — {args.bench} "
           f"(scale {args.scale:g})")
-    for spot in hotspots:
-        print(f"  {spot.cumulative_s * 1e3:9.2f}ms  {spot.calls:>9} calls  "
-              f"{spot.function}")
+    for cumulative_s, calls, function in hotspots:
+        print(f"  {cumulative_s * 1e3:9.2f}ms  {calls:>9} calls  {function}")
     return 0
 
 
@@ -163,7 +116,6 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {
         "run": _cmd_run,
         "compare": _cmd_compare,
-        "report": _cmd_report,
         "profile": _cmd_profile,
     }
     try:

@@ -1,22 +1,14 @@
-"""Noise-aware artifact comparison with a hard deterministic gate.
+"""Exact artifact comparison: the deterministic gate.
 
 The comparator reads two artifacts (OLD baseline, NEW candidate) and
-applies two very different standards:
+compares bench sets, bench figures, obs metric snapshots and budget
+values with exact equality via :func:`repro.obs.diff_snapshots`.  ANY
+drift fails: the suite is seeded end to end, so a changed counter is a
+behavioural change, not noise.
 
-- **deterministic sections** (bench figures, obs metric snapshots,
-  budget values) are compared with exact equality via
-  :func:`repro.obs.diff_snapshots`.  ANY drift fails: the suite is
-  seeded end to end, so a changed counter is a behavioural change, not
-  noise.
-- **wall-clock medians** get an IQR-derived threshold: a bench regresses
-  only if its new median exceeds the old by more than
-  ``max(old_iqr, new_iqr) * wall_factor`` *and* by more than
-  ``wall_ratio`` relatively.  Both conditions must hold so that
-  microsecond-scale benches aren't failed on scheduler jitter.
-
-Artifacts are only comparable at the same ``payload_scale`` and
-``repeats``; a mismatch raises :class:`~repro.core.errors.PerfError`
-(CLI exit code 2) rather than reporting meaningless deltas.
+Artifacts are only comparable at the same ``payload_scale``; a mismatch
+raises :class:`~repro.core.errors.PerfError` (CLI exit code 2) rather
+than reporting meaningless deltas.
 """
 
 from __future__ import annotations
@@ -28,40 +20,24 @@ from repro.obs.snapshot import diff_snapshots
 from repro.perf.schema import Artifact
 
 __all__ = [
-    "DEFAULT_WALL_FACTOR",
-    "DEFAULT_WALL_RATIO",
     "Finding",
     "CompareResult",
     "compare_artifacts",
     "render_comparison",
 ]
 
-DEFAULT_WALL_FACTOR = 1.5
-DEFAULT_WALL_RATIO = 1.10
-
-#: Finding kinds that fail the comparison.
-_FAILING = frozenset({
-    "bench-removed",
-    "bench-added",
-    "figure-drift",
-    "metric-drift",
-    "budget-drift",
-    "budget-failed",
-    "wall-regression",
-})
-
-
 @dataclass(frozen=True, slots=True)
 class Finding:
-    """One comparator observation; ``kind`` decides pass/fail."""
+    """One difference between the artifacts; every finding fails.
+
+    ``kind`` is one of ``bench-removed``, ``bench-added``,
+    ``figure-drift``, ``metric-drift``, ``budget-drift``,
+    ``budget-failed``.
+    """
 
     kind: str
     bench: str
     detail: str
-
-    @property
-    def failing(self) -> bool:
-        return self.kind in _FAILING
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,39 +45,8 @@ class CompareResult:
     findings: tuple[Finding, ...]
 
     @property
-    def failures(self) -> tuple[Finding, ...]:
-        return tuple(f for f in self.findings if f.failing)
-
-    @property
     def ok(self) -> bool:
-        return not self.failures
-
-
-def _compare_wall(
-    old: Artifact,
-    new: Artifact,
-    wall_factor: float,
-    wall_ratio: float,
-) -> list[Finding]:
-    findings: list[Finding] = []
-    for record in new.benches:
-        baseline = old.bench(record.name)
-        if baseline is None:
-            continue
-        old_median = baseline.wall.median
-        new_median = record.wall.median
-        threshold = max(baseline.wall.iqr, record.wall.iqr) * wall_factor
-        detail = (
-            f"median {old_median * 1e3:.2f}ms -> {new_median * 1e3:.2f}ms "
-            f"(threshold ±{threshold * 1e3:.2f}ms, ratio gate {wall_ratio:.2f}x)"
-        )
-        if (new_median > old_median + threshold
-                and new_median > old_median * wall_ratio):
-            findings.append(Finding("wall-regression", record.name, detail))
-        elif (old_median > new_median + threshold
-                and old_median > new_median * wall_ratio):
-            findings.append(Finding("wall-improvement", record.name, detail))
-    return findings
+        return not self.findings
 
 
 def _compare_deterministic(old: Artifact, new: Artifact) -> list[Finding]:
@@ -158,42 +103,25 @@ def _compare_deterministic(old: Artifact, new: Artifact) -> list[Finding]:
     return findings
 
 
-def compare_artifacts(
-    old: Artifact,
-    new: Artifact,
-    check_wall: bool = True,
-    wall_factor: float = DEFAULT_WALL_FACTOR,
-    wall_ratio: float = DEFAULT_WALL_RATIO,
-) -> CompareResult:
+def compare_artifacts(old: Artifact, new: Artifact) -> CompareResult:
     """Compare baseline *old* against candidate *new*."""
     if old.payload_scale != new.payload_scale:
         raise PerfError(
             f"artifacts are not comparable: payload_scale "
             f"{old.payload_scale} vs {new.payload_scale}"
         )
-    if old.repeats != new.repeats:
-        raise PerfError(
-            f"artifacts are not comparable: repeats {old.repeats} vs {new.repeats}"
-        )
     findings = _compare_deterministic(old, new)
-    if check_wall:
-        findings.extend(_compare_wall(old, new, wall_factor, wall_ratio))
-    findings.sort(key=lambda f: (f.failing is False, f.kind, f.bench))
+    findings.sort(key=lambda f: (f.kind, f.bench))
     return CompareResult(findings=tuple(findings))
 
 
 def render_comparison(result: CompareResult) -> str:
     """A human-readable verdict block for the CLI."""
     lines: list[str] = []
-    if result.ok and not result.findings:
-        lines.append("compare: artifacts agree (deterministic sections identical, "
-                     "wall within noise)")
+    if result.ok:
+        lines.append("compare: artifacts agree (benches, figures, metrics and "
+                     "budgets identical)")
     for finding in result.findings:
-        marker = "FAIL" if finding.failing else "info"
-        lines.append(f"[{marker}] {finding.kind:16s} {finding.bench}: {finding.detail}")
-    summary = (
-        f"compare: {len(result.failures)} failure(s), "
-        f"{len(result.findings) - len(result.failures)} informational"
-    )
-    lines.append(summary)
+        lines.append(f"[FAIL] {finding.kind:16s} {finding.bench}: {finding.detail}")
+    lines.append(f"compare: {len(result.findings)} failure(s)")
     return "\n".join(lines)

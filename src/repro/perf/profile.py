@@ -1,11 +1,10 @@
-"""Phase-scoped profiling and the paper's machine-checked obs budgets.
+"""Profiling one bench and the paper's machine-checked obs budgets.
 
 Two jobs:
 
 1. :func:`collect_hotspots` wraps one bench entry point in
    :mod:`cProfile` and extracts the top-N functions by cumulative time —
-   the noisy half of an artifact, useful for eyeballing where a wall
-   regression went.
+   printed by ``python -m repro.perf profile``, never stored or gated.
 
 2. The budget table.  The paper's performance argument is made of
    countable claims — "reassembly requires two accesses to each piece of
@@ -33,7 +32,7 @@ from repro.core.fragment import split_to_unit_limit
 from repro.host.receiver import HostReceiver, ImmediateReceiver, ReassembleReceiver
 from repro.obs import Registry, session
 from repro.obs.snapshot import Scalar, metric_snapshot
-from repro.perf.schema import BenchRecord, BudgetCheck, Hotspot
+from repro.perf.schema import BenchRecord, BudgetCheck
 
 __all__ = [
     "collect_hotspots",
@@ -46,10 +45,9 @@ def collect_hotspots(
     fn: Callable[[float], dict[str, object]],
     payload_scale: float,
     top_n: int = 10,
-) -> tuple[Hotspot, ...]:
-    """Run *fn* once under cProfile; top *top_n* functions by cumulative time."""
-    if top_n <= 0:
-        return ()
+) -> tuple[tuple[float, int, str], ...]:
+    """Run *fn* once under cProfile; the top *top_n* functions as
+    ``(cumulative_s, calls, "file.py:lineno(name)")`` rows."""
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -61,15 +59,11 @@ def collect_hotspots(
         "dict[tuple[str, int, str], tuple[int, int, float, float, object]]",
         stats.stats,  # type: ignore[attr-defined]
     )
-    rows: list[Hotspot] = []
+    rows: list[tuple[float, int, str]] = []
     for (filename, lineno, name), (_cc, ncalls, _tt, cumulative, _callers) in raw.items():
         where = f"{Path(filename).name}:{lineno}" if lineno else filename
-        rows.append(Hotspot(
-            function=f"{where}({name})",
-            cumulative_s=float(cumulative),
-            calls=int(ncalls),
-        ))
-    rows.sort(key=lambda h: (-h.cumulative_s, h.function))
+        rows.append((float(cumulative), int(ncalls), f"{where}({name})"))
+    rows.sort(key=lambda row: (-row[0], row[2]))
     return tuple(rows[:top_n])
 
 

@@ -2,19 +2,17 @@
 
 Every ``benchmarks/bench_*.py`` registers a ``run(payload_scale)``
 entry point in ``_common.BENCH_REGISTRY`` at import time.  The runner
-imports them all, executes each entry ``repeats`` times — every repeat
-under a fresh :func:`repro.obs.session` so the metric snapshot starts
-from zero — and collects:
+imports them all, executes each entry twice — each run under a fresh
+:func:`repro.obs.session` so the metric snapshot starts from zero — and
+collects:
 
-- wall-clock samples (median-of-k with IQR; the only nondeterministic
-  numbers in the artifact besides hotspots),
 - the deterministic figure dict the bench returned,
 - the full :func:`repro.obs.metric_snapshot`, which includes the
   event-loop's simulated-time and event totals.
 
-Figures and metrics must agree *exactly* across repeats; any drift
-means a bench leaked nondeterminism and the run fails loudly rather
-than committing an uncomparable artifact.
+Figures and metrics must agree *exactly* between the two runs; any
+drift means a bench leaked nondeterminism and the run fails loudly
+rather than committing an uncomparable artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import importlib
 import io
 import sys
-import time
 from contextlib import redirect_stdout
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
@@ -30,14 +27,12 @@ from typing import Callable, Protocol, Sequence
 from repro.core.errors import PerfError
 from repro.obs import Registry, session
 from repro.obs.snapshot import Scalar, metric_snapshot
-from repro.perf.profile import collect_hotspots, evaluate_budgets
-from repro.perf.schema import Artifact, BenchRecord, WallStats
+from repro.perf.profile import evaluate_budgets
+from repro.perf.schema import Artifact, BenchRecord
 
 __all__ = [
     "BenchEntryLike",
-    "DEFAULT_REPEATS",
     "DEFAULT_SCALE",
-    "QUICK_REPEATS",
     "QUICK_SCALE",
     "repo_root",
     "default_bench_dir",
@@ -46,9 +41,7 @@ __all__ = [
     "run_suite",
 ]
 
-DEFAULT_REPEATS = 5
 DEFAULT_SCALE = 1.0
-QUICK_REPEATS = 2
 QUICK_SCALE = 0.25
 
 
@@ -123,50 +116,38 @@ def _validate_figures(name: str, raw: object) -> dict[str, Scalar]:
     return dict(sorted(figures.items()))
 
 
-def run_bench(
-    entry: BenchEntryLike,
-    payload_scale: float,
-    repeats: int,
-    profile_top: int = 0,
-) -> BenchRecord:
-    """Execute one bench entry ``repeats`` times under observed sessions."""
-    if repeats < 1:
-        raise PerfError("repeats must be >= 1")
-    samples: list[float] = []
-    figures: dict[str, Scalar] | None = None
-    metrics: dict[str, Scalar] | None = None
-    for repeat in range(repeats):
-        registry = Registry()
-        sink = io.StringIO()
-        with session(registry=registry):
-            started = time.perf_counter()
-            with redirect_stdout(sink):
-                raw = entry.fn(payload_scale)
-            samples.append(time.perf_counter() - started)
-        run_figures = _validate_figures(entry.name, raw)
-        run_metrics = metric_snapshot(registry)
-        if figures is None or metrics is None:
-            figures, metrics = run_figures, run_metrics
-        else:
-            if run_figures != figures:
-                raise PerfError(
-                    f"bench {entry.name!r} figures drifted between repeat 1 "
-                    f"and repeat {repeat + 1}: nondeterministic bench"
-                )
-            if run_metrics != metrics:
-                raise PerfError(
-                    f"bench {entry.name!r} obs metrics drifted between repeat 1 "
-                    f"and repeat {repeat + 1}: nondeterministic bench"
-                )
-    assert figures is not None and metrics is not None
-    hotspots = collect_hotspots(entry.fn, payload_scale, profile_top)
+def _observed_run(
+    entry: BenchEntryLike, payload_scale: float
+) -> tuple[dict[str, Scalar], dict[str, Scalar]]:
+    registry = Registry()
+    with session(registry=registry), redirect_stdout(io.StringIO()):
+        raw = entry.fn(payload_scale)
+    return _validate_figures(entry.name, raw), metric_snapshot(registry)
+
+
+def run_bench(entry: BenchEntryLike, payload_scale: float) -> BenchRecord:
+    """Execute one bench entry twice under observed sessions.
+
+    The second run is a fault detector, not a sample: it must reproduce
+    the first run's figures and metric snapshot exactly.
+    """
+    figures, metrics = _observed_run(entry, payload_scale)
+    again_figures, again_metrics = _observed_run(entry, payload_scale)
+    if again_figures != figures:
+        raise PerfError(
+            f"bench {entry.name!r} figures drifted between two runs: "
+            "nondeterministic bench"
+        )
+    if again_metrics != metrics:
+        raise PerfError(
+            f"bench {entry.name!r} obs metrics drifted between two runs: "
+            "nondeterministic bench"
+        )
     return BenchRecord(
         name=entry.name,
         module=entry.module,
-        wall=WallStats(samples=tuple(samples)),
         figures=figures,
         metrics=metrics,
-        hotspots=hotspots,
     )
 
 
@@ -189,11 +170,9 @@ def _select(registry: dict[str, BenchEntryLike],
 
 def run_suite(
     payload_scale: float = DEFAULT_SCALE,
-    repeats: int = DEFAULT_REPEATS,
     quick: bool = False,
     only: Sequence[str] | None = None,
     bench_dir: Path | None = None,
-    profile_top: int = 0,
     progress: Callable[[str], None] | None = None,
 ) -> Artifact:
     """Run the (selected) suite and assemble the artifact."""
@@ -203,7 +182,7 @@ def run_suite(
     for entry in entries:
         if progress is not None:
             progress(f"bench {entry.name} ...")
-        records.append(run_bench(entry, payload_scale, repeats, profile_top))
+        records.append(run_bench(entry, payload_scale))
     budgets = evaluate_budgets(records)
     info = {
         "python": sys.version.split()[0],
@@ -211,7 +190,6 @@ def run_suite(
     }
     return Artifact(
         payload_scale=payload_scale,
-        repeats=repeats,
         quick=quick,
         benches=tuple(records),
         budgets=budgets,

@@ -1,30 +1,20 @@
 """The ``BENCH_<n>.json`` artifact schema and its (de)serialization.
 
-One artifact captures one full benchmark-suite run: per-bench wall-clock
-samples, the deterministic figures each bench returned, the complete
-:func:`repro.obs.metric_snapshot` of the observed run, optional cProfile
-hotspots, and the machine-checked paper budgets.
+One artifact captures one full benchmark-suite run: the deterministic
+figures each bench returned, the complete
+:func:`repro.obs.metric_snapshot` of the observed run, and the
+machine-checked paper budgets.  Every section is deterministic — two
+runs with the same seeds and ``payload_scale`` agree byte for byte, and
+:mod:`repro.perf.compare` fails on *any* drift.  Nothing here is a
+timing: speed is measured by ``bench_e2e/`` (docs/benchmarking.md).
 
-The schema splits cleanly into two halves:
-
-- **deterministic** — ``figures``, ``metrics``, ``sim_time_s``,
-  ``events`` and budget values.  Two runs with the same seeds and
-  ``payload_scale`` must agree byte for byte; :mod:`repro.perf.compare`
-  fails on *any* drift here.
-- **noisy** — ``wall.samples`` and ``hotspots``.  These vary run to run
-  and machine to machine; the comparator applies IQR-derived thresholds
-  instead of exact equality.
-
-Artifacts live at the repo root as ``BENCH_0001.json``,
-``BENCH_0002.json``, ... so the sequence doubles as a perf trajectory
-(:mod:`repro.perf.report`).
+The committed baseline lives at the repo root as ``BENCH_<n>.json``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,8 +24,6 @@ from repro.obs.snapshot import Scalar
 __all__ = [
     "SCHEMA_VERSION",
     "ARTIFACT_PATTERN",
-    "WallStats",
-    "Hotspot",
     "BudgetCheck",
     "BenchRecord",
     "Artifact",
@@ -46,7 +34,7 @@ __all__ = [
 ]
 
 #: Bump when the JSON layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Artifact file names at the repo root: ``BENCH_0001.json`` etc.
 ARTIFACT_PATTERN = re.compile(r"^BENCH_(\d{4})\.json$")
@@ -69,80 +57,6 @@ def _scalar_map(raw: object, where: str) -> dict[str, Scalar]:
         )
         out[str(key)] = value
     return dict(sorted(out.items()))
-
-
-@dataclass(frozen=True, slots=True)
-class WallStats:
-    """Wall-clock samples for one bench (seconds), median-of-k style."""
-
-    samples: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        _require(len(self.samples) >= 1, "wall stats need at least one sample")
-
-    @property
-    def median(self) -> float:
-        return float(statistics.median(self.samples))
-
-    @property
-    def iqr(self) -> float:
-        """Interquartile range — the noise scale the comparator uses."""
-        if len(self.samples) < 2:
-            return 0.0
-        quartiles = statistics.quantiles(self.samples, n=4, method="inclusive")
-        return float(quartiles[2] - quartiles[0])
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "samples_s": list(self.samples),
-            "median_s": self.median,
-            "iqr_s": self.iqr,
-        }
-
-    @staticmethod
-    def from_dict(raw: object) -> "WallStats":
-        _require(isinstance(raw, dict), "wall must be an object")
-        assert isinstance(raw, dict)
-        samples = raw.get("samples_s")
-        _require(isinstance(samples, list) and len(samples) >= 1,
-                 "wall.samples_s must be a non-empty list")
-        assert isinstance(samples, list)
-        for sample in samples:
-            _require(isinstance(sample, (int, float)),
-                     "wall.samples_s entries must be numbers")
-        return WallStats(samples=tuple(float(s) for s in samples))
-
-
-@dataclass(frozen=True, slots=True)
-class Hotspot:
-    """One row of a cProfile top-N-by-cumulative-time extraction."""
-
-    function: str       # "file.py:lineno(name)"
-    cumulative_s: float
-    calls: int
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "function": self.function,
-            "cumulative_s": self.cumulative_s,
-            "calls": self.calls,
-        }
-
-    @staticmethod
-    def from_dict(raw: object) -> "Hotspot":
-        _require(isinstance(raw, dict), "hotspot must be an object")
-        assert isinstance(raw, dict)
-        function = raw.get("function")
-        cumulative = raw.get("cumulative_s")
-        calls = raw.get("calls")
-        _require(isinstance(function, str), "hotspot.function must be a string")
-        _require(isinstance(cumulative, (int, float)),
-                 "hotspot.cumulative_s must be a number")
-        _require(isinstance(calls, int), "hotspot.calls must be an integer")
-        assert isinstance(function, str)
-        assert isinstance(cumulative, (int, float))
-        assert isinstance(calls, int)
-        return Hotspot(function=function, cumulative_s=float(cumulative), calls=calls)
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,10 +123,8 @@ class BenchRecord:
 
     name: str                       # registry key, e.g. "claim_touches"
     module: str                     # "bench_claim_touches"
-    wall: WallStats
     figures: dict[str, Scalar]      # deterministic bench return values
     metrics: dict[str, Scalar]      # full obs metric snapshot
-    hotspots: tuple[Hotspot, ...] = ()
 
     @property
     def sim_time_s(self) -> float:
@@ -230,12 +142,10 @@ class BenchRecord:
         return {
             "name": self.name,
             "module": self.module,
-            "wall": self.wall.to_dict(),
             "sim_time_s": self.sim_time_s,
             "events": self.events,
             "figures": dict(sorted(self.figures.items())),
             "metrics": dict(sorted(self.metrics.items())),
-            "hotspots": [h.to_dict() for h in self.hotspots],
         }
 
     @staticmethod
@@ -247,16 +157,11 @@ class BenchRecord:
         _require(isinstance(name, str) and name != "", "bench.name must be a string")
         _require(isinstance(module, str), "bench.module must be a string")
         assert isinstance(name, str) and isinstance(module, str)
-        hotspots_raw = raw.get("hotspots", [])
-        _require(isinstance(hotspots_raw, list), "bench.hotspots must be a list")
-        assert isinstance(hotspots_raw, list)
         return BenchRecord(
             name=name,
             module=module,
-            wall=WallStats.from_dict(raw.get("wall")),
             figures=_scalar_map(raw.get("figures"), f"bench[{name}].figures"),
             metrics=_scalar_map(raw.get("metrics"), f"bench[{name}].metrics"),
-            hotspots=tuple(Hotspot.from_dict(h) for h in hotspots_raw),
         )
 
 
@@ -265,7 +170,6 @@ class Artifact:
     """One full suite run: the content of one ``BENCH_<n>.json``."""
 
     payload_scale: float
-    repeats: int
     quick: bool
     benches: tuple[BenchRecord, ...]
     budgets: tuple[BudgetCheck, ...] = ()
@@ -283,10 +187,6 @@ class Artifact:
         return tuple(record.name for record in self.benches)
 
     @property
-    def total_wall_median_s(self) -> float:
-        return sum(record.wall.median for record in self.benches)
-
-    @property
     def total_sim_time_s(self) -> float:
         return sum(record.sim_time_s for record in self.benches)
 
@@ -302,7 +202,6 @@ class Artifact:
         return {
             "schema_version": self.schema_version,
             "payload_scale": self.payload_scale,
-            "repeats": self.repeats,
             "quick": self.quick,
             "info": dict(sorted(self.info.items())),
             "benches": [record.to_dict() for record in
@@ -322,15 +221,11 @@ class Artifact:
             f"schema_version {version} unsupported (expected {SCHEMA_VERSION})",
         )
         payload_scale = raw.get("payload_scale")
-        repeats = raw.get("repeats")
         quick = raw.get("quick")
         _require(isinstance(payload_scale, (int, float)) and payload_scale > 0,
                  "payload_scale must be a positive number")
-        _require(isinstance(repeats, int) and repeats >= 1,
-                 "repeats must be a positive integer")
         _require(isinstance(quick, bool), "quick must be a boolean")
-        assert isinstance(payload_scale, (int, float))
-        assert isinstance(repeats, int) and isinstance(quick, bool)
+        assert isinstance(payload_scale, (int, float)) and isinstance(quick, bool)
         benches_raw = raw.get("benches")
         _require(isinstance(benches_raw, list) and benches_raw,
                  "benches must be a non-empty list")
@@ -347,7 +242,6 @@ class Artifact:
         _require(len(names) == len(set(names)), "duplicate bench names")
         return Artifact(
             payload_scale=float(payload_scale),
-            repeats=repeats,
             quick=quick,
             benches=benches,
             budgets=tuple(BudgetCheck.from_dict(b) for b in budgets_raw),

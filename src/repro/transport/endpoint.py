@@ -43,7 +43,7 @@ from repro.host.budget import SharedPlacementBudget
 from repro.host.delivery import FrameStore, PlacementBuffer
 from repro.host.memory import TouchLedger
 from repro.netsim.events import EventLoop
-from repro.obs import counter, flight_dump, gauge, journey_handle, labelled_counter, tracer
+from repro.obs import counter, flight_dump, gauge, journey_handle, tracer
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
@@ -319,8 +319,6 @@ class ChunkEndpoint:
     #: egress batching window in sim seconds (0 = flush in a same-time
     #: event, still batching every chunk enqueued at this instant).
     flush_window: float = 0.0
-    #: create per-connection labelled obs counters (``conn=<C.ID>``).
-    per_connection_metrics: bool = True
     #: slow-loris defense: when set, :meth:`sweep` evicts any
     #: established receiver conversation whose payload intake grew by
     #: fewer than this many bytes over a full ``progress_window`` —
@@ -335,10 +333,10 @@ class ChunkEndpoint:
     on_evict: Callable[[Connection], None] | None = None
     #: when this endpoint runs as one worker of a
     #: :class:`repro.transport.shard.ShardedEndpoint`, its shard number —
-    #: obs counters, trace events, and journey records gain a
-    #: ``shard=<i>`` label, and its sessions enqueue into lane ``i`` of
-    #: :attr:`egress`.  ``None`` (the unsharded default) emits the exact
-    #: same telemetry as before sharding existed.
+    #: trace events and journey records gain a ``shard=<i>`` field, and
+    #: its sessions enqueue into lane ``i`` of :attr:`egress`.  ``None``
+    #: (the unsharded default) emits the exact same telemetry as before
+    #: sharding existed.
     shard_index: int | None = None
 
     packets_received: int = 0
@@ -430,7 +428,7 @@ class ChunkEndpoint:
     # ------------------------------------------------------------------
 
     def _shard_labels(self) -> dict[str, int]:
-        """Extra obs labels: ``{"shard": i}`` when sharded, else empty."""
+        """Extra event/journey fields: ``{"shard": i}`` when sharded."""
         if self.shard_index is None:
             return {}
         return {"shard": self.shard_index}
@@ -503,11 +501,6 @@ class ChunkEndpoint:
             for chunk in rest:
                 if chunk.is_data:
                     _OBS_JOURNEY.chunk("demux", chunk, t=now, **self._shard_labels())
-        if self.per_connection_metrics:
-            labelled_counter(
-                "transport", "endpoint.chunks_routed", conn=cid,
-                **self._shard_labels(),
-            ).inc(len(rest))
         connection.last_activity = now
 
         received = connection.receiver.receive_chunks(rest)
@@ -630,11 +623,6 @@ class ChunkEndpoint:
         connection._touched_bytes = placed
         with connection.ledger.acquire("nic-to-app") as span:
             span.add(delta)
-        if self.per_connection_metrics:
-            labelled_counter(
-                "host", "touch_bytes_total", conn=connection.connection_id,
-                **self._shard_labels(),
-            ).inc(delta)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -112,7 +112,6 @@ class ShardedEndpoint:
         close_linger: float | None = None,
         max_connections: int | None = None,
         flush_window: float = 0.0,
-        per_connection_metrics: bool = True,
         min_progress_bytes: int | None = None,
         progress_window: float = 10.0,
         on_evict: Callable[[Connection], None] | None = None,
@@ -150,7 +149,6 @@ class ShardedEndpoint:
                 idle_timeout=idle_timeout,
                 close_linger=close_linger,
                 max_connections=shard_cap,
-                per_connection_metrics=per_connection_metrics,
                 min_progress_bytes=min_progress_bytes,
                 progress_window=progress_window,
                 on_evict=on_evict,

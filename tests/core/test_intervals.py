@@ -81,6 +81,18 @@ class TestQueries:
         assert s.overlaps(3, 12) == 4  # 3,4 and 10,11
         assert s.overlaps(5, 10) == 0
 
+    def test_gaps_walks_only_the_window(self):
+        s = IntervalSet()
+        for start, end in ((0, 2), (4, 6), (8, 10), (20, 30)):
+            s.add(start, end)
+        assert s.gaps(0, 10) == [(2, 4), (6, 8)]
+        assert s.gaps(1, 9) == [(2, 4), (6, 8)]       # clipped at both ends
+        assert s.gaps(5, 25) == [(6, 8), (10, 20)]
+        assert s.gaps(10, 20) == [(10, 20)]           # nothing stored there
+        assert s.gaps(21, 29) == []                   # wholly present
+        assert s.gaps(30, 35) == [(30, 35)]           # past the last interval
+        assert IntervalSet().gaps(3, 7) == [(3, 7)]
+
     def test_is_complete(self):
         s = IntervalSet()
         s.add(0, 10)
@@ -161,6 +173,13 @@ def test_queries_match_model(pairs, qstart, qlen):
     qend = qstart + qlen
     assert s.contains(qstart, qend) == set(range(qstart, qend)).issubset(model)
     assert s.overlaps(qstart, qend) == len(set(range(qstart, qend)) & model)
+    gaps = s.gaps(qstart, qend)
+    assert {u for lo, hi in gaps for u in range(lo, hi)} == (
+        set(range(qstart, qend)) - model
+    )
+    # Gaps come back sorted, non-empty and maximal (never adjacent).
+    assert all(lo < hi for lo, hi in gaps)
+    assert all(gaps[i][1] < gaps[i + 1][0] for i in range(len(gaps) - 1))
 
 
 @given(intervals_strategy, st.integers(1, 240))

@@ -1,6 +1,7 @@
 """Unit tests for virtual reassembly (Section 3.3)."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -67,6 +68,36 @@ class TestPduState:
         state.record(0, 4, st=True)
         with pytest.raises(VirtualReassemblyError):
             state.record(4, 1, st=False)
+
+    @pytest.mark.parametrize("arrivals", [
+        # a 5-unit PDU "ending" below units 5-9 that are also held
+        [(0, 5, True), (5, 5, False)],
+        # T.ST flipped on in the first / the middle chunk of a 15-unit PDU
+        [(0, 5, True), (5, 5, False), (10, 5, True)],
+        [(0, 5, False), (5, 5, True), (10, 5, False)],
+        # the bogus end with the PDU's first chunk still missing
+        [(5, 5, True), (10, 5, False), (15, 5, True)],
+    ])
+    def test_misplaced_st_is_an_error_in_every_arrival_order(self, arrivals):
+        for order in permutations(arrivals):
+            state = PduState()
+            with pytest.raises(VirtualReassemblyError):
+                for start, length, st in order:
+                    state.record(start, length, st)
+            # The refusal left the bookkeeping consistent: nothing is
+            # held beyond an end the state accepted.
+            assert (
+                state.total_units is None
+                or state.received.span_end <= state.total_units
+            ), order
+
+    def test_late_st_below_received_data_changes_nothing(self):
+        state = PduState()
+        state.record(5, 5, st=False)
+        with pytest.raises(VirtualReassemblyError, match="beyond PDU end 5"):
+            state.record(0, 5, st=True)
+        assert state.total_units is None and not state.complete
+        assert state.received.intervals() == [(5, 10)]
 
     def test_missing_ranges(self):
         state = PduState()

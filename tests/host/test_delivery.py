@@ -1,5 +1,7 @@
 """Unit tests for placement buffers and the frame store."""
 
+from itertools import permutations
+
 import pytest
 
 from repro.host.delivery import FrameStore, PlacementBuffer
@@ -98,6 +100,64 @@ class TestFrameStore:
         store.place(9, 0, b"data", last=True)
         assert store.pop_frame(9) == b"data"
         assert store.frame(9) is None
+        assert store.completed == []
+
+
+class TestFrameEndIsArrivalOrderInvariant:
+    """A frame's size may not depend on which chunk arrived first: an
+    end marker (X.ST) that contradicts what is already known is refused
+    exactly as data beyond an already-known end always was."""
+
+    @staticmethod
+    def _drive(order):
+        store = FrameStore()
+        refused = completions = 0
+        for offset, data, last in order:
+            try:
+                completions += store.place(1, offset, data, last=last)
+            except ValueError:
+                refused += 1
+        return store, refused, completions
+
+    @pytest.mark.parametrize("pieces", [
+        # bogus end at 8 below bytes 8-12 (the frame's head never arrives)
+        [(4, b"efgh", True), (8, b"ijkl", False)],
+        # the same with the true end marker at 16 as a third chunk
+        [(4, b"efgh", True), (8, b"ijkl", False), (12, b"mnop", True)],
+    ])
+    def test_contradictory_end_is_refused_in_every_order(self, pieces):
+        for order in permutations(pieces):
+            store, refused, completions = self._drive(order)
+            buffer = store.frame(1)
+            assert refused >= 1, order
+            assert completions == 0 and store.completed == [], order
+            # Never bytes beyond an end the frame accepted.
+            assert (
+                buffer.total_bytes is None
+                or len(buffer.contents()) == buffer.total_bytes
+            ), order
+
+    def test_second_different_end_marker_cannot_resize_the_frame(self):
+        store = FrameStore()
+        store.place(1, 0, b"abcd")
+        store.place(1, 8, b"ijkl", last=True)           # the frame is 12 bytes
+        with pytest.raises(ValueError, match="known end 12"):
+            store.place(1, 4, b"efgh", last=True)       # "no, 8"
+        buffer = store.frame(1)
+        assert store.completed == []                    # no early completion
+        assert buffer.total_bytes == 12
+        assert buffer.bytes_placed == 8                 # nothing was written
+        assert store.place(1, 4, b"efgh")               # the honest chunk completes it
+        assert store.pop_frame(1) == b"abcdefghijkl"
+
+    def test_late_end_marker_below_placed_bytes_writes_nothing(self):
+        store = FrameStore()
+        store.place(1, 4, b"efgh")
+        with pytest.raises(ValueError, match="already placed up to 8"):
+            store.place(1, 0, b"abcd", last=True)
+        buffer = store.frame(1)
+        assert buffer.total_bytes is None
+        assert buffer.bytes_placed == 4 and not buffer.has_range(0, 4)
         assert store.completed == []
 
 

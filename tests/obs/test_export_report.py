@@ -132,34 +132,27 @@ class TestReport:
 
 
 class TestDeterministicOrdering:
-    def _labelled_registry(self) -> Registry:
+    def _registry(self) -> Registry:
         registry = Registry()
         # Deliberately created out of order: the report must not depend
-        # on creation order, and labelled ties must sort numerically.
-        for conn in (10, 2, 7):
-            registry.counter("transport", f"chunks{{conn={conn}}}").inc(conn)
-        registry.counter("transport", "chunks").inc(1)
+        # on creation order.
+        for name in ("retransmissions", "chunks", "acks"):
+            registry.counter("transport", name).inc(1)
         registry.counter("netsim", "chunks").inc(1)
         return registry
 
-    def test_labelled_rows_sort_numerically(self):
-        text = summarize(metric_records(self._labelled_registry()))
+    def test_scopes_sort_before_names(self):
+        text = summarize(metric_records(self._registry()))
+        assert text.index("== netsim ==") < text.index("== transport ==")
+        transport = text[text.index("== transport =="):]
         positions = [
-            text.index(f"chunks{{conn={conn}}}") for conn in (2, 7, 10)
+            transport.index(name) for name in ("acks", "chunks", "retransmissions")
         ]
         assert positions == sorted(positions)
 
-    def test_base_name_precedes_its_labelled_variants(self):
-        text = summarize(metric_records(self._labelled_registry()))
-        assert text.index("chunks ") < text.index("chunks{conn=2}")
-
-    def test_scopes_sort_before_names(self):
-        text = summarize(metric_records(self._labelled_registry()))
-        assert text.index("== netsim ==") < text.index("== transport ==")
-
     def test_identical_inputs_render_identically(self):
-        first = summarize(metric_records(self._labelled_registry()))
-        second = summarize(metric_records(self._labelled_registry()))
+        first = summarize(metric_records(self._registry()))
+        second = summarize(metric_records(self._registry()))
         assert first == second
 
 

@@ -8,17 +8,21 @@ import sys
 
 import pytest
 
+import repro.obs.runtime as obs_runtime
 from repro.core.packet import pack_chunks
 from repro.host.memory import TouchLedger
 from repro.host.receiver import ImmediateReceiver, ReorderReceiver
 from repro.netsim.events import EventLoop
+from repro.netsim.shardloop import ShardedLoop
 from repro.netsim.trace import ReceiverTrace
 from repro.obs import session
 from repro.obs.report import load_records, main, summarize
 from repro.transport.connection import ConnectionConfig
+from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.reliability import ReliableSender
 from repro.transport.sender import ChunkTransportSender
+from repro.transport.shard import ShardedEndpoint
 from tests.conftest import make_chunk, make_payload
 
 MTU = 1500
@@ -150,6 +154,53 @@ class TestHostInstrumentation:
             receiver.on_chunk(0.1, make_chunk(units=4, c_sn=0, t_sn=0))
             assert gauge.value == 0  # gap filled, buffer drained
             assert gauge.high_water == 16
+
+
+def _drive(sharded: bool, conversations: int) -> None:
+    """*conversations* one-frame transfers over a back-to-back endpoint pair."""
+    if sharded:
+        loop = ShardedLoop()
+        sender, receiver = ShardedEndpoint(loop, shards=4), ShardedEndpoint(loop, shards=4)
+    else:
+        loop = EventLoop()
+        sender, receiver = ChunkEndpoint(loop), ChunkEndpoint(loop)
+    sender.transmit = receiver.receive_packet
+    receiver.transmit = sender.receive_packet
+    for cid in range(1, conversations + 1):
+        connection = sender.open_connection(ConnectionConfig(connection_id=cid))
+        connection.send_frame(make_payload(16, seed=cid), end_of_connection=True)
+    loop.run()
+    assert all(
+        receiver.connection(cid).payload_bytes_in == 64
+        for cid in range(1, conversations + 1)
+    )
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["unsharded", "sharded"])
+class TestTelemetryIsBoundedAndIsolated:
+    """The registry holds one series per declared instrument, however
+    many conversations ran; per-conversation numbers live on the
+    ``Connection`` and in the journey/flight rings."""
+
+    def test_series_count_does_not_grow_with_conversations(self, sharded):
+        counts = []
+        for conversations in (4, 64):
+            with session() as (registry, _):
+                _drive(sharded, conversations)
+                counts.append(len(registry.samples()))
+        assert counts[0] == counts[1]
+
+    def test_a_fresh_session_inherits_nothing_from_the_run_before(self, sharded):
+        observed = []
+        for conversations in (4, 64):
+            with session():
+                _drive(sharded, conversations)
+            with session() as (fresh, _):
+                observed.append(
+                    (len(fresh.samples()), len(obs_runtime._metric_handles))
+                )
+        assert observed[0] == observed[1]
+        assert not any("conn=" in sample.name for sample in fresh.samples())
 
 
 class TestNetsimInstrumentation:

@@ -1,4 +1,4 @@
-"""Comparator tests: noise-aware wall gates and the deterministic gate."""
+"""Comparator tests: the exact, deterministic gate."""
 
 from __future__ import annotations
 
@@ -6,16 +6,15 @@ import pytest
 
 from repro.core.errors import PerfError
 from repro.perf.compare import compare_artifacts, render_comparison
-from repro.perf.schema import Artifact, BenchRecord, BudgetCheck, WallStats
+from repro.perf.schema import Artifact, BenchRecord, BudgetCheck
 
 
-def _record(name: str, samples: tuple[float, ...],
+def _record(name: str,
             figures: dict | None = None,
             metrics: dict | None = None) -> BenchRecord:
     return BenchRecord(
         name=name,
         module=f"bench_{name}",
-        wall=WallStats(samples=samples),
         figures=figures if figures is not None else {"value": 1},
         metrics=metrics if metrics is not None else {"host.touch_bytes_total": 100},
     )
@@ -23,91 +22,53 @@ def _record(name: str, samples: tuple[float, ...],
 
 def _artifact(benches: tuple[BenchRecord, ...],
               budgets: tuple[BudgetCheck, ...] = (),
-              payload_scale: float = 1.0,
-              repeats: int = 3) -> Artifact:
+              payload_scale: float = 1.0) -> Artifact:
     return Artifact(
         payload_scale=payload_scale,
-        repeats=repeats,
         quick=False,
         benches=benches,
         budgets=budgets,
     )
 
 
-BASE = _artifact((_record("alpha", (0.100, 0.102, 0.104)),))
+BASE = _artifact((_record("alpha"),))
 
 
-class TestWallGate:
+class TestDeterministicGate:
     def test_identical_artifacts_pass(self):
         result = compare_artifacts(BASE, BASE)
         assert result.ok
         assert result.findings == ()
 
-    def test_large_slowdown_is_a_regression(self):
-        slow = _artifact((_record("alpha", (0.200, 0.202, 0.204)),))
-        result = compare_artifacts(BASE, slow)
-        assert not result.ok
-        assert [f.kind for f in result.failures] == ["wall-regression"]
-
-    def test_slowdown_within_iqr_noise_passes(self):
-        # Median moves 100ms -> 130ms but the noise band is wider still.
-        noisy_base = _artifact((_record("alpha", (0.060, 0.100, 0.160)),))
-        wobble = _artifact((_record("alpha", (0.090, 0.130, 0.170)),))
-        result = compare_artifacts(noisy_base, wobble)
-        assert result.ok
-
-    def test_small_ratio_regression_passes_even_with_tight_iqr(self):
-        # +5% exceeds the (zero-width) IQR threshold but not the ratio gate.
-        tight_base = _artifact((_record("alpha", (0.100, 0.100, 0.100)),))
-        slightly = _artifact((_record("alpha", (0.105, 0.105, 0.105)),))
-        result = compare_artifacts(tight_base, slightly)
-        assert result.ok
-
-    def test_improvement_reported_but_not_failing(self):
-        fast = _artifact((_record("alpha", (0.050, 0.052, 0.054)),))
-        result = compare_artifacts(BASE, fast)
-        assert result.ok
-        assert [f.kind for f in result.findings] == ["wall-improvement"]
-
-    def test_no_wall_mode_ignores_any_slowdown(self):
-        slow = _artifact((_record("alpha", (0.900, 0.900, 0.900)),))
-        assert compare_artifacts(BASE, slow, check_wall=False).ok
-
-
-class TestDeterministicGate:
     def test_figure_drift_fails(self):
-        drifted = _artifact((_record("alpha", (0.100, 0.102, 0.104),
-                                     figures={"value": 2}),))
+        drifted = _artifact((_record("alpha", figures={"value": 2}),))
         result = compare_artifacts(BASE, drifted)
         assert not result.ok
-        assert [f.kind for f in result.failures] == ["figure-drift"]
-        assert "value" in result.failures[0].detail
+        assert [f.kind for f in result.findings] == ["figure-drift"]
+        assert "value" in result.findings[0].detail
 
     def test_metric_drift_fails_even_when_wall_unchecked(self):
-        drifted = _artifact((_record("alpha", (0.100, 0.102, 0.104),
+        drifted = _artifact((_record("alpha",
                                      metrics={"host.touch_bytes_total": 101}),))
-        result = compare_artifacts(BASE, drifted, check_wall=False)
+        result = compare_artifacts(BASE, drifted)
         assert not result.ok
-        assert [f.kind for f in result.failures] == ["metric-drift"]
+        assert [f.kind for f in result.findings] == ["metric-drift"]
 
     def test_added_and_removed_counters_are_drift(self):
         drifted = _artifact((_record(
-            "alpha", (0.100, 0.102, 0.104),
+            "alpha",
             metrics={"host.touch_bytes_total": 100, "host.deliveries": 4},
         ),))
         result = compare_artifacts(BASE, drifted)
-        assert [f.kind for f in result.failures] == ["metric-drift"]
-        assert "added" in result.failures[0].detail
+        assert [f.kind for f in result.findings] == ["metric-drift"]
+        assert "added" in result.findings[0].detail
 
     def test_bench_set_changes_fail(self):
-        grown = _artifact((
-            _record("alpha", (0.100, 0.102, 0.104)),
-            _record("beta", (0.010, 0.010, 0.010)),
-        ))
+        grown = _artifact((_record("alpha"), _record("beta")))
         result = compare_artifacts(BASE, grown)
-        assert [f.kind for f in result.failures] == ["bench-added"]
+        assert [f.kind for f in result.findings] == ["bench-added"]
         result = compare_artifacts(grown, BASE)
-        assert [f.kind for f in result.failures] == ["bench-removed"]
+        assert [f.kind for f in result.findings] == ["bench-removed"]
 
     def test_failed_budget_fails(self):
         budget = BudgetCheck.evaluate(
@@ -121,7 +82,7 @@ class TestDeterministicGate:
             ),),
         )
         result = compare_artifacts(baseline, broken)
-        kinds = sorted(f.kind for f in result.failures)
+        kinds = sorted(f.kind for f in result.findings)
         assert kinds == ["budget-drift", "budget-failed"]
 
 
@@ -129,11 +90,6 @@ class TestComparability:
     def test_payload_scale_mismatch_raises(self):
         other = _artifact(BASE.benches, payload_scale=0.25)
         with pytest.raises(PerfError, match="payload_scale"):
-            compare_artifacts(BASE, other)
-
-    def test_repeats_mismatch_raises(self):
-        other = _artifact(BASE.benches, repeats=9)
-        with pytest.raises(PerfError, match="repeats"):
             compare_artifacts(BASE, other)
 
 
@@ -144,8 +100,7 @@ class TestRendering:
         assert "0 failure(s)" in text
 
     def test_render_marks_failures(self):
-        drifted = _artifact((_record("alpha", (0.100, 0.102, 0.104),
-                                     figures={"value": 2}),))
+        drifted = _artifact((_record("alpha", figures={"value": 2}),))
         text = render_comparison(compare_artifacts(BASE, drifted))
         assert "[FAIL]" in text
         assert "figure-drift" in text

@@ -12,8 +12,6 @@ from repro.perf.schema import (
     Artifact,
     BenchRecord,
     BudgetCheck,
-    Hotspot,
-    WallStats,
     artifact_paths,
     dump_artifact,
     load_artifact,
@@ -24,24 +22,20 @@ from repro.perf.schema import (
 def _artifact() -> Artifact:
     return Artifact(
         payload_scale=0.25,
-        repeats=2,
         quick=True,
         benches=(
             BenchRecord(
                 name="fig1_multiframing",
                 module="bench_fig1_multiframing",
-                wall=WallStats(samples=(0.004, 0.006, 0.005)),
                 figures={"framer.chunks": 129, "framer.units": 1024},
                 metrics={
                     "netsim.loop.events_processed": 40,
                     "netsim.loop.sim_time_total": 1.5,
                 },
-                hotspots=(Hotspot("builder.py:10(add_frame)", 0.003, 86),),
             ),
             BenchRecord(
                 name="fig5_invariant",
                 module="bench_fig5_invariant",
-                wall=WallStats(samples=(0.02, 0.02)),
                 figures={"trials": 50, "wsc2_stable": 50},
                 metrics={"wsc.tpdu_verified": 50},
             ),
@@ -53,23 +47,6 @@ def _artifact() -> Artifact:
         ),
         info={"python": "3.11.7"},
     )
-
-
-class TestWallStats:
-    def test_median_and_iqr(self):
-        stats = WallStats(samples=(1.0, 2.0, 3.0, 10.0))
-        assert stats.median == 2.5
-        # Inclusive quartiles of (1, 2, 3, 10): q1=1.75, q3=4.75.
-        assert stats.iqr == pytest.approx(3.0)
-
-    def test_single_sample_has_zero_iqr(self):
-        stats = WallStats(samples=(0.5,))
-        assert stats.median == 0.5
-        assert stats.iqr == 0.0
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(PerfError):
-            WallStats(samples=())
 
 
 class TestBudgetCheck:
@@ -113,6 +90,14 @@ class TestValidation:
         raw = _artifact().to_dict()
         raw["schema_version"] = SCHEMA_VERSION + 1
         with pytest.raises(PerfError, match="schema_version"):
+            Artifact.from_dict(raw)
+
+    def test_schema_version_1_is_not_read(self):
+        # v1 artifacts carried wall samples, hotspots and repeats; there
+        # is no reader for them, and the refusal names the version.
+        raw = _artifact().to_dict()
+        raw["schema_version"] = 1
+        with pytest.raises(PerfError, match="schema_version 1 unsupported"):
             Artifact.from_dict(raw)
 
     def test_non_scalar_figure_rejected(self):
@@ -159,6 +144,10 @@ class TestArtifactPaths:
         dump_artifact(_artifact(), path)
         raw = json.loads(path.read_text())
         assert set(raw) == {
-            "schema_version", "payload_scale", "repeats", "quick",
+            "schema_version", "payload_scale", "quick",
             "info", "benches", "budgets",
+        }
+        # Nothing in a bench record is a timing.
+        assert set(raw["benches"][0]) == {
+            "name", "module", "sim_time_s", "events", "figures", "metrics",
         }

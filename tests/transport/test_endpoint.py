@@ -316,17 +316,6 @@ def test_per_connection_touch_accounting_is_one_per_byte():
         assert connection.ledger.touches == {"nic-to-app": 64 * 4}
 
 
-def test_per_connection_labelled_metrics_are_recorded():
-    endpoint = ChunkEndpoint(EventLoop())
-    with session() as (registry, _tracer):
-        sender = ChunkTransportSender(ConnectionConfig(connection_id=12, tpdu_units=16))
-        endpoint.receive_packet(data_packet(sender, make_payload(64)))
-        touch = registry.counter("host", "touch_bytes_total{conn=12}").value
-        routed = registry.counter("transport", "endpoint.chunks_routed{conn=12}").value
-    assert touch == 64 * 4
-    assert routed > 0
-
-
 def test_duplicate_chunks_do_not_double_count_touches():
     endpoint = ChunkEndpoint(EventLoop())
     sender = ChunkTransportSender(ConnectionConfig(connection_id=7, tpdu_units=16))

@@ -267,3 +267,27 @@ class TestPlacementGuards:
         # connection-level stream shows the hole (caught by the next
         # layer of virtual reassembly, exactly the paper's layering).
         assert receiver.stream.bytes_placed < 8 * 4
+
+    def test_contradictory_x_st_is_a_rejected_placement_the_verifier_still_sees(self):
+        """An X.ST claiming the frame ends below bytes already placed is
+        refused by the frame store (whatever the arrival order), counted,
+        and the chunk still reaches the verifier, which fails the TPDU."""
+        from dataclasses import replace as _replace
+
+        from repro.core.fragment import split_to_unit_limit
+        from repro.wsc.endtoend import REASON_CODE_MISMATCH
+
+        sender = ChunkTransportSender(ConnectionConfig(connection_id=3, tpdu_units=12))
+        chunks = sender.send_frame(make_payload(12), frame_id=1)
+        data = [c for c in chunks if c.type is ChunkType.DATA]
+        rest = [c for c in chunks if c.type is not ChunkType.DATA]
+        head, middle, tail = [p for c in data for p in split_to_unit_limit(c, 4)]
+        bad_head = head.with_tuples(x=_replace(head.x, st=True))
+
+        receiver = ChunkTransportReceiver()
+        events = receiver.receive_chunks([middle, bad_head, tail] + rest)
+        assert receiver.rejected_placements == 1
+        assert events.completed_frames == []
+        assert receiver.frames.frame(1).total_bytes == 12 * 4   # the true end stood
+        assert [v.reason for v in events.verdicts] == [REASON_CODE_MISMATCH]
+        assert receiver.stream.bytes_placed == 12 * 4            # C-level placement unaffected

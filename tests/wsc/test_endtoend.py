@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 
@@ -194,6 +195,56 @@ class TestTable1StBits:
         stream = [bad] + chunks[1:] + [ed]
         verdicts = _run(EndToEndReceiver(), stream)
         assert verdicts and verdicts[0].reason == REASON_REASSEMBLY
+
+
+class TestMisplacedTStInEveryArrivalOrder:
+    """Table 1 files a corrupted T.ST under "reassembly error"; which
+    packet arrived first must not change that."""
+
+    @staticmethod
+    def _reasons(stream):
+        return {
+            tuple(v.reason for v in _run(EndToEndReceiver(), order))
+            for order in permutations(stream)
+        }
+
+    def test_t_st_set_on_the_first_of_two_chunks(self):
+        # Two of a 12-unit TPDU's three chunks plus the ED chunk: the
+        # bogus 4-unit end sits below units 4-7.
+        chunks, ed = _tpdu(frames=3)
+        bad = chunks[0].with_tuples(t=replace(chunks[0].t, st=True))
+        assert self._reasons([bad, chunks[1], ed]) == {(REASON_REASSEMBLY,)}
+
+    @pytest.mark.parametrize("target", [0, 1])
+    def test_t_st_set_early_in_a_three_chunk_tpdu(self, target):
+        chunks, ed = _tpdu(frames=3)
+        stream = list(chunks)
+        stream[target] = chunks[target].with_tuples(
+            t=replace(chunks[target].t, st=True)
+        )
+        assert self._reasons(stream + [ed]) == {(REASON_REASSEMBLY,)}
+
+    def test_t_sn_pushed_past_the_end(self):
+        # (12, 6) + (6, 6, ST): ST-first says "beyond PDU end"; ST-last
+        # used to accept the end and report a consistency failure.
+        chunks, ed = _tpdu(frames=2)
+        bad = chunks[0].with_tuples(t=replace(chunks[0].t, sn=12))
+        assert self._reasons([bad, chunks[1], ed]) == {(REASON_REASSEMBLY,)}
+
+    def test_stray_chunk_above_a_one_chunk_tpdu(self):
+        # A chunk whose corrupted T.ID lands it in a complete one-chunk
+        # TPDU, above its end.  Arriving first it used to be summed into
+        # the WSC-2 value and left for the code to catch.
+        chunks, ed = _tpdu(frames=1)
+        (real,) = chunks
+        other, _ = _tpdu(frames=1, seed=3)
+        stray = other[0].with_tuples(
+            t=replace(real.t, sn=real.length, st=False),
+            c=replace(real.c, sn=real.c.sn + real.length),
+        )
+        for order in permutations([real, stray]):
+            verdicts = _run(EndToEndReceiver(), list(order) + [ed])
+            assert [v.reason for v in verdicts] == [REASON_REASSEMBLY], order
 
 
 class TestTable1Sns:
