@@ -365,10 +365,11 @@ def run_overlap_attack(
     With ``forge_first=False`` the genuine chunk lands first and every
     forgery must be refused as an overlap conflict — conversations still
     complete.  With ``forge_first=True`` the forgery poisons placement
-    first; the honest retransmission then *is* the conflict, the TPDU
-    never verifies, and the sender gives up visibly — denial of service,
-    never silent corruption.  Both ways, invariant 3 requires the
-    conflict counters to move.
+    first; the honest retransmission then *is* the conflict (or, where
+    a forgery reached past the stream's end, a refused end marker), the
+    TPDU never verifies, and the sender gives up visibly — denial of
+    service, never silent corruption.  Both ways, invariant 3 requires
+    the conflict counters to move.
     """
     loop = EventLoop()
     rewriter: list[OverlapRewriter] = []

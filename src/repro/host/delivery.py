@@ -111,6 +111,29 @@ class PlacementBuffer:
         self.duplicate_bytes += len(data) - fresh
         return fresh
 
+    def place_last(self, offset: int, data: bytes) -> int:
+        """:meth:`place` the range whose end marker (C.ST, X.ST) ends the region.
+
+        The region's size must not depend on arrival order: a late end
+        marker is held to what an early one would have refused.
+
+        Raises:
+            ValueError: also when the marker contradicts the end already
+                known or lies below bytes already placed (corrupted ST
+                bit).  Nothing is written and the end is not learned.
+        """
+        end = offset + len(data)
+        placed_to = self._received.span_end
+        if self.total_bytes not in (None, end) or placed_to > end:
+            raise ValueError(
+                f"end marker at {end} contradicts the region's known end "
+                f"{self.total_bytes} or bytes already placed up to {placed_to} "
+                f"(corrupted ST bit?)"
+            )
+        fresh = self.place(offset, data)
+        self.total_bytes = end
+        return fresh
+
     def is_complete(self) -> bool:
         return (
             self.total_bytes is not None
@@ -162,9 +185,9 @@ class FrameStore:
 
         Raises:
             ValueError: the frame-count or per-frame size bound would be
-                exceeded, or *last* contradicts the frame end already
-                known or bytes already placed beyond it (corrupted
-                labels).  Nothing is written.
+                exceeded, or *last* is refused by
+                :meth:`PlacementBuffer.place_last` (corrupted labels).
+                Nothing is written.
         """
         buffer = self.frames.get(frame_id)
         if buffer is None:
@@ -178,20 +201,10 @@ class FrameStore:
                 budget=self.budget,
                 budget_key=self.budget_key,
             )
-        end = offset + len(data)
         if last:
-            # The frame's size must not depend on arrival order: a late
-            # end marker is held to what an early one would have refused.
-            placed_to = buffer._received.span_end
-            if buffer.total_bytes not in (None, end) or placed_to > end:
-                raise ValueError(
-                    f"frame {frame_id} end marker at {end} contradicts its "
-                    f"known end {buffer.total_bytes} or bytes already placed "
-                    f"up to {placed_to} (corrupted X.ST?)"
-                )
-        buffer.place(offset, data)
-        if last:
-            buffer.total_bytes = end
+            buffer.place_last(offset, data)
+        else:
+            buffer.place(offset, data)
         if buffer.is_complete() and frame_id not in self.completed:
             self.completed.append(frame_id)
             return True

@@ -185,11 +185,13 @@ class ChunkTransportReceiver:
         self._frontier_sn = max(self._frontier_sn, chunk.c.sn + chunk.length)
 
         # (1) immediate placement into application memory.  Placement
-        # refuses absurd offsets (corrupted SNs) rather than allocating;
+        # refuses absurd offsets (corrupted SNs) and a C.ST that contradicts
+        # the stream's known end or span rather than allocating or resizing;
         # the verifier below still sees the chunk and rejects the TPDU.
         offset = chunk.c.sn * chunk.unit_bytes
+        place = self.stream.place_last if chunk.c.st else self.stream.place
         try:
-            fresh = self.stream.place(offset, chunk.payload)
+            fresh = place(offset, chunk.payload)
             if fresh == 0:
                 self.duplicate_chunks += 1
                 _OBS_DUPLICATES.inc()
@@ -259,11 +261,10 @@ class ChunkTransportReceiver:
             self._journey_verdicts(chunk.c.ident, verdicts)
         events.verdicts.extend(verdicts)
 
-        if chunk.c.st:
+        # Only the end the stream accepted (now or earlier) closes it.
+        if chunk.c.st and self.stream.total_bytes == offset + len(chunk.payload):
             self.closed = True
             events.connection_closed = True
-            if self.stream.total_bytes is None:
-                self.stream.total_bytes = offset + len(chunk.payload)
 
     def _journey_verdicts(
         self, c_id: int, verdicts: Iterable[TpduVerdict]

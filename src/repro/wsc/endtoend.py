@@ -77,7 +77,6 @@ class _TpduChecker:
     c_minus_t: int | None = None
     x_deltas: dict[int, int] = field(default_factory=dict)
     failure: tuple[str, str] | None = None
-    finished: bool = False
 
     def __post_init__(self) -> None:
         self.invariant = TpduInvariant(self.c_id, self.t_id)
@@ -160,7 +159,6 @@ class _TpduChecker:
 
     def verdict(self) -> TpduVerdict:
         """Final verdict; call once data + ED indicate completion."""
-        self.finished = True
         if self.failure is not None:
             reason, detail = self.failure
             return TpduVerdict(self.c_id, self.t_id, False, reason, detail)
@@ -194,7 +192,6 @@ class _TpduChecker:
 
     def abort_verdict(self) -> TpduVerdict:
         """Verdict for a TPDU abandoned incomplete (timeout path)."""
-        self.finished = True
         if self.failure is not None:
             reason, detail = self.failure
             return TpduVerdict(self.c_id, self.t_id, False, reason, detail)
@@ -219,30 +216,31 @@ class EndToEndReceiver:
     at teardown to classify TPDUs that never completed.
     """
 
-    _checkers: dict[tuple[int, int], _TpduChecker] = field(default_factory=dict)
+    #: in-flight checkers; a verdicted TPDU keeps its key with ``None`` so a
+    #: late duplicate is recognised without keeping the TPDU's state alive.
+    _checkers: dict[tuple[int, int], _TpduChecker | None] = field(default_factory=dict)
     verified: int = 0
     corrupted: int = 0
 
     def receive(self, chunk: Chunk) -> list[TpduVerdict]:
         if chunk.type is ChunkType.DATA or chunk.type is ChunkType.ERROR_DETECTION:
             key = (chunk.c.ident, chunk.t.ident)
-            checker = self._checkers.get(key)
+            try:
+                checker = self._checkers[key]
+            except KeyError:
+                checker = self._checkers[key] = _TpduChecker(*key)
             if checker is None:
-                checker = _TpduChecker(chunk.c.ident, chunk.t.ident)
-                self._checkers[key] = checker
-            if checker.finished:
                 return []  # late duplicate of an already-verdicted TPDU
             done = (
                 checker.add_data(chunk)
                 if chunk.type is ChunkType.DATA
                 else checker.add_ed(chunk)
             )
-            if done and checker.expected is not None:
-                verdict = checker.verdict()
-                self._count(verdict)
-                return [verdict]
-            if checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH:
-                # Hard structural failures need not wait for completion.
+            # Hard structural failures need not wait for completion.
+            if (done and checker.expected is not None) or (
+                checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH
+            ):
+                self._checkers[key] = None
                 verdict = checker.verdict()
                 self._count(verdict)
                 return [verdict]
@@ -252,8 +250,9 @@ class EndToEndReceiver:
     def abort_pending(self) -> list[TpduVerdict]:
         """Classify every unfinished TPDU as a reassembly failure."""
         verdicts = []
-        for checker in self._checkers.values():
-            if not checker.finished:
+        for key, checker in self._checkers.items():
+            if checker is not None:
+                self._checkers[key] = None
                 verdict = checker.abort_verdict()
                 self._count(verdict)
                 verdicts.append(verdict)
@@ -261,7 +260,7 @@ class EndToEndReceiver:
 
     def pending(self) -> list[tuple[int, int]]:
         """(C.ID, T.ID) keys of TPDUs still awaiting data or ED."""
-        return [k for k, c in self._checkers.items() if not c.finished]
+        return [key for key, checker in self._checkers.items() if checker is not None]
 
     def evict(self, c_id: int, t_id: int) -> None:
         """Drop state for a verdicted TPDU."""

@@ -22,7 +22,8 @@ that a wrong position causes, which is exactly the Table 1 story.
 
 The map is the definition (``add_symbol`` / ``add_run`` there); the code
 spends no arithmetic on a position known in advance — fixed weights are
-constants, the X pair's is cached by final T.SN; payload: ``add_bytes``.
+constants, the X pair's is cached by final T.SN — and none on a payload
+run's either: ``add_bytes`` applies it as a shift (data ends below 16384).
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ property — see :mod:`repro.wsc.crc` and the CLAIM-WSC bench).
 the specification and the tests' oracle.  ``add_bytes`` is the kernel
 the transport runs: a run is one big integer of 32-bit lanes, P0 its
 XOR-fold in halves; ``alpha = x`` makes ``alpha^j`` a left shift by j, so
-``H = sum_j d_j x^j`` is log2(n) pairwise lane merges, reduced once by
+``H = sum_j d_j x^j`` is log2(n) pairwise lane merges and the run's
+position one more shift: it contributes ``reduce(H << s)``, one
 ``zlib.crc32`` (``POLY`` is CRC-32's; reflection and init/xor-out undone).
 The two must agree bit for bit: P0/P1 travel in every ED chunk.
 """
@@ -63,6 +64,7 @@ def bytes_from_symbols(symbols: Iterable[int]) -> bytes:
 
 
 _BLOCK = 1024  # symbols folded at once; longer runs go block by block
+_SHIFT_MASK = 0x3FFF  # the part of a run's start applied as a shift
 #: Byte -> bit-reversed byte (zlib's CRC-32 is bit-reflected).
 _BITREV8 = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 #: Mask m: the later (low) half of every lane pair at merge level m; ~40 KiB.
@@ -102,8 +104,9 @@ class Wsc2Accumulator:
     ``(p0, p1)`` pair equals what a single in-order pass would produce.
 
     A run ``d_s .. d_{s+L-1}`` contributes ``alpha^s * H`` to P1, with
-    ``H = sum_j alpha^j d_{s+j}`` from :meth:`add_run`'s Horner loop (the
-    definition) or :meth:`add_bytes`'s lane folds (the kernel).
+    ``H = sum_j alpha^j d_{s+j}``: :meth:`add_run`'s Horner loop times the
+    ``alpha_pow`` weight (the definition), or :meth:`add_bytes`'s lane
+    folds reduced as ``H << s`` (the kernel).
     """
 
     p0: int = 0
@@ -142,7 +145,13 @@ class Wsc2Accumulator:
             p0 ^= block_p0
             h ^= block_h << (offset >> 2)
         self.p0 ^= p0
-        self.p1 ^= gf_mul(alpha_pow(start), _reduce(h))
+        # alpha^start * H is H << start, reduced.  Only start's low bits are
+        # shifted (at the budget's edge the whole shift is a 64 MiB integer);
+        # TPDU data lies within the mask, so the transport never multiplies.
+        p1 = _reduce(h << (start & _SHIFT_MASK))
+        if start > _SHIFT_MASK:
+            p1 = gf_mul(alpha_pow(start & ~_SHIFT_MASK), p1)
+        self.p1 ^= p1
 
     def combine(self, other: "Wsc2Accumulator") -> None:
         """Merge another accumulator's contributions into this one."""

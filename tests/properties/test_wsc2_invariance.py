@@ -8,13 +8,15 @@ algebraic property underneath — the accumulator is a homomorphism, so
 any partition of the symbol stream into runs, accumulated in any order
 across any number of accumulators and combined, equals the one-shot
 in-order encoding — and the byte-run kernel the transport runs
-(``add_bytes``: big-integer lane folds, one CRC-32 reduction) equals the
-bit-serial definition (``add_run``) on every run, start and tail.
+(``add_bytes``: big-integer lane folds, position as a shift, one CRC-32
+reduction) equals the bit-serial definition (``add_run``) on every run,
+start and tail, on both sides of the start where the shift stops.
 """
 
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -132,6 +134,30 @@ def _block_edge_examples(test):
     return test
 
 
+def _shift_threshold_examples(test):
+    """Force starts around the first position whose high part goes
+    through ``alpha_pow`` (and around multiples of it), and runs that begin
+    below it and end above, cut on either side of it."""
+    threshold = wsc2_module._SHIFT_MASK + 1
+    for multiple in (1, 2, 5):
+        for delta in (-1, 0, 1):
+            test = example(
+                data=deterministic_bytes(260 + delta, seed=multiple),
+                start=threshold * multiple + delta,
+                wrap=(bytes, bytearray, memoryview)[delta],
+                cut=33,
+            )(test)
+    for cut in (10, 30, 31, 50):  # the tail starts at threshold - 20 .. + 20
+        test = example(
+            data=deterministic_bytes(258, seed=cut),
+            start=threshold - 30,
+            wrap=memoryview,
+            cut=cut,
+        )(test)
+    return test
+
+
+@_shift_threshold_examples
 @_block_edge_examples
 @given(
     data=st.binary(max_size=5000),
@@ -155,3 +181,22 @@ def test_byte_kernel_equals_symbol_oracle(data, start, wrap, cut):
     tail.add_bytes(start + cut, wrap(data[4 * cut :]))
     head.combine(tail)
     assert head.value() == oracle.value()
+
+
+def test_byte_kernel_at_the_budget_edge_stays_small():
+    """``H << start`` taken literally is a 64 MiB integer at the edge of
+    the position budget (264 MiB of temporaries, a second per call); the
+    kernel shifts by the low bits of *start* only."""
+    data = deterministic_bytes(260, seed=3)
+    start = MAX_POSITIONS - 65
+    oracle = Wsc2Accumulator()
+    oracle.add_run(start, symbols_from_bytes(data))
+    kernel = Wsc2Accumulator()
+    tracemalloc.start()
+    try:
+        kernel.add_bytes(start, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kernel.value() == oracle.value()
+    assert peak < 64 * 1024

@@ -291,3 +291,71 @@ class TestPlacementGuards:
         assert receiver.frames.frame(1).total_bytes == 12 * 4   # the true end stood
         assert [v.reason for v in events.verdicts] == [REASON_CODE_MISMATCH]
         assert receiver.stream.bytes_placed == 12 * 4            # C-level placement unaffected
+
+
+class TestConnectionEndIsArrivalOrderInvariant:
+    """The stream's size may not depend on which chunk arrived first: a
+    C.ST that contradicts the known end, or ends the stream below bytes
+    already placed, is a refused placement — the rule T.ST and X.ST obey."""
+
+    @staticmethod
+    def _chunk(**labels):
+        from tests.conftest import make_chunk
+
+        return make_chunk(units=5, **labels)
+
+    @staticmethod
+    def _drive(chunks):
+        from repro.obs.provenance import journey_session
+        from repro.wsc.invariant import encode_tpdu
+
+        receiver = ChunkTransportReceiver()
+        with journey_session() as tracker:
+            for chunk in chunks:
+                receiver.receive_chunk(chunk)
+                # Never an end below the placed span: the application is
+                # handed exactly as many bytes as the end it is told.
+                total = receiver.stream.total_bytes
+                assert total is None or len(receiver.stream_bytes()) == total
+            verdicts = receiver.receive_chunk(encode_tpdu(chunks)[1]).verdicts
+            refusals = [
+                record.fields.get("reason")
+                for journey in tracker.journeys()
+                for record in journey.refusals()
+            ]
+        return receiver, verdicts, refusals
+
+    @pytest.mark.parametrize("end_first", [True, False])
+    def test_c_st_below_placed_bytes(self, end_first):
+        head = self._chunk(c_st=True, seed=1)
+        tail = self._chunk(c_sn=5, t_sn=5, t_st=True, x_sn=5, seed=2)
+        receiver, verdicts, refusals = self._drive(
+            [head, tail] if end_first else [tail, head]
+        )
+        assert receiver.rejected_placements == 1 and refusals == ["bounds"]
+        assert receiver.stream.bytes_placed == 20
+        # Only an accepted end closes the connection ...
+        assert receiver.closed is end_first
+        assert receiver.stream.total_bytes == (20 if end_first else None)
+        assert len(receiver.stream_bytes()) == (20 if end_first else 40)
+        # ... and the refused chunk still reached the verifier.
+        assert [v.ok for v in verdicts] == [True]
+
+    @pytest.mark.parametrize("low_first", [True, False])
+    def test_two_different_ends(self, low_first):
+        low = self._chunk(c_st=True, seed=1)
+        high = self._chunk(c_sn=5, c_st=True, t_sn=5, t_st=True, x_sn=5, seed=2)
+        receiver, verdicts, refusals = self._drive(
+            [low, high] if low_first else [high, low]
+        )
+        assert receiver.rejected_placements == 1 and refusals == ["bounds"]
+        assert receiver.stream.total_bytes == (20 if low_first else 40)
+        assert receiver.stream.bytes_placed == 20
+        assert [v.ok for v in verdicts] == [True]
+
+    def test_repeated_end_marker_is_a_duplicate_not_a_contradiction(self):
+        end = self._chunk(c_st=True, t_st=True)
+        receiver, verdicts, refusals = self._drive([end, end])
+        assert receiver.rejected_placements == 0 and refusals == []
+        assert receiver.duplicate_chunks == 1 and receiver.closed
+        assert receiver.stream_bytes() == end.payload

@@ -1,5 +1,6 @@
 """Unit tests for end-to-end error detection, including Table 1 rows."""
 
+import gc
 import random
 from dataclasses import replace
 from itertools import permutations
@@ -15,7 +16,7 @@ from repro.wsc.endtoend import (
     REASON_REASSEMBLY,
     EndToEndReceiver,
 )
-from repro.wsc.invariant import EdPayload, build_ed_chunk, encode_tpdu
+from repro.wsc.invariant import EdPayload, TpduInvariant, build_ed_chunk, encode_tpdu
 
 from tests.conftest import make_payload
 
@@ -311,6 +312,59 @@ class TestCompletionByCount:
         other = build_ed_chunk(5, 0, EdPayload(1, 2, 12))
         verdicts = _run(EndToEndReceiver(), [ed, other] + chunks)
         assert verdicts and not verdicts[0].ok
+
+
+def _reachable_invariants(root) -> int:
+    """Live ``TpduInvariant`` objects reachable from *root*."""
+    seen, stack, found = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        found += isinstance(obj, TpduInvariant)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+class TestVerdictedTpdusAreNotKept:
+    """A verdict leaves a marker, not the TPDU's checker: the receiver's
+    state is bounded by what is in flight, not by what it ever saw."""
+
+    def test_only_pending_tpdus_hold_an_invariant(self):
+        receiver = EndToEndReceiver()
+        builder = ChunkStreamBuilder(connection_id=9, tpdu_units=8)
+        for seed in range(64):
+            chunks = builder.add_frame(make_payload(8, seed=seed), frame_id=seed)
+            _run(receiver, chunks + [encode_tpdu(chunks)[1]])
+        for seed in (64, 65):  # two TPDUs still waiting for their ED chunk
+            _run(receiver, builder.add_frame(make_payload(8, seed=seed), frame_id=seed))
+        assert receiver.verified == 64
+        assert len(receiver.pending()) == 2
+        assert _reachable_invariants(receiver) == 2
+
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_late_duplicates_of_a_verdicted_tpdu_change_nothing(self, corrupt):
+        chunks, ed = _tpdu()
+        if corrupt:
+            chunks[0] = replace(chunks[0], payload=b"\xff" + chunks[0].payload[1:])
+        receiver = EndToEndReceiver()
+        assert len(_run(receiver, chunks + [ed])) == 1
+        counts = (receiver.verified, receiver.corrupted)
+        assert counts == ((0, 1) if corrupt else (1, 0))
+        assert _run(receiver, [chunks[0], ed, chunks[-1], ed]) == []
+        assert (receiver.verified, receiver.corrupted) == counts
+        assert receiver.pending() == [] and _reachable_invariants(receiver) == 0
+
+    def test_second_abort_pending_returns_nothing(self):
+        chunks, ed = _tpdu()
+        receiver = EndToEndReceiver()
+        _run(receiver, chunks[:1] + [ed])
+        assert len(receiver.abort_pending()) == 1
+        assert receiver.abort_pending() == []
+        assert receiver.corrupted == 1 and receiver.pending() == []
+        assert receiver.receive(chunks[1]) == []  # aborted is verdicted too
+        assert _reachable_invariants(receiver) == 0
 
 
 def _parities(ed_chunk):
