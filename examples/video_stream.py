@@ -78,7 +78,7 @@ def main() -> None:
     ok = sum(
         1 for fid in range(app.frames_played)
         if app.receiver.frames.frame(fid) is not None
-        and app.receiver.frames.frame(fid).contents() == frames[fid]
+        and app.receiver.frames.contents(fid) == frames[fid]
     )
     print(f"frames with pixel-exact content: {ok}/{app.frames_played}")
     print(f"TPDUs verified: {app.receiver.verified_tpdus()}, "

@@ -6,10 +6,10 @@ placed in the frame buffer as they arrive without reordering"
 (Section 1).
 
 :class:`VideoPlayoutApp` maps external PDUs (X framing level) to video
-frames: chunk payloads land in per-frame buffers in arrival order
-(spatial placement); completed frames enter a playout queue that
-presents them in frame-id order at a fixed frame interval, counting
-frames that missed their deadline.
+frames: chunk payloads land in the stream in arrival order (spatial
+placement), each frame a window of it; completed frames enter a
+playout queue that presents them in frame-id order at a fixed frame
+interval, counting frames that missed their deadline.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ class VideoPlayoutApp:
         """Move frames that are ready, in order, into the playout log."""
         while self._next_frame in self._ready_times:
             frame_id = self._next_frame
-            buffer = self.receiver.frames.frame(frame_id)
-            size = buffer.bytes_placed if buffer is not None else 0
+            window = self.receiver.frames.frame(frame_id)
+            size = (window.total_bytes or 0) if window is not None else 0
             deadline = (
                 self.start_delay
                 + (frame_id - self.first_frame_id) * self.frame_interval

@@ -5,7 +5,7 @@ placement (spatial reordering).
 """
 
 from repro.host.budget import BudgetExceededError, SharedPlacementBudget
-from repro.host.delivery import FrameStore, PlacementBuffer
+from repro.host.delivery import FrameStore, FrameWindow, PlacementBuffer
 from repro.host.pool import GlobalBudgetPool, ShardBudget
 from repro.host.ilp import (
     IlpResult,
@@ -41,6 +41,7 @@ __all__ = [
     "PerPduNic",
     "PlacementBuffer",
     "FrameStore",
+    "FrameWindow",
     "DeliveryEvent",
     "HostReceiver",
     "ImmediateReceiver",

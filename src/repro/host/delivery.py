@@ -7,8 +7,9 @@ arrive without reordering" (video).  Footnote 2 calls this *spatial*
 reordering versus conventional temporal reordering.
 
 :class:`PlacementBuffer` is one contiguous destination region with
-interval tracking; :class:`FrameStore` keys one buffer per external PDU
-(video frames, ALF frames) and reports frame-complete events.
+interval tracking; :class:`FrameStore` keys one window of that region
+per external PDU (video frames, ALF frames) and reports frame-complete
+events.  Every payload byte is placed once, in the stream.
 """
 
 from __future__ import annotations
@@ -19,7 +20,18 @@ from repro.core.intervals import IntervalSet
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
 from repro.host.budget import BudgetLease, SharedPlacementBudget
 
-__all__ = ["PlacementBuffer", "FrameStore"]
+__all__ = ["PlacementBuffer", "FrameWindow", "FrameStore"]
+
+
+def _refuse_contradicted_end(end: int, known_end: int | None, placed_to: int) -> None:
+    """The end-marker rule (C.ST, X.ST): a region's size must not depend on
+    arrival order, so a late marker is held to what an early one refuses."""
+    if known_end not in (None, end) or placed_to > end:
+        raise ValueError(
+            f"end marker at {end} contradicts the region's known end "
+            f"{known_end} or bytes already placed up to {placed_to} "
+            f"(corrupted ST bit?)"
+        )
 
 
 @dataclass
@@ -114,22 +126,13 @@ class PlacementBuffer:
     def place_last(self, offset: int, data: bytes) -> int:
         """:meth:`place` the range whose end marker (C.ST, X.ST) ends the region.
 
-        The region's size must not depend on arrival order: a late end
-        marker is held to what an early one would have refused.
-
         Raises:
             ValueError: also when the marker contradicts the end already
                 known or lies below bytes already placed (corrupted ST
                 bit).  Nothing is written and the end is not learned.
         """
         end = offset + len(data)
-        placed_to = self._received.span_end
-        if self.total_bytes not in (None, end) or placed_to > end:
-            raise ValueError(
-                f"end marker at {end} contradicts the region's known end "
-                f"{self.total_bytes} or bytes already placed up to {placed_to} "
-                f"(corrupted ST bit?)"
-            )
+        _refuse_contradicted_end(end, self.total_bytes, self._received.span_end)
         fresh = self.place(offset, data)
         self.total_bytes = end
         return fresh
@@ -150,72 +153,102 @@ class PlacementBuffer:
 
     def contents(self) -> bytes:
         """The region's bytes (holes are zero-filled)."""
-        if self.total_bytes is not None and len(self._data) < self.total_bytes:
-            return bytes(self._data) + b"\x00" * (self.total_bytes - len(self._data))
-        return bytes(self._data)
+        return self.read(0, max(len(self._data), self.total_bytes or 0))
+
+    def read(self, start: int, end: int) -> bytes:
+        """The bytes of ``[start, end)``; what is not placed reads as zeros."""
+        with memoryview(self._data) as placed:
+            return bytes(placed[start:end]).ljust(end - start, b"\x00")
+
+
+@dataclass(slots=True)
+class FrameWindow:  # owner: per-connection
+    """Where one external PDU lies in the connection stream: ``(C.SN - X.SN)``
+    is constant over a frame, so its bytes are the stream's from *base* on."""
+
+    base: int                       # stream offset of frame byte 0; the first chunk fixes it
+    total_bytes: int | None = None  # the frame's size, once an X.ST is accepted
+    placed_to: int = 0              # one past the highest frame byte an accepted chunk carried
+    complete: bool = False          # completion has been reported (it fires once)
 
 
 @dataclass
 class FrameStore:
-    """One placement buffer per frame id (the X framing level).
+    """One window of *stream* per frame id (the X framing level).
 
     *max_frames* bounds concurrent per-frame state so corrupted X.IDs
     cannot exhaust memory by naming unbounded fresh frames.
     """
 
-    frames: dict[int, PlacementBuffer] = field(default_factory=dict)
+    stream: PlacementBuffer
+    frames: dict[int, FrameWindow] = field(default_factory=dict)
     completed: list[int] = field(default_factory=list)
     max_frames: int = 4096
-    frame_limit_bytes: int | None = 64 * 1024 * 1024
-    #: shared pool the per-frame buffers draw from (endpoint-owned
-    #: stores); ``None`` keeps the standalone per-frame limit alone.
-    budget: SharedPlacementBudget | None = None
-    budget_key: object = None
 
     def place(
-        self,
-        frame_id: int,
-        offset: int,
-        data: bytes,
-        last: bool = False,
+        self, frame_id: int, offset: int, stream_offset: int, nbytes: int, last: bool = False
     ) -> bool:
-        """Place frame bytes; *last* marks the frame's final byte range.
+        """Account to the frame, from its byte *offset* on, the *nbytes* the
+        stream placed at *stream_offset*; *last* marks the frame's final range.
 
         Returns True exactly when this placement completes the frame.
 
         Raises:
-            ValueError: the frame-count or per-frame size bound would be
-                exceeded, or *last* is refused by
-                :meth:`PlacementBuffer.place_last` (corrupted labels).
-                Nothing is written.
+            InconsistentOverlapError: the chunk puts the frame elsewhere in
+                the stream than the frame's first chunk did.
+            ValueError: the frame-count bound would be exceeded, the frame
+                would begin before the stream or the range lie beyond the
+                frame's known end, or *last* breaks the end-marker rule
+                (corrupted labels).  The frame learns nothing.
         """
-        buffer = self.frames.get(frame_id)
-        if buffer is None:
+        base = stream_offset - offset
+        window = self.frames.get(frame_id)
+        if window is None:
             if len(self.frames) >= self.max_frames:
                 raise ValueError(
                     f"more than {self.max_frames} concurrent frames "
                     f"(corrupted X.ID?)"
                 )
-            buffer = self.frames[frame_id] = PlacementBuffer(
-                limit_bytes=self.frame_limit_bytes,
-                budget=self.budget,
-                budget_key=self.budget_key,
+            if base < 0:
+                raise ValueError(
+                    f"frame {frame_id} would begin {-base} bytes before the "
+                    f"stream does (corrupted X.SN?)"
+                )
+            window = self.frames[frame_id] = FrameWindow(base)
+        elif base != window.base:
+            raise InconsistentOverlapError(
+                f"frame {frame_id} begins at stream offset {window.base}; "
+                f"this chunk puts it at {base}"
             )
+        end = offset + nbytes
         if last:
-            buffer.place_last(offset, data)
-        else:
-            buffer.place(offset, data)
-        if buffer.is_complete() and frame_id not in self.completed:
+            _refuse_contradicted_end(end, window.total_bytes, window.placed_to)
+            window.total_bytes = end
+        elif window.total_bytes is not None and end > window.total_bytes:
+            raise ValueError(
+                f"write [{offset}, {end}) beyond frame {frame_id}'s "
+                f"{window.total_bytes} bytes"
+            )
+        window.placed_to = max(window.placed_to, end)
+        if window.complete or window.total_bytes is None:
+            return False
+        window.complete = self.stream.has_range(base, base + window.total_bytes)
+        if window.complete:
             self.completed.append(frame_id)
-            return True
-        return False
+        return window.complete
 
-    def frame(self, frame_id: int) -> PlacementBuffer | None:
+    def frame(self, frame_id: int) -> FrameWindow | None:
         return self.frames.get(frame_id)
 
+    def contents(self, frame_id: int) -> bytes:
+        """The frame's bytes so far (holes are zero-filled)."""
+        window = self.frames[frame_id]
+        size = window.placed_to if window.total_bytes is None else window.total_bytes
+        return self.stream.read(window.base, window.base + size)
+
     def pop_frame(self, frame_id: int) -> bytes:
-        """Remove and return a completed frame's bytes."""
-        buffer = self.frames.pop(frame_id)
-        if frame_id in self.completed:
+        """Remove and return a frame's bytes (they stay in the stream)."""
+        data = self.contents(frame_id)
+        if self.frames.pop(frame_id).complete:
             self.completed.remove(frame_id)
-        return buffer.contents()
+        return data

@@ -179,11 +179,14 @@ class ReassembleReceiver(HostReceiver):
     """
 
     _tpdus: dict[int, "_TpduBuffer"] = field(default_factory=dict)
+    #: TPDUs already handed to the application: a late duplicate is
+    #: skipped, never parked again or delivered twice.
+    _delivered: set[int] = field(default_factory=set)
     peak_buffer_bytes: int = 0
     _occupancy: int = field(default=0, init=False)
 
     def on_chunk(self, now: float, chunk: Chunk) -> None:
-        if chunk.is_control:
+        if chunk.is_control or chunk.t.ident in self._delivered:
             return
         state = self._tpdus.setdefault(chunk.t.ident, _TpduBuffer())
         fresh = state.add(now, chunk)
@@ -200,6 +203,7 @@ class ReassembleReceiver(HostReceiver):
             _OBS_REASSEMBLY_BUFFER.set(self._occupancy)
             self._deliver(state.weighted_arrival(), now, state.stream_offset, data)
             del self._tpdus[chunk.t.ident]
+            self._delivered.add(chunk.t.ident)
 
     def finish(self, now: float) -> None:
         """Flush incomplete TPDUs at end of run (delivered with holes)."""
@@ -224,7 +228,6 @@ class _TpduBuffer:
 
     buffer: PlacementBuffer = field(default_factory=PlacementBuffer)
     stream_offset: int = -1
-    total_units: int | None = None
     complete: bool = False
     _arrival_weight: float = 0.0
     _arrived_bytes: int = 0
@@ -234,13 +237,13 @@ class _TpduBuffer:
             chunk.c.sn - chunk.t.sn
         ) * chunk.unit_bytes < self.stream_offset:
             self.stream_offset = (chunk.c.sn - chunk.t.sn) * chunk.unit_bytes
-        fresh = self.buffer.place(chunk.t.sn * chunk.unit_bytes, chunk.payload)
+        # T.ST obeys the end-marker rule T/X/C obey on the immediate path:
+        # the TPDU's size does not depend on which chunk arrived first.
+        place = self.buffer.place_last if chunk.t.st else self.buffer.place
+        fresh = place(chunk.t.sn * chunk.unit_bytes, chunk.payload)
         if fresh:
             self._arrival_weight += now * fresh
             self._arrived_bytes += fresh
-        if chunk.t.st:
-            self.total_units = chunk.t.sn + chunk.length
-            self.buffer.total_bytes = self.total_units * chunk.unit_bytes
         if self.buffer.is_complete():
             self.complete = True
         return fresh

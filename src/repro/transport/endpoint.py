@@ -40,7 +40,7 @@ from repro.core.errors import CodecError, EndpointError, SignalingError
 from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.host.budget import SharedPlacementBudget
-from repro.host.delivery import FrameStore, PlacementBuffer
+from repro.host.delivery import PlacementBuffer
 from repro.host.memory import TouchLedger
 from repro.netsim.events import EventLoop
 from repro.obs import counter, flight_dump, gauge, journey_handle, tracer
@@ -558,10 +558,7 @@ class ChunkEndpoint:
                 return None
         receiver = ChunkTransportReceiver(
             config=config,
-            stream=PlacementBuffer(
-                limit_bytes=None, budget=self.budget, budget_key=cid
-            ),
-            frames=FrameStore(budget=self.budget, budget_key=cid),
+            stream=PlacementBuffer(limit_bytes=None, budget=self.budget, budget_key=cid),
         )
         session = ReliableReceiver(
             transmit=None,

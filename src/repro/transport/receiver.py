@@ -3,8 +3,8 @@
 The receiver demonstrates the paper's headline property: every arriving
 chunk is fully processed on arrival —
 
-1. its payload is *placed* directly into the application address space
-   (bulk region by C.SN; per-frame store by X.SN — spatial reordering);
+1. its payload is *placed* directly into the application address space,
+   once (the stream, by C.SN; a frame is a window of it — spatial reordering);
 2. its contribution to the TPDU's WSC-2 invariant is accumulated
    incrementally (duplicates rejected via virtual reassembly);
 3. completed TPDUs are verified end-to-end and acknowledged or
@@ -95,8 +95,9 @@ class ChunkTransportReceiver:
     config: ConnectionConfig | None = None
 
     verifier: EndToEndReceiver = field(default_factory=EndToEndReceiver)
-    frames: FrameStore = field(default_factory=FrameStore)
     stream: PlacementBuffer = field(default_factory=PlacementBuffer)
+    #: the X level: each frame is a window of :attr:`stream`.
+    frames: FrameStore = field(init=False)
 
     chunks_received: int = 0
     packets_received: int = 0
@@ -125,6 +126,9 @@ class ChunkTransportReceiver:
     #: the in-order arrival frontier (next C.SN if nothing reordered);
     #: feeds the out-of-order distance histogram.
     _frontier_sn: int = 0
+
+    def __post_init__(self) -> None:
+        self.frames = FrameStore(self.stream)
 
     def receive_packet(self, frame: bytes) -> ReceiverEvents:
         """Decode a wire packet and process every chunk in it."""
@@ -184,12 +188,13 @@ class ChunkTransportReceiver:
         _OBS_OOO_DISTANCE.observe(abs(chunk.c.sn - self._frontier_sn))
         self._frontier_sn = max(self._frontier_sn, chunk.c.sn + chunk.length)
 
-        # (1) immediate placement into application memory.  Placement
-        # refuses absurd offsets (corrupted SNs) and a C.ST that contradicts
-        # the stream's known end or span rather than allocating or resizing;
-        # the verifier below still sees the chunk and rejects the TPDU.
+        # (1) immediate placement into application memory, once: the stream
+        # holds the bytes, the frame store only windows them.  Both refuse
+        # absurd offsets (corrupted SNs) and an ST that contradicts a known end
+        # or span; the verifier below still sees the chunk and rejects the TPDU.
         offset = chunk.c.sn * chunk.unit_bytes
         place = self.stream.place_last if chunk.c.st else self.stream.place
+        site: dict[str, str] = {}  # journey field, once the stream has accepted
         try:
             fresh = place(offset, chunk.payload)
             if fresh == 0:
@@ -202,31 +207,10 @@ class ChunkTransportReceiver:
                 _OBS_DATA_TOUCH_BYTES.inc(fresh)
                 if _OBS_JOURNEY:
                     _OBS_JOURNEY.chunk("placed", chunk, fresh=fresh)
-        except InconsistentOverlapError:
-            self.overlap_conflict_chunks += 1
-            _OBS_OVERLAP_CONFLICT.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap")
-            return  # unacknowledged: the content disagreement stays visible
-        except BudgetExceededError:
-            self.budget_refused_chunks += 1
-            _OBS_BUDGET_REFUSED.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="budget")
-            return  # unacknowledged: retransmission retries the placement
-        except ValueError:
-            self.rejected_placements += 1
-            _OBS_REJECTED.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds")
-        try:
-            frame_done = self.frames.place(
-                chunk.x.ident,
-                chunk.x.sn * chunk.unit_bytes,
-                chunk.payload,
-                last=chunk.x.st,
-            )
-            if frame_done:
+            site = {"site": "frame"}
+            if self.frames.place(
+                chunk.x.ident, chunk.x.sn * chunk.unit_bytes, offset, len(chunk.payload), chunk.x.st
+            ):
                 events.completed_frames.append(chunk.x.ident)
                 if _OBS_JOURNEY:
                     _OBS_JOURNEY.emit(
@@ -241,19 +225,19 @@ class ChunkTransportReceiver:
             self.overlap_conflict_chunks += 1
             _OBS_OVERLAP_CONFLICT.inc()
             if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap", site="frame")
-            return
+                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap", **site)
+            return  # unacknowledged: the content disagreement stays visible
         except BudgetExceededError:
             self.budget_refused_chunks += 1
             _OBS_BUDGET_REFUSED.inc()
             if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="budget", site="frame")
-            return
+                _OBS_JOURNEY.chunk("refused", chunk, reason="budget")
+            return  # unacknowledged: retransmission retries the placement
         except ValueError:
             self.rejected_placements += 1
             _OBS_REJECTED.inc()
             if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds", site="frame")
+                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds", **site)
 
         # (2)+(3) incremental verification via the end-to-end receiver.
         verdicts = self.verifier.receive(chunk)

@@ -18,6 +18,7 @@ from repro.core.errors import InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
 from repro.transport.receiver import ChunkTransportReceiver
 from tests.conftest import make_chunk, make_payload
+from tests.helpers import place_frame
 
 
 @st.composite
@@ -101,12 +102,19 @@ def test_disjoint_writes_never_conflict():
 
 
 def test_frame_store_detects_per_frame_conflicts():
-    store = FrameStore()
-    store.place(1, 0, b"hello world!")
-    with pytest.raises(InconsistentOverlapError):
-        store.place(1, 6, b"FORGED")
-    # Other frames are independent regions: same offset, different frame.
-    assert store.place(2, 6, b"FORGED") is False
+    store = FrameStore(PlacementBuffer())
+    place_frame(store, 1, 0, b"hello world!")
+    # Same frame bytes, different content: the stream, which holds the
+    # frame's bytes, refuses them before the frame hears of the chunk...
+    with pytest.raises(InconsistentOverlapError, match="disagrees"):
+        place_frame(store, 1, 6, b"FORGED")
+    # ...and the same frame range sent to a clean part of the stream is
+    # the frame's own conflict: it does not lie there.
+    with pytest.raises(InconsistentOverlapError, match="begins at stream offset"):
+        place_frame(store, 1, 6, b"FORGED", base=100)
+    assert store.contents(1) == b"hello world!"
+    # Other frames are other windows: same offset, different frame.
+    assert place_frame(store, 2, 6, b"FORGED") is False
 
 
 # ----------------------------------------------------------------------

@@ -13,8 +13,12 @@ import random
 from repro.core.chunk import Chunk
 from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES, ChunkType
+from repro.host.delivery import FrameStore
 
-__all__ = ["deterministic_bytes", "make_payload", "make_chunk"]
+__all__ = ["deterministic_bytes", "make_payload", "make_chunk", "place_frame"]
+
+#: :func:`place_frame` lays frame *n* out from stream byte ``n * FRAME_SPACING``.
+FRAME_SPACING = 4096
 
 
 def deterministic_bytes(n: int, seed: int = 0) -> bytes:
@@ -57,3 +61,23 @@ def make_chunk(
         x=FramingTuple(x_id, x_sn, x_st),
         payload=payload if payload is not None else make_payload(units, size, seed),
     )
+
+
+def place_frame(
+    store: FrameStore,
+    frame_id: int,
+    offset: int,
+    data: bytes,
+    last: bool = False,
+    *,
+    base: int | None = None,
+) -> bool:
+    """Drive *store* the way the receiver does: one placement, in the
+    stream, then the frame's bookkeeping for the bytes it took.
+
+    The frame's first byte lies at stream offset *base* (by default
+    ``frame_id * FRAME_SPACING``, so test frames never share bytes).
+    """
+    at = (frame_id * FRAME_SPACING if base is None else base) + offset
+    store.stream.place(at, data)
+    return store.place(frame_id, offset, at, len(data), last=last)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.host.budget import BudgetExceededError, SharedPlacementBudget
 from repro.host.delivery import FrameStore, PlacementBuffer
+from tests.helpers import place_frame
 
 
 def test_empty_pool_offers_everything():
@@ -94,26 +95,32 @@ def test_budget_refusal_is_a_value_error_subclass():
     assert issubclass(BudgetExceededError, ValueError)
 
 
-def test_frame_store_buffers_share_the_budget_key():
+def test_frames_reserve_nothing_beyond_the_stream():
+    # A frame is a window of the stream: what the pool holds for a
+    # connection is the stream's region, however many frames lie in it.
     budget = SharedPlacementBudget(pool_bytes=4096, min_share_bytes=64)
-    store = FrameStore(budget=budget, budget_key="conn")
-    store.place(1, 0, b"a" * 1024)
-    store.place(2, 0, b"b" * 1024)
+    store = FrameStore(PlacementBuffer(limit_bytes=None, budget=budget, budget_key="conn"))
+    place_frame(store, 1, 0, b"a" * 1024, last=True, base=0)
+    place_frame(store, 2, 0, b"b" * 1024, last=True, base=1024)
+    assert store.completed == [1, 2]
     assert budget.held("conn") == 2048
     with pytest.raises(BudgetExceededError):
-        store.place(3, 0, b"c" * 4096)
+        place_frame(store, 3, 0, b"c" * 4096, base=2048)
+    assert store.frame(3) is None          # refused by the stream: no frame state
+    assert budget.held("conn") == 2048
 
 
-def test_two_buffers_one_connection_compete_under_one_key():
-    # The endpoint reserves both the stream region and the frame store
-    # under the connection's C.ID: releasing that key frees everything.
+def test_a_connection_reserves_its_stream_bytes_once():
+    # The endpoint reserves the stream region under the connection's
+    # C.ID and nothing else: a frame filling that region adds nothing,
+    # and releasing the key frees everything.
     budget = SharedPlacementBudget(pool_bytes=8192, min_share_bytes=64)
     stream = PlacementBuffer(limit_bytes=None, budget=budget, budget_key=5)
-    frames = FrameStore(budget=budget, budget_key=5)
-    stream.place(0, b"s" * 1000)
-    frames.place(0, 0, b"f" * 1000)
-    assert budget.held(5) == 2000
-    assert budget.release(5) == 2000
+    frames = FrameStore(stream)
+    assert place_frame(frames, 0, 0, b"f" * 1000, last=True, base=0)
+    assert frames.contents(0) == stream.contents() == b"f" * 1000
+    assert budget.held(5) == 1000
+    assert budget.release(5) == 1000
     assert budget.reserved_total == 0
 
 

@@ -4,7 +4,9 @@ from itertools import permutations
 
 import pytest
 
+from repro.core.errors import InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
+from tests.helpers import place_frame
 
 
 class TestPlacementBuffer:
@@ -67,40 +69,106 @@ class TestPlacementBuffer:
         buffer = PlacementBuffer()
         assert buffer.place(0, b"") == 0
 
+    def test_read_is_a_zero_filled_slice(self):
+        buffer = PlacementBuffer()
+        buffer.place(4, b"efgh")
+        assert buffer.read(4, 8) == b"efgh"
+        assert buffer.read(2, 6) == b"\x00\x00ef"             # a hole below
+        assert buffer.read(6, 12) == b"gh\x00\x00\x00\x00"   # beyond what is placed
+        assert buffer.read(20, 24) == b"\x00" * 4
+        assert buffer.read(5, 5) == b""
+
+
+def _store(**bounds) -> FrameStore:
+    return FrameStore(PlacementBuffer(), **bounds)
+
 
 class TestFrameStore:
     def test_frame_completion_event(self):
-        store = FrameStore()
-        assert not store.place(1, 0, b"abcd")
-        assert store.place(1, 4, b"efgh", last=True)
+        store = _store()
+        assert not place_frame(store, 1, 0, b"abcd")
+        assert place_frame(store, 1, 4, b"efgh", last=True)
         assert store.completed == [1]
 
     def test_out_of_order_within_frame(self):
-        store = FrameStore()
-        assert not store.place(1, 4, b"efgh", last=True)
-        assert store.place(1, 0, b"abcd")
-        assert store.frame(1).contents() == b"abcdefgh"
+        store = _store()
+        assert not place_frame(store, 1, 4, b"efgh", last=True)
+        assert place_frame(store, 1, 0, b"abcd")
+        assert store.contents(1) == b"abcdefgh"
 
     def test_interleaved_frames(self):
-        store = FrameStore()
-        store.place(1, 0, b"aa")
-        store.place(2, 0, b"bb")
-        store.place(2, 2, b"cc", last=True)
-        store.place(1, 2, b"dd", last=True)
+        store = _store()
+        place_frame(store, 1, 0, b"aa")
+        place_frame(store, 2, 0, b"bb")
+        place_frame(store, 2, 2, b"cc", last=True)
+        place_frame(store, 1, 2, b"dd", last=True)
         assert store.completed == [2, 1]
 
     def test_completion_fires_once(self):
-        store = FrameStore()
-        store.place(1, 0, b"ab", last=True)
-        assert not store.place(1, 0, b"ab", last=True)
+        store = _store()
+        place_frame(store, 1, 0, b"ab", last=True)
+        assert not place_frame(store, 1, 0, b"ab", last=True)
         assert store.completed == [1]
 
     def test_pop_frame(self):
-        store = FrameStore()
-        store.place(9, 0, b"data", last=True)
+        store = _store()
+        place_frame(store, 9, 0, b"data", last=True)
         assert store.pop_frame(9) == b"data"
         assert store.frame(9) is None
         assert store.completed == []
+
+    def test_a_frame_is_a_window_of_the_stream_not_a_copy(self):
+        store = _store()
+        place_frame(store, 2, 0, b"wxyz", last=True, base=8)
+        place_frame(store, 1, 4, b"efgh", last=True, base=0)
+        assert store.completed == [2]
+        assert place_frame(store, 1, 0, b"abcd", base=0)
+        # Each byte was placed once, in the stream; the frames only say where.
+        assert store.stream.bytes_placed == 12
+        assert store.stream.contents() == b"abcdefghwxyz"
+        assert (store.frame(1).base, store.frame(2).base) == (0, 8)
+        assert store.pop_frame(2) == b"wxyz"
+        assert store.stream.contents() == b"abcdefghwxyz"      # a pop frees nothing
+        assert store.contents(1) == b"abcdefgh"
+
+    def test_incomplete_frame_reads_with_zero_filled_holes(self):
+        store = _store()
+        place_frame(store, 3, 4, b"efgh")
+        assert store.contents(3) == b"\x00" * 4 + b"efgh"      # end unknown: as far as seen
+        place_frame(store, 3, 12, b"mnop", last=True)
+        assert store.pop_frame(3) == b"\x00" * 4 + b"efgh" + b"\x00" * 4 + b"mnop"
+
+    def test_completion_is_looked_up_by_flag_not_by_scanning_completed(self):
+        class NoScan(list):
+            def __contains__(self, item):
+                raise AssertionError("completed was scanned")
+
+        store = _store()
+        store.completed = NoScan()
+        for frame_id in range(3):
+            assert place_frame(store, frame_id, 0, b"ab", last=True)
+            assert not place_frame(store, frame_id, 0, b"ab", last=True)
+        assert list(store.completed) == [0, 1, 2]
+        store.pop_frame(1)
+        assert list(store.completed) == [0, 2]
+
+
+class TestFrameDisplacement:
+    """(C.SN - X.SN) is constant over a frame; the first chunk fixes it."""
+
+    def test_a_chunk_that_moves_the_frame_is_a_conflict(self):
+        store = _store()
+        place_frame(store, 5, 0, b"abcd", base=0)
+        with pytest.raises(InconsistentOverlapError, match="begins at stream offset 0"):
+            place_frame(store, 5, 0, b"ABCD", base=400)
+        window = store.frame(5)
+        assert (window.base, window.placed_to, window.total_bytes) == (0, 4, None)
+
+    def test_a_frame_cannot_begin_before_the_stream(self):
+        store = _store()
+        with pytest.raises(ValueError, match="before the stream"):
+            store.place(5, 8, 4, 4)                 # frame byte 8 at stream byte 4
+        assert store.frame(5) is None
 
 
 class TestFrameEndIsArrivalOrderInvariant:
@@ -110,11 +178,11 @@ class TestFrameEndIsArrivalOrderInvariant:
 
     @staticmethod
     def _drive(order):
-        store = FrameStore()
+        store = _store()
         refused = completions = 0
         for offset, data, last in order:
             try:
-                completions += store.place(1, offset, data, last=last)
+                completions += place_frame(store, 1, offset, data, last=last)
             except ValueError:
                 refused += 1
         return store, refused, completions
@@ -128,37 +196,42 @@ class TestFrameEndIsArrivalOrderInvariant:
     def test_contradictory_end_is_refused_in_every_order(self, pieces):
         for order in permutations(pieces):
             store, refused, completions = self._drive(order)
-            buffer = store.frame(1)
+            window = store.frame(1)
             assert refused >= 1, order
             assert completions == 0 and store.completed == [], order
             # Never bytes beyond an end the frame accepted.
             assert (
-                buffer.total_bytes is None
-                or len(buffer.contents()) == buffer.total_bytes
+                window.total_bytes is None
+                or len(store.contents(1)) == window.total_bytes >= window.placed_to
             ), order
 
     def test_second_different_end_marker_cannot_resize_the_frame(self):
-        store = FrameStore()
-        store.place(1, 0, b"abcd")
-        store.place(1, 8, b"ijkl", last=True)           # the frame is 12 bytes
+        store = _store()
+        place_frame(store, 1, 0, b"abcd")
+        place_frame(store, 1, 8, b"ijkl", last=True)           # the frame is 12 bytes
         with pytest.raises(ValueError, match="known end 12"):
-            store.place(1, 4, b"efgh", last=True)       # "no, 8"
-        buffer = store.frame(1)
+            place_frame(store, 1, 4, b"efgh", last=True)       # "no, 8"
+        window = store.frame(1)
         assert store.completed == []                    # no early completion
-        assert buffer.total_bytes == 12
-        assert buffer.bytes_placed == 8                 # nothing was written
-        assert store.place(1, 4, b"efgh")               # the honest chunk completes it
+        assert (window.total_bytes, window.placed_to) == (12, 12)
+        assert place_frame(store, 1, 4, b"efgh")        # the honest chunk completes it
         assert store.pop_frame(1) == b"abcdefghijkl"
 
     def test_late_end_marker_below_placed_bytes_writes_nothing(self):
-        store = FrameStore()
-        store.place(1, 4, b"efgh")
+        store = _store()
+        place_frame(store, 1, 4, b"efgh")
         with pytest.raises(ValueError, match="already placed up to 8"):
-            store.place(1, 0, b"abcd", last=True)
-        buffer = store.frame(1)
-        assert buffer.total_bytes is None
-        assert buffer.bytes_placed == 4 and not buffer.has_range(0, 4)
+            place_frame(store, 1, 0, b"abcd", last=True)
+        window = store.frame(1)
+        assert (window.total_bytes, window.placed_to) == (None, 8)
         assert store.completed == []
+
+    def test_data_beyond_the_known_end_is_refused(self):
+        store = _store()
+        place_frame(store, 1, 0, b"abcd", last=True)
+        with pytest.raises(ValueError, match="beyond frame 1's 4 bytes"):
+            place_frame(store, 1, 4, b"efgh")
+        assert store.frame(1).placed_to == 4 and store.completed == [1]
 
 
 class TestAllocationGuards:
@@ -177,14 +250,15 @@ class TestAllocationGuards:
     def test_frame_store_bounds_concurrent_frames(self):
         import pytest as _pytest
 
-        store = FrameStore(max_frames=3)
+        store = _store(max_frames=3)
         for frame_id in range(3):
-            store.place(frame_id, 0, b"xx")
-        with _pytest.raises(ValueError):
-            store.place(99, 0, b"xx")
+            place_frame(store, frame_id, 0, b"xx")
+        with _pytest.raises(ValueError, match="more than 3 concurrent frames"):
+            place_frame(store, 99, 0, b"xx")
+        assert store.frame(99) is None
 
     def test_frame_store_existing_frame_still_writable_at_cap(self):
-        store = FrameStore(max_frames=2)
-        store.place(1, 0, b"aa")
-        store.place(2, 0, b"bb")
-        assert store.place(1, 2, b"cc", last=True)
+        store = _store(max_frames=2)
+        place_frame(store, 1, 0, b"aa")
+        place_frame(store, 2, 0, b"bb")
+        assert place_frame(store, 1, 2, b"cc", last=True)

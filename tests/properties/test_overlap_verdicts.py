@@ -1,17 +1,21 @@
-"""Pairs of overlapping chunks: every consumer gives one verdict.
+"""Overlapping chunks, every arrival order: every consumer gives one verdict.
 
-The receive path keeps span bookkeeping in several places — virtual
+The receive path keeps span bookkeeping at three levels — virtual
 reassembly (``PduState.record``, the T level), the connection stream
-(``PlacementBuffer.place``, the C level), the per-frame store
-(``FrameStore.place``, the X level) — and a live
-``ChunkTransportReceiver`` runs all three on every chunk.  Independent
+(``PlacementBuffer.place``, the C level, the only place payload bytes
+are held) and the frame store (``FrameStore.place``, the X level, a
+window of the stream per frame) — and a live ``ChunkTransportReceiver``
+runs all three on every chunk; ``ReassembleReceiver`` is the buffering
+contrast strategy over the same ``PlacementBuffer``.  Independent
 reassemblers that disagree about the same overlapping bytes are how
 evasion bugs are made ("Overlapping data in network protocols: bridging
-OS and NIDS reassembly gap", PAPERS.md), so this suite enumerates the
-13 Allen relations of two unit ranges x {bytes agree, one differing
-byte inside the intersection, one corrupted byte outside it} x both
-arrival orders x {ST on the later-ending range, no ST} and holds every
-consumer to one table (:func:`second_arrival`):
+OS and NIDS reassembly gap", PAPERS.md), so this suite holds every
+consumer to one table.
+
+**Pairs** (:func:`second_arrival`): the 13 Allen relations of two unit
+ranges x {bytes agree, one differing byte inside the intersection, one
+corrupted byte outside it} x both arrival orders x {ST on the
+later-ending range, no ST}:
 
 - disjoint, or overlapping with agreeing bytes: the second arrival is
   *placed*, its fresh ranges exactly the range minus the intersection —
@@ -20,30 +24,42 @@ consumer to one table (:func:`second_arrival`):
   written, whichever chunk came first;
 - whenever the bytes agree the final state is the same in both orders.
 
-This is the first tier of ROADMAP item 2's safety net: pairs, through
-the live path.  Triples, the sampled ``netsim.adversary`` tiers and the
-buffering reassemblers are still open there.
+**Triples** (:func:`replay`): every three ranges over four cut points,
+all six arrival orders, the same verdicts per arrival from a byte-image
+model, and one final state across the six orders whenever the bytes
+agree.
+
+**Displacement** (``test_displacement_contradiction_*``): the one
+verdict that is *not* order-free, written down rather than hidden — a
+frame lies where its first chunk put it.
+
+Still open in ROADMAP item 2: the sampled ``netsim.adversary`` tiers,
+``core.reassemble.coalesce`` and ``baselines.ipfrag``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 
 from repro.core.errors import InconsistentOverlapError
 from repro.core.virtual import PduState
 from repro.host.delivery import FrameStore, PlacementBuffer
+from repro.host.receiver import ReassembleReceiver
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import REASON_CODE_MISMATCH
 from repro.wsc.invariant import encode_tpdu
 
 from tests.conftest import deterministic_bytes, make_chunk
+from tests.helpers import place_frame
 
 Range = tuple[int, int]
 
 UNIT = 4  # bytes per unit (SIZE = 1 word)
 C_BASE = 16  # the TPDU starts 16 units into the connection: C.SN != T.SN
+FRAME_BASE = C_BASE * UNIT  # stream offset of the frame's first byte
 C_ID, T_ID, X_ID = 1, 10, 100
 
 _BASE: dict[str, tuple[Range, Range]] = {
@@ -243,30 +259,52 @@ def test_placement_buffer_place(case: Case):
 
 
 # ----------------------------------------------------------------------
-# X level: the frame store
+# X level: the frame store, a window of the stream it is driven through
+
+
+def _place_frame(store: FrameStore, piece: Piece) -> bool:
+    return place_frame(
+        store, X_ID, piece.units[0] * UNIT, piece.payload, last=piece.st, base=FRAME_BASE
+    )
+
+
+def _check_frame(store: FrameStore, accepted: list[Piece], where: str):
+    window = store.frame(X_ID)
+    assert window is not None, where
+    contents = store.contents(X_ID)
+    assert all(contents[offset] == value for offset, value in _image(accepted).items()), where
+    ends = [piece.units[1] * UNIT for piece in accepted if piece.st]
+    assert (window.base, window.total_bytes, window.placed_to) == (
+        FRAME_BASE,
+        ends[0] if ends else None,
+        max(piece.units[1] for piece in accepted) * UNIT,
+    ), where
+    assert len(contents) == (window.total_bytes or window.placed_to), where
 
 
 @pytest.mark.parametrize("case", CASES)
 def test_frame_store_place(case: Case):
     final = {}
     for order, (first, second) in case.orders().items():
-        store = FrameStore()
-        done = [store.place(X_ID, first.units[0] * UNIT, first.payload, last=first.st)]
+        store = FrameStore(PlacementBuffer())
+        done = [_place_frame(store, first)]
         kind, _ = case.expect(first, second)
         if kind == "conflict":
+            # The stream holds the frame's bytes, so the refusal is the
+            # stream's: the frame never hears of the chunk.
+            before = replace(store.frame(X_ID))
             with pytest.raises(InconsistentOverlapError):
-                store.place(X_ID, second.units[0] * UNIT, second.payload, last=second.st)
+                _place_frame(store, second)
+            assert store.frame(X_ID) == before, order
         else:
-            done.append(
-                store.place(X_ID, second.units[0] * UNIT, second.payload, last=second.st)
-            )
+            done.append(_place_frame(store, second))
         accepted = _accepted(case, first, second)
-        buffer = store.frame(X_ID)
-        assert buffer is not None
-        _check_buffer(buffer, accepted, 0, order)
+        _check_frame(store, accepted, order)
+        # Placed once: the stream is the frame's only copy.
+        _check_buffer(store.stream, [replace(p, st=False) for p in accepted], C_BASE, order)
         whole = case.st and len(_image(accepted)) == 8 * UNIT
         assert done.count(True) == whole and store.completed == [X_ID] * whole, order
-        final[order] = (buffer.contents(), buffer.bytes_placed, store.completed)
+        final[order] = (store.contents(X_ID), store.frame(X_ID), store.completed)
     if case.bytes_agree:
         assert final["a-then-b"] == final["b-then-a"]
 
@@ -300,9 +338,7 @@ def test_live_receiver(case: Case):
         assert receiver.overlap_conflict_chunks == (kind == "conflict"), order
         assert receiver.rejected_placements == receiver.budget_refused_chunks == 0, order
         _check_buffer(receiver.stream, accepted, C_BASE, order)
-        frame = receiver.frames.frame(X_ID)
-        assert frame is not None
-        _check_buffer(frame, accepted, 0, order)
+        _check_frame(receiver.frames, accepted, order)
 
         image = _image(accepted)
         whole = case.st and len(image) == 8 * UNIT
@@ -321,8 +357,262 @@ def test_live_receiver(case: Case):
             assert receiver.pending_tpdus() == ([] if whole else [(C_ID, T_ID)]), order
         final[order] = (
             receiver.stream_bytes(), receiver.stream.bytes_placed, receiver.stream.total_bytes,
-            frame.contents(), receiver.closed, receiver.verified_tpdus(),
+            receiver.frames.contents(X_ID), receiver.frames.frame(X_ID), receiver.closed,
+            receiver.verified_tpdus(),
             receiver.corrupted_tpdus(), receiver.pending_tpdus(),
         )
     if case.bytes_agree:
         assert final["a-then-b"] == final["b-then-a"]
+
+
+# ----------------------------------------------------------------------
+# The buffering contrast strategy: physical reassembly per TPDU
+
+
+def _reassembled(receiver: ReassembleReceiver):
+    return (
+        [(e.offset, e.nbytes) for e in receiver.events], receiver.app.contents(),
+        receiver.buffered_bytes, dict(receiver.ledger.touches),
+    )
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_reassemble_receiver(case: Case):
+    final = {}
+    for order, (first, second) in case.orders().items():
+        receiver = ReassembleReceiver()
+        receiver.on_chunk(0.0, _chunk(first))
+        kind, _ = case.expect(first, second)
+        accepted = _accepted(case, first, second)
+        before = _reassembled(receiver)
+        if receiver.events:
+            # The first arrival was the whole TPDU: delivered, its buffer
+            # freed.  A reassembler has nothing left to compare a late
+            # arrival with, so it is skipped unseen, whatever it carries
+            # (first-wins by construction; the immediate receiver's stream
+            # stays comparable, which is why the transport uses that one).
+            receiver.on_chunk(1.0, _chunk(second))
+            assert _reassembled(receiver) == before, order
+            accepted = [first]
+        elif kind == "conflict":
+            with pytest.raises(InconsistentOverlapError):
+                receiver.on_chunk(1.0, _chunk(second))
+            assert _reassembled(receiver) == before, order
+        else:
+            receiver.on_chunk(1.0, _chunk(second))
+        image = _image(accepted)
+        whole = case.st and len(image) == 8 * UNIT
+        # Two touches for a delivered TPDU, one for bytes still parked;
+        # nothing reaches the application before the whole TPDU does.
+        assert receiver.ledger.total_bytes_moved == len(image) * (1 + whole), order
+        assert receiver.buffered_bytes == (0 if whole else len(image)), order
+        assert [(e.offset, e.nbytes) for e in receiver.events] == (
+            [(FRAME_BASE, 8 * UNIT)] * whole
+        ), order
+        if whole:
+            assert receiver.app.contents()[FRAME_BASE:] == bytes(image[i] for i in sorted(image))
+        final[order] = _reassembled(receiver)
+    if case.bytes_agree:
+        assert final["a-then-b"] == final["b-then-a"]
+
+
+def test_reassemble_receiver_refuses_a_contradicted_t_st_in_both_orders():
+    """The buffering reassembler obeys the end-marker rule too: a T.ST
+    that ends the TPDU below bytes it holds is refused whichever chunk
+    came first (it used to shrink the TPDU in one order only)."""
+    bogus_end = Piece((2, 4), TRUTH[2 * UNIT : 4 * UNIT], True)
+    beyond = Piece((4, 8), TRUTH[4 * UNIT :], False)
+    for order in permutations([bogus_end, beyond]):
+        receiver = ReassembleReceiver()
+        receiver.on_chunk(0.0, _chunk(order[0]))
+        with pytest.raises(ValueError, match="beyond region|contradicts the region's known end"):
+            receiver.on_chunk(1.0, _chunk(order[1]))
+        assert receiver.events == [] and receiver.buffered_bytes == order[0].count * UNIT, order
+
+
+# ----------------------------------------------------------------------
+# Triples: every arrival permutation
+
+CUTS = (0, 3, 5, 8)
+RANGES = [(lo, hi) for i, lo in enumerate(CUTS) for hi in CUTS[i + 1 :]]
+
+
+def replay(pieces) -> tuple[list[tuple[str, int]], dict[int, int]]:
+    """THE model for any number of arrivals: a byte image.  A piece that
+    disagrees with it is a conflict and writes nothing; otherwise it is
+    placed with as many fresh bytes as the image lacked (none: duplicate)."""
+    image: dict[int, int] = {}
+    verdicts = []
+    for piece in pieces:
+        own = _image([piece])
+        if any(image.get(offset, value) != value for offset, value in own.items()):
+            verdicts.append(("conflict", 0))
+            continue
+        fresh = len(own.keys() - image.keys())
+        verdicts.append(("placed" if fresh else "duplicate", fresh))
+        image.update(own)
+    return verdicts, image
+
+
+def test_the_model_is_the_table_on_pairs():
+    for case in (param.values[0] for param in CASES):
+        for first, second in case.orders().values():
+            kind, fresh = case.expect(first, second)
+            assert replay([first, second])[0][1] == (
+                kind, sum(hi - lo for lo, hi in fresh) * UNIT
+            ), case
+
+
+@dataclass(frozen=True)
+class Triple:
+    ranges: tuple[Range, Range, Range]
+    differs: bool  # the third range disagrees on its first byte shared with another
+    st: bool
+
+    @property
+    def end(self) -> int:
+        return max(hi for _, hi in self.ranges)
+
+    def whole(self, accepted: list[Piece]) -> bool:
+        """The ST-marked end arrived and every byte below it is held."""
+        return self.st and len(_image(accepted)) == self.end * UNIT
+
+    def pieces(self) -> list[Piece]:
+        end = self.end
+        payloads = [bytearray(TRUTH[lo * UNIT : hi * UNIT]) for lo, hi in self.ranges]
+        if self.differs:
+            payloads[2][(self._shared_unit() - self.ranges[2][0]) * UNIT + 1] ^= 0x5A
+        return [
+            Piece(units, bytes(payload), self.st and units[1] == end)
+            for units, payload in zip(self.ranges, payloads)
+        ]
+
+    def _shared_unit(self) -> int | None:
+        (lo, hi) = self.ranges[2]
+        shared = [u for u in range(lo, hi) for a, b in self.ranges[:2] if a <= u < b]
+        return min(shared, default=None)
+
+    @property
+    def applicable(self) -> bool:
+        return not self.differs or self._shared_unit() is not None
+
+
+TRIPLES = [
+    pytest.param(
+        [triple, replace(triple, st=False)],
+        id="+".join(f"{lo}-{hi}" for lo, hi in ranges) + ("-differs" if differs else "-agree"),
+    )
+    for ranges in combinations_with_replacement(RANGES, 3)
+    for differs in (False, True)
+    if (triple := Triple(ranges, differs, st=True)).applicable
+]
+
+
+def _in_every_order(triples: list[Triple], drive):
+    """Run *drive(triple, order, verdicts, accepted)* over the six arrival
+    orders, with and without ST; the states it returns are one state
+    whenever the bytes agree."""
+    for triple in triples:
+        states = []
+        for order in permutations(triple.pieces()):
+            verdicts, _ = replay(order)
+            accepted = [p for p, (kind, _) in zip(order, verdicts) if kind != "conflict"]
+            states.append(drive(triple, order, verdicts, accepted))
+        assert triple.differs or all(state == states[0] for state in states), triple
+
+
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_placement_buffer(triples: list[Triple]):
+    def drive(triple, order, verdicts, accepted):
+        buffer = PlacementBuffer()
+        for piece, (kind, fresh) in zip(order, verdicts):
+            if kind == "conflict":
+                with pytest.raises(InconsistentOverlapError):
+                    _place(buffer, piece, C_BASE)
+            else:
+                assert _place(buffer, piece, C_BASE) == fresh, order
+        _check_buffer(buffer, accepted, C_BASE, order)
+        return buffer.contents(), buffer.bytes_placed, buffer.duplicate_bytes, buffer.total_bytes
+
+    _in_every_order(triples, drive)
+
+
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_frame_store(triples: list[Triple]):
+    def drive(triple, order, verdicts, accepted):
+        store = FrameStore(PlacementBuffer())
+        done = 0
+        for piece, (kind, _) in zip(order, verdicts):
+            if kind == "conflict":
+                with pytest.raises(InconsistentOverlapError):
+                    _place_frame(store, piece)
+            else:
+                done += _place_frame(store, piece)
+        _check_frame(store, accepted, order)
+        whole = triple.whole(accepted)
+        assert done == whole and store.completed == [X_ID] * whole, order
+        return store.contents(X_ID), store.frame(X_ID), store.stream.bytes_placed
+
+    _in_every_order(triples, drive)
+
+
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_live_receiver(triples: list[Triple]):
+    def drive(triple, order, verdicts, accepted):
+        receiver = ChunkTransportReceiver()
+        events = receiver.receive_chunks([_chunk(piece) for piece in order])
+        kinds = [kind for kind, _ in verdicts]
+        assert receiver.duplicate_chunks == kinds.count("duplicate"), order
+        assert receiver.overlap_conflict_chunks == kinds.count("conflict"), order
+        assert receiver.rejected_placements == receiver.budget_refused_chunks == 0, order
+        _check_buffer(receiver.stream, accepted, C_BASE, order)
+        _check_frame(receiver.frames, accepted, order)
+        assert events.completed_frames == [X_ID] * triple.whole(accepted), order
+        assert receiver.closed == any(p.st for p in accepted), order
+        assert events.verdicts == [] and receiver.pending_tpdus() == [(C_ID, T_ID)], order
+        return (
+            receiver.stream_bytes(), receiver.stream.bytes_placed, receiver.stream.total_bytes,
+            receiver.frames.frame(X_ID), receiver.closed,
+        )
+
+    _in_every_order(triples, drive)
+
+
+# ----------------------------------------------------------------------
+# The verdict that depends on order: a displacement contradiction
+
+
+def test_displacement_contradiction_is_the_later_arrivals_conflict():
+    """Two chunks of one frame whose (C.SN - X.SN) differ cannot both be
+    right, and nothing in either says which is.  THE verdict: the frame
+    lies where its first chunk put it and the later arrival is a
+    *conflict* — counted, journeyed with ``site="frame"``, never shown
+    to the verifier.  So the outcome depends on arrival order, on
+    purpose: the stream placed both (its labels were clean and its
+    placement comes first), the frame and the TPDU know only the first.
+    A forged first chunk therefore denies the honest ones (visibly:
+    conflicts, no verdict, the sender gives up); it cannot make a frame
+    complete over bytes from two places."""
+    here = make_chunk(units=4, c_id=C_ID, c_sn=C_BASE, t_id=T_ID, t_sn=0, x_id=X_ID, x_sn=0, seed=1)
+    elsewhere = make_chunk(
+        units=4, c_id=C_ID, c_sn=C_BASE + 40, t_id=T_ID, t_sn=4, x_id=X_ID, x_sn=4, x_st=True,
+        seed=2,
+    )
+    bases = {}
+    for first, second in permutations([here, elsewhere]):
+        receiver = ChunkTransportReceiver()
+        events = receiver.receive_chunks([first, second])
+        assert receiver.overlap_conflict_chunks == 1
+        assert receiver.rejected_placements == receiver.duplicate_chunks == 0
+        assert receiver.stream.bytes_placed == 8 * UNIT        # the stream took both
+        window = receiver.frames.frame(X_ID)
+        bases[first.c.sn] = window.base
+        # The frame learned from the first arrival alone ...
+        assert window.base == (first.c.sn - first.x.sn) * UNIT
+        assert window.placed_to == (first.x.sn + 4) * UNIT
+        assert window.total_bytes == (8 * UNIT if first.x.st else None)
+        assert events.completed_frames == [] == receiver.frames.completed
+        # ... and so did the verifier: shown both, it would have failed the
+        # TPDU at once on its own (C.SN - X.SN) consistency check.
+        assert events.verdicts == [] and receiver.pending_tpdus() == [(C_ID, T_ID)]
+    assert bases == {C_BASE: FRAME_BASE, C_BASE + 40: FRAME_BASE + 36 * UNIT}

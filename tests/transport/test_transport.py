@@ -271,7 +271,9 @@ class TestPlacementGuards:
     def test_contradictory_x_st_is_a_rejected_placement_the_verifier_still_sees(self):
         """An X.ST claiming the frame ends below bytes already placed is
         refused by the frame store (whatever the arrival order), counted,
-        and the chunk still reaches the verifier, which fails the TPDU."""
+        and the chunk still reaches the verifier, which fails the TPDU.
+        Its bytes are the stream's, placed under an uncorrupted C.SN, so
+        the true X.ST finds the frame's window whole."""
         from dataclasses import replace as _replace
 
         from repro.core.fragment import split_to_unit_limit
@@ -287,7 +289,7 @@ class TestPlacementGuards:
         receiver = ChunkTransportReceiver()
         events = receiver.receive_chunks([middle, bad_head, tail] + rest)
         assert receiver.rejected_placements == 1
-        assert events.completed_frames == []
+        assert events.completed_frames == [1]                    # once, at the true X.ST
         assert receiver.frames.frame(1).total_bytes == 12 * 4   # the true end stood
         assert [v.reason for v in events.verdicts] == [REASON_CODE_MISMATCH]
         assert receiver.stream.bytes_placed == 12 * 4            # C-level placement unaffected
