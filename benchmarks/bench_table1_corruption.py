@@ -198,20 +198,20 @@ def corrupt_data(pieces, ed, rng):
     payload = bytearray(chunk.payload)
     payload[rng.randrange(len(payload))] ^= 1 << rng.randrange(8)
     pieces = list(pieces)
-    pieces[index] = replace(chunk, payload=bytes(payload))
+    pieces[index] = chunk.replace(payload=bytes(payload))
     return pieces, ed
 
 
 def corrupt_control(pieces, ed, rng):
     payload = bytearray(ed.payload)
     payload[rng.randrange(8)] ^= 1 << rng.randrange(8)  # P0/P1 words
-    return pieces, replace(ed, payload=bytes(payload))
+    return pieces, ed.replace(payload=bytes(payload))
 
 
 def corrupt_ed_total(pieces, ed, rng):
     payload = bytearray(ed.payload)
     payload[rng.randrange(8, 12)] ^= 1 << rng.randrange(8)
-    return pieces, replace(ed, payload=bytes(payload))
+    return pieces, ed.replace(payload=bytes(payload))
 
 
 FIELDS = [

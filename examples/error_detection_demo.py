@@ -54,7 +54,7 @@ def main() -> None:
     print("\n2. payload bit flip -> error detection code:")
     for verdict in deliver(
         chunks, ed,
-        mangle=(3, lambda c: replace(c, payload=b"\xff" + c.payload[1:])),
+        mangle=(3, lambda c: c.replace(payload=b"\xff" + c.payload[1:])),
     ):
         print(f"   {verdict}")
 

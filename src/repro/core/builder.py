@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
 from repro.core.tuples import FramingTuple
-from repro.core.types import MAX_TPDU_SYMBOLS, WORD_BYTES, ChunkType
+from repro.core.types import ID_LIMIT, MAX_TPDU_SYMBOLS, SN_LIMIT, WORD_BYTES, ChunkType
 
 __all__ = ["LabeledUnit", "chunks_from_labels", "ChunkStreamBuilder"]
 
@@ -101,6 +101,12 @@ def chunks_from_labels(units: Iterable[LabeledUnit]) -> list[Chunk]:
     return chunks
 
 
+def _in_field(name: str, value: int, limit: int) -> int:
+    if not 0 <= value < limit:
+        raise ChunkError(f"{name} must be in 0..{limit - 1}, got {value}")
+    return value
+
+
 @dataclass
 class ChunkStreamBuilder:
     """Sender-side framer: external PDUs in, chunks out.
@@ -149,8 +155,12 @@ class ChunkStreamBuilder:
             self.tpdu_ids = itertools.count()
         if self.xpdu_ids is None:
             self.xpdu_ids = itertools.count()
-        self._c_sn = self.start_c_sn
-        self._t_id = next(self.tpdu_ids)
+        # Labels are made by `Chunk._make` below, so what the validating
+        # constructor would check per chunk is checked here where each value
+        # is chosen: C.ID once, every T.ID / X.ID as drawn, C.SN per frame.
+        _in_field("C.ID", self.connection_id, ID_LIMIT)
+        self._c_sn = _in_field("C.SN", self.start_c_sn, SN_LIMIT)
+        self._t_id = _in_field("T.ID", next(self.tpdu_ids), ID_LIMIT)
 
     def set_tpdu_units(self, units: int) -> None:
         """Change the TPDU size from the *next* TPDU onward (Section 3)."""
@@ -189,8 +199,9 @@ class ChunkStreamBuilder:
                 f"frame of {len(payload)} bytes is not a whole number of "
                 f"{unit_bytes}-byte atomic units"
             )
-        x_id = next(self.xpdu_ids) if frame_id is None else frame_id
+        x_id = _in_field("X.ID", next(self.xpdu_ids) if frame_id is None else frame_id, ID_LIMIT)
         n_units = len(payload) // unit_bytes
+        _in_field("C.SN", self._c_sn + n_units - 1, SN_LIMIT)
         data = memoryview(payload)
         chunks: list[Chunk] = []
         x_sn = 0
@@ -200,20 +211,18 @@ class ChunkStreamBuilder:
             last_of_connection = end_of_connection and last_of_frame
             last_of_tpdu = last_of_connection or self._t_sn + run == self._current_tpdu_units
             chunks.append(
-                Chunk(
-                    type=ChunkType.DATA,
-                    size=self.unit_words,
-                    length=run,
-                    c=FramingTuple(self.connection_id, self._c_sn, st=last_of_connection),
-                    t=FramingTuple(self._t_id, self._t_sn, st=last_of_tpdu),
-                    x=FramingTuple(x_id, x_sn, st=last_of_frame),
-                    payload=bytes(data[x_sn * unit_bytes : (x_sn + run) * unit_bytes]),
+                Chunk._make(
+                    ChunkType.DATA, self.unit_words, run,
+                    self.connection_id, self._c_sn, last_of_connection,
+                    self._t_id, self._t_sn, last_of_tpdu,
+                    x_id, x_sn, last_of_frame,
+                    bytes(data[x_sn * unit_bytes : (x_sn + run) * unit_bytes]),
                 )
             )
             x_sn += run
             self._c_sn += run
             if last_of_tpdu:
-                self._t_id = next(self.tpdu_ids)
+                self._t_id = _in_field("T.ID", next(self.tpdu_ids), ID_LIMIT)
                 self._t_sn = 0
                 self._current_tpdu_units = self.tpdu_units
             else:

@@ -29,7 +29,6 @@ import struct
 
 from repro.core.chunk import Chunk
 from repro.core.errors import CodecError
-from repro.core.tuples import FramingTuple
 from repro.core.types import (
     HEADER_BYTES,
     PACKET_HEADER_BYTES,
@@ -55,6 +54,8 @@ _FLAG_C_ST = 0x01
 _FLAG_T_ST = 0x02
 _FLAG_X_ST = 0x04
 
+_TYPES = {int(member): member for member in ChunkType}
+
 #: 44 zero bytes: TYPE=0 and LEN=0 both mark "no more chunks".
 SENTINEL_HEADER = b"\x00" * HEADER_BYTES
 
@@ -67,24 +68,12 @@ assert _PACKET_HEADER.size == PACKET_HEADER_BYTES
 
 def encode_chunk(chunk: Chunk) -> bytes:
     """Serialize one chunk (header + payload) to bytes."""
+    ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
     flags = (
-        (_FLAG_C_ST if chunk.c.st else 0)
-        | (_FLAG_T_ST if chunk.t.st else 0)
-        | (_FLAG_X_ST if chunk.x.st else 0)
+        (_FLAG_C_ST if c_st else 0) | (_FLAG_T_ST if t_st else 0) | (_FLAG_X_ST if x_st else 0)
     )
-    header = _HEADER.pack(
-        int(chunk.type),
-        flags,
-        chunk.size,
-        chunk.length,
-        chunk.c.ident,
-        chunk.c.sn,
-        chunk.t.ident,
-        chunk.t.sn,
-        chunk.x.ident,
-        chunk.x.sn,
-    )
-    return header + chunk.payload
+    header = _HEADER.pack(ctype, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn)
+    return header + payload
 
 
 def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
@@ -99,24 +88,13 @@ def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
     """
     if len(data) - offset < HEADER_BYTES:
         return None, len(data)
-    (
-        raw_type,
-        flags,
-        size,
-        length,
-        c_id,
-        c_sn,
-        t_id,
-        t_sn,
-        x_id,
-        x_sn,
-    ) = _HEADER.unpack_from(data, offset)
+    header = _HEADER.unpack_from(data, offset)
+    raw_type, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn = header
     if raw_type == 0 or length == 0:
         return None, offset + HEADER_BYTES
-    try:
-        chunk_type = ChunkType(raw_type)
-    except ValueError:
-        raise CodecError(f"unknown chunk TYPE {raw_type:#x} at offset {offset}") from None
+    chunk_type = _TYPES.get(raw_type)
+    if chunk_type is None:
+        raise CodecError(f"unknown chunk TYPE {raw_type:#x} at offset {offset}")
     if size == 0:
         raise CodecError(f"SIZE=0 in non-sentinel chunk at offset {offset}")
     unit_bytes = size * WORD_BYTES if chunk_type is ChunkType.DATA else WORD_BYTES
@@ -128,14 +106,14 @@ def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
             f"truncated chunk payload: need {payload_len} bytes at offset "
             f"{start}, have {len(data) - start}"
         )
-    chunk = Chunk(
-        type=chunk_type,
-        size=size,
-        length=length,
-        c=FramingTuple(c_id, c_sn, bool(flags & _FLAG_C_ST)),
-        t=FramingTuple(t_id, t_sn, bool(flags & _FLAG_T_ST)),
-        x=FramingTuple(x_id, x_sn, bool(flags & _FLAG_X_ST)),
-        payload=bytes(data[start:end]),
+    # Unsigned fields of fixed width, TYPE / SIZE / LEN / payload length
+    # checked above: nothing is left for the validating constructor.
+    chunk = Chunk._make(
+        chunk_type, size, length,
+        c_id, c_sn, bool(flags & _FLAG_C_ST),
+        t_id, t_sn, bool(flags & _FLAG_T_ST),
+        x_id, x_sn, bool(flags & _FLAG_X_ST),
+        bytes(data[start:end]),
     )
     return chunk, end
 

@@ -136,9 +136,15 @@ class _HeaderFields:
     type: ChunkType
     size: int
     length: int
-    c: FramingTuple
-    t: FramingTuple
-    x: FramingTuple
+    c_id: int
+    c_sn: int
+    c_st: bool
+    t_id: int
+    t_sn: int
+    t_st: bool
+    x_id: int
+    x_sn: int
+    x_st: bool
 
 
 @dataclass
@@ -156,32 +162,32 @@ class _Prediction:
     def matches(self, chunk: Chunk) -> bool:
         return (
             self.valid
-            and chunk.c.ident == self.c_id
-            and chunk.c.sn == self.c_sn
-            and chunk.t.ident == self.t_id
-            and chunk.t.sn == self.t_sn
-            and chunk.x.ident == self.x_id
-            and chunk.x.sn == self.x_sn
+            and chunk.c_id == self.c_id
+            and chunk.c_sn == self.c_sn
+            and chunk.t_id == self.t_id
+            and chunk.t_sn == self.t_sn
+            and chunk.x_id == self.x_id
+            and chunk.x_sn == self.x_sn
         )
 
     def advance(self, chunk: Chunk) -> None:
         """State after *chunk* on an in-order channel."""
-        self.c_id = chunk.c.ident
-        self.c_sn = chunk.c.sn + chunk.length
-        if chunk.t.st:
+        self.c_id = chunk.c_id
+        self.c_sn = chunk.c_sn + chunk.length
+        if chunk.t_st:
             # Next TPDU: id unknown in general; with the implicit rule it
             # equals the next C.SN, which both sides can compute.
             self.t_id = self.c_sn
             self.t_sn = 0
         else:
-            self.t_id = chunk.t.ident
-            self.t_sn = chunk.t.sn + chunk.length
-        if chunk.x.st:
-            self.x_id = chunk.x.ident + 1
+            self.t_id = chunk.t_id
+            self.t_sn = chunk.t_sn + chunk.length
+        if chunk.x_st:
+            self.x_id = chunk.x_id + 1
             self.x_sn = 0
         else:
-            self.x_id = chunk.x.ident
-            self.x_sn = chunk.x.sn + chunk.length
+            self.x_id = chunk.x_id
+            self.x_sn = chunk.x_sn + chunk.length
         self.valid = True
 
 
@@ -203,16 +209,16 @@ class HeaderCompressor:
         a packet's headers together (Appendix A's Huffman option).
         """
         prof = self.profile
-        if prof.connection_id is not None and chunk.c.ident != prof.connection_id:
+        if prof.connection_id is not None and chunk.c_id != prof.connection_id:
             raise CodecError(
-                f"chunk C.ID {chunk.c.ident} on channel signaled for "
+                f"chunk C.ID {chunk.c_id} on channel signaled for "
                 f"connection {prof.connection_id}"
             )
         implicit_tid = prof.implicit_t_id and chunk.is_data
-        if implicit_tid and chunk.t.ident != chunk.c.sn - chunk.t.sn:
+        if implicit_tid and chunk.t_id != chunk.c_sn - chunk.t_sn:
             raise CodecError(
                 "implicit T.ID requires T.ID == C.SN - T.SN "
-                f"(got T.ID={chunk.t.ident}, C.SN={chunk.c.sn}, T.SN={chunk.t.sn}); "
+                f"(got T.ID={chunk.t_id}, C.SN={chunk.c_sn}, T.SN={chunk.t_sn}); "
                 "allocate ids with implicit_tpdu_ids()"
             )
         signaled_size = prof.size_by_type.get(chunk.type)
@@ -230,15 +236,15 @@ class HeaderCompressor:
         if (
             prof.regenerate_sns
             and chunk.is_data
-            and chunk.t.sn != 0
+            and chunk.t_sn != 0
             and self._prediction.matches(chunk)
         ):
             explicit = False
 
         flags = (
-            (_F_C_ST if chunk.c.st else 0)
-            | (_F_T_ST if chunk.t.st else 0)
-            | (_F_X_ST if chunk.x.st else 0)
+            (_F_C_ST if chunk.c_st else 0)
+            | (_F_T_ST if chunk.t_st else 0)
+            | (_F_X_ST if chunk.x_st else 0)
             | (_F_EXPLICIT if explicit else 0)
         )
         out = bytearray((int(chunk.type), flags))
@@ -247,13 +253,13 @@ class HeaderCompressor:
             out += encode_varint(chunk.size)
         if explicit:
             if prof.connection_id is None:
-                out += encode_varint(chunk.c.ident)
-            out += encode_varint(chunk.c.sn)
+                out += encode_varint(chunk.c_id)
+            out += encode_varint(chunk.c_sn)
             if not implicit_tid:
-                out += encode_varint(chunk.t.ident)
-            out += encode_varint(chunk.t.sn)
-            out += encode_varint(chunk.x.ident)
-            out += encode_varint(chunk.x.sn)
+                out += encode_varint(chunk.t_id)
+            out += encode_varint(chunk.t_sn)
+            out += encode_varint(chunk.x_id)
+            out += encode_varint(chunk.x_sn)
         if chunk.is_data:
             self._prediction.advance(chunk)
         return bytes(out)
@@ -320,12 +326,10 @@ class HeaderDecompressor:
         unit_bytes = size * WORD_BYTES if chunk_type is ChunkType.DATA else WORD_BYTES
         payload_len = length * unit_bytes
         fields = _HeaderFields(
-            type=chunk_type,
-            size=size,
-            length=length,
-            c=FramingTuple(c_id, c_sn, bool(flags & _F_C_ST)),
-            t=FramingTuple(t_id, t_sn, bool(flags & _F_T_ST)),
-            x=FramingTuple(x_id, x_sn, bool(flags & _F_X_ST)),
+            chunk_type, size, length,
+            c_id, c_sn, bool(flags & _F_C_ST),
+            t_id, t_sn, bool(flags & _F_T_ST),
+            x_id, x_sn, bool(flags & _F_X_ST),
         )
         if fields.type is ChunkType.DATA:
             # Advance here (not in finish) so back-to-back headers can
@@ -334,16 +338,23 @@ class HeaderDecompressor:
         return fields, payload_len, offset
 
     def finish(self, fields: "_HeaderFields", payload: bytes) -> Chunk:
-        """Attach the payload to decoded header fields."""
-        return Chunk(
-            type=fields.type,
-            size=fields.size,
-            length=fields.length,
-            c=fields.c,
-            t=fields.t,
-            x=fields.x,
-            payload=payload,
-        )
+        """Attach the payload to decoded header fields.
+
+        Varints are unbounded, so unlike the fixed-field decoder this one
+        goes through the validating constructor.
+        """
+        try:
+            return Chunk(
+                type=fields.type,
+                size=fields.size,
+                length=fields.length,
+                c=FramingTuple(fields.c_id, fields.c_sn, fields.c_st),
+                t=FramingTuple(fields.t_id, fields.t_sn, fields.t_st),
+                x=FramingTuple(fields.x_id, fields.x_sn, fields.x_st),
+                payload=payload,
+            )
+        except ValueError as exc:
+            raise CodecError(f"compact header field outside its wire width: {exc}") from None
 
 
 # ----------------------------------------------------------------------
@@ -371,15 +382,15 @@ def elide_ed_headers(chunks: list[Chunk]) -> list[bytes | Chunk]:
             chunk.type is ChunkType.ERROR_DETECTION
             and prev is not None
             and prev.is_data
-            and prev.t.st
-            and prev.t.ident == chunk.t.ident
-            and prev.c.ident == chunk.c.ident
+            and prev.t_st
+            and prev.t_id == chunk.t_id
+            and prev.c_id == chunk.c_id
             and chunk.size == 1
             and chunk.length < 256
-            and chunk.c.sn == 0
-            and chunk.t.sn == 0
-            and chunk.x == FramingTuple(0, 0, False)
-            and not (chunk.c.st or chunk.t.st)
+            and chunk.c_sn == 0
+            and chunk.t_sn == 0
+            and not (chunk.x_id or chunk.x_sn or chunk.x_st)
+            and not (chunk.c_st or chunk.t_st)
         ):
             out.append(bytes((_ED_MARKER, chunk.length)) + chunk.payload)
         else:
@@ -403,14 +414,14 @@ def restore_ed_headers(items: list[bytes | Chunk]) -> list[Chunk]:
         payload = item[2:]
         if len(payload) != length * WORD_BYTES:
             raise CodecError("elided-ED payload length mismatch")
-        if prev is None or not prev.is_data or not prev.t.st:
+        if prev is None or not prev.is_data or not prev.t_st:
             raise CodecError("elided ED chunk without preceding final DATA chunk")
         chunk = Chunk(
             type=ChunkType.ERROR_DETECTION,
             size=1,
             length=length,
-            c=FramingTuple(prev.c.ident, 0, False),
-            t=FramingTuple(prev.t.ident, 0, False),
+            c=FramingTuple(prev.c_id, 0, False),
+            t=FramingTuple(prev.t_id, 0, False),
             x=FramingTuple(0, 0, False),
             payload=payload,
         )

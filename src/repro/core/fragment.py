@@ -14,11 +14,9 @@ chunks are indivisible and raise :class:`FragmentationError`.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.core.chunk import Chunk
 from repro.core.errors import FragmentationError
-from repro.core.types import HEADER_BYTES
+from repro.core.types import HEADER_BYTES, SN_LIMIT, WORD_BYTES, ChunkType
 
 __all__ = ["split", "split_to_unit_limit", "fragment_for_mtu"]
 
@@ -33,63 +31,76 @@ def split(chunk: Chunk, new_len: int) -> tuple[Chunk, Chunk]:
 
     Raises:
         FragmentationError: if the chunk is control (indivisible), has
-            only one unit, or *new_len* does not leave both halves
-            non-empty.
+            only one unit, *new_len* does not leave both halves
+            non-empty, or an SN of ``chunk_b`` would leave its field.
     """
-    if chunk.is_control:
-        raise FragmentationError(
-            f"control chunk (TYPE={chunk.type.name}) is indivisible"
-        )
-    if chunk.length <= 1:
+    ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+    if ctype is not ChunkType.DATA:
+        raise FragmentationError(f"control chunk (TYPE={ctype.name}) is indivisible")
+    if length <= 1:
         raise FragmentationError("cannot split a single-unit chunk")
-    if not 0 < new_len < chunk.length:
-        raise FragmentationError(
-            f"new_len must be in 1..{chunk.length - 1}, got {new_len}"
-        )
-
-    cut = new_len * chunk.unit_bytes
-    chunk_a = replace(
-        chunk,
-        length=new_len,
-        c=chunk.c.head(),
-        t=chunk.t.head(),
-        x=chunk.x.head(),
-        payload=chunk.payload[:cut],
+    if not 0 < new_len < length:
+        raise FragmentationError(f"new_len must be in 1..{length - 1}, got {new_len}")
+    _refuse_sn_overflow(chunk, new_len)
+    # Both halves are made of a valid label's own integers, 0 < LEN < the
+    # parent's and no SN past its field: nothing is left to validate.
+    cut = new_len * size * WORD_BYTES
+    chunk_a = Chunk._make(
+        ctype, size, new_len, c_id, c_sn, False, t_id, t_sn, False, x_id, x_sn, False,
+        payload[:cut],
     )
-    chunk_b = replace(
-        chunk,
-        length=chunk.length - new_len,
-        c=chunk.c.tail(new_len),
-        t=chunk.t.tail(new_len),
-        x=chunk.x.tail(new_len),
-        payload=chunk.payload[cut:],
+    chunk_b = Chunk._make(
+        ctype, size, length - new_len,
+        c_id, c_sn + new_len, c_st, t_id, t_sn + new_len, t_st, x_id, x_sn + new_len, x_st,
+        payload[cut:],
     )
     return chunk_a, chunk_b
+
+
+def _refuse_sn_overflow(chunk: Chunk, advance: int) -> None:
+    if max(chunk.c_sn, chunk.t_sn, chunk.x_sn) + advance >= SN_LIMIT:
+        raise FragmentationError(
+            f"a fragment {advance} units into {chunk.describe()} would carry an SN past 2^64-1"
+        )
 
 
 def split_to_unit_limit(chunk: Chunk, max_units: int) -> list[Chunk]:
     """Split *chunk* into pieces of at most *max_units* atomic units.
 
     Appendix C notes the two-way split "can be repeated until each chunk
-    carries only a single unit of data"; this helper repeats it until
-    every piece fits the unit budget.  Control chunks pass through
+    carries only a single unit of data"; this is that repetition done in
+    one pass — every piece cut once from the original payload, equal to
+    what repeated :func:`split` returns.  Control chunks pass through
     unsplit if they fit, otherwise raise.
     """
     if max_units < 1:
         raise FragmentationError(f"max_units must be >= 1, got {max_units}")
-    if chunk.length <= max_units:
+    ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+    if length <= max_units:
         return [chunk]
-    if chunk.is_control:
+    if ctype is not ChunkType.DATA:
         raise FragmentationError(
-            f"control chunk of {chunk.length} words exceeds limit {max_units} "
+            f"control chunk of {length} words exceeds limit {max_units} "
             "and control information is indivisible"
         )
-    pieces: list[Chunk] = []
-    rest = chunk
-    while rest.length > max_units:
-        head, rest = split(rest, max_units)
-        pieces.append(head)
-    pieces.append(rest)
+    last = (length - 1) // max_units * max_units
+    _refuse_sn_overflow(chunk, last)
+    unit_bytes = size * WORD_BYTES
+    pieces = [
+        Chunk._make(
+            ctype, size, max_units,
+            c_id, c_sn + done, False, t_id, t_sn + done, False, x_id, x_sn + done, False,
+            payload[done * unit_bytes : (done + max_units) * unit_bytes],
+        )
+        for done in range(0, last, max_units)
+    ]
+    pieces.append(
+        Chunk._make(
+            ctype, size, length - last,
+            c_id, c_sn + last, c_st, t_id, t_sn + last, t_st, x_id, x_sn + last, x_st,
+            payload[last * unit_bytes :],
+        )
+    )
     return pieces
 
 

@@ -13,7 +13,6 @@ performs that single step over an arbitrary pool of chunks.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable
 
 from repro.core.chunk import Chunk
@@ -31,9 +30,10 @@ def can_merge(chunk_a: Chunk, chunk_b: Chunk) -> bool:
         return False
     units = chunk_a.length
     return (
-        chunk_b.c.follows(chunk_a.c, units)
-        and chunk_b.t.follows(chunk_a.t, units)
-        and chunk_b.x.follows(chunk_a.x, units)
+        (chunk_b.c_id, chunk_b.t_id, chunk_b.x_id) == (chunk_a.c_id, chunk_a.t_id, chunk_a.x_id)
+        and chunk_b.c_sn == chunk_a.c_sn + units
+        and chunk_b.t_sn == chunk_a.t_sn + units
+        and chunk_b.x_sn == chunk_a.x_sn + units
     )
 
 
@@ -48,16 +48,17 @@ def merge(chunk_a: Chunk, chunk_b: Chunk) -> Chunk:
             f"chunks are not adjacent at every level:\n"
             f"  a: {chunk_a.describe()}\n  b: {chunk_b.describe()}"
         )
-    return replace(
-        chunk_a,
-        length=chunk_a.length + chunk_b.length,
-        c=replace(chunk_a.c, st=chunk_b.c.st),
-        t=replace(chunk_a.t, st=chunk_b.t.st),
-        x=replace(chunk_a.x, st=chunk_b.x.st),
+    # TYPE, SIZE, IDs and SNs are chunk_a's own and the ST bits chunk_b's;
+    # LEN is the sum of two lengths whose payloads are both in memory.
+    return Chunk._make(
+        chunk_a.type, chunk_a.size, chunk_a.length + chunk_b.length,
+        chunk_a.c_id, chunk_a.c_sn, chunk_b.c_st,
+        chunk_a.t_id, chunk_a.t_sn, chunk_b.t_st,
+        chunk_a.x_id, chunk_a.x_sn, chunk_b.x_st,
         # The concatenation below IS the single reassembly touch the
         # paper's <=2.0 touches/byte budget pays for (CLAIM-1STEP
         # measures it); it is the one copy the receive path may make.
-        payload=chunk_a.payload + chunk_b.payload,  # protolint: ignore[hot-path-copy]
+        chunk_a.payload + chunk_b.payload,  # protolint: ignore[hot-path-copy]
     )
 
 
@@ -79,7 +80,7 @@ def coalesce(chunks: Iterable[Chunk]) -> list[Chunk]:
     for chunk in chunks:
         (control if chunk.is_control else data).append(chunk)
 
-    data.sort(key=lambda ch: (ch.c.ident, ch.c.sn, ch.t.ident, ch.t.sn))
+    data.sort(key=lambda ch: (ch.c_id, ch.c_sn, ch.t_id, ch.t_sn))
 
     merged: list[Chunk] = []
     for chunk in data:
@@ -103,15 +104,15 @@ def coalesce(chunks: Iterable[Chunk]) -> list[Chunk]:
 
 def _span(chunk: Chunk) -> tuple[int, int]:
     """Connection-level [start, end) unit span of a data chunk."""
-    return chunk.c.sn, chunk.c.sn + chunk.length
+    return chunk.c_sn, chunk.c_sn + chunk.length
 
 
 def _same_span(a: Chunk, b: Chunk) -> bool:
-    return a.c.ident == b.c.ident and _span(a) == _span(b) and a.payload == b.payload
+    return a.c_id == b.c_id and _span(a) == _span(b) and a.payload == b.payload
 
 
 def _contained_in(inner: Chunk, outer: Chunk) -> bool:
-    if inner.c.ident != outer.c.ident:
+    if inner.c_id != outer.c_id:
         return False
     i0, i1 = _span(inner)
     o0, o1 = _span(outer)
@@ -123,7 +124,7 @@ def _contained_in(inner: Chunk, outer: Chunk) -> bool:
 
 
 def _overlaps(a: Chunk, b: Chunk) -> bool:
-    if a.c.ident != b.c.ident:
+    if a.c_id != b.c_id:
         return False
     a0, a1 = _span(a)
     b0, b1 = _span(b)

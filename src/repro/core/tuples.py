@@ -9,13 +9,18 @@ last piece of data of a PDU is indicated by an ST bit."
 A chunk carries one tuple per framing level.  This library uses the three
 levels of the paper's worked example: the connection (``C``), the
 transport PDU (``T``) and the external/application PDU (``X``), but the
-:class:`FramingTuple` itself is level-agnostic.
+:class:`FramingTuple` itself is level-agnostic.  A :class:`~repro.core.
+chunk.Chunk` stores its labels flat; a :class:`FramingTuple` is what its
+validating constructor takes and what ``chunk.c`` / ``.t`` / ``.x`` hand
+back, held to the ID and SN field widths so that whatever it labels encodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Final, TypeAlias
+
+from repro.core.types import ID_LIMIT, SN_LIMIT
 
 __all__ = ["FramingTuple", "Level", "LEVELS"]
 
@@ -44,10 +49,10 @@ class FramingTuple:
     st: bool = False
 
     def __post_init__(self) -> None:
-        if self.ident < 0:
-            raise ValueError(f"ID must be non-negative, got {self.ident}")
-        if self.sn < 0:
-            raise ValueError(f"SN must be non-negative, got {self.sn}")
+        if not 0 <= self.ident < ID_LIMIT:
+            raise ValueError(f"ID must be in 0..2^32-1, got {self.ident}")
+        if not 0 <= self.sn < SN_LIMIT:
+            raise ValueError(f"SN must be in 0..2^64-1, got {self.sn}")
 
     def advanced(self, units: int) -> "FramingTuple":
         """Tuple for a fragment starting *units* data units later.

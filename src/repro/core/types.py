@@ -19,6 +19,10 @@ __all__ = [
     "PACKET_HEADER_BYTES",
     "SENTINEL_LEN",
     "MAX_TPDU_SYMBOLS",
+    "ID_LIMIT",
+    "SN_LIMIT",
+    "SIZE_LIMIT",
+    "LEN_LIMIT",
     "is_control_type",
 ]
 
@@ -39,6 +43,14 @@ SENTINEL_LEN: Final[int] = 0
 
 #: Figure 5 limits TPDU data to 16,384 32-bit symbols.
 MAX_TPDU_SYMBOLS: Final[int] = 16_384
+
+#: Exclusive upper bounds of the unsigned header fields (every ID is 4
+#: bytes, every SN 8, SIZE 2, LEN 4).  A label made inside them encodes;
+#: :mod:`repro.core.wire_table` asserts they are the table's widths.
+ID_LIMIT: Final[int] = 1 << 32
+SN_LIMIT: Final[int] = 1 << 64
+SIZE_LIMIT: Final[int] = 1 << 16
+LEN_LIMIT: Final[int] = 1 << 32
 
 
 class ChunkType(enum.IntEnum):

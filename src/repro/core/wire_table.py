@@ -33,7 +33,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES
+from repro.core.types import (
+    HEADER_BYTES,
+    ID_LIMIT,
+    LEN_LIMIT,
+    PACKET_HEADER_BYTES,
+    SIZE_LIMIT,
+    SN_LIMIT,
+)
 
 __all__ = [
     "WireField",
@@ -154,6 +161,11 @@ assert CHUNK_HEADER.total_bytes == HEADER_BYTES
 assert PACKET_ENVELOPE.total_bytes == PACKET_HEADER_BYTES
 assert struct.calcsize(CHUNK_HEADER.struct_format) == HEADER_BYTES
 assert struct.calcsize(SIGNALING_PAYLOAD.struct_format) == SIGNALING_PAYLOAD.total_bytes
+# The limits the validating constructors hold a label to are these widths.
+_LIMITS = {"SIZE": SIZE_LIMIT, "LEN": LEN_LIMIT, "ID": ID_LIMIT, "SN": SN_LIMIT}
+assert all(
+    1 << 8 * f.width == _LIMITS[f.name.rpartition(".")[2]] for f in CHUNK_HEADER.fields[2:]
+)
 
 
 def render_markdown(table: WireTable) -> str:

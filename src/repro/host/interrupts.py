@@ -88,7 +88,7 @@ class PerPduNic:
                 continue
             if arrival.completed:
                 self.interrupts += 1
-                self.completed_tpdus.append(chunk.t.ident)
+                self.completed_tpdus.append(chunk.t_id)
                 raised += 1
         return raised
 

@@ -24,7 +24,7 @@ Two models here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.core.chunk import Chunk
@@ -140,12 +140,12 @@ def parallel_split(chunk: Chunk, new_len: int) -> tuple[Chunk, Chunk]:
     (t_head, t_tail) = _advance_level(chunk.t, new_len, final=True)
     (x_head, x_tail) = _advance_level(chunk.x, new_len, final=True)
     cut = new_len * chunk.unit_bytes
-    head = replace(
-        chunk, length=new_len, c=c_head, t=t_head, x=x_head,
+    head = chunk.replace(
+        length=new_len, c=c_head, t=t_head, x=x_head,
         payload=chunk.payload[:cut],
     )
-    tail = replace(
-        chunk, length=chunk.length - new_len, c=c_tail, t=t_tail, x=x_tail,
+    tail = chunk.replace(
+        length=chunk.length - new_len, c=c_tail, t=t_tail, x=x_tail,
         payload=chunk.payload[cut:],
     )
     return head, tail

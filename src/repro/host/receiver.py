@@ -105,7 +105,7 @@ class ImmediateReceiver(HostReceiver):
     def on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control:
             return
-        offset = chunk.c.sn * chunk.unit_bytes
+        offset = chunk.c_sn * chunk.unit_bytes
         fresh = self.app.place(offset, chunk.payload)
         if fresh == 0:
             return  # duplicate: skip, do not re-touch
@@ -134,16 +134,16 @@ class ReorderReceiver(HostReceiver):
     def on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control:
             return
-        if chunk.c.sn < self.next_sn or chunk.c.sn in self._buffer:
+        if chunk.c_sn < self.next_sn or chunk.c_sn in self._buffer:
             return  # duplicate
-        if chunk.c.sn == self.next_sn:
+        if chunk.c_sn == self.next_sn:
             self.ledger.record("nic-to-app", len(chunk.payload))
-            self._deliver(now, now, chunk.c.sn * chunk.unit_bytes, chunk.payload)
+            self._deliver(now, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
             self.next_sn += chunk.length
             self._drain(now)
         else:
             self.ledger.record("nic-to-buffer", len(chunk.payload))
-            self._buffer[chunk.c.sn] = (now, chunk)
+            self._buffer[chunk.c_sn] = (now, chunk)
             occupancy = sum(len(c.payload) for _, c in self._buffer.values())
             self.peak_buffer_bytes = max(self.peak_buffer_bytes, occupancy)
             _OBS_REORDER_BUFFER.set(occupancy)
@@ -152,7 +152,7 @@ class ReorderReceiver(HostReceiver):
         while self.next_sn in self._buffer:
             arrival, chunk = self._buffer.pop(self.next_sn)
             self.ledger.record("buffer-to-app", len(chunk.payload))
-            self._deliver(arrival, now, chunk.c.sn * chunk.unit_bytes, chunk.payload)
+            self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
             self.next_sn += chunk.length
         _OBS_REORDER_BUFFER.set(self.buffered_bytes)
 
@@ -161,7 +161,7 @@ class ReorderReceiver(HostReceiver):
         for sn in sorted(self._buffer):
             arrival, chunk = self._buffer.pop(sn)
             self.ledger.record("buffer-to-app", len(chunk.payload))
-            self._deliver(arrival, now, chunk.c.sn * chunk.unit_bytes, chunk.payload)
+            self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
         _OBS_REORDER_BUFFER.set(0)
 
     @property
@@ -186,9 +186,9 @@ class ReassembleReceiver(HostReceiver):
     _occupancy: int = field(default=0, init=False)
 
     def on_chunk(self, now: float, chunk: Chunk) -> None:
-        if chunk.is_control or chunk.t.ident in self._delivered:
+        if chunk.is_control or chunk.t_id in self._delivered:
             return
-        state = self._tpdus.setdefault(chunk.t.ident, _TpduBuffer())
+        state = self._tpdus.setdefault(chunk.t_id, _TpduBuffer())
         fresh = state.add(now, chunk)
         if fresh == 0:
             return
@@ -202,8 +202,8 @@ class ReassembleReceiver(HostReceiver):
             self._occupancy -= len(data)
             _OBS_REASSEMBLY_BUFFER.set(self._occupancy)
             self._deliver(state.weighted_arrival(), now, state.stream_offset, data)
-            del self._tpdus[chunk.t.ident]
-            self._delivered.add(chunk.t.ident)
+            del self._tpdus[chunk.t_id]
+            self._delivered.add(chunk.t_id)
 
     def finish(self, now: float) -> None:
         """Flush incomplete TPDUs at end of run (delivered with holes)."""
@@ -234,13 +234,13 @@ class _TpduBuffer:
 
     def add(self, now: float, chunk: Chunk) -> int:
         if self.stream_offset < 0 or (
-            chunk.c.sn - chunk.t.sn
+            chunk.c_sn - chunk.t_sn
         ) * chunk.unit_bytes < self.stream_offset:
-            self.stream_offset = (chunk.c.sn - chunk.t.sn) * chunk.unit_bytes
+            self.stream_offset = (chunk.c_sn - chunk.t_sn) * chunk.unit_bytes
         # T.ST obeys the end-marker rule T/X/C obey on the immediate path:
         # the TPDU's size does not depend on which chunk arrived first.
-        place = self.buffer.place_last if chunk.t.st else self.buffer.place
-        fresh = place(chunk.t.sn * chunk.unit_bytes, chunk.payload)
+        place = self.buffer.place_last if chunk.t_st else self.buffer.place
+        fresh = place(chunk.t_sn * chunk.unit_bytes, chunk.payload)
         if fresh:
             self._arrival_weight += now * fresh
             self._arrived_bytes += fresh

@@ -262,7 +262,7 @@ class OverlapRewriter:
             offset = self.rng.randrange(length - 1)
             units = 1 + self.rng.randrange(length - offset - 1) if length - offset > 1 else 1
         elif kind == "superset":
-            offset = -1 if chunk.c.sn > 0 and chunk.t.sn > 0 and chunk.x.sn > 0 else 0
+            offset = -1 if chunk.c_sn > 0 and chunk.t_sn > 0 and chunk.x_sn > 0 else 0
             units = length - offset
         elif kind == "straddle":
             # Overlap the tail and extend past the end of the chunk.

@@ -169,7 +169,7 @@ class SharedBottleneck:
             return
         by_port: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
-            index = self.routes.get(chunk.c.ident, 0)
+            index = self.routes.get(chunk.c_id, 0)
             if index >= len(self.ports):
                 self.misrouted_chunks += 1
                 _OBS_MISROUTED.inc()

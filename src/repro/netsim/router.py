@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal
 
 from repro.core.chunk import Chunk
-from repro.core.errors import CodecError
+from repro.core.errors import CodecError, FragmentationError
+from repro.core.fragment import fragment_for_mtu
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.core.types import PACKET_HEADER_BYTES
@@ -59,6 +60,9 @@ class RouterStats:
     chunks_split: int = 0
     chunks_merged: int = 0
     decode_failures: int = 0
+    #: wire-valid chunks the outgoing MTU cannot carry (an atomic unit
+    #: larger than a packet, a fragment whose SN would leave its field).
+    chunks_unforwardable: int = 0
 
 
 @dataclass
@@ -143,12 +147,12 @@ class ChunkRouter:
             chunks = coalesce(chunks)
             self.stats.chunks_merged += before - len(chunks)
             _OBS_CHUNKS_MERGED.inc(before - len(chunks))
-        if self.mode == "one-per-packet":
-            packets = []
-            for chunk in chunks:
-                packets.extend(pack_chunks([chunk], self.out_mtu))
-        else:
-            packets = pack_chunks(chunks, self.out_mtu)
+        try:
+            packets = self._pack(chunks)
+        except FragmentationError:
+            # Some chunk cannot be cut to this MTU: drop it, forward the rest.
+            chunks = [chunk for chunk in chunks if self._forwardable(chunk)]
+            packets = self._pack(chunks)
         out_chunks = sum(len(p.chunks) for p in packets)
         self.stats.chunks_split += max(0, out_chunks - len(chunks))
         self.stats.chunks_out += out_chunks
@@ -166,6 +170,19 @@ class ChunkRouter:
                 self.loop.at(out, lambda d=data: self.forward(d))
             else:
                 self.loop.schedule(delay, lambda d=data: self.forward(d))
+
+    def _pack(self, chunks: list[Chunk]) -> list[Packet]:
+        if self.mode == "one-per-packet":
+            return [p for chunk in chunks for p in pack_chunks([chunk], self.out_mtu)]
+        return pack_chunks(chunks, self.out_mtu)
+
+    def _forwardable(self, chunk: Chunk) -> bool:
+        try:
+            fragment_for_mtu(chunk, self.out_mtu, PACKET_HEADER_BYTES)
+        except FragmentationError:
+            self.stats.chunks_unforwardable += 1
+            return False
+        return True
 
     def flush_now(self) -> None:
         """Force out any batched chunks (end-of-run drain)."""

@@ -100,7 +100,7 @@ class BottleneckQueue:
         except CodecError:
             return set()
         return {
-            (c.c.ident, c.t.ident)
+            (c.c_id, c.t_id)
             for c in packet.chunks
             if c.type in (ChunkType.DATA, ChunkType.ERROR_DETECTION)
         }

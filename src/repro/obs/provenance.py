@@ -338,18 +338,19 @@ class JourneyTracker:
         """Emit a chunk-level record, deriving the label from *chunk*.
 
         Works with any object shaped like :class:`repro.core.chunk.
-        Chunk` (``c``/``t``/``x`` framing tuples, ``unit_bytes``,
-        ``payload_bytes``) — the label is read, never copied or held.
+        Chunk` (flat ``c_id`` / ``c_sn`` / ``t_id`` / ``x_id`` fields,
+        ``unit_bytes``, ``payload_bytes``) — the label is read off the
+        record, never copied, held or rebuilt as framing tuples.
         """
         self.emit(
             stage,
-            chunk.c.ident,  # type: ignore[attr-defined]
-            chunk.c.sn * chunk.unit_bytes,  # type: ignore[attr-defined]
+            chunk.c_id,  # type: ignore[attr-defined]
+            chunk.c_sn * chunk.unit_bytes,  # type: ignore[attr-defined]
             chunk.payload_bytes,  # type: ignore[attr-defined]
             t=t,
             gen=gen,
-            t_id=chunk.t.ident,  # type: ignore[attr-defined]
-            x_id=chunk.x.ident,  # type: ignore[attr-defined]
+            t_id=chunk.t_id,  # type: ignore[attr-defined]
+            x_id=chunk.x_id,  # type: ignore[attr-defined]
             **fields,
         )
 
@@ -476,11 +477,11 @@ def frame_labels(frame: bytes) -> list[tuple[int, int, int, int, int]]:
         return []
     return [
         (
-            chunk.c.ident,
-            chunk.c.sn * chunk.unit_bytes,
+            chunk.c_id,
+            chunk.c_sn * chunk.unit_bytes,
             chunk.payload_bytes,
-            chunk.t.ident,
-            chunk.x.ident,
+            chunk.t_id,
+            chunk.x_id,
         )
         for chunk in packet.chunks
         if chunk.is_data

@@ -97,7 +97,7 @@ class EgressPacker:
         shard_of = None
         if self._sharded:
             shard_of = {
-                chunk.c.ident: lane
+                chunk.c_id: lane
                 for lane, queue in enumerate(self._lanes)
                 for chunk in queue
             }
@@ -129,7 +129,7 @@ class EgressPacker:
         now = None if self.loop is None else self.loop.now
         packets = pack_chunks(chunks, self.wire.mtu)
         for packet in packets:
-            conversations = {chunk.c.ident for chunk in packet.chunks}
+            conversations = {chunk.c_id for chunk in packet.chunks}
             if len(conversations) > 1:
                 self.mixed_packets += 1
                 _OBS_MIXED_PACKETS.inc()
@@ -141,7 +141,7 @@ class EgressPacker:
                     if chunk.is_data:
                         _OBS_JOURNEY.chunk(
                             "packed", chunk, t=now,
-                            shard=shard_of[chunk.c.ident] if shard_of else None,
+                            shard=shard_of[chunk.c_id] if shard_of else None,
                         )
             encoded = packet.encode()
             self.bytes_sent += len(encoded)

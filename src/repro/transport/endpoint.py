@@ -464,7 +464,7 @@ class ChunkEndpoint:
         # Group by conversation, preserving arrival order within each.
         groups: dict[int, list[Chunk]] = {}
         for chunk in chunks:
-            groups.setdefault(chunk.c.ident, []).append(chunk)
+            groups.setdefault(chunk.c_id, []).append(chunk)
         for cid, group in groups.items():
             self._route_group(cid, group, now, events)
 

@@ -177,7 +177,7 @@ class ChunkTransportReceiver:
         if chunk.type is ChunkType.ERROR_DETECTION:
             verdicts = self.verifier.receive(chunk)
             if _OBS_JOURNEY:
-                self._journey_verdicts(chunk.c.ident, verdicts)
+                self._journey_verdicts(chunk.c_id, verdicts)
             events.verdicts.extend(verdicts)
             return
         if chunk.type is not ChunkType.DATA:
@@ -185,15 +185,15 @@ class ChunkTransportReceiver:
             _OBS_UNKNOWN_TYPE.inc()
             return
 
-        _OBS_OOO_DISTANCE.observe(abs(chunk.c.sn - self._frontier_sn))
-        self._frontier_sn = max(self._frontier_sn, chunk.c.sn + chunk.length)
+        _OBS_OOO_DISTANCE.observe(abs(chunk.c_sn - self._frontier_sn))
+        self._frontier_sn = max(self._frontier_sn, chunk.c_sn + chunk.length)
 
         # (1) immediate placement into application memory, once: the stream
         # holds the bytes, the frame store only windows them.  Both refuse
         # absurd offsets (corrupted SNs) and an ST that contradicts a known end
         # or span; the verifier below still sees the chunk and rejects the TPDU.
-        offset = chunk.c.sn * chunk.unit_bytes
-        place = self.stream.place_last if chunk.c.st else self.stream.place
+        offset = chunk.c_sn * chunk.unit_bytes
+        place = self.stream.place_last if chunk.c_st else self.stream.place
         site: dict[str, str] = {}  # journey field, once the stream has accepted
         try:
             fresh = place(offset, chunk.payload)
@@ -209,17 +209,17 @@ class ChunkTransportReceiver:
                     _OBS_JOURNEY.chunk("placed", chunk, fresh=fresh)
             site = {"site": "frame"}
             if self.frames.place(
-                chunk.x.ident, chunk.x.sn * chunk.unit_bytes, offset, len(chunk.payload), chunk.x.st
+                chunk.x_id, chunk.x_sn * chunk.unit_bytes, offset, len(chunk.payload), chunk.x_st
             ):
-                events.completed_frames.append(chunk.x.ident)
+                events.completed_frames.append(chunk.x_id)
                 if _OBS_JOURNEY:
                     _OBS_JOURNEY.emit(
                         "delivered",
-                        chunk.c.ident,
+                        chunk.c_id,
                         0,
                         0,
                         level="frame",
-                        x_id=chunk.x.ident,
+                        x_id=chunk.x_id,
                     )
         except InconsistentOverlapError:
             self.overlap_conflict_chunks += 1
@@ -242,11 +242,11 @@ class ChunkTransportReceiver:
         # (2)+(3) incremental verification via the end-to-end receiver.
         verdicts = self.verifier.receive(chunk)
         if _OBS_JOURNEY and verdicts:
-            self._journey_verdicts(chunk.c.ident, verdicts)
+            self._journey_verdicts(chunk.c_id, verdicts)
         events.verdicts.extend(verdicts)
 
         # Only the end the stream accepted (now or earlier) closes it.
-        if chunk.c.st and self.stream.total_bytes == offset + len(chunk.payload):
+        if chunk.c_st and self.stream.total_bytes == offset + len(chunk.payload):
             self.closed = True
             events.connection_closed = True
 

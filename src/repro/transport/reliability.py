@@ -156,7 +156,7 @@ class ReliableSender:
         self._ship(chunks)
         for chunk in new_chunks:
             if chunk.type is ChunkType.ERROR_DETECTION:
-                self._arm(chunk.t.ident)
+                self._arm(chunk.t_id)
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
         """Process an arriving ACK chunk (possibly piggybacked)."""
@@ -287,10 +287,10 @@ class ReliableReceiver:
         for chunk in events.chunks:
             if (
                 chunk.type is ChunkType.ERROR_DETECTION
-                and chunk.t.ident in self._verified
-                and chunk.t.ident not in to_ack
+                and chunk.t_id in self._verified
+                and chunk.t_id not in to_ack
             ):
-                to_ack.append(chunk.t.ident)
+                to_ack.append(chunk.t_id)
         if to_ack:
             self._verified.update(to_ack)
             self.flush_acks(to_ack)

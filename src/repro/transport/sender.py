@@ -121,15 +121,15 @@ class ChunkTransportSender:
         _OBS_FRAMES_SENT.inc()
         out: list[Chunk] = []
         for chunk in chunks:
-            record = self._tpdus.get(chunk.t.ident)
+            record = self._tpdus.get(chunk.t_id)
             if record is None:
                 record = _TpduRecord()
-                self._tpdus[chunk.t.ident] = record
+                self._tpdus[chunk.t_id] = record
                 while len(self._tpdus) > self.history_limit:
                     del self._tpdus[next(iter(self._tpdus))]
             record.chunks.append(chunk)
             out.append(chunk)
-            if chunk.t.st:
+            if chunk.t_st:
                 _payload, ed_chunk = encode_tpdu(record.chunks)
                 record.ed_chunk = ed_chunk
                 self.tpdus_sent += 1

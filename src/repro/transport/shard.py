@@ -215,7 +215,7 @@ class ShardedEndpoint:
         count = len(self._shards)
         groups: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
-            groups.setdefault(shard_for(chunk.c.ident, count), []).append(chunk)
+            groups.setdefault(shard_for(chunk.c_id, count), []).append(chunk)
         if len(groups) > 1:
             self.fanout_packets += 1
             _OBS_FANOUT.inc()

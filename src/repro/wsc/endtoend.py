@@ -98,19 +98,19 @@ class _TpduChecker:
         """
         # Virtual reassembly + incremental invariant over fresh units.
         try:
-            arrival = self.reassembly.record(chunk.t.sn, chunk.length, chunk.t.st)
+            arrival = self.reassembly.record(chunk.t_sn, chunk.length, chunk.t_st)
         except VirtualReassemblyError as exc:
             self.fail(REASON_REASSEMBLY, str(exc))
             return False
         for start, end in arrival.fresh_ranges:
             try:
-                self.invariant.add_units(chunk, start - chunk.t.sn, end - chunk.t.sn)
+                self.invariant.add_units(chunk, start - chunk.t_sn, end - chunk.t_sn)
             except ChunkError as exc:
                 self.fail(REASON_REASSEMBLY, str(exc))
                 return False
 
         # Consistency checks (Section 4, last paragraph).
-        delta_t = chunk.c.sn - chunk.t.sn
+        delta_t = chunk.c_sn - chunk.t_sn
         if self.c_minus_t is None:
             self.c_minus_t = delta_t
         elif delta_t != self.c_minus_t:
@@ -118,14 +118,14 @@ class _TpduChecker:
                 REASON_CONSISTENCY,
                 f"(C.SN - T.SN) changed from {self.c_minus_t} to {delta_t}",
             )
-        delta_x = chunk.c.sn - chunk.x.sn
-        known = self.x_deltas.get(chunk.x.ident)
+        delta_x = chunk.c_sn - chunk.x_sn
+        known = self.x_deltas.get(chunk.x_id)
         if known is None:
-            self.x_deltas[chunk.x.ident] = delta_x
+            self.x_deltas[chunk.x_id] = delta_x
         elif delta_x != known:
             self.fail(
                 REASON_CONSISTENCY,
-                f"(C.SN - X.SN) for X.ID {chunk.x.ident} changed "
+                f"(C.SN - X.SN) for X.ID {chunk.x_id} changed "
                 f"from {known} to {delta_x}",
             )
         return arrival.completed or self._complete_by_count()
@@ -224,7 +224,7 @@ class EndToEndReceiver:
 
     def receive(self, chunk: Chunk) -> list[TpduVerdict]:
         if chunk.type is ChunkType.DATA or chunk.type is ChunkType.ERROR_DETECTION:
-            key = (chunk.c.ident, chunk.t.ident)
+            key = (chunk.c_id, chunk.t_id)
             try:
                 checker = self._checkers[key]
             except KeyError:

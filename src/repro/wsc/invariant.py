@@ -121,8 +121,8 @@ class TpduInvariant:
             raise ChunkError("only DATA chunks contribute to the TPDU invariant")
         if not 0 <= first < last <= chunk.length:
             raise ChunkError(f"unit range [{first}, {last}) out of chunk bounds")
-        start_unit = chunk.t.sn + first
-        end_symbol = (chunk.t.sn + last) * chunk.size
+        start_unit = chunk.t_sn + first
+        end_symbol = (chunk.t_sn + last) * chunk.size
         if end_symbol > MAX_TPDU_SYMBOLS:
             raise ChunkError(
                 f"TPDU data would occupy symbol {end_symbol - 1} "
@@ -134,15 +134,15 @@ class TpduInvariant:
         final_unit_included = last == chunk.length
         if not final_unit_included:
             return
-        if chunk.c.st:
+        if chunk.c_st:
             # C.ST can be set at most once per TPDU; encode value 1.
             self._add(_C_ST_WEIGHT, 1)
-        if chunk.x.st or chunk.t.st:
+        if chunk.x_st or chunk.t_st:
             # Figure 6: each X.ID encoded exactly once, keyed to the
             # boundary element's T.SN so no two pairs collide.
-            weight = _x_pair_weight(chunk.t.sn + chunk.length - 1)
-            self._add(weight, chunk.x.ident & 0xFFFFFFFF)
-            if chunk.x.st:
+            weight = _x_pair_weight(chunk.t_sn + chunk.length - 1)
+            self._add(weight, chunk.x_id & 0xFFFFFFFF)
+            if chunk.x_st:
                 self._add(mul_alpha(weight), 1)
 
     # ------------------------------------------------------------------
@@ -214,15 +214,15 @@ def encode_tpdu(chunks: list[Chunk]) -> tuple[EdPayload, Chunk]:
     """
     if not chunks:
         raise ChunkError("a TPDU needs at least one DATA chunk")
-    c_id = chunks[0].c.ident
-    t_id = chunks[0].t.ident
+    c_id = chunks[0].c_id
+    t_id = chunks[0].t_id
     invariant = TpduInvariant(c_id, t_id)
     total_units = 0
     for chunk in chunks:
-        if chunk.c.ident != c_id or chunk.t.ident != t_id:
+        if chunk.c_id != c_id or chunk.t_id != t_id:
             raise ChunkError("chunks span more than one (connection, TPDU)")
         invariant.add_chunk(chunk)
-        total_units = max(total_units, chunk.t.sn + chunk.length)
+        total_units = max(total_units, chunk.t_sn + chunk.length)
     p0, p1 = invariant.value()
     payload = EdPayload(p0, p1, total_units)
     return payload, build_ed_chunk(c_id, t_id, payload)
@@ -248,16 +248,16 @@ def decode_tpdu(chunks: list[Chunk], ed: EdPayload) -> bytes:
     """
     if not chunks:
         raise ChunkError("a TPDU needs at least one DATA chunk")
-    c_id = chunks[0].c.ident
-    t_id = chunks[0].t.ident
+    c_id = chunks[0].c_id
+    t_id = chunks[0].t_id
     invariant = TpduInvariant(c_id, t_id)
     units: dict[int, bytes] = {}
     for chunk in chunks:
-        if chunk.c.ident != c_id or chunk.t.ident != t_id:
+        if chunk.c_id != c_id or chunk.t_id != t_id:
             raise ChunkError("chunks span more than one (connection, TPDU)")
         invariant.add_chunk(chunk)
         for index in range(chunk.length):
-            t_sn = chunk.t.sn + index
+            t_sn = chunk.t_sn + index
             if t_sn in units:
                 _OBS_DECODE_FAIL_REASSEMBLY.inc()
                 raise ErrorDetectionMismatch(

@@ -202,22 +202,6 @@ class TestChunkStreamBuilder:
         # The TPDU in progress still closes at its original size.
         assert [c.length for c in builder.add_frame(make_payload(3, size=2))] == [1, 2]
 
-    def test_tuples_allocated_per_chunk_not_per_word(self, monkeypatch):
-        """Allocation budget: a 64 KiB frame (16 384 words) at
-        tpdu_units=256 validates exactly three tuples per chunk formed."""
-        constructed = []
-        validate = FramingTuple.__post_init__
-
-        def counting(self):
-            constructed.append(self)
-            validate(self)
-
-        monkeypatch.setattr(FramingTuple, "__post_init__", counting)
-        builder = ChunkStreamBuilder(connection_id=9, tpdu_units=256)
-        chunks = builder.add_frame(make_payload(16 * 1024))
-        assert len(chunks) == 64
-        assert len(constructed) == 3 * len(chunks)
-
     @pytest.mark.parametrize("view", [lambda buf: buf, memoryview], ids=["bytearray", "memoryview"])
     def test_buffer_frames_yield_immutable_payload_copies(self, view):
         original = make_payload(10)

@@ -1,5 +1,7 @@
 """Unit tests for chunk-aware routers (Figure 4 in motion)."""
 
+import pytest
+
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.netsim.events import EventLoop
@@ -117,3 +119,41 @@ class TestRouterBehaviour:
             router.receive(packet.encode())
         loop.run(until=1.0)  # well before the 10 s timer
         assert frames  # budget-triggered flush happened
+
+
+class TestWireValidButUnforwardable:
+    """A packet that decodes is not yet a packet a smaller MTU can carry:
+    the router drops and counts exactly the chunk it cannot cut, and the
+    honest chunks sharing its envelope still go out."""
+
+    OUT_MTU = 296
+
+    def _forward(self, hostile, mode="repack"):
+        honest = [make_chunk(units=100, t_st=True), make_chunk(units=4, c_id=2, c_sn=7)]
+        envelope = Packet(chunks=[honest[0], hostile, honest[1]]).encode()
+        assert Packet.decode(envelope).chunks[1] == hostile  # wire-valid
+        loop = EventLoop()
+        frames = []
+        router = ChunkRouter(loop, frames.append, out_mtu=self.OUT_MTU, mode=mode)
+        router.receive(envelope)
+        loop.run()  # survives: nothing escapes `_emit`
+        assert all(len(f) <= self.OUT_MTU for f in frames)
+        assert coalesce(_receive_all(frames)) == honest
+        assert router.stats.chunks_unforwardable == 1
+        assert router.stats.decode_failures == 0
+        return router
+
+    @pytest.mark.parametrize("mode", ["repack", "one-per-packet", "reassemble"])
+    def test_tail_sn_past_its_field(self, mode):
+        """C.SN = 2**64 - 100, LEN = 200: cutting it would need an SN >= 2**64."""
+        self._forward(make_chunk(units=200, c_id=3, c_sn=2**64 - 100), mode)
+
+    def test_atomic_unit_larger_than_the_mtu(self):
+        """SIZE = 100: one 400-byte atomic unit cannot ride a 296-byte packet."""
+        self._forward(make_chunk(units=2, size=100, c_id=3))
+
+    def test_oversize_sn_that_needs_no_cut_is_forwarded_untouched(self):
+        chunk = make_chunk(units=8, c_sn=2**64 - 4)
+        router, frames = _run_router("repack", [Packet(chunks=[chunk])], self.OUT_MTU)
+        assert _receive_all(frames) == [chunk]
+        assert router.stats.chunks_unforwardable == 0

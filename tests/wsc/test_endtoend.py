@@ -116,8 +116,7 @@ class TestTable1DataAndControl:
 
     def test_payload_corruption_detected(self):
         chunks, ed = _tpdu()
-        bad = replace(
-            chunks[0],
+        bad = chunks[0].replace(
             payload=b"\xff" + chunks[0].payload[1:],
         )
         verdicts = _run(EndToEndReceiver(), [bad] + chunks[1:] + [ed])
@@ -138,14 +137,14 @@ class TestTable1Ids:
         completes there, but the invariant encodes the received C.ID."""
         chunks, ed = _tpdu()
         rerouted = [c.with_tuples(c=replace(c.c, ident=6)) for c in chunks]
-        bad_ed = replace(ed, c=replace(ed.c, ident=6))
+        bad_ed = ed.replace(c=replace(ed.c, ident=6))
         verdicts = _run(EndToEndReceiver(), rerouted + [bad_ed])
         assert verdicts[-1].reason == REASON_CODE_MISMATCH
 
     def test_t_id_corruption_detected_by_code(self):
         chunks, ed = _tpdu()
         renamed = [c.with_tuples(t=replace(c.t, ident=99)) for c in chunks]
-        bad_ed = replace(ed, t=replace(ed.t, ident=99))
+        bad_ed = ed.replace(t=replace(ed.t, ident=99))
         verdicts = _run(EndToEndReceiver(), renamed + [bad_ed])
         assert verdicts[-1].reason == REASON_CODE_MISMATCH
 
@@ -347,7 +346,7 @@ class TestVerdictedTpdusAreNotKept:
     def test_late_duplicates_of_a_verdicted_tpdu_change_nothing(self, corrupt):
         chunks, ed = _tpdu()
         if corrupt:
-            chunks[0] = replace(chunks[0], payload=b"\xff" + chunks[0].payload[1:])
+            chunks[0] = chunks[0].replace(payload=b"\xff" + chunks[0].payload[1:])
         receiver = EndToEndReceiver()
         assert len(_run(receiver, chunks + [ed])) == 1
         counts = (receiver.verified, receiver.corrupted)

@@ -89,9 +89,7 @@ class TestStateManagement:
             receiver.receive(chunk)
         bad = builder.add_frame(make_payload(4, seed=2), frame_id=1)
         _, bad_ed = encode_tpdu(bad)
-        from dataclasses import replace
-
-        corrupted = replace(bad[0], payload=b"\xff" + bad[0].payload[1:])
+        corrupted = bad[0].replace(payload=b"\xff" + bad[0].payload[1:])
         for chunk in [corrupted] + [bad_ed]:
             receiver.receive(chunk)
         assert receiver.verified == 1

@@ -2,7 +2,6 @@
 
 import random
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -323,7 +322,7 @@ class TestDecodeTpdu:
         chunks, payload = self._encoded()
         flipped = bytearray(chunks[0].payload)
         flipped[0] ^= 0x01
-        bad = replace(chunks[0], payload=bytes(flipped))
+        bad = chunks[0].replace(payload=bytes(flipped))
         with pytest.raises(ErrorDetectionMismatch) as excinfo:
             decode_tpdu([bad] + list(chunks[1:]), payload)
         assert excinfo.value.reason == "code-mismatch"
