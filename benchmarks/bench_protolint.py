@@ -4,16 +4,14 @@ The static-analysis suite runs on every CI push, so its wall-clock is
 part of the edit-compile-test loop and deserves the same regression
 tracking as the protocol hot paths.  The bench parses a deterministic
 sorted prefix of ``src/repro`` (scaled by ``payload_scale``) and runs
-all fifteen passes — per-module and project-wide, including the CFG
-walks behind budget-leak and state-drift — returning the
+every registered pass — per-module and project-wide — returning the
 file/pass/finding counts as the pinned figures.
 
 v4 additions: the runner builds the project graph and every AST *once*
 per invocation and can fan passes out over worker threads
 (``--jobs``).  Wall-clock speedup is printed (it varies by machine);
 what the figures pin is the determinism contract — the parallel run's
-findings are byte-identical to the serial run's — plus the shared
-per-unit CFG cache counters from the serial run.
+findings are byte-identical to the serial run's.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ def run(payload_scale: float = 1.0) -> dict:
     units = _units(payload_scale)
     passes = all_passes()
     serial = run_passes(units, passes)
-    cfg_hits = sum(unit.cfg_hits for unit in units)
-    cfg_misses = sum(unit.cfg_misses for unit in units)
     parallel = run_passes(_units(payload_scale), all_passes(), jobs=JOBS)
     return {
         "lint.files": len(units),
@@ -54,8 +50,6 @@ def run(payload_scale: float = 1.0) -> dict:
         "lint.parallel_identical": int(
             [f.fingerprint for f in serial] == [f.fingerprint for f in parallel]
         ),
-        "lint.cfg_hits": cfg_hits,
-        "lint.cfg_misses": cfg_misses,
     }
 
 
@@ -71,12 +65,6 @@ def test_parallel_lint_matches_serial():
     serial = run_passes(_units(1.0), all_passes())
     parallel = run_passes(_units(1.0), all_passes(), jobs=JOBS)
     assert [f.fingerprint for f in serial] == [f.fingerprint for f in parallel]
-
-
-def test_cfg_cache_is_exercised():
-    units = _units(1.0)
-    run_passes(units, all_passes())
-    assert sum(unit.cfg_misses for unit in units) > 0
 
 
 def main() -> None:
@@ -103,9 +91,6 @@ def main() -> None:
             ],
         ],
     )
-    hits = sum(unit.cfg_hits for unit in units)
-    misses = sum(unit.cfg_misses for unit in units)
-    print(f"cfg cache (serial leg): {hits} hit(s), {misses} miss(es)")
 
 
 if __name__ == "__main__":

@@ -26,16 +26,9 @@ the test suite does:
   ``# wire-table:`` marker, the codec docstring's offset table, and the
   generated block in ``docs/wire-format.md`` all agree with the single
   header-width table in :mod:`repro.core.wire_table`.
-- ``budget-leak`` — a borrow checker for
-  :class:`~repro.host.budget.SharedPlacementBudget` /
-  :class:`~repro.host.memory.TouchLedger` acquire tokens, built on the
-  per-function control-flow graphs of :mod:`repro.analysis.cfg` and the
-  forward dataflow framework of :mod:`repro.analysis.dataflow`: every
-  ``acquire()`` must reach a ``release()`` or an ownership transfer on
-  *every* path, exception edges included.
 
-Six interprocedural passes run over the whole-program import/call
-graph (:mod:`repro.analysis.graph`):
+Five passes follow call paths — all but ``mutable-sharing`` over the
+whole-program import/call graph (:mod:`repro.analysis.graph`):
 
 - ``layering`` — imports follow the architecture DAG of
   ``docs/architecture.md``; no layer imports upward.
@@ -50,8 +43,11 @@ graph (:mod:`repro.analysis.graph`):
 - ``seam-purity`` — no ambient OS authority (wall clock, sockets, OS
   entropy) anywhere reachable from a transport/host/core entry point;
   only the designated adapter modules may touch the OS.
-- ``async-discipline`` — nothing reachable from a coroutine calls a
-  known-blocking primitive, and coroutine calls are always awaited.
+
+``state-drift`` and ``shard-ownership`` bind the code to its declared
+models (the lifecycle table of :mod:`repro.core.state_table`, the owner
+domains).  Retired passes, and what holds their property now, are
+tabled in ``docs/static-analysis.md``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
 sanitizer (``REPRO_SIMSAN=1`` / ``pytest --simsan``) that fingerprints

@@ -11,8 +11,9 @@ lists accepted findings by fingerprint; anything not in it is *new*.
 (``::error file=...,line=...``) so findings surface inline on the PR
 diff; ``--format sarif`` emits a SARIF 2.1.0 log suitable for GitHub
 code-scanning upload; ``--check-baseline`` enforces baseline hygiene —
-it exits 1 when the baseline lists fingerprints that no longer fire, so
-the baseline can only ever shrink.
+it exits 1 when the baseline lists fingerprints that no longer fire (the
+baseline can only ever shrink) or when a baseline entry or an inline
+``ignore[...]`` names a pass that no longer exists.
 
 A ``protolint.config.json`` in the working directory supplies the
 default analyzed trees (and exclusion prefixes) when no paths are given
@@ -191,10 +192,12 @@ def _check_baseline(
     findings: list[Finding],
     entries: list[dict[str, object]],
     known_passes: set[str],
+    units: list[ModuleUnit],
 ) -> int:
     """Baseline hygiene: every baselined fingerprint must still fire,
-    and every entry's recorded pass must still exist (a renamed or
-    deleted pass orphans its entries — they could never fire again)."""
+    and every entry's recorded pass — and every inline ``ignore[...]``
+    id — must still exist (a renamed or deleted pass orphans them: they
+    could never fire, or suppress, again)."""
     problems = 0
     current = {finding.fingerprint for finding in findings}
     accepted = {str(entry["fingerprint"]) for entry in entries}
@@ -213,6 +216,15 @@ def _check_baseline(
                 f"unknown pass {pass_id!r} — the pass no longer exists, so "
                 "the entry can never fire again; delete it"
             )
+    for unit in units:
+        for line, pass_id in unit.suppressed_ids():
+            if pass_id not in known_passes:
+                problems += 1
+                print(
+                    f"{unit.display_path}:{line}: protolint: inline ignore "
+                    f"names unknown pass {pass_id!r} — it suppresses nothing; "
+                    "delete it"
+                )
     if problems:
         return 1
     print(
@@ -291,7 +303,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--check-baseline",
         action="store_true",
         help="baseline hygiene: exit 1 if the baseline lists findings "
-        "that no longer fire (the baseline may only shrink)",
+        "that no longer fire (the baseline may only shrink) or a baseline "
+        "entry / inline ignore names a pass that does not exist",
     )
     parser.add_argument(
         "--strict",
@@ -379,7 +392,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
 
     if args.check_baseline:
-        return _check_baseline(findings, entries, known_passes)
+        return _check_baseline(findings, entries, known_passes, units)
 
     new = filter_new(findings, accepted)
 

@@ -2,7 +2,7 @@
 
 A :class:`Pass` examines one :class:`ModuleUnit` (a parsed source file)
 at a time and yields :class:`Finding` objects.  The runner applies
-inline suppressions (``# protolint: ignore[pass-id]``) and leaves
+inline suppressions (``# protolint: ignore[<pass-id>]``) and leaves
 baseline filtering to :mod:`repro.analysis.baseline`.
 """
 
@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 from repro.core.errors import AnalysisError
 
 if TYPE_CHECKING:
-    from repro.analysis.cfg import CFG
     from repro.analysis.graph import ProjectGraph
 
 __all__ = [
@@ -29,12 +28,34 @@ __all__ = [
     "run_passes",
     "module_name_for_path",
     "dotted_name",
+    "CONTAINER_MUTATORS",
 ]
 
 #: Inline suppression marker.  ``# protolint: ignore`` silences every
 #: pass on that line; ``# protolint: ignore[wire-width,export-drift]``
 #: silences only the named passes.
 _SUPPRESS_RE = re.compile(r"#\s*protolint:\s*ignore(?:\[([a-zA-Z0-9_,\- ]+)\])?")
+
+#: Container method names that mutate their receiver — the one table
+#: mutable-sharing, shard-ownership and state-drift all read.
+CONTAINER_MUTATORS: frozenset[str] = frozenset(
+    {
+        "add",
+        "append",
+        "appendleft",
+        "clear",
+        "discard",
+        "extend",
+        "insert",
+        "pop",
+        "popitem",
+        "popleft",
+        "remove",
+        "setdefault",
+        "sort",
+        "update",
+    }
+)
 
 
 @dataclass(frozen=True)
@@ -124,9 +145,6 @@ class ModuleUnit:
     tree: ast.Module
     display_path: str = ""
     _suppressions: dict[int, frozenset[str] | None] = field(default_factory=dict, repr=False)
-    _cfgs: dict[ast.AST, "CFG"] = field(default_factory=dict, repr=False)
-    cfg_hits: int = 0
-    cfg_misses: int = 0
 
     def __post_init__(self) -> None:
         if not self.display_path:
@@ -158,23 +176,11 @@ class ModuleUnit:
             display_path=display_path or path.as_posix(),
         )
 
-    def cfg(self, func: ast.FunctionDef | ast.AsyncFunctionDef) -> "CFG":
-        """The function's CFG, built once per unit and shared by every
-        CFG-based pass in the same run (state-drift, budget-leak, ...).
-
-        The hit/miss counters are deterministic under ``jobs=1`` and are
-        pinned as figures by ``bench_protolint``.
-        """
-        cached = self._cfgs.get(func)
-        if cached is not None:
-            self.cfg_hits += 1
-            return cached
-        from repro.analysis.cfg import build_cfg  # local: avoid import cycle
-
-        built = build_cfg(func)
-        self._cfgs[func] = built
-        self.cfg_misses += 1
-        return built
+    def suppressed_ids(self) -> Iterator[tuple[int, str]]:
+        """``(line, pass-id)`` for every id an inline ignore names."""
+        for line, ids in sorted(self._suppressions.items()):
+            for pass_id in sorted(ids or ()):
+                yield line, pass_id
 
     def is_suppressed(self, line: int, pass_id: str) -> bool:
         """True if *line* carries an ignore comment covering *pass_id*."""

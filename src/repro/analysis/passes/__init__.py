@@ -1,21 +1,18 @@
-"""The fifteen protolint passes (see :mod:`repro.analysis` for overview).
+"""The protolint passes (see :mod:`repro.analysis` for overview).
 
-Eight are per-module AST checks; four are interprocedural, running over
-the :class:`~repro.analysis.graph.ProjectGraph` the runner builds from
-the full module set; and four (budget-leak, hot-path-copy,
-async-discipline, state-drift) are built on the
-:mod:`repro.analysis.cfg` / :mod:`repro.analysis.dataflow` engine or
-the call graph's reachability queries.  The two newest passes bind the
-code to its declarative models: state-drift cross-checks lifecycle
-mutations against :mod:`repro.core.state_table`, and shard-ownership
-checks that mutations stay inside their declared owner domain.
+Nine are per-module AST checks and four are interprocedural, running
+over the :class:`~repro.analysis.graph.ProjectGraph` the runner builds
+from the full module set (hot-path-copy and seam-purity on its
+reachability queries).  The two newest passes bind the code to its
+declarative models: state-drift cross-checks lifecycle mutations
+against :mod:`repro.core.state_table`, and shard-ownership checks that
+mutations stay inside their declared owner domain.  Retired passes are
+listed in ``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
 
 from repro.analysis.core import Pass
-from repro.analysis.passes.async_discipline import AsyncDisciplinePass
-from repro.analysis.passes.budget_leak import BudgetLeakPass
 from repro.analysis.passes.codec_symmetry import CodecSymmetryPass
 from repro.analysis.passes.determinism import DeterminismPass
 from repro.analysis.passes.exception_discipline import ExceptionDisciplinePass
@@ -37,13 +34,11 @@ __all__ = [
     "DeterminismPass",
     "ExceptionDisciplinePass",
     "ExportDriftPass",
-    "BudgetLeakPass",
     "LayeringPass",
     "RngFlowPass",
     "HotPathCopyPass",
     "MutableSharingPass",
     "SeamPurityPass",
-    "AsyncDisciplinePass",
     "StateDriftPass",
     "ShardOwnershipPass",
     "all_passes",
@@ -59,13 +54,11 @@ def all_passes() -> list[Pass]:
         DeterminismPass(),
         ExceptionDisciplinePass(),
         ExportDriftPass(),
-        BudgetLeakPass(),
         LayeringPass(),
         RngFlowPass(),
         HotPathCopyPass(),
         MutableSharingPass(),
         SeamPurityPass(),
-        AsyncDisciplinePass(),
         StateDriftPass(),
         ShardOwnershipPass(),
     ]

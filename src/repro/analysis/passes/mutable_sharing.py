@@ -29,30 +29,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleUnit, Pass
+from repro.analysis.core import CONTAINER_MUTATORS, Finding, ModuleUnit, Pass
 
 __all__ = ["MutableSharingPass"]
 
 SCHEDULE_ATTRS = frozenset({"at", "schedule"})
-
-#: container methods that mutate their receiver.
-MUTATORS = frozenset(
-    {
-        "append",
-        "extend",
-        "insert",
-        "remove",
-        "pop",
-        "popitem",
-        "clear",
-        "add",
-        "discard",
-        "update",
-        "setdefault",
-        "appendleft",
-        "popleft",
-    }
-)
 
 
 def _module_level_names(tree: ast.Module) -> set[str]:
@@ -155,7 +136,7 @@ class MutableSharingPass(Pass):
             elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 base = node.func.value
                 if (
-                    node.func.attr in MUTATORS
+                    node.func.attr in CONTAINER_MUTATORS
                     and isinstance(base, ast.Name)
                     and base.id in module_names
                 ):

@@ -3,8 +3,7 @@
 ROADMAP item 3 shards the endpoint by C.ID across workers; the data
 races that plan can introduce are exactly the mutations that cross an
 ownership boundary.  This pass makes the boundaries explicit *before*
-the concurrency exists — the static runway guard, the way
-``async-discipline`` guards the asyncio runner of item 1.
+the concurrency exists — the static runway guard.
 
 Every class reachable from the transport/host entry points is placed
 in one of four owner domains, narrowest first:
@@ -30,7 +29,7 @@ line; an unplaced transport/host class is itself a finding.  The rules:
   augmented assigns, and mutating method calls such as
   ``.append``/``.add``/``.pop``) — unless the call is one of the
   declared seams in :data:`SEAM_METHODS` (the placement budget's
-  token/byte API, the packer's egress enqueue, event-loop
+  keyed reserve / release calls, the packer's egress enqueue, event-loop
   scheduling), which are the sanctioned cross-domain channels;
 - passing a wider-domain object into a module-level helper that
   mutates the corresponding parameter is the same violation laundered
@@ -48,7 +47,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleUnit, Pass
+from repro.analysis.core import CONTAINER_MUTATORS, Finding, ModuleUnit, Pass
 
 __all__ = ["ShardOwnershipPass", "OWNER_DOMAINS", "SEAM_METHODS"]
 
@@ -90,8 +89,6 @@ OWNER_DOMAINS: dict[str, str] = {
     "PlacementBuffer": "per-connection",
     "FrameStore": "per-connection",
     "TouchLedger": "per-connection",
-    "TouchSpan": "per-connection",
-    "BudgetLease": "per-connection",
     "DeliveryEvent": "per-connection",
     "_TpduBuffer": "per-connection",
     # host — per-endpoint
@@ -122,7 +119,6 @@ SEAM_METHODS: frozenset[tuple[str, str]] = frozenset(
     {
         ("SharedPlacementBudget", "register"),
         ("SharedPlacementBudget", "reserve"),
-        ("SharedPlacementBudget", "acquire"),
         ("SharedPlacementBudget", "release"),
         ("SharedPlacementBudget", "release_bytes"),
         ("GlobalBudgetPool", "lend"),
@@ -133,28 +129,9 @@ SEAM_METHODS: frozenset[tuple[str, str]] = frozenset(
     }
 )
 
-#: Method names that mutate their receiver.
-MUTATOR_METHODS: frozenset[str] = frozenset(
-    {
-        "append",
-        "appendleft",
-        "add",
-        "clear",
-        "discard",
-        "extend",
-        "insert",
-        "pop",
-        "popitem",
-        "popleft",
-        "push",
-        "lend",
-        "reclaim",
-        "remove",
-        "setdefault",
-        "sort",
-        "update",
-    }
-)
+#: Method names that mutate their receiver: the container mutators plus
+#: this pass's domain verbs (heap push, pool lend / reclaim).
+MUTATOR_METHODS: frozenset[str] = CONTAINER_MUTATORS | {"push", "lend", "reclaim"}
 
 #: Constructor names producing module-level mutables.
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "deque", "defaultdict", "OrderedDict"})

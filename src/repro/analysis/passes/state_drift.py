@@ -18,9 +18,10 @@ and this pass cross-checks both directions:
 - a declared site with no marker for its transition is an
   **unimplemented transition** (the site module must be analyzed for
   this to fire, so fixture trees are exempt);
-- a mutation sitting in a CFG-unreachable block is a **dead transition
-  site** (reuses :mod:`repro.analysis.cfg` via the shared per-unit CFG
-  cache);
+- a mutation that follows an unconditional ``return`` / ``raise`` /
+  ``continue`` / ``break`` in its own block is a **dead transition
+  site** (a syntactic rule: code after an ``if`` whose branches both
+  terminate is not seen);
 - the table itself must be sound (every state reachable, no dead ends,
   no unguarded nondeterminism) and the generated block in
   ``docs/architecture.md`` must be current (regenerate with
@@ -34,7 +35,7 @@ import re
 from pathlib import Path
 from typing import Iterator
 
-from repro.analysis.core import Finding, ModuleUnit, Pass
+from repro.analysis.core import CONTAINER_MUTATORS, Finding, ModuleUnit, Pass
 from repro.core.state_table import (
     STATE_TABLE,
     StateTable,
@@ -129,7 +130,7 @@ def _is_state_mutation(stmt: ast.stmt) -> bool:
         if attr in {"mark_closed", "evict"}:
             return True
         if (
-            attr in {"pop", "popitem", "clear"}
+            attr in CONTAINER_MUTATORS
             and isinstance(base, ast.Attribute)
             and base.attr == "connections"
         ):
@@ -141,6 +142,23 @@ def _is_state_mutation(stmt: ast.stmt) -> bool:
         ):
             return True
     return False
+
+
+def _after_terminator(func: ast.AST) -> set[ast.AST]:
+    """Every node that follows an unconditional ``return`` / ``raise`` /
+    ``continue`` / ``break`` in its own block — unreachable by syntax alone."""
+    dead: set[ast.AST] = set()
+    for node in ast.walk(func):
+        for name in ("body", "orelse", "finalbody"):
+            block = getattr(node, name, None)
+            if not isinstance(block, list):  # IfExp / Lambda bodies are expressions
+                continue
+            for index, stmt in enumerate(block):
+                if isinstance(stmt, (ast.Return, ast.Raise, ast.Continue, ast.Break)):
+                    for later in block[index + 1 :]:
+                        dead.update(ast.walk(later))
+                    break
+    return dead
 
 
 def _table_display_path() -> str:
@@ -270,7 +288,7 @@ class StateDriftPass(Pass):
                         related_line=rel_line,
                     )
 
-        # Undeclared mutations + CFG-dead sites.
+        # Undeclared mutations + dead sites.
         for qual, node in functions:
             has_marker = qual in marked_functions
             mutations = [
@@ -289,26 +307,16 @@ class StateDriftPass(Pass):
                         symbol=f"undeclared-mutation:{qual}:{stmt.lineno}",
                     )
                 continue
-            cfg = unit.cfg(node)
-            reachable = cfg.reachable_blocks()
-            dead_lines: set[int] = set()
-            for block_id in sorted(cfg.blocks):
-                if block_id in reachable:
-                    continue
-                step = cfg.blocks[block_id].step
-                if step is None or step.kind != "stmt":
-                    continue
-                dead = step.node
-                if isinstance(dead, ast.stmt) and _is_state_mutation(dead):
-                    dead_lines.add(dead.lineno)
-            for lineno in sorted(dead_lines):
-                yield self.finding(
-                    unit,
-                    lineno,
-                    f"{unit.module}.{qual} has an unreachable state "
-                    "mutation — the declared transition site is dead code",
-                    symbol=f"dead-site:{qual}:{lineno}",
-                )
+            dead = _after_terminator(node)
+            for stmt in mutations:
+                if stmt in dead:
+                    yield self.finding(
+                        unit,
+                        stmt.lineno,
+                        f"{unit.module}.{qual} has an unreachable state "
+                        "mutation — the declared transition site is dead code",
+                        symbol=f"dead-site:{qual}:{stmt.lineno}",
+                    )
 
         # Module-level mutations (outside any function or class body).
         for stmt in _own_statements(unit.tree):

@@ -21,13 +21,12 @@ reclaimed (close or idle eviction).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import TracebackType
 
 from repro.core.bounded import BoundedSet
 from repro.core.errors import BudgetExceededError
 from repro.obs import counter, gauge, journey_handle
 
-__all__ = ["BudgetExceededError", "BudgetLease", "SharedPlacementBudget"]
+__all__ = ["BudgetExceededError", "SharedPlacementBudget"]
 
 _OBS_RESERVED = gauge(
     "host", "budget.reserved_bytes", "bytes reserved from the shared placement pool"
@@ -153,29 +152,6 @@ class SharedPlacementBudget:
         _OBS_RESERVED.set(self.reserved_total)
         return True
 
-    def acquire(self, key: object, nbytes: int = 0) -> "BudgetLease":
-        """Admit *key* and hand back an owned :class:`BudgetLease` token.
-
-        The lease is the unit the protolint **budget-leak** borrow
-        checker tracks: whoever holds it must either call
-        :meth:`BudgetLease.release`, store it in an owning container, or
-        use it as a context manager — on *every* control-flow path,
-        exception edges included.
-
-        Raises:
-            BudgetExceededError: admission (or the optional initial
-                *nbytes* reservation) was refused.
-        """
-        if not self.register(key):
-            raise BudgetExceededError(
-                f"budget admission refused for key={key!r} "
-                f"({self.registered} registered, pool={self.pool_bytes})"
-            )
-        lease = BudgetLease(self, key)
-        if nbytes:
-            lease.grow(nbytes)
-        return lease
-
     def release(self, key: object) -> int:
         """Return every byte *key* holds to the pool (state reclamation);
         returns the count freed."""
@@ -188,10 +164,10 @@ class SharedPlacementBudget:
     def release_bytes(self, key: object, nbytes: int) -> int:
         """Return up to *nbytes* of *key*'s reservation to the pool.
 
-        Clamped to what *key* currently holds, so a lease released after
+        Clamped to what *key* currently holds, so a partial return after
         a wholesale :meth:`release` (eviction raced the owner) cannot
         double-subtract.  The key stays registered — admission lifecycle
-        belongs to :meth:`register`/:meth:`release`, not to leases.
+        belongs to :meth:`register`/:meth:`release`.
         """
         if nbytes < 0:
             raise ValueError(f"negative release {nbytes}")
@@ -212,82 +188,3 @@ class SharedPlacementBudget:
     def was_refused(self, key: object) -> bool:
         """True if *key* ever had a registration or reservation refused."""
         return key in self.refused_keys
-
-
-class BudgetLease:
-    """An owned reservation token for one *key*'s placement bytes.
-
-    The lease pattern exists so static analysis can check the no-silent-
-    loss invariant: a reservation that can leak on an exception path is
-    memory the pool never gets back, which is Turner lock-up in slow
-    motion.  Use one lease per placement region and grow it in place —
-    token churn on the per-chunk hot path would itself be a touch-budget
-    violation.
-
-    A lease released after the budget reclaimed its key wholesale (idle
-    eviction raced the owner) is a harmless no-op: the underlying
-    release clamps to the bytes the key still holds.  Releasing the
-    *same* lease twice is a programming error and raises.
-    """
-
-    def __init__(self, budget: SharedPlacementBudget, key: object) -> None:
-        self._budget = budget
-        self._key = key
-        self._held = 0
-        self._released = False
-
-    @property
-    def key(self) -> object:
-        return self._key
-
-    @property
-    def held_bytes(self) -> int:
-        """Bytes this lease accounts for (0 once released)."""
-        return self._held
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def grow(self, nbytes: int) -> None:
-        """Reserve *nbytes* more under this lease.
-
-        Raises:
-            BudgetExceededError: the pool or the key's fair share would
-                be exceeded (the refusal is counted by the budget).
-            ValueError: the lease was already released.
-        """
-        if self._released:
-            raise ValueError(f"grow() on a released lease (key={self._key!r})")
-        if not self._budget.reserve(self._key, nbytes):
-            raise BudgetExceededError(
-                f"reservation of {nbytes} bytes refused by the shared "
-                f"placement budget (key={self._key!r})"
-            )
-        self._held += nbytes
-
-    def release(self) -> int:
-        """Return this lease's bytes to the pool; returns the count freed.
-
-        Raises:
-            ValueError: the lease was already released (double release
-                is exactly the bug the budget-leak pass flags).
-        """
-        if self._released:
-            raise ValueError(f"lease for key={self._key!r} released twice")
-        self._released = True
-        freed = self._budget.release_bytes(self._key, self._held)
-        self._held = 0
-        return freed
-
-    def __enter__(self) -> "BudgetLease":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        if not self._released:
-            self.release()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.core.intervals import IntervalSet
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
-from repro.host.budget import BudgetLease, SharedPlacementBudget
+from repro.host.budget import SharedPlacementBudget
 
 __all__ = ["PlacementBuffer", "FrameWindow", "FrameStore"]
 
@@ -54,9 +54,6 @@ class PlacementBuffer:
     limit_bytes: int | None = 256 * 1024 * 1024
     budget: SharedPlacementBudget | None = None
     budget_key: object = None
-    #: the buffer's owned reservation token — one lease per region,
-    #: grown in place, so the per-chunk hot path never allocates tokens.
-    _lease: BudgetLease | None = field(default=None, repr=False)
     _data: bytearray = field(default_factory=bytearray)
     _received: IntervalSet = field(default_factory=IntervalSet)
     bytes_placed: int = 0
@@ -105,17 +102,11 @@ class PlacementBuffer:
                     lo = gap_end
         if len(self._data) < end:
             growth = end - len(self._data)
-            if self.budget is not None:
-                try:
-                    if self._lease is None:
-                        self._lease = self.budget.acquire(self.budget_key, growth)
-                    else:
-                        self._lease.grow(growth)
-                except BudgetExceededError:
-                    raise BudgetExceededError(
-                        f"write [{offset}, {end}) refused by the shared "
-                        f"placement budget (key={self.budget_key!r})"
-                    ) from None
+            if self.budget is not None and not self.budget.reserve(self.budget_key, growth):
+                raise BudgetExceededError(
+                    f"write [{offset}, {end}) refused by the shared "
+                    f"placement budget (key={self.budget_key!r})"
+                )
             self._data.extend(b"\x00" * growth)
         self._data[offset:end] = data
         fresh = self._received.add(offset, end)

@@ -16,12 +16,11 @@ occupancy and an effective-throughput bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import TracebackType
 
 from repro.obs import counter
 from repro.obs.runtime import CounterHandle
 
-__all__ = ["TouchLedger", "TouchSpan", "BusModel"]
+__all__ = ["TouchLedger", "BusModel"]
 
 _OBS_TOUCH_TOTAL = counter("host", "touch_bytes_total", "bytes moved across the bus")
 _KIND_COUNTERS: dict[str, CounterHandle] = {}  # owner: global-pool
@@ -62,81 +61,6 @@ class TouchLedger:
         if payload_bytes == 0:
             return 0.0
         return self.total_bytes_moved / payload_bytes
-
-    def merge(self, other: "TouchLedger") -> None:
-        for kind, nbytes in other.touches.items():
-            self.record(kind, nbytes)
-
-    def acquire(self, kind: str) -> "TouchSpan":
-        """Open a :class:`TouchSpan` that batches movements of *kind*.
-
-        The span buffers :meth:`TouchSpan.add` counts and commits them
-        as one :meth:`record` on release — one obs update per burst
-        instead of one per chunk.  The token contract is the same as
-        :meth:`repro.host.budget.SharedPlacementBudget.acquire`: an
-        unreleased span is *silently lost accounting* (the bytes moved
-        but the ledger never saw them), so the protolint budget-leak
-        pass requires every span to be released, stored, or used as a
-        context manager on all paths.
-        """
-        return TouchSpan(self, kind)
-
-
-class TouchSpan:
-    """A buffered burst of same-kind byte movements, committed on release."""
-
-    def __init__(self, ledger: TouchLedger, kind: str) -> None:
-        self._ledger = ledger
-        self._kind = kind
-        self._pending = 0
-        self._released = False
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def pending_bytes(self) -> int:
-        """Bytes added but not yet committed to the ledger."""
-        return self._pending
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def add(self, nbytes: int) -> None:
-        if self._released:
-            raise ValueError(f"add() on a released span (kind={self._kind!r})")
-        if nbytes < 0:
-            raise ValueError(f"negative byte count {nbytes}")
-        self._pending += nbytes
-
-    def release(self) -> int:
-        """Commit the buffered bytes to the ledger; returns the count.
-
-        Raises:
-            ValueError: the span was already released.
-        """
-        if self._released:
-            raise ValueError(f"span for kind={self._kind!r} released twice")
-        self._released = True
-        committed = self._pending
-        self._pending = 0
-        if committed:
-            self._ledger.record(self._kind, committed)
-        return committed
-
-    def __enter__(self) -> "TouchSpan":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        if not self._released:
-            self.release()
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ class ShardBudget(SharedPlacementBudget):
     """A shard's placement budget, backed by borrowed pool blocks.
 
     Behaves exactly like :class:`SharedPlacementBudget` at the
-    connection surface (register / reserve / acquire / release), with
+    connection surface (register / reserve / release), with
     three overrides:
 
     - the fair-share base is the shard's fixed ``share_bytes``, not the

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal
 
 from repro.core.chunk import Chunk
-from repro.core.errors import CodecError, FragmentationError
+from repro.core.errors import CodecError, FragmentationError, ReassemblyError
 from repro.core.fragment import fragment_for_mtu
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
@@ -63,6 +63,10 @@ class RouterStats:
     #: wire-valid chunks the outgoing MTU cannot carry (an atomic unit
     #: larger than a packet, a fragment whose SN would leave its field).
     chunks_unforwardable: int = 0
+    #: batches a ``"reassemble"`` router forwarded un-merged because two
+    #: chunks overlapped without being duplicates (a retransmission re-cut
+    #: upstream, or a forgery): the end host judges overlaps, not the router.
+    batches_unmerged: int = 0
 
 
 @dataclass
@@ -144,7 +148,10 @@ class ChunkRouter:
             return
         if self.mode == "reassemble":
             before = len(chunks)
-            chunks = coalesce(chunks)
+            try:
+                chunks = coalesce(chunks)
+            except ReassemblyError:
+                self.stats.batches_unmerged += 1  # forwarded as "repack" would
             self.stats.chunks_merged += before - len(chunks)
             _OBS_CHUNKS_MERGED.inc(before - len(chunks))
         try:

@@ -618,8 +618,7 @@ class ChunkEndpoint:
         if delta <= 0:
             return
         connection._touched_bytes = placed
-        with connection.ledger.acquire("nic-to-app") as span:
-            span.add(delta)
+        connection.ledger.record("nic-to-app", delta)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -16,28 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.baseline import load_baseline, write_baseline
+from repro.analysis.passes import all_passes
 from repro.core.errors import AnalysisError
 
 REPO_ROOT = Path(__file__).parents[2]
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 
-ALL_PASS_IDS = [
-    "async-discipline",
-    "budget-leak",
-    "codec-symmetry",
-    "determinism",
-    "exception-discipline",
-    "export-drift",
-    "hot-path-copy",
-    "layering",
-    "mutable-sharing",
-    "rng-flow",
-    "seam-purity",
-    "shard-ownership",
-    "state-drift",
-    "wire-drift",
-    "wire-width",
-]
+ALL_PASS_IDS = sorted(pass_.id for pass_ in all_passes())
 
 
 def run_protolint(*args: str, cwd: Path = REPO_ROOT) -> subprocess.CompletedProcess[str]:
@@ -151,9 +136,10 @@ class TestBaselineFile:
 
 
 class TestListPasses:
-    def test_lists_all_fifteen(self):
+    def test_lists_every_registered_pass(self):
         result = run_protolint("--list-passes")
         assert result.returncode == 0
+        assert len(result.stdout.splitlines()) == len(ALL_PASS_IDS)
         for pass_id in ALL_PASS_IDS:
             assert pass_id in result.stdout
 
@@ -347,3 +333,21 @@ class TestCheckBaseline:
         assert check.returncode == 1
         assert "unknown pass 'retired-pass'" in check.stdout
         assert "stale baseline entry" not in check.stdout
+
+    def test_inline_ignore_naming_no_pass_exits_nonzero(self, tmp_path):
+        # A suppression must not outlive its pass: neither --strict nor
+        # the findings see a dead id, so the hygiene step reports it.
+        mod = tmp_path / "repro" / "netsim" / "mod.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text(
+            "__all__ = []\n"
+            "X = 1  # protolint: ignore[no-such-pass]\n"
+            "Y = 2  # protolint: ignore[hot-path-copy, wire-width]\n"
+            "Z = 3  # protolint: ignore\n"
+        )
+        assert run_protolint("--strict", str(mod)).returncode == 0
+        check = run_protolint(str(mod), "--check-baseline")
+        assert check.returncode == 1
+        assert f"{mod.as_posix()}:2:" in check.stdout
+        assert "unknown pass 'no-such-pass'" in check.stdout
+        assert ":3:" not in check.stdout and ":4:" not in check.stdout

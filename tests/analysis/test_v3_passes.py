@@ -1,10 +1,9 @@
 """True-positive / near-miss tests for the protolint v3 passes.
 
-budget-leak, seam-purity, async-discipline and wire-drift each get the
-TP-plus-nearest-legal-idiom treatment, and the two acceptance scenarios
-from ISSUE 6 are pinned explicitly: a budget ``acquire()`` leaked only
-on an exception path is caught, and injecting ``time.time()`` into
-``repro.transport.endpoint`` fails seam-purity.
+seam-purity and wire-drift each get the TP-plus-nearest-legal-idiom
+treatment, and the surviving acceptance scenario from ISSUE 6 is pinned
+explicitly: injecting ``time.time()`` into ``repro.transport.endpoint``
+fails seam-purity.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import ast
 from pathlib import Path
 
 from repro.analysis.core import Finding, ModuleUnit, run_passes
-from repro.analysis.passes import (
-    AsyncDisciplinePass,
-    BudgetLeakPass,
-    SeamPurityPass,
-    WireDriftPass,
-)
+from repro.analysis.passes import SeamPurityPass, WireDriftPass
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 REPO_SRC = Path(__file__).parents[2] / "src" / "repro"
@@ -35,70 +29,6 @@ def symbols(findings: list[Finding]) -> set[str]:
 
 def real_units() -> list[ModuleUnit]:
     return [ModuleUnit.from_path(p) for p in sorted(REPO_SRC.rglob("*.py"))]
-
-
-class TestBudgetLeak:
-    def test_fixture_true_positives(self):
-        findings = project_findings(
-            BudgetLeakPass(), FIXTURES / "host" / "bad_budget_leak.py"
-        )
-        assert symbols(findings) == {
-            "leak:repro.host.bad_budget_leak.leak_on_exception:lease",
-            "discard:repro.host.bad_budget_leak.discard_token",
-            "double-release:repro.host.bad_budget_leak.double_release:lease",
-        }
-
-    def test_exception_only_leak_is_caught(self):
-        # The acceptance scenario: the only leaking path is the
-        # exception edge out of risky(); the normal path releases.
-        src = (FIXTURES / "host" / "bad_budget_leak.py").read_text()
-        assert "risky(payload)\n    lease.release()" in src
-        findings = project_findings(
-            BudgetLeakPass(), FIXTURES / "host" / "bad_budget_leak.py"
-        )
-        leak = [f for f in findings if f.symbol.startswith("leak:")]
-        assert len(leak) == 1
-        assert "exception" in leak[0].message
-
-    def test_near_misses_stay_silent(self):
-        findings = project_findings(
-            BudgetLeakPass(), FIXTURES / "host" / "bad_budget_leak.py"
-        )
-        for finding in findings:
-            assert "ok_finally" not in finding.symbol
-            assert "ok_with" not in finding.symbol
-
-    def test_ownership_transfers_stay_silent(self, tmp_path):
-        path = tmp_path / "repro" / "host" / "handoff.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "__all__ = []\n"
-            "def stores(self, budget):\n"
-            "    self._lease = budget.acquire('k', 8)\n"
-            "def returns(budget):\n"
-            "    lease = budget.acquire('k', 8)\n"
-            "    return lease\n"
-            "def hands_off(budget, sink):\n"
-            "    lease = budget.acquire('k', 8)\n"
-            "    sink(lease)\n"
-        )
-        assert project_findings(BudgetLeakPass(), path) == []
-
-    def test_rebind_while_held_is_flagged(self, tmp_path):
-        path = tmp_path / "repro" / "host" / "rebind.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "__all__ = []\n"
-            "def f(budget):\n"
-            "    lease = budget.acquire('a', 8)\n"
-            "    lease = budget.acquire('b', 8)\n"
-            "    lease.release()\n"
-        )
-        findings = project_findings(BudgetLeakPass(), path)
-        assert any(f.symbol.startswith("rebind:") for f in findings)
-
-    def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [BudgetLeakPass()]) == []
 
 
 class TestSeamPurity:
@@ -175,38 +105,6 @@ class TestSeamPurity:
 
     def test_real_tree_is_clean(self):
         assert run_passes(real_units(), [SeamPurityPass()]) == []
-
-
-class TestAsyncDiscipline:
-    def test_fixture_true_positives(self):
-        findings = project_findings(
-            AsyncDisciplinePass(), FIXTURES / "app" / "bad_async.py"
-        )
-        assert symbols(findings) == {
-            "blocking:repro.app.bad_async.drain_blocking->time.sleep",
-            "unawaited:repro.app.bad_async.fire_and_forget->repro.app.bad_async.pump_frames",
-        }
-
-    def test_awaited_and_task_wrapped_near_misses_stay_silent(self):
-        findings = project_findings(
-            AsyncDisciplinePass(), FIXTURES / "app" / "bad_async.py"
-        )
-        assert not any("ok_awaited" in f.symbol for f in findings)
-        assert not any("ok_task_wrapped" in f.symbol for f in findings)
-
-    def test_no_async_roots_no_findings(self, tmp_path):
-        path = tmp_path / "repro" / "app" / "sync_only.py"
-        path.parent.mkdir(parents=True)
-        path.write_text(
-            "import time\n"
-            "__all__ = []\n"
-            "def f():\n"
-            "    time.sleep(1)\n"
-        )
-        assert project_findings(AsyncDisciplinePass(), path) == []
-
-    def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [AsyncDisciplinePass()]) == []
 
 
 class TestWireDrift:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.errors import InconsistentOverlapError
 from repro.host.budget import BudgetExceededError, SharedPlacementBudget
 from repro.host.delivery import FrameStore, PlacementBuffer
 from tests.helpers import place_frame
@@ -124,78 +125,90 @@ def test_a_connection_reserves_its_stream_bytes_once():
     assert budget.reserved_total == 0
 
 
-class TestBudgetLease:
-    def test_acquire_registers_and_reserves(self):
+class TestReleaseBytes:
+    def test_release_bytes_returns_bytes_to_the_pool(self):
         budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 200)
-        assert lease.key == "a"
-        assert lease.held_bytes == 200
-        assert budget.held("a") == 200
+        assert budget.reserve("a", 300)
+        assert budget.release_bytes("a", 200) == 200
+        assert budget.held("a") == 100
+        assert budget.reserved_total == 100
+        assert budget.registered == 1  # a partial return is not an eviction
 
-    def test_grow_extends_the_reservation(self):
+    def test_release_bytes_after_wholesale_evict_is_clamped(self):
+        # sweep() releases a connection's whole key; a straggler partial
+        # return afterwards must not double-subtract from the pool.
         budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 100)
-        lease.grow(50)
-        assert lease.held_bytes == 150
-        assert budget.held("a") == 150
-
-    def test_release_returns_bytes_to_the_pool(self):
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 300)
-        freed = lease.release()
-        assert freed == 300
-        assert budget.held("a") == 0
-        assert lease.released
-
-    def test_double_release_raises(self):
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 100)
-        lease.release()
-        with pytest.raises(ValueError):
-            lease.release()
-
-    def test_grow_after_release_raises(self):
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 100)
-        lease.release()
-        with pytest.raises(ValueError):
-            lease.grow(10)
-
-    def test_refused_acquire_raises_and_counts(self):
-        budget = SharedPlacementBudget(pool_bytes=300, min_share_bytes=100)
-        budget.register("a")
-        budget.register("b")
-        budget.register("c")
-        with pytest.raises(BudgetExceededError):
-            budget.acquire("d", 10)
-        assert budget.was_refused("d")
-
-    def test_context_manager_releases_once(self):
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        with budget.acquire("a", 100) as lease:
-            assert budget.held("a") == 100
-        assert budget.held("a") == 0
-        assert lease.released
-
-    def test_context_manager_respects_manual_release(self):
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        with budget.acquire("a", 100) as lease:
-            lease.release()
-        assert lease.released  # __exit__ did not double-release
-
-    def test_release_after_wholesale_evict_is_clamped(self):
-        # sweep() releases a connection's whole key; a straggler lease
-        # releasing afterwards must not double-subtract from the pool.
-        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        lease = budget.acquire("a", 300)
+        assert budget.reserve("a", 300)
+        assert budget.reserve("b", 100)
         budget.release("a")  # wholesale eviction
-        assert budget.reserved_total == 0
-        lease.release()
-        assert budget.reserved_total == 0
+        assert budget.release_bytes("a", 300) == 0
+        assert budget.reserve("a", 50)
+        assert budget.release_bytes("a", 300) == 50  # clamped to what is held
+        assert budget.reserved_total == budget.held("b") == 100
 
-    def test_placement_buffer_grows_one_lease_in_place(self):
+    def test_negative_release_rejected(self):
         budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
-        buffer = PlacementBuffer(limit_bytes=None, budget=budget, budget_key="k")
-        buffer.place(0, b"x" * 100)
-        buffer.place(100, b"y" * 100)
-        assert budget.held("k") == 200
+        assert budget.reserve("a", 300)
+        with pytest.raises(ValueError):
+            budget.release_bytes("a", -1)
+        assert budget.held("a") == 300
+
+
+def test_placement_buffer_grows_one_keyed_reservation():
+    budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
+    buffer = PlacementBuffer(limit_bytes=None, budget=budget, budget_key="k")
+    buffer.place(0, b"x" * 100)
+    buffer.place(100, b"y" * 100)
+    assert budget.held("k") == 200
+
+
+class TestRefusedWriteReservesNothing:
+    """The exception edge, checked where it happens: ``place`` compares,
+    then reserves, then grows — so a refusal of any kind leaves the pool
+    and the region as they were, and no token is needed to undo it."""
+
+    @staticmethod
+    def placed_region(**kwargs):
+        budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
+        buffer = PlacementBuffer(limit_bytes=None, budget=budget, budget_key="k", **kwargs)
+        buffer.place(0, b"abcd" * 25)
+        return budget, buffer
+
+    @staticmethod
+    def snapshot(budget, buffer):
+        return budget.held("k"), budget.reserved_total, len(buffer._data), buffer.contents()
+
+    def test_write_beyond_total_bytes(self):
+        budget, buffer = self.placed_region(total_bytes=150)
+        before = self.snapshot(budget, buffer)
+        with pytest.raises(ValueError):
+            buffer.place(100, b"z" * 100)
+        assert self.snapshot(budget, buffer) == before
+
+    def test_disagreeing_overlap_that_would_also_grow(self):
+        budget, buffer = self.placed_region()
+        before = self.snapshot(budget, buffer)
+        with pytest.raises(InconsistentOverlapError):
+            buffer.place(90, b"z" * 100)  # [90, 100) disagrees, [100, 190) is fresh
+        assert self.snapshot(budget, buffer) == before
+        assert buffer.overlap_conflicts == 1
+
+    def test_contradicted_end_marker(self):
+        budget, buffer = self.placed_region()
+        buffer.place_last(100, b"e" * 50)
+        before = self.snapshot(budget, buffer)
+        with pytest.raises(ValueError):
+            buffer.place_last(150, b"z" * 50)  # the end is known to be 150
+        with pytest.raises(ValueError):
+            buffer.place_last(0, b"abcd" * 10)  # an end below placed bytes
+        assert self.snapshot(budget, buffer) == before
+        assert buffer.total_bytes == 150
+
+    def test_budget_refusal_leaves_the_buffer_unwritten_and_ungrown(self):
+        budget, buffer = self.placed_region()
+        before = self.snapshot(budget, buffer)
+        with pytest.raises(BudgetExceededError):
+            buffer.place(48, b"abcd" * 250)  # agrees on [48, 100); 948 fresh bytes refused
+        assert self.snapshot(budget, buffer) == before
+        assert not buffer.has_range(100, 101)
+        assert budget.refusals == 1

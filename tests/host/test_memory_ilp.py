@@ -33,15 +33,6 @@ class TestTouchLedger:
         with pytest.raises(ValueError):
             TouchLedger().record("x", -1)
 
-    def test_merge(self):
-        a = TouchLedger()
-        a.record("x", 10)
-        b = TouchLedger()
-        b.record("x", 5)
-        b.record("y", 7)
-        a.merge(b)
-        assert a.touches == {"x": 15, "y": 7}
-
 
 class TestBusModel:
     def test_bus_time(self):
@@ -117,45 +108,3 @@ class TestIlp:
         result = run_integrated([], self.STACK)
         assert result.words == []
         assert result.accumulators["checksum"] == 0
-
-
-class TestTouchSpan:
-    def test_span_buffers_then_commits_on_release(self):
-        ledger = TouchLedger()
-        span = ledger.acquire("nic-to-app")
-        span.add(100)
-        span.add(50)
-        assert span.pending_bytes == 150
-        assert ledger.total_bytes_moved == 0  # nothing committed yet
-        assert span.release() == 150
-        assert ledger.total_bytes_moved == 150
-
-    def test_double_release_raises(self):
-        span = TouchLedger().acquire("x")
-        span.release()
-        with pytest.raises(ValueError):
-            span.release()
-
-    def test_add_after_release_raises(self):
-        span = TouchLedger().acquire("x")
-        span.release()
-        with pytest.raises(ValueError):
-            span.add(1)
-
-    def test_negative_add_raises(self):
-        span = TouchLedger().acquire("x")
-        with pytest.raises(ValueError):
-            span.add(-1)
-
-    def test_context_manager_commits(self):
-        ledger = TouchLedger()
-        with ledger.acquire("copy") as span:
-            span.add(64)
-        assert ledger.total_bytes_moved == 64
-        assert span.released
-
-    def test_empty_span_commits_nothing(self):
-        ledger = TouchLedger()
-        with ledger.acquire("copy"):
-            pass
-        assert ledger.total_bytes_moved == 0

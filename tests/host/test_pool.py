@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.host.budget import BudgetExceededError
 from repro.host.pool import GlobalBudgetPool, ShardBudget
 
 KiB = 1024
@@ -171,16 +170,15 @@ class TestShardBudget:
         assert pool.refusals == 1
         assert pool.lent_total == 8 * KiB
 
-    def test_leases_compose_with_elastic_backing(self):
+    def test_release_bytes_composes_with_elastic_backing(self):
         pool = make_pool()
         budget = pool.shard_budget(0, num_shards=4)
-        with budget.acquire("a", 6 * KiB) as lease:
-            assert lease.held_bytes == 6 * KiB
-            assert pool.lent_to(0) == 8 * KiB
-            with pytest.raises(BudgetExceededError):
-                lease.grow(32 * KiB)  # beyond the shard share
-        # Context exit released the lease; the key stays registered but
-        # every surplus block went home.
+        assert budget.reserve("a", 6 * KiB)
+        assert pool.lent_to(0) == 8 * KiB
+        assert not budget.reserve("a", 32 * KiB)  # beyond the shard share
+        assert budget.release_bytes("a", 6 * KiB) == 6 * KiB
+        # The key stays registered but every surplus block went home.
+        assert budget.registered == 1
         assert budget.held("a") == 0
         assert pool.lent_total == 0
 

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.fragment import split
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.netsim.events import EventLoop
 from repro.netsim.router import ChunkRouter
+from repro.transport.connection import ConnectionConfig
+from repro.transport.receiver import ChunkTransportReceiver
+from repro.transport.sender import ChunkTransportSender
 
 from tests.conftest import make_chunk
 
@@ -157,3 +161,59 @@ class TestWireValidButUnforwardable:
         router, frames = _run_router("repack", [Packet(chunks=[chunk])], self.OUT_MTU)
         assert _receive_all(frames) == [chunk]
         assert router.stats.chunks_unforwardable == 0
+
+
+class TestOverlapReachesAReassemblingRouter:
+    """A router is transparent or it is an evasion point: overlapping
+    spans in one batch (an identifier-preserving retransmission re-cut at
+    another upstream MTU, or a forgery) are for the end host to judge.
+    A ``"reassemble"`` router forwards such a batch un-merged, as
+    ``"repack"`` would, and counts it; it never raises."""
+
+    @staticmethod
+    def _transfer():
+        sender = ChunkTransportSender(ConnectionConfig(connection_id=9, tpdu_units=16))
+        data, ed = sender.send_frame(bytes(range(24)), end_of_connection=True)
+        assert (data.c_sn, data.length) == (0, 6)
+        first_cut, _ = split(data, 4)   # C.SN [0, 4)
+        _, second_cut = split(data, 2)  # C.SN [2, 6): the same bytes, cut elsewhere
+        return first_cut, second_cut, ed
+
+    def _receiver_behind_router(self, chunks, batch_window):
+        honest = make_chunk(units=4, c_id=2, c_sn=7)
+        envelopes = [Packet(chunks=[*chunks, honest])]
+        if batch_window:  # one chunk per arriving frame; the window joins them
+            envelopes = [Packet(chunks=[chunk]) for chunk in [*chunks, honest]]
+        router, frames = _run_router("reassemble", envelopes, 8192, batch_window)
+        forwarded = _receive_all(frames)
+        assert sorted(forwarded) == sorted([*chunks, honest])  # what "repack" sends
+        assert router.stats.batches_unmerged == 1
+        assert router.stats.chunks_merged == 0
+        receiver = ChunkTransportReceiver()
+        for chunk in forwarded:
+            if chunk.c_id == 9:
+                receiver.receive_chunk(chunk)
+        return receiver
+
+    @pytest.mark.parametrize("batch_window", [0.0, 0.01], ids=["per-frame", "batched"])
+    def test_agreeing_overlap_is_forwarded_and_the_receiver_ends_byte_exact(self, batch_window):
+        first_cut, second_cut, ed = self._transfer()
+        receiver = self._receiver_behind_router([first_cut, second_cut, ed], batch_window)
+        assert receiver.stream_bytes() == bytes(range(24))
+        assert receiver.verified_tpdus() == 1 and receiver.pending_tpdus() == []
+        assert receiver.stream.overlap_conflicts == 0
+
+    @pytest.mark.parametrize("batch_window", [0.0, 0.01], ids=["per-frame", "batched"])
+    def test_disagreeing_overlap_is_forwarded_for_the_end_host_to_refuse(self, batch_window):
+        first_cut, second_cut, ed = self._transfer()
+        forged = second_cut.replace(payload=bytes(len(second_cut.payload)))
+        receiver = self._receiver_behind_router([first_cut, forged, ed], batch_window)
+        assert receiver.stream.overlap_conflicts == 1  # refused where placement decides
+        assert receiver.verified_tpdus() == 0
+
+    def test_disjoint_fragments_still_merge(self):
+        first_cut, _, _ = self._transfer()
+        head, tail = split(first_cut, 2)
+        router, frames = _run_router("reassemble", [Packet(chunks=[tail, head])], 8192)
+        assert _receive_all(frames) == [first_cut]
+        assert router.stats.batches_unmerged == 0
