@@ -13,10 +13,6 @@ the test suite does:
   sites (Appendix A fixed-field format).
 - ``codec-symmetry`` — every public ``encode_*`` has a ``decode_*``
   twin in the same module, and vice versa.
-- ``determinism`` — no direct ``random`` / ``time.time`` /
-  ``datetime.now`` / ``os.urandom`` inside the simulator, transport or
-  host packages; stochastic behaviour routes through
-  :mod:`repro.netsim.rng` so benchmark runs are reproducible.
 - ``exception-discipline`` — protocol layers raise only the exception
   types defined in :mod:`repro.core.errors` (plus a short builtin
   allowlist), and never use bare/overbroad ``except``.
@@ -27,27 +23,27 @@ the test suite does:
   generated block in ``docs/wire-format.md`` all agree with the single
   header-width table in :mod:`repro.core.wire_table`.
 
-Five passes follow call paths — all but ``mutable-sharing`` over the
-whole-program import/call graph (:mod:`repro.analysis.graph`):
+Three passes run over the whole-program import/call graph
+(:mod:`repro.analysis.graph`), and one follows scheduled callbacks:
 
 - ``layering`` — imports follow the architecture DAG of
   ``docs/architecture.md``; no layer imports upward.
-- ``rng-flow`` — an unseeded ``random.Random`` may not reach
-  netsim/transport on *any* call path, however many helper hops it is
-  laundered through.
 - ``hot-path-copy`` — no payload copies (``bytes()``, slices,
   ``+``-concat) on the receive paths; the static form of the paper's
   touch-once budget.
+- ``ambient-authority`` — no wall clock, sleep, socket, OS entropy or
+  module-level ``random`` call in a product package, and no unseeded
+  ``random.Random()`` anywhere; time comes from the event loop,
+  randomness from :mod:`repro.netsim.rng`.
 - ``mutable-sharing`` — scheduled callbacks never mutate module-level
   shared state.
-- ``seam-purity`` — no ambient OS authority (wall clock, sockets, OS
-  entropy) anywhere reachable from a transport/host/core entry point;
-  only the designated adapter modules may touch the OS.
 
-``state-drift`` and ``shard-ownership`` bind the code to its declared
-models (the lifecycle table of :mod:`repro.core.state_table`, the owner
-domains).  Retired passes, and what holds their property now, are
-tabled in ``docs/static-analysis.md``.
+``shard-ownership`` binds the code to its declared owner domains.  The
+lifecycle table of :mod:`repro.core.state_table` is bound to the
+endpoint by *running* both (``tests/properties/
+test_lifecycle_conformance.py``) and explored exhaustively by
+:mod:`repro.analysis.modelcheck`; no pass reads it.  Retired passes, and
+what holds their property now, are tabled in ``docs/static-analysis.md``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
 sanitizer (``REPRO_SIMSAN=1`` / ``pytest --simsan``) that fingerprints

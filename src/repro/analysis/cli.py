@@ -107,12 +107,9 @@ def _render_github(new: list[Finding]) -> str:
     lines = []
     for finding in new:
         level = "error" if finding.severity == "error" else "warning"
-        text = finding.message
-        if finding.related_path:
-            text += f" (see {finding.related_path}:{finding.related_line})"
         # Annotation messages are single-line; the %0A escape is the
         # documented newline encoding for workflow commands.
-        message = text.replace("%", "%25").replace("\n", "%0A")
+        message = finding.message.replace("%", "%25").replace("\n", "%0A")
         lines.append(
             f"::{level} file={finding.path},line={finding.line},"
             f"title=protolint[{finding.pass_id}]::{message}"
@@ -136,9 +133,8 @@ def _render_sarif(new: list[Finding], passes: Sequence[Pass]) -> str:
         }
         for pass_ in sorted(passes, key=lambda p: p.id)
     ]
-    results = []
-    for finding in new:
-        result: dict[str, object] = {
+    results = [
+        {
             "ruleId": finding.pass_id,
             "level": "error" if finding.severity == "error" else "warning",
             "message": {"text": finding.message},
@@ -155,20 +151,8 @@ def _render_sarif(new: list[Finding], passes: Sequence[Pass]) -> str:
             ],
             "partialFingerprints": {"protolint/v1": finding.fingerprint},
         }
-        if finding.related_path:
-            result["relatedLocations"] = [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": finding.related_path,
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {"startLine": finding.related_line},
-                    },
-                    "message": {"text": "declared here"},
-                }
-            ]
-        results.append(result)
+        for finding in new
+    ]
     log = {
         "$schema": "https://json.schemastore.org/sarif-2.1.0.json",
         "version": "2.1.0",
@@ -252,7 +236,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "state-table":
         # Subcommand delegation: `python -m repro.analysis state-table
-        # --write` regenerates the docs block the state-drift pass checks.
+        # --write` regenerates the docs block, `--check` verifies it.
         from repro.core.state_table import main as state_table_main
 
         return state_table_main(argv[1:])

@@ -28,7 +28,9 @@ __all__ = [
     "run_passes",
     "module_name_for_path",
     "dotted_name",
+    "package_of",
     "CONTAINER_MUTATORS",
+    "PRODUCT_PACKAGES",
 ]
 
 #: Inline suppression marker.  ``# protolint: ignore`` silences every
@@ -37,7 +39,7 @@ __all__ = [
 _SUPPRESS_RE = re.compile(r"#\s*protolint:\s*ignore(?:\[([a-zA-Z0-9_,\- ]+)\])?")
 
 #: Container method names that mutate their receiver — the one table
-#: mutable-sharing, shard-ownership and state-drift all read.
+#: mutable-sharing and shard-ownership both read.
 CONTAINER_MUTATORS: frozenset[str] = frozenset(
     {
         "add",
@@ -57,6 +59,22 @@ CONTAINER_MUTATORS: frozenset[str] = frozenset(
     }
 )
 
+#: The product packages, in architecture-DAG order (docs/architecture.md);
+#: ``obs`` / ``analysis`` / ``perf`` are tooling.  Each pass names the
+#: subset it means: layering the stack below ``app`` / ``baselines``,
+#: hot-path-copy and shard-ownership ``transport`` + ``host``,
+#: ambient-authority all of it.
+PRODUCT_PACKAGES: tuple[str, ...] = (
+    "core",
+    "crypto",
+    "wsc",
+    "netsim",
+    "host",
+    "transport",
+    "app",
+    "baselines",
+)
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -72,11 +90,6 @@ class Finding:
             ``"warning"`` (exit-affecting only under ``--strict``).
         symbol: stable key naming *what* is wrong (a variable, function
             or format string) so fingerprints survive line-number churn.
-        related_path: optional second location the finding refers to
-            (e.g. the state-table row a drifting code site should
-            match); rendered as a clickable ``file:line`` suffix and a
-            SARIF relatedLocation.
-        related_line: 1-based line of ``related_path``.
     """
 
     pass_id: str
@@ -85,8 +98,6 @@ class Finding:
     message: str
     severity: str = "error"
     symbol: str = ""
-    related_path: str = ""
-    related_line: int = 0
 
     @property
     def fingerprint(self) -> str:
@@ -95,13 +106,10 @@ class Finding:
         return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
-        text = f"{self.path}:{self.line}: [{self.pass_id}] {self.severity}: {self.message}"
-        if self.related_path:
-            text += f" (see {self.related_path}:{self.related_line})"
-        return text
+        return f"{self.path}:{self.line}: [{self.pass_id}] {self.severity}: {self.message}"
 
     def to_json(self) -> dict[str, object]:
-        payload: dict[str, object] = {
+        return {
             "pass": self.pass_id,
             "path": self.path,
             "line": self.line,
@@ -110,10 +118,6 @@ class Finding:
             "symbol": self.symbol,
             "fingerprint": self.fingerprint,
         }
-        if self.related_path:
-            payload["related_path"] = self.related_path
-            payload["related_line"] = self.related_line
-        return payload
 
 
 def module_name_for_path(path: Path) -> str:
@@ -122,7 +126,7 @@ def module_name_for_path(path: Path) -> str:
     ``src/repro/netsim/link.py`` → ``repro.netsim.link``; a file outside
     any ``repro`` tree falls back to its stem.  Fixture trees used by the
     analyzer's own tests mimic the ``.../repro/<pkg>/<mod>.py`` layout so
-    package-scoped passes (determinism, exception-discipline) apply.
+    package-scoped passes (ambient-authority, exception-discipline) apply.
     """
     parts = list(path.parts)
     stem = path.stem
@@ -211,8 +215,6 @@ class Pass:
         *,
         symbol: str = "",
         severity: str = "error",
-        related_path: str = "",
-        related_line: int = 0,
     ) -> Finding:
         line = node if isinstance(node, int) else getattr(node, "lineno", 1)
         return Finding(
@@ -222,15 +224,13 @@ class Pass:
             message=message,
             severity=severity,
             symbol=symbol,
-            related_path=related_path,
-            related_line=related_line,
         )
 
 
 class ProjectPass(Pass):
     """A pass that analyzes the whole module set at once.
 
-    Interprocedural passes (layering, rng-flow, hot-path-copy) need the
+    Project passes (layering, hot-path-copy, ambient-authority) need the
     import/call graph of every collected module; the runner builds one
     :class:`~repro.analysis.graph.ProjectGraph` and hands it to
     :meth:`check_project`.  :meth:`check` is a no-op so a
@@ -331,6 +331,18 @@ def run_passes(
 
     findings.sort(key=lambda f: (f.path, f.line, f.pass_id, f.message))
     return findings
+
+
+def package_of(module: str) -> str:
+    """Top-level package segment under ``repro`` (``""`` for the root).
+
+    ``repro.netsim.link`` → ``netsim``; ``repro`` → ``""``; a module
+    outside the ``repro`` namespace → its first dotted segment.
+    """
+    parts = module.split(".")
+    if parts[0] == "repro":
+        return parts[1] if len(parts) > 1 else ""
+    return parts[0]
 
 
 def dotted_name(node: ast.AST) -> str | None:

@@ -31,19 +31,7 @@ from typing import Iterable, Iterator
 
 from repro.analysis.core import ModuleUnit, dotted_name
 
-__all__ = ["ImportEdge", "FunctionInfo", "ProjectGraph", "package_of"]
-
-
-def package_of(module: str) -> str:
-    """Top-level package segment under ``repro`` (``""`` for the root).
-
-    ``repro.netsim.link`` → ``netsim``; ``repro`` → ``""``; a module
-    outside the ``repro`` namespace → its first dotted segment.
-    """
-    parts = module.split(".")
-    if parts[0] == "repro":
-        return parts[1] if len(parts) > 1 else ""
-    return parts[0]
+__all__ = ["ImportEdge", "FunctionInfo", "ProjectGraph"]
 
 
 @dataclass(frozen=True)

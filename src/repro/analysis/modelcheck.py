@@ -34,7 +34,10 @@ a *cascade* of the ``tombstone`` effect, exactly like
 Run ``python -m repro.analysis.modelcheck`` (CI does); the
 ``--inject-resurrection`` flag adds the classic bad transition — an
 undeclared revival of a tombstoned C.ID — and demonstrates the checker
-catching dynamically what the state-drift pass catches statically.
+catching it.  That the live endpoint follows the same table is the
+conformance property's job (``tests/properties/
+test_lifecycle_conformance.py``), which offers a tombstoned C.ID every
+event and requires it to stay tombstoned.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ _TOMBSTONE_STATES: dict[str, str] = {
 _REASON_OF: dict[str, str] = {
     "evict-idle": "idle",
     "evict-closed": "idle",
+    "evict-unacked": "idle",
     "evict-stalled": "stalled",
     "refuse-admission": "refused",
 }
@@ -198,8 +202,10 @@ def _guard_holds(guard: str, conv: ConvState, state: GlobalState, config: ModelC
         return state.tokens <= 0
     if guard == "acked-below-placed":
         return conv.acked < conv.placed
-    if guard == "placed-below-cap":
-        return conv.placed < config.placement_cap
+    if guard == "has-receiver":
+        return conv.token
+    if guard == "receiver-admissible":
+        return not conv.token and state.tokens > 0
     raise ValueError(f"model checker cannot evaluate guard {guard!r}")
 
 
@@ -253,7 +259,8 @@ def apply_step(
             elif effect == "tombstone":
                 tombstones.append(conv_idx)
             elif effect == "place-bytes":
-                conv = replace(conv, placed=conv.placed + 1)
+                # Saturating: the cap bounds the explored space, not the endpoint.
+                conv = replace(conv, placed=min(conv.placed + 1, config.placement_cap))
             elif effect == "ack-bytes":
                 conv = replace(conv, acked=conv.acked + 1)
             elif effect == "reset-conversation":
@@ -427,16 +434,14 @@ def with_transition(table: StateTable, transition: Transition) -> StateTable:
 def injected_resurrection() -> Transition:
     """The canonical bad transition: a tombstoned C.ID re-admitted.
 
-    Statically, the same drift appears as the unmarked mutation in the
-    ``bad_state_drift`` fixture; dynamically, injecting this row makes
-    :func:`explore` produce a tombstone-monotonicity counterexample.
+    Injecting this row makes :func:`explore` produce a
+    tombstone-monotonicity counterexample.
     """
     return Transition(
         "bad-resurrect",
         TOMBSTONED,
         "signaling-chunk",
         "ESTABLISHED",
-        sites=("repro.transport.endpoint.ChunkEndpoint._try_establish",),
         notes="INJECTED FAULT: revives a refused C.ID without clearing its tombstone",
     )
 

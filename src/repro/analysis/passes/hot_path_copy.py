@@ -26,13 +26,13 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.core import Finding, ProjectPass
+from repro.analysis.core import Finding, ProjectPass, package_of
 from repro.analysis.graph import FunctionInfo, ProjectGraph
 
 __all__ = ["HotPathCopyPass"]
 
 SCOPED_MODULE = "repro.core.reassemble"
-SCOPED_PACKAGES = ("repro.transport", "repro.host")
+SCOPED_PACKAGES = frozenset({"transport", "host"})
 
 #: method/function names that start a receive path.
 ENTRY_NAMES = frozenset(
@@ -49,11 +49,7 @@ COPY_CTORS = frozenset({"bytes", "bytearray"})
 
 
 def _in_scope(module: str) -> bool:
-    if module == SCOPED_MODULE:
-        return True
-    return any(
-        module == pkg or module.startswith(pkg + ".") for pkg in SCOPED_PACKAGES
-    )
+    return module == SCOPED_MODULE or package_of(module) in SCOPED_PACKAGES
 
 
 def _payloadish(expr: ast.expr) -> str | None:

@@ -26,12 +26,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.core import Finding, ProjectPass
-from repro.analysis.graph import ProjectGraph, package_of
+from repro.analysis.core import PRODUCT_PACKAGES, Finding, ProjectPass, package_of
+from repro.analysis.graph import ProjectGraph
 
 __all__ = ["LayeringPass", "ALLOWED_IMPORTS", "META_LAYERS"]
 
-_PRODUCT_STACK = frozenset({"core", "crypto", "wsc", "netsim", "host", "transport"})
+_PRODUCT_STACK = frozenset(PRODUCT_PACKAGES) - {"app", "baselines"}
 
 #: package -> packages it may import (besides itself and meta layers).
 ALLOWED_IMPORTS: dict[str, frozenset[str]] = {

@@ -47,7 +47,7 @@ import ast
 import re
 from typing import Iterator
 
-from repro.analysis.core import CONTAINER_MUTATORS, Finding, ModuleUnit, Pass
+from repro.analysis.core import CONTAINER_MUTATORS, Finding, ModuleUnit, Pass, package_of
 
 __all__ = ["ShardOwnershipPass", "OWNER_DOMAINS", "SEAM_METHODS"]
 
@@ -145,13 +145,6 @@ _OWNER_RE = re.compile(
 _SKIP_BASES = ("Enum", "Protocol", "Exception", "Error", "NamedTuple", "ABC")
 
 
-def _package(module: str) -> str:
-    parts = module.split(".")
-    if len(parts) >= 2 and parts[0] == "repro":
-        return parts[1]
-    return ""
-
-
 def _annotation_class(node: ast.expr | None) -> str | None:
     """Leading class name of an annotation (``X | None`` → ``X``)."""
     if node is None:
@@ -208,7 +201,7 @@ class ShardOwnershipPass(Pass):
     description = "mutations stay inside their declared owner domain (or a seam)"
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        if _package(unit.module) not in {"transport", "host"}:
+        if package_of(unit.module) not in {"transport", "host"}:
             return
         lines = unit.source.splitlines()
 

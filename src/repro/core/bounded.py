@@ -41,7 +41,6 @@ class BoundedSet:
         if key in self._entries:
             return
         self._entries[key] = None
-        # state-table: forget-idle, forget-stalled, forget-refused
         while len(self._entries) > self.max_entries:
             oldest = next(iter(self._entries))
             del self._entries[oldest]

@@ -12,19 +12,21 @@ from it.
 
 Consumers:
 
-- :mod:`repro.transport.endpoint`, :mod:`repro.transport.reliability`
-  and :mod:`repro.core.bounded` mark their state-mutating statements
-  with ``# state-table: <transition-id>`` comments; the protolint
-  **state-drift** pass cross-checks each marked site against
-  :data:`STATE_TABLE` and flags unmarked mutations, undeclared sites,
-  and declared transitions with no implementing marker.
+- ``tests/properties/test_lifecycle_conformance.py`` runs the table
+  against a live :class:`~repro.transport.endpoint.ChunkEndpoint`: every
+  row is fired on the endpoint (same observable lifecycle class,
+  refusals exactly where a ``refuse-*`` row says), and every event is
+  also offered where the table has *no* row, where the endpoint may not
+  change a conversation's class.  Nothing in the code points back at
+  the table; the two are reconciled by feeding both the same events.
 - :mod:`repro.analysis.modelcheck` exhaustively enumerates event
   interleavings over exactly this transition relation and checks the
   PR 7 invariants as temporal properties.
 - ``docs/architecture.md`` embeds the rendered table + diagram between
   ``<!-- state-table:begin -->`` / ``<!-- state-table:end -->``
   markers; ``python -m repro.analysis state-table --write`` regenerates
-  the block and the state-drift pass fails when it is stale.
+  the block, ``--check`` (CI, and ``tests/core/test_state_table.py``)
+  fails when it is stale.
 """
 
 from __future__ import annotations
@@ -94,13 +96,18 @@ EVENTS: tuple[str, ...] = (
     "tombstone-overflow",
 )
 
-#: Guards the model checker knows how to evaluate.
+#: Guards the model checker knows how to evaluate.  A receiver session
+#: *is* a held budget token (the endpoint admits one exactly when it
+#: attaches the other), so the role guards read the token bit:
+#: ``has-receiver`` = token held, ``receiver-admissible`` = none held
+#: and the pool can promise one.
 GUARDS: tuple[str, ...] = (
     "",
     "pool-has-token",
     "pool-exhausted",
     "acked-below-placed",
-    "placed-below-cap",
+    "has-receiver",
+    "receiver-admissible",
 )
 
 #: Effects the model checker knows how to apply, in application order.
@@ -119,16 +126,14 @@ class Transition:
     """One declared lifecycle transition.
 
     Attributes:
-        transition_id: stable kebab-case id, referenced by
-            ``# state-table:`` markers and counterexample traces.
+        transition_id: stable kebab-case id, referenced by the
+            conformance property and counterexample traces.
         src: source state (one of :data:`STATES`).
         event: triggering event (one of :data:`EVENTS`).
         dst: destination state.
         guard: predicate gating the transition ("" = always enabled).
         effects: state-mutation effects, applied in :data:`EFFECTS`
             order by the model checker.
-        sites: fully-qualified function names implementing the
-            transition; every site must carry a matching marker.
         notes: one-line rationale for the docs table.
     """
 
@@ -138,7 +143,6 @@ class Transition:
     dst: str
     guard: str = ""
     effects: tuple[str, ...] = ()
-    sites: tuple[str, ...] = ()
     notes: str = ""
 
     def __post_init__(self) -> None:
@@ -153,8 +157,6 @@ class Transition:
         for effect in self.effects:
             if effect not in EFFECTS:
                 raise ValueError(f"{self.transition_id}: unknown effect {effect!r}")
-        if not self.sites:
-            raise ValueError(f"{self.transition_id}: a transition needs >= 1 site")
 
 
 @dataclass(frozen=True)
@@ -179,18 +181,9 @@ class StateTable:
     def outgoing(self, state: str) -> tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.src == state)
 
-    def sites_for(self, transition_id: str) -> tuple[str, ...]:
-        return self.by_id[transition_id].sites
-
-    def site_modules(self) -> tuple[str, ...]:
-        """Modules hosting at least one declared transition site."""
-        modules = {site.rsplit(".", 2)[0] for t in self.transitions for site in t.sites}
-        return tuple(sorted(modules))
-
     def validate(self) -> list[str]:
         """Structural FSM problems: unreachable states, dead ends,
-        unguarded nondeterminism.  Returned as human-readable strings
-        so the state-drift pass can surface them as findings.
+        unguarded nondeterminism, as human-readable strings.
         """
         problems: list[str] = []
         reachable = {self.initial}
@@ -220,16 +213,6 @@ class StateTable:
         return problems
 
 
-_ENDPOINT = "repro.transport.endpoint"
-_RELIABILITY = "repro.transport.reliability"
-_BOUNDED = "repro.core.bounded"
-
-_EVICT_SITES = (
-    f"{_ENDPOINT}.ChunkEndpoint.sweep",
-    f"{_ENDPOINT}.ChunkEndpoint._evict",
-    f"{_ENDPOINT}.ConnectionTable.evict",
-)
-
 STATE_TABLE = StateTable(
     states=STATES,
     initial=INITIAL_STATE,
@@ -239,10 +222,6 @@ STATE_TABLE = StateTable(
             CLOSED,
             "local-open",
             ESTABLISHING,
-            sites=(
-                f"{_ENDPOINT}.ChunkEndpoint.open_connection",
-                f"{_ENDPOINT}.ConnectionTable.add",
-            ),
             notes="sender side; resignals SIGNALING until first ack",
         ),
         Transition(
@@ -252,10 +231,6 @@ STATE_TABLE = StateTable(
             ESTABLISHED,
             guard="pool-has-token",
             effects=("acquire-token",),
-            sites=(
-                f"{_ENDPOINT}.ChunkEndpoint._try_establish",
-                f"{_ENDPOINT}.ConnectionTable.add",
-            ),
             notes="receiver side; strict SIGNALING parse, budget token held",
         ),
         Transition(
@@ -265,7 +240,6 @@ STATE_TABLE = StateTable(
             TOMBSTONED,
             guard="pool-exhausted",
             effects=("tombstone",),
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._try_establish",),
             notes="admission control: refusal is remembered as a tombstone",
         ),
         Transition(
@@ -273,18 +247,34 @@ STATE_TABLE = StateTable(
             ESTABLISHING,
             "ack-chunk",
             ESTABLISHED,
-            sites=(f"{_RELIABILITY}.ReliableSender.handle_ack_chunk",),
-            notes="first ack stops SIGNALING resends",
+            notes="first ack stops SIGNALING resends; still sender-only",
+        ),
+        Transition(
+            "attach-early",
+            ESTABLISHING,
+            "signaling-chunk",
+            ESTABLISHED,
+            guard="pool-has-token",
+            effects=("acquire-token",),
+            notes="the peer signalled before it acked: receiver session attached",
+        ),
+        Transition(
+            "attach",
+            ESTABLISHED,
+            "signaling-chunk",
+            ESTABLISHED,
+            guard="receiver-admissible",
+            effects=("acquire-token",),
+            notes="receiver session attached to a sender-only conversation",
         ),
         Transition(
             "data",
             ESTABLISHED,
             "data-chunk",
             ESTABLISHED,
-            guard="placed-below-cap",
+            guard="has-receiver",
             effects=("place-bytes",),
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._route_group",),
-            notes="label-routed placement; self-loop",
+            notes="label-routed placement; self-loop (sender-only: refused)",
         ),
         Transition(
             "ack-data",
@@ -293,7 +283,6 @@ STATE_TABLE = StateTable(
             ESTABLISHED,
             guard="acked-below-placed",
             effects=("ack-bytes",),
-            sites=(f"{_RELIABILITY}.ReliableSender.handle_ack_chunk",),
             notes="acks may never outrun placement (PR 7 invariant)",
         ),
         Transition(
@@ -301,23 +290,30 @@ STATE_TABLE = StateTable(
             ESTABLISHED,
             "cst-chunk",
             CLOSING,
-            sites=(
-                f"{_ENDPOINT}.ConnectionTable.mark_closed",
-                f"{_ENDPOINT}.ChunkEndpoint._route_group",
-                f"{_ENDPOINT}.ChunkEndpoint.close_connection",
-            ),
-            notes="C.ST observed; entry lingers for close-linger",
+            guard="has-receiver",
+            notes="C.ST placed by the receiver session; entry lingers for close-linger",
         ),
         Transition(
             "close-local",
             ESTABLISHING,
             "local-close",
             CLOSING,
-            sites=(
-                f"{_ENDPOINT}.ConnectionTable.mark_closed",
-                f"{_ENDPOINT}.ChunkEndpoint.close_connection",
-            ),
             notes="local close before the peer ever acked",
+        ),
+        Transition(
+            "close-local-established",
+            ESTABLISHED,
+            "local-close",
+            CLOSING,
+            notes="local close of an established conversation, either role",
+        ),
+        Transition(
+            "evict-unacked",
+            ESTABLISHING,
+            "sweep",
+            EVICTED_IDLE,
+            effects=("tombstone",),
+            notes="idle timeout with nothing outstanding and no ack ever seen",
         ),
         Transition(
             "evict-idle",
@@ -325,7 +321,6 @@ STATE_TABLE = StateTable(
             "sweep",
             EVICTED_IDLE,
             effects=("release-token", "tombstone"),
-            sites=_EVICT_SITES,
             notes="idle timeout; token returned, C.ID tombstoned",
         ),
         Transition(
@@ -334,7 +329,6 @@ STATE_TABLE = StateTable(
             "sweep",
             EVICTED_IDLE,
             effects=("release-token", "tombstone"),
-            sites=_EVICT_SITES,
             notes="close-linger expiry; same eviction path as idle",
         ),
         Transition(
@@ -342,20 +336,15 @@ STATE_TABLE = StateTable(
             ESTABLISHED,
             "progress-police",
             EVICTED_STALLED,
+            guard="has-receiver",
             effects=("release-token", "tombstone"),
-            sites=(
-                f"{_ENDPOINT}.ChunkEndpoint._police_progress",
-                f"{_ENDPOINT}.ChunkEndpoint._evict",
-                f"{_ENDPOINT}.ConnectionTable.evict",
-            ),
-            notes="slow-loris defence: progress floor missed",
+            notes="slow-loris defence: the receiver session missed the progress floor",
         ),
         Transition(
             "refuse-evicted-idle",
             EVICTED_IDLE,
             "data-chunk",
             EVICTED_IDLE,
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._refuse",),
             notes="late traffic after idle eviction is refused, not routed",
         ),
         Transition(
@@ -363,7 +352,6 @@ STATE_TABLE = StateTable(
             EVICTED_STALLED,
             "data-chunk",
             EVICTED_STALLED,
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._refuse",),
             notes="late traffic after stall eviction is refused, not routed",
         ),
         Transition(
@@ -371,7 +359,6 @@ STATE_TABLE = StateTable(
             TOMBSTONED,
             "data-chunk",
             TOMBSTONED,
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._refuse",),
             notes="traffic for an admission-refused C.ID stays refused",
         ),
         Transition(
@@ -379,7 +366,6 @@ STATE_TABLE = StateTable(
             CLOSED,
             "data-chunk",
             CLOSED,
-            sites=(f"{_ENDPOINT}.ChunkEndpoint._refuse",),
             notes="data for a C.ID that was never established",
         ),
         Transition(
@@ -388,7 +374,6 @@ STATE_TABLE = StateTable(
             "tombstone-overflow",
             CLOSED,
             effects=("reset-conversation",),
-            sites=(f"{_BOUNDED}.BoundedSet.add",),
             notes="FIFO tombstone drop; refusals degrade to refused_unknown",
         ),
         Transition(
@@ -397,7 +382,6 @@ STATE_TABLE = StateTable(
             "tombstone-overflow",
             CLOSED,
             effects=("reset-conversation",),
-            sites=(f"{_BOUNDED}.BoundedSet.add",),
             notes="FIFO tombstone drop for a stall-evicted C.ID",
         ),
         Transition(
@@ -406,7 +390,6 @@ STATE_TABLE = StateTable(
             "tombstone-overflow",
             CLOSED,
             effects=("reset-conversation",),
-            sites=(f"{_BOUNDED}.BoundedSet.add",),
             notes="FIFO tombstone drop for an admission-refused C.ID",
         ),
     ),
@@ -462,7 +445,7 @@ def docs_block(table: StateTable = STATE_TABLE) -> str:
     parts = [
         BLOCK_BEGIN,
         "<!-- Generated by `python -m repro.analysis state-table --write`;",
-        "     checked by the protolint state-drift pass. Do not edit. -->",
+        "     `--check` and the lifecycle conformance property hold it. Do not edit. -->",
         "",
         render_markdown(table),
         "",
@@ -495,7 +478,7 @@ def extract_block(text: str) -> str | None:
 
 
 def table_path() -> Path:
-    """Where the authoritative table lives (for related-location output)."""
+    """Where the authoritative table lives."""
     return Path(__file__)
 
 
@@ -507,8 +490,8 @@ def _source_lines() -> tuple[str, ...]:
 def row_line(transition_id: str) -> int:
     """1-based line of a transition's declaration in this file.
 
-    Used by the state-drift pass and the model checker so findings and
-    counterexamples carry a clickable ``file:line`` of the table row.
+    Used by the model checker so counterexamples carry a clickable
+    ``file:line`` of the table row.
     """
     needle = f'"{transition_id}"'
     for number, line in enumerate(_source_lines(), start=1):

@@ -223,7 +223,7 @@ class ConnectionTable:
         cid = connection.connection_id
         if cid in self.connections:
             raise EndpointError(f"C.ID {cid} is already in the connection table")
-        self.connections[cid] = connection  # state-table: open-local, establish
+        self.connections[cid] = connection
         self.established_total += 1
         _OBS_ESTABLISHED.inc()
         _OBS_ACTIVE.set(len(self.connections))
@@ -231,14 +231,13 @@ class ConnectionTable:
     def mark_closed(self, connection: Connection, now: float) -> None:
         if connection.state is ConnectionState.CLOSED:
             return
-        connection.state = ConnectionState.CLOSED  # state-table: close, close-local
+        connection.state = ConnectionState.CLOSED
         connection.closed_at = now
         self.closed_total += 1
         _OBS_CLOSED.inc()
 
     def evict(self, connection_id: int) -> Connection | None:
         """Remove one entry (tombstoning its C.ID); returns it, if any."""
-        # state-table: evict-idle, evict-closed, evict-stalled
         connection = self.connections.pop(connection_id, None)
         if connection is None:
             return None
@@ -404,7 +403,7 @@ class ChunkEndpoint:
             sender=sender,
             _endpoint=self,
         )
-        self.table.add(connection)  # state-table: open-local
+        self.table.add(connection)
         return connection
 
     def flush(self) -> None:
@@ -493,7 +492,7 @@ class ChunkEndpoint:
             self._refuse(cid, rest, events)
             return
 
-        connection.chunks_in += len(rest)  # state-table: data
+        connection.chunks_in += len(rest)
         payload_bytes = sum(c.payload_bytes for c in rest if c.is_data)
         connection.payload_bytes_in += payload_bytes
         _OBS_CHUNKS.inc(len(rest))
@@ -506,7 +505,7 @@ class ChunkEndpoint:
         received = connection.receiver.receive_chunks(rest)
         self._record_touches(connection)
         if received.connection_closed:
-            self.table.mark_closed(connection, now)  # state-table: close
+            self.table.mark_closed(connection, now)
             if _OBS_TRACE:
                 _OBS_TRACE.event("conn_closed", t=now, conn=cid, **self._shard_labels())
             if _OBS_JOURNEY:
@@ -547,15 +546,21 @@ class ChunkEndpoint:
                 break
         if config is None:
             return None
-        if existing is None:
-            if (
-                self.max_connections is not None
-                and len(self.table) >= self.max_connections
-            ) or not self.budget.register(cid):
-                self.connections_refused += 1
-                _OBS_ADMISSION_REFUSED.inc()
-                self.table.evicted_ids.add(cid)  # state-table: refuse-admission
-                return None
+        if existing is not None and existing.state is ConnectionState.CLOSED:
+            return None  # a lingering entry only re-ACKs; it attaches nothing new
+        # Every receiver session is admitted against the pool — one
+        # attached to a locally opened conversation too, or its first
+        # placement would register it unasked (or be refused forever).
+        if (
+            existing is None
+            and self.max_connections is not None
+            and len(self.table) >= self.max_connections
+        ) or not self.budget.register(cid):
+            self.connections_refused += 1
+            _OBS_ADMISSION_REFUSED.inc()
+            if existing is None:
+                self.table.evicted_ids.add(cid)
+            return None
         receiver = ChunkTransportReceiver(
             config=config,
             stream=PlacementBuffer(limit_bytes=None, budget=self.budget, budget_key=cid),
@@ -577,7 +582,7 @@ class ChunkEndpoint:
             receiver=session,
             _endpoint=self,
         )
-        self.table.add(connection)  # state-table: establish
+        self.table.add(connection)
         events.established.append(cid)
         if _OBS_TRACE:
             _OBS_TRACE.event(
@@ -590,8 +595,6 @@ class ChunkEndpoint:
         return connection
 
     def _refuse(self, cid: int, chunks: list[Chunk], events: EndpointEvents) -> None:
-        # state-table: refuse-evicted-idle, refuse-evicted-stalled
-        # state-table: refuse-tombstoned, refuse-unknown
         events.refused_chunks += len(chunks)
         if cid in self.table.evicted_ids:
             self.refused_evicted += len(chunks)
@@ -633,7 +636,6 @@ class ChunkEndpoint:
         connection = self.table.get(cid)
         if connection is None:
             raise EndpointError(f"no connection {cid} to close")
-        # state-table: close, close-local
         self.table.mark_closed(connection, self.loop.now)
 
     def sweep(self, now: float | None = None) -> list[int]:
@@ -655,7 +657,6 @@ class ChunkEndpoint:
                 and connection.state is ConnectionState.CLOSED
                 else "idle"
             )
-            # state-table: evict-idle, evict-closed
             if self._evict(cid, at, reason):
                 evicted.append(cid)
         evicted.extend(self._police_progress(at))
@@ -663,7 +664,6 @@ class ChunkEndpoint:
 
     def _evict(self, cid: int, at: float, reason: str) -> bool:
         tombstones_dropped = self.table.evicted_ids.dropped
-        # state-table: evict-idle, evict-closed, evict-stalled
         connection = self.table.evict(cid)
         if connection is None:
             return False
@@ -720,7 +720,7 @@ class ChunkEndpoint:
                 continue
             delta = connection.payload_bytes_in - connection._progress_bytes
             if delta < self.min_progress_bytes:
-                if self._evict(cid, at, "stalled"):  # state-table: evict-stalled
+                if self._evict(cid, at, "stalled"):
                     self.stalled_evictions += 1
                     _OBS_STALLED.inc()
                     evicted.append(cid)

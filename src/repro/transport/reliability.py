@@ -160,7 +160,7 @@ class ReliableSender:
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
         """Process an arriving ACK chunk (possibly piggybacked)."""
-        self._acked_once = True  # state-table: establish-acked, ack-data
+        self._acked_once = True
         for t_id in parse_ack_chunk(chunk):
             _OBS_ACKS_RECEIVED.inc()
             if t_id in self._outstanding:

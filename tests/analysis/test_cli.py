@@ -178,10 +178,14 @@ class TestGithubFormat:
         assert "a 100%25 broken%0Amulti-line message" in rendered
         assert "\nmulti-line" not in rendered
 
-    def test_related_location_is_appended_to_annotations(self):
-        result = run_protolint("--format", "github", "--select", "state-drift", str(FIXTURES))
+    def test_select_narrows_the_annotations_to_one_pass(self):
+        result = run_protolint(
+            "--format", "github", "--select", "ambient-authority", str(FIXTURES)
+        )
         assert result.returncode == 1
-        assert "(see src/repro/core/state_table.py:" in result.stdout
+        lines = [ln for ln in result.stdout.splitlines() if ln.startswith("::")]
+        assert len(lines) == 7
+        assert all("title=protolint[ambient-authority]::" in ln for ln in lines)
 
 
 class TestSarifFormat:
@@ -215,21 +219,6 @@ class TestSarifFormat:
         first = run_protolint("--format", "sarif", str(FIXTURES))
         second = run_protolint("--format", "sarif", str(FIXTURES))
         assert first.stdout == second.stdout
-
-    def test_state_drift_findings_carry_related_locations(self):
-        # The "implemented twice" drift links the declaring table row.
-        result = run_protolint("--format", "sarif", "--select", "state-drift", str(FIXTURES))
-        assert result.returncode == 1
-        log = json.loads(result.stdout)
-        [run] = log["runs"]
-        related = [item for item in run["results"] if "relatedLocations" in item]
-        assert related, run["results"]
-        for item in related:
-            [loc] = item["relatedLocations"]
-            physical = loc["physicalLocation"]
-            assert physical["artifactLocation"]["uri"].endswith("state_table.py")
-            assert physical["region"]["startLine"] > 1
-            assert loc["message"]["text"] == "declared here"
 
 
 class TestJobs:

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.cli import collect_units
-from repro.analysis.core import ModuleUnit
-from repro.analysis.graph import ProjectGraph, package_of
+from repro.analysis.core import ModuleUnit, package_of
+from repro.analysis.graph import ProjectGraph
 
 REPO_SRC = Path(__file__).parents[2] / "src" / "repro"
 

@@ -40,7 +40,7 @@ class TestCleanExploration:
         assert result.edges > result.states_explored
 
     def test_every_declared_transition_is_covered(self):
-        # Exhaustiveness: the default bounds reach all 18 transitions,
+        # Exhaustiveness: the default bounds reach all 22 transitions,
         # including the tombstone-overflow cascade (forget-*).
         result = explore()
         assert result.uncovered(STATE_TABLE) == []
@@ -213,7 +213,7 @@ class TestMain:
         assert main([]) == 0
         out = capsys.readouterr().out
         assert "all invariants hold" in out
-        assert "18/18 transitions covered" in out
+        assert "22/22 transitions covered" in out
 
     def test_injected_run_writes_counterexample_and_exits_one(self, tmp_path, capsys):
         rc = main(["--inject-resurrection", "--counterexample", str(tmp_path)])

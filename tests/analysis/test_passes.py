@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis.core import Finding, ModuleUnit, module_name_for_path, run_passes
 from repro.analysis.passes import (
+    AmbientAuthorityPass,
     CodecSymmetryPass,
-    DeterminismPass,
     ExceptionDisciplinePass,
     ExportDriftPass,
     WireWidthPass,
@@ -101,31 +101,38 @@ class TestCodecSymmetry:
 
 
 class TestDeterminism:
+    """The per-module half of what ``ambient-authority`` took over from
+    the retired ``determinism`` pass."""
+
     def test_catches_random_time_and_urandom(self):
-        found = symbols(
-            findings_for(DeterminismPass(), FIXTURES / "netsim" / "bad_random.py")
+        findings = run_passes(
+            [unit(FIXTURES / "netsim" / "bad_random.py")], [AmbientAuthorityPass()]
         )
-        assert "import:random" in found
-        assert "use:random.random" in found
-        assert "use:random.Random" in found
-        assert "use:time.time" in found
-        assert "use:os.urandom" in found
+        assert symbols(findings) == {
+            "ambient:random.random",
+            "ambient:time.time",
+            "ambient:os.urandom",
+            "ambient:random.Random()",
+        }
+        assert [f.line for f in findings] == [11, 11, 15, 15]
 
     def test_out_of_scope_module_is_ignored(self):
-        # Same source, but under repro.core — the pass only polices the
-        # simulator/transport/host packages.
-        src_unit = unit(FIXTURES / "netsim" / "bad_random.py")
-        src_unit.module = "repro.core.bad_random"
-        assert list(DeterminismPass().check(src_unit)) == []
+        # Same clock calls, but in a tooling package: obs / analysis /
+        # perf measure the real world on purpose.
+        src_unit = unit(FIXTURES / "transport" / "bad_seam.py")
+        src_unit.module = "repro.perf.bad_seam"
+        assert run_passes([src_unit], [AmbientAuthorityPass()]) == []
 
     def test_rng_module_is_exempt(self):
-        assert findings_for(DeterminismPass(), REPO_SRC / "netsim" / "rng.py") == []
+        rng = unit(REPO_SRC / "netsim" / "rng.py")
+        assert run_passes([rng], [AmbientAuthorityPass()]) == []
 
     def test_clean_module_passes(self):
-        assert findings_for(DeterminismPass(), CLEAN) == []
+        assert run_passes([unit(CLEAN)], [AmbientAuthorityPass()]) == []
 
     def test_real_link_module_passes(self):
-        assert findings_for(DeterminismPass(), REPO_SRC / "netsim" / "link.py") == []
+        link = unit(REPO_SRC / "netsim" / "link.py")
+        assert run_passes([link], [AmbientAuthorityPass()]) == []
 
 
 class TestExceptionDiscipline:

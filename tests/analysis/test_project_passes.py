@@ -13,10 +13,10 @@ from pathlib import Path
 from repro.analysis.core import Finding, ModuleUnit, run_passes
 from repro.analysis.graph import ProjectGraph
 from repro.analysis.passes import (
+    AmbientAuthorityPass,
     HotPathCopyPass,
     LayeringPass,
     MutableSharingPass,
-    RngFlowPass,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
@@ -60,18 +60,23 @@ class TestLayering:
 
 
 class TestRngFlow:
+    """What the retired ``rng-flow`` taint pass caught, now caught where
+    the unseeded stream is *built* rather than where it arrives."""
+
     def test_laundered_unseeded_random_is_flagged(self):
-        findings = project_findings(RngFlowPass(), FIXTURES / "app" / "bad_rng_flow.py")
-        assert symbols(findings) == {
-            "taint:repro.app.bad_rng_flow.attach->repro.netsim.link.Link"
-        }
+        findings = project_findings(
+            AmbientAuthorityPass(), FIXTURES / "app" / "bad_rng_flow.py"
+        )
+        assert symbols(findings) == {"ambient:random.Random()"}
         [finding] = findings
-        assert finding.line == 22
+        assert finding.line == 12  # `_fresh`, the origin — not `attach`, three hops on
 
     def test_seeded_near_misses_stay_silent(self):
         # attach_seeded (substream) and attach_direct_seed (Random(42))
         # share the fixture; the single finding above proves both clean.
-        findings = project_findings(RngFlowPass(), FIXTURES / "app" / "bad_rng_flow.py")
+        findings = project_findings(
+            AmbientAuthorityPass(), FIXTURES / "app" / "bad_rng_flow.py"
+        )
         assert len(findings) == 1
 
     def test_direct_unseeded_kwarg_without_resolvable_callee(self, tmp_path):
@@ -83,8 +88,8 @@ class TestRngFlow:
             "def go(thing):\n"
             "    thing.attach(rng=random.Random())\n"
         )
-        findings = project_findings(RngFlowPass(), path)
-        assert symbols(findings) == {"taint-kwarg:repro.app.direct.go"}
+        [finding] = project_findings(AmbientAuthorityPass(), path)
+        assert (finding.symbol, finding.line) == ("ambient:random.Random()", 4)
 
 
 class TestHotPathCopy:

@@ -28,27 +28,16 @@ from repro.core.state_table import (
 class TestDeclaredTable:
     def test_shape(self):
         assert len(STATES) == 7
-        assert len(STATE_TABLE.transitions) == 18
+        assert len(STATE_TABLE.transitions) == 22
         assert STATE_TABLE.initial == INITIAL_STATE == CLOSED
 
     def test_is_sound(self):
         assert STATE_TABLE.validate() == []
 
-    def test_every_transition_has_sites(self):
-        for transition in STATE_TABLE.transitions:
-            assert transition.sites, transition.transition_id
-
     def test_by_id_matches_declaration_order(self):
         assert list(STATE_TABLE.by_id) == [
             t.transition_id for t in STATE_TABLE.transitions
         ]
-
-    def test_site_modules_are_sorted_real_modules(self):
-        modules = STATE_TABLE.site_modules()
-        assert list(modules) == sorted(modules)
-        assert "repro.transport.endpoint" in modules
-        assert "repro.transport.reliability" in modules
-        assert "repro.core.bounded" in modules
 
     def test_outgoing_covers_every_state(self):
         for state in STATES:
@@ -58,24 +47,20 @@ class TestDeclaredTable:
 class TestValidation:
     def test_unknown_src_state_is_rejected(self):
         with pytest.raises(ValueError, match="unknown src state"):
-            Transition("t", "LIMBO", "sweep", CLOSED, sites=("m.f",))
+            Transition("t", "LIMBO", "sweep", CLOSED)
 
     def test_unknown_event_is_rejected(self):
         with pytest.raises(ValueError, match="unknown event"):
-            Transition("t", CLOSED, "meteor-strike", CLOSED, sites=("m.f",))
+            Transition("t", CLOSED, "meteor-strike", CLOSED)
 
     def test_unknown_guard_and_effect_are_rejected(self):
         with pytest.raises(ValueError, match="unknown guard"):
-            Transition("t", CLOSED, "sweep", CLOSED, guard="moon-full", sites=("m.f",))
+            Transition("t", CLOSED, "sweep", CLOSED, guard="moon-full")
         with pytest.raises(ValueError, match="unknown effect"):
-            Transition("t", CLOSED, "sweep", CLOSED, effects=("explode",), sites=("m.f",))
-
-    def test_siteless_transition_is_rejected(self):
-        with pytest.raises(ValueError, match="needs >= 1 site"):
-            Transition("t", CLOSED, "sweep", CLOSED)
+            Transition("t", CLOSED, "sweep", CLOSED, effects=("explode",))
 
     def test_duplicate_transition_id_is_rejected(self):
-        t = Transition("dup", CLOSED, "sweep", CLOSED, sites=("m.f",))
+        t = Transition("dup", CLOSED, "sweep", CLOSED)
         with pytest.raises(ValueError, match="duplicate transition id"):
             StateTable(states=STATES, initial=CLOSED, transitions=(t, t))
 
@@ -84,8 +69,8 @@ class TestValidation:
             states=(CLOSED, ESTABLISHED, "CLOSING"),
             initial=CLOSED,
             transitions=(
-                Transition("loop", CLOSED, "sweep", CLOSED, sites=("m.f",)),
-                Transition("dead", ESTABLISHED, "sweep", "CLOSING", sites=("m.f",)),
+                Transition("loop", CLOSED, "sweep", CLOSED),
+                Transition("dead", ESTABLISHED, "sweep", "CLOSING"),
             ),
         )
         problems = table.validate()
@@ -96,8 +81,8 @@ class TestValidation:
             states=(CLOSED, ESTABLISHED),
             initial=CLOSED,
             transitions=(
-                Transition("a", CLOSED, "sweep", ESTABLISHED, sites=("m.f",)),
-                Transition("b", CLOSED, "sweep", CLOSED, sites=("m.f",)),
+                Transition("a", CLOSED, "sweep", ESTABLISHED),
+                Transition("b", CLOSED, "sweep", CLOSED),
             ),
         )
         assert any("both unguarded" in p for p in table.validate())

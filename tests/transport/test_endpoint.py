@@ -306,6 +306,46 @@ def test_budget_admission_refuses_beyond_min_shares():
     assert endpoint.refused_evicted > 0  # subsequent data counted as refused
 
 
+def test_receiver_attached_to_a_local_conversation_is_admitted_like_any_other():
+    # A SIGNALING chunk for a locally opened C.ID attaches a receiver
+    # session; that session draws on the pool, so it passes admission —
+    # it used to register itself at its first placement, behind it.
+    endpoint = ChunkEndpoint(
+        EventLoop(),
+        transmit=lambda frame: None,
+        budget=SharedPlacementBudget(pool_bytes=1024, min_share_bytes=1024),
+    )
+    endpoint.open_connection(ConnectionConfig(connection_id=1, tpdu_units=4))
+    endpoint.open_connection(ConnectionConfig(connection_id=2, tpdu_units=4))
+    peer = ChunkTransportSender(ConnectionConfig(connection_id=1, tpdu_units=4))
+    endpoint.receive_packet(Packet(chunks=[peer.establishment_chunk()]).encode())
+    assert endpoint.connection(1).receiver is not None
+    assert endpoint.budget.registered == 1  # at attach, before any data
+
+    # The pool's one share is taken: the second attach is refused and
+    # counted, the conversation stays open (and untombstoned) as a sender.
+    peer = ChunkTransportSender(ConnectionConfig(connection_id=2, tpdu_units=4))
+    events = endpoint.receive_packet(data_packet(peer, make_payload(4)))
+    assert endpoint.connection(2).receiver is None
+    assert endpoint.connections_refused == 1
+    assert events.refused_chunks > 0
+    assert 2 not in endpoint.table.evicted_ids
+    assert endpoint.budget.registered == 1
+
+
+def test_closed_entry_attaches_no_receiver():
+    # A lingering closed entry exists to re-ACK; a SIGNALING chunk does
+    # not open a new receive direction (or take a budget share) on it.
+    endpoint = ChunkEndpoint(EventLoop(), transmit=lambda frame: None)
+    endpoint.open_connection(ConnectionConfig(connection_id=5, tpdu_units=4))
+    endpoint.close_connection(5)
+    peer = ChunkTransportSender(ConnectionConfig(connection_id=5, tpdu_units=4))
+    events = endpoint.receive_packet(data_packet(peer, make_payload(4)))
+    assert endpoint.connection(5).receiver is None
+    assert events.refused_chunks > 0
+    assert endpoint.budget.registered == 0
+
+
 def test_per_connection_touch_accounting_is_one_per_byte():
     endpoint = ChunkEndpoint(EventLoop())
     for cid in (1, 2):
