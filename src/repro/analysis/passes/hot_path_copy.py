@@ -4,8 +4,9 @@ Section 3's headline discipline is that each payload byte is touched
 **once** on the immediate path: the NIC→application placement.
 ``repro.perf`` checks that budget dynamically (touches/byte == 1.0);
 this pass is the static form.  Inside the receive paths of
-``repro.host``, ``repro.transport`` and ``repro.core.reassemble`` it
-flags the three Python idioms that silently duplicate payload bytes:
+``repro.host``, ``repro.transport``, ``repro.wsc`` (the verifier the
+receiver feeds every chunk) and ``repro.core.reassemble`` it flags the
+three Python idioms that silently duplicate payload bytes:
 
 - ``bytes(x)`` / ``bytearray(x)`` over a payload value;
 - slicing a payload value (``payload[a:b]`` copies; wrap the source in
@@ -32,7 +33,7 @@ from repro.analysis.graph import FunctionInfo, ProjectGraph
 __all__ = ["HotPathCopyPass"]
 
 SCOPED_MODULE = "repro.core.reassemble"
-SCOPED_PACKAGES = frozenset({"transport", "host"})
+SCOPED_PACKAGES = frozenset({"transport", "host", "wsc"})
 
 #: method/function names that start a receive path.
 ENTRY_NAMES = frozenset(

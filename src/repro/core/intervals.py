@@ -9,7 +9,7 @@ queries in O(log n) per operation.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 __all__ = ["IntervalSet"]
@@ -26,33 +26,41 @@ class IntervalSet:
     # Mutation
     # ------------------------------------------------------------------
 
-    def add(self, start: int, end: int) -> int:
-        """Insert ``[start, end)``; returns the number of *new* units added.
+    def insert(self, start: int, end: int) -> list[tuple[int, int]]:
+        """Add ``[start, end)`` and return the sub-ranges of it that were
+        not present — what :meth:`gaps` gave just before — in one walk.
 
-        Overlapping or adjacent intervals are merged.  A return value
-        smaller than ``end - start`` means part of the range was already
-        present (a duplicate arrival).
+        Overlapping or adjacent intervals are merged.
         """
-        if end <= start:
-            raise ValueError(f"empty interval [{start}, {end})")
-        if start < 0:
-            raise ValueError(f"negative interval start {start}")
-
-        # Find the window of existing intervals that touch [start, end).
-        lo = bisect.bisect_left(self._ends, start)
-        hi = bisect.bisect_right(self._starts, end)
-
-        overlap = 0
-        new_start, new_end = start, end
+        if not 0 <= start < end:
+            raise ValueError(
+                f"empty interval [{start}, {end})" if end <= start
+                else f"negative interval start {start}"
+            )
+        starts, ends = self._starts, self._ends
+        # The window of stored intervals that overlap or touch [start, end).
+        lo = bisect_left(ends, start)
+        hi = bisect_right(starts, end)
+        if lo == hi:  # it touches none: all of it is fresh
+            starts.insert(lo, start)
+            ends.insert(lo, end)
+            return [(start, end)]
+        fresh: list[tuple[int, int]] = []
+        cursor = start
         for i in range(lo, hi):
-            overlap += min(self._ends[i], end) - max(self._starts[i], start)
-            new_start = min(new_start, self._starts[i])
-            new_end = max(new_end, self._ends[i])
+            if starts[i] > cursor:
+                fresh.append((cursor, starts[i]))
+            cursor = ends[i]
+        if cursor < end:
+            fresh.append((cursor, end))
+        starts[lo:hi] = [min(start, starts[lo])]
+        ends[lo:hi] = [max(end, ends[hi - 1])]
+        return fresh
 
-        self._starts[lo:hi] = [new_start]
-        self._ends[lo:hi] = [new_end]
-        # Clamp: intervals that merely touch contribute no overlap.
-        return (end - start) - max(overlap, 0)
+    def add(self, start: int, end: int) -> int:
+        """Insert ``[start, end)``; returns the number of *new* units added
+        (fewer than ``end - start`` means part was present: a duplicate)."""
+        return sum(hi - lo for lo, hi in self.insert(start, end))
 
     # ------------------------------------------------------------------
     # Queries
@@ -66,14 +74,14 @@ class IntervalSet:
         """True if every unit of ``[start, end)`` is present."""
         if end <= start:
             return True
-        i = bisect.bisect_right(self._starts, start) - 1
+        i = bisect_right(self._starts, start) - 1
         return i >= 0 and self._ends[i] >= end
 
     def gaps(self, start: int, end: int) -> list[tuple[int, int]]:
         """The sub-ranges of ``[start, end)`` not present, in order
         (bisects to the window and walks only it)."""
-        lo = bisect.bisect_right(self._ends, start)
-        hi = bisect.bisect_left(self._starts, end)
+        lo = bisect_right(self._ends, start)
+        hi = bisect_left(self._starts, end)
         found: list[tuple[int, int]] = []
         cursor = start
         for i in range(lo, hi):
@@ -91,8 +99,9 @@ class IntervalSet:
         return (end - start) - sum(e - s for s, e in self.gaps(start, end))
 
     def is_complete(self, total_units: int) -> bool:
-        """True if every unit of ``[0, total_units)`` is present."""
-        return self.contains(0, total_units)
+        """True if every unit of ``[0, total_units)`` is present (then the
+        first interval holds them all: stored intervals never touch)."""
+        return total_units <= 0 or self._starts[:1] == [0] and self._ends[0] >= total_units
 
     def missing(self, total_units: int) -> list[tuple[int, int]]:
         """The gaps in ``[0, total_units)`` still to arrive."""

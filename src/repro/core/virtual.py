@@ -25,6 +25,7 @@ what lets chunk receivers process data immediately on arrival.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.core.chunk import Chunk
 from repro.core.errors import VirtualReassemblyError
@@ -32,9 +33,10 @@ from repro.core.intervals import IntervalSet
 
 __all__ = ["Arrival", "PduState", "VirtualReassembler"]
 
+_new = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class Arrival:
+
+class Arrival(NamedTuple):
     """Outcome of recording one chunk against one PDU.
 
     Attributes:
@@ -50,9 +52,9 @@ class Arrival:
     completed: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class PduState:
-    """Reassembly bookkeeping for one PDU."""
+    """Reassembly bookkeeping for one PDU: one walk of its set per record."""
 
     received: IntervalSet = field(default_factory=IntervalSet)
     #: total unit count, known once the ST-carrying chunk arrives.
@@ -61,36 +63,31 @@ class PduState:
 
     def record(self, start: int, length: int, st: bool) -> Arrival:
         end = start + length
+        received, total = self.received, self.total_units
         if st:
-            if self.total_units is not None and self.total_units != end:
+            if total is not None and total != end:
                 raise VirtualReassemblyError(
-                    f"conflicting ST positions: PDU ends at {self.total_units} "
+                    f"conflicting ST positions: PDU ends at {total} "
                     f"units but a new ST claims {end}"
                 )
-            if end < self.received.span_end:
+            if end < received.span_end:
                 # The same verdict the ST-first arrival order reaches.
                 raise VirtualReassemblyError(
-                    f"data units up to {self.received.span_end} lie beyond "
+                    f"data units up to {received.span_end} lie beyond "
                     f"PDU end {end}"
                 )
-            self.total_units = end
-        if self.total_units is not None and end > self.total_units:
+            self.total_units = total = end
+        if total is not None and end > total:
             raise VirtualReassemblyError(
-                f"data unit range [{start}, {end}) lies beyond PDU end "
-                f"{self.total_units}"
+                f"data unit range [{start}, {end}) lies beyond PDU end {total}"
             )
-        fresh = self.received.gaps(start, end)
-        new = self.received.add(start, end)
-        dup = length - new
-        was_complete = self.complete
-        if self.total_units is not None and self.received.is_complete(self.total_units):
-            self.complete = True
-        return Arrival(
-            new_units=new,
-            duplicate_units=dup,
-            fresh_ranges=tuple(fresh),
-            completed=self.complete and not was_complete,
-        )
+        fresh = received.insert(start, end)
+        new = 0
+        for lo, hi in fresh:
+            new += hi - lo
+        completed = not self.complete and total is not None and received.is_complete(total)
+        self.complete |= completed
+        return _new(Arrival, (new, length - new, tuple(fresh), completed))
 
     def missing(self) -> list[tuple[int, int]]:
         """Unit ranges still outstanding (needs ST to bound the tail)."""

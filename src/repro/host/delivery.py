@@ -109,7 +109,7 @@ class PlacementBuffer:
                 )
             self._data.extend(b"\x00" * growth)
         self._data[offset:end] = data
-        fresh = self._received.add(offset, end)
+        fresh = sum(hi - lo for lo, hi in self._received.insert(offset, end))
         self.bytes_placed += fresh
         self.duplicate_bytes += len(data) - fresh
         return fresh

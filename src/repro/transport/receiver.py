@@ -72,6 +72,13 @@ _OBS_DATA_TOUCH_BYTES = counter(
     "host", "data_touch_bytes", "fresh payload bytes placed into app memory"
 )
 _OBS_JOURNEY = journey_handle()
+# An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
+_SIGNALING, _ED, _DATA = ChunkType.SIGNALING, ChunkType.ERROR_DETECTION, ChunkType.DATA
+
+
+def _site(framed: bool) -> dict[str, str]:
+    """The journey field of a refusal: only the frame store's carries one."""
+    return {"site": "frame"} if framed else {}
 
 
 @dataclass
@@ -171,32 +178,34 @@ class ChunkTransportReceiver:
     def _receive_chunk(self, chunk: Chunk, events: ReceiverEvents) -> None:
         self.chunks_received += 1
         _OBS_CHUNKS.inc()
-        if chunk.type is ChunkType.SIGNALING:
+        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+        if ctype is _SIGNALING:
             self._handle_signaling(chunk)
             return
-        if chunk.type is ChunkType.ERROR_DETECTION:
+        if ctype is _ED:
             verdicts = self.verifier.receive(chunk)
             if _OBS_JOURNEY:
-                self._journey_verdicts(chunk.c_id, verdicts)
+                self._journey_verdicts(c_id, verdicts)
             events.verdicts.extend(verdicts)
             return
-        if chunk.type is not ChunkType.DATA:
+        if ctype is not _DATA:
             self.unknown_type_chunks += 1
             _OBS_UNKNOWN_TYPE.inc()
             return
 
-        _OBS_OOO_DISTANCE.observe(abs(chunk.c_sn - self._frontier_sn))
-        self._frontier_sn = max(self._frontier_sn, chunk.c_sn + chunk.length)
+        _OBS_OOO_DISTANCE.observe(abs(c_sn - self._frontier_sn))
+        self._frontier_sn = max(self._frontier_sn, c_sn + length)
 
         # (1) immediate placement into application memory, once: the stream
         # holds the bytes, the frame store only windows them.  Both refuse
         # absurd offsets (corrupted SNs) and an ST that contradicts a known end
         # or span; the verifier below still sees the chunk and rejects the TPDU.
-        offset = chunk.c_sn * chunk.unit_bytes
-        place = self.stream.place_last if chunk.c_st else self.stream.place
-        site: dict[str, str] = {}  # journey field, once the stream has accepted
+        unit_bytes = chunk.unit_bytes
+        offset = c_sn * unit_bytes
+        place = self.stream.place_last if c_st else self.stream.place
+        framed = False  # the stream has accepted; a refusal is the frame store's
         try:
-            fresh = place(offset, chunk.payload)
+            fresh = place(offset, payload)
             if fresh == 0:
                 self.duplicate_chunks += 1
                 _OBS_DUPLICATES.inc()
@@ -207,25 +216,16 @@ class ChunkTransportReceiver:
                 _OBS_DATA_TOUCH_BYTES.inc(fresh)
                 if _OBS_JOURNEY:
                     _OBS_JOURNEY.chunk("placed", chunk, fresh=fresh)
-            site = {"site": "frame"}
-            if self.frames.place(
-                chunk.x_id, chunk.x_sn * chunk.unit_bytes, offset, len(chunk.payload), chunk.x_st
-            ):
-                events.completed_frames.append(chunk.x_id)
+            framed = True
+            if self.frames.place(x_id, x_sn * unit_bytes, offset, len(payload), x_st):
+                events.completed_frames.append(x_id)
                 if _OBS_JOURNEY:
-                    _OBS_JOURNEY.emit(
-                        "delivered",
-                        chunk.c_id,
-                        0,
-                        0,
-                        level="frame",
-                        x_id=chunk.x_id,
-                    )
+                    _OBS_JOURNEY.emit("delivered", c_id, 0, 0, level="frame", x_id=x_id)
         except InconsistentOverlapError:
             self.overlap_conflict_chunks += 1
             _OBS_OVERLAP_CONFLICT.inc()
             if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap", **site)
+                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap", **_site(framed))
             return  # unacknowledged: the content disagreement stays visible
         except BudgetExceededError:
             self.budget_refused_chunks += 1
@@ -237,16 +237,16 @@ class ChunkTransportReceiver:
             self.rejected_placements += 1
             _OBS_REJECTED.inc()
             if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds", **site)
+                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds", **_site(framed))
 
         # (2)+(3) incremental verification via the end-to-end receiver.
         verdicts = self.verifier.receive(chunk)
         if _OBS_JOURNEY and verdicts:
-            self._journey_verdicts(chunk.c_id, verdicts)
+            self._journey_verdicts(c_id, verdicts)
         events.verdicts.extend(verdicts)
 
         # Only the end the stream accepted (now or earlier) closes it.
-        if chunk.c_st and self.stream.total_bytes == offset + len(chunk.payload):
+        if c_st and self.stream.total_bytes == offset + len(payload):
             self.closed = True
             events.connection_closed = True
 

@@ -48,6 +48,8 @@ _OBS_FAIL_BY_REASON = {
     for reason in (REASON_CODE_MISMATCH, REASON_REASSEMBLY, REASON_CONSISTENCY)
 }
 _OBS_TRACE = tracer("wsc")
+# An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
+_DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,21 +67,20 @@ class TpduVerdict:
         return f"TPDU c={self.c_id} t={self.t_id}: {status}"
 
 
-@dataclass
 class _TpduChecker:
-    """Receiver-side state for one (connection, TPDU) pair."""
+    """Receiver-side state for one (connection, TPDU) pair: its WSC-2
+    invariant (which holds the IDs), its virtual reassembly, the ED
+    payload once seen, the consistency deltas and the first failure."""
 
-    c_id: int
-    t_id: int
-    invariant: TpduInvariant = field(init=False)
-    reassembly: PduState = field(default_factory=PduState)
-    expected: EdPayload | None = None
-    c_minus_t: int | None = None
-    x_deltas: dict[int, int] = field(default_factory=dict)
-    failure: tuple[str, str] | None = None
+    __slots__ = ("invariant", "reassembly", "expected", "c_minus_t", "x_deltas", "failure")
 
-    def __post_init__(self) -> None:
-        self.invariant = TpduInvariant(self.c_id, self.t_id)
+    def __init__(self, c_id: int, t_id: int) -> None:
+        self.invariant = TpduInvariant(c_id, t_id)
+        self.reassembly = PduState()
+        self.expected: EdPayload | None = None
+        self.c_minus_t: int | None = None
+        self.x_deltas: dict[int, int] = {}
+        self.failure: tuple[str, str] | None = None
 
     def fail(self, reason: str, detail: str) -> None:
         if self.failure is None:
@@ -97,20 +98,21 @@ class _TpduChecker:
         WSC-2 code at completion time.
         """
         # Virtual reassembly + incremental invariant over fresh units.
+        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
         try:
-            arrival = self.reassembly.record(chunk.t_sn, chunk.length, chunk.t_st)
+            arrival = self.reassembly.record(t_sn, length, t_st)
         except VirtualReassemblyError as exc:
             self.fail(REASON_REASSEMBLY, str(exc))
             return False
         for start, end in arrival.fresh_ranges:
             try:
-                self.invariant.add_units(chunk, start - chunk.t_sn, end - chunk.t_sn)
+                self.invariant.add_units(chunk, start - t_sn, end - t_sn)
             except ChunkError as exc:
                 self.fail(REASON_REASSEMBLY, str(exc))
                 return False
 
         # Consistency checks (Section 4, last paragraph).
-        delta_t = chunk.c_sn - chunk.t_sn
+        delta_t = c_sn - t_sn
         if self.c_minus_t is None:
             self.c_minus_t = delta_t
         elif delta_t != self.c_minus_t:
@@ -118,17 +120,23 @@ class _TpduChecker:
                 REASON_CONSISTENCY,
                 f"(C.SN - T.SN) changed from {self.c_minus_t} to {delta_t}",
             )
-        delta_x = chunk.c_sn - chunk.x_sn
-        known = self.x_deltas.get(chunk.x_id)
+        delta_x = c_sn - x_sn
+        known = self.x_deltas.get(x_id)
         if known is None:
-            self.x_deltas[chunk.x_id] = delta_x
+            self.x_deltas[x_id] = delta_x
         elif delta_x != known:
             self.fail(
                 REASON_CONSISTENCY,
-                f"(C.SN - X.SN) for X.ID {chunk.x_id} changed "
-                f"from {known} to {delta_x}",
+                f"(C.SN - X.SN) for X.ID {x_id} changed from {known} to {delta_x}",
             )
-        return arrival.completed or self._complete_by_count()
+        # Completion by the ED chunk's unit count when T.ST never arrived:
+        # if every unit [0, total) is present but the ST bit was corrupted
+        # away, virtual reassembly alone would wait forever; the count turns
+        # that into an immediate reassembly-error verdict.
+        return arrival.completed or (
+            self.expected is not None
+            and self.reassembly.received.is_complete(self.expected.total_units)
+        )
 
     def add_ed(self, chunk: Chunk) -> bool:
         """Record the ED chunk; returns True if the TPDU just completed."""
@@ -141,68 +149,43 @@ class _TpduChecker:
             self.fail(REASON_CODE_MISMATCH, "conflicting duplicate ED chunks")
             return False
         self.expected = payload
-        return self.reassembly.complete or self._complete_by_count()
-
-    def _complete_by_count(self) -> bool:
-        """Completion via the ED chunk's unit count when T.ST never arrived.
-
-        If every unit [0, total) is present but the ST bit was corrupted
-        away, virtual reassembly alone would wait forever; the auxiliary
-        count in the ED payload converts that into an immediate
-        reassembly-error verdict.
-        """
-        if self.expected is None:
-            return False
-        return self.reassembly.received.is_complete(self.expected.total_units)
+        reassembly = self.reassembly
+        return reassembly.complete or reassembly.received.is_complete(payload.total_units)
 
     # ------------------------------------------------------------------
+
+    def _verdict(self, reason: str | None = None, detail: str = "") -> TpduVerdict:
+        """The TPDU's verdict: ok exactly when there is no *reason*."""
+        invariant = self.invariant
+        return TpduVerdict(invariant.c_id, invariant.t_id, reason is None, reason, detail)
 
     def verdict(self) -> TpduVerdict:
         """Final verdict; call once data + ED indicate completion."""
         if self.failure is not None:
-            reason, detail = self.failure
-            return TpduVerdict(self.c_id, self.t_id, False, reason, detail)
+            return self._verdict(*self.failure)
         assert self.expected is not None
-        if self.reassembly.total_units is None:
-            return TpduVerdict(
-                self.c_id,
-                self.t_id,
-                False,
-                REASON_REASSEMBLY,
-                "all units present but no T.ST seen (ST bit corrupted?)",
+        total = self.reassembly.total_units
+        if total is None:
+            return self._verdict(
+                REASON_REASSEMBLY, "all units present but no T.ST seen (ST bit corrupted?)"
             )
-        if self.reassembly.total_units != self.expected.total_units:
-            return TpduVerdict(
-                self.c_id,
-                self.t_id,
-                False,
+        if total != self.expected.total_units:
+            return self._verdict(
                 REASON_REASSEMBLY,
-                f"reassembled {self.reassembly.total_units} units but ED "
-                f"chunk declares {self.expected.total_units}",
+                f"reassembled {total} units but ED chunk declares {self.expected.total_units}",
             )
         if self.invariant.matches(self.expected.p0, self.expected.p1):
-            return TpduVerdict(self.c_id, self.t_id, True)
-        return TpduVerdict(
-            self.c_id,
-            self.t_id,
-            False,
-            REASON_CODE_MISMATCH,
-            "WSC-2 invariant differs from received parity",
-        )
+            return self._verdict()
+        return self._verdict(REASON_CODE_MISMATCH, "WSC-2 invariant differs from received parity")
 
     def abort_verdict(self) -> TpduVerdict:
         """Verdict for a TPDU abandoned incomplete (timeout path)."""
         if self.failure is not None:
-            reason, detail = self.failure
-            return TpduVerdict(self.c_id, self.t_id, False, reason, detail)
-        missing = self.reassembly.missing()
-        return TpduVerdict(
-            self.c_id,
-            self.t_id,
-            False,
+            return self._verdict(*self.failure)
+        return self._verdict(
             REASON_REASSEMBLY,
-            f"virtual reassembly never completed (missing unit ranges {missing}, "
-            f"ED {'present' if self.expected else 'absent'})",
+            f"virtual reassembly never completed (missing unit ranges "
+            f"{self.reassembly.missing()}, ED {'present' if self.expected else 'absent'})",
         )
 
 
@@ -223,29 +206,26 @@ class EndToEndReceiver:
     corrupted: int = 0
 
     def receive(self, chunk: Chunk) -> list[TpduVerdict]:
-        if chunk.type is ChunkType.DATA or chunk.type is ChunkType.ERROR_DETECTION:
-            key = (chunk.c_id, chunk.t_id)
-            try:
-                checker = self._checkers[key]
-            except KeyError:
-                checker = self._checkers[key] = _TpduChecker(*key)
-            if checker is None:
-                return []  # late duplicate of an already-verdicted TPDU
-            done = (
-                checker.add_data(chunk)
-                if chunk.type is ChunkType.DATA
-                else checker.add_ed(chunk)
-            )
-            # Hard structural failures need not wait for completion.
-            if (done and checker.expected is not None) or (
-                checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH
-            ):
-                self._checkers[key] = None
-                verdict = checker.verdict()
-                self._count(verdict)
-                return [verdict]
-            return []
-        return []  # signaling/ACK chunks are not TPDU-framed data
+        kind = chunk.type
+        if kind is not _DATA and kind is not _ED:
+            return []  # signaling/ACK chunks are not TPDU-framed data
+        key = (chunk.c_id, chunk.t_id)
+        try:
+            checker = self._checkers[key]
+        except KeyError:
+            checker = self._checkers[key] = _TpduChecker(*key)
+        if checker is None:
+            return []  # late duplicate of an already-verdicted TPDU
+        done = checker.add_data(chunk) if kind is _DATA else checker.add_ed(chunk)
+        # Hard structural failures need not wait for completion.
+        if (done and checker.expected is not None) or (
+            checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH
+        ):
+            self._checkers[key] = None
+            verdict = checker.verdict()
+            self._count(verdict)
+            return [verdict]
+        return []
 
     def abort_pending(self) -> list[TpduVerdict]:
         """Classify every unfinished TPDU as a reassembly failure."""

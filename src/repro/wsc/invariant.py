@@ -29,12 +29,11 @@ run's either: ``add_bytes`` applies it as a shift (data ends below 16384).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
-from repro.core.tuples import FramingTuple
 from repro.core.types import MAX_TPDU_SYMBOLS, ChunkType
 from repro.obs import counter
 from repro.wsc.gf32 import alpha_pow, gf_mul, mul_alpha
@@ -61,6 +60,7 @@ X_PAIR_BASE = MAX_TPDU_SYMBOLS + 3   # 16387
 _T_ID_WEIGHT, _C_ID_WEIGHT, _C_ST_WEIGHT = map(alpha_pow, (T_ID_POS, C_ID_POS, C_ST_POS))
 
 _ED_PAYLOAD = struct.Struct(">III")
+_DATA = ChunkType.DATA  # an enum member read is ~0.1 µs on CPython 3.11
 
 _OBS_DECODE_OK = counter("wsc", "decode_ok", "whole-TPDU decodes that verified")
 _OBS_DECODE_FAIL_REASSEMBLY = counter(
@@ -77,8 +77,7 @@ def _x_pair_weight(final_t_sn: int) -> int:
     return alpha_pow(X_PAIR_BASE + 2 * final_t_sn)
 
 
-@dataclass
-class TpduInvariant:
+class TpduInvariant(Wsc2Accumulator):
     """Incremental WSC-2 accumulator over one TPDU's invariant.
 
     Both sender and receiver run the identical object.  The sender feeds
@@ -86,24 +85,22 @@ class TpduInvariant:
     chunks (or the fresh sub-ranges of partially duplicate chunks) in
     whatever order the network delivers them.  Equality of the final
     (P0, P1) pair is the fragmentation-invariant end-to-end check.
+
+    A symbol at a position whose weight is known is ``p0 ^= v`` and
+    ``p1 ^= gf_mul(weight, v)``; the ST values are 1, so they add the
+    weight itself.
     """
 
-    c_id: int
-    t_id: int
-    _acc: Wsc2Accumulator = field(default_factory=Wsc2Accumulator)
+    __slots__ = ("c_id", "t_id")
 
-    def __post_init__(self) -> None:
+    def __init__(self, c_id: int, t_id: int) -> None:
+        self.c_id, self.t_id = c_id, t_id
         # T.ID and C.ID are constant for all chunks of a TPDU and are
         # encoded exactly once, at fixed positions (Figure 5).
-        self._add(_T_ID_WEIGHT, self.t_id & 0xFFFFFFFF)
-        self._add(_C_ID_WEIGHT, self.c_id & 0xFFFFFFFF)
-
-    def _add(self, weight: int, value: int) -> None:
-        """``add_symbol`` at a position whose weight is already known."""
-        self._acc.p0 ^= value
-        self._acc.p1 ^= gf_mul(weight, value)
-
-    # ------------------------------------------------------------------
+        t_id &= 0xFFFFFFFF
+        c_id &= 0xFFFFFFFF
+        self.p0 = t_id ^ c_id
+        self.p1 = gf_mul(_T_ID_WEIGHT, t_id) ^ gf_mul(_C_ID_WEIGHT, c_id)
 
     def add_chunk(self, chunk: Chunk) -> None:
         """Add a whole DATA chunk's contribution."""
@@ -117,46 +114,44 @@ class TpduInvariant:
         (C.ST and the X pair) belong to the chunk's final unit and are
         applied only when that unit is inside the range.
         """
-        if chunk.type is not ChunkType.DATA:
+        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+        if ctype is not _DATA:
             raise ChunkError("only DATA chunks contribute to the TPDU invariant")
-        if not 0 <= first < last <= chunk.length:
+        if not 0 <= first < last <= length:
             raise ChunkError(f"unit range [{first}, {last}) out of chunk bounds")
-        start_unit = chunk.t_sn + first
-        end_symbol = (chunk.t_sn + last) * chunk.size
+        end_symbol = (t_sn + last) * size
         if end_symbol > MAX_TPDU_SYMBOLS:
             raise ChunkError(
                 f"TPDU data would occupy symbol {end_symbol - 1} "
                 f">= limit {MAX_TPDU_SYMBOLS}"
             )
-        payload = chunk.payload[first * chunk.unit_bytes : last * chunk.unit_bytes]
-        self._acc.add_bytes(start_unit * chunk.size, payload)
-
-        final_unit_included = last == chunk.length
-        if not final_unit_included:
-            return
-        if chunk.c_st:
-            # C.ST can be set at most once per TPDU; encode value 1.
-            self._add(_C_ST_WEIGHT, 1)
-        if chunk.x_st or chunk.t_st:
+        if last - first == length:
+            self.add_bytes(t_sn * size, payload)
+        else:  # a fresh sub-range of a partial duplicate: a view, not a copy
+            unit_bytes = chunk.unit_bytes
+            fresh = memoryview(payload)[first * unit_bytes : last * unit_bytes]
+            self.add_bytes((t_sn + first) * size, fresh)
+            if last != length:
+                return
+        if c_st:
+            # C.ST can be set at most once per TPDU.
+            self.p0 ^= 1
+            self.p1 ^= _C_ST_WEIGHT
+        if x_st or t_st:
             # Figure 6: each X.ID encoded exactly once, keyed to the
             # boundary element's T.SN so no two pairs collide.
-            weight = _x_pair_weight(chunk.t_sn + chunk.length - 1)
-            self._add(weight, chunk.x_id & 0xFFFFFFFF)
-            if chunk.x_st:
-                self._add(mul_alpha(weight), 1)
-
-    # ------------------------------------------------------------------
-
-    def value(self) -> tuple[int, int]:
-        return self._acc.value()
-
-    def matches(self, p0: int, p1: int) -> bool:
-        return self._acc.matches(p0, p1)
+            weight = _x_pair_weight(t_sn + length - 1)
+            x_id &= 0xFFFFFFFF
+            self.p0 ^= x_id
+            self.p1 ^= gf_mul(weight, x_id)
+            if x_st:
+                self.p0 ^= 1
+                self.p1 ^= mul_alpha(weight)
 
     @property
     def accumulator(self) -> Wsc2Accumulator:
-        """The underlying parity accumulator (erasure repair reads it)."""
-        return self._acc
+        """The parity accumulator erasure repair reads: the invariant itself."""
+        return self
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,16 +180,13 @@ def build_ed_chunk(c_id: int, t_id: int, payload: EdPayload) -> Chunk:
 
     Control chunks carry the IDs of the PDU they protect; SNs and the X
     tuple are zero, which is what makes the Appendix A ED-header elision
-    transform exactly invertible.
+    transform exactly invertible.  Made without validation: the IDs are
+    those of validated DATA chunks, every other field is a constant.
     """
-    return Chunk(
-        type=ChunkType.ERROR_DETECTION,
-        size=1,
-        length=3,
-        c=FramingTuple(c_id, 0, False),
-        t=FramingTuple(t_id, 0, False),
-        x=FramingTuple(0, 0, False),
-        payload=payload.encode(),
+    return Chunk._make(
+        ChunkType.ERROR_DETECTION, 1, 3,
+        c_id, 0, False, t_id, 0, False, 0, 0, False,
+        payload.encode(),
     )
 
 

@@ -72,17 +72,19 @@ _LANE_MASKS = tuple(
     int.from_bytes((bytes(4 << m) + b"\xff" * (4 << m)) * (_BLOCK >> m + 1), "big")
     for m in range(_BLOCK.bit_length() - 1)
 )
+#: Merge level m as (lane width in bits, its mask, the later lane's weight 2^m).
+_MERGES = tuple((32 << m, mask, 1 << m) for m, mask in enumerate(_LANE_MASKS))
 
 
-def _fold(data: memoryview) -> tuple[int, int]:
+def _fold(data: bytes | memoryview) -> tuple[int, int]:
     """``(sum_j d_j, sum_j d_j x^j)``, unreduced, of at most _BLOCK symbols."""
-    levels = (-(-len(data) // 4) - 1).bit_length()
-    # Top-aligned in 2^levels lanes: zero symbols appended contribute nothing.
-    h = p0 = int.from_bytes(data, "big") << ((32 << levels) - 8 * len(data))
-    for m in reversed(range(levels)):
-        p0 = (p0 >> (32 << m)) ^ (p0 & _LANE_MASKS[m])
-    for m, mask in enumerate(_LANE_MASKS[:levels]):
-        h = ((h >> (32 << m)) & mask) ^ ((h & mask) << (1 << m))
+    merges = _MERGES[: (-(-len(data) // 4) - 1).bit_length()]
+    # Top-aligned in 2^len(merges) lanes: zero symbols appended contribute nothing.
+    h = p0 = int.from_bytes(data, "big") << ((32 << len(merges)) - 8 * len(data))
+    for width, mask, _ in reversed(merges):
+        p0 = (p0 >> width) ^ (p0 & mask)
+    for width, mask, weight in merges:
+        h = ((h >> width) & mask) ^ ((h & mask) << weight)
     return p0, h
 
 
@@ -95,7 +97,7 @@ def _reduce(h: int) -> int:
     return (h & 0xFFFFFFFF) ^ int.from_bytes(crc.to_bytes(4, "little").translate(_BITREV8), "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class Wsc2Accumulator:
     """An order-independent WSC-2 accumulator.
 
@@ -135,6 +137,13 @@ class Wsc2Accumulator:
 
     def add_bytes(self, start: int, data: bytes | bytearray | memoryview) -> None:
         """Add a bytes-like run, zero-padded to whole symbols, at start, start+1, ..."""
+        if type(data) is bytes and 0 < len(data) <= 4 * _BLOCK and 0 <= start <= _SHIFT_MASK:
+            # A chunk's run: one block of bytes at a shift — no view, no loop,
+            # no multiply, and inside the position budget by construction.
+            p0, h = _fold(data)
+            self.p0 ^= p0
+            self.p1 ^= _reduce(h << start)
+            return
         view = memoryview(data).cast("B")
         if not view:
             return

@@ -1,5 +1,7 @@
 """Unit and property tests for the interval set."""
 
+import bisect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -180,6 +182,60 @@ def test_queries_match_model(pairs, qstart, qlen):
     # Gaps come back sorted, non-empty and maximal (never adjacent).
     assert all(lo < hi for lo, hi in gaps)
     assert all(gaps[i][1] < gaps[i + 1][0] for i in range(len(gaps) - 1))
+
+
+def _reference_add(starts: list[int], ends: list[int], start: int, end: int) -> None:
+    """The merge ``IntervalSet.add`` made on its own before ``insert``
+    existed: the oracle the one-walk ``insert`` is held to."""
+    lo = bisect.bisect_left(ends, start)
+    hi = bisect.bisect_right(starts, end)
+    new_start, new_end = start, end
+    for i in range(lo, hi):
+        new_start = min(new_start, starts[i])
+        new_end = max(new_end, ends[i])
+    starts[lo:hi] = [new_start]
+    ends[lo:hi] = [new_end]
+
+
+RELATIONS = ("disjoint", "touching", "nested", "straddling", "covering")
+
+
+@st.composite
+def related_inserts(draw) -> list[tuple[int, int]]:
+    """Inserts each drawn in one of RELATIONS to an earlier one: apart from
+    it, touching it, inside it, across one of its edges, or around it."""
+    start = draw(st.integers(0, 60))
+    spans = [(start, start + draw(st.integers(1, 20)))]
+    for _ in range(draw(st.integers(1, 15))):
+        a, b = draw(st.sampled_from(spans))
+        relation = draw(st.sampled_from(RELATIONS))
+        n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        if relation == "disjoint":
+            span = (b + n, b + n + m)
+        elif relation == "touching":
+            span = (a - n, a) if a >= n and draw(st.booleans()) else (b, b + n)
+        elif relation == "nested":
+            lo = draw(st.integers(a, b - 1))
+            span = (lo, draw(st.integers(lo + 1, b)))
+        elif relation == "straddling":
+            cut = draw(st.integers(a, b - 1)) if b - a > 1 else a
+            span = (max(0, a - n), cut + 1) if a > 0 and draw(st.booleans()) else (cut, b + n)
+        else:
+            span = (max(0, a - n), b + m)
+        spans.append(span)
+    return spans
+
+
+@given(related_inserts())
+def test_insert_is_gaps_then_add_in_one_walk(spans):
+    s = IntervalSet()
+    starts: list[int] = []
+    ends: list[int] = []
+    for start, end in spans:
+        expected = s.gaps(start, end)
+        assert s.insert(start, end) == expected
+        _reference_add(starts, ends, start, end)
+        assert s.intervals() == list(zip(starts, ends))
 
 
 @given(intervals_strategy, st.integers(1, 240))

@@ -1,9 +1,9 @@
 """The flat chunk record: fast maker == validating constructor.
 
 ``Chunk._make`` validates nothing, so every site that uses it —
-``decode_chunk``, ``split``, ``split_to_unit_limit``, ``merge`` and
-``ChunkStreamBuilder.add_frame`` — must only ever produce what the
-public constructor would have accepted.  These properties rebuild each
+``decode_chunk``, ``split``, ``split_to_unit_limit``, ``merge``,
+``ChunkStreamBuilder.add_frame`` and ``build_ed_chunk`` — must only ever
+produce what the public constructor would have accepted.  These properties rebuild each
 result through ``Chunk(type=, size=, length=, c=, t=, x=, payload=)``
 from its views and demand the same record back, over labels drawn from
 the whole width of every header field (the top of the SN field
@@ -34,6 +34,7 @@ from repro.core.fragment import split, split_to_unit_limit
 from repro.core.reassemble import can_merge, merge
 from repro.core.tuples import FramingTuple
 from repro.core.types import ID_LIMIT, LEN_LIMIT, SIZE_LIMIT, SN_LIMIT, ChunkType
+from repro.wsc.invariant import EdPayload, build_ed_chunk, parse_ed_chunk
 
 from tests.conftest import make_payload
 
@@ -165,7 +166,8 @@ def test_split_and_merge_make_constructible_records(chunk, data):
     ids, st.one_of(st.integers(0, 2**20), st.integers(SN_LIMIT - 4096, SN_LIMIT - 1)),
     st.integers(1, 40), st.integers(1, 3),
     st.lists(st.tuples(st.integers(1, 60), st.one_of(st.none(), ids)), min_size=1, max_size=4),
-    st.integers(0, ID_LIMIT - 8),
+    # Up to 4 x 60 units can close 240 TPDUs, each drawing the next T.ID.
+    st.integers(0, ID_LIMIT - 256),
 )
 def test_add_frame_makes_constructible_records(c_id, start, tpdu_units, words, frames, first_t_id):
     builder = ChunkStreamBuilder(
@@ -180,6 +182,17 @@ def test_add_frame_makes_constructible_records(c_id, start, tpdu_units, words, f
             return
         for chunk in builder.add_frame(make_payload(units, words), frame_id, closing):
             assert_constructible(chunk)
+
+
+@given(ids, ids, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+def test_build_ed_chunk_makes_constructible_records(c_id, t_id, p0, p1, total_units):
+    ed = EdPayload(p0, p1, total_units)
+    chunk = build_ed_chunk(c_id, t_id, ed)
+    assert_constructible(chunk)
+    assert (chunk.type, chunk.c, chunk.t, chunk.x) == (
+        ChunkType.ERROR_DETECTION, FramingTuple(c_id, 0), FramingTuple(t_id, 0), FramingTuple(0, 0)
+    )
+    assert parse_ed_chunk(chunk) == ed
 
 
 def test_add_frame_checks_are_hoisted_not_dropped():

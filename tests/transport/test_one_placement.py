@@ -4,7 +4,8 @@ The paper's headline is one data touch: a self-describing chunk goes
 straight into application memory on arrival.  ``(C.SN - X.SN)`` is
 constant over an external PDU, so a frame is a window of the connection
 stream and needs no copy of its own.  These guards fail if a second
-placement, a second reservation or per-frame byte storage comes back.
+placement, a second reservation or per-frame byte storage comes back, or
+if virtual reassembly walks its interval set more than once per chunk.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.core import packet as packet_mod
 from repro.core.intervals import IntervalSet
 from repro.core.packet import Packet
 from repro.core.types import ChunkType
+from repro.core.virtual import PduState
 from repro.host.delivery import PlacementBuffer
 from repro.netsim.events import EventLoop
 from repro.transport.connection import ConnectionConfig
@@ -36,6 +38,26 @@ def _count_calls(monkeypatch, cls, name) -> list[int]:
     return calls
 
 
+#: the ``IntervalSet`` methods that walk a window of the set.
+WALKS = ("gaps", "add", "insert")
+
+
+def _walks_per_call(monkeypatch, cls, name, walks) -> list[tuple[int, ...]]:
+    """Per call of ``cls.name``: how many of each of *walks* it made."""
+    made = []
+    original = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        before = [walks[walk][0] for walk in WALKS]
+        try:
+            return original(self, *args, **kwargs)
+        finally:
+            made.append(tuple(walks[walk][0] - n for walk, n in zip(WALKS, before)))
+
+    monkeypatch.setattr(cls, name, counted)
+    return made
+
+
 def test_reversed_mtu_296_transfer_places_each_data_chunk_once(monkeypatch):
     payload = random.Random(20).randbytes(48 * 1024)
     frames = [payload[i : i + 4096] for i in range(0, len(payload), 4096)]
@@ -47,14 +69,18 @@ def test_reversed_mtu_296_transfer_places_each_data_chunk_once(monkeypatch):
     data_chunks = sum(c.type is ChunkType.DATA for p in packets for c in p.chunks)
 
     places = _count_calls(monkeypatch, PlacementBuffer, "place")
-    adds = _count_calls(monkeypatch, IntervalSet, "add")
+    walks = {name: _count_calls(monkeypatch, IntervalSet, name) for name in WALKS}
+    per_record = _walks_per_call(monkeypatch, PduState, "record", walks)
     receiver = ChunkTransportReceiver()
     completed = []
     for packet in reversed(packets):
         completed += receiver.receive_packet(packet.encode()).completed_frames
 
     assert places[0] == data_chunks > len(frames)
-    assert adds[0] == 2 * data_chunks          # the stream's set and the TPDU's (virtual reassembly)
+    # The stream's set: one gaps (the overlap check) and one insert.  The
+    # TPDU's (virtual reassembly): one insert, which is also its fresh ranges.
+    assert sum(calls[0] for calls in walks.values()) <= 3 * data_chunks
+    assert len(per_record) == data_chunks and set(per_record) == {(0, 0, 1)}
     assert sorted(completed) == list(range(len(frames)))
     assert [receiver.frames.pop_frame(i) for i in range(len(frames))] == frames
     assert receiver.stream_bytes() == payload
