@@ -2,15 +2,14 @@
 
 The chunk design only works because the wire format is rigidly
 self-describing: a 44-byte fixed-field header whose widths, flag bits
-and sentinels are documented in :mod:`repro.core.codec` but historically
+and sentinels are tabled in :mod:`repro.core.wire_table` but historically
 enforced by a single ``assert`` and hand-discipline.  This subsystem
 turns those conventions into machine-checked invariants that run before
 the test suite does:
 
-- ``wire-width`` — every ``struct`` format string is parseable, uses
-  explicit network byte order, agrees with the documented constants in
-  :mod:`repro.core.types`, and matches literal slice widths at its call
-  sites (Appendix A fixed-field format).
+- ``wire-width`` — every literal ``struct`` format string names
+  network byte order (the one wire property a same-host round trip
+  cannot see).
 - ``codec-symmetry`` — every public ``encode_*`` has a ``decode_*``
   twin in the same module, and vice versa.
 - ``exception-discipline`` — protocol layers raise only the exception
@@ -18,10 +17,6 @@ the test suite does:
   allowlist), and never use bare/overbroad ``except``.
 - ``export-drift`` — every ``__all__`` entry exists and every public
   top-level def/class is either exported or underscore-private.
-- ``wire-drift`` — ``struct`` format strings carrying a
-  ``# wire-table:`` marker, the codec docstring's offset table, and the
-  generated block in ``docs/wire-format.md`` all agree with the single
-  header-width table in :mod:`repro.core.wire_table`.
 
 Three passes run over the whole-program import/call graph
 (:mod:`repro.analysis.graph`), and one follows scheduled callbacks:
@@ -38,18 +33,21 @@ Three passes run over the whole-program import/call graph
 - ``mutable-sharing`` — scheduled callbacks never mutate module-level
   shared state.
 
-``shard-ownership`` binds the code to its declared owner domains.  The
-lifecycle table of :mod:`repro.core.state_table` is bound to the
-endpoint by *running* both (``tests/properties/
-test_lifecycle_conformance.py``) and explored exhaustively by
-:mod:`repro.analysis.modelcheck`; no pass reads it.  Retired passes, and
+Two tables are bound to the code by *running* both, not by a pass: the
+wire layout of :mod:`repro.core.wire_table` (``tests/core/
+test_wire_layout.py`` infers every field from live encodings) and the
+lifecycle table of :mod:`repro.core.state_table`
+(``tests/properties/test_lifecycle_conformance.py``, explored
+exhaustively by :mod:`repro.analysis.modelcheck`).  Retired passes, and
 what holds their property now, are tabled in ``docs/static-analysis.md``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
 sanitizer (``REPRO_SIMSAN=1`` / ``pytest --simsan``) that fingerprints
 scheduled payload buffers, detects mutation-after-schedule aliasing
-with the scheduling backtrace, and maintains a schedule audit digest
-for cross-run nondeterminism diffs.
+with the scheduling backtrace, maintains a schedule audit digest for
+cross-run nondeterminism diffs, and — for a watched
+:class:`~repro.transport.shard.ShardedEndpoint` — fails when an event
+one shard runs changes another shard's state.
 
 Run the analyzer as ``python -m repro.analysis`` or via the
 ``protolint`` console script (see :mod:`repro.analysis.cli`).

@@ -38,8 +38,8 @@ __all__ = [
 #: silences only the named passes.
 _SUPPRESS_RE = re.compile(r"#\s*protolint:\s*ignore(?:\[([a-zA-Z0-9_,\- ]+)\])?")
 
-#: Container method names that mutate their receiver — the one table
-#: mutable-sharing and shard-ownership both read.
+#: Container method names that mutate their receiver (read by
+#: mutable-sharing).
 CONTAINER_MUTATORS: frozenset[str] = frozenset(
     {
         "add",
@@ -62,8 +62,8 @@ CONTAINER_MUTATORS: frozenset[str] = frozenset(
 #: The product packages, in architecture-DAG order (docs/architecture.md);
 #: ``obs`` / ``analysis`` / ``perf`` are tooling.  Each pass names the
 #: subset it means: layering the stack below ``app`` / ``baselines``,
-#: hot-path-copy and shard-ownership ``transport`` + ``host``,
-#: ambient-authority all of it.
+#: hot-path-copy ``transport`` + ``host`` + ``wsc``, ambient-authority
+#: all of it.
 PRODUCT_PACKAGES: tuple[str, ...] = (
     "core",
     "crypto",

@@ -1,12 +1,13 @@
 """The protolint passes (see :mod:`repro.analysis` for overview).
 
-Seven are per-module AST checks; three run over the
+Five are per-module AST checks; three run over the
 :class:`~repro.analysis.graph.ProjectGraph` the runner builds from the
 full module set (layering on its import edges, hot-path-copy on its
-reachability queries, ambient-authority on its alias tables).
-shard-ownership binds the code to its one remaining declarative model,
-the owner domains.  Retired passes — and what holds each one's property
-now — are listed in ``docs/static-analysis.md``.
+reachability queries, ambient-authority on its alias tables).  None
+binds the code to a table by reading it: the wire layout and shard
+ownership are checked by running the code.  Retired passes — and what
+holds each one's property now — are listed in
+``docs/static-analysis.md``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,10 @@ from repro.analysis.passes.export_drift import ExportDriftPass
 from repro.analysis.passes.hot_path_copy import HotPathCopyPass
 from repro.analysis.passes.layering import LayeringPass
 from repro.analysis.passes.mutable_sharing import MutableSharingPass
-from repro.analysis.passes.shard_ownership import ShardOwnershipPass
-from repro.analysis.passes.wire_drift import WireDriftPass
 from repro.analysis.passes.wire_width import WireWidthPass
 
 __all__ = [
     "WireWidthPass",
-    "WireDriftPass",
     "CodecSymmetryPass",
     "AmbientAuthorityPass",
     "ExceptionDisciplinePass",
@@ -33,7 +31,6 @@ __all__ = [
     "LayeringPass",
     "HotPathCopyPass",
     "MutableSharingPass",
-    "ShardOwnershipPass",
     "all_passes",
 ]
 
@@ -42,7 +39,6 @@ def all_passes() -> list[Pass]:
     """Fresh instances of every pass, in documentation order."""
     return [
         WireWidthPass(),
-        WireDriftPass(),
         CodecSymmetryPass(),
         AmbientAuthorityPass(),
         ExceptionDisciplinePass(),
@@ -50,5 +46,4 @@ def all_passes() -> list[Pass]:
         LayeringPass(),
         HotPathCopyPass(),
         MutableSharingPass(),
-        ShardOwnershipPass(),
     ]

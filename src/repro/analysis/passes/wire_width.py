@@ -1,291 +1,64 @@
-"""wire-width: struct format strings must agree with the documented format.
+"""wire-width: every literal struct format string names network byte order.
 
-The fixed-field chunk header (Appendix A; DESIGN.md section 6) is 44
-bytes, the packet envelope 4, the symbol word 4.  Those widths live in
-:mod:`repro.core.types`, and every ``struct`` format string that
-serializes them must stay in lock-step.  This pass:
+A native-order struct (``"HBB"``, ``"=I"``) packs the same bytes as
+``">HBB"`` on one host and different bytes on another, so a same-host
+round trip — which is all the test suite can run — never sees it (and
+``"<Q"`` is host-independent but not the wire's order).  This pass
+requires an explicit ``>`` or ``!`` prefix on every literal format
+given to ``struct.Struct`` / ``pack`` / ``unpack`` / ``unpack_from`` /
+``pack_into`` / ``iter_unpack`` / ``calcsize``.
 
-1. validates every literal format string (``struct.Struct(...)``,
-   ``pack``/``unpack``/``unpack_from``/``pack_into``/``calcsize``);
-2. requires an explicit **network byte order** prefix (``>`` or ``!``)
-   — a native-order struct in wire code is a silent interop bug;
-3. verifies every ``X.size == CONSTANT`` comparison it can see against
-   the *actual* value of the constant in :mod:`repro.core.types`, so a
-   format-string edit can never silently disagree with the documented
-   header width;
-4. requires the core codec's header structs to carry such a size
-   cross-check at all (deleting the ``assert`` is itself a finding);
-5. cross-checks literal slice widths at unpack call sites
-   (``struct.unpack(">HHI", blob[-8:])``) against the format size.
+What it no longer checks, and why (docs/static-analysis.md, "Retired
+passes"): header sizes are pinned by :mod:`repro.core.wire_table`'s
+import-time asserts and the codec structs are built from that table;
+field positions are inferred from live encodings by
+``tests/core/test_wire_layout.py``; and every literal ``struct`` call
+site in ``src/`` runs in the tier-1 suite, where an invalid format or a
+short slice raises ``struct.error``.
 """
 
 from __future__ import annotations
 
 import ast
-import struct
 from typing import Iterator
 
 from repro.analysis.core import Finding, ModuleUnit, Pass, dotted_name
-from repro.core import types as wire_types
 
 __all__ = ["WireWidthPass"]
-
-#: Constants a size comparison may name, with their authoritative values.
-WIRE_CONSTANTS: dict[str, int] = {
-    "WORD_BYTES": wire_types.WORD_BYTES,
-    "HEADER_BYTES": wire_types.HEADER_BYTES,
-    "PACKET_HEADER_BYTES": wire_types.PACKET_HEADER_BYTES,
-}
-
-#: Struct variables that MUST carry a verified size cross-check,
-#: per module: the wire-format core cannot lose its guard assert.
-REQUIRED_CONTRACTS: dict[str, dict[str, str]] = {
-    "repro.core.codec": {
-        "_HEADER": "HEADER_BYTES",
-        "_PACKET_HEADER": "PACKET_HEADER_BYTES",
-    },
-}
 
 _STRUCT_CALLS = {"pack", "unpack", "unpack_from", "pack_into", "iter_unpack", "calcsize"}
 
 
-def _format_size(fmt: str) -> int | None:
-    try:
-        return struct.calcsize(fmt)
-    except struct.error:
+def _literal_format(node: ast.Call) -> str | None:
+    """The literal format string of a ``struct`` call, else None."""
+    callee = dotted_name(node.func)
+    is_struct = callee in {"struct.Struct", "Struct"} or (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr in _STRUCT_CALLS
+        and dotted_name(node.func.value) == "struct"
+    )
+    if not is_struct or not node.args:
         return None
-
-
-def _slice_width(node: ast.expr) -> int | None:
-    """Byte width of a literal slice expression, when computable.
-
-    Handles ``x[:n]``, ``x[-n:]`` and ``x[a:b]`` with non-negative int
-    literals; anything else returns None (unknown).
-    """
-    if not isinstance(node, ast.Subscript) or not isinstance(node.slice, ast.Slice):
-        return None
-    lower, upper, step = node.slice.lower, node.slice.upper, node.slice.step
-    if step is not None:
-        return None
-
-    def _int(expr: ast.expr | None) -> int | None:
-        if expr is None:
-            return None
-        if isinstance(expr, ast.Constant) and isinstance(expr.value, int):
-            return expr.value
-        if (
-            isinstance(expr, ast.UnaryOp)
-            and isinstance(expr.op, ast.USub)
-            and isinstance(expr.operand, ast.Constant)
-            and isinstance(expr.operand.value, int)
-        ):
-            return -expr.operand.value
-        return None
-
-    low, up = _int(lower), _int(upper)
-    if lower is None and up is not None and up >= 0:
-        return up
-    if upper is None and low is not None and low < 0:
-        return -low
-    if low is not None and up is not None and 0 <= low <= up:
-        return up - low
+    fmt = node.args[0]
+    if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
+        return fmt.value
     return None
 
 
 class WireWidthPass(Pass):
     id = "wire-width"
-    description = "struct format strings agree with documented wire widths"
+    description = "literal struct formats use explicit network byte order"
 
     def check(self, unit: ModuleUnit) -> Iterator[Finding]:
-        struct_vars: dict[str, tuple[str, int]] = {}  # name -> (fmt, size)
-        checked_vars: set[str] = set()
-        findings: list[Finding] = []
-
-        # ---- collect module-level `NAME = struct.Struct(fmt)` bindings
-        for node in unit.tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            value = node.value
-            if not isinstance(target, ast.Name) or not isinstance(value, ast.Call):
-                continue
-            callee = dotted_name(value.func)
-            if callee not in {"struct.Struct", "Struct"}:
-                continue
-            fmt_node = value.args[0] if value.args else None
-            if not (isinstance(fmt_node, ast.Constant) and isinstance(fmt_node.value, str)):
-                findings.append(
-                    self.finding(
-                        unit,
-                        node,
-                        f"struct {target.id}: non-literal format string cannot be verified",
-                        symbol=f"{target.id}:dynamic",
-                        severity="warning",
-                    )
-                )
-                continue
-            size = _format_size(fmt_node.value)
-            if size is not None:
-                struct_vars[target.id] = (fmt_node.value, size)
-
-        # ---- every literal format string: parseable + network byte order
         for node in ast.walk(unit.tree):
             if not isinstance(node, ast.Call):
                 continue
-            callee = dotted_name(node.func)
-            fmt_node: ast.expr | None = None
-            if callee in {"struct.Struct", "Struct"} and node.args:
-                fmt_node = node.args[0]
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in _STRUCT_CALLS
-                and dotted_name(node.func.value) == "struct"
-                and node.args
-            ):
-                fmt_node = node.args[0]
-            if fmt_node is None:
-                continue
-            if not (isinstance(fmt_node, ast.Constant) and isinstance(fmt_node.value, str)):
-                continue
-            fmt = fmt_node.value
-            size = _format_size(fmt)
-            if size is None:
-                findings.append(
-                    self.finding(
-                        unit,
-                        node,
-                        f"invalid struct format string {fmt!r}",
-                        symbol=f"fmt:{fmt}:invalid",
-                    )
+            fmt = _literal_format(node)
+            if fmt is not None and not fmt.startswith((">", "!")):
+                yield self.finding(
+                    unit,
+                    node,
+                    f"struct format {fmt!r} lacks explicit network byte order "
+                    "('>' or '!'): wire formats must not depend on host endianness",
+                    symbol=f"fmt:{fmt}:endian",
                 )
-                continue
-            if not fmt.startswith((">", "!")):
-                findings.append(
-                    self.finding(
-                        unit,
-                        node,
-                        f"struct format {fmt!r} lacks explicit network byte order "
-                        "('>' or '!'): wire formats must not depend on host endianness",
-                        symbol=f"fmt:{fmt}:endian",
-                    )
-                )
-
-        # ---- verify `NAME.size == CONST` comparisons against repro.core.types
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, ast.Compare) or len(node.ops) != 1:
-                continue
-            if not isinstance(node.ops[0], (ast.Eq, ast.NotEq)):
-                continue
-            sides = [node.left, node.comparators[0]]
-            size_var: str | None = None
-            const_name: str | None = None
-            const_value: int | None = None
-            for side in sides:
-                if (
-                    isinstance(side, ast.Attribute)
-                    and side.attr == "size"
-                    and isinstance(side.value, ast.Name)
-                    and side.value.id in struct_vars
-                ):
-                    size_var = side.value.id
-                elif isinstance(side, ast.Name) and side.id in WIRE_CONSTANTS:
-                    const_name = side.id
-                    const_value = WIRE_CONSTANTS[side.id]
-                elif isinstance(side, ast.Constant) and isinstance(side.value, int):
-                    const_name = str(side.value)
-                    const_value = side.value
-            if size_var is None or const_value is None:
-                continue
-            checked_vars.add(size_var)
-            fmt, size = struct_vars[size_var]
-            if size != const_value:
-                findings.append(
-                    self.finding(
-                        unit,
-                        node,
-                        f"struct {size_var} format {fmt!r} is {size} bytes but is "
-                        f"checked against {const_name} = {const_value}",
-                        symbol=f"{size_var}:size-mismatch",
-                    )
-                )
-
-        # ---- required contracts for the wire-format core
-        for var, const_name in REQUIRED_CONTRACTS.get(unit.module, {}).items():
-            expected = WIRE_CONSTANTS[const_name]
-            if var not in struct_vars:
-                findings.append(
-                    self.finding(
-                        unit,
-                        1,
-                        f"expected module-level struct {var} (the {const_name} wire "
-                        "format) was not found",
-                        symbol=f"{var}:missing",
-                    )
-                )
-                continue
-            fmt, size = struct_vars[var]
-            if size != expected:
-                findings.append(
-                    self.finding(
-                        unit,
-                        1,
-                        f"struct {var} format {fmt!r} is {size} bytes; the documented "
-                        f"wire format {const_name} is {expected}",
-                        symbol=f"{var}:contract",
-                    )
-                )
-            if var not in checked_vars:
-                findings.append(
-                    self.finding(
-                        unit,
-                        1,
-                        f"struct {var} has no `assert {var}.size == {const_name}` "
-                        "guard; the wire-format core must keep its size cross-check",
-                        symbol=f"{var}:unguarded",
-                    )
-                )
-
-        # ---- literal slice widths at unpack call sites
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            fmt_size: int | None = None
-            what = ""
-            buffer_arg: ast.expr | None = None
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unpack"
-                and dotted_name(node.func.value) == "struct"
-                and len(node.args) == 2
-            ):
-                fmt_node = node.args[0]
-                if isinstance(fmt_node, ast.Constant) and isinstance(fmt_node.value, str):
-                    fmt_size = _format_size(fmt_node.value)
-                    what = repr(fmt_node.value)
-                buffer_arg = node.args[1]
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "unpack"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in struct_vars
-                and len(node.args) == 1
-            ):
-                name = node.func.value.id
-                fmt_size = struct_vars[name][1]
-                what = name
-                buffer_arg = node.args[0]
-            if fmt_size is None or buffer_arg is None:
-                continue
-            width = _slice_width(buffer_arg)
-            if width is not None and width != fmt_size:
-                findings.append(
-                    self.finding(
-                        unit,
-                        node,
-                        f"unpack of {what} needs {fmt_size} bytes but the sliced "
-                        f"buffer is {width} bytes wide",
-                        symbol=f"slice:{what}:{width}",
-                    )
-                )
-
-        yield from findings

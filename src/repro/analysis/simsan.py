@@ -19,7 +19,12 @@ dynamically:
 - independently, it folds every ``(time, seq, callsite)`` schedule
   event into a running SHA-256 **audit digest**, so two runs of a
   seeded scenario can be compared for scheduling nondeterminism with a
-  single string comparison.
+  single string comparison;
+- for each :class:`~repro.transport.shard.ShardedEndpoint` handed to
+  :meth:`SimSanitizer.watch`, it holds the **shard boundary**: an event
+  one shard's member loop runs changes that shard's state and no
+  other's, and leaves the pool balanced — the label's ownership of a
+  chunk (it alone names the shard), checked by running the shards.
 
 Immutable ``bytes`` payloads are skipped: they cannot mutate, and the
 hot path ships almost exclusively ``bytes`` — which keeps the
@@ -50,13 +55,14 @@ import traceback
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NoReturn
 
 from repro.core.errors import SimSanError
 from repro.netsim import events as _events
 
 if TYPE_CHECKING:
     from repro.netsim.events import EventLoop
+    from repro.transport.shard import ShardedEndpoint
 
 __all__ = [
     "SimSanitizer",
@@ -211,6 +217,7 @@ class SimSanitizer:
         audit: the run's :class:`ScheduleAuditLog`.
         violations: every detected violation (also populated when
             raising, so post-mortem inspection works either way).
+            A cross-shard change or unbalanced pool always raises.
     """
 
     raise_on_violation: bool = True
@@ -221,6 +228,83 @@ class SimSanitizer:
     _pending: "weakref.WeakKeyDictionary[EventLoop, dict[int, _BufferRecord]]" = field(
         default_factory=weakref.WeakKeyDictionary
     )
+    #: watched sharded endpoints; each shard's member loop → its label.
+    _watched: "list[ShardedEndpoint]" = field(default_factory=list)
+    _members: "dict[EventLoop, str]" = field(default_factory=dict)
+    #: scheduling callsite of every pending event on a shard's member.
+    _sites: "dict[tuple[EventLoop, int], str]" = field(default_factory=dict)
+    #: the event dispatched last: its shard (None off the shards), its
+    #: callsite, and every shard's fingerprint before it ran.
+    _running: str | None = None
+    _site: str = "<unknown>"
+    _before: dict[str, dict[str, int]] = field(default_factory=dict)
+
+    def watch(self, sharded: "ShardedEndpoint") -> None:
+        """Hold *sharded*'s shard boundary for the rest of the session.
+
+        An event that shard *i*'s member loop runs may move shard *i*'s
+        fingerprint — its endpoint's :meth:`stats` (table size,
+        tombstones, reserved bytes, ...), its budget's registrations and
+        backing, its pool loan, its egress lane — and no other's, and
+        must leave the pool's books balanced (``lent_total`` == the
+        shards' loans == their budgets' backing), or
+        :class:`SimSanError` names the shards and the event's scheduling
+        callsite.  Member 0 (network, workload, ingress fan-out, egress
+        flush) is the composition and may touch any shard.  An event is
+        checked at the next dispatch, the last one at session exit, so
+        touch shards outside events only before or after the session.
+        """
+        for shard in sharded.shards:
+            label = f"endpoint {len(self._watched)} shard {shard.index}"
+            self._members[shard.endpoint.loop] = label
+        self._watched.append(sharded)
+
+    def _fingerprints(self) -> dict[str, dict[str, int]]:
+        return {
+            self._members[shard.endpoint.loop]: {
+                **shard.endpoint.stats(),
+                "budget_registered": shard.endpoint.budget.registered,
+                "budget_backing": shard.endpoint.budget.pool_bytes,
+                "pool_loan": sharded.pool.lent_to(shard.index),
+                "egress_lane": len(sharded.egress._lanes[shard.index]),
+            }
+            for sharded in self._watched
+            for shard in sharded.shards
+        }
+
+    def _check_shards(self) -> dict[str, dict[str, int]] | None:
+        """Check the last event, now that it ran, if a shard ran it."""
+        running, self._running = self._running, None
+        if running is None:
+            return None
+        after = self._fingerprints()
+        for shard, prints in after.items():
+            before = self._before[shard]
+            if shard != running and prints != before:
+                moved = {k: f"{before[k]} -> {v}" for k, v in prints.items() if v != before[k]}
+                self._fail(
+                    shard,
+                    f"cross-shard mutation: the event on {running}'s member, "
+                    f"scheduled at {self._site}, changed {shard}'s state: {moved}",
+                )
+        for number, sharded in enumerate(self._watched):
+            pool = sharded.pool
+            loans = sum(pool.lent_to(shard.index) for shard in sharded.shards)
+            backing = sum(shard.endpoint.budget.pool_bytes for shard in sharded.shards)
+            if not pool.lent_total == loans == backing:
+                self._fail(
+                    "pool",
+                    f"endpoint {number}'s pool books broken after the event scheduled "
+                    f"at {self._site}: lent_total {pool.lent_total}, shard loans "
+                    f"{loans}, shard backing {backing}",
+                )
+        return after
+
+    def _fail(self, tag: str, message: str) -> NoReturn:
+        from repro.obs import flight_dump
+
+        flight_dump("simsan", tag)
+        raise SimSanError(message)
 
     # -- ScheduleObserver protocol -------------------------------------
 
@@ -229,6 +313,8 @@ class SimSanitizer:
     ) -> None:
         callsite = _callsite()
         self.audit.record(time, seq, callsite)
+        if loop in self._members:
+            self._sites[loop, seq] = callsite
         buffers = _callback_buffers(callback)
         if not buffers:
             return
@@ -243,6 +329,12 @@ class SimSanitizer:
     def on_dispatch(
         self, loop: "EventLoop", time: float, seq: int, callback: Callable[[], None]
     ) -> None:
+        if self._watched:
+            after = self._check_shards()
+            self._running = self._members.get(loop)
+            if self._running is not None:
+                self._site = self._sites.pop((loop, seq), "<unknown>")
+                self._before = after or self._fingerprints()
         record = self._pending.get(loop, {}).pop(seq, None)
         if record is None:
             return
@@ -264,11 +356,9 @@ class SimSanitizer:
             )
             self.violations.append(violation)
             if self.raise_on_violation:
-                from repro.obs import flight_dump
-
-                flight_dump("simsan", violation.buffer_label)
-                raise SimSanError(
-                    "mutation-after-schedule aliasing: " + violation.describe()
+                self._fail(
+                    violation.buffer_label,
+                    "mutation-after-schedule aliasing: " + violation.describe(),
                 )
 
 
@@ -299,10 +389,12 @@ def session(
     sanitizer: SimSanitizer | None = None,
 ) -> Iterator[SimSanitizer]:
     """Install a sanitizer for the duration of a ``with`` block,
-    restoring whatever observer was active before."""
+    restoring whatever observer was active before.  A clean exit checks
+    the last event of every watched sharded endpoint."""
     previous = _events.get_schedule_observer()
     active = install(sanitizer)
     try:
         yield active
+        active._check_shards()
     finally:
         _events.set_schedule_observer(previous)

@@ -1,20 +1,11 @@
 """Binary wire format for chunks and packets.
 
 This is the "simple version of chunks ... easy to parse because of their
-fixed-field format" (Appendix A).  Every chunk header is 44 bytes:
-
-    offset  field   size  notes
-    0       TYPE    1     ChunkType; 0 is reserved as sentinel
-    1       FLAGS   1     bit0=C.ST, bit1=T.ST, bit2=X.ST
-    2       SIZE    2     words per atomic unit (big-endian)
-    4       LEN     4     atomic units; 0 marks end-of-packet sentinel
-    8       C.ID    4     connection id
-    12      C.SN    8     connection sequence number
-    20      T.ID    4     transport-PDU id
-    24      T.SN    8     TPDU sequence number
-    32      X.ID    4     external-PDU id
-    36      X.SN    8     external-PDU sequence number
-    44      payload LEN * SIZE * 4 bytes (LEN * 4 for control chunks)
+fixed-field format" (Appendix A): a 44-byte chunk header followed by
+``LEN * SIZE * 4`` payload bytes (``LEN * 4`` for control chunks).  The
+field layout is :data:`repro.core.wire_table.CHUNK_HEADER` — the struct
+below is built from it, and its rendering is the generated block at the
+end of ``docs/wire-format.md``.
 
 All integers are big-endian (network byte order).  A packet is a 4-byte
 envelope header followed by whole chunks; a LEN=0 sentinel header ends
@@ -35,6 +26,7 @@ from repro.core.types import (
     WORD_BYTES,
     ChunkType,
 )
+from repro.core.wire_table import CHUNK_HEADER, PACKET_ENVELOPE
 
 __all__ = [
     "encode_chunk",
@@ -47,8 +39,7 @@ __all__ = [
     "decode_packet_header",
 ]
 
-_HEADER = struct.Struct(">BBHIIQIQIQ")  # wire-table: chunk-header
-assert _HEADER.size == HEADER_BYTES
+_HEADER = struct.Struct(CHUNK_HEADER.struct_format)
 
 _FLAG_C_ST = 0x01
 _FLAG_T_ST = 0x02
@@ -62,8 +53,7 @@ SENTINEL_HEADER = b"\x00" * HEADER_BYTES
 #: Packet envelope magic ("chunk" / SIGCOMM '93).
 PACKET_MAGIC = 0xC493
 
-_PACKET_HEADER = struct.Struct(">HBB")  # wire-table: packet-envelope
-assert _PACKET_HEADER.size == PACKET_HEADER_BYTES
+_PACKET_HEADER = struct.Struct(PACKET_ENVELOPE.struct_format)
 
 
 def encode_chunk(chunk: Chunk) -> bytes:

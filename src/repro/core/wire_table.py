@@ -1,24 +1,24 @@
 """The single source of truth for wire-format field widths.
 
-The fixed-field chunk header is documented in three places — the
-``struct`` format strings in :mod:`repro.core.codec`, the offset table
-in that module's docstring, and ``docs/wire-format.md`` — and related
-work on recovering wire-format structure (Huntsman 2019, "Unshuffling
-fields in data formats") is a catalogue of what happens when such
-copies drift.  This module is the one authoritative copy: every field
-of every fixed-width wire region as a :class:`WireField` row, with the
-``struct`` format string and the markdown table *derived* from it.
+Every fixed-width wire region is one :class:`WireTable` of
+:class:`WireField` rows here, and everything else is derived from it —
+related work on recovering wire-format structure (Huntsman 2019,
+"Unshuffling fields in data formats") is a catalogue of what happens
+when hand-kept copies of a layout drift.
 
 Consumers:
 
-- :mod:`repro.core.codec` and :mod:`repro.transport.connection` mark
-  their ``struct.Struct`` bindings with ``# wire-table: <table-id>``
-  comments; the protolint **wire-drift** pass cross-checks each marked
-  format string against :data:`TABLES`.
+- :mod:`repro.core.codec` and :mod:`repro.transport.connection` build
+  their ``struct.Struct`` objects from :attr:`WireTable.struct_format`,
+  so there is one format string per region;
+  ``tests/core/test_wire_layout.py`` infers every field's offset and
+  width (and every flag bit) from live encodings and asserts them equal
+  to these rows.
 - ``docs/wire-format.md`` embeds the rendered tables between
-  ``<!-- wire-table:begin -->`` / ``<!-- wire-table:end -->`` markers;
+  ``<!-- wire-tables:begin -->`` / ``<!-- wire-tables:end -->`` markers;
   ``python -m repro.core.wire_table --write`` regenerates the block and
-  the wire-drift pass fails when the committed block is stale.
+  ``--check`` (run by ``tests/core/test_wire_table.py``) fails when the
+  committed block is stale.
 - Import-time asserts pin the derived byte totals to the constants in
   :mod:`repro.core.types`, so this module cannot itself drift from the
   widths the codec is tested against.
@@ -26,12 +26,9 @@ Consumers:
 
 from __future__ import annotations
 
-import argparse
 import struct
 import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from repro.core.types import (
     HEADER_BYTES,
@@ -61,12 +58,11 @@ __all__ = [
 #: integer types the wire formats use.
 _FMT_WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}
 
-BLOCK_BEGIN = "<!-- wire-table:begin -->"
-BLOCK_END = "<!-- wire-table:end -->"
+BLOCK_BEGIN = "<!-- wire-tables:begin -->"
+BLOCK_END = "<!-- wire-tables:end -->"
 
 
-@dataclass(frozen=True)
-class WireField:
+class WireField(NamedTuple):
     """One fixed-width field: name, byte offset, width, struct char."""
 
     name: str
@@ -76,29 +72,13 @@ class WireField:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class WireTable:
-    """One contiguous fixed-field wire region."""
+class WireTable(NamedTuple):
+    """One contiguous fixed-field wire region (:data:`TABLES` admits it
+    only once its rows tile)."""
 
     table_id: str
     title: str
     fields: tuple[WireField, ...]
-
-    def __post_init__(self) -> None:
-        offset = 0
-        for field in self.fields:
-            if field.offset != offset:
-                raise ValueError(
-                    f"{self.table_id}: field {field.name} at offset "
-                    f"{field.offset}, expected {offset} (fields must tile)"
-                )
-            if _FMT_WIDTHS.get(field.fmt) != field.width:
-                raise ValueError(
-                    f"{self.table_id}: field {field.name} is {field.width} "
-                    f"bytes but struct char {field.fmt!r} is "
-                    f"{_FMT_WIDTHS.get(field.fmt)}"
-                )
-            offset += field.width
 
     @property
     def struct_format(self) -> str:
@@ -110,20 +90,40 @@ class WireTable:
         return sum(field.width for field in self.fields)
 
 
+def _tiled(table: WireTable) -> WireTable:
+    """*table*, once its rows tile from offset 0, each as wide as its
+    struct char."""
+    offset = 0
+    for field in table.fields:
+        if field.offset != offset:
+            raise ValueError(
+                f"{table.table_id}: field {field.name} at offset "
+                f"{field.offset}, expected {offset} (fields must tile)"
+            )
+        if _FMT_WIDTHS.get(field.fmt) != field.width:
+            raise ValueError(
+                f"{table.table_id}: field {field.name} is {field.width} "
+                f"bytes but struct char {field.fmt!r} is "
+                f"{_FMT_WIDTHS.get(field.fmt)}"
+            )
+        offset += field.width
+    return table
+
+
 CHUNK_HEADER = WireTable(
     table_id="chunk-header",
     title="Fixed-field chunk header",
     fields=(
-        WireField("TYPE", 0, 1, "B", "ChunkType; 0 reserved as sentinel"),
+        WireField("TYPE", 0, 1, "B", "ChunkType; 0 reserved as the end-of-packet sentinel"),
         WireField("FLAGS", 1, 1, "B", "bit0=C.ST, bit1=T.ST, bit2=X.ST"),
-        WireField("SIZE", 2, 2, "H", "words per atomic unit"),
-        WireField("LEN", 4, 4, "I", "atomic units; 0 marks the sentinel"),
+        WireField("SIZE", 2, 2, "H", "32-bit words per atomic data unit; 0 invalid"),
+        WireField("LEN", 4, 4, "I", "atomic units (data) / words (control); 0 marks the sentinel"),
         WireField("C.ID", 8, 4, "I", "connection id"),
-        WireField("C.SN", 12, 8, "Q", "connection sequence number"),
+        WireField("C.SN", 12, 8, "Q", "connection sequence number of the first unit"),
         WireField("T.ID", 20, 4, "I", "transport-PDU id"),
-        WireField("T.SN", 24, 8, "Q", "TPDU sequence number"),
-        WireField("X.ID", 32, 4, "I", "external-PDU id"),
-        WireField("X.SN", 36, 8, "Q", "external-PDU sequence number"),
+        WireField("T.SN", 24, 8, "Q", "TPDU sequence number of the first unit"),
+        WireField("X.ID", 32, 4, "I", "external-PDU (application frame) id"),
+        WireField("X.SN", 36, 8, "Q", "external-PDU sequence number of the first unit"),
     ),
 )
 
@@ -151,7 +151,7 @@ SIGNALING_PAYLOAD = WireTable(
 )
 
 TABLES: dict[str, WireTable] = {
-    table.table_id: table
+    table.table_id: _tiled(table)
     for table in (CHUNK_HEADER, PACKET_ENVELOPE, SIGNALING_PAYLOAD)
 }
 
@@ -190,7 +190,7 @@ def docs_block() -> str:
     parts = [
         BLOCK_BEGIN,
         "<!-- Generated by `python -m repro.core.wire_table --write`;",
-        "     checked by the protolint wire-drift pass. Do not edit. -->",
+        "     checked by tests/core/test_wire_table.py. Do not edit. -->",
     ]
     for table_id in sorted(TABLES):
         parts.append("")
@@ -220,6 +220,11 @@ def extract_block(text: str) -> str | None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # The codec imports this module on the runtime path; the CLI's
+    # imports stay here so importing the tables does not pay for them.
+    import argparse
+    from pathlib import Path
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.core.wire_table",
         description="render / refresh the generated header-width tables",
@@ -245,14 +250,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.check:
         committed = extract_block(args.docs.read_text(encoding="utf-8"))
         if committed != block:
-            print(f"wire-table: generated block in {args.docs} is stale", file=sys.stderr)
+            print(f"wire_table: generated block in {args.docs} is stale", file=sys.stderr)
             return 1
-        print(f"wire-table: {args.docs} is up to date")
+        print(f"wire_table: {args.docs} is up to date")
         return 0
     if args.write:
         text = args.docs.read_text(encoding="utf-8")
         args.docs.write_text(_splice(text, block), encoding="utf-8")
-        print(f"wire-table: wrote generated block to {args.docs}")
+        print(f"wire_table: wrote generated block to {args.docs}")
         return 0
     print(block)
     return 0

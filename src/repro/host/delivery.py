@@ -153,7 +153,7 @@ class PlacementBuffer:
 
 
 @dataclass(slots=True)
-class FrameWindow:  # owner: per-connection
+class FrameWindow:
     """Where one external PDU lies in the connection stream: ``(C.SN - X.SN)``
     is constant over a frame, so its bytes are the stream's from *base* on."""
 

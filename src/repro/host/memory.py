@@ -23,7 +23,7 @@ from repro.obs.runtime import CounterHandle
 __all__ = ["TouchLedger", "BusModel"]
 
 _OBS_TOUCH_TOTAL = counter("host", "touch_bytes_total", "bytes moved across the bus")
-_KIND_COUNTERS: dict[str, CounterHandle] = {}  # owner: global-pool
+_KIND_COUNTERS: dict[str, CounterHandle] = {}
 
 
 def _kind_counter(kind: str) -> CounterHandle:

@@ -12,15 +12,16 @@ elastic: it starts empty and borrows whole token blocks from the global
 pool as reservations grow, returning surplus blocks whenever
 reclamation (close or idle eviction) frees them.
 
-The ownership story matches the shard-ownership pass's domain lattice:
-the pool is ``global-pool`` state and :meth:`GlobalBudgetPool.lend` /
-:meth:`GlobalBudgetPool.reclaim` are its *declared seams* — the only
-sanctioned way per-shard code mutates it.  Fair-share refusal stays a
-per-shard decision (each shard caps a connection at its share of the
-endpoint pool), and the refusal check runs before any borrowing, so a
-refused reservation never moves a block.  Block granularity keeps the
-cross-shard channel cold: one lend covers many chunk-sized
-reservations, so the per-chunk hot path touches only shard-local state.
+The pool is the one thing every shard shares, and
+:meth:`GlobalBudgetPool.lend` / :meth:`GlobalBudgetPool.reclaim`, called
+by a shard's own budget, are the only way per-shard code changes it
+(``repro.analysis.simsan``'s shard watch fails a run whose books stop
+balancing).  Fair-share refusal stays a per-shard decision (each shard
+caps a connection at its share of the endpoint pool), and the refusal
+check runs before any borrowing, so a refused reservation never moves a
+block.  Block granularity keeps the cross-shard channel cold: one lend
+covers many chunk-sized reservations, so the per-chunk hot path touches
+only shard-local state.
 """
 
 from __future__ import annotations

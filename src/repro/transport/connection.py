@@ -22,11 +22,12 @@ from repro.core.compress import CompressionProfile
 from repro.core.errors import SignalingError
 from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES, ChunkType
+from repro.core.wire_table import SIGNALING_PAYLOAD
 
 __all__ = ["ConnectionConfig", "build_signaling_chunk", "parse_signaling_chunk"]
 
 # conn id, unit words, tpdu units, flags, 2 reserved
-_SIG = struct.Struct(">IHHHBB")  # wire-table: signaling-payload
+_SIG = struct.Struct(SIGNALING_PAYLOAD.struct_format)
 _SIG_MAGIC_FLAGS_IMPLICIT_TID = 0x0001
 _SIG_MAGIC_FLAGS_REGEN_SNS = 0x0002
 _SIG_KNOWN_FLAGS = _SIG_MAGIC_FLAGS_IMPLICIT_TID | _SIG_MAGIC_FLAGS_REGEN_SNS

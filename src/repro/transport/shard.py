@@ -80,9 +80,10 @@ class EndpointShard:
     """One worker: a shard index and the whole endpoint that serves it.
 
     Deliberately method-free — every behaviour lives on the wrapped
-    :class:`ChunkEndpoint` (per-shard state) or on the owning
-    :class:`ShardedEndpoint` (the per-endpoint composition), so the
-    shard-ownership pass can hold the boundary.
+    :class:`ChunkEndpoint` (per-shard state, changed only by events on
+    the shard's member loop) or on the owning :class:`ShardedEndpoint`
+    (the composition, on member 0); ``SimSanitizer.watch`` holds that
+    boundary at run time.
     """
 
     index: int

@@ -1,28 +1,29 @@
-"""wire-width fixture: struct formats that disagree with the wire docs."""
+"""wire-width fixture: struct formats that depend on host byte order."""
 
 import struct
 
-from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES
+__all__ = ["decode_envelope", "encode_envelope", "read_trailer", "read_word"]
 
-__all__ = ["decode_header", "encode_header", "read_trailer"]
-
-# 38 bytes, but checked against the 44-byte documented header width.
-_HEADER = struct.Struct(">BBHIIQIQIH")
-assert _HEADER.size == HEADER_BYTES
-
-# Native byte order in a wire format.
+# TP: native byte order in a wire format.
 _ENVELOPE = struct.Struct("HBB")
-assert _ENVELOPE.size == PACKET_HEADER_BYTES
+
+# Near miss: the same envelope in network byte order.
+_WIRE_ENVELOPE = struct.Struct(">HBB")
 
 
-def encode_header(values):
-    return _HEADER.pack(*values)
+def encode_envelope(values):
+    return _ENVELOPE.pack(*values)
 
 
-def decode_header(data):
-    return _HEADER.unpack(data[:HEADER_BYTES])
+def decode_envelope(data):
+    return _WIRE_ENVELOPE.unpack_from(data)
 
 
 def read_trailer(blob):
-    # ">HHI" is 8 bytes; the slice only provides 6.
-    return struct.unpack(">HHI", blob[-6:])
+    # TP: explicit little-endian is host-independent, but not network order.
+    return struct.unpack("<I", blob[-4:])
+
+
+def read_word(blob):
+    # Near miss: '!' is network byte order too.
+    return struct.unpack_from("!I", blob, 0)

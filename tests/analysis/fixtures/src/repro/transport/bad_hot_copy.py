@@ -3,7 +3,7 @@
 __all__ = ["FixtureReceiver"]
 
 
-class FixtureReceiver:  # owner: per-connection
+class FixtureReceiver:
     def receive_chunk(self, chunk):
         header = memoryview(chunk.payload)[0:44]  # near-miss: zero-copy view
         head = chunk.payload[:44]  # TP: slicing payload copies it

@@ -1,10 +1,9 @@
 """True-positive / near-miss tests for the protolint v3 passes.
 
-The seam-purity scenarios (now held by ``ambient-authority``) and
-wire-drift each get the TP-plus-nearest-legal-idiom treatment, and the
-surviving acceptance scenario from ISSUE 6 is pinned explicitly:
-injecting ``time.time()`` into ``repro.transport.endpoint`` fails
-ambient-authority.
+The seam-purity scenarios (now held by ``ambient-authority``) get the
+TP-plus-nearest-legal-idiom treatment, and the surviving acceptance
+scenario is pinned explicitly: injecting ``time.time()`` into
+``repro.transport.endpoint`` fails ambient-authority.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import ast
 from pathlib import Path
 
 from repro.analysis.core import Finding, ModuleUnit, run_passes
-from repro.analysis.passes import AmbientAuthorityPass, WireDriftPass
+from repro.analysis.passes import AmbientAuthorityPass
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
 REPO_SRC = Path(__file__).parents[2] / "src" / "repro"
@@ -106,41 +105,3 @@ class TestSeamPurity:
 
     def test_real_tree_is_clean(self):
         assert run_passes(real_units(), [AmbientAuthorityPass()]) == []
-
-
-class TestWireDrift:
-    def test_fixture_true_positives(self):
-        findings = project_findings(
-            WireDriftPass(), FIXTURES / "core" / "bad_wire_drift.py"
-        )
-        assert symbols(findings) == {
-            "format-drift:_DRIFTED_HEADER",
-            "unknown-table:_PHANTOM",
-        }
-
-    def test_matching_marker_near_miss_stays_silent(self):
-        findings = project_findings(
-            WireDriftPass(), FIXTURES / "core" / "bad_wire_drift.py"
-        )
-        assert not any("_SIGNALING" in f.symbol for f in findings)
-
-    def test_codec_docstring_drift_is_caught(self):
-        codec = REPO_SRC / "core" / "codec.py"
-        source = codec.read_text().replace("20      T.ID    4", "22      T.ID    4", 1)
-        unit = ModuleUnit(
-            path=codec, module="repro.core.codec", source=source, tree=ast.parse(source)
-        )
-        findings = list(WireDriftPass().check(unit))
-        assert any(f.symbol == "doc-drift:T.ID" for f in findings)
-
-    def test_deleted_marker_is_caught(self):
-        codec = REPO_SRC / "core" / "codec.py"
-        source = codec.read_text().replace("  # wire-table: chunk-header", "", 1)
-        unit = ModuleUnit(
-            path=codec, module="repro.core.codec", source=source, tree=ast.parse(source)
-        )
-        findings = list(WireDriftPass().check(unit))
-        assert any(f.symbol == "unmarked:_HEADER" for f in findings)
-
-    def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [WireDriftPass()]) == []

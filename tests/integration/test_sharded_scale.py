@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import simsan
 from repro.app.concurrent import ConcurrentWorkload, deterministic_payload, staggered_specs
 from repro.netsim.bottleneck import build_shared_bottleneck
 from repro.netsim.events import EventLoop
@@ -76,7 +77,13 @@ def run_scale(shards: int | None):
     work.launch(
         staggered_specs(CONVERSATIONS, total_bytes=OBJECT_BYTES, stagger=0.0005)
     )
-    outcomes = work.run()
+    # The sharded run holds every shard to its own state: an event a
+    # shard's member runs that touches another shard raises SimSanError.
+    with simsan.session() as san:
+        if shards is not None:
+            san.watch(sender)
+            san.watch(receiver)
+        outcomes = work.run()
     return loop, sender, receiver, outcomes
 
 
