@@ -50,7 +50,7 @@ EXPERIMENTS = [
      "Measured exactly 1.0 / ~1.25 / 2.0 touches per byte (immediate/reorder/reassemble); 400 vs 200 Mbps effective throughput — the paper's factor of two."),
     ("CLAIM-ILP", "bench_claim_ilp", "Section 1 — Integrated Layer Processing",
      "Eliminating per-layer buffer walks keeps memory traffic flat as layers stack.",
-     "Integrated stays at 2 touches/byte for any depth; layered pays 1-2 per layer (5 touches at depth 3, ratio 2.5x)."),
+     "Integrated stays at 2 touches/byte for any depth; layered pays 1-2 per layer (5 touches at depth 3, ratio 2.5x). The live receiver (`ChunkTransportReceiver`, one step per chunk) touches each payload byte once."),
     ("CLAIM-LOCKUP", "bench_claim_lockup", "Section 3.3 — reassembly buffer lock-up",
      "Bounded IP reassembly buffers lock up on disordered fragments; chunks eliminate the problem (no physical reassembly buffer).",
      "IP completes 0/32 PDUs until the buffer covers the full 32-PDU working set; chunks verify 32/32 with zero payload buffering at any budget."),

@@ -44,8 +44,15 @@ _HEADER = struct.Struct(CHUNK_HEADER.struct_format)
 _FLAG_C_ST = 0x01
 _FLAG_T_ST = 0x02
 _FLAG_X_ST = 0x04
+#: FLAGS byte -> (C.ST, T.ST, X.ST); bits above the three are ignored.
+_ST_BITS = tuple(
+    (bool(flags & _FLAG_C_ST), bool(flags & _FLAG_T_ST), bool(flags & _FLAG_X_ST))
+    for flags in range(256)
+)
 
 _TYPES = {int(member): member for member in ChunkType}
+_DATA = ChunkType.DATA
+_new = tuple.__new__
 
 #: 44 zero bytes: TYPE=0 and LEN=0 both mark "no more chunks".
 SENTINEL_HEADER = b"\x00" * HEADER_BYTES
@@ -76,36 +83,8 @@ def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
     Raises:
         CodecError: on malformed headers or truncated payloads.
     """
-    if len(data) - offset < HEADER_BYTES:
-        return None, len(data)
-    header = _HEADER.unpack_from(data, offset)
-    raw_type, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn = header
-    if raw_type == 0 or length == 0:
-        return None, offset + HEADER_BYTES
-    chunk_type = _TYPES.get(raw_type)
-    if chunk_type is None:
-        raise CodecError(f"unknown chunk TYPE {raw_type:#x} at offset {offset}")
-    if size == 0:
-        raise CodecError(f"SIZE=0 in non-sentinel chunk at offset {offset}")
-    unit_bytes = size * WORD_BYTES if chunk_type is ChunkType.DATA else WORD_BYTES
-    payload_len = length * unit_bytes
-    start = offset + HEADER_BYTES
-    end = start + payload_len
-    if end > len(data):
-        raise CodecError(
-            f"truncated chunk payload: need {payload_len} bytes at offset "
-            f"{start}, have {len(data) - start}"
-        )
-    # Unsigned fields of fixed width, TYPE / SIZE / LEN / payload length
-    # checked above: nothing is left for the validating constructor.
-    chunk = Chunk._make(
-        chunk_type, size, length,
-        c_id, c_sn, bool(flags & _FLAG_C_ST),
-        t_id, t_sn, bool(flags & _FLAG_T_ST),
-        x_id, x_sn, bool(flags & _FLAG_X_ST),
-        bytes(data[start:end]),
-    )
-    return chunk, end
+    chunks, end = _decode(data, offset, 1)
+    return (chunks[0] if chunks else None), end
 
 
 def encode_chunks(chunks: list[Chunk], pad_to: int | None = None) -> bytes:
@@ -130,13 +109,42 @@ def encode_chunks(chunks: list[Chunk], pad_to: int | None = None) -> bytes:
 
 def decode_chunks(data: bytes, offset: int = 0) -> list[Chunk]:
     """Decode every chunk from *data*, honouring the sentinel."""
+    return _decode(data, offset, len(data))[0]  # a chunk is longer than one byte
+
+
+def _decode(data: bytes, offset: int, most: int) -> tuple[list[Chunk], int]:
+    """The parser: up to *most* chunks from *offset*, each unpacked, checked
+    and made into its record in one step, and the offset where it stopped
+    (past a sentinel header; the end of *data* at trailing padding)."""
     chunks: list[Chunk] = []
-    while offset < len(data):
-        chunk, offset = decode_chunk(data, offset)
-        if chunk is None:
-            break
-        chunks.append(chunk)
-    return chunks
+    end_of_data = len(data)
+    for _ in range(most):
+        if end_of_data - offset < HEADER_BYTES:
+            return chunks, end_of_data
+        header = _HEADER.unpack_from(data, offset)
+        raw_type, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn = header
+        if raw_type == 0 or length == 0:
+            return chunks, offset + HEADER_BYTES
+        chunk_type = _TYPES.get(raw_type)
+        if chunk_type is None:
+            raise CodecError(f"unknown chunk TYPE {raw_type:#x} at offset {offset}")
+        if size == 0:
+            raise CodecError(f"SIZE=0 in non-sentinel chunk at offset {offset}")
+        start = offset + HEADER_BYTES
+        offset = start + length * (size * WORD_BYTES if chunk_type is _DATA else WORD_BYTES)
+        if offset > end_of_data:
+            raise CodecError(
+                f"truncated chunk payload: need {offset - start} bytes at offset "
+                f"{start}, have {end_of_data - start}"
+            )
+        c_st, t_st, x_st = _ST_BITS[flags]
+        # Unsigned fields of fixed width, TYPE / SIZE / LEN / payload length
+        # checked above: nothing is left for the validating constructor.
+        chunks.append(_new(Chunk, (
+            chunk_type, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st,
+            bytes(data[start:offset]),
+        )))
+    return chunks, offset
 
 
 def encode_packet_header(flags: int = 0) -> bytes:

@@ -46,6 +46,14 @@ class IntervalSet:
             ends.insert(lo, end)
             return [(start, end)]
         fresh: list[tuple[int, int]] = []
+        if hi - lo == 1:  # it touches one: fresh on either side, grown in place
+            if starts[lo] > start:
+                fresh.append((start, starts[lo]))
+                starts[lo] = start
+            if ends[lo] < end:
+                fresh.append((ends[lo], end))
+                ends[lo] = end
+            return fresh
         cursor = start
         for i in range(lo, hi):
             if starts[i] > cursor:

@@ -109,7 +109,9 @@ class PlacementBuffer:
                 )
             self._data.extend(b"\x00" * growth)
         self._data[offset:end] = data
-        fresh = sum(hi - lo for lo, hi in self._received.insert(offset, end))
+        fresh = 0
+        for lo, hi in self._received.insert(offset, end):
+            fresh += hi - lo
         self.bytes_placed += fresh
         self.duplicate_bytes += len(data) - fresh
         return fresh

@@ -11,65 +11,69 @@ chunk is fully processed on arrival —
    retransmission-flagged.
 
 No payload byte is ever buffered waiting for other packets.
+
+Each chunk is one step on its label, unpacked once: place, window,
+verify.  Telemetry stays off that step: the receiver's tallies are its
+own integers, published as deltas once per call when a registry is
+installed, and the journey tracker is looked up once per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from operator import attrgetter
+from typing import Iterable, Sequence
 
 from repro.core.chunk import Chunk
 from repro.core.errors import CodecError, SignalingError
 from repro.core.packet import Packet
-from repro.core.types import ChunkType
+from repro.core.types import WORD_BYTES, ChunkType
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
 from repro.obs import counter, histogram, journey_handle
+from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.wsc.endtoend import EndToEndReceiver, TpduVerdict
 
 __all__ = ["ReceiverEvents", "ChunkTransportReceiver"]
 
-_OBS_PACKETS = counter("transport", "receiver.packets_received", "wire packets decoded")
-_OBS_CHUNKS = counter("transport", "receiver.chunks_received", "chunks processed on arrival")
-_OBS_DUPLICATES = counter("transport", "receiver.duplicate_chunks", "fully duplicate chunks")
-_OBS_REJECTED = counter(
-    "transport", "receiver.rejected_placements", "placements refused (absurd offsets)"
-)
-_OBS_DECODE_FAILURES = counter(
-    "transport", "receiver.decode_failures", "undecodable wire packets"
-)
-_OBS_UNKNOWN_TYPE = counter(
-    "transport",
-    "receiver.unknown_type_chunks",
-    "chunks of a TYPE this receiver does not process",
-)
-_OBS_SIGNALING_REJECTED = counter(
-    "transport",
-    "receiver.signaling_rejected",
-    "malformed establishment chunks refused",
-)
-_OBS_BUDGET_REFUSED = counter(
-    "transport",
-    "receiver.budget_refused_chunks",
-    "chunks whose placement the shared budget refused (not acknowledged)",
-)
-_OBS_OVERLAP_CONFLICT = counter(
-    "transport",
-    "receiver.overlap_conflict_chunks",
-    "chunks refused for overlapping placed bytes with different content",
-)
+#: The receiver's tallies — its own integers, by attribute — and the
+#: counters they are published to, as deltas once per call while a
+#: registry is installed.  A data touch is a placement of fresh bytes into
+#: the application's memory: the paper's single touch (Figure 1).
+_TALLIES = {
+    "packets_received": ("transport", "receiver.packets_received", "wire packets decoded"),
+    "chunks_received": ("transport", "receiver.chunks_received", "chunks processed on arrival"),
+    "duplicate_chunks": ("transport", "receiver.duplicate_chunks", "fully duplicate chunks"),
+    "rejected_placements": (
+        "transport", "receiver.rejected_placements", "placements refused (absurd offsets)"
+    ),
+    "decode_failures": ("transport", "receiver.decode_failures", "undecodable wire packets"),
+    "unknown_type_chunks": (
+        "transport", "receiver.unknown_type_chunks",
+        "chunks of a TYPE this receiver does not process",
+    ),
+    "signaling_rejected": (
+        "transport", "receiver.signaling_rejected", "malformed establishment chunks refused"
+    ),
+    "budget_refused_chunks": (
+        "transport", "receiver.budget_refused_chunks",
+        "chunks whose placement the shared budget refused (not acknowledged)",
+    ),
+    "overlap_conflict_chunks": (
+        "transport", "receiver.overlap_conflict_chunks",
+        "chunks refused for overlapping placed bytes with different content",
+    ),
+    "data_touches": ("host", "data_touches", "payload placements into app memory"),
+    "stream.bytes_placed": (
+        "host", "data_touch_bytes", "fresh payload bytes placed into app memory"
+    ),
+}
+_tallies = attrgetter(*_TALLIES)
+_TALLY_COUNTERS = tuple(counter(*series) for series in _TALLIES.values())
 _OBS_OOO_DISTANCE = histogram(
-    "transport",
-    "receiver.ooo_distance",
+    "transport", "receiver.ooo_distance",
     "units between a chunk's C.SN and the in-order arrival frontier",
-)
-# Placement into the application address space is the paper's single
-# data touch (Figure 1): the immediate-processing receiver moves each
-# payload byte across the bus exactly once.
-_OBS_DATA_TOUCHES = counter("host", "data_touches", "payload placements into app memory")
-_OBS_DATA_TOUCH_BYTES = counter(
-    "host", "data_touch_bytes", "fresh payload bytes placed into app memory"
 )
 _OBS_JOURNEY = journey_handle()
 # An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
@@ -108,7 +112,11 @@ class ChunkTransportReceiver:
 
     chunks_received: int = 0
     packets_received: int = 0
+    decode_failures: int = 0
     duplicate_chunks: int = 0
+    #: placements that wrote fresh bytes: the paper's single data touch
+    #: (Figure 1), each payload byte moved across the bus exactly once.
+    data_touches: int = 0
     #: chunks whose placement was refused (absurd offsets from corrupted
     #: SNs); the verifier still sees them, so the TPDU is rejected.
     rejected_placements: int = 0
@@ -139,25 +147,22 @@ class ChunkTransportReceiver:
 
     def receive_packet(self, frame: bytes) -> ReceiverEvents:
         """Decode a wire packet and process every chunk in it."""
+        # One look per call at whether a registry is installed: an
+        # attribute read, so an unobserved receiver makes no obs call.
+        before = _tallies(self) if obs_runtime._registry is not None else None
         events = ReceiverEvents()
         self.packets_received += 1
-        _OBS_PACKETS.inc()
         try:
-            packet = Packet.decode(frame)
+            events.chunks = Packet.decode(frame).chunks
         except CodecError:
             events.decode_failed = True
-            _OBS_DECODE_FAILURES.inc()
-            return events
-        events.chunks = packet.chunks
-        for chunk in packet.chunks:
-            self._receive_chunk(chunk, events)
-        return events
+            self.decode_failures += 1
+        return self._receive(events.chunks, events, before)
 
     def receive_chunk(self, chunk: Chunk) -> ReceiverEvents:
         """Process one already-decoded chunk (router-less test paths)."""
-        events = ReceiverEvents()
-        self._receive_chunk(chunk, events)
-        return events
+        before = _tallies(self) if obs_runtime._registry is not None else None
+        return self._receive((chunk,), ReceiverEvents(), before)
 
     def receive_chunks(self, chunks: Iterable[Chunk]) -> ReceiverEvents:
         """Process a batch of already-decoded chunks.
@@ -167,104 +172,99 @@ class ChunkTransportReceiver:
         chunks — possibly interleaved with other conversations' chunks
         in the same envelope.
         """
+        before = _tallies(self) if obs_runtime._registry is not None else None
         events = ReceiverEvents()
         events.chunks = list(chunks)
-        for chunk in events.chunks:
-            self._receive_chunk(chunk, events)
-        return events
+        return self._receive(events.chunks, events, before)
 
     # ------------------------------------------------------------------
 
-    def _receive_chunk(self, chunk: Chunk, events: ReceiverEvents) -> None:
-        self.chunks_received += 1
-        _OBS_CHUNKS.inc()
-        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
-        if ctype is _SIGNALING:
-            self._handle_signaling(chunk)
-            return
-        if ctype is _ED:
-            verdicts = self.verifier.receive(chunk)
-            if _OBS_JOURNEY:
-                self._journey_verdicts(c_id, verdicts)
-            events.verdicts.extend(verdicts)
-            return
-        if ctype is not _DATA:
-            self.unknown_type_chunks += 1
-            _OBS_UNKNOWN_TYPE.inc()
-            return
-
-        _OBS_OOO_DISTANCE.observe(abs(c_sn - self._frontier_sn))
-        self._frontier_sn = max(self._frontier_sn, c_sn + length)
-
-        # (1) immediate placement into application memory, once: the stream
-        # holds the bytes, the frame store only windows them.  Both refuse
-        # absurd offsets (corrupted SNs) and an ST that contradicts a known end
-        # or span; the verifier below still sees the chunk and rejects the TPDU.
-        unit_bytes = chunk.unit_bytes
-        offset = c_sn * unit_bytes
-        place = self.stream.place_last if c_st else self.stream.place
-        framed = False  # the stream has accepted; a refusal is the frame store's
-        try:
-            fresh = place(offset, payload)
-            if fresh == 0:
-                self.duplicate_chunks += 1
-                _OBS_DUPLICATES.inc()
-                if _OBS_JOURNEY:
-                    _OBS_JOURNEY.chunk("duplicate", chunk)
-            else:
-                _OBS_DATA_TOUCHES.inc()
-                _OBS_DATA_TOUCH_BYTES.inc(fresh)
-                if _OBS_JOURNEY:
-                    _OBS_JOURNEY.chunk("placed", chunk, fresh=fresh)
-            framed = True
-            if self.frames.place(x_id, x_sn * unit_bytes, offset, len(payload), x_st):
-                events.completed_frames.append(x_id)
-                if _OBS_JOURNEY:
-                    _OBS_JOURNEY.emit("delivered", c_id, 0, 0, level="frame", x_id=x_id)
-        except InconsistentOverlapError:
-            self.overlap_conflict_chunks += 1
-            _OBS_OVERLAP_CONFLICT.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("conflict", chunk, reason="overlap", **_site(framed))
-            return  # unacknowledged: the content disagreement stays visible
-        except BudgetExceededError:
-            self.budget_refused_chunks += 1
-            _OBS_BUDGET_REFUSED.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="budget")
-            return  # unacknowledged: retransmission retries the placement
-        except ValueError:
-            self.rejected_placements += 1
-            _OBS_REJECTED.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.chunk("refused", chunk, reason="bounds", **_site(framed))
-
-        # (2)+(3) incremental verification via the end-to-end receiver.
-        verdicts = self.verifier.receive(chunk)
-        if _OBS_JOURNEY and verdicts:
-            self._journey_verdicts(c_id, verdicts)
-        events.verdicts.extend(verdicts)
-
-        # Only the end the stream accepted (now or earlier) closes it.
-        if c_st and self.stream.total_bytes == offset + len(payload):
-            self.closed = True
-            events.connection_closed = True
-
-    def _journey_verdicts(
-        self, c_id: int, verdicts: Iterable[TpduVerdict]
-    ) -> None:
-        for verdict in verdicts:
-            _OBS_JOURNEY.emit(
-                "verified", c_id, 0, 0, level="tpdu",
-                t_id=verdict.t_id, ok=verdict.ok,
+    def _receive(
+        self, chunks: Sequence[Chunk], events: ReceiverEvents, before: tuple[int, ...] | None
+    ) -> ReceiverEvents:
+        """Process *chunks* in order, then publish the tallies' deltas
+        since *before* (taken when a registry is installed)."""
+        journey = _OBS_JOURNEY._impl  # the installed tracker or None, read once
+        stream, verifier = self.stream, self.verifier
+        self.chunks_received += len(chunks)
+        for chunk in chunks:
+            ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = (
+                chunk
             )
+            if ctype is _DATA:
+                if before is not None:
+                    _OBS_OOO_DISTANCE.observe(abs(c_sn - self._frontier_sn))
+                if c_sn + length > self._frontier_sn:
+                    self._frontier_sn = c_sn + length
+                # (1) immediate placement into application memory, once: the
+                # stream holds the bytes, the frame store only windows them.
+                # Both refuse absurd offsets (corrupted SNs) and an ST that
+                # contradicts a known end or span; the verifier still sees the
+                # chunk and rejects the TPDU.
+                unit_bytes = size * WORD_BYTES
+                offset = c_sn * unit_bytes
+                framed = False  # the stream has accepted; a refusal is the frame store's
+                try:
+                    fresh = (stream.place_last if c_st else stream.place)(offset, payload)
+                    if fresh:
+                        self.data_touches += 1
+                        if journey is not None:
+                            journey.chunk("placed", chunk, fresh=fresh)
+                    else:
+                        self.duplicate_chunks += 1
+                        if journey is not None:
+                            journey.chunk("duplicate", chunk)
+                    framed = True
+                    if self.frames.place(x_id, x_sn * unit_bytes, offset, len(payload), x_st):
+                        events.completed_frames.append(x_id)
+                        if journey is not None:
+                            journey.emit("delivered", c_id, 0, 0, level="frame", x_id=x_id)
+                except InconsistentOverlapError:
+                    self.overlap_conflict_chunks += 1
+                    if journey is not None:
+                        journey.chunk("conflict", chunk, reason="overlap", **_site(framed))
+                    continue  # unacknowledged: the content disagreement stays visible
+                except BudgetExceededError:
+                    self.budget_refused_chunks += 1
+                    if journey is not None:
+                        journey.chunk("refused", chunk, reason="budget")
+                    continue  # unacknowledged: retransmission retries the placement
+                except ValueError:
+                    self.rejected_placements += 1
+                    if journey is not None:
+                        journey.chunk("refused", chunk, reason="bounds", **_site(framed))
+            elif ctype is _SIGNALING:
+                self._handle_signaling(chunk)
+                continue
+            elif ctype is not _ED:
+                self.unknown_type_chunks += 1
+                continue
+
+            # (2)+(3) incremental verification via the end-to-end receiver.
+            verdicts = verifier.receive(chunk)
+            if verdicts:
+                if journey is not None:
+                    for verdict in verdicts:
+                        journey.emit(
+                            "verified", c_id, 0, 0, level="tpdu", t_id=verdict.t_id, ok=verdict.ok
+                        )
+                events.verdicts += verdicts
+            # Only the end the stream accepted (now or earlier) closes it.
+            if c_st and ctype is _DATA and stream.total_bytes == offset + len(payload):
+                self.closed = True
+                events.connection_closed = True
+
+        if before is not None:
+            for counter_handle, old, new in zip(_TALLY_COUNTERS, before, _tallies(self)):
+                if new != old:
+                    counter_handle.inc(new - old)
+        return events
 
     def _handle_signaling(self, chunk: Chunk) -> None:
         try:
             config = parse_signaling_chunk(chunk)
         except SignalingError:
             self.signaling_rejected += 1
-            _OBS_SIGNALING_REJECTED.inc()
             return
         if self.config is None:
             self.config = config

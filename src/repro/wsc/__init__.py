@@ -20,6 +20,7 @@ from repro.wsc.gf32 import (
     gf_add,
     gf_inv,
     gf_mul,
+    gf_mul_const,
     gf_pow,
     mul_alpha,
 )
@@ -50,6 +51,7 @@ __all__ = [
     "ALPHA",
     "gf_add",
     "gf_mul",
+    "gf_mul_const",
     "gf_pow",
     "gf_inv",
     "alpha_pow",

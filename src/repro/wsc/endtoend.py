@@ -26,6 +26,7 @@ from repro.core.errors import ChunkError, VirtualReassemblyError
 from repro.core.types import ChunkType
 from repro.core.virtual import PduState
 from repro.obs import counter, tracer
+from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import EdPayload, TpduInvariant, parse_ed_chunk
 
 __all__ = [
@@ -87,56 +88,6 @@ class _TpduChecker:
             self.failure = (reason, detail)
 
     # ------------------------------------------------------------------
-
-    def add_data(self, chunk: Chunk) -> bool:
-        """Record a data chunk; returns True if the TPDU just completed.
-
-        Virtual reassembly runs first: a corrupted T.SN/T.ST/LEN/SIZE
-        manifests there (the "Reassembly Error" rows of Table 1); the
-        (C.SN - T.SN) and (C.SN - X.SN) consistency checks follow (the
-        "Consistency Check" rows), and everything else is left to the
-        WSC-2 code at completion time.
-        """
-        # Virtual reassembly + incremental invariant over fresh units.
-        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
-        try:
-            arrival = self.reassembly.record(t_sn, length, t_st)
-        except VirtualReassemblyError as exc:
-            self.fail(REASON_REASSEMBLY, str(exc))
-            return False
-        for start, end in arrival.fresh_ranges:
-            try:
-                self.invariant.add_units(chunk, start - t_sn, end - t_sn)
-            except ChunkError as exc:
-                self.fail(REASON_REASSEMBLY, str(exc))
-                return False
-
-        # Consistency checks (Section 4, last paragraph).
-        delta_t = c_sn - t_sn
-        if self.c_minus_t is None:
-            self.c_minus_t = delta_t
-        elif delta_t != self.c_minus_t:
-            self.fail(
-                REASON_CONSISTENCY,
-                f"(C.SN - T.SN) changed from {self.c_minus_t} to {delta_t}",
-            )
-        delta_x = c_sn - x_sn
-        known = self.x_deltas.get(x_id)
-        if known is None:
-            self.x_deltas[x_id] = delta_x
-        elif delta_x != known:
-            self.fail(
-                REASON_CONSISTENCY,
-                f"(C.SN - X.SN) for X.ID {x_id} changed from {known} to {delta_x}",
-            )
-        # Completion by the ED chunk's unit count when T.ST never arrived:
-        # if every unit [0, total) is present but the ST bit was corrupted
-        # away, virtual reassembly alone would wait forever; the count turns
-        # that into an immediate reassembly-error verdict.
-        return arrival.completed or (
-            self.expected is not None
-            and self.reassembly.received.is_complete(self.expected.total_units)
-        )
 
     def add_ed(self, chunk: Chunk) -> bool:
         """Record the ED chunk; returns True if the TPDU just completed."""
@@ -206,17 +157,58 @@ class EndToEndReceiver:
     corrupted: int = 0
 
     def receive(self, chunk: Chunk) -> list[TpduVerdict]:
-        kind = chunk.type
-        if kind is not _DATA and kind is not _ED:
+        """Check one chunk against its TPDU; the verdicts it completes.
+
+        A DATA chunk is one step on its label: virtual reassembly (Table 1's
+        "Reassembly Error" rows), its fresh units into the invariant, then
+        the (C.SN - T.SN) and (C.SN - X.SN) "Consistency Check" rows; the
+        rest is left to the WSC-2 code at completion."""
+        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+        if ctype is not _DATA and ctype is not _ED:
             return []  # signaling/ACK chunks are not TPDU-framed data
-        key = (chunk.c_id, chunk.t_id)
+        key = (c_id, t_id)
         try:
             checker = self._checkers[key]
         except KeyError:
-            checker = self._checkers[key] = _TpduChecker(*key)
+            checker = self._checkers[key] = _TpduChecker(c_id, t_id)
         if checker is None:
             return []  # late duplicate of an already-verdicted TPDU
-        done = checker.add_data(chunk) if kind is _DATA else checker.add_ed(chunk)
+        if ctype is _ED:
+            done = checker.add_ed(chunk)
+        else:
+            reassembly = checker.reassembly
+            try:
+                arrival = reassembly.record(t_sn, length, t_st)
+                for start, end in arrival.fresh_ranges:  # one, unless a partial duplicate
+                    checker.invariant.add_units(chunk, start - t_sn, end - t_sn)
+            except (VirtualReassemblyError, ChunkError) as exc:
+                checker.fail(REASON_REASSEMBLY, str(exc))
+                done = False
+            else:
+                # Consistency checks (Section 4, last paragraph).
+                delta = c_sn - t_sn
+                if checker.c_minus_t is None:
+                    checker.c_minus_t = delta
+                elif delta != checker.c_minus_t:
+                    checker.fail(
+                        REASON_CONSISTENCY,
+                        f"(C.SN - T.SN) changed from {checker.c_minus_t} to {delta}",
+                    )
+                delta = c_sn - x_sn
+                known = checker.x_deltas.setdefault(x_id, delta)
+                if delta != known:
+                    checker.fail(
+                        REASON_CONSISTENCY,
+                        f"(C.SN - X.SN) for X.ID {x_id} changed from {known} to {delta}",
+                    )
+                # Completion by the ED chunk's unit count when T.ST never
+                # arrived: if every unit [0, total) is present but the ST bit
+                # was corrupted away, virtual reassembly alone would wait
+                # forever; the count makes that an immediate verdict.
+                expected = checker.expected
+                done = arrival.completed or (
+                    expected is not None and reassembly.received.is_complete(expected.total_units)
+                )
         # Hard structural failures need not wait for completion.
         if (done and checker.expected is not None) or (
             checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH
@@ -249,18 +241,13 @@ class EndToEndReceiver:
     def _count(self, verdict: TpduVerdict) -> None:
         if verdict.ok:
             self.verified += 1
-            _OBS_VERIFIED.inc()
         else:
             self.corrupted += 1
-            _OBS_CORRUPTED.inc()
-            reason_counter = _OBS_FAIL_BY_REASON.get(verdict.reason or "")
-            if reason_counter is not None:
-                reason_counter.inc()
-        if _OBS_TRACE:
-            _OBS_TRACE.event(
-                "verdict",
-                c_id=verdict.c_id,
-                t_id=verdict.t_id,
-                ok=verdict.ok,
-                reason=verdict.reason,
-            )
+        if obs_runtime._registry is None:  # an attribute read, not a call
+            return
+        (_OBS_VERIFIED if verdict.ok else _OBS_CORRUPTED).inc()
+        if verdict.reason in _OBS_FAIL_BY_REASON:
+            _OBS_FAIL_BY_REASON[verdict.reason].inc()
+        _OBS_TRACE.event(
+            "verdict", c_id=verdict.c_id, t_id=verdict.t_id, ok=verdict.ok, reason=verdict.reason
+        )

@@ -19,12 +19,15 @@ byte-run kernel in :mod:`repro.wsc.wsc2` leans on ``alpha = x`` and on
 
 from __future__ import annotations
 
+from typing import Callable
+
 __all__ = [
     "POLY",
     "ORDER",
     "ALPHA",
     "gf_add",
     "gf_mul",
+    "gf_mul_const",
     "gf_pow",
     "gf_inv",
     "alpha_pow",
@@ -114,3 +117,32 @@ def mul_alpha(a: int) -> int:
     if a & _BIT32:
         a ^= POLY
     return a
+
+
+def gf_mul_const(weight: int) -> Callable[[int], int]:
+    """``lambda value: gf_mul(weight, value)`` as four byte-table lookups.
+
+    Multiplying by a constant is GF(2)-linear in the value's bits, so the
+    product is the XOR of one table entry per value byte.  The tables are
+    built from the 32 basis products ``weight * x^k`` (``mul_alpha``
+    steps), each entry from a smaller one plus one basis product.
+    """
+    basis = []
+    product = weight & _MASK32
+    for _ in range(32):
+        basis.append(product)
+        product = mul_alpha(product)
+    tables = []
+    for byte in range(4):
+        table = [0] * 256
+        for value in range(1, 256):
+            low = value & -value  # its lowest set bit
+            table[value] = table[value ^ low] ^ basis[8 * byte + low.bit_length() - 1]
+        tables.append(table)
+    t0, t1, t2, t3 = tables
+
+    def times_weight(value: int) -> int:
+        value &= _MASK32
+        return t0[value & 0xFF] ^ t1[value >> 8 & 0xFF] ^ t2[value >> 16 & 0xFF] ^ t3[value >> 24]
+
+    return times_weight

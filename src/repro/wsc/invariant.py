@@ -22,8 +22,9 @@ that a wrong position causes, which is exactly the Table 1 story.
 
 The map is the definition (``add_symbol`` / ``add_run`` there); the code
 spends no arithmetic on a position known in advance — fixed weights are
-constants, the X pair's is cached by final T.SN — and none on a payload
-run's either: ``add_bytes`` applies it as a shift (data ends below 16384).
+constants, multiplied through byte tables (``gf_mul_const``), the X pair's
+is cached by final T.SN — and none on a payload run's either:
+``add_bytes`` applies it as a shift (data ends below 16384).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
 from repro.core.types import MAX_TPDU_SYMBOLS, ChunkType
 from repro.obs import counter
-from repro.wsc.gf32 import alpha_pow, gf_mul, mul_alpha
+from repro.wsc.gf32 import alpha_pow, gf_mul, gf_mul_const, mul_alpha
 from repro.wsc.wsc2 import Wsc2Accumulator
 
 __all__ = [
@@ -58,6 +59,8 @@ C_ST_POS = MAX_TPDU_SYMBOLS + 2      # 16386
 X_PAIR_BASE = MAX_TPDU_SYMBOLS + 3   # 16387
 # alpha^position of the three fixed rows: constants too.
 _T_ID_WEIGHT, _C_ID_WEIGHT, _C_ST_WEIGHT = map(alpha_pow, (T_ID_POS, C_ID_POS, C_ST_POS))
+_times_t_id_weight = gf_mul_const(_T_ID_WEIGHT)
+_times_c_id_weight = gf_mul_const(_C_ID_WEIGHT)
 
 _ED_PAYLOAD = struct.Struct(">III")
 _DATA = ChunkType.DATA  # an enum member read is ~0.1 µs on CPython 3.11
@@ -100,7 +103,7 @@ class TpduInvariant(Wsc2Accumulator):
         t_id &= 0xFFFFFFFF
         c_id &= 0xFFFFFFFF
         self.p0 = t_id ^ c_id
-        self.p1 = gf_mul(_T_ID_WEIGHT, t_id) ^ gf_mul(_C_ID_WEIGHT, c_id)
+        self.p1 = _times_t_id_weight(t_id) ^ _times_c_id_weight(c_id)
 
     def add_chunk(self, chunk: Chunk) -> None:
         """Add a whole DATA chunk's contribution."""
@@ -109,10 +112,11 @@ class TpduInvariant(Wsc2Accumulator):
     def add_units(self, chunk: Chunk, first: int, last: int) -> None:
         """Add units ``[first, last)`` of *chunk* (chunk-relative).
 
-        Receivers with duplicate partial overlap call this per fresh
-        range so no symbol is ever accumulated twice.  Trigger encodings
-        (C.ST and the X pair) belong to the chunk's final unit and are
-        applied only when that unit is inside the range.
+        The one step per chunk of sender and receiver alike: the run is
+        folded in, then the trigger rule — C.ST and the X pair belong to
+        the chunk's final unit and are applied only when that unit is
+        inside the range.  Receivers with duplicate partial overlap call
+        this per fresh range so no symbol is ever accumulated twice.
         """
         ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
         if ctype is not _DATA:
@@ -213,10 +217,9 @@ def encode_tpdu(chunks: list[Chunk]) -> tuple[EdPayload, Chunk]:
     for chunk in chunks:
         if chunk.c_id != c_id or chunk.t_id != t_id:
             raise ChunkError("chunks span more than one (connection, TPDU)")
-        invariant.add_chunk(chunk)
+        invariant.add_units(chunk, 0, chunk.length)
         total_units = max(total_units, chunk.t_sn + chunk.length)
-    p0, p1 = invariant.value()
-    payload = EdPayload(p0, p1, total_units)
+    payload = EdPayload(invariant.p0, invariant.p1, total_units)
     return payload, build_ed_chunk(c_id, t_id, payload)
 
 

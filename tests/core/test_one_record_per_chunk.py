@@ -2,7 +2,8 @@
 
 A label is one flat record from the moment it is formed, decoded or cut.
 This test does not read a counter the code increments: it patches the
-constructors themselves — both ways of making a :class:`Chunk`,
+constructors themselves — both ways of making a :class:`Chunk`, the
+codec's own record maker (the decode loop builds each record inline),
 ``FramingTuple``'s validation hook and ``dataclasses.replace`` — and
 runs a sender -> MTU 4096 / 1500 / 296 refragmenting path -> receiver
 transfer with no obs session installed.
@@ -43,7 +44,8 @@ def test_refragmenting_transfer_makes_one_record_per_chunk(monkeypatch):
     validating_new = Chunk.__new__
     trusted_make = Chunk._make
     validate_tuple = FramingTuple.__post_init__
-    decode_chunk = codec.decode_chunk
+    make_record = codec._new
+    decode_chunk, decode_chunks = codec.decode_chunk, codec.decode_chunks
     split_to_unit_limit = fragment.split_to_unit_limit
 
     def counting_new(cls, *args, **kwargs):
@@ -58,10 +60,19 @@ def test_refragmenting_transfer_makes_one_record_per_chunk(monkeypatch):
         made["tuples"] += 1
         validate_tuple(self)
 
+    def counting_record(cls, fields):
+        made["trusted"] += 1
+        return make_record(cls, fields)
+
     def counting_decode(data, offset=0):
         chunk, end = decode_chunk(data, offset)
         made["decoded"] += chunk is not None
         return chunk, end
+
+    def counting_decodes(data, offset=0):
+        chunks = decode_chunks(data, offset)
+        made["decoded"] += len(chunks)
+        return chunks
 
     def counting_cut(chunk, max_units):
         pieces = split_to_unit_limit(chunk, max_units)
@@ -74,7 +85,9 @@ def test_refragmenting_transfer_makes_one_record_per_chunk(monkeypatch):
     monkeypatch.setattr(Chunk, "__new__", counting_new)
     monkeypatch.setattr(Chunk, "_make", staticmethod(counting_make))
     monkeypatch.setattr(FramingTuple, "__post_init__", counting_tuple)
+    monkeypatch.setattr(codec, "_new", counting_record)
     monkeypatch.setattr(codec, "decode_chunk", counting_decode)
+    monkeypatch.setattr(codec, "decode_chunks", counting_decodes)
     monkeypatch.setattr(fragment, "split_to_unit_limit", counting_cut)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("repro"):

@@ -1,9 +1,10 @@
 """The flat chunk record: fast maker == validating constructor.
 
 ``Chunk._make`` validates nothing, so every site that uses it —
-``decode_chunk``, ``split``, ``split_to_unit_limit``, ``merge``,
-``ChunkStreamBuilder.add_frame`` and ``build_ed_chunk`` — must only ever
-produce what the public constructor would have accepted.  These properties rebuild each
+``split``, ``split_to_unit_limit``, ``merge``,
+``ChunkStreamBuilder.add_frame`` and ``build_ed_chunk`` — and the
+decoder, which builds its records inline, must only ever produce what
+the public constructor would have accepted.  These properties rebuild each
 result through ``Chunk(type=, size=, length=, c=, t=, x=, payload=)``
 from its views and demand the same record back, over labels drawn from
 the whole width of every header field (the top of the SN field
@@ -28,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
-from repro.core.codec import decode_chunk, encode_chunk
+from repro.core.codec import decode_chunk, decode_chunks, encode_chunk
 from repro.core.errors import ChunkError, CodecError, FragmentationError
 from repro.core.fragment import split, split_to_unit_limit
 from repro.core.reassemble import can_merge, merge
@@ -117,6 +118,47 @@ def test_hostile_headers_still_raise_the_same_codec_errors(chunk, bad_type, keep
         decode_chunk(short)
     assert decode_chunk(b"\x00" + wire[1:]) == (None, 44)  # TYPE=0 is the sentinel
     assert decode_chunk(wire[:4] + b"\x00" * 4 + wire[8:]) == (None, 44)  # and so is LEN=0
+
+
+def _codec_error(decode, *args) -> str:
+    with pytest.raises(CodecError) as raised:
+        decode(*args)
+    return str(raised.value)
+
+
+@given(st.lists(any_chunks(), min_size=1, max_size=4), st.sampled_from([b"", b"\xc4\x93\x00\x00"]),
+       st.data())
+def test_hostile_headers_in_a_multi_chunk_envelope(chunks, prefix, data):
+    """The same checks through ``decode_chunks``, which parses in one loop:
+    a bad header at chunk *k* raises what ``decode_chunk`` raises at that
+    offset, and a sentinel or a short tail after chunk *k* ends the list."""
+    wires = [encode_chunk(chunk) for chunk in chunks]
+    k = data.draw(st.integers(0, len(chunks) - 1), label="k")
+    head, wire, rest = prefix + b"".join(wires[:k]), wires[k], b"".join(wires[k + 1 :])
+    at = len(head)
+    assert decode_chunks(head + wire + rest, len(prefix)) == chunks
+
+    bad_type = data.draw(st.integers(6, 255), label="bad_type")
+    keep = data.draw(st.integers(0, chunks[k].payload_bytes - 1), label="keep")
+    hostile = {
+        f"unknown chunk TYPE {bad_type:#x} at offset {at}":
+            head + bytes([bad_type]) + wire[1:] + rest,
+        f"SIZE=0 in non-sentinel chunk at offset {at}":
+            head + wire[:2] + b"\x00\x00" + wire[4:] + rest,
+        f"truncated chunk payload: need {chunks[k].payload_bytes} bytes at offset "
+        f"{at + 44}, have {keep}": head + wire[: 44 + keep],
+    }
+    for text, envelope in hostile.items():
+        assert _codec_error(decode_chunks, envelope, len(prefix)) == text
+        assert _codec_error(decode_chunk, envelope, at) == text
+
+    short = data.draw(st.integers(0, 43), label="short")
+    for ended in (
+        head + b"\x00" + wire[1:] + rest,  # TYPE=0 is the sentinel
+        head + wire[:4] + b"\x00" * 4 + wire[8:] + rest,  # and so is LEN=0
+        head + wire[:short],  # a short tail is padding
+    ):
+        assert decode_chunks(ended, len(prefix)) == chunks[:k]
 
 
 def _repeated_split(chunk: Chunk, max_units: int) -> list[Chunk]:

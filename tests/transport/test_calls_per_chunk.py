@@ -1,0 +1,85 @@
+"""One step per chunk, counted: the live receiver makes few Python calls.
+
+Integrated layer processing (the paper's consequence of labelling, §1):
+once a chunk says where it belongs, decoding, checking and placing it
+are one step on its label, not a descent through layers.  This guard
+counts, with ``sys.setprofile``, every Python call into ``repro`` while
+a reversed MTU-296 transfer is received, and holds two bounds:
+
+- calls per DATA chunk — the decode loop, placement, virtual reassembly
+  and the WSC-2 fold, with the per-packet envelope work spread over the
+  chunks — stay at most :data:`CALLS_PER_DATA_CHUNK`;
+- with no obs session installed, calls into ``repro/obs/`` stay at most
+  one per packet: the receiver publishes its tallies once per call, and
+  only when a registry is installed.
+
+Bounds, not exact counts: interpreters differ in what they inline
+(CPython 3.12 inlines comprehensions).
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import sys
+from collections import Counter
+
+import repro
+from repro.core import packet as packet_mod
+from repro.core.types import ChunkType
+from repro.obs import active_journey, active_registry, install_journey, uninstall_journey
+from repro.transport.connection import ConnectionConfig
+from repro.transport.receiver import ChunkTransportReceiver
+from repro.transport.sender import ChunkTransportSender
+
+CALLS_PER_DATA_CHUNK = 25
+OBS_CALLS_PER_PACKET = 1
+
+_PACKAGE = os.path.dirname(repro.__file__) + os.sep
+_OBS = os.path.join(_PACKAGE, "obs") + os.sep
+
+
+def _calls_while_receiving() -> tuple[Counter, int, int]:
+    """(calls per repro file, packets, DATA chunks) of one reversed transfer."""
+    payload = random.Random(27).randbytes(64 * 1024)
+    sender = ChunkTransportSender(ConnectionConfig(connection_id=9, tpdu_units=256))
+    chunks = [sender.establishment_chunk()]
+    chunks += sender.send_frame(payload, end_of_connection=True)
+    packets = packet_mod.repack(packet_mod.pack_chunks(chunks, 1500), 296)
+    data_chunks = sum(c.type is ChunkType.DATA for p in packets for c in p.chunks)
+    frames = [packet.encode() for packet in reversed(packets)]
+
+    calls: Counter = Counter()
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+            calls[frame.f_code.co_filename] += 1
+
+    # Nothing installed, whatever the suite runs under (CI flies it under
+    # a journey tracker).
+    assert active_registry() is None
+    tracker = active_journey()
+    uninstall_journey()
+    receiver = ChunkTransportReceiver()
+    sys.setprofile(count)
+    try:
+        for frame in frames:
+            receiver.receive_packet(frame)
+    finally:
+        sys.setprofile(None)
+        if tracker is not None:
+            install_journey(tracker)
+
+    assert receiver.stream_bytes() == payload
+    assert receiver.verified_tpdus() == sender.tpdus_sent == 64
+    assert receiver.pending_tpdus() == [] and receiver.corrupted_tpdus() == 0
+    return calls, len(frames), data_chunks
+
+
+def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
+    calls, packets, data_chunks = _calls_while_receiving()
+    assert data_chunks > 300
+    per_chunk = sum(calls.values()) / data_chunks
+    obs_per_packet = sum(n for name, n in calls.items() if name.startswith(_OBS)) / packets
+    assert per_chunk <= CALLS_PER_DATA_CHUNK, (per_chunk, calls.most_common(8))
+    assert obs_per_packet <= OBS_CALLS_PER_PACKET, obs_per_packet
