@@ -84,9 +84,10 @@ def measure_uninstalled(nbytes: int = 65536, seed: int = 2) -> dict:
     """The same transfer with the null sink installed.
 
     Counts *seam invocations*, not records: every instrumented call
-    site guards with ``if _OBS_JOURNEY:``, so while the handle is falsy
-    the emit/chunk/frame methods must never even be entered — the hot
-    path's entire provenance cost is one truthiness check.
+    site reads the installed tracker off the handle once
+    (``_OBS_JOURNEY._impl``) and skips the record while it is None, so
+    the handle's emit/chunk/frame methods must never even be entered —
+    the hot path's entire provenance cost is one ``is None`` test.
     """
     calls = 0
 

@@ -9,7 +9,7 @@ Lower layers must never import upward — a ``core`` module that peeks at
 across framing levels, which the self-describing-chunk design exists to
 forbid.  Three meta layers sit beside the stack:
 
-- ``obs`` may be imported from anywhere (null-sink instrumentation) but
+- ``obs`` may be imported from anywhere (instrumentation) but
   itself depends only on ``core``;
 - ``analysis`` and ``perf`` may import product layers, but no product
   layer may import them — tooling observes the system, never the other
@@ -48,7 +48,7 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "perf": _PRODUCT_STACK | frozenset({"obs"}),
 }
 
-#: importable from every layer (null-sink instrumentation handles).
+#: importable from every layer (instrumentation).
 META_LAYERS = frozenset({"obs"})
 
 

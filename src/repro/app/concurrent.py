@@ -24,7 +24,8 @@ from typing import Callable
 from repro.core.errors import EndpointError
 from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
-from repro.obs import counter, gauge
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint, Connection
 from repro.transport.shard import ShardedEndpoint
@@ -37,11 +38,11 @@ __all__ = [
     "staggered_specs",
 ]
 
-_OBS_LAUNCHED = counter("app", "workload.conversations_launched", "conversations started")
-_OBS_COMPLETED = counter(
-    "app", "workload.conversations_completed", "conversations fully delivered"
-)
-_OBS_ACTIVE = gauge("app", "workload.conversations_active", "conversations in flight")
+_TALLIES = Tallies({
+    "launched": ("app", "workload.conversations_launched", "conversations started"),
+    "completed": ("app", "workload.conversations_completed", "conversations fully delivered"),
+})
+_ACTIVE = declare(Gauge, "app", "workload.conversations_active", "conversations in flight")
 
 
 @lru_cache(maxsize=256)
@@ -102,6 +103,8 @@ class ConcurrentWorkload:
     specs: list[ConversationSpec] = field(default_factory=list)
     launched: int = 0
     refused: int = 0
+    #: complete outcomes evaluated by :meth:`outcome`.
+    completed: int = 0
     _active: int = field(default=0, repr=False)
 
     def launch(self, specs: list[ConversationSpec]) -> None:
@@ -127,10 +130,13 @@ class ConcurrentWorkload:
         except EndpointError:
             self.refused += 1
             return
+        registry = obs_runtime._registry
+        before = _TALLIES.read(self) if registry is not None else None
         self.launched += 1
         self._active += 1
-        _OBS_LAUNCHED.inc()
-        _OBS_ACTIVE.set(self._active)
+        if before is not None:
+            registry.instruments[_ACTIVE].set(self._active)
+            _TALLIES.publish(before, self)
         payload = deterministic_payload(spec.connection_id, spec.total_bytes)
         frame_size = spec.frame_bytes if spec.frame_bytes > 0 else spec.total_bytes
         frames = [
@@ -151,7 +157,9 @@ class ConcurrentWorkload:
             connection.send_frame(frame, end_of_connection=last)
             if last:
                 self._active -= 1
-                _OBS_ACTIVE.set(self._active)
+                registry = obs_runtime._registry
+                if registry is not None:
+                    registry.instruments[_ACTIVE].set(self._active)
 
         return send
 
@@ -191,7 +199,10 @@ class ConcurrentWorkload:
         received = receiver_conn.stream_bytes()[: spec.total_bytes]
         outcome.complete = received == expected
         if outcome.complete:
-            _OBS_COMPLETED.inc()
+            before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+            self.completed += 1
+            if before is not None:
+                _TALLIES.publish(before, self)
         return outcome
 
     def summary(self) -> dict[str, int]:

@@ -24,19 +24,22 @@ from dataclasses import dataclass, field
 
 from repro.core.bounded import BoundedSet
 from repro.core.errors import BudgetExceededError
-from repro.obs import counter, gauge, journey_handle
+from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["BudgetExceededError", "SharedPlacementBudget"]
 
-_OBS_RESERVED = gauge(
-    "host", "budget.reserved_bytes", "bytes reserved from the shared placement pool"
+_RESERVED = declare(
+    Gauge, "host", "budget.reserved_bytes", "bytes reserved from the shared placement pool"
 )
-_OBS_REFUSALS = counter(
-    "host", "budget.refusals", "placement reservations refused (pool or fair share)"
-)
-_OBS_RECLAIMED = counter(
-    "host", "budget.reclaimed_bytes", "bytes returned to the pool by state reclamation"
-)
+_TALLIES = Tallies({
+    "refusals": (
+        "host", "budget.refusals", "placement reservations refused (pool or fair share)"
+    ),
+    "reclaimed_total": (
+        "host", "budget.reclaimed_bytes", "bytes returned to the pool by state reclamation"
+    ),
+})
 _OBS_JOURNEY = journey_handle()
 
 
@@ -59,6 +62,8 @@ class SharedPlacementBudget:
     reserved_total: int = 0
     peak_reserved: int = 0
     refusals: int = 0
+    #: bytes ever returned by :meth:`release` / :meth:`release_bytes`.
+    reclaimed_total: int = 0
     #: negative cache of refused keys, FIFO-bounded so identifier churn
     #: cannot grow it without limit (a forgotten key simply loses its
     #: :meth:`was_refused` history — counted, not silent).
@@ -109,15 +114,7 @@ class SharedPlacementBudget:
         if key in self._reserved:
             return True
         if (len(self._reserved) + 1) * self.min_share_bytes > self._admission_capacity():
-            self.refusals += 1
-            self.refused_keys.add(key)
-            _OBS_REFUSALS.inc()
-            if _OBS_JOURNEY and isinstance(key, int):
-                _OBS_JOURNEY.emit(
-                    "budget_refused", key, 0, 0, level="conn",
-                    reason="admission", registered=len(self._reserved),
-                )
-            return False
+            return self._refuse(key, reason="admission", registered=len(self._reserved))
         self._reserved[key] = 0
         return True
 
@@ -135,31 +132,35 @@ class SharedPlacementBudget:
                 return False
             held = 0
         if held + nbytes > self.fair_share() or not self._ensure_backing(nbytes):
-            self.refusals += 1
-            self.refused_keys.add(key)
-            _OBS_REFUSALS.inc()
-            if _OBS_JOURNEY and isinstance(key, int):
-                _OBS_JOURNEY.emit(
-                    "budget_refused", key, 0, 0, level="conn",
-                    reason="fair_share", requested=nbytes, held=held,
-                    fair_share=self.fair_share(),
-                )
-            return False
+            return self._refuse(
+                key, reason="fair_share", requested=nbytes, held=held,
+                fair_share=self.fair_share(),
+            )
         self._reserved[key] = held + nbytes
         self.reserved_total += nbytes
         if self.reserved_total > self.peak_reserved:
             self.peak_reserved = self.reserved_total
-        _OBS_RESERVED.set(self.reserved_total)
+        registry = obs_runtime._registry
+        if registry is not None:
+            registry.instruments[_RESERVED].set(self.reserved_total)
         return True
+
+    def _refuse(self, key: object, **fields: object) -> bool:
+        """Count and record one refusal of *key*; returns False."""
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+        self.refusals += 1
+        self.refused_keys.add(key)
+        if before is not None:
+            _TALLIES.publish(before, self)
+        journey = _OBS_JOURNEY._impl
+        if journey is not None and isinstance(key, int):
+            journey.emit("budget_refused", key, 0, 0, level="conn", **fields)
+        return False
 
     def release(self, key: object) -> int:
         """Return every byte *key* holds to the pool (state reclamation);
         returns the count freed."""
-        freed = self._reserved.pop(key, 0)
-        self.reserved_total -= freed
-        _OBS_RESERVED.set(self.reserved_total)
-        _OBS_RECLAIMED.inc(freed)
-        return freed
+        return self._reclaim(key, self._reserved.pop(key, 0))
 
     def release_bytes(self, key: object, nbytes: int) -> int:
         """Return up to *nbytes* of *key*'s reservation to the pool.
@@ -176,9 +177,17 @@ class SharedPlacementBudget:
             return 0
         freed = min(nbytes, held)
         self._reserved[key] = held - freed
+        return self._reclaim(key, freed)
+
+    def _reclaim(self, key: object, freed: int) -> int:
+        """Return *freed* bytes of *key*'s to the pool; returns *freed*."""
+        registry = obs_runtime._registry
+        before = _TALLIES.read(self) if registry is not None else None
         self.reserved_total -= freed
-        _OBS_RESERVED.set(self.reserved_total)
-        _OBS_RECLAIMED.inc(freed)
+        self.reclaimed_total += freed
+        if before is not None:
+            registry.instruments[_RESERVED].set(self.reserved_total)
+            _TALLIES.publish(before, self)
         return freed
 
     def held(self, key: object) -> int:

@@ -17,21 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs import counter
-from repro.obs.runtime import CounterHandle
+from repro.obs import Counter, declare
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["TouchLedger", "BusModel"]
 
-_OBS_TOUCH_TOTAL = counter("host", "touch_bytes_total", "bytes moved across the bus")
-_KIND_COUNTERS: dict[str, CounterHandle] = {}
-
-
-def _kind_counter(kind: str) -> CounterHandle:
-    handle = _KIND_COUNTERS.get(kind)
-    if handle is None:
-        handle = counter("host", f"touch.{kind}_bytes", f"bytes moved {kind}")
-        _KIND_COUNTERS[kind] = handle
-    return handle
+_TOUCH_TOTAL = declare(Counter, "host", "touch_bytes_total", "bytes moved across the bus")
 
 
 @dataclass
@@ -48,8 +39,12 @@ class TouchLedger:
         if nbytes < 0:
             raise ValueError(f"negative byte count {nbytes}")
         self.touches[kind] = self.touches.get(kind, 0) + nbytes
-        _OBS_TOUCH_TOTAL.inc(nbytes)
-        _kind_counter(kind).inc(nbytes)
+        registry = obs_runtime._registry
+        if registry is not None:
+            # Kinds are free-form: each one's series exists only in the
+            # registries of sessions that recorded it.
+            registry.instruments[_TOUCH_TOTAL].inc(nbytes)
+            registry.counter("host", f"touch.{kind}_bytes", f"bytes moved {kind}").inc(nbytes)
 
     @property
     def total_bytes_moved(self) -> int:

@@ -29,22 +29,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.host.budget import SharedPlacementBudget
-from repro.obs import counter, gauge
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["GlobalBudgetPool", "ShardBudget"]
 
-_OBS_LENT = gauge(
-    "host", "pool.lent_bytes", "bytes currently lent to per-shard budgets"
-)
-_OBS_LENDS = counter(
-    "host", "pool.lends", "token-block lends granted to shard budgets"
-)
-_OBS_RECLAIMS = counter(
-    "host", "pool.reclaimed_bytes", "lent bytes returned to the global pool"
-)
-_OBS_POOL_REFUSALS = counter(
-    "host", "pool.refusals", "shard lend requests the exhausted pool refused"
-)
+_LENT = declare(Gauge, "host", "pool.lent_bytes", "bytes currently lent to per-shard budgets")
+_TALLIES = Tallies({
+    "lends": ("host", "pool.lends", "token-block lends granted to shard budgets"),
+    "reclaimed_total": ("host", "pool.reclaimed_bytes", "lent bytes returned to the global pool"),
+    "refusals": ("host", "pool.refusals", "shard lend requests the exhausted pool refused"),
+})
 
 
 @dataclass
@@ -68,6 +63,8 @@ class GlobalBudgetPool:
     peak_lent: int = 0
     lends: int = 0
     reclaims: int = 0
+    #: bytes ever returned by :meth:`reclaim`.
+    reclaimed_total: int = 0
     refusals: int = 0
     _lent: dict[int, int] = field(default_factory=dict)
 
@@ -88,6 +85,8 @@ class GlobalBudgetPool:
             raise ValueError(f"negative lend {nbytes}")
         if nbytes == 0:
             return 0
+        registry = obs_runtime._registry
+        before = _TALLIES.read(self) if registry is not None else None
         blocks = -(-nbytes // self.block_bytes)
         want = blocks * self.block_bytes
         if want <= self.available:
@@ -96,15 +95,17 @@ class GlobalBudgetPool:
             granted = self.available
         else:
             self.refusals += 1
-            _OBS_POOL_REFUSALS.inc()
+            if before is not None:
+                _TALLIES.publish(before, self)
             return 0
         self._lent[shard] = self._lent.get(shard, 0) + granted
         self.lent_total += granted
         if self.lent_total > self.peak_lent:
             self.peak_lent = self.lent_total
         self.lends += 1
-        _OBS_LENT.set(self.lent_total)
-        _OBS_LENDS.inc()
+        if before is not None:
+            registry.instruments[_LENT].set(self.lent_total)
+            _TALLIES.publish(before, self)
         return granted
 
     def reclaim(self, shard: int, nbytes: int) -> int:
@@ -118,6 +119,8 @@ class GlobalBudgetPool:
         held = self._lent.get(shard, 0)
         returned = min(nbytes, held)
         if returned:
+            registry = obs_runtime._registry
+            before = _TALLIES.read(self) if registry is not None else None
             remaining = held - returned
             if remaining:
                 self._lent[shard] = remaining
@@ -125,8 +128,10 @@ class GlobalBudgetPool:
                 self._lent.pop(shard)
             self.lent_total -= returned
             self.reclaims += 1
-            _OBS_LENT.set(self.lent_total)
-            _OBS_RECLAIMS.inc(returned)
+            self.reclaimed_total += returned
+            if before is not None:
+                registry.instruments[_LENT].set(self.lent_total)
+                _TALLIES.publish(before, self)
         return returned
 
     def lent_to(self, shard: int) -> int:

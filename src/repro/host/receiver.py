@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from repro.core.chunk import Chunk
 from repro.host.delivery import PlacementBuffer
 from repro.host.memory import TouchLedger
-from repro.obs import counter, gauge
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import runtime as obs_runtime
 
 __all__ = [
     "DeliveryEvent",
@@ -33,14 +34,24 @@ __all__ = [
     "ReassembleReceiver",
 ]
 
-_OBS_DELIVERIES = counter("host", "deliveries", "byte ranges handed to the application")
-_OBS_DELIVERED_BYTES = counter("host", "delivered_bytes", "payload bytes delivered")
-_OBS_REORDER_BUFFER = gauge(
-    "host", "reorder_buffer_bytes", "bytes parked in the temporal reorder buffer"
+#: Published once per ``on_chunk`` / ``finish`` call.
+_TALLIES = Tallies({
+    "deliveries": ("host", "deliveries", "byte ranges handed to the application"),
+    "delivered_bytes": ("host", "delivered_bytes", "payload bytes delivered"),
+})
+_REORDER_BUFFER = declare(
+    Gauge, "host", "reorder_buffer_bytes", "bytes parked in the temporal reorder buffer"
 )
-_OBS_REASSEMBLY_BUFFER = gauge(
-    "host", "reassembly_buffer_bytes", "bytes parked in per-TPDU reassembly buffers"
+_REASSEMBLY_BUFFER = declare(
+    Gauge, "host", "reassembly_buffer_bytes", "bytes parked in per-TPDU reassembly buffers"
 )
+
+
+def _set(key: tuple[str, str], value: int) -> None:
+    """Set gauge *key* on the installed registry, if any."""
+    registry = obs_runtime._registry
+    if registry is not None:
+        registry.instruments[key].set(value)
 
 
 @dataclass(frozen=True, slots=True)
@@ -65,12 +76,14 @@ class HostReceiver:
     ledger: TouchLedger = field(default_factory=TouchLedger)
     events: list[DeliveryEvent] = field(default_factory=list)
     app: PlacementBuffer = field(default_factory=PlacementBuffer)
+    deliveries: int = 0
+    delivered_bytes: int = 0
 
     # ---- metrics -----------------------------------------------------
 
     @property
     def payload_bytes(self) -> int:
-        return sum(event.nbytes for event in self.events)
+        return self.delivered_bytes
 
     def mean_added_latency(self) -> float:
         total = self.payload_bytes
@@ -91,9 +104,32 @@ class HostReceiver:
 
     def _deliver(self, arrival: float, now: float, offset: int, data: bytes) -> None:
         self.app.place(offset, data)
-        self.events.append(DeliveryEvent(arrival, now, offset, len(data)))
-        _OBS_DELIVERIES.inc()
-        _OBS_DELIVERED_BYTES.inc(len(data))
+        self._record_delivery(arrival, now, offset, len(data))
+
+    def _record_delivery(self, arrival: float, now: float, offset: int, nbytes: int) -> None:
+        self.events.append(DeliveryEvent(arrival, now, offset, nbytes))
+        self.deliveries += 1
+        self.delivered_bytes += nbytes
+
+    def on_chunk(self, now: float, chunk: Chunk) -> None:
+        """Receive one chunk at simulated time *now*."""
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+        self._on_chunk(now, chunk)
+        if before is not None:
+            _TALLIES.publish(before, self)
+
+    def finish(self, now: float) -> None:
+        """End of run: hand over whatever is still held."""
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+        self._finish(now)
+        if before is not None:
+            _TALLIES.publish(before, self)
+
+    def _on_chunk(self, now: float, chunk: Chunk) -> None:
+        raise NotImplementedError
+
+    def _finish(self, now: float) -> None:
+        raise NotImplementedError
 
 
 @dataclass
@@ -102,7 +138,7 @@ class ImmediateReceiver(HostReceiver):
     application address space (spatial reordering).  One bus crossing
     per byte; zero added latency; zero reorder buffer."""
 
-    def on_chunk(self, now: float, chunk: Chunk) -> None:
+    def _on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control:
             return
         offset = chunk.c_sn * chunk.unit_bytes
@@ -110,11 +146,9 @@ class ImmediateReceiver(HostReceiver):
         if fresh == 0:
             return  # duplicate: skip, do not re-touch
         self.ledger.record("nic-to-app", len(chunk.payload))
-        self.events.append(DeliveryEvent(now, now, offset, len(chunk.payload)))
-        _OBS_DELIVERIES.inc()
-        _OBS_DELIVERED_BYTES.inc(len(chunk.payload))
+        self._record_delivery(now, now, offset, len(chunk.payload))
 
-    def finish(self, now: float) -> None:  # nothing pending, ever
+    def _finish(self, now: float) -> None:  # nothing pending, ever
         return
 
 
@@ -131,7 +165,7 @@ class ReorderReceiver(HostReceiver):
     _buffer: dict[int, tuple[float, Chunk]] = field(default_factory=dict)
     peak_buffer_bytes: int = 0
 
-    def on_chunk(self, now: float, chunk: Chunk) -> None:
+    def _on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control:
             return
         if chunk.c_sn < self.next_sn or chunk.c_sn in self._buffer:
@@ -146,7 +180,7 @@ class ReorderReceiver(HostReceiver):
             self._buffer[chunk.c_sn] = (now, chunk)
             occupancy = sum(len(c.payload) for _, c in self._buffer.values())
             self.peak_buffer_bytes = max(self.peak_buffer_bytes, occupancy)
-            _OBS_REORDER_BUFFER.set(occupancy)
+            _set(_REORDER_BUFFER, occupancy)
 
     def _drain(self, now: float) -> None:
         while self.next_sn in self._buffer:
@@ -154,15 +188,15 @@ class ReorderReceiver(HostReceiver):
             self.ledger.record("buffer-to-app", len(chunk.payload))
             self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
             self.next_sn += chunk.length
-        _OBS_REORDER_BUFFER.set(self.buffered_bytes)
+        _set(_REORDER_BUFFER, self.buffered_bytes)
 
-    def finish(self, now: float) -> None:
+    def _finish(self, now: float) -> None:
         """Deliver whatever remains (end-of-run flush past any holes)."""
         for sn in sorted(self._buffer):
             arrival, chunk = self._buffer.pop(sn)
             self.ledger.record("buffer-to-app", len(chunk.payload))
             self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
-        _OBS_REORDER_BUFFER.set(0)
+        _set(_REORDER_BUFFER, 0)
 
     @property
     def buffered_bytes(self) -> int:
@@ -185,7 +219,7 @@ class ReassembleReceiver(HostReceiver):
     peak_buffer_bytes: int = 0
     _occupancy: int = field(default=0, init=False)
 
-    def on_chunk(self, now: float, chunk: Chunk) -> None:
+    def _on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control or chunk.t_id in self._delivered:
             return
         state = self._tpdus.setdefault(chunk.t_id, _TpduBuffer())
@@ -195,17 +229,17 @@ class ReassembleReceiver(HostReceiver):
         self.ledger.record("nic-to-buffer", fresh)
         self._occupancy += fresh
         self.peak_buffer_bytes = max(self.peak_buffer_bytes, self._occupancy)
-        _OBS_REASSEMBLY_BUFFER.set(self._occupancy)
+        _set(_REASSEMBLY_BUFFER, self._occupancy)
         if state.complete:
             data = state.buffer.contents()
             self.ledger.record("buffer-to-app", len(data))
             self._occupancy -= len(data)
-            _OBS_REASSEMBLY_BUFFER.set(self._occupancy)
+            _set(_REASSEMBLY_BUFFER, self._occupancy)
             self._deliver(state.weighted_arrival(), now, state.stream_offset, data)
             del self._tpdus[chunk.t_id]
             self._delivered.add(chunk.t_id)
 
-    def finish(self, now: float) -> None:
+    def _finish(self, now: float) -> None:
         """Flush incomplete TPDUs at end of run (delivered with holes)."""
         for state in self._tpdus.values():
             data = state.buffer.contents()
@@ -215,7 +249,7 @@ class ReassembleReceiver(HostReceiver):
             self._occupancy -= state.buffer.bytes_placed
             self._deliver(state.weighted_arrival(), now, state.stream_offset, data)
         self._tpdus.clear()
-        _OBS_REASSEMBLY_BUFFER.set(max(0, self._occupancy))
+        _set(_REASSEMBLY_BUFFER, max(0, self._occupancy))
 
     @property
     def buffered_bytes(self) -> int:

@@ -46,7 +46,8 @@ from repro.core.tuples import FramingTuple
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
 from repro.netsim.rng import default_rng
-from repro.obs import counter
+from repro.obs import Tallies
+from repro.obs import runtime as obs_runtime
 
 if TYPE_CHECKING:
     import random
@@ -61,11 +62,23 @@ __all__ = [
     "FrameFlood",
 ]
 
-_OBS_FORGED = counter("netsim", "adversary.forged_chunks", "overlapping chunks forged")
-_OBS_ATTACKED = counter("netsim", "adversary.frames_attacked", "frames given forged companions")
-_OBS_DISPLACED = counter("netsim", "adversary.frames_displaced", "frames delayed out of order")
-_OBS_COALESCED = counter("netsim", "adversary.frames_coalesced", "frames batch-released")
-_OBS_FLOODED = counter("netsim", "adversary.frames_flooded", "attacker frames injected")
+_DISPLACED = Tallies(
+    {"displaced": ("netsim", "adversary.frames_displaced", "frames delayed out of order")}
+)
+_COALESCED = Tallies(
+    {"coalesced": ("netsim", "adversary.frames_coalesced", "frames batch-released")}
+)
+_ATTACKED = Tallies({
+    "stats.frames_attacked": (
+        "netsim", "adversary.frames_attacked", "frames given forged companions"
+    )
+})
+_FORGED = Tallies(
+    {"stats.forged_chunks": ("netsim", "adversary.forged_chunks", "overlapping chunks forged")}
+)
+_FLOODED = Tallies(
+    {"injected": ("netsim", "adversary.frames_flooded", "attacker frames injected")}
+)
 
 
 # ----------------------------------------------------------------------
@@ -107,10 +120,12 @@ class AlmostSortedReorder:
     displaced: int = 0
 
     def release_time(self, nominal: float, now: float) -> float:
+        before = _DISPLACED.read(self) if obs_runtime._registry is not None else None
         if self.displacement_rate and self.rng.random() < self.displacement_rate:
             self.displaced += 1
-            _OBS_DISPLACED.inc()
             nominal += self.rng.random() * self.max_skew
+        if before is not None:
+            _DISPLACED.publish(before, self)
         return max(nominal, now)
 
 
@@ -139,13 +154,15 @@ class InterruptCoalescingReorder:
     _batch_index: int = field(default=0, repr=False)
 
     def release_time(self, nominal: float, now: float) -> float:
+        before = _COALESCED.read(self) if obs_runtime._registry is not None else None
         boundary = math.ceil(nominal / self.window) * self.window
         if boundary != self._window_end:
             self._window_end = boundary
             self._batch_index = 0
         self._batch_index += 1
         self.coalesced += 1
-        _OBS_COALESCED.inc()
+        if before is not None:
+            _COALESCED.publish(before, self)
         if not self.invert:
             return max(boundary, now)
         epsilon = self.window * 1e-6
@@ -212,11 +229,13 @@ class OverlapRewriter:
 
     def send(self, frame: bytes) -> None:
         """Forward one frame, possibly preceded/followed by forgeries."""
+        before = _ATTACKED.read(self) if obs_runtime._registry is not None else None
         self.stats.frames_seen += 1
         forged = self._forge_frames(frame)
         if forged:
             self.stats.frames_attacked += 1
-            _OBS_ATTACKED.inc()
+        if before is not None:
+            _ATTACKED.publish(before, self)
         if self.forge_first:
             for fake in forged:
                 self.deliver(fake)
@@ -254,9 +273,11 @@ class OverlapRewriter:
         so per-chunk consistency checks cannot reject it a priori —
         only the byte-level overlap comparison can.
         """
+        before = _FORGED.read(self) if obs_runtime._registry is not None else None
         self.stats.forged_chunks += 1
         self.stats.forged_by_kind[kind] = self.stats.forged_by_kind.get(kind, 0) + 1
-        _OBS_FORGED.inc()
+        if before is not None:
+            _FORGED.publish(before, self)
         length = chunk.length
         if kind == "subset" and length > 1:
             offset = self.rng.randrange(length - 1)
@@ -341,8 +362,10 @@ class FrameFlood:
             if frame is None:
                 self.stopped = True
                 return
+            before = _FLOODED.read(self) if obs_runtime._registry is not None else None
             self.injected += 1
-            _OBS_FLOODED.inc()
+            if before is not None:
+                _FLOODED.publish(before, self)
             self.send(frame)
 
         return shoot

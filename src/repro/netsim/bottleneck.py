@@ -34,21 +34,24 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.netsim.topology import HopSpec
-from repro.obs import counter, journey_handle
+from repro.obs import Tallies, journey_handle
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["BottleneckPort", "SharedBottleneck", "build_shared_bottleneck"]
 
-_OBS_FORWARD = counter("netsim", "bottleneck.frames_forward", "frames through the bottleneck")
-_OBS_REVERSE = counter("netsim", "bottleneck.frames_reverse", "frames through the reverse link")
-_OBS_SPLIT = counter(
-    "netsim", "bottleneck.split_frames", "frames re-enveloped for more than one port"
-)
-_OBS_MISROUTED = counter(
-    "netsim", "bottleneck.misrouted_chunks", "chunks with no route to any port"
-)
-_OBS_UNDECODABLE = counter(
-    "netsim", "bottleneck.undecodable_frames", "frames the demux could not decode"
-)
+_TALLIES = Tallies({
+    "frames_forward": ("netsim", "bottleneck.frames_forward", "frames through the bottleneck"),
+    "frames_reverse": ("netsim", "bottleneck.frames_reverse", "frames through the reverse link"),
+    "split_frames": (
+        "netsim", "bottleneck.split_frames", "frames re-enveloped for more than one port"
+    ),
+    "misrouted_chunks": (
+        "netsim", "bottleneck.misrouted_chunks", "chunks with no route to any port"
+    ),
+    "undecodable_frames": (
+        "netsim", "bottleneck.undecodable_frames", "frames the demux could not decode"
+    ),
+})
 _OBS_JOURNEY = journey_handle()
 
 
@@ -143,14 +146,18 @@ class SharedBottleneck:
     # ------------------------------------------------------------------
 
     def _demux_forward(self, frame: bytes) -> None:
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         self.frames_forward += 1
-        _OBS_FORWARD.inc()
         self._demux(frame, forward=True)
+        if before is not None:
+            _TALLIES.publish(before, self)
 
     def _demux_reverse(self, frame: bytes) -> None:
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         self.frames_reverse += 1
-        _OBS_REVERSE.inc()
         self._demux(frame, forward=False)
+        if before is not None:
+            _TALLIES.publish(before, self)
 
     def _demux(self, frame: bytes, forward: bool) -> None:
         """Split one shared-link frame into per-port packets by C.ID."""
@@ -165,23 +172,19 @@ class SharedBottleneck:
             packet = Packet.decode(frame)
         except CodecError:
             self.undecodable_frames += 1
-            _OBS_UNDECODABLE.inc()
             return
+        journey = _OBS_JOURNEY._impl
         by_port: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
             index = self.routes.get(chunk.c_id, 0)
             if index >= len(self.ports):
                 self.misrouted_chunks += 1
-                _OBS_MISROUTED.inc()
                 continue
-            if _OBS_JOURNEY and chunk.is_data:
-                _OBS_JOURNEY.chunk(
-                    "routed", chunk, t=self.loop.now, port=index
-                )
+            if journey is not None and chunk.is_data:
+                journey.chunk("routed", chunk, t=self.loop.now, port=index)
             by_port.setdefault(index, []).append(chunk)
         if len(by_port) > 1:
             self.split_frames += 1
-            _OBS_SPLIT.inc()
         for index, chunks in by_port.items():
             port = self.ports[index]
             sink = port.deliver_forward if forward else port.deliver_reverse

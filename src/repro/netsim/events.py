@@ -26,7 +26,8 @@ import heapq
 import itertools
 from typing import Callable, Protocol
 
-from repro.obs import counter
+from repro.obs import Tallies
+from repro.obs import runtime as obs_runtime
 
 __all__ = [
     "EventLoop",
@@ -35,10 +36,12 @@ __all__ = [
     "get_schedule_observer",
 ]
 
-_OBS_EVENTS = counter("netsim", "loop.events_processed", "event-loop callbacks run")
-_OBS_SIM_TIME = counter(
-    "netsim", "loop.sim_time_total", "simulated seconds advanced across run() calls"
-)
+#: Read off the shared timeline: a run's growth of the clock is the
+#: simulated time it advanced.
+_TALLIES = Tallies({
+    "dispatched": ("netsim", "loop.events_processed", "event-loop callbacks run"),
+    "now": ("netsim", "loop.sim_time_total", "simulated seconds advanced across run() calls"),
+})
 
 
 class ScheduleObserver(Protocol):
@@ -71,7 +74,7 @@ def get_schedule_observer() -> ScheduleObserver | None:
 class _Timeline:
     """The heap and the clock that every member loop of one simulation shares."""
 
-    __slots__ = ("queue", "now", "members")
+    __slots__ = ("queue", "now", "members", "dispatched")
 
     def __init__(self) -> None:
         #: ``(time, member, seq, callback, owner)`` — the first three
@@ -79,6 +82,8 @@ class _Timeline:
         self.queue: list[tuple[float, int, int, Callable[[], None], EventLoop]] = []
         self.now = 0.0
         self.members = 0
+        #: callbacks run by every member's :meth:`EventLoop.run`.
+        self.dispatched = 0
 
 
 class EventLoop:
@@ -133,7 +138,7 @@ class EventLoop:
         """
         timeline = self._timeline
         queue = timeline.queue
-        started = timeline.now
+        before = _TALLIES.read(timeline) if obs_runtime._registry is not None else None
         try:
             while queue:
                 time, _, seq, callback, owner = queue[0]
@@ -143,14 +148,14 @@ class EventLoop:
                 heapq.heappop(queue)
                 timeline.now = time
                 owner._processed += 1
-                _OBS_EVENTS.inc()
+                timeline.dispatched += 1
                 if _observer is not None:
                     _observer.on_dispatch(owner, time, seq, callback)
                 callback()
             return timeline.now
         finally:
-            if timeline.now > started:
-                _OBS_SIM_TIME.inc(timeline.now - started)
+            if before is not None:
+                _TALLIES.publish(before, timeline)
 
     def next_event_time(self) -> float | None:
         """Time of the earliest pending event, or ``None`` when idle."""

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.netsim.events import EventLoop
 from repro.netsim.rng import corrupt_bytes, default_rng
-from repro.obs import counter, gauge, journey_handle
+from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import runtime as obs_runtime
 
 if TYPE_CHECKING:
     import random
@@ -28,17 +29,22 @@ if TYPE_CHECKING:
 
 __all__ = ["Link", "LinkStats"]
 
-# Aggregated across every link; per-link numbers stay in LinkStats.
-_OBS_FRAMES_IN = counter("netsim", "link.frames_in", "frames offered to links")
-_OBS_FRAMES_DELIVERED = counter("netsim", "link.frames_delivered", "frames delivered")
-_OBS_FRAMES_LOST = counter("netsim", "link.frames_lost", "frames dropped by loss")
-_OBS_FRAMES_CORRUPTED = counter("netsim", "link.frames_corrupted", "frames bit-corrupted")
-_OBS_FRAMES_DUPLICATED = counter("netsim", "link.frames_duplicated", "frames duplicated")
-_OBS_FRAMES_OVERSIZE = counter("netsim", "link.frames_dropped_oversize", "frames over MTU")
-_OBS_BYTES_DELIVERED = counter("netsim", "link.bytes_delivered", "bytes delivered")
-_OBS_INFLIGHT = gauge("netsim", "link.inflight_frames", "frames serializing/propagating")
+# Aggregated across every link: each link publishes its own LinkStats'
+# growth.  What a send can move, then what an arrival can.
+_SENT = Tallies({
+    "stats.frames_in": ("netsim", "link.frames_in", "frames offered to links"),
+    "stats.frames_lost": ("netsim", "link.frames_lost", "frames dropped by loss"),
+    "stats.frames_corrupted": ("netsim", "link.frames_corrupted", "frames bit-corrupted"),
+    "stats.frames_duplicated": ("netsim", "link.frames_duplicated", "frames duplicated"),
+    "stats.frames_dropped_oversize": ("netsim", "link.frames_dropped_oversize", "frames over MTU"),
+})
+_ARRIVED = Tallies({
+    "stats.frames_delivered": ("netsim", "link.frames_delivered", "frames delivered"),
+    "stats.bytes_delivered": ("netsim", "link.bytes_delivered", "bytes delivered"),
+})
+_INFLIGHT = declare(Gauge, "netsim", "link.inflight_frames", "frames serializing/propagating")
 # The link treats frames as opaque bytes; journey records decode the
-# chunk labels only while a tracker is installed (null-sink discipline).
+# chunk labels only while a tracker is installed.
 _OBS_JOURNEY = journey_handle()
 
 Deliver = Callable[[bytes], None]
@@ -95,52 +101,52 @@ class Link:
 
     def send(self, frame: bytes) -> None:
         """Queue one frame for transmission at the current sim time."""
+        registry = obs_runtime._registry
+        before = _SENT.read(self) if registry is not None else None
+        journey = _OBS_JOURNEY._impl
         self.stats.frames_in += 1
         self.stats.bytes_in += len(frame)
-        _OBS_FRAMES_IN.inc()
         if len(frame) > self.mtu:
             self.stats.frames_dropped_oversize += 1
-            _OBS_FRAMES_OVERSIZE.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.frame(
-                    "dropped", frame, t=self.loop.now, reason="oversize"
-                )
-            return
-        if self.loss_rate and self.rng.random() < self.loss_rate:
+            if journey is not None:
+                journey.frame("dropped", frame, t=self.loop.now, reason="oversize")
+        elif self.loss_rate and self.rng.random() < self.loss_rate:
             self.stats.frames_lost += 1
-            _OBS_FRAMES_LOST.inc()
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.frame("dropped", frame, t=self.loop.now, reason="loss")
-            return
-        if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
-            frame = corrupt_bytes(frame, self.rng)
-            self.stats.frames_corrupted += 1
-            _OBS_FRAMES_CORRUPTED.inc()
+            if journey is not None:
+                journey.frame("dropped", frame, t=self.loop.now, reason="loss")
+        else:
+            if self.corrupt_rate and self.rng.random() < self.corrupt_rate:
+                frame = corrupt_bytes(frame, self.rng)
+                self.stats.frames_corrupted += 1
+            if journey is not None:
+                journey.frame("link_tx", frame, t=self.loop.now)
+            start = max(self.loop.now, self._busy_until)
+            tx_time = len(frame) * 8 / self.rate_bps
+            self._busy_until = start + tx_time
+            arrival = self._busy_until + self.delay
+            if self.reorder is not None:
+                arrival = max(self.reorder.release_time(arrival, self.loop.now), self.loop.now)
 
-        if _OBS_JOURNEY:
-            _OBS_JOURNEY.frame("link_tx", frame, t=self.loop.now)
-        start = max(self.loop.now, self._busy_until)
-        tx_time = len(frame) * 8 / self.rate_bps
-        self._busy_until = start + tx_time
-        arrival = self._busy_until + self.delay
-        if self.reorder is not None:
-            arrival = max(self.reorder.release_time(arrival, self.loop.now), self.loop.now)
-
-        copies = 1
-        if self.dup_rate and self.rng.random() < self.dup_rate:
-            copies = 2
-            self.stats.frames_duplicated += 1
-            _OBS_FRAMES_DUPLICATED.inc()
-        for _ in range(copies):
-            _OBS_INFLIGHT.inc()
-            self.loop.at(arrival, lambda f=frame: self._arrive(f))
+            copies = 1
+            if self.dup_rate and self.rng.random() < self.dup_rate:
+                copies = 2
+                self.stats.frames_duplicated += 1
+            for _ in range(copies):
+                if registry is not None:
+                    registry.instruments[_INFLIGHT].inc()
+                self.loop.at(arrival, lambda f=frame: self._arrive(f))
+        if before is not None:
+            _SENT.publish(before, self)
 
     def _arrive(self, frame: bytes) -> None:
+        registry = obs_runtime._registry
+        before = _ARRIVED.read(self) if registry is not None else None
         self.stats.frames_delivered += 1
         self.stats.bytes_delivered += len(frame)
-        _OBS_INFLIGHT.dec()
-        _OBS_FRAMES_DELIVERED.inc()
-        _OBS_BYTES_DELIVERED.inc(len(frame))
-        if _OBS_JOURNEY:
-            _OBS_JOURNEY.frame("link_rx", frame, t=self.loop.now)
+        if before is not None:
+            registry.instruments[_INFLIGHT].dec()
+            _ARRIVED.publish(before, self)
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
+            journey.frame("link_rx", frame, t=self.loop.now)
         self.deliver(frame)

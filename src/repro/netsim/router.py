@@ -29,21 +29,26 @@ from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.core.types import PACKET_HEADER_BYTES
 from repro.netsim.events import EventLoop
-from repro.obs import counter, gauge, journey_handle
+from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import runtime as obs_runtime
 
 if TYPE_CHECKING:
     from repro.netsim.adversary import ReorderPolicy
 
 __all__ = ["ChunkRouter", "RouterStats", "RepackMode"]
 
-_OBS_FRAMES_IN = counter("netsim", "router.frames_in", "frames arriving at routers")
-_OBS_FRAMES_OUT = counter("netsim", "router.frames_out", "frames forwarded by routers")
-_OBS_CHUNKS_IN = counter("netsim", "router.chunks_in", "chunks unpacked at routers")
-_OBS_CHUNKS_OUT = counter("netsim", "router.chunks_out", "chunks re-enveloped out")
-_OBS_CHUNKS_SPLIT = counter("netsim", "router.chunks_split", "Appendix C splits performed")
-_OBS_CHUNKS_MERGED = counter("netsim", "router.chunks_merged", "Appendix D merges performed")
-_OBS_DECODE_FAILURES = counter("netsim", "router.decode_failures", "undecodable frames")
-_OBS_PENDING = gauge("netsim", "router.pending_chunks", "chunks batched awaiting flush")
+#: Published by :meth:`ChunkRouter.receive` before it hands chunks on,
+#: and by :meth:`ChunkRouter._emit` for what it sends.
+_TALLIES = Tallies({
+    "stats.frames_in": ("netsim", "router.frames_in", "frames arriving at routers"),
+    "stats.frames_out": ("netsim", "router.frames_out", "frames forwarded by routers"),
+    "stats.chunks_in": ("netsim", "router.chunks_in", "chunks unpacked at routers"),
+    "stats.chunks_out": ("netsim", "router.chunks_out", "chunks re-enveloped out"),
+    "stats.chunks_split": ("netsim", "router.chunks_split", "Appendix C splits performed"),
+    "stats.chunks_merged": ("netsim", "router.chunks_merged", "Appendix D merges performed"),
+    "stats.decode_failures": ("netsim", "router.decode_failures", "undecodable frames"),
+})
+_PENDING = declare(Gauge, "netsim", "router.pending_chunks", "chunks batched awaiting flush")
 _OBS_JOURNEY = journey_handle()
 
 RepackMode = Literal["repack", "one-per-packet", "reassemble"]
@@ -102,24 +107,29 @@ class ChunkRouter:
 
     def receive(self, frame: bytes) -> None:
         """Handle one arriving frame (wire bytes of a chunk packet)."""
+        registry = obs_runtime._registry
+        before = _TALLIES.read(self) if registry is not None else None
         self.stats.frames_in += 1
         self.stats.bytes_in += len(frame)
-        _OBS_FRAMES_IN.inc()
         try:
-            packet = Packet.decode(frame)
+            chunks = Packet.decode(frame).chunks
         except CodecError:
             self.stats.decode_failures += 1
-            _OBS_DECODE_FAILURES.inc()
+            if before is not None:
+                _TALLIES.publish(before, self)
             return
-        self.stats.chunks_in += len(packet.chunks)
-        _OBS_CHUNKS_IN.inc(len(packet.chunks))
-        if _OBS_JOURNEY:
-            for chunk in packet.chunks:
+        self.stats.chunks_in += len(chunks)
+        if before is not None:
+            _TALLIES.publish(before, self)
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
+            for chunk in chunks:
                 if chunk.is_data:
-                    _OBS_JOURNEY.chunk("routed", chunk, t=self.loop.now)
+                    journey.chunk("routed", chunk, t=self.loop.now)
         if self.batch_window > 0:
-            self._pending.extend(packet.chunks)
-            _OBS_PENDING.set(len(self._pending))
+            self._pending.extend(chunks)
+            if registry is not None:
+                registry.instruments[_PENDING].set(len(self._pending))
             if self._budget_filled() or not self._flush_scheduled:
                 if self._budget_filled():
                     self._flush()
@@ -127,7 +137,7 @@ class ChunkRouter:
                     self._flush_scheduled = True
                     self.loop.schedule(self.batch_window, self._timed_flush)
         else:
-            self._emit(packet.chunks)
+            self._emit(chunks)
 
     def _budget_filled(self) -> bool:
         wire = sum(ch.wire_bytes for ch in self._pending)
@@ -140,20 +150,22 @@ class ChunkRouter:
 
     def _flush(self) -> None:
         chunks, self._pending = self._pending, []
-        _OBS_PENDING.set(0)
+        registry = obs_runtime._registry
+        if registry is not None:
+            registry.instruments[_PENDING].set(0)
         self._emit(chunks)
 
     def _emit(self, chunks: list[Chunk]) -> None:
         if not chunks:
             return
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         if self.mode == "reassemble":
-            before = len(chunks)
+            received = len(chunks)
             try:
                 chunks = coalesce(chunks)
             except ReassemblyError:
                 self.stats.batches_unmerged += 1  # forwarded as "repack" would
-            self.stats.chunks_merged += before - len(chunks)
-            _OBS_CHUNKS_MERGED.inc(before - len(chunks))
+            self.stats.chunks_merged += received - len(chunks)
         try:
             packets = self._pack(chunks)
         except FragmentationError:
@@ -163,13 +175,10 @@ class ChunkRouter:
         out_chunks = sum(len(p.chunks) for p in packets)
         self.stats.chunks_split += max(0, out_chunks - len(chunks))
         self.stats.chunks_out += out_chunks
-        _OBS_CHUNKS_SPLIT.inc(max(0, out_chunks - len(chunks)))
-        _OBS_CHUNKS_OUT.inc(out_chunks)
         for index, packet in enumerate(packets):
             data = packet.encode()
             self.stats.frames_out += 1
             self.stats.bytes_out += len(data)
-            _OBS_FRAMES_OUT.inc()
             delay = self.processing_delay * (index + 1)
             if self.reorder is not None:
                 nominal = self.loop.now + delay
@@ -177,6 +186,8 @@ class ChunkRouter:
                 self.loop.at(out, lambda d=data: self.forward(d))
             else:
                 self.loop.schedule(delay, lambda d=data: self.forward(d))
+        if before is not None:
+            _TALLIES.publish(before, self)
 
     def _pack(self, chunks: list[Chunk]) -> list[Packet]:
         if self.mode == "one-per-packet":

@@ -4,16 +4,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.obs import gauge
+from repro.obs import Gauge, declare
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["ArrivalRecord", "ReceiverTrace"]
 
-_OBS_ARRIVALS = gauge("netsim", "trace.arrivals", "frames recorded by the receiver trace")
-_OBS_LATE = gauge("netsim", "trace.late_arrivals", "frames behind a higher send index")
-_OBS_MAX_DISPLACEMENT = gauge(
-    "netsim", "trace.max_displacement", "worst send-vs-arrival positional displacement"
-)
-_OBS_DISORDER = gauge("netsim", "trace.disorder_fraction", "late arrivals / arrivals")
+#: ``publish()``'s value names and the gauges they are set on.
+_GAUGES = {
+    "arrivals": declare(
+        Gauge, "netsim", "trace.arrivals", "frames recorded by the receiver trace"
+    ),
+    "late_arrivals": declare(
+        Gauge, "netsim", "trace.late_arrivals", "frames behind a higher send index"
+    ),
+    "max_displacement": declare(
+        Gauge, "netsim", "trace.max_displacement",
+        "worst send-vs-arrival positional displacement",
+    ),
+    "disorder_fraction": declare(
+        Gauge, "netsim", "trace.disorder_fraction", "late arrivals / arrivals"
+    ),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,10 +88,10 @@ class ReceiverTrace:
             "max_displacement": float(self.max_displacement()),
             "disorder_fraction": self.disorder_fraction(),
         }
-        _OBS_ARRIVALS.set(values["arrivals"])
-        _OBS_LATE.set(values["late_arrivals"])
-        _OBS_MAX_DISPLACEMENT.set(values["max_displacement"])
-        _OBS_DISORDER.set(values["disorder_fraction"])
+        registry = obs_runtime._registry
+        if registry is not None:
+            for name, key in _GAUGES.items():
+                registry.instruments[key].set(values[name])
         return values
 
     def latency_of(self, send_times: dict[int, float]) -> list[float]:

@@ -1,17 +1,26 @@
 """repro.obs — the simulator's observability layer.
 
 Zero-dependency metrics (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram`, :class:`Timer` in a :class:`Registry`), a
-structured per-layer tracer (:class:`Tracer`), pluggable exporters
-(JSON lines + human tables), and a ``python -m repro.obs report`` CLI.
+:class:`Histogram` in a :class:`Registry`), a structured per-layer
+tracer (:class:`Tracer`), pluggable exporters (JSON lines + human
+tables), and a ``python -m repro.obs report`` CLI.
 
-Instrumented modules declare handles at import time and pay a null
-no-op while nothing is installed::
+Components keep their counts as their own integers and publish them
+only while a registry is installed — a :class:`Tallies` table per
+component, read at an entry point and published as deltas at its end::
 
-    from repro.obs import counter
-    _OBS_FRAMES = counter("netsim", "link.frames_in")
+    from repro.obs import Tallies, runtime as obs_runtime
+    _TALLIES = Tallies({"stats.frames_in": ("netsim", "link.frames_in", "frames offered")})
     ...
-    _OBS_FRAMES.inc()          # no-op until a registry is installed
+    before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+    self.stats.frames_in += 1
+    if before is not None:
+        _TALLIES.publish(before, self)
+
+Gauges and histograms are catalogued with :func:`declare` and written
+at their site behind the same one read (``registry.instruments[key]``);
+nothing here is called while nothing is installed (see
+:mod:`repro.obs.runtime`).
 
 Observing a run::
 
@@ -48,23 +57,14 @@ from repro.obs.metrics import (
     Histogram,
     MetricSample,
     Registry,
-    Timer,
 )
 from repro.obs.runtime import (
-    CounterHandle,
-    GaugeHandle,
-    HistogramHandle,
-    TimerHandle,
-    TracerHandle,
+    Tallies,
     active_registry,
     active_tracer,
-    counter,
-    gauge,
-    histogram,
+    declare,
     install,
     session,
-    timer,
-    tracer,
     uninstall,
 )
 from repro.obs.provenance import (
@@ -88,22 +88,13 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
     "Registry",
     "MetricSample",
     "Tracer",
     "TraceEvent",
     "TraceSpan",
-    "CounterHandle",
-    "GaugeHandle",
-    "HistogramHandle",
-    "TimerHandle",
-    "TracerHandle",
-    "counter",
-    "gauge",
-    "histogram",
-    "timer",
-    "tracer",
+    "Tallies",
+    "declare",
     "install",
     "uninstall",
     "session",

@@ -7,10 +7,10 @@ Aggregate counters answer "how many"; the rings answer "what exactly
 happened to conversation 7 just before things went wrong" — without
 ever holding unbounded history.
 
-Like the rest of :mod:`repro.obs`, the recorder follows the null-sink
-discipline: while none is installed, :func:`flight_dump` is one global
-load and a ``None`` check, and the hot path pays nothing at all (the
-tracker's ``on_record`` is simply never set).
+Like the rest of :mod:`repro.obs`, the recorder costs nothing while
+none is installed: :func:`flight_dump` is one global load and a
+``None`` check, and the hot path pays nothing at all (the tracker's
+``on_record`` is simply never set).
 
 Dumps are written when something *fails*: the adversarial invariant
 harness (:func:`repro.app.adversarial.check_invariants`) dumps before
@@ -165,7 +165,7 @@ class FlightRecorder:
 
 
 # ----------------------------------------------------------------------
-# Installation (null-sink discipline)
+# Installation
 # ----------------------------------------------------------------------
 
 _recorder: FlightRecorder | None = None

@@ -3,15 +3,14 @@
 The observability layer measures the paper's quantitative claims from
 inside the simulator: data touches and bus crossings (Section 1 /
 Figure 1), retransmissions and disorder (Section 3.3), and the Table 1
-verification outcomes.  Four instrument kinds cover those shapes:
+verification outcomes.  Three instrument kinds cover those shapes:
 
 - :class:`Counter` — monotonically increasing totals (frames sent,
   bytes touched, TPDUs verified);
 - :class:`Gauge` — instantaneous levels with a high-water mark (queue
   depth, reassembly-buffer occupancy — the lock-up quantities);
 - :class:`Histogram` — distributions over fixed log-scale (power-of-
-  two) buckets (out-of-order distance, ACK batch size);
-- :class:`Timer` — a histogram of *simulated-time* durations.
+  two) buckets (out-of-order distance, ACK batch size).
 
 All time comes from a caller-supplied clock (the event loop's ``now``),
 never the wall clock, so instrumented runs stay exactly reproducible.
@@ -20,9 +19,8 @@ never the wall clock, so instrumented runs stay exactly reproducible.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, TypeVar
 
 __all__ = [
     "EXP_LO",
@@ -33,7 +31,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Timer",
+    "Instrument",
     "MetricSample",
     "Registry",
 ]
@@ -160,37 +158,8 @@ class Histogram:
         }
 
 
-class Timer:
-    """A histogram of simulated-time durations.
-
-    The clock is injected by the :class:`Registry` (ultimately the
-    event loop's ``now``); wall-clock time never enters the data.
-    """
-
-    __slots__ = ("scope", "name", "help", "histogram", "_clock")
-
-    def __init__(
-        self, scope: str, name: str, clock: Callable[[], float], help: str = ""
-    ) -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self.histogram = Histogram(scope, name, help)
-        self._clock = clock
-
-    def observe(self, duration: float) -> None:
-        self.histogram.observe(duration)
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.observe(self._clock() - start)
-
-    def sample(self) -> dict[str, object]:
-        return self.histogram.sample()
+Instrument = Counter | Gauge | Histogram
+_I = TypeVar("_I", Counter, Gauge, Histogram)
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,14 +193,14 @@ class Registry:
     """Holds instruments keyed by (scope, name); creates them on demand.
 
     One registry corresponds to one observed run.  The ``clock``
-    attribute supplies simulated time to timers (and is shared with the
-    tracer when installed through :func:`repro.obs.install`).
+    attribute is the run's simulated time (shared with the tracer when
+    installed through :func:`repro.obs.install`).  Instrumented code
+    writes through :attr:`instruments`, where every declared series
+    exists from the moment the registry is installed.
     """
 
     clock: Callable[[], float] = _zero_clock
-    _instruments: dict[tuple[str, str], Counter | Gauge | Histogram | Timer] = field(
-        default_factory=dict
-    )
+    instruments: dict[tuple[str, str], Instrument] = field(default_factory=dict)
 
     def now(self) -> float:
         """Current time per the registry's clock (sim time once bound)."""
@@ -248,29 +217,11 @@ class Registry:
     def histogram(self, scope: str, name: str, help: str = "") -> Histogram:
         return self._get(Histogram, scope, name, help)
 
-    def timer(self, scope: str, name: str, help: str = "") -> Timer:
-        existing = self._instruments.get((scope, name))
-        if existing is None:
-            timer = Timer(scope, name, self.now, help)
-            self._instruments[(scope, name)] = timer
-            return timer
-        if not isinstance(existing, Timer):
-            raise ValueError(
-                f"{scope}.{name} is a {type(existing).__name__}, not a Timer"
-            )
-        return existing
-
-    def _get(
-        self,
-        kind: type[Counter] | type[Gauge] | type[Histogram],
-        scope: str,
-        name: str,
-        help: str,
-    ) -> "Counter | Gauge | Histogram":
-        existing = self._instruments.get((scope, name))
+    def _get(self, kind: type[_I], scope: str, name: str, help: str) -> _I:
+        existing = self.instruments.get((scope, name))
         if existing is None:
             instrument = kind(scope, name, help)
-            self._instruments[(scope, name)] = instrument
+            self.instruments[(scope, name)] = instrument
             return instrument
         if not isinstance(existing, kind):
             raise ValueError(
@@ -283,13 +234,13 @@ class Registry:
     def samples(self) -> list[MetricSample]:
         """Every instrument's state, sorted by (scope, name)."""
         out: list[MetricSample] = []
-        for (scope, name), instrument in sorted(self._instruments.items()):
+        for (scope, name), instrument in sorted(self.instruments.items()):
             kind = type(instrument).__name__.lower()
             out.append(
                 MetricSample(kind, scope, name, instrument.help, instrument.sample())
             )
         return out
 
-    def get(self, scope: str, name: str) -> Counter | Gauge | Histogram | Timer | None:
+    def get(self, scope: str, name: str) -> Instrument | None:
         """Look up an instrument without creating it."""
-        return self._instruments.get((scope, name))
+        return self.instruments.get((scope, name))

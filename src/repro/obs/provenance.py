@@ -10,19 +10,21 @@ causal timeline afterwards with **no** extra per-chunk state on the hot
 path.  The hot path never holds more than the label it already carries.
 
 Discipline mirrors :mod:`repro.obs.runtime`: instrumented modules fetch
-the module-level :class:`JourneyHandle` once at import time::
+the module-level :class:`JourneyHandle` once at import time and read the
+installed tracker off it once per call::
 
     from repro.obs import journey_handle
     _OBS_JOURNEY = journey_handle()
     ...
-    if _OBS_JOURNEY:                      # falsy while uninstalled
-        _OBS_JOURNEY.chunk(STAGE_PLACED, chunk, fresh=n)
+    journey = _OBS_JOURNEY._impl          # None while uninstalled
+    if journey is not None:
+        journey.chunk(STAGE_PLACED, chunk, fresh=n)
 
-While no :class:`JourneyTracker` is installed the handle is falsy, so
-the per-record argument packing is skipped entirely — one attribute
-load and one truthiness check, zero allocations.
+While no :class:`JourneyTracker` is installed the per-record argument
+packing is skipped entirely — one attribute load and one ``is None``
+test, no call, zero allocations.
 
-Unlike metric handles, journeys deliberately do **not** create registry
+Unlike metric series, journeys deliberately do **not** create registry
 instruments: installing a journey must not change any registry's metric
 snapshot (the perf comparator treats snapshot drift as a regression).
 The tracker keeps its latency histograms privately.
@@ -521,14 +523,16 @@ def write_journal(target: str | Path | IO[str], tracker: JourneyTracker) -> int:
 
 
 # ----------------------------------------------------------------------
-# The handle seam (null-sink discipline, mirroring runtime.py)
+# The handle seam (one read of the installed sink, mirroring runtime.py)
 # ----------------------------------------------------------------------
 
 class JourneyHandle:
     """The module-level seam instrumented code emits through.
 
-    Falsy while no tracker is installed, so hot paths skip the keyword
-    packing entirely: ``if _OBS_JOURNEY: _OBS_JOURNEY.chunk(...)``.
+    Instrumented code reads the installed tracker off it once per call
+    (``journey = _OBS_JOURNEY._impl``) and skips the keyword packing
+    entirely while that is None; the handle's own methods and its
+    falsiness while uninstalled serve callers outside the hot paths.
     """
 
     __slots__ = ("_impl",)
@@ -607,7 +611,7 @@ def install_journey(
 
 
 def uninstall_journey() -> None:
-    """Return the journey handle to the null sink."""
+    """Install no tracker: instrumented code stops recording journeys."""
     global _tracker
     _tracker = None
     _HANDLE._bind(None)
@@ -634,7 +638,7 @@ def journey_session(
     clock: Callable[[], float] | None = None,
 ) -> Iterator[JourneyTracker]:
     """Scope a journey installation to a ``with`` block; restores the
-    previously active tracker (or the null sink) on exit."""
+    previously active tracker (or none) on exit."""
     previous = _tracker
     installed = install_journey(tracker, clock)
     try:

@@ -1,46 +1,45 @@
-"""The instrumentation runtime: module-level handles and the null sink.
+"""The instrumentation runtime: the installed sink and the series catalogue.
 
-Instrumented modules declare handles once, at import time::
+Instrumented code holds no handle objects: it reads the installed sink
+— ``runtime._registry`` or ``runtime._tracer``, one module-attribute
+load — and does nothing more while that is ``None``, so an unobserved
+run makes no call into ``repro.obs`` at all.  A number reaches the
+registry one of two ways, by what it is:
 
-    from repro.obs import counter, gauge, tracer
+- **a counter that mirrors an integer the component keeps** is
+  published by :class:`Tallies`: the entry point reads its integers
+  when a registry is installed and publishes their growth once, at its
+  end — the component's integer *is* the number;
+- **a gauge or a histogram** (and an event count with no integer behind
+  it) is written where it happens, straight into the installed
+  registry's instrument, so a peak inside one call survives::
 
-    _OBS_FRAMES = counter("netsim", "link.frames_in", "frames offered")
-    _OBS_TRACE = tracer("netsim")
+      _PENDING = declare(Gauge, "netsim", "router.pending_chunks", "chunks batched")
+      ...
+      registry = obs_runtime._registry
+      if registry is not None:
+          registry.instruments[_PENDING].set(len(self._pending))
 
-and call ``_OBS_FRAMES.inc()`` on the hot path.  When no registry is
-installed — the default — every handle forwards to a shared null
-implementation whose methods do nothing: one attribute load and one
-no-op call, cheap enough to leave in the hottest loops.  Tracer
-handles are additionally *falsy* while disabled so per-event field
-dicts can be skipped entirely (``if _OBS_TRACE: _OBS_TRACE.event(...)``).
-
-:func:`install` binds every existing handle (and all future ones) to a
-live :class:`~repro.obs.metrics.Registry` and
-:class:`~repro.obs.tracing.Tracer`; :func:`uninstall` rebinds them to
-the null sink.  :func:`session` scopes an installation to a ``with``
-block and restores whatever was active before, so nested observed runs
-(a bench inside a test) behave.
+Series are declared once, at import time, into a catalogue;
+:func:`install` creates every catalogued series in the registry it
+installs, so a snapshot's key set does not depend on which code ran.
+:func:`session` scopes an installation to a ``with`` block and restores
+whatever was active before, so nested observed runs (a bench inside a
+test) behave.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Callable, Iterator
 
-from repro.obs.metrics import Counter, Gauge, Histogram, Registry, Timer
+from repro.obs.metrics import Counter, Instrument, Registry
 from repro.obs.tracing import Tracer
 
 __all__ = [
-    "CounterHandle",
-    "GaugeHandle",
-    "HistogramHandle",
-    "TimerHandle",
-    "TracerHandle",
-    "counter",
-    "gauge",
-    "histogram",
-    "timer",
-    "tracer",
+    "Tallies",
+    "declare",
     "install",
     "uninstall",
     "active_registry",
@@ -48,262 +47,75 @@ __all__ = [
     "session",
 ]
 
-
-# ----------------------------------------------------------------------
-# Null implementations (the default sink)
-# ----------------------------------------------------------------------
-
-class _NullInstrument:
-    """Does nothing, cheaply, for every instrument method."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        return None
-
-    def dec(self, amount: float = 1) -> None:
-        return None
-
-    def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
-        return None
-
-
-class _NullTracer:
-    __slots__ = ()
-
-    def event(
-        self,
-        scope: str,
-        name: str,
-        t: float | None = None,
-        fields: dict[str, object] | None = None,
-    ) -> None:
-        return None
-
-    @contextmanager
-    def span(
-        self,
-        scope: str,
-        name: str,
-        fields: dict[str, object] | None = None,
-    ) -> Iterator[None]:
-        yield
-
-
-_NULL = _NullInstrument()
-_NULL_TRACER = _NullTracer()
-
-
-@contextmanager
-def _null_measure() -> Iterator[None]:
-    yield
-
-
-# ----------------------------------------------------------------------
-# Handles
-# ----------------------------------------------------------------------
-
-class CounterHandle:
-    """A lazily bound counter; forwards to the active registry or null."""
-
-    __slots__ = ("scope", "name", "help", "_impl")
-
-    def __init__(self, scope: str, name: str, help: str = "") -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self._impl: Counter | _NullInstrument = _NULL
-
-    def inc(self, amount: float = 1) -> None:
-        self._impl.inc(amount)
-
-    def _bind(self, registry: Registry | None) -> None:
-        self._impl = (
-            _NULL if registry is None
-            else registry.counter(self.scope, self.name, self.help)
-        )
-
-
-class GaugeHandle:
-    __slots__ = ("scope", "name", "help", "_impl")
-
-    def __init__(self, scope: str, name: str, help: str = "") -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self._impl: Gauge | _NullInstrument = _NULL
-
-    def set(self, value: float) -> None:
-        self._impl.set(value)
-
-    def inc(self, amount: float = 1) -> None:
-        self._impl.inc(amount)
-
-    def dec(self, amount: float = 1) -> None:
-        self._impl.dec(amount)
-
-    def _bind(self, registry: Registry | None) -> None:
-        self._impl = (
-            _NULL if registry is None
-            else registry.gauge(self.scope, self.name, self.help)
-        )
-
-
-class HistogramHandle:
-    __slots__ = ("scope", "name", "help", "_impl")
-
-    def __init__(self, scope: str, name: str, help: str = "") -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self._impl: Histogram | _NullInstrument = _NULL
-
-    def observe(self, value: float) -> None:
-        self._impl.observe(value)
-
-    def _bind(self, registry: Registry | None) -> None:
-        self._impl = (
-            _NULL if registry is None
-            else registry.histogram(self.scope, self.name, self.help)
-        )
-
-
-class TimerHandle:
-    __slots__ = ("scope", "name", "help", "_impl")
-
-    def __init__(self, scope: str, name: str, help: str = "") -> None:
-        self.scope = scope
-        self.name = name
-        self.help = help
-        self._impl: Timer | None = None
-
-    def observe(self, duration: float) -> None:
-        if self._impl is not None:
-            self._impl.observe(duration)
-
-    def measure(self) -> "object":
-        """Context manager timing the body in simulated seconds."""
-        if self._impl is None:
-            return _null_measure()
-        return self._impl.measure()
-
-    def _bind(self, registry: Registry | None) -> None:
-        self._impl = (
-            None if registry is None
-            else registry.timer(self.scope, self.name, self.help)
-        )
-
-
-class TracerHandle:
-    """A lazily bound, scope-pinned tracer.
-
-    Falsy while no tracer is installed, so hot paths can skip building
-    the per-event field dict: ``if _OBS_TRACE: _OBS_TRACE.event(...)``.
-    """
-
-    __slots__ = ("scope", "_impl")
-
-    def __init__(self, scope: str) -> None:
-        self.scope = scope
-        self._impl: Tracer | _NullTracer = _NULL_TRACER
-
-    def __bool__(self) -> bool:
-        return self._impl is not _NULL_TRACER
-
-    def event(self, name: str, t: float | None = None, **fields: object) -> None:
-        self._impl.event(self.scope, name, t, fields)
-
-    def span(self, name: str, **fields: object) -> "object":
-        return self._impl.span(self.scope, name, fields)
-
-    def _bind(self, tracer_obj: Tracer | None) -> None:
-        self._impl = _NULL_TRACER if tracer_obj is None else tracer_obj
-
-
-_AnyHandle = CounterHandle | GaugeHandle | HistogramHandle | TimerHandle
-
-# ----------------------------------------------------------------------
-# Global state
-# ----------------------------------------------------------------------
-
 _registry: Registry | None = None
 _tracer: Tracer | None = None
-_metric_handles: dict[tuple[str, str, str], _AnyHandle] = {}
-_tracer_handles: dict[str, TracerHandle] = {}
+#: every declared series, by ``(scope, name)``: its instrument kind and help.
+_catalogue: dict[tuple[str, str], tuple[type[Instrument], str]] = {}
 
 
-def _handle(
-    kind: type[CounterHandle] | type[GaugeHandle] | type[HistogramHandle] | type[TimerHandle],
-    scope: str,
-    name: str,
-    help: str,
-) -> _AnyHandle:
-    key = (kind.__name__, scope, name)
-    existing = _metric_handles.get(key)
-    if existing is not None:
-        return existing
-    handle = kind(scope, name, help)
-    handle._bind(_registry)
-    _metric_handles[key] = handle
-    return handle
+def declare(kind: type[Instrument], scope: str, name: str, help: str = "") -> tuple[str, str]:
+    """Catalogue the series ``scope``/``name``; returns its key in
+    :attr:`Registry.instruments`.  Declaring a key again is a no-op
+    (its first help text stays); declaring it as another kind raises."""
+    key = (scope, name)
+    known = _catalogue.setdefault(key, (kind, help))
+    if known[0] is not kind:
+        raise ValueError(f"{scope}.{name} is a {known[0].__name__}, not a {kind.__name__}")
+    if _registry is not None:
+        _registry._get(kind, scope, name, help)
+    return key
 
 
-def counter(scope: str, name: str, help: str = "") -> CounterHandle:
-    """Declare (or fetch) the counter handle for ``scope``/``name``."""
-    handle = _handle(CounterHandle, scope, name, help)
-    assert isinstance(handle, CounterHandle)
-    return handle
+class Tallies:
+    """Counters that mirror integers a component keeps, by attribute.
 
+    *table* maps an attribute path (``"stats.frames_in"``) to the
+    ``(scope, name, help)`` of the counter it feeds.  An entry point
+    reads the integers only when a registry is installed and publishes
+    their deltas once, at its end::
 
-def gauge(scope: str, name: str, help: str = "") -> GaugeHandle:
-    """Declare (or fetch) the gauge handle for ``scope``/``name``."""
-    handle = _handle(GaugeHandle, scope, name, help)
-    assert isinstance(handle, GaugeHandle)
-    return handle
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+        ...  # the call's own work
+        if before is not None:
+            _TALLIES.publish(before, self)
 
+    An entry point that calls another publisher of the same table (a
+    router's ``receive`` may flush through ``_emit``) publishes before
+    that call, or the inner call's growth would be counted twice.
+    """
 
-def histogram(scope: str, name: str, help: str = "") -> HistogramHandle:
-    """Declare (or fetch) the histogram handle for ``scope``/``name``."""
-    handle = _handle(HistogramHandle, scope, name, help)
-    assert isinstance(handle, HistogramHandle)
-    return handle
+    __slots__ = ("read", "_keys")
 
+    def __init__(self, table: dict[str, tuple[str, str, str]]) -> None:
+        self._keys = tuple(declare(Counter, *series) for series in table.values())
+        getter = attrgetter(*table)
+        # ``attrgetter`` of one name returns the value, of several a tuple.
+        self.read: Callable[[object], tuple[int, ...]] = (
+            getter if len(table) > 1 else lambda obj: (getter(obj),)
+        )
 
-def timer(scope: str, name: str, help: str = "") -> TimerHandle:
-    """Declare (or fetch) the timer handle for ``scope``/``name``."""
-    handle = _handle(TimerHandle, scope, name, help)
-    assert isinstance(handle, TimerHandle)
-    return handle
+    def publish(self, before: tuple[int, ...], obj: object) -> None:
+        """Add the growth of *obj*'s integers since *before* to the
+        installed registry (nothing, if it was uninstalled meanwhile)."""
+        registry = _registry
+        if registry is None:
+            return
+        instruments = registry.instruments
+        for key, old, new in zip(self._keys, before, self.read(obj)):
+            if new != old:
+                instruments[key].inc(new - old)
 
-
-def tracer(scope: str) -> TracerHandle:
-    """Declare (or fetch) the tracer handle for layer ``scope``."""
-    existing = _tracer_handles.get(scope)
-    if existing is not None:
-        return existing
-    handle = TracerHandle(scope)
-    handle._bind(_tracer)
-    _tracer_handles[scope] = handle
-    return handle
-
-
-# ----------------------------------------------------------------------
-# Install / uninstall / session
-# ----------------------------------------------------------------------
 
 def install(
     registry: Registry | None = None,
     tracer: Tracer | None = None,
     clock: Callable[[], float] | None = None,
 ) -> tuple[Registry, Tracer]:
-    """Make a registry + tracer the active sink for every handle.
+    """Make a registry + tracer the installed sink.
 
-    Creates fresh ones when not supplied.  ``clock`` (typically
-    ``lambda: loop.now``) feeds both the tracer's timestamps and any
-    timers; it must be simulated time, never the wall clock.
+    Creates fresh ones when not supplied, and every catalogued series in
+    the registry.  ``clock`` (typically ``lambda: loop.now``) feeds both;
+    it must be simulated time, never the wall clock.
     """
     global _registry, _tracer
     _registry = registry if registry is not None else Registry()
@@ -311,22 +123,16 @@ def install(
     if clock is not None:
         _registry.clock = clock
         _tracer.clock = clock
-    for handle in _metric_handles.values():
-        handle._bind(_registry)
-    for tracer_handle in _tracer_handles.values():
-        tracer_handle._bind(_tracer)
+    for (scope, name), (kind, help) in _catalogue.items():
+        _registry._get(kind, scope, name, help)
     return _registry, _tracer
 
 
 def uninstall() -> None:
-    """Return every handle to the null sink."""
+    """Install nothing: instrumented code stops publishing."""
     global _registry, _tracer
     _registry = None
     _tracer = None
-    for handle in _metric_handles.values():
-        handle._bind(None)
-    for tracer_handle in _tracer_handles.values():
-        tracer_handle._bind(None)
 
 
 def active_registry() -> Registry | None:
@@ -344,7 +150,7 @@ def session(
     clock: Callable[[], float] | None = None,
 ) -> Iterator[tuple[Registry, Tracer]]:
     """Scope an installation to a ``with`` block; restores the previous
-    sink (or the null sink) on exit."""
+    sink (or none) on exit."""
     previous = (_registry, _tracer)
     installed = install(registry, tracer, clock)
     try:

@@ -12,7 +12,7 @@ Layout of the flattened keys:
 
 - counters   -> ``scope.name`` (the running total)
 - gauges     -> ``scope.name`` and ``scope.name.high_water``
-- histograms and timers -> ``scope.name.count``, ``scope.name.sum``,
+- histograms -> ``scope.name.count``, ``scope.name.sum``,
   ``scope.name.min``, ``scope.name.max`` and one
   ``scope.name.bucket[<exponent>]`` entry per occupied bucket
 """
@@ -43,7 +43,7 @@ def metric_snapshot(registry: Registry) -> dict[str, Scalar]:
         elif sample.kind == "gauge":
             flat[base] = _scalar(data["value"])
             flat[f"{base}.high_water"] = _scalar(data["high_water"])
-        else:  # histogram / timer share the histogram sample shape
+        else:
             flat[f"{base}.count"] = _scalar(data["count"])
             flat[f"{base}.sum"] = _scalar(data["sum"])
             flat[f"{base}.min"] = _scalar(data["min"])

@@ -26,17 +26,20 @@ from repro.core.errors import EndpointError
 from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
-from repro.obs import counter, journey_handle
+from repro.obs import Tallies, journey_handle
+from repro.obs import runtime as obs_runtime
 
 __all__ = ["Wire", "EgressPacker"]
 
-_OBS_PACKETS_SENT = counter("transport", "endpoint.packets_sent", "egress packets packed")
-_OBS_MIXED_PACKETS = counter(
-    "transport", "endpoint.mixed_packets", "egress packets mixing >1 conversation"
-)
-_OBS_CROSS_SHARD = counter(
-    "transport", "shard.cross_shard_packets", "egress packets mixing >1 shard"
-)
+_TALLIES = Tallies({
+    "flushed_packets": ("transport", "endpoint.packets_sent", "egress packets packed"),
+    "mixed_packets": (
+        "transport", "endpoint.mixed_packets", "egress packets mixing >1 conversation"
+    ),
+    "cross_shard_packets": (
+        "transport", "shard.cross_shard_packets", "egress packets mixing >1 shard"
+    ),
+})
 _OBS_JOURNEY = journey_handle()
 
 
@@ -73,6 +76,9 @@ class EgressPacker:
         self._flush_scheduled = False
         self.bytes_sent = 0
         self.packets_sent = 0
+        #: packets shipped by :meth:`flush` — an endpoint's, where a lone
+        #: session's direct :meth:`ship` is not an endpoint's.
+        self.flushed_packets = 0
         self.mixed_packets = 0
         #: packets whose chunks came from more than one lane.
         self.cross_shard_packets = 0
@@ -94,7 +100,9 @@ class EgressPacker:
     def flush(self) -> None:
         """Put every waiting chunk on the wire now."""
         self._flush_scheduled = False
-        shard_of = None
+        # The lane each conversation came from (none to tell apart on one
+        # lane); passing it marks the packets as flushed.
+        shard_of: dict[int, int] = {}
         if self._sharded:
             shard_of = {
                 chunk.c_id: lane
@@ -103,9 +111,7 @@ class EgressPacker:
             }
         chunks = self._drain()
         if chunks:
-            # ``endpoint.*`` series count an endpoint's flushes only; a
-            # lone session's direct :meth:`ship` is not an endpoint.
-            _OBS_PACKETS_SENT.inc(self.ship(chunks, shard_of))
+            self.ship(chunks, shard_of)
 
     def _drain(self) -> list[Chunk]:
         count = len(self._lanes)
@@ -122,24 +128,28 @@ class EgressPacker:
         return drained
 
     def ship(self, chunks: list[Chunk], shard_of: dict[int, int] | None = None) -> int:
-        """Pack, encode, count and transmit *chunks*; returns the packet count."""
+        """Pack, encode, count and transmit *chunks*; returns the packet count.
+
+        *shard_of* maps each C.ID to the lane it was enqueued on; only
+        :meth:`flush` passes it, so its packets count as flushed.
+        """
         transmit = self.wire.transmit
         if transmit is None:
             raise EndpointError("egress needs a transmit callback")
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
+        journey = _OBS_JOURNEY._impl
         now = None if self.loop is None else self.loop.now
         packets = pack_chunks(chunks, self.wire.mtu)
         for packet in packets:
             conversations = {chunk.c_id for chunk in packet.chunks}
             if len(conversations) > 1:
                 self.mixed_packets += 1
-                _OBS_MIXED_PACKETS.inc()
                 if shard_of and len({shard_of[cid] for cid in conversations}) > 1:
                     self.cross_shard_packets += 1
-                    _OBS_CROSS_SHARD.inc()
-            if _OBS_JOURNEY:
+            if journey is not None:
                 for chunk in packet.chunks:
                     if chunk.is_data:
-                        _OBS_JOURNEY.chunk(
+                        journey.chunk(
                             "packed", chunk, t=now,
                             shard=shard_of[chunk.c_id] if shard_of else None,
                         )
@@ -147,4 +157,8 @@ class EgressPacker:
             self.bytes_sent += len(encoded)
             self.packets_sent += 1
             transmit(encoded)
+        if shard_of is not None:
+            self.flushed_packets += len(packets)
+        if before is not None:
+            _TALLIES.publish(before, self)
         return len(packets)

@@ -43,7 +43,8 @@ from repro.host.budget import SharedPlacementBudget
 from repro.host.delivery import PlacementBuffer
 from repro.host.memory import TouchLedger
 from repro.netsim.events import EventLoop
-from repro.obs import counter, flight_dump, gauge, journey_handle, tracer
+from repro.obs import Gauge, Tallies, declare, flight_dump, journey_handle
+from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
@@ -61,38 +62,39 @@ __all__ = [
     "ChunkEndpoint",
 ]
 
-_OBS_PACKETS = counter("transport", "endpoint.packets_received", "packets demultiplexed")
-_OBS_CHUNKS = counter("transport", "endpoint.chunks_routed", "chunks routed to a connection")
-_OBS_REFUSED_UNKNOWN = counter(
-    "transport", "endpoint.refused_unknown", "chunks refused: C.ID never established"
-)
-_OBS_REFUSED_EVICTED = counter(
-    "transport", "endpoint.refused_evicted", "chunks refused: C.ID evicted or refused"
-)
-_OBS_ACKS_UNROUTABLE = counter(
-    "transport", "endpoint.acks_unroutable", "ACK chunks with no sender session"
-)
-_OBS_ESTABLISHED = counter(
-    "transport", "endpoint.connections_established", "connections entered into the table"
-)
-_OBS_CLOSED = counter(
-    "transport", "endpoint.connections_closed", "connections closed by C.ST"
-)
-_OBS_EVICTED = counter(
-    "transport", "endpoint.connections_evicted", "connections evicted (idle/closed sweep)"
-)
-_OBS_ADMISSION_REFUSED = counter(
-    "transport",
-    "endpoint.connections_refused",
-    "establishments refused (budget admission or capacity)",
-)
-_OBS_STALLED = counter(
-    "transport",
-    "endpoint.stalled_evictions",
-    "connections evicted for making no receive progress (slow-loris defense)",
-)
-_OBS_ACTIVE = gauge("transport", "endpoint.connections_active", "current table size")
-_OBS_TRACE = tracer("transport")
+#: Published by each of the endpoint's entry points (receive, open,
+#: close, sweep) at its end; the table's totals count with them.
+_TALLIES = Tallies({
+    "packets_received": ("transport", "endpoint.packets_received", "packets demultiplexed"),
+    "chunks_routed": ("transport", "endpoint.chunks_routed", "chunks routed to a connection"),
+    "refused_unknown": (
+        "transport", "endpoint.refused_unknown", "chunks refused: C.ID never established"
+    ),
+    "refused_evicted": (
+        "transport", "endpoint.refused_evicted", "chunks refused: C.ID evicted or refused"
+    ),
+    "acks_unroutable": (
+        "transport", "endpoint.acks_unroutable", "ACK chunks with no sender session"
+    ),
+    "table.established_total": (
+        "transport", "endpoint.connections_established", "connections entered into the table"
+    ),
+    "table.closed_total": (
+        "transport", "endpoint.connections_closed", "connections closed by C.ST"
+    ),
+    "table.evicted_total": (
+        "transport", "endpoint.connections_evicted", "connections evicted (idle/closed sweep)"
+    ),
+    "connections_refused": (
+        "transport", "endpoint.connections_refused",
+        "establishments refused (budget admission or capacity)",
+    ),
+    "stalled_evictions": (
+        "transport", "endpoint.stalled_evictions",
+        "connections evicted for making no receive progress (slow-loris defense)",
+    ),
+})
+_ACTIVE = declare(Gauge, "transport", "endpoint.connections_active", "current table size")
 _OBS_JOURNEY = journey_handle()
 
 
@@ -225,8 +227,9 @@ class ConnectionTable:
             raise EndpointError(f"C.ID {cid} is already in the connection table")
         self.connections[cid] = connection
         self.established_total += 1
-        _OBS_ESTABLISHED.inc()
-        _OBS_ACTIVE.set(len(self.connections))
+        registry = obs_runtime._registry
+        if registry is not None:
+            registry.instruments[_ACTIVE].set(len(self.connections))
 
     def mark_closed(self, connection: Connection, now: float) -> None:
         if connection.state is ConnectionState.CLOSED:
@@ -234,7 +237,6 @@ class ConnectionTable:
         connection.state = ConnectionState.CLOSED
         connection.closed_at = now
         self.closed_total += 1
-        _OBS_CLOSED.inc()
 
     def evict(self, connection_id: int) -> Connection | None:
         """Remove one entry (tombstoning its C.ID); returns it, if any."""
@@ -243,8 +245,9 @@ class ConnectionTable:
             return None
         self.evicted_ids.add(connection_id)
         self.evicted_total += 1
-        _OBS_EVICTED.inc()
-        _OBS_ACTIVE.set(len(self.connections))
+        registry = obs_runtime._registry
+        if registry is not None:
+            registry.instruments[_ACTIVE].set(len(self.connections))
         return connection
 
     def idle_connections(
@@ -345,6 +348,9 @@ class ChunkEndpoint:
     acks_unroutable: int = 0
     connections_refused: int = 0
     stalled_evictions: int = 0
+    #: chunks handed to a connection's sessions (ACKs to its sender,
+    #: the rest to its receiver).
+    chunks_routed: int = 0
 
     #: the packer behind every session of this endpoint; the sharded
     #: composition replaces each worker's with the one it shares.
@@ -376,12 +382,14 @@ class ChunkEndpoint:
             raise EndpointError(f"C.ID {cid} is already open")
         if cid in self.table.evicted_ids:
             raise EndpointError(f"C.ID {cid} was evicted; pick a fresh C.ID")
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         if (
             self.max_connections is not None
             and len(self.table) >= self.max_connections
         ):
             self.connections_refused += 1
-            _OBS_ADMISSION_REFUSED.inc()
+            if before is not None:
+                _TALLIES.publish(before, self)
             raise EndpointError(
                 f"endpoint at capacity ({self.max_connections} connections)"
             )
@@ -404,6 +412,8 @@ class ChunkEndpoint:
             _endpoint=self,
         )
         self.table.add(connection)
+        if before is not None:
+            _TALLIES.publish(before, self)
         return connection
 
     def flush(self) -> None:
@@ -452,10 +462,12 @@ class ChunkEndpoint:
         own chunk group through this entry — re-encoding/re-decoding per
         shard would break the touch budget the labels exist to protect.
         """
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         events = EndpointEvents()
         self.packets_received += 1
-        _OBS_PACKETS.inc()
         self._dispatch(chunks, events)
+        if before is not None:
+            _TALLIES.publish(before, self)
         return events
 
     def _dispatch(self, chunks: list[Chunk], events: EndpointEvents) -> None:
@@ -479,10 +491,9 @@ class ChunkEndpoint:
                 for ack in acks:
                     connection.sender.handle_ack_chunk(ack)
                 connection.last_activity = now
-                _OBS_CHUNKS.inc(len(acks))
+                self.chunks_routed += len(acks)
             else:
                 self.acks_unroutable += len(acks)
-                _OBS_ACKS_UNROUTABLE.inc(len(acks))
         if not rest:
             return
 
@@ -495,21 +506,25 @@ class ChunkEndpoint:
         connection.chunks_in += len(rest)
         payload_bytes = sum(c.payload_bytes for c in rest if c.is_data)
         connection.payload_bytes_in += payload_bytes
-        _OBS_CHUNKS.inc(len(rest))
-        if _OBS_JOURNEY:
+        self.chunks_routed += len(rest)
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
             for chunk in rest:
                 if chunk.is_data:
-                    _OBS_JOURNEY.chunk("demux", chunk, t=now, **self._shard_labels())
+                    journey.chunk("demux", chunk, t=now, **self._shard_labels())
         connection.last_activity = now
 
         received = connection.receiver.receive_chunks(rest)
         self._record_touches(connection)
         if received.connection_closed:
             self.table.mark_closed(connection, now)
-            if _OBS_TRACE:
-                _OBS_TRACE.event("conn_closed", t=now, conn=cid, **self._shard_labels())
-            if _OBS_JOURNEY:
-                _OBS_JOURNEY.emit(
+            tracer = obs_runtime._tracer
+            if tracer is not None:
+                tracer.event(
+                    "transport", "conn_closed", now, {"conn": cid, **self._shard_labels()}
+                )
+            if journey is not None:
+                journey.emit(
                     "closed", cid, 0, 0, t=now, level="conn", **self._shard_labels()
                 )
         previous = events.per_connection.get(cid)
@@ -557,7 +572,6 @@ class ChunkEndpoint:
             and len(self.table) >= self.max_connections
         ) or not self.budget.register(cid):
             self.connections_refused += 1
-            _OBS_ADMISSION_REFUSED.inc()
             if existing is None:
                 self.table.evicted_ids.add(cid)
             return None
@@ -584,12 +598,14 @@ class ChunkEndpoint:
         )
         self.table.add(connection)
         events.established.append(cid)
-        if _OBS_TRACE:
-            _OBS_TRACE.event(
-                "conn_established", t=now, conn=cid, **self._shard_labels()
+        tracer = obs_runtime._tracer
+        if tracer is not None:
+            tracer.event(
+                "transport", "conn_established", now, {"conn": cid, **self._shard_labels()}
             )
-        if _OBS_JOURNEY:
-            _OBS_JOURNEY.emit(
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
+            journey.emit(
                 "established", cid, 0, 0, t=now, level="conn", **self._shard_labels()
             )
         return connection
@@ -598,16 +614,15 @@ class ChunkEndpoint:
         events.refused_chunks += len(chunks)
         if cid in self.table.evicted_ids:
             self.refused_evicted += len(chunks)
-            _OBS_REFUSED_EVICTED.inc(len(chunks))
             reason = "evicted"
         else:
             self.refused_unknown += len(chunks)
-            _OBS_REFUSED_UNKNOWN.inc(len(chunks))
             reason = "unknown"
-        if _OBS_JOURNEY:
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
             for chunk in chunks:
                 if chunk.is_data:
-                    _OBS_JOURNEY.chunk(
+                    journey.chunk(
                         "refused", chunk, t=self.loop.now, reason=reason,
                         **self._shard_labels(),
                     )
@@ -636,7 +651,10 @@ class ChunkEndpoint:
         connection = self.table.get(cid)
         if connection is None:
             raise EndpointError(f"no connection {cid} to close")
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         self.table.mark_closed(connection, self.loop.now)
+        if before is not None:
+            _TALLIES.publish(before, self)
 
     def sweep(self, now: float | None = None) -> list[int]:
         """Evict idle/lingering connections, reclaiming their state.
@@ -646,6 +664,7 @@ class ChunkEndpoint:
         drops its sessions; late chunks for the C.ID are subsequently
         refused (and counted) via the tombstone set.
         """
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         at = self.loop.now if now is None else now
         linger = self.idle_timeout if self.close_linger is None else self.close_linger
         evicted: list[int] = []
@@ -659,6 +678,8 @@ class ChunkEndpoint:
             )
             if self._evict(cid, at, reason):
                 evicted.append(cid)
+        if before is not None:
+            _TALLIES.publish(before, self)
         evicted.extend(self._police_progress(at))
         return evicted
 
@@ -672,21 +693,22 @@ class ChunkEndpoint:
         connection.receiver = None
         connection.sender = None
         self.budget.release(cid)
-        if _OBS_TRACE:
-            _OBS_TRACE.event(
-                "conn_evicted", t=at, conn=cid, reason=reason, **self._shard_labels()
+        tracer = obs_runtime._tracer
+        if tracer is not None:
+            labels = self._shard_labels()
+            tracer.event(
+                "transport", "conn_evicted", at, {"conn": cid, "reason": reason, **labels}
             )
             if self.table.evicted_ids.dropped > tombstones_dropped:
-                _OBS_TRACE.event(
-                    "tombstone_dropped",
-                    t=at,
-                    conn=cid,
-                    reason="tombstone_overflow",
-                    dropped=self.table.evicted_ids.dropped,
-                    **self._shard_labels(),
-                )
-        if _OBS_JOURNEY:
-            _OBS_JOURNEY.emit(
+                tracer.event("transport", "tombstone_dropped", at, {
+                    "conn": cid,
+                    "reason": "tombstone_overflow",
+                    "dropped": self.table.evicted_ids.dropped,
+                    **labels,
+                })
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
+            journey.emit(
                 "evicted", cid, 0, 0, t=at, level="conn", reason=reason,
                 **self._shard_labels(),
             )
@@ -720,10 +742,13 @@ class ChunkEndpoint:
                 continue
             delta = connection.payload_bytes_in - connection._progress_bytes
             if delta < self.min_progress_bytes:
+                # Published per stall, so the flight dump carries it.
+                before = _TALLIES.read(self) if obs_runtime._registry is not None else None
                 if self._evict(cid, at, "stalled"):
                     self.stalled_evictions += 1
-                    _OBS_STALLED.inc()
                     evicted.append(cid)
+                    if before is not None:
+                        _TALLIES.publish(before, self)
                     flight_dump("stalled_eviction", f"conn-{cid}")
             else:
                 connection._progress_bytes = connection.payload_bytes_in

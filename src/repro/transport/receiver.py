@@ -21,7 +21,6 @@ installed, and the journey tracker is looked up once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Sequence
 
 from repro.core.chunk import Chunk
@@ -30,7 +29,7 @@ from repro.core.packet import Packet
 from repro.core.types import WORD_BYTES, ChunkType
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
-from repro.obs import counter, histogram, journey_handle
+from repro.obs import Histogram, Tallies, declare, journey_handle
 from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.wsc.endtoend import EndToEndReceiver, TpduVerdict
@@ -41,7 +40,7 @@ __all__ = ["ReceiverEvents", "ChunkTransportReceiver"]
 #: counters they are published to, as deltas once per call while a
 #: registry is installed.  A data touch is a placement of fresh bytes into
 #: the application's memory: the paper's single touch (Figure 1).
-_TALLIES = {
+_TALLIES = Tallies({
     "packets_received": ("transport", "receiver.packets_received", "wire packets decoded"),
     "chunks_received": ("transport", "receiver.chunks_received", "chunks processed on arrival"),
     "duplicate_chunks": ("transport", "receiver.duplicate_chunks", "fully duplicate chunks"),
@@ -68,11 +67,9 @@ _TALLIES = {
     "stream.bytes_placed": (
         "host", "data_touch_bytes", "fresh payload bytes placed into app memory"
     ),
-}
-_tallies = attrgetter(*_TALLIES)
-_TALLY_COUNTERS = tuple(counter(*series) for series in _TALLIES.values())
-_OBS_OOO_DISTANCE = histogram(
-    "transport", "receiver.ooo_distance",
+})
+_OOO_DISTANCE = declare(
+    Histogram, "transport", "receiver.ooo_distance",
     "units between a chunk's C.SN and the in-order arrival frontier",
 )
 _OBS_JOURNEY = journey_handle()
@@ -149,7 +146,7 @@ class ChunkTransportReceiver:
         """Decode a wire packet and process every chunk in it."""
         # One look per call at whether a registry is installed: an
         # attribute read, so an unobserved receiver makes no obs call.
-        before = _tallies(self) if obs_runtime._registry is not None else None
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         events = ReceiverEvents()
         self.packets_received += 1
         try:
@@ -161,7 +158,7 @@ class ChunkTransportReceiver:
 
     def receive_chunk(self, chunk: Chunk) -> ReceiverEvents:
         """Process one already-decoded chunk (router-less test paths)."""
-        before = _tallies(self) if obs_runtime._registry is not None else None
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         return self._receive((chunk,), ReceiverEvents(), before)
 
     def receive_chunks(self, chunks: Iterable[Chunk]) -> ReceiverEvents:
@@ -172,7 +169,7 @@ class ChunkTransportReceiver:
         chunks — possibly interleaved with other conversations' chunks
         in the same envelope.
         """
-        before = _tallies(self) if obs_runtime._registry is not None else None
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         events = ReceiverEvents()
         events.chunks = list(chunks)
         return self._receive(events.chunks, events, before)
@@ -185,6 +182,8 @@ class ChunkTransportReceiver:
         """Process *chunks* in order, then publish the tallies' deltas
         since *before* (taken when a registry is installed)."""
         journey = _OBS_JOURNEY._impl  # the installed tracker or None, read once
+        registry = obs_runtime._registry
+        ooo_distance = None if registry is None else registry.instruments[_OOO_DISTANCE].observe
         stream, verifier = self.stream, self.verifier
         self.chunks_received += len(chunks)
         for chunk in chunks:
@@ -192,8 +191,8 @@ class ChunkTransportReceiver:
                 chunk
             )
             if ctype is _DATA:
-                if before is not None:
-                    _OBS_OOO_DISTANCE.observe(abs(c_sn - self._frontier_sn))
+                if ooo_distance is not None:
+                    ooo_distance(abs(c_sn - self._frontier_sn))
                 if c_sn + length > self._frontier_sn:
                     self._frontier_sn = c_sn + length
                 # (1) immediate placement into application memory, once: the
@@ -255,9 +254,7 @@ class ChunkTransportReceiver:
                 events.connection_closed = True
 
         if before is not None:
-            for counter_handle, old, new in zip(_TALLY_COUNTERS, before, _tallies(self)):
-                if new != old:
-                    counter_handle.inc(new - old)
+            _TALLIES.publish(before, self)
         return events
 
     def _handle_signaling(self, chunk: Chunk) -> None:

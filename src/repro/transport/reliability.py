@@ -23,7 +23,8 @@ from typing import Callable
 from repro.core.chunk import Chunk
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
-from repro.obs import counter, histogram, journey_handle, tracer
+from repro.obs import Histogram, Tallies, declare, journey_handle
+from repro.obs import runtime as obs_runtime
 from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig
 from repro.transport.egress import EgressPacker
@@ -32,12 +33,15 @@ from repro.transport.sender import ChunkTransportSender
 
 __all__ = ["AdaptiveTpduPolicy", "ReliableSender", "ReliableReceiver"]
 
-_OBS_TIMEOUTS = counter("transport", "rto_timeouts", "retransmission timers fired")
-_OBS_GAVE_UP = counter("transport", "tpdus_gave_up", "TPDUs abandoned after max retries")
-_OBS_ACKS_RECEIVED = counter("transport", "acks_received", "TPDU ids acknowledged")
-_OBS_ACK_BATCHES = counter("transport", "ack_batches", "ACK packet flushes")
-_OBS_ACK_BATCH_SIZE = histogram("transport", "ack_batch_size", "TPDU ids per ACK flush")
-_OBS_TRACE = tracer("transport")
+_SENDER_TALLIES = Tallies({
+    "timeouts": ("transport", "rto_timeouts", "retransmission timers fired"),
+    "tpdus_gave_up": ("transport", "tpdus_gave_up", "TPDUs abandoned after max retries"),
+    "acks_received": ("transport", "acks_received", "TPDU ids acknowledged"),
+})
+_RECEIVER_TALLIES = Tallies(
+    {"ack_batches": ("transport", "ack_batches", "ACK packet flushes")}
+)
+_ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
 _OBS_JOURNEY = journey_handle()
 
 
@@ -126,6 +130,9 @@ class ReliableSender:
     _acked_once: bool = field(init=False, default=False)
     retransmissions: int = field(init=False, default=0)
     gave_up: list[int] = field(init=False, default_factory=list)
+    #: retransmission timers that fired, and TPDU ids acknowledged.
+    timeouts: int = field(init=False, default=0)
+    acks_received: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self.sender = ChunkTransportSender(self.config)
@@ -149,10 +156,11 @@ class ReliableSender:
             payload, frame_id=frame_id, end_of_connection=end_of_connection
         )
         chunks += new_chunks
-        if _OBS_JOURNEY:
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
             for chunk in new_chunks:
                 if chunk.type is ChunkType.DATA:
-                    _OBS_JOURNEY.chunk("formed", chunk, t=self.loop.now)
+                    journey.chunk("formed", chunk, t=self.loop.now)
         self._ship(chunks)
         for chunk in new_chunks:
             if chunk.type is ChunkType.ERROR_DETECTION:
@@ -160,14 +168,22 @@ class ReliableSender:
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
         """Process an arriving ACK chunk (possibly piggybacked)."""
+        before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
         self._acked_once = True
         for t_id in parse_ack_chunk(chunk):
-            _OBS_ACKS_RECEIVED.inc()
+            self.acks_received += 1
             if t_id in self._outstanding:
                 state = self._outstanding.pop(t_id)
                 self.sender.acknowledge(t_id)
                 if self.policy is not None and state.retries == 0:
                     self._resize(self.policy.on_first_try_success())
+        if before is not None:
+            _SENDER_TALLIES.publish(before, self)
+
+    @property
+    def tpdus_gave_up(self) -> int:
+        """TPDUs abandoned after ``max_retries``: the length of :attr:`gave_up`."""
+        return len(self.gave_up)
 
     @property
     def outstanding(self) -> list[int]:
@@ -205,31 +221,35 @@ class ReliableSender:
         state = self._outstanding.get(t_id)
         if state is None or state.timer_generation != generation:
             return  # acked, or superseded by a newer timer
-        _OBS_TIMEOUTS.inc()
+        before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
+        tracer = obs_runtime._tracer
+        self.timeouts += 1
         state.retries += 1
         state.timer_generation += 1
         if state.retries > self.max_retries:
             del self._outstanding[t_id]
             self.gave_up.append(t_id)
-            _OBS_GAVE_UP.inc()
-            if _OBS_TRACE:
-                _OBS_TRACE.event("gave_up", t=self.loop.now, t_id=t_id)
+            if before is not None:
+                _SENDER_TALLIES.publish(before, self)
+            if tracer is not None:
+                tracer.event("transport", "gave_up", self.loop.now, {"t_id": t_id})
             return
         self.retransmissions += 1
-        if _OBS_TRACE:
-            _OBS_TRACE.event(
-                "retransmit", t=self.loop.now, t_id=t_id, retry=state.retries
+        if before is not None:
+            _SENDER_TALLIES.publish(before, self)
+        if tracer is not None:
+            tracer.event(
+                "transport", "retransmit", self.loop.now, {"t_id": t_id, "retry": state.retries}
             )
         if self.policy is not None:
             self._resize(self.policy.on_loss())
         # Same identifiers as the original transmission (Section 3.3).
         chunks = self.sender.retransmit(t_id)
-        if _OBS_JOURNEY:
+        journey = _OBS_JOURNEY._impl
+        if journey is not None:
             for chunk in chunks:
                 if chunk.type is ChunkType.DATA:
-                    _OBS_JOURNEY.chunk(
-                        "retransmit", chunk, t=self.loop.now, gen=state.retries
-                    )
+                    journey.chunk("retransmit", chunk, t=self.loop.now, gen=state.retries)
         if self.resignal_until_acked and not self._acked_once:
             chunks.insert(0, self.sender.establishment_chunk())
         self._ship(chunks)
@@ -258,6 +278,8 @@ class ReliableReceiver:
     #: (and reverse-path data) into shared packets.
     transmit_chunks: Callable[[list[Chunk]], None] | None = None
     _verified: set[int] = field(init=False, default_factory=set)
+    #: :meth:`flush_acks` calls: ACK batches handed to the wire.
+    ack_batches: int = field(init=False, default=0)
 
     @cached_property
     def _packer(self) -> EgressPacker:
@@ -297,8 +319,12 @@ class ReliableReceiver:
 
     def flush_acks(self, t_ids: list[int], reverse_chunks: list[Chunk] | None = None) -> None:
         connection = self.receiver.config.connection_id if self.receiver.config else 0
-        _OBS_ACK_BATCHES.inc()
-        _OBS_ACK_BATCH_SIZE.observe(len(t_ids))
+        registry = obs_runtime._registry
+        before = _RECEIVER_TALLIES.read(self) if registry is not None else None
+        self.ack_batches += 1
+        if before is not None:
+            registry.instruments[_ACK_BATCH_SIZE].observe(len(t_ids))
+            _RECEIVER_TALLIES.publish(before, self)
         chunks = list(reverse_chunks or [])
         for start in range(0, len(t_ids), 64):
             chunks.append(build_ack_chunk(connection, t_ids[start : start + 64]))

@@ -17,21 +17,24 @@ from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.compress import implicit_tpdu_ids
 from repro.core.errors import ChunkError
-from repro.obs import counter
+from repro.obs import Tallies
+from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import encode_tpdu
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 
 __all__ = ["ChunkTransportSender"]
 
-_OBS_FRAMES_SENT = counter("transport", "sender.frames_sent", "external PDUs framed")
-_OBS_TPDUS_SENT = counter("transport", "sender.tpdus_sent", "TPDUs completed with an ED chunk")
-_OBS_CHUNKS_EMITTED = counter("transport", "sender.chunks_emitted", "chunks handed to the wire")
-_OBS_RETRANSMISSIONS = counter(
-    "transport", "retransmissions", "identifier-preserving TPDU retransmissions"
-)
-_OBS_RETRANSMITTED_CHUNKS = counter(
-    "transport", "sender.retransmitted_chunks", "chunks re-emitted unchanged"
-)
+_TALLIES = Tallies({
+    "frames_sent": ("transport", "sender.frames_sent", "external PDUs framed"),
+    "tpdus_sent": ("transport", "sender.tpdus_sent", "TPDUs completed with an ED chunk"),
+    "chunks_emitted": ("transport", "sender.chunks_emitted", "chunks handed to the wire"),
+    "retransmissions": (
+        "transport", "retransmissions", "identifier-preserving TPDU retransmissions"
+    ),
+    "retransmitted_chunks": (
+        "transport", "sender.retransmitted_chunks", "chunks re-emitted unchanged"
+    ),
+})
 
 
 @dataclass
@@ -65,6 +68,9 @@ class ChunkTransportSender:
     _tpdus: dict[int, _TpduRecord] = field(init=False, default_factory=dict)
     frames_sent: int = field(init=False, default=0)
     tpdus_sent: int = field(init=False, default=0)
+    chunks_emitted: int = field(init=False, default=0)
+    retransmissions: int = field(init=False, default=0)
+    retransmitted_chunks: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         tpdu_ids = (
@@ -114,11 +120,11 @@ class ChunkTransportSender:
         ERROR_DETECTION chunk for every TPDU that completed within this
         frame (a frame may complete zero or many TPDUs).
         """
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         chunks = self._builder.add_frame(
             payload, frame_id=frame_id, end_of_connection=end_of_connection
         )
         self.frames_sent += 1
-        _OBS_FRAMES_SENT.inc()
         out: list[Chunk] = []
         for chunk in chunks:
             record = self._tpdus.get(chunk.t_id)
@@ -133,9 +139,10 @@ class ChunkTransportSender:
                 _payload, ed_chunk = encode_tpdu(record.chunks)
                 record.ed_chunk = ed_chunk
                 self.tpdus_sent += 1
-                _OBS_TPDUS_SENT.inc()
                 out.append(ed_chunk)
-        _OBS_CHUNKS_EMITTED.inc(len(out))
+        self.chunks_emitted += len(out)
+        if before is not None:
+            _TALLIES.publish(before, self)
         return out
 
     def close(self, final_payload: bytes | None = None, frame_id: int | None = None) -> list[Chunk]:
@@ -154,11 +161,14 @@ class ChunkTransportSender:
         record = self._tpdus.get(t_id)
         if record is None:
             raise ChunkError(f"TPDU {t_id} is no longer in the retransmit history")
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         out = list(record.chunks)
         if record.ed_chunk is not None:
             out.append(record.ed_chunk)
-        _OBS_RETRANSMISSIONS.inc()
-        _OBS_RETRANSMITTED_CHUNKS.inc(len(out))
+        self.retransmissions += 1
+        self.retransmitted_chunks += len(out)
+        if before is not None:
+            _TALLIES.publish(before, self)
         return out
 
     def acknowledge(self, t_id: int) -> None:

@@ -43,7 +43,8 @@ from repro.core.errors import CodecError
 from repro.core.packet import Packet
 from repro.host.pool import GlobalBudgetPool
 from repro.netsim.shardloop import ShardedLoop
-from repro.obs import counter
+from repro.obs import Tallies
+from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig
 from repro.transport.egress import EgressPacker
 from repro.transport.endpoint import (
@@ -56,8 +57,8 @@ from repro.transport.reliability import AdaptiveTpduPolicy
 
 __all__ = ["shard_for", "EndpointShard", "ShardedEndpoint"]
 
-_OBS_FANOUT = counter(
-    "transport", "shard.fanout_packets", "ingress packets spanning >1 shard"
+_TALLIES = Tallies(
+    {"fanout_packets": ("transport", "shard.fanout_packets", "ingress packets spanning >1 shard")}
 )
 
 
@@ -218,8 +219,10 @@ class ShardedEndpoint:
         for chunk in packet.chunks:
             groups.setdefault(shard_for(chunk.c_id, count), []).append(chunk)
         if len(groups) > 1:
+            before = _TALLIES.read(self) if obs_runtime._registry is not None else None
             self.fanout_packets += 1
-            _OBS_FANOUT.inc()
+            if before is not None:
+                _TALLIES.publish(before, self)
         merged = EndpointEvents()
         for index in sorted(groups):
             events = self._shards[index].endpoint.receive_chunks(groups[index])

@@ -25,7 +25,7 @@ from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, VirtualReassemblyError
 from repro.core.types import ChunkType
 from repro.core.virtual import PduState
-from repro.obs import counter, tracer
+from repro.obs import Tallies
 from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import EdPayload, TpduInvariant, parse_ed_chunk
 
@@ -41,14 +41,20 @@ REASON_CODE_MISMATCH = "code-mismatch"
 REASON_REASSEMBLY = "reassembly-error"
 REASON_CONSISTENCY = "consistency-check"
 
-_OBS_VERIFIED = counter("wsc", "tpdu_verified", "TPDUs passing end-to-end verification")
-_OBS_CORRUPTED = counter("wsc", "tpdu_corrupted", "TPDUs failing end-to-end verification")
-# One failure counter per Table 1 reason code.
-_OBS_FAIL_BY_REASON = {
-    reason: counter("wsc", f"fail.{reason}", f"TPDU failures classified {reason}")
-    for reason in (REASON_CODE_MISMATCH, REASON_REASSEMBLY, REASON_CONSISTENCY)
-}
-_OBS_TRACE = tracer("wsc")
+_TALLIES = Tallies({
+    "verified": ("wsc", "tpdu_verified", "TPDUs passing end-to-end verification"),
+    "corrupted": ("wsc", "tpdu_corrupted", "TPDUs failing end-to-end verification"),
+    # One failure counter per Table 1 reason code.
+    "code_mismatches": (
+        "wsc", "fail.code-mismatch", "TPDU failures classified code-mismatch"
+    ),
+    "reassembly_errors": (
+        "wsc", "fail.reassembly-error", "TPDU failures classified reassembly-error"
+    ),
+    "consistency_failures": (
+        "wsc", "fail.consistency-check", "TPDU failures classified consistency-check"
+    ),
+})
 # An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
 _DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION
 
@@ -155,6 +161,10 @@ class EndToEndReceiver:
     _checkers: dict[tuple[int, int], _TpduChecker | None] = field(default_factory=dict)
     verified: int = 0
     corrupted: int = 0
+    #: corrupted TPDUs by Table 1 reason code.
+    code_mismatches: int = 0
+    reassembly_errors: int = 0
+    consistency_failures: int = 0
 
     def receive(self, chunk: Chunk) -> list[TpduVerdict]:
         """Check one chunk against its TPDU; the verdicts it completes.
@@ -239,15 +249,24 @@ class EndToEndReceiver:
         self._checkers.pop((c_id, t_id), None)
 
     def _count(self, verdict: TpduVerdict) -> None:
+        """One verdict's accounting, published as it is made: verdicts
+        come once per TPDU, not once per chunk."""
+        before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         if verdict.ok:
             self.verified += 1
         else:
             self.corrupted += 1
-        if obs_runtime._registry is None:  # an attribute read, not a call
-            return
-        (_OBS_VERIFIED if verdict.ok else _OBS_CORRUPTED).inc()
-        if verdict.reason in _OBS_FAIL_BY_REASON:
-            _OBS_FAIL_BY_REASON[verdict.reason].inc()
-        _OBS_TRACE.event(
-            "verdict", c_id=verdict.c_id, t_id=verdict.t_id, ok=verdict.ok, reason=verdict.reason
-        )
+            if verdict.reason == REASON_CODE_MISMATCH:
+                self.code_mismatches += 1
+            elif verdict.reason == REASON_REASSEMBLY:
+                self.reassembly_errors += 1
+            elif verdict.reason == REASON_CONSISTENCY:
+                self.consistency_failures += 1
+        if before is not None:
+            _TALLIES.publish(before, self)
+        tracer = obs_runtime._tracer
+        if tracer is not None:
+            tracer.event("wsc", "verdict", None, {
+                "c_id": verdict.c_id, "t_id": verdict.t_id, "ok": verdict.ok,
+                "reason": verdict.reason,
+            })

@@ -36,7 +36,8 @@ from functools import lru_cache
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
 from repro.core.types import MAX_TPDU_SYMBOLS, ChunkType
-from repro.obs import counter
+from repro.obs import Counter, declare
+from repro.obs import runtime as obs_runtime
 from repro.wsc.gf32 import alpha_pow, gf_mul, gf_mul_const, mul_alpha
 from repro.wsc.wsc2 import Wsc2Accumulator
 
@@ -65,13 +66,21 @@ _times_c_id_weight = gf_mul_const(_C_ID_WEIGHT)
 _ED_PAYLOAD = struct.Struct(">III")
 _DATA = ChunkType.DATA  # an enum member read is ~0.1 µs on CPython 3.11
 
-_OBS_DECODE_OK = counter("wsc", "decode_ok", "whole-TPDU decodes that verified")
-_OBS_DECODE_FAIL_REASSEMBLY = counter(
-    "wsc", "decode_fail.reassembly-error", "whole-TPDU decodes failing reassembly"
+_DECODE_OK = declare(Counter, "wsc", "decode_ok", "whole-TPDU decodes that verified")
+_DECODE_FAIL_REASSEMBLY = declare(
+    Counter, "wsc", "decode_fail.reassembly-error", "whole-TPDU decodes failing reassembly"
 )
-_OBS_DECODE_FAIL_CODE = counter(
-    "wsc", "decode_fail.code-mismatch", "whole-TPDU decodes with parity mismatch"
+_DECODE_FAIL_CODE = declare(
+    Counter, "wsc", "decode_fail.code-mismatch", "whole-TPDU decodes with parity mismatch"
 )
+
+
+def _decoded(outcome: tuple[str, str]) -> None:
+    """Count one :func:`decode_tpdu` outcome: a function keeps no integer
+    to publish, so it writes at the site, like a gauge."""
+    registry = obs_runtime._registry
+    if registry is not None:
+        registry.instruments[outcome].inc()
 
 
 @lru_cache(maxsize=1024)
@@ -254,14 +263,14 @@ def decode_tpdu(chunks: list[Chunk], ed: EdPayload) -> bytes:
         for index in range(chunk.length):
             t_sn = chunk.t_sn + index
             if t_sn in units:
-                _OBS_DECODE_FAIL_REASSEMBLY.inc()
+                _decoded(_DECODE_FAIL_REASSEMBLY)
                 raise ErrorDetectionMismatch(
                     "reassembly-error", f"unit {t_sn} delivered more than once"
                 )
             units[t_sn] = chunk.unit(index)
     missing = [t_sn for t_sn in range(ed.total_units) if t_sn not in units]
     if missing or len(units) != ed.total_units:
-        _OBS_DECODE_FAIL_REASSEMBLY.inc()
+        _decoded(_DECODE_FAIL_REASSEMBLY)
         raise ErrorDetectionMismatch(
             "reassembly-error",
             f"expected units 0..{ed.total_units - 1}, missing {missing[:8]}"
@@ -269,7 +278,7 @@ def decode_tpdu(chunks: list[Chunk], ed: EdPayload) -> bytes:
             else f"units beyond total_units={ed.total_units} present",
         )
     if not invariant.matches(ed.p0, ed.p1):
-        _OBS_DECODE_FAIL_CODE.inc()
+        _decoded(_DECODE_FAIL_CODE)
         raise ErrorDetectionMismatch("code-mismatch", "WSC-2 parities disagree")
-    _OBS_DECODE_OK.inc()
+    _decoded(_DECODE_OK)
     return b"".join(units[t_sn] for t_sn in range(ed.total_units))

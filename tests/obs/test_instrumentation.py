@@ -193,12 +193,16 @@ class TestTelemetryIsBoundedAndIsolated:
     def test_a_fresh_session_inherits_nothing_from_the_run_before(self, sharded):
         observed = []
         for conversations in (4, 64):
-            with session():
+            with session() as (used, _):
                 _drive(sharded, conversations)
+                # Ledger kinds are free-form: each is a series only where
+                # it was recorded, never in the catalogue every session gets.
+                TouchLedger().record(f"probe-{conversations}", 1)
+            assert used.get("host", "touch.nic-to-app_bytes").value > 0
+            assert used.get("host", f"touch.probe-{conversations}_bytes").value == 1
             with session() as (fresh, _):
-                observed.append(
-                    (len(fresh.samples()), len(obs_runtime._metric_handles))
-                )
+                observed.append((len(fresh.samples()), len(obs_runtime._catalogue)))
+            assert not any(sample.name.startswith("touch.") for sample in fresh.samples())
         assert observed[0] == observed[1]
         assert not any("conn=" in sample.name for sample in fresh.samples())
 

@@ -9,9 +9,9 @@ a reversed MTU-296 transfer is received, and holds two bounds:
 - calls per DATA chunk — the decode loop, placement, virtual reassembly
   and the WSC-2 fold, with the per-packet envelope work spread over the
   chunks — stay at most :data:`CALLS_PER_DATA_CHUNK`;
-- with no obs session installed, calls into ``repro/obs/`` stay at most
-  one per packet: the receiver publishes its tallies once per call, and
-  only when a registry is installed.
+- with no obs session installed, no call lands in ``repro/obs/``: the
+  receiver publishes its tallies once per call, and only when a
+  registry is installed.
 
 Bounds, not exact counts: interpreters differ in what they inline
 (CPython 3.12 inlines comprehensions).
@@ -33,7 +33,7 @@ from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
 CALLS_PER_DATA_CHUNK = 25
-OBS_CALLS_PER_PACKET = 1
+OBS_CALLS_PER_PACKET = 0
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 _OBS = os.path.join(_PACKAGE, "obs") + os.sep
