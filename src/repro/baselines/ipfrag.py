@@ -13,6 +13,17 @@ This module implements fragmentation on 8-byte boundaries, a
 capacity-bounded reassembler that reports lock-up events, and the
 never-combine property of IP ("IP fragmentation never combines
 fragments in the network", Section 3.2).
+
+Overlaps follow a named policy, not the chunk receiver's verdict table:
+**last-wins**.  A fragment that brings at least one byte not yet held
+writes every byte it carries over what is there; a fragment wholly
+held is a duplicate, dropped unseen (its more-fragments bit too); and a
+completed datagram is handed up and forgotten, so a late full copy
+completes it a second time.  Reassemblers that resolve the same
+overlapping bytes differently are the evasion Aubard et al. tabulate
+("Overlapping data in network protocols", PAPERS.md); the chunk
+receiver refuses a disagreeing overlap instead.  The row is the
+``IpReassembler`` column of ``tests/properties/test_overlap_verdicts.py``.
 """
 
 from __future__ import annotations

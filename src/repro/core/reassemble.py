@@ -66,10 +66,13 @@ def coalesce(chunks: Iterable[Chunk]) -> list[Chunk]:
     """Single-step reassembly over an arbitrary, arbitrarily ordered pool.
 
     Returns the maximally merged chunk list, ordered by (C.ID, C.SN) then
-    (T.ID, T.SN).  Duplicate chunks (identical labels) are dropped — the
-    paper's duplicate-rejection requirement (Section 3.3) at the chunk
-    level.  Overlapping-but-not-identical chunks raise, because silent
-    overlap means the sender violated the labelling contract.
+    (T.ID, T.SN).  Overlaps follow one named row of the verdict table
+    (``tests/properties/test_overlap_verdicts.py``): a chunk inside what
+    is already merged, with equal bytes, is dropped — duplicate rejection
+    (Section 3.3) at the chunk level — and any other overlap raises,
+    because the sender violated the labelling contract.  Sorted by (C.ID,
+    C.SN), longest first, only the last merged chunk can hold a new
+    chunk's units, and the verdict is the same in every arrival order.
 
     The cost of this step does not depend on how many in-network
     fragmentation stages produced the pool — the CLAIM-1STEP experiment
@@ -80,52 +83,22 @@ def coalesce(chunks: Iterable[Chunk]) -> list[Chunk]:
     for chunk in chunks:
         (control if chunk.is_control else data).append(chunk)
 
-    data.sort(key=lambda ch: (ch.c_id, ch.c_sn, ch.t_id, ch.t_sn))
+    data.sort(key=lambda ch: (ch.c_id, ch.c_sn, -ch.length, ch.t_id, ch.t_sn))
 
     merged: list[Chunk] = []
     for chunk in data:
-        if not merged:
-            merged.append(chunk)
-            continue
-        last = merged[-1]
-        if can_merge(last, chunk):
+        last = merged[-1] if merged else None
+        if last is not None and can_merge(last, chunk):
             merged[-1] = merge(last, chunk)
-        elif _same_span(last, chunk) or _contained_in(chunk, last):
-            continue  # exact duplicate or already-covered fragment
-        elif _overlaps(last, chunk):
-            raise ReassemblyError(
-                f"overlapping chunks with mismatched labels:\n"
-                f"  have: {last.describe()}\n  got:  {chunk.describe()}"
-            )
-        else:
+        elif last is None or last.c_id != chunk.c_id or chunk.c_sn >= last.c_sn + last.length:
             merged.append(chunk)
+        else:
+            # memoryview slice: zero-copy comparison (touch-once budget).
+            offset = (chunk.c_sn - last.c_sn) * last.unit_bytes
+            held = memoryview(last.payload)[offset : offset + len(chunk.payload)]
+            if chunk.c_sn + chunk.length > last.c_sn + last.length or held != chunk.payload:
+                raise ReassemblyError(
+                    f"overlapping chunks are not a contained duplicate:\n"
+                    f"  have: {last.describe()}\n  got:  {chunk.describe()}"
+                )
     return merged + control
-
-
-def _span(chunk: Chunk) -> tuple[int, int]:
-    """Connection-level [start, end) unit span of a data chunk."""
-    return chunk.c_sn, chunk.c_sn + chunk.length
-
-
-def _same_span(a: Chunk, b: Chunk) -> bool:
-    return a.c_id == b.c_id and _span(a) == _span(b) and a.payload == b.payload
-
-
-def _contained_in(inner: Chunk, outer: Chunk) -> bool:
-    if inner.c_id != outer.c_id:
-        return False
-    i0, i1 = _span(inner)
-    o0, o1 = _span(outer)
-    if not (o0 <= i0 and i1 <= o1):
-        return False
-    offset = (i0 - o0) * outer.unit_bytes
-    # memoryview slice: zero-copy containment check (touch-once budget).
-    return memoryview(outer.payload)[offset : offset + inner.payload_bytes] == inner.payload
-
-
-def _overlaps(a: Chunk, b: Chunk) -> bool:
-    if a.c_id != b.c_id:
-        return False
-    a0, a1 = _span(a)
-    b0, b1 = _span(b)
-    return a0 < b1 and b0 < a1

@@ -17,7 +17,9 @@ overhead for the same packet arrivals so the reduction is measurable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.core.errors import CodecError, VirtualReassemblyError
 from repro.core.packet import Packet
@@ -51,8 +53,9 @@ class PerPduNic:
     """Davie-style NIC: DMA per packet, interrupt per complete TPDU.
 
     The NIC parses chunk headers (cheap, fixed-field), DMAs payloads by
-    label, and tracks TPDU completion with virtual reassembly; only a
-    completed TPDU (or an unparseable frame, which needs software help)
+    label, and tracks TPDU completion with virtual reassembly, one
+    tracker per C.ID because T.IDs are per conversation (Section 2); only
+    a completed TPDU (or an unparseable frame, which needs software help)
     wakes the CPU.
     """
 
@@ -62,8 +65,8 @@ class PerPduNic:
     packets: int = field(default=0, init=False)
     completed_tpdus: list[int] = field(default_factory=list, init=False)
     error_interrupts: int = field(default=0, init=False)
-    _tracker: VirtualReassembler = field(
-        default_factory=lambda: VirtualReassembler(level="t"), init=False
+    _trackers: defaultdict[int, VirtualReassembler] = field(
+        default_factory=lambda: defaultdict(partial(VirtualReassembler, level="t")), init=False
     )
 
     def on_packet(self, frame: bytes) -> int:
@@ -80,7 +83,7 @@ class PerPduNic:
             if not chunk.is_data:
                 continue
             try:
-                arrival = self._tracker.record(chunk)
+                arrival = self._trackers[chunk.c_id].record(chunk)
             except VirtualReassemblyError:
                 self.interrupts += 1
                 self.error_interrupts += 1

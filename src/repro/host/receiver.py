@@ -13,7 +13,8 @@ in the network."
 Each strategy consumes the *same* timestamped chunk arrivals and
 records (a) byte movements in a :class:`TouchLedger` and (b) per-range
 delivery events, so the CLAIM-LAT and CLAIM-TOUCH benches can compare
-them directly.
+them directly.  Each models one conversation: state is keyed by C.SN or
+T.ID alone, never by C.ID.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.chunk import Chunk
+from repro.core.intervals import IntervalSet
 from repro.host.delivery import PlacementBuffer
 from repro.host.memory import TouchLedger
 from repro.obs import Gauge, Tallies, declare
@@ -97,9 +99,6 @@ class HostReceiver:
     def touches_per_byte(self) -> float:
         return self.ledger.touches_per_payload_byte(self.payload_bytes)
 
-    def last_delivery_time(self) -> float:
-        return max((e.delivered for e in self.events), default=0.0)
-
     # ---- common helpers ----------------------------------------------
 
     def _deliver(self, arrival: float, now: float, offset: int, data: bytes) -> None:
@@ -159,48 +158,55 @@ class ReorderReceiver(HostReceiver):
     In-order chunks pass through (one crossing); out-of-order chunks sit
     in a reorder buffer (one crossing in, one out), and their delivery
     waits for the gap to fill — the buffering latency the paper blames.
+
+    Only the units a chunk adds to those delivered or parked are moved:
+    parked pieces are disjoint and no byte is delivered twice.  A re-sent
+    byte is neither compared nor moved again, so the first copy wins, as
+    in the TCP reorder queue this models (its named overlap-table row).
     """
 
-    next_sn: int = 0
-    _buffer: dict[int, tuple[float, Chunk]] = field(default_factory=dict)
+    next_sn: int = field(default=0, init=False)  # _seen holds every unit below it
+    #: C.SN -> (arrival, end C.SN, stream offset, payload) of a parked piece.
+    _buffer: dict[int, tuple[float, int, int, bytes]] = field(default_factory=dict)
+    _seen: IntervalSet = field(default_factory=IntervalSet, init=False)
     peak_buffer_bytes: int = 0
 
     def _on_chunk(self, now: float, chunk: Chunk) -> None:
         if chunk.is_control:
             return
-        if chunk.c_sn < self.next_sn or chunk.c_sn in self._buffer:
-            return  # duplicate
-        if chunk.c_sn == self.next_sn:
-            self.ledger.record("nic-to-app", len(chunk.payload))
-            self._deliver(now, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
-            self.next_sn += chunk.length
-            self._drain(now)
-        else:
-            self.ledger.record("nic-to-buffer", len(chunk.payload))
-            self._buffer[chunk.c_sn] = (now, chunk)
-            occupancy = sum(len(c.payload) for _, c in self._buffer.values())
-            self.peak_buffer_bytes = max(self.peak_buffer_bytes, occupancy)
-            _set(_REORDER_BUFFER, occupancy)
+        sn, unit, payload = chunk.c_sn, chunk.unit_bytes, chunk.payload
+        for lo, hi in self._seen.insert(sn, sn + chunk.length):
+            data = payload[(lo - sn) * unit : (hi - sn) * unit]
+            if lo == self.next_sn:
+                self.ledger.record("nic-to-app", len(data))
+                self._deliver(now, now, lo * unit, data)
+                self.next_sn = hi
+                self._drain(now)
+            else:
+                self.ledger.record("nic-to-buffer", len(data))
+                self._buffer[lo] = (now, hi, lo * unit, data)
+                occupancy = self.buffered_bytes
+                self.peak_buffer_bytes = max(self.peak_buffer_bytes, occupancy)
+                _set(_REORDER_BUFFER, occupancy)
 
     def _drain(self, now: float) -> None:
         while self.next_sn in self._buffer:
-            arrival, chunk = self._buffer.pop(self.next_sn)
-            self.ledger.record("buffer-to-app", len(chunk.payload))
-            self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
-            self.next_sn += chunk.length
+            arrival, self.next_sn, offset, data = self._buffer.pop(self.next_sn)
+            self.ledger.record("buffer-to-app", len(data))
+            self._deliver(arrival, now, offset, data)
         _set(_REORDER_BUFFER, self.buffered_bytes)
 
     def _finish(self, now: float) -> None:
         """Deliver whatever remains (end-of-run flush past any holes)."""
         for sn in sorted(self._buffer):
-            arrival, chunk = self._buffer.pop(sn)
-            self.ledger.record("buffer-to-app", len(chunk.payload))
-            self._deliver(arrival, now, chunk.c_sn * chunk.unit_bytes, chunk.payload)
+            arrival, _, offset, data = self._buffer.pop(sn)
+            self.ledger.record("buffer-to-app", len(data))
+            self._deliver(arrival, now, offset, data)
         _set(_REORDER_BUFFER, 0)
 
     @property
     def buffered_bytes(self) -> int:
-        return sum(len(c.payload) for _, c in self._buffer.values())
+        return sum(len(data) for *_, data in self._buffer.values())
 
 
 @dataclass

@@ -81,3 +81,20 @@ class TestPerPduNic:
         for frame in frames + frames:
             nic.on_packet(frame)
         assert nic.interrupts == tpdus
+
+    def test_conversations_complete_their_own_tpdus(self):
+        """T.IDs are per conversation (Section 2): two conversations that
+        each complete their T.ID 0 raise two interrupts, however their
+        packets interleave."""
+        per_conversation = []
+        for connection_id in (1, 2):
+            builder = ChunkStreamBuilder(connection_id=connection_id, tpdu_units=64)
+            (chunk,) = builder.add_frame(make_payload(64, seed=connection_id), frame_id=0)
+            pieces = split_to_unit_limit(chunk, 16)
+            per_conversation.append([p.encode() for p in pack_chunks(pieces, 296)])
+        nic = PerPduNic()
+        for pair in zip(*per_conversation, strict=True):
+            for frame in pair:
+                nic.on_packet(frame)
+        assert nic.interrupts == 2
+        assert nic.completed_tpdus == [0, 0]

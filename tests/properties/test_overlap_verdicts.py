@@ -29,12 +29,21 @@ all six arrival orders, the same verdicts per arrival from a byte-image
 model, and one final state across the six orders whenever the bytes
 agree.
 
+**Named rows**: three reassemblers resolve an overlap their own way, and
+each gets a column over all pairs and triples with its policy written as
+a model beside ``replay`` — ``ReorderReceiver`` first-wins
+(:func:`first_wins`), ``core.reassemble.coalesce`` contained-and-agreeing
+dropped, any other overlap raised (:func:`coalesce_row`), and
+``baselines.ipfrag.IpReassembler`` last-wins, a completed datagram
+forgotten (:func:`last_wins`).  Where the copies agree, each model holds
+only the table's bytes.
+
 **Displacement** (``test_displacement_contradiction_*``): the one
 verdict that is *not* order-free, written down rather than hidden — a
 frame lies where its first chunk put it.
 
-Still open in ROADMAP item 2: the sampled ``netsim.adversary`` tiers,
-``core.reassemble.coalesce`` and ``baselines.ipfrag``.
+Whole transfers, reordered, are the sampled tier in
+``test_overlap_sampled.py``.
 """
 
 from __future__ import annotations
@@ -44,10 +53,12 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from repro.core.errors import InconsistentOverlapError
+from repro.baselines.ipfrag import FRAG_UNIT, IpFragment, IpReassembler
+from repro.core.errors import InconsistentOverlapError, ReassemblyError
+from repro.core.reassemble import coalesce
 from repro.core.virtual import PduState
 from repro.host.delivery import FrameStore, PlacementBuffer
-from repro.host.receiver import ReassembleReceiver
+from repro.host.receiver import ReassembleReceiver, ReorderReceiver
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import REASON_CODE_MISMATCH
 from repro.wsc.invariant import encode_tpdu
@@ -313,11 +324,11 @@ def test_frame_store_place(case: Case):
 # All three at once: a live receiver
 
 
-def _chunk(piece: Piece):
+def _chunk(piece: Piece, c_base: int = C_BASE):
     lo, _ = piece.units
     return make_chunk(
         units=piece.count, payload=piece.payload,
-        c_id=C_ID, c_sn=C_BASE + lo, c_st=piece.st,
+        c_id=C_ID, c_sn=c_base + lo, c_st=piece.st,
         t_id=T_ID, t_sn=lo, t_st=piece.st,
         x_id=X_ID, x_sn=lo, x_st=piece.st,
     )
@@ -428,6 +439,173 @@ def test_reassemble_receiver_refuses_a_contradicted_t_st_in_both_orders():
         with pytest.raises(ValueError, match="beyond region|contradicts the region's known end"):
             receiver.on_chunk(1.0, _chunk(order[1]))
         assert receiver.events == [] and receiver.buffered_bytes == order[0].count * UNIT, order
+
+
+# ----------------------------------------------------------------------
+# Named rows: three reassemblers that resolve an overlap their own way
+
+
+def first_wins(pieces) -> dict[int, int]:
+    """``ReorderReceiver``'s row: every byte is its first copy's; a re-sent
+    byte is neither compared nor moved again."""
+    image: dict[int, int] = {}
+    for piece in pieces:
+        for offset, value in _image([piece]).items():
+            image.setdefault(offset, value)
+    return image
+
+
+def coalesce_row(pieces) -> tuple[list[Range], dict[int, int]] | None:
+    """``coalesce``'s row over the pieces of one frame, which the pool's
+    order cannot change: in (start, longest first) order a piece that
+    starts at or past the end of the run before it extends or follows
+    it, one inside the run with equal bytes is dropped, and any other
+    overlap raises (None).  Returns the runs and their byte image."""
+    runs: list[list[int]] = []
+    image: dict[int, int] = {}
+    for piece in sorted(pieces, key=lambda p: (p.units[0], -p.count)):
+        (lo, hi), own = piece.units, _image([piece])
+        if runs and lo < runs[-1][1]:
+            if hi > runs[-1][1] or any(image[o] != value for o, value in own.items()):
+                return None
+            continue
+        if runs and lo == runs[-1][1]:
+            runs[-1][1] = hi
+        else:
+            runs.append([lo, hi])
+        image.update(own)
+    return [(lo, hi) for lo, hi in runs], image
+
+
+def last_wins(pieces) -> tuple[list[dict[int, int]], dict[int, int]]:
+    """``IpReassembler``'s row: a piece that brings one fresh byte writes
+    every byte it carries (last-wins), a piece wholly held is a duplicate
+    dropped unseen, its end marker too, and a completed datagram is handed
+    up and forgotten, so a later piece starts it again.  Returns the
+    completed images and the image still held."""
+    done: list[dict[int, int]] = []
+    image: dict[int, int] = {}
+    total = None
+    for piece in pieces:
+        own = _image([piece])
+        if own.keys() <= image.keys():
+            continue
+        image.update(own)
+        if piece.st:
+            total = piece.units[1] * UNIT
+        if total is not None and image.keys() >= set(range(total)):
+            done.append(image)
+            image, total = {}, None
+    return done, image
+
+
+def _rows_agree_with_the_table(pieces):
+    """Where the bytes agree the named rows hold only the table's bytes."""
+    verdicts, image = replay(pieces)
+    if any(kind == "conflict" for kind, _ in verdicts):
+        return
+    assert first_wins(pieces) == image
+    row = coalesce_row(pieces)
+    done, held = last_wins(pieces)
+    for part in ([row[1]] if row else []) + done + [held]:
+        assert part.items() <= image.items()
+
+
+def test_the_named_rows_are_the_table_when_bytes_agree():
+    for case in (param.values[0] for param in CASES):
+        for order in case.orders().values():
+            _rows_agree_with_the_table(list(order))
+    for triples in (param.values[0] for param in TRIPLES):
+        for triple in triples:
+            for order in permutations(triple.pieces()):
+                _rows_agree_with_the_table(list(order))
+
+
+# The temporal reorder queue, from C.SN 0 (in-order pieces pass straight
+# through) and from C_BASE (everything parks until ``finish``).
+BASES = [pytest.param(0, id="from-zero"), pytest.param(C_BASE, id="parked")]
+
+
+def _reorder(pieces, base: int, where) -> tuple:
+    receiver = ReorderReceiver()
+    for time, piece in enumerate(pieces):
+        receiver.on_chunk(float(time), _chunk(piece, base))
+    receiver.finish(float(len(pieces)))
+    image = first_wins(pieces)
+    contents = receiver.app.contents()
+    assert receiver.delivered_bytes == receiver.app.bytes_placed == len(image), where
+    assert all(contents[base * UNIT + o] == value for o, value in image.items()), where
+    # Every fresh byte crosses in once, and a parked one out once.
+    touches = receiver.ledger.touches
+    parked = touches.get("nic-to-buffer", 0)
+    assert touches.get("nic-to-app", 0) + parked == len(image), where
+    assert touches.get("buffer-to-app", 0) == parked and receiver.buffered_bytes == 0, where
+    offsets = [e.offset for e in receiver.events]
+    assert len(set(offsets)) == len(offsets), where
+    return contents, receiver.delivered_bytes
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("case", CASES)
+def test_reorder_receiver(case: Case, base: int):
+    final = {order: _reorder(pieces, base, order) for order, pieces in case.orders().items()}
+    if case.bytes_agree:
+        assert final["a-then-b"] == final["b-then-a"]
+
+
+def _coalesced(pieces, where):
+    row = coalesce_row(pieces)
+    chunks = [_chunk(piece) for piece in pieces]
+    if row is None:
+        with pytest.raises(ReassemblyError):
+            coalesce(chunks)
+        return None
+    merged = coalesce(chunks)
+    runs, image = row
+    assert [(c.c_sn - C_BASE, c.c_sn - C_BASE + c.length) for c in merged] == runs, where
+    assert {
+        (c.c_sn - C_BASE) * UNIT + i: value for c in merged for i, value in enumerate(c.payload)
+    } == image, where
+    ends = [any(p.st and p.units[1] == hi for p in pieces) for _, hi in runs]
+    assert [(c.c_st, c.t_st, c.x_st) for c in merged] == [(st, st, st) for st in ends], where
+    return merged
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_coalesce(case: Case):
+    final = {order: _coalesced(list(pieces), order) for order, pieces in case.orders().items()}
+    assert final["a-then-b"] == final["b-then-a"]  # a pool has no arrival order
+
+
+def widen(data: bytes) -> bytes:
+    """One table unit as one 8-byte IP fragment unit: its bytes twice."""
+    assert FRAG_UNIT == 2 * UNIT
+    return b"".join(data[i : i + UNIT] * 2 for i in range(0, len(data), UNIT))
+
+
+def narrow(data: bytes) -> bytes:
+    """The inverse of :func:`widen`."""
+    return b"".join(data[i : i + UNIT] for i in range(0, len(data), FRAG_UNIT))
+
+
+def _ip_reassembled(pieces, where):
+    reassembler = IpReassembler(capacity_bytes=1 << 20)
+    out = [
+        reassembler.add_fragment(IpFragment(T_ID, p.units[0], not p.st, widen(p.payload)))
+        for p in pieces
+    ]
+    done, held = last_wins(pieces)
+    assert [narrow(d) for d in out if d] == [
+        bytes(image[o] for o in sorted(image)) for image in done
+    ], where
+    assert reassembler.buffered_bytes == 2 * len(held), where
+    assert reassembler.partial_count == bool(held), where
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_ip_reassembler(case: Case):
+    for order, pieces in case.orders().items():
+        _ip_reassembled(list(pieces), order)
 
 
 # ----------------------------------------------------------------------
@@ -576,6 +754,26 @@ def test_triples_live_receiver(triples: list[Triple]):
         )
 
     _in_every_order(triples, drive)
+
+
+@pytest.mark.parametrize("base", BASES)
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_reorder_receiver(triples: list[Triple], base: int):
+    _in_every_order(triples, lambda triple, order, *_: _reorder(order, base, order))
+
+
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_coalesce(triples: list[Triple]):
+    for triple in triples:
+        final = [_coalesced(list(order), order) for order in permutations(triple.pieces())]
+        assert all(state == final[0] for state in final), triple
+
+
+@pytest.mark.parametrize("triples", TRIPLES)
+def test_triples_ip_reassembler(triples: list[Triple]):
+    for triple in triples:
+        for order in permutations(triple.pieces()):
+            _ip_reassembled(list(order), order)
 
 
 # ----------------------------------------------------------------------
