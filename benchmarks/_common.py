@@ -42,8 +42,8 @@ __all__ = [
 def print_table(title: str, rows: Sequence[Sequence[object]]) -> str:
     """Render rows (first row = header) as an aligned text table.
 
-    Prints the table and returns the rendered string so callers (the
-    perf runner in particular) can capture it into artifacts.
+    Prints the table and returns the rendered string so callers can
+    capture it.
     """
     lines = [f"\n== {title} =="]
     text = [
@@ -147,17 +147,18 @@ def build_tpdu_with_ed(tpdu_units: int = 48, seed: int = 0):
 
 
 # ----------------------------------------------------------------------
-# The perf-runner registry (python -m repro.perf run)
+# The bench registry (tests/figures/ holds every entry to BENCH_0005.json)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BenchEntry:
-    """One registered perf entry point.
+    """One registered bench entry point.
 
     ``fn(payload_scale)`` executes the module's representative workload
     with pinned seeds and returns a flat dict of deterministic key
-    figures; the perf runner times the call, snapshots the obs registry
-    around it, and persists both into ``BENCH_<n>.json``.
+    figures; the figures golden (``tests/figures/``) runs it under a
+    fresh obs session and requires the figures and the metric snapshot
+    to equal its entry in ``BENCH_0005.json``.
     """
 
     name: str
@@ -174,7 +175,7 @@ def register_bench(fn: Callable[[float], dict]) -> Callable[[float], dict]:
     """Register a bench module's ``run(payload_scale)`` entry point.
 
     Figures returned by ``fn`` must be deterministic for a given
-    ``payload_scale`` — the perf comparator treats any drift in them as
+    ``payload_scale`` — the figures golden treats any drift in them as
     a regression, exactly like the obs counters.
     """
     module = fn.__module__

@@ -1,4 +1,4 @@
-"""ADVERSARIAL: the attack suite as a measured, perf-gated workload.
+"""ADVERSARIAL: the attack suite as a measured, golden-gated workload.
 
 ROADMAP item 4 asks what happens when the strict receiver meets a
 deliberate attacker rather than a merely unreliable network.  This

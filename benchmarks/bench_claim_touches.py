@@ -81,7 +81,7 @@ def test_touch_accounting_throughput(benchmark):
 def run(payload_scale: float = 1.0) -> dict:
     """Perf entry point: touches/byte and bus-bound throughput.
 
-    These figures back the perf budget asserting the paper's headline:
+    These figures back the budgets asserting the paper's headline:
     immediate processing touches each payload byte once, reassembly
     twice, with reorder in between.
     """

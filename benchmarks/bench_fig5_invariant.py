@@ -83,7 +83,7 @@ def test_incremental_verification_throughput(benchmark):
 def run(payload_scale: float = 1.0) -> dict:
     """Perf entry point: invariance under random fragmentation schedules.
 
-    ``stable == trials`` is a perf budget: shuffled and in-order
+    ``stable == trials`` is a budget: shuffled and in-order
     arrival must produce the identical WSC-2 value on every schedule.
     """
     trials = scaled(TRIALS, payload_scale, minimum=20)

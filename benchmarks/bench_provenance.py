@@ -12,7 +12,7 @@ pins the two claims that make the subsystem shippable:
 - **uninstalled**, the chunk hot path emits nothing at all: the module
   handle is falsy, the argument packing is never reached, and zero
   records exist to count (the ``uninstalled_records == 0`` figure is
-  gated by a perf budget).
+  gated by a budget in ``tests/figures/``).
 """
 
 from __future__ import annotations

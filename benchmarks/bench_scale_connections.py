@@ -126,7 +126,7 @@ def run_sharded_tier(
     """One sharded tier; figures are deterministic except the optional
     ``tracemalloc_peak_kib``, which is printed-only and never part of
     the registered ``run()`` output (allocator peaks vary run to run,
-    and the perf comparator treats figure drift as a regression)."""
+    and the figures golden treats figure drift as a regression)."""
     if measure_alloc:
         tracemalloc.start()
     loop = ShardedLoop()

@@ -104,11 +104,11 @@ implementation's own knobs.  Regenerate the whole file with
 
 or any single table with ``python benchmarks/bench_<id>.py``; timing
 numbers come from ``pytest benchmarks/ --benchmark-only``.  For the
-machine-gated form of these numbers, ``python -m repro.perf run``
-executes every bench's registered ``run(payload_scale)`` entry point
-into a ``BENCH_<n>.json`` telemetry artifact (figures, obs counter
-snapshot, paper budgets — no timing) that CI compares exactly against
-the committed baseline — see ``docs/benchmarking.md``.
+machine-gated form of these numbers, the tier-1 test ``tests/figures/``
+runs every bench's registered ``run(payload_scale)`` entry point and
+requires its figures and obs counter snapshot, and the paper budgets
+(no timing), to equal the committed ``BENCH_0005.json`` exactly — see
+``docs/benchmarking.md``.
 
 All numbers below come from the simulated substrate (see DESIGN.md for
 the substitutions); shapes, not absolute values, are the reproduction

@@ -60,7 +60,7 @@ CONTAINER_MUTATORS: frozenset[str] = frozenset(
 )
 
 #: The product packages, in architecture-DAG order (docs/architecture.md);
-#: ``obs`` / ``analysis`` / ``perf`` are tooling.  Each pass names the
+#: ``obs`` / ``analysis`` are tooling.  Each pass names the
 #: subset it means: layering the stack below ``app`` / ``baselines``,
 #: hot-path-copy ``transport`` + ``host`` + ``wsc``, ambient-authority
 #: all of it.

@@ -2,8 +2,8 @@
 
 Section 3's headline discipline is that each payload byte is touched
 **once** on the immediate path: the NIC→application placement.
-``repro.perf`` checks that budget dynamically (touches/byte == 1.0);
-this pass is the static form.  Inside the receive paths of
+The figures golden checks that budget dynamically (touches/byte == 1.0,
+``tests/figures/``); this pass is the static form.  Inside the receive paths of
 ``repro.host``, ``repro.transport``, ``repro.wsc`` (the verifier the
 receiver feeds every chunk) and ``repro.core.reassemble`` it flags the
 three Python idioms that silently duplicate payload bytes:

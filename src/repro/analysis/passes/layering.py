@@ -7,13 +7,12 @@ The data path stacks strictly::
 Lower layers must never import upward — a ``core`` module that peeks at
 ``transport`` state is the in-repo analogue of a network layer reading
 across framing levels, which the self-describing-chunk design exists to
-forbid.  Three meta layers sit beside the stack:
+forbid.  Two meta layers sit beside the stack:
 
 - ``obs`` may be imported from anywhere (instrumentation) but
   itself depends only on ``core``;
-- ``analysis`` and ``perf`` may import product layers, but no product
-  layer may import them — tooling observes the system, never the other
-  way around.
+- ``analysis`` may import product layers, but no product layer may
+  import it — tooling observes the system, never the other way around.
 
 The pass checks every import edge in the project graph (including
 imports nested inside functions — laziness does not change the
@@ -45,7 +44,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "baselines": _PRODUCT_STACK,
     "obs": frozenset({"core"}),
     "analysis": _PRODUCT_STACK | frozenset({"obs"}),
-    "perf": _PRODUCT_STACK | frozenset({"obs"}),
 }
 
 #: importable from every layer (instrumentation).

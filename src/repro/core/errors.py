@@ -22,7 +22,6 @@ __all__ = [
     "NotNestedError",
     "AnalysisError",
     "ObsError",
-    "PerfError",
     "SimSanError",
     "EndpointError",
     "BudgetExceededError",
@@ -95,11 +94,6 @@ class AnalysisError(ReproError):
 class ObsError(ReproError):
     """An observability installation is invalid (e.g. attaching a flight
     recorder while no journey tracker is installed)."""
-
-
-class PerfError(ReproError):
-    """The benchmark-telemetry subsystem could not run or load an artifact
-    (bad schema, incompatible artifacts, missing bench registry)."""
 
 
 class SimSanError(ReproError):

@@ -26,7 +26,7 @@ test, no call, zero allocations.
 
 Unlike metric series, journeys deliberately do **not** create registry
 instruments: installing a journey must not change any registry's metric
-snapshot (the perf comparator treats snapshot drift as a regression).
+snapshot (the figures golden treats snapshot drift as a regression).
 The tracker keeps its latency histograms privately.
 """
 

@@ -4,9 +4,9 @@ The exporters in :mod:`repro.obs.export` serialize instruments as
 self-describing records; this module flattens the same state into a
 single ``{"scope.name.field": value}`` mapping whose keys are stable
 and whose values are plain JSON scalars.  Two observed runs with the
-same seeds produce byte-identical snapshots, so the perf subsystem
-(:mod:`repro.perf`) can diff them key by key and treat *any* drift in a
-counter as a regression signal.
+same seeds produce byte-identical snapshots, so the bench suite's golden
+test (``tests/figures/``) can diff them key by key and treat *any* drift
+in a counter as a regression signal.
 
 Layout of the flattened keys:
 

@@ -96,10 +96,10 @@ class TestDeterminism:
         assert [f.line for f in findings] == [11, 11, 15, 15]
 
     def test_out_of_scope_module_is_ignored(self):
-        # Same clock calls, but in a tooling package: obs / analysis /
-        # perf measure the real world on purpose.
+        # Same clock calls, but in a tooling package: obs / analysis
+        # measure the real world on purpose.
         src_unit = unit(FIXTURES / "transport" / "bad_seam.py")
-        src_unit.module = "repro.perf.bad_seam"
+        src_unit.module = "repro.analysis.bad_seam"
         assert run_passes([src_unit], [AmbientAuthorityPass()]) == []
 
     def test_rng_module_is_exempt(self):
