@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Sequence
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
-from repro.obs import Registry, Tracer, active_tracer, session, write_jsonl
+from repro.obs import JourneyTracker, Registry, session, write_jsonl
 from repro.wsc.invariant import encode_tpdu
 
 __all__ = [
@@ -58,9 +58,6 @@ def print_table(title: str, rows: Sequence[Sequence[object]]) -> str:
                 lines.append("  ".join("-" * width for width in widths))
     rendered = "\n".join(lines)
     print(rendered)
-    tracer = active_tracer()
-    if tracer is not None:
-        tracer.event("bench", "table", fields={"title": title, "rows": max(len(rows) - 1, 0)})
     return rendered
 
 
@@ -68,20 +65,20 @@ def print_table(title: str, rows: Sequence[Sequence[object]]) -> str:
 def observed(
     trace_path: str | None = None,
     clock: Callable[[], float] | None = None,
-) -> Iterator[tuple[Registry, Tracer]]:
+) -> Iterator[tuple[Registry, JourneyTracker | None]]:
     """Run a bench under an observability session.
 
-    Installs a fresh registry + tracer for the ``with`` block and, when
-    *trace_path* is given, writes the collected JSONL trace there on the
-    way out (even if the bench raises) — ready for
-    ``python -m repro.obs report``.
+    Installs a fresh registry for the ``with`` block and, when
+    *trace_path* is given, writes its metric records (and the records of
+    any journey tracker active at entry) there on the way out, even if
+    the bench raises — ready for ``python -m repro.obs report``.
     """
-    with session(clock=clock) as (registry, tracer):
+    with session(clock=clock) as (registry, journey):
         try:
-            yield registry, tracer
+            yield registry, journey
         finally:
             if trace_path is not None:
-                write_jsonl(trace_path, registry=registry, tracer=tracer)
+                write_jsonl(trace_path, registry=registry, journey=journey)
 
 
 def make_bytes(n: int, seed: int = 0) -> bytes:

@@ -9,9 +9,9 @@ pins the two claims that make the subsystem shippable:
   every chunk (each placed exactly once) at a deterministic
   records-per-*simulated*-second rate (wall time never enters the
   figures — they must be byte-identical across runs and machines);
-- **uninstalled**, the chunk hot path emits nothing at all: the module
-  handle is falsy, the argument packing is never reached, and zero
-  records exist to count (the ``uninstalled_records == 0`` figure is
+- **uninstalled**, the chunk hot path emits nothing at all: the one
+  read of the installed tracker finds None, the argument packing is
+  never reached, and zero records exist to count (the ``uninstalled_records == 0`` figure is
   gated by a budget in ``tests/figures/``).
 """
 
@@ -22,7 +22,6 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.obs.provenance import (
-    JourneyHandle,
     JourneyTracker,
     active_journey,
     install_journey,
@@ -81,13 +80,13 @@ def measure(nbytes: int = 65536, loss: float = 0.05, seed: int = 2) -> dict:
 
 
 def measure_uninstalled(nbytes: int = 65536, seed: int = 2) -> dict:
-    """The same transfer with the null sink installed.
+    """The same transfer with no journey tracker installed.
 
     Counts *seam invocations*, not records: every instrumented call
-    site reads the installed tracker off the handle once
-    (``_OBS_JOURNEY._impl``) and skips the record while it is None, so
-    the handle's emit/chunk/frame methods must never even be entered —
-    the hot path's entire provenance cost is one ``is None`` test.
+    site reads the installed tracker once (``obs_provenance._tracker``)
+    and skips the record while it is None, so no tracker's
+    emit/chunk/frame method may even be entered — the hot path's entire
+    provenance cost is one ``is None`` test.
     """
     calls = 0
 
@@ -97,18 +96,18 @@ def measure_uninstalled(nbytes: int = 65536, seed: int = 2) -> dict:
 
     previous = active_journey()
     originals = {
-        name: getattr(JourneyHandle, name) for name in ("emit", "chunk", "frame")
+        name: getattr(JourneyTracker, name) for name in ("emit", "chunk", "frame")
     }
     uninstall_journey()
     try:
         for name in originals:
-            setattr(JourneyHandle, name, count)
+            setattr(JourneyTracker, name, count)
         _transfer(nbytes, 0.0, seed)
         assert active_journey() is None
         return {"uninstalled_records": calls}
     finally:
         for name, original in originals.items():
-            setattr(JourneyHandle, name, original)
+            setattr(JourneyTracker, name, original)
         if previous is not None:
             install_journey(previous)
 

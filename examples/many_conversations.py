@@ -17,19 +17,21 @@ With ``--shards N`` the same workload runs on a ``ShardedEndpoint``
 pair: N C.ID-hashed worker shards behind one wire and one global budget
 pool — same conversations, same delivered bytes, the state partitioned.
 
-With ``--trace PATH`` the run records per-layer counters and lifecycle
-events (``conn_established`` / ``conn_closed`` / ``conn_evicted``, each
-carrying ``conn=<C.ID>``) via ``repro.obs``; inspect the trace with
-``python -m repro.obs report PATH --events conn=7``.  The per-connection
+With ``--trace PATH`` the run records per-layer counters and its
+journey records — lifecycle (``established`` / ``closed`` /
+``evicted``) and per-chunk stages, each keyed by ``c_id`` — via
+``repro.obs``; inspect the trace with
+``python -m repro.obs report PATH --events c_id=7``.  The per-connection
 byte and touch numbers printed below come from each ``Connection``.
 """
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from repro.app import ConcurrentWorkload, staggered_specs
 from repro.netsim import EventLoop, HopSpec, ShardedLoop, build_shared_bottleneck
-from repro.obs import session, write_jsonl
+from repro.obs import journey_session, session, write_jsonl
 from repro.transport import ChunkEndpoint, ShardedEndpoint
 
 CONVERSATIONS = 32
@@ -50,10 +52,11 @@ def main(argv: list[str] | None = None) -> None:
     options = parser.parse_args(argv if argv is not None else [])
 
     loop = ShardedLoop() if options.shards else EventLoop()
-    with session(clock=lambda: loop.now) as (registry, tracer):
+    journey = journey_session(clock=lambda: loop.now) if options.trace else nullcontext()
+    with session(clock=lambda: loop.now) as (registry, _), journey as tracker:
         _run(loop, options.shards)
         if options.trace is not None:
-            records = write_jsonl(options.trace, registry=registry, tracer=tracer)
+            records = write_jsonl(options.trace, registry=registry, journey=tracker)
             print(f"trace: {records} records -> {options.trace}")
 
 

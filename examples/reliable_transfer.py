@@ -9,20 +9,22 @@ rate and grows back when the path is clean.
 
 Run:  python examples/reliable_transfer.py [--trace transfer.jsonl]
 
-With ``--trace PATH`` the run records per-layer counters and events via
-``repro.obs`` and writes a JSONL trace; inspect it afterwards with
+With ``--trace PATH`` the run records per-layer counters and its
+journey records (one event log, keyed by the chunk label) via
+``repro.obs`` and writes them to one JSONL file; inspect it with
 ``python -m repro.obs report PATH``.
 """
 
 import argparse
 import random
 import sys
+from contextlib import nullcontext
 
 from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.netsim import EventLoop, Link
 from repro.netsim.rng import substream
-from repro.obs import session, write_jsonl
+from repro.obs import journey_session, session, write_jsonl
 from repro.transport import (
     AdaptiveTpduPolicy,
     ConnectionConfig,
@@ -44,10 +46,11 @@ def main(argv: list[str] | None = None) -> None:
     options = parser.parse_args(argv if argv is not None else [])
 
     loop = EventLoop()
-    with session(clock=lambda: loop.now) as (registry, tracer):
+    journey = journey_session(clock=lambda: loop.now) if options.trace else nullcontext()
+    with session(clock=lambda: loop.now) as (registry, _), journey as tracker:
         _run(loop)
         if options.trace is not None:
-            records = write_jsonl(options.trace, registry=registry, tracer=tracer)
+            records = write_jsonl(options.trace, registry=registry, journey=tracker)
             print(f"trace: {records} records -> {options.trace}")
 
 

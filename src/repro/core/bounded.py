@@ -14,13 +14,15 @@ the imprecision is observable, never silent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterator
+from typing import Generic, Hashable, Iterator, TypeVar
 
 __all__ = ["BoundedSet"]
 
+K = TypeVar("K", bound=Hashable)
+
 
 @dataclass
-class BoundedSet:
+class BoundedSet(Generic[K]):
     """An insertion-ordered set holding at most *max_entries* keys.
 
     Adding beyond capacity forgets the oldest key (FIFO) and counts it
@@ -31,25 +33,28 @@ class BoundedSet:
 
     max_entries: int = 4096
     dropped: int = 0
-    _entries: dict[Hashable, None] = field(default_factory=dict)
+    _entries: dict[K, None] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {self.max_entries}")
 
-    def add(self, key: Hashable) -> None:
+    def add(self, key: K) -> K | None:
+        """Add *key*; returns the key it forgot to stay in bound, or None."""
         if key in self._entries:
-            return
+            return None
         self._entries[key] = None
+        forgotten: K | None = None
         while len(self._entries) > self.max_entries:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+            forgotten = next(iter(self._entries))
+            del self._entries[forgotten]
             self.dropped += 1
+        return forgotten
 
-    def discard(self, key: Hashable) -> None:
+    def discard(self, key: K) -> None:
         self._entries.pop(key, None)
 
-    def __contains__(self, key: Hashable) -> bool:
+    def __contains__(self, key: object) -> bool:
         return key in self._entries
 
     def __len__(self) -> int:
@@ -58,5 +63,5 @@ class BoundedSet:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __iter__(self) -> Iterator[Hashable]:
+    def __iter__(self) -> Iterator[K]:
         return iter(self._entries)

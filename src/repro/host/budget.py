@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.core.bounded import BoundedSet
 from repro.core.errors import BudgetExceededError
-from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 __all__ = ["BudgetExceededError", "SharedPlacementBudget"]
@@ -40,7 +41,6 @@ _TALLIES = Tallies({
         "host", "budget.reclaimed_bytes", "bytes returned to the pool by state reclamation"
     ),
 })
-_OBS_JOURNEY = journey_handle()
 
 
 @dataclass
@@ -152,7 +152,7 @@ class SharedPlacementBudget:
         self.refused_keys.add(key)
         if before is not None:
             _TALLIES.publish(before, self)
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None and isinstance(key, int):
             journey.emit("budget_refused", key, 0, 0, level="conn", **fields)
         return False

@@ -34,7 +34,8 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.netsim.topology import HopSpec
-from repro.obs import Tallies, journey_handle
+from repro.obs import Tallies
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 __all__ = ["BottleneckPort", "SharedBottleneck", "build_shared_bottleneck"]
@@ -52,7 +53,6 @@ _TALLIES = Tallies({
         "netsim", "bottleneck.undecodable_frames", "frames the demux could not decode"
     ),
 })
-_OBS_JOURNEY = journey_handle()
 
 
 @dataclass
@@ -173,7 +173,7 @@ class SharedBottleneck:
         except CodecError:
             self.undecodable_frames += 1
             return
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         by_port: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
             index = self.routes.get(chunk.c_id, 0)

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.netsim.events import EventLoop
 from repro.netsim.rng import corrupt_bytes, default_rng
-from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 if TYPE_CHECKING:
@@ -43,9 +44,6 @@ _ARRIVED = Tallies({
     "stats.bytes_delivered": ("netsim", "link.bytes_delivered", "bytes delivered"),
 })
 _INFLIGHT = declare(Gauge, "netsim", "link.inflight_frames", "frames serializing/propagating")
-# The link treats frames as opaque bytes; journey records decode the
-# chunk labels only while a tracker is installed.
-_OBS_JOURNEY = journey_handle()
 
 Deliver = Callable[[bytes], None]
 
@@ -103,7 +101,7 @@ class Link:
         """Queue one frame for transmission at the current sim time."""
         registry = obs_runtime._registry
         before = _SENT.read(self) if registry is not None else None
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         self.stats.frames_in += 1
         self.stats.bytes_in += len(frame)
         if len(frame) > self.mtu:
@@ -146,7 +144,7 @@ class Link:
         if before is not None:
             registry.instruments[_INFLIGHT].dec()
             _ARRIVED.publish(before, self)
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             journey.frame("link_rx", frame, t=self.loop.now)
         self.deliver(frame)

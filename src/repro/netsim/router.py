@@ -29,7 +29,8 @@ from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.core.types import PACKET_HEADER_BYTES
 from repro.netsim.events import EventLoop
-from repro.obs import Gauge, Tallies, declare, journey_handle
+from repro.obs import Gauge, Tallies, declare
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 if TYPE_CHECKING:
@@ -49,7 +50,6 @@ _TALLIES = Tallies({
     "stats.decode_failures": ("netsim", "router.decode_failures", "undecodable frames"),
 })
 _PENDING = declare(Gauge, "netsim", "router.pending_chunks", "chunks batched awaiting flush")
-_OBS_JOURNEY = journey_handle()
 
 RepackMode = Literal["repack", "one-per-packet", "reassemble"]
 
@@ -121,7 +121,7 @@ class ChunkRouter:
         self.stats.chunks_in += len(chunks)
         if before is not None:
             _TALLIES.publish(before, self)
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
                 if chunk.is_data:

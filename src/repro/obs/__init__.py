@@ -1,9 +1,9 @@
 """repro.obs — the simulator's observability layer.
 
 Zero-dependency metrics (:class:`Counter`, :class:`Gauge`,
-:class:`Histogram` in a :class:`Registry`), a structured per-layer
-tracer (:class:`Tracer`), pluggable exporters (JSON lines + human
-tables), and a ``python -m repro.obs report`` CLI.
+:class:`Histogram` in a :class:`Registry`), one label-keyed event log
+(the provenance :class:`JourneyTracker`), exporters (JSON lines +
+human tables), and a ``python -m repro.obs report`` CLI.
 
 Components keep their counts as their own integers and publish them
 only while a registry is installed — a :class:`Tallies` table per
@@ -19,16 +19,19 @@ component, read at an entry point and published as deltas at its end::
 
 Gauges and histograms are catalogued with :func:`declare` and written
 at their site behind the same one read (``registry.instruments[key]``);
-nothing here is called while nothing is installed (see
-:mod:`repro.obs.runtime`).
+events are journey records, written behind one read of
+``provenance._tracker`` (see :mod:`repro.obs.provenance`).  Nothing
+here is called while nothing is installed (see :mod:`repro.obs.runtime`).
 
 Observing a run::
 
     import repro.obs as obs
     loop = EventLoop()
-    with obs.session(clock=lambda: loop.now) as (registry, tracer):
+    with obs.session(clock=lambda: loop.now) as (registry, _), \
+            obs.journey_session(clock=lambda: loop.now) as journey:
         ...  # run the simulation
-        print(obs.render_table(registry, tracer))
+        print(obs.render_table(registry))
+        obs.write_jsonl("run.jsonl", registry, journey)
 
 All timestamps are simulated seconds from the supplied clock; nothing
 in this package reads wall-clock time, so observed runs stay exactly
@@ -40,7 +43,6 @@ from __future__ import annotations
 from repro.obs.export import (
     metric_records,
     render_table,
-    trace_records,
     write_jsonl,
 )
 from repro.obs.flight import (
@@ -61,7 +63,6 @@ from repro.obs.metrics import (
 from repro.obs.runtime import (
     Tallies,
     active_registry,
-    active_tracer,
     declare,
     install,
     session,
@@ -69,20 +70,16 @@ from repro.obs.runtime import (
 )
 from repro.obs.provenance import (
     ChunkJourney,
-    JourneyHandle,
     JourneyTracker,
     StageRecord,
     active_journey,
     bind_journey_clock,
     frame_labels,
     install_journey,
-    journey_handle,
     journey_session,
     uninstall_journey,
-    write_journal,
 )
 from repro.obs.snapshot import SnapshotDelta, diff_snapshots, metric_snapshot
-from repro.obs.tracing import TraceEvent, Tracer, TraceSpan
 
 __all__ = [
     "Counter",
@@ -90,18 +87,13 @@ __all__ = [
     "Histogram",
     "Registry",
     "MetricSample",
-    "Tracer",
-    "TraceEvent",
-    "TraceSpan",
     "Tallies",
     "declare",
     "install",
     "uninstall",
     "session",
     "active_registry",
-    "active_tracer",
     "metric_records",
-    "trace_records",
     "write_jsonl",
     "render_table",
     "SnapshotDelta",
@@ -110,15 +102,12 @@ __all__ = [
     "StageRecord",
     "ChunkJourney",
     "JourneyTracker",
-    "JourneyHandle",
-    "journey_handle",
     "install_journey",
     "uninstall_journey",
     "active_journey",
     "bind_journey_clock",
     "journey_session",
     "frame_labels",
-    "write_journal",
     "FlightRecorder",
     "install_flight",
     "uninstall_flight",

@@ -1,8 +1,8 @@
 """Exporters: JSON lines for machines, aligned tables for humans.
 
 The JSON-lines format is one self-describing record per line —
-``{"kind": "counter"|"gauge"|"histogram"|"event"|"span", ...}``
-— so a trace file concatenates, greps, and streams trivially.  Keys
+``{"kind": "counter"|"gauge"|"histogram"|"provenance"|"provenance-meta",
+...}`` — so a trace file concatenates, greps, and streams trivially.  Keys
 are sorted and nothing nondeterministic (timestamps, pids, hostnames)
 is emitted, so a seeded run produces a byte-identical trace file.
 """
@@ -14,11 +14,10 @@ from pathlib import Path
 from typing import IO
 
 from repro.obs.metrics import Registry, bucket_label
-from repro.obs.tracing import Tracer
+from repro.obs.provenance import JourneyTracker, journal_records
 
 __all__ = [
     "metric_records",
-    "trace_records",
     "write_jsonl",
     "render_table",
     "render_histogram_buckets",
@@ -30,25 +29,18 @@ def metric_records(registry: Registry) -> list[dict[str, object]]:
     return [sample.as_dict() for sample in registry.samples()]
 
 
-def trace_records(tracer: Tracer) -> list[dict[str, object]]:
-    """Every trace event/span as a JSON-able record, in time order."""
-    records = [record.as_dict() for record in tracer.records()]
-    if tracer.dropped:
-        records.append({"kind": "meta", "dropped_records": tracer.dropped})
-    return records
-
-
 def write_jsonl(
     target: str | Path | IO[str],
     registry: Registry | None = None,
-    tracer: Tracer | None = None,
+    journey: JourneyTracker | None = None,
 ) -> int:
-    """Write metrics then trace records to *target*; returns line count."""
+    """Write metric records then the journey's records to *target*;
+    returns the line count."""
     records: list[dict[str, object]] = []
     if registry is not None:
         records.extend(metric_records(registry))
-    if tracer is not None:
-        records.extend(trace_records(tracer))
+    if journey is not None:
+        records.extend(journal_records(journey))
     lines = [json.dumps(record, sort_keys=True) for record in records]
     text = "".join(line + "\n" for line in lines)
     if isinstance(target, (str, Path)):
@@ -74,8 +66,8 @@ def _num(value: object) -> str:
     return str(value)
 
 
-def render_table(registry: Registry, tracer: Tracer | None = None) -> str:
-    """A per-scope, human-readable summary of a registry (and trace)."""
+def render_table(registry: Registry) -> str:
+    """A per-scope, human-readable summary of a registry."""
     lines: list[str] = []
     by_scope: dict[str, list[tuple[str, str, str]]] = {}
     for sample in registry.samples():
@@ -98,17 +90,6 @@ def render_table(registry: Registry, tracer: Tracer | None = None) -> str:
         for kind, name, detail in rows:
             lines.append(f"  {kind.ljust(kind_width)}  {name.ljust(name_width)}  {detail}")
 
-    if tracer is not None and (tracer.events or tracer.spans or tracer.dropped):
-        lines.append("== trace ==")
-        counts: dict[tuple[str, str], int] = {}
-        for event in tracer.events:
-            counts[(event.scope, event.name)] = counts.get((event.scope, event.name), 0) + 1
-        for span in tracer.spans:
-            counts[(span.scope, span.name)] = counts.get((span.scope, span.name), 0) + 1
-        for (scope, name), count in sorted(counts.items()):
-            lines.append(f"  {scope}.{name}: {count} record(s)")
-        if tracer.dropped:
-            lines.append(f"  (dropped {tracer.dropped} record(s) past the buffer bound)")
     return "\n".join(lines)
 
 

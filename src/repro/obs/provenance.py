@@ -9,20 +9,26 @@ placement, verification, delivery) can emit one record keyed by
 causal timeline afterwards with **no** extra per-chunk state on the hot
 path.  The hot path never holds more than the label it already carries.
 
-Discipline mirrors :mod:`repro.obs.runtime`: instrumented modules fetch
-the module-level :class:`JourneyHandle` once at import time and read the
-installed tracker off it once per call::
+Discipline mirrors :mod:`repro.obs.runtime`: instrumented code reads
+the installed tracker — ``provenance._tracker``, one module-attribute
+load — once per call::
 
-    from repro.obs import journey_handle
-    _OBS_JOURNEY = journey_handle()
+    from repro.obs import provenance as obs_provenance
     ...
-    journey = _OBS_JOURNEY._impl          # None while uninstalled
+    journey = obs_provenance._tracker     # None while uninstalled
     if journey is not None:
         journey.chunk(STAGE_PLACED, chunk, fresh=n)
 
 While no :class:`JourneyTracker` is installed the per-record argument
 packing is skipped entirely — one attribute load and one ``is None``
 test, no call, zero allocations.
+
+The journey is the program's one event log: connection lifecycle
+(``established``, ``closed``, ``evicted`` with its ``reason``, a
+``refused`` admission), per-TPDU outcomes (``verified`` with ``ok`` and
+``reason``, ``gave_up``) and per-chunk stages all land here, keyed by
+the label, and :func:`repro.obs.write_jsonl` writes them beside the
+metric records.
 
 Unlike metric series, journeys deliberately do **not** create registry
 instruments: installing a journey must not change any registry's metric
@@ -32,11 +38,9 @@ The tracker keeps its latency histograms privately.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.core.errors import CodecError
 from repro.obs.metrics import Histogram
@@ -47,15 +51,12 @@ __all__ = [
     "StageRecord",
     "ChunkJourney",
     "JourneyTracker",
-    "JourneyHandle",
-    "journey_handle",
     "install_journey",
     "uninstall_journey",
     "active_journey",
     "bind_journey_clock",
     "journey_session",
     "frame_labels",
-    "write_journal",
     "journal_records",
 ]
 
@@ -505,96 +506,7 @@ def journal_records(tracker: JourneyTracker) -> list[dict[str, object]]:
     return records
 
 
-def write_journal(target: str | Path | IO[str], tracker: JourneyTracker) -> int:
-    """Write the tracker as JSON lines; returns the line count.
-
-    Deterministic: keys sorted, timestamps are simulated seconds — a
-    seeded run produces a byte-identical journal.
-    """
-    lines = [
-        json.dumps(record, sort_keys=True) for record in journal_records(tracker)
-    ]
-    text = "".join(line + "\n" for line in lines)
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8")
-    else:
-        target.write(text)
-    return len(lines)
-
-
-# ----------------------------------------------------------------------
-# The handle seam (one read of the installed sink, mirroring runtime.py)
-# ----------------------------------------------------------------------
-
-class JourneyHandle:
-    """The module-level seam instrumented code emits through.
-
-    Instrumented code reads the installed tracker off it once per call
-    (``journey = _OBS_JOURNEY._impl``) and skips the keyword packing
-    entirely while that is None; the handle's own methods and its
-    falsiness while uninstalled serve callers outside the hot paths.
-    """
-
-    __slots__ = ("_impl",)
-
-    def __init__(self) -> None:
-        self._impl: JourneyTracker | None = None
-
-    def __bool__(self) -> bool:
-        return self._impl is not None
-
-    def emit(
-        self,
-        stage: str,
-        c_id: int,
-        offset: int,
-        length: int,
-        *,
-        t: float | None = None,
-        gen: int = 0,
-        level: str = "chunk",
-        **fields: object,
-    ) -> None:
-        if self._impl is not None:
-            self._impl.emit(
-                stage, c_id, offset, length, t=t, gen=gen, level=level, **fields
-            )
-
-    def chunk(
-        self,
-        stage: str,
-        chunk: object,
-        *,
-        t: float | None = None,
-        gen: int = 0,
-        **fields: object,
-    ) -> None:
-        if self._impl is not None:
-            self._impl.chunk(stage, chunk, t=t, gen=gen, **fields)
-
-    def frame(
-        self,
-        stage: str,
-        frame: bytes,
-        *,
-        t: float | None = None,
-        gen: int = 0,
-        **fields: object,
-    ) -> None:
-        if self._impl is not None:
-            self._impl.frame(stage, frame, t=t, gen=gen, **fields)
-
-    def _bind(self, tracker: JourneyTracker | None) -> None:
-        self._impl = tracker
-
-
-_HANDLE = JourneyHandle()
 _tracker: JourneyTracker | None = None
-
-
-def journey_handle() -> JourneyHandle:
-    """The process-wide journey handle (declare once at import time)."""
-    return _HANDLE
 
 
 def install_journey(
@@ -606,7 +518,6 @@ def install_journey(
     _tracker = tracker if tracker is not None else JourneyTracker()
     if clock is not None:
         _tracker.clock = clock
-    _HANDLE._bind(_tracker)
     return _tracker
 
 
@@ -614,7 +525,6 @@ def uninstall_journey() -> None:
     """Install no tracker: instrumented code stops recording journeys."""
     global _tracker
     _tracker = None
-    _HANDLE._bind(None)
 
 
 def active_journey() -> JourneyTracker | None:

@@ -2,11 +2,11 @@
 
 ``report`` reads a file produced by :func:`repro.obs.export.write_jsonl`
 (for example by ``python examples/reliable_transfer.py --trace
-run.jsonl``), a provenance journal, or a flight-recorder dump, and
-prints the per-layer counters, gauges, histograms, event counts, and —
-with ``--journeys`` — the per-chunk journey table.  ``export-trace``
-renders the same files as a Chrome/Perfetto trace-event JSON for
-``ui.perfetto.dev`` (see docs/observability.md).
+run.jsonl``) or a flight-recorder dump, and prints the per-layer
+counters, gauges, histograms, journey-record counts by ``level.stage``
+(``--events``), and — with ``--journeys`` — the per-chunk journey
+table.  ``export-trace`` renders the same files as a Chrome/Perfetto
+trace-event JSON for ``ui.perfetto.dev`` (see docs/observability.md).
 """
 
 from __future__ import annotations
@@ -47,20 +47,23 @@ def _fmt(value: object) -> str:
 
 
 def _event_matches(record: dict[str, object], needle: str) -> bool:
-    """True when a trace event matches an ``--events FILTER`` string.
+    """True when a journey record matches an ``--events FILTER`` string.
 
-    Matches the event *name* (substring) or any field as ``key=value``
-    or bare ``value`` — so ``--events conn=7`` selects one
-    conversation's events regardless of their names.
+    Matches the *stage* (substring), or any field — the label's
+    ``c_id`` / ``offset`` / ``length``, ``gen``, ``level`` and the
+    record's own fields alike — as ``key=value`` or bare ``value``: so
+    ``--events c_id=7`` selects one conversation's records whatever
+    their stage.
     """
-    if needle in str(record.get("name", "")):
+    if needle in str(record.get("stage", "")):
         return True
+    facts = {key: record.get(key) for key in ("c_id", "offset", "length", "gen", "level")}
     fields = record.get("fields")
-    if not isinstance(fields, dict):
-        return False
+    if isinstance(fields, dict):
+        facts.update(fields)
     return any(
         f"{key}={value}" == needle or str(value) == needle
-        for key, value in fields.items()
+        for key, value in facts.items()
     )
 
 
@@ -72,8 +75,8 @@ def summarize(
 ) -> str:
     """Render the per-scope summary of a record list.
 
-    *show_events* may be True (count every event name) or a filter
-    string (count only matching events — by name or by field value).
+    *show_events* may be True (count every journey record by
+    ``level.stage``) or a filter string (count only matching records).
     """
     metrics: dict[str, list[dict[str, object]]] = {}
     event_counts: dict[tuple[str, str], int] = {}
@@ -85,17 +88,14 @@ def summarize(
             if scope is not None and record_scope != scope:
                 continue
             metrics.setdefault(record_scope, []).append(record)
-        elif kind in ("event", "span"):
-            record_scope = str(record.get("scope", "?"))
-            if scope is not None and record_scope != scope:
-                continue
+        elif kind == "provenance":
             if isinstance(show_events, str) and not _event_matches(
                 record, show_events
             ):
                 continue
-            key = (record_scope, str(record.get("name", "?")))
+            key = (str(record.get("level", "chunk")), str(record.get("stage", "?")))
             event_counts[key] = event_counts.get(key, 0) + 1
-        elif kind == "meta":
+        elif kind == "provenance-meta":
             value = record.get("dropped_records", 0)
             dropped += int(value) if isinstance(value, (int, float)) else 0
 
@@ -129,11 +129,11 @@ def summarize(
             )
 
     if show_events and event_counts:
-        lines.append("== trace events ==")
-        for (record_scope, name), count in sorted(event_counts.items()):
-            lines.append(f"  {record_scope}.{name}: {count}")
+        lines.append("== events ==")
+        for (level, stage), count in sorted(event_counts.items()):
+            lines.append(f"  {level}.{stage}: {count}")
     if dropped:
-        lines.append(f"(trace dropped {dropped} record(s) past the buffer bound)")
+        lines.append(f"(journey dropped {dropped} record(s) past the buffer bound)")
     if not lines:
         lines.append("(no matching records)")
     return "\n".join(lines)
@@ -205,8 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         const=True,
         default=False,
         metavar="FILTER",
-        help="also count trace events; with FILTER, only events whose "
-        "name or field values match (e.g. --events conn=7)",
+        help="also count journey records by level.stage; with FILTER, only "
+        "records whose stage or key=value field matches (e.g. --events c_id=7)",
     )
     report.add_argument(
         "--buckets", action="store_true", help="show histogram bucket detail"

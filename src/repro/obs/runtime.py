@@ -1,9 +1,9 @@
 """The instrumentation runtime: the installed sink and the series catalogue.
 
 Instrumented code holds no handle objects: it reads the installed sink
-— ``runtime._registry`` or ``runtime._tracer``, one module-attribute
-load — and does nothing more while that is ``None``, so an unobserved
-run makes no call into ``repro.obs`` at all.  A number reaches the
+— ``runtime._registry``, or ``provenance._tracker`` for the event log,
+one module-attribute load — and does nothing more while that is
+``None``, so an unobserved run makes no call into ``repro.obs`` at all.  A number reaches the
 registry one of two ways, by what it is:
 
 - **a counter that mirrors an integer the component keeps** is
@@ -34,8 +34,8 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Iterator
 
+from repro.obs import provenance
 from repro.obs.metrics import Counter, Instrument, Registry
-from repro.obs.tracing import Tracer
 
 __all__ = [
     "Tallies",
@@ -43,12 +43,10 @@ __all__ = [
     "install",
     "uninstall",
     "active_registry",
-    "active_tracer",
     "session",
 ]
 
 _registry: Registry | None = None
-_tracer: Tracer | None = None
 #: every declared series, by ``(scope, name)``: its instrument kind and help.
 _catalogue: dict[tuple[str, str], tuple[type[Instrument], str]] = {}
 
@@ -108,55 +106,50 @@ class Tallies:
 
 def install(
     registry: Registry | None = None,
-    tracer: Tracer | None = None,
     clock: Callable[[], float] | None = None,
-) -> tuple[Registry, Tracer]:
-    """Make a registry + tracer the installed sink.
+) -> Registry:
+    """Make *registry* (fresh when omitted) the installed sink.
 
-    Creates fresh ones when not supplied, and every catalogued series in
-    the registry.  ``clock`` (typically ``lambda: loop.now``) feeds both;
-    it must be simulated time, never the wall clock.
+    Creates every catalogued series in it.  ``clock`` (typically
+    ``lambda: loop.now``) must be simulated time, never the wall clock.
     """
-    global _registry, _tracer
+    global _registry
     _registry = registry if registry is not None else Registry()
-    _tracer = tracer if tracer is not None else Tracer()
     if clock is not None:
         _registry.clock = clock
-        _tracer.clock = clock
     for (scope, name), (kind, help) in _catalogue.items():
         _registry._get(kind, scope, name, help)
-    return _registry, _tracer
+    return _registry
 
 
 def uninstall() -> None:
     """Install nothing: instrumented code stops publishing."""
-    global _registry, _tracer
+    global _registry
     _registry = None
-    _tracer = None
 
 
 def active_registry() -> Registry | None:
     return _registry
 
 
-def active_tracer() -> Tracer | None:
-    return _tracer
-
-
 @contextmanager
 def session(
     registry: Registry | None = None,
-    tracer: Tracer | None = None,
     clock: Callable[[], float] | None = None,
-) -> Iterator[tuple[Registry, Tracer]]:
+) -> Iterator[tuple[Registry, provenance.JourneyTracker | None]]:
     """Scope an installation to a ``with`` block; restores the previous
-    sink (or none) on exit."""
-    previous = (_registry, _tracer)
-    installed = install(registry, tracer, clock)
+    registry (or none) on exit.
+
+    Yields the registry and the journey tracker active at entry (None
+    when none is installed); a session installs no tracker itself —
+    :func:`repro.obs.journey_session` does.
+    """
+    previous = _registry
+    installed = install(registry, clock)
     try:
-        yield installed
+        yield installed, provenance._tracker
     finally:
-        if previous == (None, None):
+        if previous is None:
             uninstall()
         else:
-            install(previous[0], previous[1])
+            install(previous)

@@ -26,7 +26,8 @@ from repro.core.errors import EndpointError
 from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
-from repro.obs import Tallies, journey_handle
+from repro.obs import Tallies
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 __all__ = ["Wire", "EgressPacker"]
@@ -40,7 +41,6 @@ _TALLIES = Tallies({
         "transport", "shard.cross_shard_packets", "egress packets mixing >1 shard"
     ),
 })
-_OBS_JOURNEY = journey_handle()
 
 
 class Wire(Protocol):
@@ -137,7 +137,7 @@ class EgressPacker:
         if transmit is None:
             raise EndpointError("egress needs a transmit callback")
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         now = None if self.loop is None else self.loop.now
         packets = pack_chunks(chunks, self.wire.mtu)
         for packet in packets:

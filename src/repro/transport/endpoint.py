@@ -43,7 +43,8 @@ from repro.host.budget import SharedPlacementBudget
 from repro.host.delivery import PlacementBuffer
 from repro.host.memory import TouchLedger
 from repro.netsim.events import EventLoop
-from repro.obs import Gauge, Tallies, declare, flight_dump, journey_handle
+from repro.obs import Gauge, Tallies, declare, flight_dump
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.transport.egress import EgressPacker
@@ -95,7 +96,6 @@ _TALLIES = Tallies({
     ),
 })
 _ACTIVE = declare(Gauge, "transport", "endpoint.connections_active", "current table size")
-_OBS_JOURNEY = journey_handle()
 
 
 class ConnectionState(enum.Enum):
@@ -198,7 +198,7 @@ class ConnectionTable:
     """
 
     connections: dict[int, Connection] = field(default_factory=dict)
-    evicted_ids: BoundedSet = field(default_factory=BoundedSet)
+    evicted_ids: BoundedSet[int] = field(default_factory=BoundedSet)
     established_total: int = 0
     closed_total: int = 0
     evicted_total: int = 0
@@ -238,17 +238,18 @@ class ConnectionTable:
         connection.closed_at = now
         self.closed_total += 1
 
-    def evict(self, connection_id: int) -> Connection | None:
-        """Remove one entry (tombstoning its C.ID); returns it, if any."""
+    def evict(self, connection_id: int) -> tuple[Connection, int | None] | None:
+        """Remove one entry (tombstoning its C.ID); returns it, with the
+        C.ID whose tombstone that forgot (or None), if there was one."""
         connection = self.connections.pop(connection_id, None)
         if connection is None:
             return None
-        self.evicted_ids.add(connection_id)
+        forgotten = self.evicted_ids.add(connection_id)
         self.evicted_total += 1
         registry = obs_runtime._registry
         if registry is not None:
             registry.instruments[_ACTIVE].set(len(self.connections))
-        return connection
+        return connection, forgotten
 
     def idle_connections(
         self, now: float, idle_timeout: float, close_linger: float
@@ -507,7 +508,7 @@ class ChunkEndpoint:
         payload_bytes = sum(c.payload_bytes for c in rest if c.is_data)
         connection.payload_bytes_in += payload_bytes
         self.chunks_routed += len(rest)
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             for chunk in rest:
                 if chunk.is_data:
@@ -518,11 +519,6 @@ class ChunkEndpoint:
         self._record_touches(connection)
         if received.connection_closed:
             self.table.mark_closed(connection, now)
-            tracer = obs_runtime._tracer
-            if tracer is not None:
-                tracer.event(
-                    "transport", "conn_closed", now, {"conn": cid, **self._shard_labels()}
-                )
             if journey is not None:
                 journey.emit(
                     "closed", cid, 0, 0, t=now, level="conn", **self._shard_labels()
@@ -566,14 +562,21 @@ class ChunkEndpoint:
         # Every receiver session is admitted against the pool — one
         # attached to a locally opened conversation too, or its first
         # placement would register it unasked (or be refused forever).
-        if (
+        full = (
             existing is None
             and self.max_connections is not None
             and len(self.table) >= self.max_connections
-        ) or not self.budget.register(cid):
+        )
+        if full or not self.budget.register(cid):
             self.connections_refused += 1
+            journey = obs_provenance._tracker
+            if journey is not None and full:
+                journey.emit(
+                    "refused", cid, 0, 0, t=now, level="conn",
+                    reason="max_connections", **self._shard_labels(),
+                )
             if existing is None:
-                self.table.evicted_ids.add(cid)
+                self._tombstoned(self.table.evicted_ids.add(cid), now)
             return None
         receiver = ChunkTransportReceiver(
             config=config,
@@ -598,12 +601,7 @@ class ChunkEndpoint:
         )
         self.table.add(connection)
         events.established.append(cid)
-        tracer = obs_runtime._tracer
-        if tracer is not None:
-            tracer.event(
-                "transport", "conn_established", now, {"conn": cid, **self._shard_labels()}
-            )
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             journey.emit(
                 "established", cid, 0, 0, t=now, level="conn", **self._shard_labels()
@@ -618,7 +616,7 @@ class ChunkEndpoint:
         else:
             self.refused_unknown += len(chunks)
             reason = "unknown"
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
                 if chunk.is_data:
@@ -684,35 +682,34 @@ class ChunkEndpoint:
         return evicted
 
     def _evict(self, cid: int, at: float, reason: str) -> bool:
-        tombstones_dropped = self.table.evicted_ids.dropped
-        connection = self.table.evict(cid)
-        if connection is None:
+        evicted = self.table.evict(cid)
+        if evicted is None:
             return False
+        connection, forgotten = evicted
         if self.on_evict is not None:
             self.on_evict(connection)
         connection.receiver = None
         connection.sender = None
         self.budget.release(cid)
-        tracer = obs_runtime._tracer
-        if tracer is not None:
-            labels = self._shard_labels()
-            tracer.event(
-                "transport", "conn_evicted", at, {"conn": cid, "reason": reason, **labels}
-            )
-            if self.table.evicted_ids.dropped > tombstones_dropped:
-                tracer.event("transport", "tombstone_dropped", at, {
-                    "conn": cid,
-                    "reason": "tombstone_overflow",
-                    "dropped": self.table.evicted_ids.dropped,
-                    **labels,
-                })
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             journey.emit(
                 "evicted", cid, 0, 0, t=at, level="conn", reason=reason,
                 **self._shard_labels(),
             )
+        self._tombstoned(forgotten, at)
         return True
+
+    def _tombstoned(self, forgotten: int | None, at: float) -> None:
+        """Record the C.ID whose tombstone the FIFO just *forgot* (its
+        late chunks are refused as ``unknown`` from now on)."""
+        journey = obs_provenance._tracker
+        if journey is not None and forgotten is not None:
+            journey.emit(
+                "evicted", forgotten, 0, 0, t=at, level="conn",
+                reason="tombstone_overflow", dropped=self.table.evicted_ids.dropped,
+                **self._shard_labels(),
+            )
 
     def _police_progress(self, at: float) -> list[int]:
         """Evict established receiver conversations that trickled fewer

@@ -29,7 +29,8 @@ from repro.core.packet import Packet
 from repro.core.types import WORD_BYTES, ChunkType
 from repro.core.errors import BudgetExceededError, InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
-from repro.obs import Histogram, Tallies, declare, journey_handle
+from repro.obs import Histogram, Tallies, declare
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 from repro.transport.connection import ConnectionConfig, parse_signaling_chunk
 from repro.wsc.endtoend import EndToEndReceiver, TpduVerdict
@@ -72,7 +73,6 @@ _OOO_DISTANCE = declare(
     Histogram, "transport", "receiver.ooo_distance",
     "units between a chunk's C.SN and the in-order arrival frontier",
 )
-_OBS_JOURNEY = journey_handle()
 # An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
 _SIGNALING, _ED, _DATA = ChunkType.SIGNALING, ChunkType.ERROR_DETECTION, ChunkType.DATA
 
@@ -181,7 +181,7 @@ class ChunkTransportReceiver:
     ) -> ReceiverEvents:
         """Process *chunks* in order, then publish the tallies' deltas
         since *before* (taken when a registry is installed)."""
-        journey = _OBS_JOURNEY._impl  # the installed tracker or None, read once
+        journey = obs_provenance._tracker  # the installed tracker or None, read once
         registry = obs_runtime._registry
         ooo_distance = None if registry is None else registry.instruments[_OOO_DISTANCE].observe
         stream, verifier = self.stream, self.verifier
@@ -242,11 +242,6 @@ class ChunkTransportReceiver:
             # (2)+(3) incremental verification via the end-to-end receiver.
             verdicts = verifier.receive(chunk)
             if verdicts:
-                if journey is not None:
-                    for verdict in verdicts:
-                        journey.emit(
-                            "verified", c_id, 0, 0, level="tpdu", t_id=verdict.t_id, ok=verdict.ok
-                        )
                 events.verdicts += verdicts
             # Only the end the stream accepted (now or earlier) closes it.
             if c_st and ctype is _DATA and stream.total_bytes == offset + len(payload):

@@ -23,7 +23,8 @@ from typing import Callable
 from repro.core.chunk import Chunk
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
-from repro.obs import Histogram, Tallies, declare, journey_handle
+from repro.obs import Histogram, Tallies, declare
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig
@@ -42,7 +43,6 @@ _RECEIVER_TALLIES = Tallies(
     {"ack_batches": ("transport", "ack_batches", "ACK packet flushes")}
 )
 _ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
-_OBS_JOURNEY = journey_handle()
 
 
 @dataclass
@@ -156,7 +156,7 @@ class ReliableSender:
             payload, frame_id=frame_id, end_of_connection=end_of_connection
         )
         chunks += new_chunks
-        journey = _OBS_JOURNEY._impl
+        journey = obs_provenance._tracker
         if journey is not None:
             for chunk in new_chunks:
                 if chunk.type is ChunkType.DATA:
@@ -222,7 +222,7 @@ class ReliableSender:
         if state is None or state.timer_generation != generation:
             return  # acked, or superseded by a newer timer
         before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
-        tracer = obs_runtime._tracer
+        journey = obs_provenance._tracker
         self.timeouts += 1
         state.retries += 1
         state.timer_generation += 1
@@ -231,21 +231,19 @@ class ReliableSender:
             self.gave_up.append(t_id)
             if before is not None:
                 _SENDER_TALLIES.publish(before, self)
-            if tracer is not None:
-                tracer.event("transport", "gave_up", self.loop.now, {"t_id": t_id})
+            if journey is not None:
+                journey.emit(
+                    "gave_up", self.config.connection_id, 0, 0, t=self.loop.now,
+                    level="tpdu", t_id=t_id,
+                )
             return
         self.retransmissions += 1
         if before is not None:
             _SENDER_TALLIES.publish(before, self)
-        if tracer is not None:
-            tracer.event(
-                "transport", "retransmit", self.loop.now, {"t_id": t_id, "retry": state.retries}
-            )
         if self.policy is not None:
             self._resize(self.policy.on_loss())
         # Same identifiers as the original transmission (Section 3.3).
         chunks = self.sender.retransmit(t_id)
-        journey = _OBS_JOURNEY._impl
         if journey is not None:
             for chunk in chunks:
                 if chunk.type is ChunkType.DATA:

@@ -26,6 +26,7 @@ from repro.core.errors import ChunkError, VirtualReassemblyError
 from repro.core.types import ChunkType
 from repro.core.virtual import PduState
 from repro.obs import Tallies
+from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import EdPayload, TpduInvariant, parse_ed_chunk
 
@@ -264,9 +265,9 @@ class EndToEndReceiver:
                 self.consistency_failures += 1
         if before is not None:
             _TALLIES.publish(before, self)
-        tracer = obs_runtime._tracer
-        if tracer is not None:
-            tracer.event("wsc", "verdict", None, {
-                "c_id": verdict.c_id, "t_id": verdict.t_id, "ok": verdict.ok,
-                "reason": verdict.reason,
-            })
+        journey = obs_provenance._tracker
+        if journey is not None:
+            journey.emit(
+                "verified", verdict.c_id, 0, 0, level="tpdu",
+                t_id=verdict.t_id, ok=verdict.ok, reason=verdict.reason,
+            )

@@ -1,7 +1,7 @@
 """Black-box acceptance: the flight recorder under a live attack.
 
 Runs the seeded slow-loris scenario with the full observability stack
-installed — journey tracker, flight recorder, registry + tracer — and
+installed — journey tracker, flight recorder, registry — and
 asserts the end-to-end story the subsystem exists for:
 
 - stall evictions auto-dump deterministic JSONL black boxes, and two
@@ -11,7 +11,7 @@ asserts the end-to-end story the subsystem exists for:
   stage and reason, and the conversation's eviction event;
 - the Perfetto export of that journal parses and contains the refused
   chunk's timeline;
-- eviction trace events carry an explicit ``reason`` field.
+- eviction records carry an explicit ``reason`` field.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.obs.flight import flight_session
 from repro.obs.perfetto import chunk_timelines, journeys_to_trace, parse_trace
-from repro.obs.provenance import JourneyTracker, journey_session, write_journal
+from repro.obs.provenance import JourneyTracker, journey_session
 from repro.obs.report import load_records
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
@@ -43,14 +43,14 @@ EVICTION_REASONS = {"idle", "stalled", "closed", "tombstone_overflow"}
 
 def _run_recorded(directory: Path):
     """One fully-instrumented slow-loris run; returns its artifacts."""
-    with obs.session() as (_registry, tracer):
+    with obs.session():
         with journey_session() as tracker:
             with flight_session(dump_dir=directory) as recorder:
                 report = run_slow_loris(SEED, object_bytes=OBJECT_BYTES)
                 check_invariants(report)
                 journal = directory / "journal.jsonl"
-                write_journal(journal, tracker)
-    return report, tracker, recorder, tracer, journal
+                obs.write_jsonl(journal, journey=tracker)
+    return report, tracker, recorder, journal
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +62,9 @@ class TestDeterministicArtifacts:
     def test_same_seed_runs_are_byte_identical(
         self, recorded_run, tmp_path_factory
     ):
-        _, _, recorder_a, _, journal_a = recorded_run
+        _, _, recorder_a, journal_a = recorded_run
         directory_b = tmp_path_factory.mktemp("flight-b")
-        _, _, recorder_b, _, journal_b = _run_recorded(directory_b)
+        _, _, recorder_b, journal_b = _run_recorded(directory_b)
         names_a = [p.name for p in recorder_a.dumps]
         names_b = [p.name for p in recorder_b.dumps]
         assert names_a == names_b
@@ -74,7 +74,7 @@ class TestDeterministicArtifacts:
         assert journal_a.read_bytes() == journal_b.read_bytes()
 
     def test_stall_evictions_dump_black_boxes(self, recorded_run):
-        report, _, recorder, _, _ = recorded_run
+        report, _, recorder, _ = recorded_run
         assert report.extra["stalled_evictions"] > 0
         stall_dumps = [
             p for p in recorder.dumps if "stalled_eviction" in p.name
@@ -144,19 +144,19 @@ class TestRefusedChunkJourney:
 
 class TestEvictionReasons:
     def test_slow_loris_evictions_carry_stalled_reason(self, recorded_run):
-        *_, tracer, _ = recorded_run
-        evictions = [e for e in tracer.events if e.name == "conn_evicted"]
+        _, tracker, _, _ = recorded_run
+        evictions = [r for r in tracker.records if r.stage == "evicted"]
         assert evictions
-        for event in evictions:
-            assert event.fields.get("reason") in EVICTION_REASONS
-        assert any(e.fields["reason"] == "stalled" for e in evictions)
+        for record in evictions:
+            assert record.fields.get("reason") in EVICTION_REASONS
+        assert any(r.fields["reason"] == "stalled" for r in evictions)
 
     def test_tombstone_drops_carry_overflow_reason(self, recorded_run):
-        *_, tracer, _ = recorded_run
-        for event in tracer.events:
-            if event.name == "tombstone_dropped":
-                assert event.fields["reason"] == "tombstone_overflow"
-                assert event.fields["dropped"] > 0
+        _, tracker, _, _ = recorded_run
+        for record in tracker.records:
+            if record.fields.get("reason") == "tombstone_overflow":
+                assert record.stage == "evicted" and record.level == "conn"
+                assert record.fields["dropped"] > 0
 
     def _idle_endpoint(self, end_of_connection: bool):
         loop = EventLoop()
@@ -181,14 +181,14 @@ class TestEvictionReasons:
         return loop, receiver
 
     def _sweep_reasons(self, end_of_connection: bool) -> set[str]:
-        with obs.session() as (_registry, tracer):
+        with journey_session() as tracker:
             loop, receiver = self._idle_endpoint(end_of_connection)
             evicted = receiver.sweep(loop.now + 10.0)
             assert 4 in evicted
             return {
-                str(e.fields["reason"])
-                for e in tracer.events
-                if e.name == "conn_evicted"
+                str(r.fields["reason"])
+                for r in tracker.records
+                if r.stage == "evicted"
             }
 
     def test_idle_eviction_reason(self):

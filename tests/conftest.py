@@ -9,12 +9,16 @@ from __future__ import annotations
 
 import os
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from tests.helpers import deterministic_bytes, make_chunk, make_payload
 
 __all__ = ["deterministic_bytes", "make_chunk", "make_payload", "rng"]
+
+_NODE_SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -37,13 +41,21 @@ def pytest_configure(config: pytest.Config) -> None:
     # REPRO_FLIGHT_DIR=<dir> flies the whole suite under the provenance
     # tracker + flight recorder; failing tests dump their black box
     # there (CI uploads the directory as an artifact on failure).
-    flight_dir = os.environ.get("REPRO_FLIGHT_DIR")
+    config._repro_flight_dir = os.environ.get("REPRO_FLIGHT_DIR")  # type: ignore[attr-defined]
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_runtest_setup(item: pytest.Item) -> None:
+    """Under ``REPRO_FLIGHT_DIR``, each test flies with a journey tracker
+    and a flight recorder of its own, dumping into its own directory:
+    suite-wide ones would put every earlier test's conversations into
+    each dump (gigabytes of black boxes, a lifecycle walk 200x slower)."""
+    flight_dir = getattr(item.config, "_repro_flight_dir", None)
     if flight_dir:
         import repro.obs as obs
 
         obs.install_journey()
-        obs.install_flight(dump_dir=flight_dir)
-        config._repro_flight_installed = True  # type: ignore[attr-defined]
+        obs.install_flight(dump_dir=Path(flight_dir) / _NODE_SLUG.sub("-", item.nodeid)[:120])
 
 
 def pytest_unconfigure(config: pytest.Config) -> None:
@@ -51,7 +63,7 @@ def pytest_unconfigure(config: pytest.Config) -> None:
         from repro.analysis import simsan
 
         simsan.uninstall()
-    if getattr(config, "_repro_flight_installed", False):
+    if getattr(config, "_repro_flight_dir", None):
         import repro.obs as obs
 
         obs.uninstall_flight()

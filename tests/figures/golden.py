@@ -57,10 +57,9 @@ def load_registry() -> dict[str, Any]:
 
 @contextmanager
 def _no_journey() -> Iterator[None]:
-    """Suspend a suite-wide journey tracker (``REPRO_FLIGHT_DIR``): kept,
-    it would hold every bench's chunk records, and each later test that
-    delivers the same labels would sort through them (the lifecycle
-    walks ran over a hundred times slower)."""
+    """Suspend the test's journey tracker (``REPRO_FLIGHT_DIR``): kept,
+    it would record every bench's chunks, up to its bound, for no
+    reader."""
     tracker = active_journey()
     uninstall_journey()
     try:

@@ -1,8 +1,10 @@
-"""One event log: every fact the ``Tracer`` recorded is a journey record.
+"""One event log: every fact the retired ``Tracer`` recorded is a
+journey record.
 
-Each scenario runs with both event sinks installed.  For every
-``Tracer`` event the journey tracker must hold a record with the same
-facts:
+``TRACER_EVENTS`` holds the events the ``Tracer`` recorded for each
+scenario, pinned while it still ran beside the journey tracker.  For
+every one, a run with only the journey tracker installed must hold a
+record with the same facts:
 
 - ``conn_established`` / ``conn_closed`` / ``conn_evicted`` are the
   ``established`` / ``closed`` / ``evicted`` conn records of that C.ID,
@@ -10,10 +12,13 @@ facts:
 - ``retransmit {t_id, retry}`` is the per-chunk ``retransmit`` records
   of that T.ID with ``gen == retry``, at the same time;
 - the ``wsc`` ``verdict {c_id, t_id, ok, reason}`` is the ``verified``
-  tpdu record of that C.ID and T.ID with the same ``ok``.
-
-``gave_up`` and ``tombstone_dropped`` exist in the Tracer alone: no
-journey record carries their facts.
+  tpdu record of that C.ID and T.ID with the same ``ok`` and ``reason``;
+- ``gave_up {t_id}`` is the ``gave_up`` tpdu record of that T.ID;
+- ``tombstone_dropped {conn, reason, dropped}`` is an ``evicted`` conn
+  record with ``reason="tombstone_overflow"`` and the same ``dropped``
+  count, at the same time.  It names the C.ID whose tombstone the FIFO
+  forgot; ``conn``, the C.ID being evicted, is that instant's ordinary
+  ``evicted`` record.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import pytest
 
 from repro.core.packet import Packet
 from repro.netsim.events import EventLoop
-from repro.obs import journey_session, session
+from repro.obs import journey_session
 from repro.obs.provenance import StageRecord
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.transport.endpoint import ChunkEndpoint, ConnectionTable
@@ -39,7 +44,6 @@ CONN_STAGES = {
     "conn_closed": "closed",
     "conn_evicted": "evicted",
 }
-TRACER_ONLY = {"gave_up", "tombstone_dropped"}
 
 
 def _signal(endpoint: ChunkEndpoint, cid: int) -> None:
@@ -78,21 +82,26 @@ SCENARIOS: dict[str, Callable[[], None]] = {
 }
 
 
-def _observed(scenario: Callable[[], None]) -> tuple[list[Event], list[StageRecord]]:
-    with session() as (_, tracer), journey_session() as tracker:
+def _journey(scenario: Callable[[], None]) -> list[StageRecord]:
+    with journey_session() as tracker:
         scenario()
-    return [(e.scope, e.name, e.t, e.fields) for e in tracer.events], tracker.records
+    return tracker.records
 
 
 def _counterparts(event: Event, records: list[StageRecord]) -> list[StageRecord]:
     """The journey records that carry *event*'s facts."""
     _, name, t, fields = event
+    rest = {key: value for key, value in fields.items() if key != "conn"}
     if name in CONN_STAGES:
-        rest = {key: value for key, value in fields.items() if key != "conn"}
         return [
             r for r in records
             if r.level == "conn" and r.stage == CONN_STAGES[name]
             and r.c_id == fields["conn"] and r.t == t and r.fields == rest
+        ]
+    if name == "tombstone_dropped":
+        return [
+            r for r in records
+            if r.level == "conn" and r.stage == "evicted" and r.t == t and r.fields == rest
         ]
     if name == "retransmit":
         return [
@@ -100,29 +109,48 @@ def _counterparts(event: Event, records: list[StageRecord]) -> list[StageRecord]
             if r.level == "chunk" and r.stage == "retransmit" and r.t == t
             and r.fields.get("t_id") == fields["t_id"] and r.gen == fields["retry"]
         ]
-    if name == "verdict":
+    if name == "gave_up":
         return [
             r for r in records
-            if r.level == "tpdu" and r.stage == "verified" and r.t == t
-            and r.c_id == fields["c_id"] and r.fields.get("t_id") == fields["t_id"]
-            and r.fields.get("ok") == fields["ok"]
+            if r.level == "tpdu" and r.stage == "gave_up" and r.t == t
+            and r.fields == fields
         ]
-    return []
+    assert name == "verdict", name
+    return [
+        r for r in records
+        if r.level == "tpdu" and r.stage == "verified" and r.t == t
+        and r.c_id == fields["c_id"] and r.fields.get("t_id") == fields["t_id"]
+        and r.fields.get("ok") == fields["ok"] and r.fields.get("reason") == fields["reason"]
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_every_tracer_event_has_a_journey_record(name):
-    events, records = _observed(SCENARIOS[name])
-    assert events == TRACER_EVENTS[name]
-    for event in events:
-        found = _counterparts(event, records)
-        if event[1] in TRACER_ONLY:
-            assert not found, event
-        else:
-            assert found, event
+    records = _journey(SCENARIOS[name])
+    for event in TRACER_EVENTS[name]:
+        assert _counterparts(event, records), event
 
 
-# The Tracer's events for each scenario.
+def test_tombstone_overflow_names_the_forgotten_conversation():
+    """Both sites that tombstone record the C.ID the FIFO forgot — the
+    one whose late chunks are now refused as ``unknown`` — and an
+    admission refused at ``max_connections`` leaves a record."""
+    records = _journey(_tombstone_churn)
+    facts = [
+        (r.t, r.stage, r.c_id, r.fields) for r in records
+        if r.level == "conn" and r.stage != "established"
+    ]
+    assert facts == [
+        (2.0, "evicted", 1, {"reason": "idle"}),
+        (4.0, "evicted", 2, {"reason": "idle"}),
+        (6.0, "evicted", 3, {"reason": "idle"}),
+        (6.0, "evicted", 1, {"reason": "tombstone_overflow", "dropped": 1}),
+        (0.0, "refused", 5, {"reason": "max_connections"}),
+        (0.0, "evicted", 2, {"reason": "tombstone_overflow", "dropped": 2}),
+    ]
+
+
+# The Tracer's events for each scenario, as it recorded them.
 
 _V = ("wsc", "verdict", 0.0)
 

@@ -11,12 +11,11 @@ from repro.obs.export import (
     metric_records,
     render_histogram_buckets,
     render_table,
-    trace_records,
     write_jsonl,
 )
 from repro.obs.metrics import Registry
+from repro.obs.provenance import JourneyTracker, journal_records
 from repro.obs.report import load_records, main, summarize, summarize_journeys
-from repro.obs.tracing import Tracer
 
 
 def _populated_registry() -> Registry:
@@ -41,11 +40,12 @@ class TestExport:
         }
 
     def test_trace_records_include_drop_meta(self):
-        tracer = Tracer(max_records=1)
-        tracer.event("a", "kept", t=1.0)
-        tracer.event("a", "dropped", t=2.0)
-        records = trace_records(tracer)
-        assert records[-1] == {"kind": "meta", "dropped_records": 1}
+        tracker = JourneyTracker(max_records=1)
+        tracker.emit("kept", 1, 0, 4, t=1.0)
+        tracker.emit("dropped", 1, 4, 4, t=2.0)
+        records = journal_records(tracker)
+        assert [r["kind"] for r in records] == ["provenance", "provenance-meta"]
+        assert records[-1]["dropped_records"] == 1
 
     def test_write_jsonl_to_stream_is_deterministic(self):
         buffer_a, buffer_b = io.StringIO(), io.StringIO()
@@ -57,11 +57,11 @@ class TestExport:
 
     def test_write_jsonl_to_path_returns_line_count(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        tracer = Tracer()
-        tracer.event("x", "tick", t=0.5)
-        count = write_jsonl(path, registry=_populated_registry(), tracer=tracer)
-        assert count == 4
-        assert len(path.read_text().splitlines()) == 4
+        tracker = JourneyTracker()
+        tracker.emit("formed", 1, 0, 4, t=0.5)
+        count = write_jsonl(path, registry=_populated_registry(), journey=tracker)
+        assert count == 5  # three metrics, one record, one provenance-meta
+        assert len(path.read_text().splitlines()) == 5
 
     def test_render_table_groups_by_scope(self):
         text = render_table(_populated_registry())
@@ -76,15 +76,15 @@ class TestExport:
 class TestReport:
     def _write_trace(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        tracer = Tracer()
-        tracer.event("transport", "retransmit", t=0.25)
-        write_jsonl(path, registry=_populated_registry(), tracer=tracer)
+        tracker = JourneyTracker()
+        tracker.emit("retransmit", 7, 0, 256, t=0.25, gen=1)
+        write_jsonl(path, registry=_populated_registry(), journey=tracker)
         return path
 
     def test_load_records_roundtrip(self, tmp_path):
         path = self._write_trace(tmp_path)
         records = load_records(path)
-        assert len(records) == 4
+        assert len(records) == 5
         assert all("kind" in r for r in records)
 
     def test_load_records_rejects_garbage(self, tmp_path):
@@ -108,7 +108,7 @@ class TestReport:
     def test_summarize_events_and_buckets(self, tmp_path):
         records = load_records(self._write_trace(tmp_path))
         text = summarize(records, show_events=True, show_buckets=True)
-        assert "transport.retransmit: 1" in text
+        assert "chunk.retransmit: 1" in text
         assert "<=2^4:1" in text
 
     def test_summarize_empty(self):
@@ -159,44 +159,41 @@ class TestDeterministicOrdering:
 class TestEventFiltering:
     def _trace_path(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        tracer = Tracer()
-        tracer.event("transport", "retransmit", t=0.1, fields={"conn": 7})
-        tracer.event("transport", "retransmit", t=0.2, fields={"conn": 8})
-        tracer.event("transport", "conn_evicted", t=0.3,
-                     fields={"conn": 7, "reason": "stalled"})
-        write_jsonl(path, tracer=tracer)
+        tracker = JourneyTracker()
+        tracker.emit("retransmit", 7, 0, 256, t=0.1, gen=1)
+        tracker.emit("retransmit", 8, 0, 256, t=0.2, gen=1)
+        tracker.emit("evicted", 7, 0, 0, t=0.3, level="conn", reason="stalled")
+        write_jsonl(path, journey=tracker)
         return path
 
     def test_filter_by_field_value(self, tmp_path):
         records = load_records(self._trace_path(tmp_path))
-        text = summarize(records, show_events="conn=7")
-        assert "transport.retransmit: 1" in text
-        assert "transport.conn_evicted: 1" in text
+        text = summarize(records, show_events="c_id=7")
+        assert "chunk.retransmit: 1" in text
+        assert "conn.evicted: 1" in text
 
     def test_filter_by_bare_value(self, tmp_path):
         records = load_records(self._trace_path(tmp_path))
         text = summarize(records, show_events="stalled")
-        assert "transport.conn_evicted: 1" in text
+        assert "conn.evicted: 1" in text
         assert "retransmit" not in text
 
     def test_filter_by_name_substring(self, tmp_path):
         records = load_records(self._trace_path(tmp_path))
         text = summarize(records, show_events="retransmit")
-        assert "transport.retransmit: 2" in text
-        assert "conn_evicted" not in text
+        assert "chunk.retransmit: 2" in text
+        assert "evicted" not in text
 
     def test_cli_events_filter(self, tmp_path, capsys):
         path = self._trace_path(tmp_path)
-        assert main(["report", str(path), "--events", "conn=8"]) == 0
+        assert main(["report", str(path), "--events", "c_id=8"]) == 0
         out = capsys.readouterr().out
-        assert "transport.retransmit: 1" in out
-        assert "conn_evicted" not in out
+        assert "chunk.retransmit: 1" in out
+        assert "evicted" not in out
 
 
 class TestJourneyReport:
     def _journal_path(self, tmp_path):
-        from repro.obs.provenance import JourneyTracker, write_journal
-
         tracker = JourneyTracker()
         tracker.emit("formed", 7, 0, 256, t=0.0, t_id=3, x_id=9)
         tracker.emit("refused", 7, 0, 256, t=0.2, reason="budget")
@@ -204,7 +201,7 @@ class TestJourneyReport:
         tracker.emit("placed", 7, 0, 256, t=0.5, gen=1)
         tracker.emit("formed", 8, 0, 128, t=0.6)
         path = tmp_path / "journal.jsonl"
-        write_journal(path, tracker)
+        write_jsonl(path, journey=tracker)
         return path
 
     def test_summarize_journeys_table(self, tmp_path):

@@ -15,7 +15,7 @@ from repro.host.receiver import ImmediateReceiver, ReorderReceiver
 from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
 from repro.netsim.trace import ReceiverTrace
-from repro.obs import session
+from repro.obs import journey_session, session
 from repro.obs.report import load_records, main, summarize
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
@@ -80,13 +80,13 @@ class TestTransportInstrumentation:
             assert histogram.count > 0
             assert histogram.maximum > 0
 
-    def test_verdict_events_reach_the_tracer(self):
-        with session() as (_, tracer):
+    def test_verdicts_reach_the_journey(self):
+        with journey_session() as tracker:
             _transfer(make_payload(16))
-            verdicts = [e for e in tracer.events if e.name == "verdict"]
+            verdicts = [r for r in tracker.records if r.stage == "verified"]
             assert verdicts
-            assert all(e.scope == "wsc" for e in verdicts)
-            assert all(e.fields["ok"] for e in verdicts)
+            assert all(r.level == "tpdu" and r.c_id == 5 for r in verdicts)
+            assert all(r.fields["ok"] for r in verdicts)
 
 
 class TestReliabilityInstrumentation:
@@ -101,7 +101,7 @@ class TestReliabilityInstrumentation:
                 return
             delivered.append(frame)
 
-        with session(clock=lambda: loop.now) as (registry, tracer):
+        with session(clock=lambda: loop.now) as (registry, _), journey_session() as tracker:
             sender = ReliableSender(
                 loop,
                 flaky_transmit,
@@ -119,11 +119,11 @@ class TestReliabilityInstrumentation:
                     break
             assert registry.get("transport", "rto_timeouts").value >= 1
             assert registry.get("transport", "retransmissions").value >= 1
-            retransmit_events = [e for e in tracer.events if e.name == "retransmit"]
-            assert retransmit_events
-            assert retransmit_events[0].fields["retry"] == 1
+            retransmits = [r for r in tracker.records if r.stage == "retransmit"]
+            assert retransmits
+            assert retransmits[0].gen == 1
             # Timestamps are simulated time, strictly positive here.
-            assert retransmit_events[0].t > 0
+            assert retransmits[0].t > 0
 
 
 class TestHostInstrumentation:

@@ -14,8 +14,9 @@ session drives every kind of number they publish —
   global pool and give them back on eviction —
 
 and pins the whole metric snapshot (high-water marks and histogram
-buckets included) and every tracer event to what the per-event pushes
-recorded.
+buckets included) to what the per-event pushes recorded, and its event
+log — every conn-, tpdu- and frame-level journey record, and each
+chunk's retransmissions — to what the journey tracker recorded.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.netsim.router import ChunkRouter
 from repro.netsim.shardloop import ShardedLoop
-from repro.obs import metric_snapshot, session
+from repro.obs import journey_session, metric_snapshot, session
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.reliability import ReliableSender
@@ -85,12 +86,19 @@ def _sharded_lends() -> None:
     assert pool.lends and pool.lent_total == 0
 
 
-def _observed() -> tuple[dict[str, object], list[tuple[str, str, object, dict[str, object]]]]:
-    with session() as (registry, tracer):
+Event = tuple[str, str, float, int, int, dict[str, object]]
+
+
+def _observed() -> tuple[dict[str, object], list[Event]]:
+    with session() as (registry, _), journey_session() as tracker:
         _lossy_pair()
         _give_up()
         _sharded_lends()
-    events = [(e.scope, e.name, e.t, e.fields) for e in tracer.events]
+    events = [
+        (r.level, r.stage, r.t, r.c_id, r.gen, r.fields)
+        for r in tracker.records
+        if r.level != "chunk" or r.stage == "retransmit"
+    ]
     return metric_snapshot(registry), events
 
 
@@ -221,56 +229,70 @@ SNAPSHOT: dict[str, object] = {
     "wsc.tpdu_verified": 21,
 }
 
-EVENTS: list[tuple[str, str, object, dict[str, object]]] = [
-    ("transport", "conn_established", 0.0020692064516129034, {"conn": 3}),
-    ("wsc", "verdict", 0.0, {"c_id": 3, "t_id": 0, "ok": True, "reason": None}),
-    ("transport", "retransmit", 0.02, {"t_id": 1, "retry": 1}),
-    ("transport", "retransmit", 0.02, {"t_id": 2, "retry": 1}),
-    ("transport", "retransmit", 0.02, {"t_id": 0, "retry": 1}),
-    ("transport", "retransmit", 0.02, {"t_id": 1, "retry": 1}),
-    ("transport", "retransmit", 0.02, {"t_id": 2, "retry": 1}),
-    ("wsc", "verdict", 0.0, {"c_id": 3, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 3, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.022245309677419358, {"conn": 3}),
-    ("transport", "conn_established", 0.022248406451612905, {"conn": 4}),
-    ("wsc", "verdict", 0.0, {"c_id": 4, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 4, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.02237289677419355, {"conn": 4}),
-    ("transport", "retransmit", 0.06, {"t_id": 1, "retry": 2}),
-    ("wsc", "verdict", 0.0, {"c_id": 4, "t_id": 1, "ok": True, "reason": None}),
-    ("transport", "conn_evicted", 5.14, {"conn": 3, "reason": "closed"}),
-    ("transport", "conn_evicted", 5.14, {"conn": 4, "reason": "closed"}),
-    ("transport", "retransmit", 0.01, {"t_id": 0, "retry": 1}),
-    ("transport", "retransmit", 0.03, {"t_id": 0, "retry": 2}),
-    ("transport", "gave_up", 0.07, {"t_id": 0}),
-    ("transport", "conn_established", 0.0, {"conn": 20, "shard": 1}),
-    ("transport", "conn_established", 0.0, {"conn": 24, "shard": 2}),
-    ("transport", "conn_established", 0.0, {"conn": 21, "shard": 3}),
-    ("wsc", "verdict", 0.0, {"c_id": 20, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 24, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 21, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 20, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 24, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 21, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 20, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.0, {"conn": 20, "shard": 1}),
-    ("transport", "conn_established", 0.0, {"conn": 22, "shard": 1}),
-    ("wsc", "verdict", 0.0, {"c_id": 24, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.0, {"conn": 24, "shard": 2}),
-    ("wsc", "verdict", 0.0, {"c_id": 21, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.0, {"conn": 21, "shard": 3}),
-    ("transport", "conn_established", 0.0, {"conn": 23, "shard": 3}),
-    ("wsc", "verdict", 0.0, {"c_id": 22, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 23, "t_id": 0, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 22, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 23, "t_id": 1, "ok": True, "reason": None}),
-    ("wsc", "verdict", 0.0, {"c_id": 22, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.0, {"conn": 22, "shard": 1}),
-    ("wsc", "verdict", 0.0, {"c_id": 23, "t_id": 2, "ok": True, "reason": None}),
-    ("transport", "conn_closed", 0.0, {"conn": 23, "shard": 3}),
-    ("transport", "conn_evicted", 5.05, {"conn": 20, "reason": "closed", "shard": 1}),
-    ("transport", "conn_evicted", 5.05, {"conn": 22, "reason": "closed", "shard": 1}),
-    ("transport", "conn_evicted", 5.05, {"conn": 24, "reason": "closed", "shard": 2}),
-    ("transport", "conn_evicted", 5.05, {"conn": 21, "reason": "closed", "shard": 3}),
-    ("transport", "conn_evicted", 5.05, {"conn": 23, "reason": "closed", "shard": 3}),
+# What the journey tracker recorded for :func:`_observed`: (level, stage,
+# t, c_id, gen, fields).
+
+EVENTS: list[Event] = [
+    ("conn", "established", 0.0020692064516129034, 3, 0, {}),
+    ("frame", "delivered", 0.0, 3, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 3, 0, {"t_id": 0, "ok": True}),
+    ("chunk", "retransmit", 0.02, 3, 1, {"t_id": 1, "x_id": 1}),
+    ("chunk", "retransmit", 0.02, 3, 1, {"t_id": 2, "x_id": 2}),
+    ("chunk", "retransmit", 0.02, 4, 1, {"t_id": 0, "x_id": 0}),
+    ("chunk", "retransmit", 0.02, 4, 1, {"t_id": 1, "x_id": 1}),
+    ("chunk", "retransmit", 0.02, 4, 1, {"t_id": 2, "x_id": 2}),
+    ("frame", "delivered", 0.0, 3, 0, {"x_id": 1}),
+    ("tpdu", "verified", 0.0, 3, 0, {"t_id": 1, "ok": True}),
+    ("frame", "delivered", 0.0, 3, 0, {"x_id": 2}),
+    ("tpdu", "verified", 0.0, 3, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.022245309677419358, 3, 0, {}),
+    ("conn", "established", 0.022248406451612905, 4, 0, {}),
+    ("frame", "delivered", 0.0, 4, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 4, 0, {"t_id": 0, "ok": True}),
+    ("frame", "delivered", 0.0, 4, 0, {"x_id": 2}),
+    ("tpdu", "verified", 0.0, 4, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.02237289677419355, 4, 0, {}),
+    ("chunk", "retransmit", 0.06, 4, 2, {"t_id": 1, "x_id": 1}),
+    ("frame", "delivered", 0.0, 4, 0, {"x_id": 1}),
+    ("tpdu", "verified", 0.0, 4, 0, {"t_id": 1, "ok": True}),
+    ("conn", "evicted", 5.14, 3, 0, {"reason": "closed"}),
+    ("conn", "evicted", 5.14, 4, 0, {"reason": "closed"}),
+    ("chunk", "retransmit", 0.01, 9, 1, {"t_id": 0, "x_id": 0}),
+    ("chunk", "retransmit", 0.03, 9, 2, {"t_id": 0, "x_id": 0}),
+    ("tpdu", "gave_up", 0.07, 9, 0, {"t_id": 0}),
+    ("conn", "established", 0.0, 20, 0, {"shard": 1}),
+    ("conn", "established", 0.0, 24, 0, {"shard": 2}),
+    ("conn", "established", 0.0, 21, 0, {"shard": 3}),
+    ("tpdu", "verified", 0.0, 20, 0, {"t_id": 0, "ok": True}),
+    ("tpdu", "verified", 0.0, 24, 0, {"t_id": 0, "ok": True}),
+    ("tpdu", "verified", 0.0, 21, 0, {"t_id": 0, "ok": True}),
+    ("tpdu", "verified", 0.0, 20, 0, {"t_id": 1, "ok": True}),
+    ("tpdu", "verified", 0.0, 24, 0, {"t_id": 1, "ok": True}),
+    ("tpdu", "verified", 0.0, 21, 0, {"t_id": 1, "ok": True}),
+    ("frame", "delivered", 0.0, 20, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 20, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.0, 20, 0, {"shard": 1}),
+    ("conn", "established", 0.0, 22, 0, {"shard": 1}),
+    ("frame", "delivered", 0.0, 24, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 24, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.0, 24, 0, {"shard": 2}),
+    ("frame", "delivered", 0.0, 21, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 21, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.0, 21, 0, {"shard": 3}),
+    ("conn", "established", 0.0, 23, 0, {"shard": 3}),
+    ("tpdu", "verified", 0.0, 22, 0, {"t_id": 0, "ok": True}),
+    ("tpdu", "verified", 0.0, 23, 0, {"t_id": 0, "ok": True}),
+    ("tpdu", "verified", 0.0, 22, 0, {"t_id": 1, "ok": True}),
+    ("tpdu", "verified", 0.0, 23, 0, {"t_id": 1, "ok": True}),
+    ("frame", "delivered", 0.0, 22, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 22, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.0, 22, 0, {"shard": 1}),
+    ("frame", "delivered", 0.0, 23, 0, {"x_id": 0}),
+    ("tpdu", "verified", 0.0, 23, 0, {"t_id": 2, "ok": True}),
+    ("conn", "closed", 0.0, 23, 0, {"shard": 3}),
+    ("conn", "evicted", 5.05, 20, 0, {"reason": "closed", "shard": 1}),
+    ("conn", "evicted", 5.05, 22, 0, {"reason": "closed", "shard": 1}),
+    ("conn", "evicted", 5.05, 24, 0, {"reason": "closed", "shard": 2}),
+    ("conn", "evicted", 5.05, 21, 0, {"reason": "closed", "shard": 3}),
+    ("conn", "evicted", 5.05, 23, 0, {"reason": "closed", "shard": 3}),
 ]

@@ -11,7 +11,7 @@ scale, after one warm-up pass so lazy imports are not counted):
 - with nothing installed, there are none;
 - with only a journey tracker installed, they all land in
   ``obs/provenance.py`` — the tracker itself, reached through the one
-  read of ``_OBS_JOURNEY._impl`` — and never in the metric registry.
+  read of ``provenance._tracker`` — and never in the metric registry.
 """
 
 from __future__ import annotations

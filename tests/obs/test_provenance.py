@@ -10,6 +10,7 @@ from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
+from repro.obs import provenance, write_jsonl
 from repro.obs.provenance import (
     JourneyTracker,
     StageRecord,
@@ -18,10 +19,8 @@ from repro.obs.provenance import (
     frame_labels,
     install_journey,
     journal_records,
-    journey_handle,
     journey_session,
     uninstall_journey,
-    write_journal,
 )
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
@@ -31,7 +30,7 @@ from tests.conftest import deterministic_bytes, make_chunk
 
 @pytest.fixture
 def no_journey():
-    """Run the test with the null sink installed, restoring whatever
+    """Run the test with no journey tracker installed, restoring whatever
     tracker was active (the suite may fly under REPRO_FLIGHT_DIR)."""
     previous = active_journey()
     uninstall_journey()
@@ -157,7 +156,7 @@ class TestJourneyTracker:
         assert journey.generations == [0, 2]
         assert len(journey.tpdu_records) == 1
 
-    def test_write_journal_deterministic(self, tmp_path):
+    def test_write_jsonl_journey_deterministic(self, tmp_path):
         def build() -> JourneyTracker:
             tracker = JourneyTracker()
             tracker.emit("formed", 7, 0, 256, t=0.0, t_id=3)
@@ -165,30 +164,24 @@ class TestJourneyTracker:
             return tracker
 
         stream_a, stream_b = io.StringIO(), io.StringIO()
-        assert write_journal(stream_a, build()) == 3  # 2 records + meta
-        write_journal(stream_b, build())
+        assert write_jsonl(stream_a, journey=build()) == 3  # 2 records + meta
+        write_jsonl(stream_b, journey=build())
         assert stream_a.getvalue() == stream_b.getvalue()
         path = tmp_path / "journal.jsonl"
-        write_journal(path, build())
+        write_jsonl(path, journey=build())
         assert path.read_text() == stream_a.getvalue()
 
 
 class TestHandle:
-    def test_null_sink_is_falsy_and_silent(self, no_journey):
-        handle = journey_handle()
-        assert not handle
-        handle.chunk("formed", make_chunk())  # no tracker: must not raise
-        handle.emit("formed", 1, 0, 4)
-        assert active_journey() is None
+    """The one handle instrumented code reads: ``provenance._tracker``."""
 
     def test_session_installs_and_restores(self, no_journey):
-        handle = journey_handle()
         with journey_session(clock=lambda: 3.0) as tracker:
-            assert handle
-            handle.chunk("formed", make_chunk(c_id=5, c_sn=2))
+            assert provenance._tracker is tracker
+            tracker.chunk("formed", make_chunk(c_id=5, c_sn=2))
             assert tracker.records[0].key == (5, 2 * 4, 32)
             assert tracker.records[0].t == 3.0
-        assert not handle
+        assert provenance._tracker is None
         assert active_journey() is None
 
     def test_nested_sessions_restore_previous(self, no_journey):

@@ -64,7 +64,7 @@ def _mixed_traffic(receiver: ChunkTransportReceiver) -> None:
 
 
 def test_receiver_series_keep_their_per_chunk_values():
-    with session() as (registry, tracer), journey_session() as tracker:
+    with session() as (registry, _), journey_session() as tracker:
         receiver = ChunkTransportReceiver()
         _mixed_traffic(receiver)
     assert (receiver.verified_tpdus(), receiver.corrupted_tpdus()) == (6, 1)
@@ -74,7 +74,7 @@ def test_receiver_series_keep_their_per_chunk_values():
         if s.name.startswith(("receiver.", "data_touch")) or s.scope == "wsc"
     }
     assert samples == SERIES
-    assert [(e.scope, e.name, e.fields) for e in tracer.events] == EVENTS
+    assert [(r.stage, r.c_id, r.fields) for r in tracker.records if r.level == "tpdu"] == EVENTS
     assert [(r.stage, r.level, r.offset, r.length, r.fields) for r in tracker.records] == JOURNEY
 
 
@@ -120,10 +120,9 @@ SERIES: dict[str, dict[str, object]] = {
     "wsc.tpdu_verified": {"value": 6},
 }
 
-EVENTS = [
-    ("wsc", "verdict", {"c_id": 5, "t_id": t_id, "ok": True, "reason": None})
-    for t_id in range(6)
-] + [("wsc", "verdict", {"c_id": 5, "t_id": 9, "ok": False, "reason": "code-mismatch"})]
+EVENTS = [("verified", 5, {"t_id": t_id, "ok": True}) for t_id in range(6)] + [
+    ("verified", 5, {"t_id": 9, "ok": False, "reason": "code-mismatch"})
+]
 
 JOURNEY = [
     ("placed", "chunk", 128, 32, {"t_id": 4, "x_id": 3, "fresh": 32}),
@@ -144,5 +143,5 @@ JOURNEY = [
     ("verified", "tpdu", 0, 0, {"t_id": 5, "ok": True}),
     ("refused", "chunk", 1 << 42, 32, {"t_id": 1, "x_id": 3, "reason": "bounds"}),
     ("duplicate", "chunk", 0, 32, {"t_id": 9, "x_id": 3}),
-    ("verified", "tpdu", 0, 0, {"t_id": 9, "ok": False}),
+    ("verified", "tpdu", 0, 0, {"t_id": 9, "ok": False, "reason": "code-mismatch"}),
 ]

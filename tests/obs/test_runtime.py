@@ -12,11 +12,11 @@ from repro.obs import (
     Gauge,
     Registry,
     Tallies,
-    Tracer,
+    active_journey,
     active_registry,
-    active_tracer,
     declare,
     install,
+    journey_session,
     session,
     uninstall,
 )
@@ -70,7 +70,6 @@ class TestNothingInstalled:
         _step(tallies, component, 3, 1)
         assert component.frames == 3
         assert active_registry() is None
-        assert active_tracer() is None
         with session() as (registry, _):
             pass
         # The series exist, and hold nothing from before the session.
@@ -80,13 +79,13 @@ class TestNothingInstalled:
 class TestInstall:
     def test_install_creates_every_declared_series(self):
         key = declare(Gauge, "t", "declared.level", "a level")
-        registry, _ = install()
+        registry = install()
         assert key == ("t", "declared.level")
         gauge = registry.instruments[key]
         assert isinstance(gauge, Gauge) and gauge.help == "a level"
 
     def test_declaring_under_a_session_creates_the_series(self):
-        registry, _ = install()
+        registry = install()
         tallies, component = _tallies("late"), _Component()
         _step(tallies, component, 2, 5)
         assert registry.get("t", "late.frames").value == 2
@@ -95,7 +94,7 @@ class TestInstall:
     def test_tallies_publish_deltas_not_totals(self):
         tallies, component = _tallies("delta"), _Component()
         _step(tallies, component, 10, 10)  # before any session
-        registry, _ = install()
+        registry = install()
         _step(tallies, component, 1, 0)
         _step(tallies, component, 2, 4)
         assert registry.get("t", "delta.frames").value == 3
@@ -104,7 +103,7 @@ class TestInstall:
     def test_one_attribute_tallies(self):
         tallies = Tallies({"frames": ("t", "single.frames", "frames")})
         component = _Component()
-        registry, _ = install()
+        registry = install()
         before = tallies.read(component)
         component.frames += 7
         tallies.publish(before, component)
@@ -112,7 +111,7 @@ class TestInstall:
 
     def test_uninstall_returns_to_null(self):
         tallies, component = _tallies("unbind"), _Component()
-        registry, _ = install()
+        registry = install()
         _step(tallies, component, 1, 0)
         before = tallies.read(component)
         uninstall()
@@ -125,33 +124,31 @@ class TestInstall:
     def test_declarations_are_deduplicated(self):
         first = declare(Counter, "t", "dedupe.c", "first help")
         assert declare(Counter, "t", "dedupe.c", "second help") == first
-        registry, _ = install()
+        registry = install()
         assert registry.instruments[first].help == "first help"
         with pytest.raises(ValueError):
             declare(Gauge, "t", "dedupe.c")
 
     def test_same_name_different_scope_is_distinct(self):
-        registry, _ = install()
+        registry = install()
         assert declare(Counter, "a", "dup") != declare(Counter, "b", "dup")
         assert registry.get("a", "dup") is not registry.get("b", "dup")
 
-    def test_clock_feeds_registry_and_tracer(self):
+    def test_clock_feeds_the_registry(self):
         time = {"now": 1.5}
-        registry, trace = install(clock=lambda: time["now"])
+        registry = install(clock=lambda: time["now"])
         assert registry.now() == 1.5
-        trace.event("t", "tick")
-        assert trace.events[0].t == 1.5
 
 
 class TestSession:
     def test_session_restores_null_sink(self):
         tallies, component = _tallies("sess"), _Component()
-        with session() as (registry, tracer):
+        with session() as (registry, journey):
             assert obs_runtime._registry is registry
-            assert obs_runtime._tracer is tracer
+            assert journey is active_journey()  # a session installs no tracker
             _step(tallies, component, 1, 0)
         _step(tallies, component, 50, 0)
-        assert obs_runtime._registry is None and obs_runtime._tracer is None
+        assert obs_runtime._registry is None
         assert registry.get("t", "sess.frames").value == 1
 
     def test_nested_sessions_restore_outer(self):
@@ -169,8 +166,7 @@ class TestSession:
     def test_session_accepts_prebuilt_sinks(self):
         key = declare(Counter, "t", "prebuilt.c")
         registry = Registry()
-        trace = Tracer()
-        with session(registry=registry, tracer=trace) as (got_registry, got_tracer):
-            assert got_registry is registry
-            assert got_tracer is trace
+        with journey_session() as tracker, session(registry=registry) as (got, journey):
+            assert got is registry
+            assert journey is tracker  # the journey tracker active at entry
             assert key in registry.instruments  # install fills a prebuilt registry too
