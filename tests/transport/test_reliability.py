@@ -62,6 +62,40 @@ class TestAckChunks:
         with pytest.raises(FragmentationError):
             split(build_ack_chunk(3, [1, 2]), 1)
 
+    @pytest.mark.parametrize("count", [1, 2, 63, 64])
+    def test_roundtrip_through_the_wire_at_every_size(self, count):
+        from repro.core.codec import decode_chunk, encode_chunk
+        from tests.properties.test_chunk_record import assert_constructible
+
+        t_ids = [0, 2**32 - 1, *range(7, 7 + count - 2)][:count]
+        chunk = build_ack_chunk(2**32 - 1, t_ids)
+        assert_constructible(chunk)
+        assert (chunk.size, chunk.length, chunk.c_id, chunk.t_id, chunk.x_id) == (
+            1, count, 2**32 - 1, 0, 0
+        )
+        assert parse_ack_chunk(chunk) == t_ids
+        decoded, _ = decode_chunk(encode_chunk(chunk))
+        assert decoded == chunk and parse_ack_chunk(decoded) == t_ids
+
+    @pytest.mark.parametrize("t_ids", [[], list(range(MAX_ACKS_PER_CHUNK + 1))])
+    def test_an_empty_or_oversized_list_is_a_chunk_error(self, t_ids):
+        with pytest.raises(ChunkError):
+            build_ack_chunk(7, t_ids)
+
+    @pytest.mark.parametrize("c_id", [2**32, -1])
+    def test_a_c_id_outside_its_field_is_a_value_error(self, c_id):
+        with pytest.raises(ValueError, match="ID must be in 0..2\\^32-1"):
+            build_ack_chunk(c_id, [1])
+
+    def test_parse_rejects_every_other_type(self):
+        from repro.transport.connection import ConnectionConfig, build_signaling_chunk
+        from repro.wsc.invariant import EdPayload, build_ed_chunk
+
+        for chunk in (build_ed_chunk(1, 2, EdPayload(3, 4, 5)),
+                      build_signaling_chunk(ConnectionConfig(connection_id=1))):
+            with pytest.raises(ChunkError, match="not an ACK chunk"):
+                parse_ack_chunk(chunk)
+
 
 class TestPiggyback:
     def test_acks_share_packets_with_data(self):
