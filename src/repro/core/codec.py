@@ -65,12 +65,7 @@ _PACKET_HEADER = struct.Struct(PACKET_ENVELOPE.struct_format)
 
 def encode_chunk(chunk: Chunk) -> bytes:
     """Serialize one chunk (header + payload) to bytes."""
-    ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
-    flags = (
-        (_FLAG_C_ST if c_st else 0) | (_FLAG_T_ST if t_st else 0) | (_FLAG_X_ST if x_st else 0)
-    )
-    header = _HEADER.pack(ctype, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn)
-    return header + payload
+    return encode_chunks([chunk])
 
 
 def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
@@ -94,7 +89,15 @@ def encode_chunks(chunks: list[Chunk], pad_to: int | None = None) -> bytes:
     written after the last chunk (if it fits) followed by zero fill, so
     fixed-size envelopes (e.g. cell-like links) decode unambiguously.
     """
-    body = b"".join(encode_chunk(chunk) for chunk in chunks)
+    parts = []
+    for chunk in chunks:  # the one encoder: header, then payload, per chunk
+        ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+        flags = (
+            (_FLAG_C_ST if c_st else 0) | (_FLAG_T_ST if t_st else 0) | (_FLAG_X_ST if x_st else 0)
+        )
+        parts.append(_HEADER.pack(ctype, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn))
+        parts.append(payload)
+    body = b"".join(parts)
     if pad_to is None:
         return body
     if len(body) > pad_to:

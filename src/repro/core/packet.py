@@ -36,6 +36,8 @@ __all__ = [
     "repack_with_reassembly",
 ]
 
+_ENVELOPE = codec.encode_packet_header()  # flags 0: every packet this library sends
+
 
 @dataclass(slots=True)
 class Packet:
@@ -76,9 +78,7 @@ class Packet:
         body_budget = None
         if self.fixed_size is not None:
             body_budget = self.fixed_size - PACKET_HEADER_BYTES
-        return codec.encode_packet_header() + codec.encode_chunks(
-            self.chunks, pad_to=body_budget
-        )
+        return _ENVELOPE + codec.encode_chunks(self.chunks, pad_to=body_budget)
 
     @classmethod
     def decode(cls, data: bytes) -> "Packet":
@@ -110,24 +110,24 @@ def pack_chunks(
     irrelevant to receivers.
     """
     budget = _chunk_budget(mtu)
+    size = mtu if fixed_size else None
     packets: list[Packet] = []
     current: list[Chunk] = []
     used = 0
     for chunk in chunks:
-        for piece in fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES):
-            need = piece.wire_bytes
+        need = HEADER_BYTES + len(chunk.payload)
+        # A chunk that fits is its own only piece; the cut starts otherwise.
+        pieces = (chunk,) if need <= budget else fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES)
+        for piece in pieces:
+            need = HEADER_BYTES + len(piece.payload)
             if current and used + need > budget:
-                packets.append(_finish(current, mtu, fixed_size))
+                packets.append(Packet(current, size))
                 current, used = [], 0
             current.append(piece)
             used += need
     if current:
-        packets.append(_finish(current, mtu, fixed_size))
+        packets.append(Packet(current, size))
     return packets
-
-
-def _finish(chunks: list[Chunk], mtu: int, fixed_size: bool) -> Packet:
-    return Packet(chunks=chunks, fixed_size=mtu if fixed_size else None)
 
 
 def unpack_all(packets: Sequence[Packet]) -> list[Chunk]:

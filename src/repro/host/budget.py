@@ -131,10 +131,13 @@ class SharedPlacementBudget:
             if not self.register(key):
                 return False
             held = 0
-        if held + nbytes > self.fair_share() or not self._ensure_backing(nbytes):
+        # fair_share() at a registered key's occupancy, inline.
+        share = self._fair_base() // len(self._reserved)
+        if share < self.min_share_bytes:
+            share = self.min_share_bytes
+        if held + nbytes > share or not self._ensure_backing(nbytes):
             return self._refuse(
-                key, reason="fair_share", requested=nbytes, held=held,
-                fair_share=self.fair_share(),
+                key, reason="fair_share", requested=nbytes, held=held, fair_share=share
             )
         self._reserved[key] = held + nbytes
         self.reserved_total += nbytes

@@ -21,43 +21,43 @@ import struct
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
 from repro.core.packet import Packet, pack_chunks
-from repro.core.tuples import FramingTuple
-from repro.core.types import WORD_BYTES, ChunkType
+from repro.core.types import ID_LIMIT, WORD_BYTES, ChunkType
 
 __all__ = ["MAX_ACKS_PER_CHUNK", "build_ack_chunk", "parse_ack_chunk", "piggyback"]
 
 #: Keep ACK chunks comfortably inside any sane MTU.
 MAX_ACKS_PER_CHUNK = 64
+_ACK = ChunkType.ACK  # an enum member read is ~0.1 µs on CPython 3.11
 
 
 def build_ack_chunk(connection_id: int, t_ids: list[int]) -> Chunk:
-    """An ACK control chunk acknowledging verified TPDUs."""
-    if not t_ids:
+    """An ACK control chunk acknowledging verified TPDUs.
+
+    One pack of the id words and one unvalidated record: the C.ID is held
+    to its field here, every other header field is a constant.
+    """
+    count = len(t_ids)
+    if not count:
         raise ChunkError("an ACK chunk must acknowledge at least one TPDU")
-    if len(t_ids) > MAX_ACKS_PER_CHUNK:
-        raise ChunkError(
-            f"{len(t_ids)} acks exceed the {MAX_ACKS_PER_CHUNK}-per-chunk limit"
-        )
-    payload = b"".join(struct.pack(">I", t_id & 0xFFFFFFFF) for t_id in t_ids)
-    return Chunk(
-        type=ChunkType.ACK,
-        size=1,
-        length=len(t_ids),
-        c=FramingTuple(connection_id, 0, False),
-        t=FramingTuple(0, 0, False),
-        x=FramingTuple(0, 0, False),
-        payload=payload,
+    if count > MAX_ACKS_PER_CHUNK:
+        raise ChunkError(f"{count} acks exceed the {MAX_ACKS_PER_CHUNK}-per-chunk limit")
+    if not 0 <= connection_id < ID_LIMIT:
+        raise ValueError(f"ID must be in 0..2^32-1, got {connection_id}")
+    try:
+        payload = struct.pack(">%dI" % count, *t_ids)
+    except struct.error:  # an id wider than its word keeps its low 32 bits
+        payload = struct.pack(">%dI" % count, *[t_id & 0xFFFFFFFF for t_id in t_ids])
+    return Chunk._make(
+        _ACK, 1, count, connection_id, 0, False, 0, 0, False, 0, 0, False, payload
     )
 
 
 def parse_ack_chunk(chunk: Chunk) -> list[int]:
     """The acknowledged TPDU ids carried by an ACK chunk."""
-    if chunk.type is not ChunkType.ACK:
+    if chunk.type is not _ACK:
         raise ChunkError(f"not an ACK chunk: TYPE={chunk.type.name}")
-    return [
-        struct.unpack_from(">I", chunk.payload, offset)[0]
-        for offset in range(0, len(chunk.payload), WORD_BYTES)
-    ]
+    payload = chunk.payload
+    return list(struct.unpack(">%dI" % (len(payload) // WORD_BYTES), payload))
 
 
 def piggyback(

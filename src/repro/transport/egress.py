@@ -115,6 +115,9 @@ class EgressPacker:
 
     def _drain(self) -> list[Chunk]:
         count = len(self._lanes)
+        if count == 1:  # one lane is FIFO
+            drained, self._lanes[0] = self._lanes[0], []
+            return drained
         lanes = [self._lanes[(self._first_lane + offset) % count] for offset in range(count)]
         self._first_lane = (self._first_lane + 1) % count
         drained = [
@@ -138,15 +141,17 @@ class EgressPacker:
             raise EndpointError("egress needs a transmit callback")
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         journey = obs_provenance._tracker
-        now = None if self.loop is None else self.loop.now
         packets = pack_chunks(chunks, self.wire.mtu)
         for packet in packets:
-            conversations = {chunk.c_id for chunk in packet.chunks}
-            if len(conversations) > 1:
-                self.mixed_packets += 1
-                if shard_of and len({shard_of[cid] for cid in conversations}) > 1:
-                    self.cross_shard_packets += 1
+            first = packet.chunks[0].c_id
+            for chunk in packet.chunks:
+                if chunk.c_id != first:
+                    self.mixed_packets += 1
+                    if shard_of and len({shard_of[c.c_id] for c in packet.chunks}) > 1:
+                        self.cross_shard_packets += 1
+                    break
             if journey is not None:
+                now = None if self.loop is None else self.loop.now
                 for chunk in packet.chunks:
                     if chunk.is_data:
                         journey.chunk(

@@ -96,6 +96,8 @@ _TALLIES = Tallies({
     ),
 })
 _ACTIVE = declare(Gauge, "transport", "endpoint.connections_active", "current table size")
+# An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
+_ACK, _DATA, _SIGNALING = ChunkType.ACK, ChunkType.DATA, ChunkType.SIGNALING
 
 
 class ConnectionState(enum.Enum):
@@ -439,9 +441,7 @@ class ChunkEndpoint:
 
     def _shard_labels(self) -> dict[str, int]:
         """Extra event/journey fields: ``{"shard": i}`` when sharded."""
-        if self.shard_index is None:
-            return {}
-        return {"shard": self.shard_index}
+        return {} if self.shard_index is None else {"shard": self.shard_index}
 
     def receive_packet(self, frame: bytes) -> EndpointEvents:
         """Decode one wire packet and demultiplex its chunks by C.ID."""
@@ -466,71 +466,57 @@ class ChunkEndpoint:
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         events = EndpointEvents()
         self.packets_received += 1
-        self._dispatch(chunks, events)
+        now = self.loop.now
+        connections = self.table.connections
+        # One pass: ACKs go to their conversation's sender session, the
+        # rest is grouped by conversation, in arrival order within each.
+        groups: dict[int, list[Chunk]] = {}
+        for chunk in chunks:
+            cid = chunk.c_id
+            if chunk.type is _ACK:
+                connection = connections.get(cid)
+                if connection is not None and connection.sender is not None:
+                    connection.sender.handle_ack_chunk(chunk)
+                    connection.last_activity = now
+                    self.chunks_routed += 1
+                else:
+                    self.acks_unroutable += 1
+            elif cid in groups:
+                groups[cid].append(chunk)
+            else:
+                groups[cid] = [chunk]
+        journey = obs_provenance._tracker
+        for cid, group in groups.items():
+            connection = connections.get(cid)
+            if connection is None or connection.receiver is None:
+                connection = self._try_establish(cid, connection, group, now, events)
+                if connection is None:
+                    self._refuse(cid, group, events)
+                    continue
+            session = connection.receiver
+            assert session is not None
+            payload_bytes = 0
+            for chunk in group:
+                if chunk.type is _DATA:
+                    payload_bytes += len(chunk.payload)
+                    if journey is not None:
+                        journey.chunk("demux", chunk, t=now, **self._shard_labels())
+            connection.chunks_in += len(group)
+            connection.payload_bytes_in += payload_bytes
+            self.chunks_routed += len(group)
+            connection.last_activity = now
+
+            received = events.per_connection[cid] = session.receive_chunks(group)
+            self._record_touches(connection)
+            if received.connection_closed:
+                self.table.mark_closed(connection, now)
+                if journey is not None:
+                    journey.emit(
+                        "closed", cid, 0, 0, t=now, level="conn", **self._shard_labels()
+                    )
         if before is not None:
             _TALLIES.publish(before, self)
         return events
-
-    def _dispatch(self, chunks: list[Chunk], events: EndpointEvents) -> None:
-        now = self.loop.now
-        # Group by conversation, preserving arrival order within each.
-        groups: dict[int, list[Chunk]] = {}
-        for chunk in chunks:
-            groups.setdefault(chunk.c_id, []).append(chunk)
-        for cid, group in groups.items():
-            self._route_group(cid, group, now, events)
-
-    def _route_group(
-        self, cid: int, group: list[Chunk], now: float, events: EndpointEvents
-    ) -> None:
-        acks = [c for c in group if c.type is ChunkType.ACK]
-        rest = [c for c in group if c.type is not ChunkType.ACK]
-        connection = self.table.get(cid)
-
-        if acks:
-            if connection is not None and connection.sender is not None:
-                for ack in acks:
-                    connection.sender.handle_ack_chunk(ack)
-                connection.last_activity = now
-                self.chunks_routed += len(acks)
-            else:
-                self.acks_unroutable += len(acks)
-        if not rest:
-            return
-
-        if connection is None or connection.receiver is None:
-            connection = self._try_establish(cid, connection, rest, now, events)
-        if connection is None or connection.receiver is None:
-            self._refuse(cid, rest, events)
-            return
-
-        connection.chunks_in += len(rest)
-        payload_bytes = sum(c.payload_bytes for c in rest if c.is_data)
-        connection.payload_bytes_in += payload_bytes
-        self.chunks_routed += len(rest)
-        journey = obs_provenance._tracker
-        if journey is not None:
-            for chunk in rest:
-                if chunk.is_data:
-                    journey.chunk("demux", chunk, t=now, **self._shard_labels())
-        connection.last_activity = now
-
-        received = connection.receiver.receive_chunks(rest)
-        self._record_touches(connection)
-        if received.connection_closed:
-            self.table.mark_closed(connection, now)
-            if journey is not None:
-                journey.emit(
-                    "closed", cid, 0, 0, t=now, level="conn", **self._shard_labels()
-                )
-        previous = events.per_connection.get(cid)
-        if previous is None:
-            events.per_connection[cid] = received
-        else:
-            previous.verdicts.extend(received.verdicts)
-            previous.completed_frames.extend(received.completed_frames)
-            previous.connection_closed |= received.connection_closed
-            previous.chunks.extend(received.chunks)
 
     def _try_establish(
         self,
@@ -543,19 +529,19 @@ class ChunkEndpoint:
         """Establish (or attach a receiver session) from *group*.
 
         A SIGNALING chunk carries the conversation's parameters; DATA
-        alone never establishes.
+        alone never establishes.  Its one parse configures the receiver,
+        which parses only SIGNALING bytes that differ from it.
         """
         if cid in self.table.evicted_ids:
             return None
-        config: ConnectionConfig | None = None
         for chunk in group:
-            if chunk.type is ChunkType.SIGNALING:
+            if chunk.type is _SIGNALING:
                 try:
                     config = parse_signaling_chunk(chunk)
                 except SignalingError:
                     continue  # the session's strict parser counts it
                 break
-        if config is None:
+        else:
             return None
         if existing is not None and existing.state is ConnectionState.CLOSED:
             return None  # a lingering entry only re-ACKs; it attaches nothing new
@@ -582,6 +568,7 @@ class ChunkEndpoint:
             config=config,
             stream=PlacementBuffer(limit_bytes=None, budget=self.budget, budget_key=cid),
         )
+        receiver._signaled = chunk.payload
         session = ReliableReceiver(
             transmit=None,
             mtu=self.mtu,
@@ -619,7 +606,7 @@ class ChunkEndpoint:
         journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
-                if chunk.is_data:
+                if chunk.type is _DATA:
                     journey.chunk(
                         "refused", chunk, t=self.loop.now, reason=reason,
                         **self._shard_labels(),
@@ -627,14 +614,12 @@ class ChunkEndpoint:
 
     def _record_touches(self, connection: Connection) -> None:
         """Per-connection touch accounting: fresh stream placements are
-        the single NIC→application bus crossing (Figure 1)."""
+        the single NIC->application bus crossing (Figure 1)."""
         assert connection.receiver is not None
         placed = connection.receiver.receiver.stream.bytes_placed
-        delta = placed - connection._touched_bytes
-        if delta <= 0:
-            return
-        connection._touched_bytes = placed
-        connection.ledger.record("nic-to-app", delta)
+        if placed > connection._touched_bytes:
+            connection.ledger.record("nic-to-app", placed - connection._touched_bytes)
+            connection._touched_bytes = placed
 
     # ------------------------------------------------------------------
     # Lifecycle

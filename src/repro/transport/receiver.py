@@ -138,6 +138,8 @@ class ChunkTransportReceiver:
     #: the in-order arrival frontier (next C.SN if nothing reordered);
     #: feeds the out-of-order distance histogram.
     _frontier_sn: int = 0
+    #: the SIGNALING payload that configured this receiver: never parsed again.
+    _signaled: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.frames = FrameStore(self.stream)
@@ -170,8 +172,7 @@ class ChunkTransportReceiver:
         in the same envelope.
         """
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
-        events = ReceiverEvents()
-        events.chunks = list(chunks)
+        events = ReceiverEvents(chunks=list(chunks))
         return self._receive(events.chunks, events, before)
 
     # ------------------------------------------------------------------
@@ -233,7 +234,8 @@ class ChunkTransportReceiver:
                     if journey is not None:
                         journey.chunk("refused", chunk, reason="bounds", **_site(framed))
             elif ctype is _SIGNALING:
-                self._handle_signaling(chunk)
+                if payload != self._signaled:
+                    self._handle_signaling(chunk)
                 continue
             elif ctype is not _ED:
                 self.unknown_type_chunks += 1
@@ -259,7 +261,7 @@ class ChunkTransportReceiver:
             self.signaling_rejected += 1
             return
         if self.config is None:
-            self.config = config
+            self.config, self._signaled = config, chunk.payload
 
     # ------------------------------------------------------------------
 

@@ -43,6 +43,7 @@ _RECEIVER_TALLIES = Tallies(
     {"ack_batches": ("transport", "ack_batches", "ACK packet flushes")}
 )
 _ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
+_DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION  # a member read is ~0.1 µs on 3.11
 
 
 @dataclass
@@ -159,21 +160,22 @@ class ReliableSender:
         journey = obs_provenance._tracker
         if journey is not None:
             for chunk in new_chunks:
-                if chunk.type is ChunkType.DATA:
+                if chunk.type is _DATA:
                     journey.chunk("formed", chunk, t=self.loop.now)
         self._ship(chunks)
         for chunk in new_chunks:
-            if chunk.type is ChunkType.ERROR_DETECTION:
+            if chunk.type is _ED:
                 self._arm(chunk.t_id)
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
         """Process an arriving ACK chunk (possibly piggybacked)."""
         before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
         self._acked_once = True
-        for t_id in parse_ack_chunk(chunk):
-            self.acks_received += 1
-            if t_id in self._outstanding:
-                state = self._outstanding.pop(t_id)
+        t_ids = parse_ack_chunk(chunk)
+        self.acks_received += len(t_ids)
+        for t_id in t_ids:
+            state = self._outstanding.pop(t_id, None)
+            if state is not None:
                 self.sender.acknowledge(t_id)
                 if self.policy is not None and state.retries == 0:
                     self._resize(self.policy.on_first_try_success())
@@ -246,7 +248,7 @@ class ReliableSender:
         chunks = self.sender.retransmit(t_id)
         if journey is not None:
             for chunk in chunks:
-                if chunk.type is ChunkType.DATA:
+                if chunk.type is _DATA:
                     journey.chunk("retransmit", chunk, t=self.loop.now, gen=state.retries)
         if self.resignal_until_acked and not self._acked_once:
             chunks.insert(0, self.sender.establishment_chunk())
@@ -301,15 +303,12 @@ class ReliableReceiver:
         return events
 
     def _acknowledge(self, events: ReceiverEvents) -> None:
-        to_ack = [v.t_id for v in events.verdicts if v.ok]
+        to_ack = [verdict.t_id for verdict in events.verdicts if verdict.ok]
         # Re-acknowledge retransmissions of already verified TPDUs,
         # whose verdicts fired earlier (the original ACK may be lost).
+        verified = self._verified
         for chunk in events.chunks:
-            if (
-                chunk.type is ChunkType.ERROR_DETECTION
-                and chunk.t_id in self._verified
-                and chunk.t_id not in to_ack
-            ):
+            if chunk.type is _ED and chunk.t_id in verified and chunk.t_id not in to_ack:
                 to_ack.append(chunk.t_id)
         if to_ack:
             self._verified.update(to_ack)

@@ -204,9 +204,10 @@ class ShardedEndpoint:
         """Decode *frame* once and dispatch its chunks to owning shards.
 
         Label-driven demux (Section 2) applied one level up: only chunk
-        headers are read and no per-connection state is kept.  The
-        per-connection event dictionaries are disjoint across shards by
-        construction, so merging is a plain union.
+        headers are read, each C.ID is hashed once per packet, and no
+        per-connection state is kept.  A packet for one shard returns that
+        shard's events; the per-connection event dictionaries are disjoint
+        across shards by construction, so merging several is a plain union.
         """
         self.packets_received += 1
         try:
@@ -215,10 +216,17 @@ class ShardedEndpoint:
             self.decode_failures += 1
             return EndpointEvents(decode_failed=True)
         count = len(self._shards)
+        shard_of: dict[int, int] = {}
         groups: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
-            groups.setdefault(shard_for(chunk.c_id, count), []).append(chunk)
-        if len(groups) > 1:
+            index = shard_of.get(chunk.c_id)
+            if index is None:
+                index = shard_of[chunk.c_id] = shard_for(chunk.c_id, count)
+            groups.setdefault(index, []).append(chunk)
+        if len(groups) == 1:
+            [(index, chunks)] = groups.items()
+            return self._shards[index].endpoint.receive_chunks(chunks)
+        if groups:
             before = _TALLIES.read(self) if obs_runtime._registry is not None else None
             self.fanout_packets += 1
             if before is not None:

@@ -28,7 +28,7 @@ from repro.core.virtual import PduState
 from repro.obs import Tallies
 from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
-from repro.wsc.invariant import EdPayload, TpduInvariant, parse_ed_chunk
+from repro.wsc.invariant import _ED_PAYLOAD, TpduInvariant, _id_parities
 
 __all__ = [
     "REASON_CODE_MISMATCH",
@@ -58,6 +58,8 @@ _TALLIES = Tallies({
 })
 # An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
 _DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION
+_ED_BYTES = _ED_PAYLOAD.size
+_UNSEEN = object()  # a TPDU with no check yet (None: verdicted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,17 +77,27 @@ class TpduVerdict:
         return f"TPDU c={self.c_id} t={self.t_id}: {status}"
 
 
-class _TpduChecker:
-    """Receiver-side state for one (connection, TPDU) pair: its WSC-2
-    invariant (which holds the IDs), its virtual reassembly, the ED
-    payload once seen, the consistency deltas and the first failure."""
+# A frozen dataclass's __init__ sets each field through object.__setattr__;
+# a verdict is made once per TPDU by setting its slots directly.
+_new_verdict = object.__new__
+_SET_C_ID, _SET_T_ID, _SET_OK, _SET_REASON, _SET_DETAIL = (
+    TpduVerdict.__dict__[name].__set__ for name in ("c_id", "t_id", "ok", "reason", "detail")
+)
 
-    __slots__ = ("invariant", "reassembly", "expected", "c_minus_t", "x_deltas", "failure")
+
+class _TpduCheck(TpduInvariant):
+    """Receiver-side state for one (connection, TPDU) pair, in one slotted
+    record: it *is* the TPDU's WSC-2 invariant (parities and IDs), beside
+    its virtual reassembly, the ED chunk's (P0, P1, unit count) once seen,
+    the consistency deltas and the first failure."""
+
+    __slots__ = ("reassembly", "expected", "c_minus_t", "x_deltas", "failure")
 
     def __init__(self, c_id: int, t_id: int) -> None:
-        self.invariant = TpduInvariant(c_id, t_id)
+        self.c_id, self.t_id = c_id, t_id
+        self.p0, self.p1 = _id_parities(c_id, t_id)
         self.reassembly = PduState()
-        self.expected: EdPayload | None = None
+        self.expected: tuple[int, int, int] | None = None
         self.c_minus_t: int | None = None
         self.x_deltas: dict[int, int] = {}
         self.failure: tuple[str, str] | None = None
@@ -94,57 +106,41 @@ class _TpduChecker:
         if self.failure is None:
             self.failure = (reason, detail)
 
-    # ------------------------------------------------------------------
-
-    def add_ed(self, chunk: Chunk) -> bool:
-        """Record the ED chunk; returns True if the TPDU just completed."""
-        try:
-            payload = parse_ed_chunk(chunk)
-        except ChunkError as exc:
-            self.fail(REASON_REASSEMBLY, str(exc))
-            return False
-        if self.expected is not None and self.expected != payload:
-            self.fail(REASON_CODE_MISMATCH, "conflicting duplicate ED chunks")
-            return False
-        self.expected = payload
-        reassembly = self.reassembly
-        return reassembly.complete or reassembly.received.is_complete(payload.total_units)
-
-    # ------------------------------------------------------------------
-
-    def _verdict(self, reason: str | None = None, detail: str = "") -> TpduVerdict:
-        """The TPDU's verdict: ok exactly when there is no *reason*."""
-        invariant = self.invariant
-        return TpduVerdict(invariant.c_id, invariant.t_id, reason is None, reason, detail)
-
-    def verdict(self) -> TpduVerdict:
-        """Final verdict; call once data + ED indicate completion."""
+    def verdict(self, abandoned: bool = False) -> TpduVerdict:
+        """The TPDU's verdict, ok exactly when it has no reason: at completion
+        (data + ED), at a hard failure, or *abandoned* incomplete."""
         if self.failure is not None:
-            return self._verdict(*self.failure)
-        assert self.expected is not None
-        total = self.reassembly.total_units
-        if total is None:
-            return self._verdict(
-                REASON_REASSEMBLY, "all units present but no T.ST seen (ST bit corrupted?)"
+            reason, detail = self.failure
+        elif abandoned:
+            reason, detail = REASON_REASSEMBLY, (
+                f"virtual reassembly never completed (missing unit ranges "
+                f"{self.reassembly.missing()}, ED {'present' if self.expected else 'absent'})"
             )
-        if total != self.expected.total_units:
-            return self._verdict(
-                REASON_REASSEMBLY,
-                f"reassembled {total} units but ED chunk declares {self.expected.total_units}",
-            )
-        if self.invariant.matches(self.expected.p0, self.expected.p1):
-            return self._verdict()
-        return self._verdict(REASON_CODE_MISMATCH, "WSC-2 invariant differs from received parity")
-
-    def abort_verdict(self) -> TpduVerdict:
-        """Verdict for a TPDU abandoned incomplete (timeout path)."""
-        if self.failure is not None:
-            return self._verdict(*self.failure)
-        return self._verdict(
-            REASON_REASSEMBLY,
-            f"virtual reassembly never completed (missing unit ranges "
-            f"{self.reassembly.missing()}, ED {'present' if self.expected else 'absent'})",
-        )
+        else:
+            assert self.expected is not None
+            p0, p1, total_units = self.expected
+            total = self.reassembly.total_units
+            if total is None:
+                reason, detail = (
+                    REASON_REASSEMBLY, "all units present but no T.ST seen (ST bit corrupted?)"
+                )
+            elif total != total_units:
+                reason, detail = REASON_REASSEMBLY, (
+                    f"reassembled {total} units but ED chunk declares {total_units}"
+                )
+            elif self.p0 == p0 and self.p1 == p1:
+                reason, detail = None, ""
+            else:
+                reason, detail = (
+                    REASON_CODE_MISMATCH, "WSC-2 invariant differs from received parity"
+                )
+        verdict = _new_verdict(TpduVerdict)
+        _SET_C_ID(verdict, self.c_id)
+        _SET_T_ID(verdict, self.t_id)
+        _SET_OK(verdict, reason is None)
+        _SET_REASON(verdict, reason)
+        _SET_DETAIL(verdict, detail)
+        return verdict
 
 
 @dataclass
@@ -157,9 +153,9 @@ class EndToEndReceiver:
     at teardown to classify TPDUs that never completed.
     """
 
-    #: in-flight checkers; a verdicted TPDU keeps its key with ``None`` so a
+    #: in-flight checks; a verdicted TPDU keeps its key with ``None`` so a
     #: late duplicate is recognised without keeping the TPDU's state alive.
-    _checkers: dict[tuple[int, int], _TpduChecker | None] = field(default_factory=dict)
+    _checkers: dict[tuple[int, int], _TpduCheck | None] = field(default_factory=dict)
     verified: int = 0
     corrupted: int = 0
     #: corrupted TPDUs by Table 1 reason code.
@@ -173,42 +169,54 @@ class EndToEndReceiver:
         A DATA chunk is one step on its label: virtual reassembly (Table 1's
         "Reassembly Error" rows), its fresh units into the invariant, then
         the (C.SN - T.SN) and (C.SN - X.SN) "Consistency Check" rows; the
-        rest is left to the WSC-2 code at completion."""
+        rest is left to the WSC-2 code at completion.  An ED chunk's
+        payload is unpacked where it lands."""
         ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
         if ctype is not _DATA and ctype is not _ED:
             return []  # signaling/ACK chunks are not TPDU-framed data
         key = (c_id, t_id)
-        try:
-            checker = self._checkers[key]
-        except KeyError:
-            checker = self._checkers[key] = _TpduChecker(c_id, t_id)
-        if checker is None:
+        checks = self._checkers
+        check = checks.get(key, _UNSEEN)
+        if check is _UNSEEN:
+            check = checks[key] = _TpduCheck(c_id, t_id)
+        elif check is None:
             return []  # late duplicate of an already-verdicted TPDU
+        reassembly = check.reassembly
         if ctype is _ED:
-            done = checker.add_ed(chunk)
+            done = False
+            if len(payload) != _ED_BYTES:
+                check.fail(
+                    REASON_REASSEMBLY, f"ED payload must be {_ED_BYTES} bytes, got {len(payload)}"
+                )
+            elif check.expected is None:
+                check.expected = expected = _ED_PAYLOAD.unpack(payload)
+                done = reassembly.complete or reassembly.received.is_complete(expected[2])
+            elif check.expected != _ED_PAYLOAD.unpack(payload):
+                check.fail(REASON_CODE_MISMATCH, "conflicting duplicate ED chunks")
+            else:
+                done = reassembly.complete or reassembly.received.is_complete(check.expected[2])
         else:
-            reassembly = checker.reassembly
             try:
-                arrival = reassembly.record(t_sn, length, t_st)
-                for start, end in arrival.fresh_ranges:  # one, unless a partial duplicate
-                    checker.invariant.add_units(chunk, start - t_sn, end - t_sn)
+                _, _, fresh_ranges, completed = reassembly.record(t_sn, length, t_st)
+                for start, end in fresh_ranges:  # one, unless a partial duplicate
+                    check.add_units(chunk, start - t_sn, end - t_sn)
             except (VirtualReassemblyError, ChunkError) as exc:
-                checker.fail(REASON_REASSEMBLY, str(exc))
+                check.fail(REASON_REASSEMBLY, str(exc))
                 done = False
             else:
                 # Consistency checks (Section 4, last paragraph).
                 delta = c_sn - t_sn
-                if checker.c_minus_t is None:
-                    checker.c_minus_t = delta
-                elif delta != checker.c_minus_t:
-                    checker.fail(
+                if check.c_minus_t is None:
+                    check.c_minus_t = delta
+                elif delta != check.c_minus_t:
+                    check.fail(
                         REASON_CONSISTENCY,
-                        f"(C.SN - T.SN) changed from {checker.c_minus_t} to {delta}",
+                        f"(C.SN - T.SN) changed from {check.c_minus_t} to {delta}",
                     )
                 delta = c_sn - x_sn
-                known = checker.x_deltas.setdefault(x_id, delta)
+                known = check.x_deltas.setdefault(x_id, delta)
                 if delta != known:
-                    checker.fail(
+                    check.fail(
                         REASON_CONSISTENCY,
                         f"(C.SN - X.SN) for X.ID {x_id} changed from {known} to {delta}",
                     )
@@ -216,34 +224,34 @@ class EndToEndReceiver:
                 # arrived: if every unit [0, total) is present but the ST bit
                 # was corrupted away, virtual reassembly alone would wait
                 # forever; the count makes that an immediate verdict.
-                expected = checker.expected
-                done = arrival.completed or (
-                    expected is not None and reassembly.received.is_complete(expected.total_units)
+                expected = check.expected
+                done = completed or (
+                    expected is not None and reassembly.received.is_complete(expected[2])
                 )
         # Hard structural failures need not wait for completion.
-        if (done and checker.expected is not None) or (
-            checker.failure is not None and checker.failure[0] != REASON_CODE_MISMATCH
+        if not (done and check.expected is not None) and (
+            check.failure is None or check.failure[0] == REASON_CODE_MISMATCH
         ):
-            self._checkers[key] = None
-            verdict = checker.verdict()
-            self._count(verdict)
-            return [verdict]
-        return []
+            return []
+        checks[key] = None
+        verdict = check.verdict()
+        self._count(verdict)
+        return [verdict]
 
     def abort_pending(self) -> list[TpduVerdict]:
         """Classify every unfinished TPDU as a reassembly failure."""
         verdicts = []
-        for key, checker in self._checkers.items():
-            if checker is not None:
+        for key, check in self._checkers.items():
+            if check is not None:
                 self._checkers[key] = None
-                verdict = checker.abort_verdict()
+                verdict = check.verdict(abandoned=True)
                 self._count(verdict)
                 verdicts.append(verdict)
         return verdicts
 
     def pending(self) -> list[tuple[int, int]]:
         """(C.ID, T.ID) keys of TPDUs still awaiting data or ED."""
-        return [key for key, checker in self._checkers.items() if checker is not None]
+        return [key for key, check in self._checkers.items() if check is not None]
 
     def evict(self, c_id: int, t_id: int) -> None:
         """Drop state for a verdicted TPDU."""

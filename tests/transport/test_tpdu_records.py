@@ -1,10 +1,11 @@
-"""A TPDU's check is a few slotted records, and a chunk's is none.
+"""A TPDU's check is one slotted record beside its reassembly, and a
+chunk's is none.
 
 The receiver verifies each TPDU incrementally (Section 4): per in-flight
-TPDU it keeps a checker whose WSC-2 invariant *is* the parity
-accumulator and whose virtual reassembly is one interval set; per chunk
-it keeps nothing.  These guards fail if a wrapper object, a per-instance
-``__dict__`` or a stored per-chunk arrival comes back.
+TPDU it keeps one check record that *is* the TPDU's WSC-2 invariant (the
+parity accumulator) and holds its virtual reassembly, one interval set;
+per chunk it keeps nothing.  These guards fail if a wrapper object, a
+per-instance ``__dict__`` or a stored per-chunk arrival comes back.
 """
 
 from __future__ import annotations
@@ -43,11 +44,11 @@ def test_pending_tpdus_hold_slotted_records_and_no_arrivals():
     checkers = [c for c in receiver.verifier._checkers.values() if c is not None]
     assert len(checkers) == len(receiver.pending_tpdus()) == 4
     for checker in checkers:
-        invariant, reassembly = checker.invariant, checker.reassembly
-        assert type(invariant) is TpduInvariant and isinstance(invariant, Wsc2Accumulator)
-        assert invariant.accumulator is invariant
+        reassembly = checker.reassembly
+        assert isinstance(checker, TpduInvariant) and isinstance(checker, Wsc2Accumulator)
+        assert checker.accumulator is checker
         assert type(reassembly) is PduState and reassembly.complete
-        for record in (checker, invariant, reassembly):
+        for record in (checker, reassembly):
             assert not hasattr(record, "__dict__"), type(record).__name__
     assert _reachable(receiver, Arrival) == 0
 

@@ -27,10 +27,11 @@ from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes
 from tests.conftest import make_chunk
 
 WEIGHTS = {"T.ID": alpha_pow(T_ID_POS), "C.ID": alpha_pow(C_ID_POS)}
-#: the multipliers the invariant runs, beside fresh ones built here.
+#: the multipliers the invariant runs, beside fresh ones built here: C.ID's
+#: is the T.ID table applied to alpha * C.ID, read off the ID rows' parities.
 RUNNING = {
     "T.ID": invariant_module._times_t_id_weight,
-    "C.ID": invariant_module._times_c_id_weight,
+    "C.ID": lambda value: invariant_module._id_parities(value, 0)[1],
 }
 EDGES = [0, 1, 0xFFFFFFFF, *(1 << bit for bit in range(32))]
 

@@ -158,6 +158,27 @@ class TestImplementationEqualsPositionMap:
                 expected.add_symbol(base + 1, int(x_st))
         assert invariant.value() == expected.value()
 
+    @pytest.mark.parametrize(
+        "x_id, x_st, t_st",
+        [
+            (0, False, True), (0, True, False), (0, True, True),
+            (2**32 - 1, False, True), (2**32 - 2, True, False), (0x31, True, True),
+        ],
+    )
+    def test_x_pair_equals_the_oracle(self, x_id, x_st, t_st):
+        """An X.ID of 0 is skipped (it adds 0) while X.ST's 1 and its
+        weight still count; an X.ID near 2**32 goes through in full."""
+        chunk = make_chunk(units=5, t_sn=10, c_id=7, t_id=9, x_id=x_id, t_st=t_st, x_st=x_st)
+        invariant = TpduInvariant(7, 9)
+        invariant.add_chunk(chunk)
+        expected = Wsc2Accumulator()
+        expected.add_symbol(T_ID_POS, 9)
+        expected.add_symbol(C_ID_POS, 7)
+        expected.add_run(10, symbols_from_bytes(chunk.payload))
+        expected.add_symbol(X_PAIR_BASE + 2 * 14, x_id)
+        expected.add_symbol(X_PAIR_BASE + 2 * 14 + 1, int(x_st))
+        assert invariant.value() == expected.value()
+
     def test_kernel_state_is_bounded_and_immutable(self):
         masks = wsc2_module._LANE_MASKS
         acc = Wsc2Accumulator()
