@@ -115,10 +115,9 @@ def pack_chunks(
     current: list[Chunk] = []
     used = 0
     for chunk in chunks:
-        need = HEADER_BYTES + len(chunk.payload)
-        # A chunk that fits is its own only piece; the cut starts otherwise.
-        pieces = (chunk,) if need <= budget else fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES)
-        for piece in pieces:
+        # A chunk that fits is its own only piece: only one that does not is cut.
+        fits = HEADER_BYTES + len(chunk.payload) <= budget
+        for piece in (chunk,) if fits else fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES):
             need = HEADER_BYTES + len(piece.payload)
             if current and used + need > budget:
                 packets.append(Packet(current, size))

@@ -118,7 +118,7 @@ class EgressPacker:
         if count == 1:  # one lane is FIFO
             drained, self._lanes[0] = self._lanes[0], []
             return drained
-        lanes = [self._lanes[(self._first_lane + offset) % count] for offset in range(count)]
+        lanes = self._lanes[self._first_lane :] + self._lanes[: self._first_lane]
         self._first_lane = (self._first_lane + 1) % count
         drained = [
             chunk

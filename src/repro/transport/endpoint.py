@@ -224,7 +224,7 @@ class ConnectionTable:
         return self.connections.get(connection_id)
 
     def add(self, connection: Connection) -> None:
-        cid = connection.connection_id
+        cid = connection.config.connection_id
         if cid in self.connections:
             raise EndpointError(f"C.ID {cid} is already in the connection table")
         self.connections[cid] = connection
@@ -614,7 +614,7 @@ class ChunkEndpoint:
 
     def _record_touches(self, connection: Connection) -> None:
         """Per-connection touch accounting: fresh stream placements are
-        the single NIC->application bus crossing (Figure 1)."""
+        the single NIC→application bus crossing (Figure 1)."""
         assert connection.receiver is not None
         placed = connection.receiver.receiver.stream.bytes_placed
         if placed > connection._touched_bytes:

@@ -43,7 +43,7 @@ _RECEIVER_TALLIES = Tallies(
     {"ack_batches": ("transport", "ack_batches", "ACK packet flushes")}
 )
 _ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
-_DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION  # a member read is ~0.1 µs on 3.11
+_ED = ChunkType.ERROR_DETECTION  # an enum member read is ~0.1 µs on CPython 3.11
 
 
 @dataclass
@@ -160,7 +160,7 @@ class ReliableSender:
         journey = obs_provenance._tracker
         if journey is not None:
             for chunk in new_chunks:
-                if chunk.type is _DATA:
+                if chunk.type is ChunkType.DATA:
                     journey.chunk("formed", chunk, t=self.loop.now)
         self._ship(chunks)
         for chunk in new_chunks:
@@ -248,7 +248,7 @@ class ReliableSender:
         chunks = self.sender.retransmit(t_id)
         if journey is not None:
             for chunk in chunks:
-                if chunk.type is _DATA:
+                if chunk.type is ChunkType.DATA:
                     journey.chunk("retransmit", chunk, t=self.loop.now, gen=state.retries)
         if self.resignal_until_acked and not self._acked_once:
             chunks.insert(0, self.sender.establishment_chunk())
@@ -303,7 +303,7 @@ class ReliableReceiver:
         return events
 
     def _acknowledge(self, events: ReceiverEvents) -> None:
-        to_ack = [verdict.t_id for verdict in events.verdicts if verdict.ok]
+        to_ack = [v.t_id for v in events.verdicts if v.ok]
         # Re-acknowledge retransmissions of already verified TPDUs,
         # whose verdicts fired earlier (the original ACK may be lost).
         verified = self._verified

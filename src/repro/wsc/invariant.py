@@ -28,9 +28,9 @@ are cached by final T.SN — and none on a payload run's either:
 is T.ID's times alpha, so the two IDs are one table product per TPDU:
 ``w_T * t_id + w_T * alpha * c_id = w_T * (t_id + alpha * c_id)``.  An
 X.ID of 0 adds 0 to both parities and is skipped; the rest go through the
-bit-serial ``gf_mul``, whose loop runs once per bit of the X.ID (on
-``mux_256`` 1,664 of 2,276 pairs carry X.ID 0 and the others at most two
-bits, 0.49 µs per chunk), which is why there is no X.ID table.
+bit-serial ``gf_mul``, whose loop runs once per bit of the X.ID.  X.IDs
+are frame numbers, small: on ``mux_256`` 1,664 of 2,216 pairs carry 0 and
+the rest at most two bits (0.48 µs per chunk), so there is no X.ID table.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ X_PAIR_BASE = MAX_TPDU_SYMBOLS + 3   # 16387
 # alpha^position of the three fixed rows: constants too.
 _T_ID_WEIGHT, _C_ST_WEIGHT = alpha_pow(T_ID_POS), alpha_pow(C_ST_POS)
 _times_t_id_weight = gf_mul_const(_T_ID_WEIGHT)
-_ALPHA_C_ID = C_ID_POS - T_ID_POS  # C.ID's weight is T.ID's times alpha^1
 
 _ED_PAYLOAD = struct.Struct(">III")
 # An enum member read is ~0.1 µs on CPython 3.11.
@@ -199,7 +198,9 @@ def _id_parities(c_id: int, t_id: int) -> tuple[int, int]:
     """The (P0, P1) the T.ID and C.ID rows contribute: one table product."""
     t_id &= 0xFFFFFFFF
     c_id &= 0xFFFFFFFF
-    alpha_c_id = c_id << _ALPHA_C_ID
+    # C_ID_POS is T_ID_POS + 1, so C.ID's weight is T.ID's times alpha, and
+    # alpha * C.ID is mul_alpha's shift and conditional reduce, inline.
+    alpha_c_id = c_id << 1
     if alpha_c_id > 0xFFFFFFFF:
         alpha_c_id ^= POLY
     return t_id ^ c_id, _times_t_id_weight(t_id ^ alpha_c_id)

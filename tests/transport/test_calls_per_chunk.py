@@ -13,6 +13,13 @@ a reversed MTU-296 transfer is received, and holds two bounds:
   receiver publishes its tallies once per call, and only when a
   registry is installed.
 
+The same count holds the endpoint that carries many conversations to one
+step per packet: over one smoke-scale pass of an end-to-end benchmark
+workload (after a warm-up pass, as ``tests/obs/test_no_calls_uninstalled``
+runs them), every call into ``repro`` — sender, network and receiver —
+per chunk the codec decoded stays at most :data:`CALLS_PER_DECODED_CHUNK`.
+``recv_disorder`` (no endpoint) is the bypass.
+
 Bounds, not exact counts: interpreters differ in what they inline
 (CPython 3.12 inlines comprehensions).
 """
@@ -24,16 +31,34 @@ import random
 import sys
 from collections import Counter
 
+import pytest
+
 import repro
+from bench_e2e import workloads
+from repro.core import codec
 from repro.core import packet as packet_mod
 from repro.core.types import ChunkType
-from repro.obs import active_journey, active_registry, install_journey, uninstall_journey
+from repro.netsim import events as netsim_events
+from repro.obs import (
+    active_flight,
+    active_journey,
+    active_registry,
+    install_flight,
+    install_journey,
+    uninstall_flight,
+    uninstall_journey,
+)
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
 CALLS_PER_DATA_CHUNK = 25
 OBS_CALLS_PER_PACKET = 0
+#: smoke-scale workload -> calls into ``repro`` per decoded chunk (the
+#: values this tree measures on CPython 3.11, rounded up).
+CALLS_PER_DECODED_CHUNK = {"mux_256": 30, "sharded_1k": 36, "recv_disorder": 17}
+SEED = 1993
+SMOKE_SCALE = 1 / 16
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 _OBS = os.path.join(_PACKAGE, "obs") + os.sep
@@ -83,3 +108,49 @@ def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
     obs_per_packet = sum(n for name, n in calls.items() if name.startswith(_OBS)) / packets
     assert per_chunk <= CALLS_PER_DATA_CHUNK, (per_chunk, calls.most_common(8))
     assert obs_per_packet <= OBS_CALLS_PER_PACKET, obs_per_packet
+
+
+def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
+    """(calls into ``repro``, chunks the codec decoded) over one smoke-scale
+    pass of workload *name*, with nothing installed: no journey tracker,
+    flight recorder or event-loop observer (``--simsan``)."""
+    decode = codec._decode.__code__
+    counts = {"calls": 0, "decoded": 0}
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
+            counts["calls"] += 1
+        elif event == "return" and frame.f_code is decode and arg is not None:
+            counts["decoded"] += len(arg[0])  # (chunks, offset)
+
+    assert active_registry() is None
+    tracker, recorder = active_journey(), active_flight()
+    observer = netsim_events.get_schedule_observer()
+    uninstall_journey()
+    uninstall_flight()
+    netsim_events.set_schedule_observer(None)
+    try:
+        workload = workloads.WORKLOADS[name]
+        workload.run(workload.build(SEED, SMOKE_SCALE))  # warm-up
+        inputs = workload.build(SEED, SMOKE_SCALE)
+        sys.setprofile(count)
+        try:
+            state = workload.run(inputs)
+        finally:
+            sys.setprofile(None)
+    finally:
+        netsim_events.set_schedule_observer(observer)
+        if tracker is not None:
+            install_journey(tracker)
+        if recorder is not None:
+            install_flight(recorder)
+    result = workload.check(inputs, state)
+    assert not result.failed, result.problems
+    return counts["calls"], counts["decoded"]
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_DECODED_CHUNK))
+def test_a_workload_pass_is_one_step_per_decoded_chunk(name):
+    calls, decoded = calls_per_decoded_chunk(name)
+    assert decoded > 100
+    assert calls / decoded <= CALLS_PER_DECODED_CHUNK[name], (calls, decoded)

@@ -103,3 +103,34 @@ def test_receiver_counts_rejections_and_keeps_config_unset():
     assert receiver.config is None
     receiver.receive_chunks([build_signaling_chunk(ConnectionConfig(connection_id=5))])
     assert receiver.config is not None
+
+
+def test_the_endpoint_parse_configures_the_receiver_and_only_new_bytes_are_reparsed(
+    monkeypatch,
+):
+    """One parse per establishment: the endpoint's configures the receiver,
+    a repeat of the same bytes is not parsed again, and SIG bytes that
+    differ still meet the strict parser (and are counted when refused)."""
+    from repro.netsim.events import EventLoop
+    from repro.transport import receiver as receiver_module
+    from repro.transport.endpoint import ChunkEndpoint
+
+    parses = []
+
+    def counting_parse(chunk):
+        parses.append(chunk.payload)
+        return parse_signaling_chunk(chunk)
+
+    monkeypatch.setattr(receiver_module, "parse_signaling_chunk", counting_parse)
+    config = ConnectionConfig(connection_id=5, tpdu_units=64)
+    sig = build_signaling_chunk(config)
+    endpoint = ChunkEndpoint(EventLoop())
+    endpoint.receive_chunks([sig, sig])
+    inner = endpoint.connection(5).receiver.receiver
+    assert inner.config == config and parses == []
+    endpoint.receive_chunks([sig])
+    assert parses == [] and inner.signaling_rejected == 0
+
+    endpoint.receive_chunks([raw_signaling(reserved1=9), raw_signaling(tpdu_units=32)])
+    assert len(parses) == 2
+    assert inner.signaling_rejected == 1 and inner.config == config

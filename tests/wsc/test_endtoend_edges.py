@@ -94,3 +94,32 @@ class TestStateManagement:
             receiver.receive(chunk)
         assert receiver.verified == 1
         assert receiver.corrupted == 1
+
+
+class TestVerdictRecords:
+    def test_a_verdict_equals_what_its_constructor_makes(self):
+        """Verdicts set their frozen slots directly; they must be the very
+        records ``TpduVerdict(...)`` makes: equal, same hash, same repr,
+        still frozen."""
+        import dataclasses
+
+        import pytest
+
+        from repro.wsc.endtoend import REASON_CODE_MISMATCH, TpduVerdict
+
+        def verdicts(arriving):
+            receiver = EndToEndReceiver()
+            return [v for chunk in arriving for v in receiver.receive(chunk)]
+
+        chunks, ed = _tpdu(connection_id=7)
+        bad = chunks[0].replace(payload=bytes(len(chunks[0].payload)))
+        made = verdicts([*chunks, ed]) + verdicts([bad, *chunks[1:], ed])
+        expected = [
+            TpduVerdict(7, 0, True),
+            TpduVerdict(7, 0, False, REASON_CODE_MISMATCH,
+                        "WSC-2 invariant differs from received parity"),
+        ]
+        for verdict, twin in zip(made, expected, strict=True):
+            assert verdict == twin and hash(verdict) == hash(twin) and repr(verdict) == repr(twin)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                verdict.ok = not verdict.ok
