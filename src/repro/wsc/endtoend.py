@@ -59,7 +59,6 @@ _TALLIES = Tallies({
 # An enum member read is ~0.1 µs on CPython 3.11: the per-chunk path reads these.
 _DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION
 _ED_BYTES = _ED_PAYLOAD.size
-_UNSEEN = object()  # a TPDU with no check yet (None: verdicted)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +78,6 @@ class TpduVerdict:
 
 # A frozen dataclass's __init__ sets each field through object.__setattr__;
 # a verdict is made once per TPDU by setting its slots directly.
-_new_verdict = object.__new__
 _SET_C_ID, _SET_T_ID, _SET_OK, _SET_REASON, _SET_DETAIL = (
     TpduVerdict.__dict__[name].__set__ for name in ("c_id", "t_id", "ok", "reason", "detail")
 )
@@ -134,7 +132,7 @@ class _TpduCheck(TpduInvariant):
                 reason, detail = (
                     REASON_CODE_MISMATCH, "WSC-2 invariant differs from received parity"
                 )
-        verdict = _new_verdict(TpduVerdict)
+        verdict = TpduVerdict.__new__(TpduVerdict)
         _SET_C_ID(verdict, self.c_id)
         _SET_T_ID(verdict, self.t_id)
         _SET_OK(verdict, reason is None)
@@ -176,11 +174,11 @@ class EndToEndReceiver:
             return []  # signaling/ACK chunks are not TPDU-framed data
         key = (c_id, t_id)
         checks = self._checkers
-        check = checks.get(key, _UNSEEN)
-        if check is _UNSEEN:
+        check = checks.get(key)
+        if check is None:
+            if key in checks:
+                return []  # late duplicate of an already-verdicted TPDU
             check = checks[key] = _TpduCheck(c_id, t_id)
-        elif check is None:
-            return []  # late duplicate of an already-verdicted TPDU
         reassembly = check.reassembly
         if ctype is _ED:
             done = False

@@ -65,6 +65,7 @@ class TestAckChunks:
     @pytest.mark.parametrize("count", [1, 2, 63, 64])
     def test_roundtrip_through_the_wire_at_every_size(self, count):
         from repro.core.codec import decode_chunk, encode_chunk
+
         from tests.properties.test_chunk_record import assert_constructible
 
         t_ids = [0, 2**32 - 1, *range(7, 7 + count - 2)][:count]
