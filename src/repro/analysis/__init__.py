@@ -4,8 +4,8 @@ The chunk design only works because the wire format is rigidly
 self-describing: a 44-byte fixed-field header whose widths, flag bits
 and sentinels are tabled in :mod:`repro.core.wire_table` but historically
 enforced by a single ``assert`` and hand-discipline.  This subsystem
-turns those conventions into machine-checked invariants that run before
-the test suite does:
+turns those conventions into machine-checked invariants that tier-1
+tests enforce:
 
 - ``wire-width`` — every literal ``struct`` format string names
   network byte order (the one wire property a same-host round trip
@@ -49,14 +49,15 @@ cross-run nondeterminism diffs, and — for a watched
 :class:`~repro.transport.shard.ShardedEndpoint` — fails when an event
 one shard runs changes another shard's state.
 
-Run the analyzer as ``python -m repro.analysis`` or via the
-``protolint`` console script (see :mod:`repro.analysis.cli`).
+The analyzer has no command line: ``tests/analysis/test_tree_is_clean.py``
+runs each pass over ``src/repro``, ``benchmarks`` and ``examples`` as
+one tier-1 test id (``test_tree_is_clean[<pass-id>]``), and any finding
+fails it.
 """
 
 from __future__ import annotations
 
 from repro.analysis import simsan
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.core import Finding, ModuleUnit, Pass, run_passes
 from repro.analysis.modelcheck import ModelCheckResult, ModelConfig, explore
 from repro.analysis.passes import all_passes
@@ -67,8 +68,6 @@ __all__ = [
     "Pass",
     "run_passes",
     "all_passes",
-    "load_baseline",
-    "write_baseline",
     "simsan",
     "ModelConfig",
     "ModelCheckResult",

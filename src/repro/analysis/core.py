@@ -2,14 +2,13 @@
 
 A :class:`Pass` examines one :class:`ModuleUnit` (a parsed source file)
 at a time and yields :class:`Finding` objects.  The runner applies
-inline suppressions (``# protolint: ignore[<pass-id>]``) and leaves
-baseline filtering to :mod:`repro.analysis.baseline`.
+inline suppressions (``# protolint: ignore[<pass-id>]``), the only way
+to silence a finding.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,41 +82,21 @@ class Finding:
     Attributes:
         pass_id: id of the pass that produced it (e.g. ``wire-width``).
         path: file path as given to the runner (posix, repo-relative
-            when invoked from the repo root).
+            when the units were collected that way).
         line: 1-based source line.
         message: human-readable description.
-        severity: ``"error"`` (exit-affecting by default) or
-            ``"warning"`` (exit-affecting only under ``--strict``).
         symbol: stable key naming *what* is wrong (a variable, function
-            or format string) so fingerprints survive line-number churn.
+            or format string).
     """
 
     pass_id: str
     path: str
     line: int
     message: str
-    severity: str = "error"
     symbol: str = ""
 
-    @property
-    def fingerprint(self) -> str:
-        """Stable id used by the baseline file (line numbers excluded)."""
-        key = f"{self.pass_id}|{self.path}|{self.symbol or self.message}"
-        return hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
-        return f"{self.path}:{self.line}: [{self.pass_id}] {self.severity}: {self.message}"
-
-    def to_json(self) -> dict[str, object]:
-        return {
-            "pass": self.pass_id,
-            "path": self.path,
-            "line": self.line,
-            "severity": self.severity,
-            "message": self.message,
-            "symbol": self.symbol,
-            "fingerprint": self.fingerprint,
-        }
+        return f"{self.path}:{self.line}: {self.pass_id} {self.message}"
 
 
 def module_name_for_path(path: Path) -> str:
@@ -167,6 +146,8 @@ class ModuleUnit:
 
     @classmethod
     def from_path(cls, path: Path, display_path: str | None = None) -> "ModuleUnit":
+        """Parse *path*; a repo-relative *display_path* also names the module,
+        so the directory the tree sits in cannot shift the ``repro`` anchor."""
         source = path.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(path))
@@ -174,7 +155,7 @@ class ModuleUnit:
             raise AnalysisError(f"{path}: cannot parse: {exc}") from exc
         return cls(
             path=path,
-            module=module_name_for_path(path),
+            module=module_name_for_path(Path(display_path) if display_path else path),
             source=source,
             tree=tree,
             display_path=display_path or path.as_posix(),
@@ -214,7 +195,6 @@ class Pass:
         message: str,
         *,
         symbol: str = "",
-        severity: str = "error",
     ) -> Finding:
         line = node if isinstance(node, int) else getattr(node, "lineno", 1)
         return Finding(
@@ -222,7 +202,6 @@ class Pass:
             path=unit.display_path,
             line=line,
             message=message,
-            severity=severity,
             symbol=symbol,
         )
 
@@ -250,85 +229,48 @@ class ProjectPass(Pass):
         message: str,
         *,
         symbol: str = "",
-        severity: str = "error",
     ) -> Finding:
         return Finding(
             pass_id=self.id,
             path=path,
             line=line,
             message=message,
-            severity=severity,
             symbol=symbol,
         )
 
 
-def run_passes(
-    units: Iterable[ModuleUnit], passes: Iterable[Pass], jobs: int = 1
-) -> list[Finding]:
+def run_passes(units: Iterable[ModuleUnit], passes: Iterable[Pass]) -> list[Finding]:
     """Run every pass over every unit, dropping suppressed findings.
 
     Per-module passes see one unit at a time; :class:`ProjectPass`
     instances run once against a :class:`ProjectGraph` built from the
     full unit list — the graph and every module AST are built exactly
-    once per invocation and shared across all passes.  Inline
-    suppressions apply to both kinds.
-
-    ``jobs`` > 1 runs passes in a thread pool, one task per pass.  The
-    final ``(path, line, pass_id, message)`` sort makes the output
-    independent of scheduling, so parallel runs are byte-identical to
-    serial ones.
+    once per call and shared across all passes.  Inline suppressions
+    apply to both kinds.  Findings come back sorted by
+    ``(path, line, pass_id, message)``.
     """
     unit_list = list(units)
     pass_list = list(passes)
-    module_passes = [p for p in pass_list if not isinstance(p, ProjectPass)]
-    project_passes = [p for p in pass_list if isinstance(p, ProjectPass)]
-
     by_path: dict[str, ModuleUnit] = {u.display_path: u for u in unit_list}
-    graph: "ProjectGraph | None" = None
+    findings: list[Finding] = []
+    for pass_ in pass_list:
+        if not isinstance(pass_, ProjectPass):
+            for unit in unit_list:
+                findings.extend(
+                    found
+                    for found in pass_.check(unit)
+                    if not unit.is_suppressed(found.line, pass_.id)
+                )
+    project_passes = [p for p in pass_list if isinstance(p, ProjectPass)]
     if project_passes:
         from repro.analysis.graph import ProjectGraph  # local: avoid import cycle
 
         graph = ProjectGraph(unit_list)
-
-    def run_module_pass(pass_: Pass) -> list[Finding]:
-        out: list[Finding] = []
-        for unit in unit_list:
-            for found in pass_.check(unit):
-                if not unit.is_suppressed(found.line, pass_.id):
-                    out.append(found)
-        return out
-
-    def run_project_pass(pass_: ProjectPass) -> list[Finding]:
-        assert graph is not None
-        out: list[Finding] = []
-        for found in pass_.check_project(graph):
-            unit = by_path.get(found.path)
-            if unit is not None and unit.is_suppressed(found.line, pass_.id):
-                continue
-            out.append(found)
-        return out
-
-    tasks: list[tuple[Pass, bool]] = [(p, False) for p in module_passes]
-    tasks.extend((p, True) for p in project_passes)
-
-    def run_one(task: tuple[Pass, bool]) -> list[Finding]:
-        pass_, is_project = task
-        if is_project:
-            assert isinstance(pass_, ProjectPass)
-            return run_project_pass(pass_)
-        return run_module_pass(pass_)
-
-    findings: list[Finding] = []
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for batch in pool.map(run_one, tasks):
-                findings.extend(batch)
-    else:
-        for task in tasks:
-            findings.extend(run_one(task))
-
+        for project_pass in project_passes:
+            for found in project_pass.check_project(graph):
+                unit = by_path.get(found.path)
+                if unit is None or not unit.is_suppressed(found.line, project_pass.id):
+                    findings.append(found)
     findings.sort(key=lambda f: (f.path, f.line, f.pass_id, f.message))
     return findings
 

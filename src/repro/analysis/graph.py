@@ -1,8 +1,8 @@
 """Whole-program import/call graph for the interprocedural passes.
 
 :class:`ProjectGraph` parses nothing itself — it is built from the
-:class:`~repro.analysis.core.ModuleUnit` list the CLI already collected
-— and derives three structures:
+:class:`~repro.analysis.core.ModuleUnit` list its caller collected —
+and derives three structures:
 
 - the **import graph**: which module imports which, with line numbers,
   including the implicit parent-package edges Python creates

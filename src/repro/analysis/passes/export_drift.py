@@ -100,7 +100,6 @@ class ExportDriftPass(Pass):
                 "__all__ is built dynamically and cannot be verified; use a "
                 "literal list of strings",
                 symbol="__all__:dynamic",
-                severity="warning",
             )
             return
 

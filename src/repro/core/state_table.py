@@ -24,9 +24,9 @@ Consumers:
   PR 7 invariants as temporal properties.
 - ``docs/architecture.md`` embeds the rendered table + diagram between
   ``<!-- state-table:begin -->`` / ``<!-- state-table:end -->``
-  markers; ``python -m repro.analysis state-table --write`` regenerates
-  the block, ``--check`` (CI, and ``tests/core/test_state_table.py``)
-  fails when it is stale.
+  markers; ``python -m repro.core.state_table --write`` regenerates the
+  block, ``--check`` (and ``tests/core/test_state_table.py``) fails
+  when it is stale.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ def docs_block(table: StateTable = STATE_TABLE) -> str:
     """The full generated block, marker lines included."""
     parts = [
         BLOCK_BEGIN,
-        "<!-- Generated by `python -m repro.analysis state-table --write`;",
+        "<!-- Generated by `python -m repro.core.state_table --write`;",
         "     `--check` and the lifecycle conformance property hold it. Do not edit. -->",
         "",
         render_markdown(table),
@@ -502,7 +502,7 @@ def row_line(transition_id: str) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis state-table",
+        prog="python -m repro.core.state_table",
         description="render / refresh the generated lifecycle state-machine block",
     )
     parser.add_argument(

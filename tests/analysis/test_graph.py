@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cli import collect_units
 from repro.analysis.core import ModuleUnit, package_of
 from repro.analysis.graph import ProjectGraph
 
@@ -150,7 +149,7 @@ class TestSyntheticOrphans:
 
 @pytest.fixture(scope="module")
 def real_graph() -> ProjectGraph:
-    return ProjectGraph(collect_units([REPO_SRC]))
+    return ProjectGraph([ModuleUnit.from_path(path) for path in sorted(REPO_SRC.rglob("*.py"))])
 
 
 class TestRealTree:
@@ -166,10 +165,10 @@ class TestRealTree:
         assert len(real_graph.import_edges) > 500
 
     def test_resolves_a_known_alias(self, real_graph):
-        # transport/receiver.py does `from repro.netsim.events import
-        # EventLoop` (or equivalent); spot-check one stable alias.
+        # The analysis package re-exports `all_passes`; spot-check that
+        # one stable alias.
         assert (
-            real_graph.resolve_name("repro.analysis.cli", "all_passes")
+            real_graph.resolve_name("repro.analysis", "all_passes")
             == "repro.analysis.passes.all_passes"
         )
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.core import Finding, ModuleUnit, module_name_for_path, run_passes
 from repro.analysis.passes import (
     AmbientAuthorityPass,
@@ -19,7 +17,6 @@ from repro.analysis.passes import (
     ExceptionDisciplinePass,
     ExportDriftPass,
     WireWidthPass,
-    all_passes,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures" / "src" / "repro"
@@ -179,29 +176,3 @@ class TestSuppressionAndFingerprints:
         mod = tmp_path / "suppressed.py"
         mod.write_text('__all__ = ["ghost"]  # protolint: ignore[wire-width]\n')
         assert len(run_passes([unit(mod)], [ExportDriftPass()])) == 1
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        first = tmp_path / "a.py"
-        first.write_text('__all__ = ["ghost"]\n')
-        second = tmp_path / "b.py"
-        second.write_text('\n\n# shifted\n__all__ = ["ghost"]\n')
-        [f1] = ExportDriftPass().check(unit(first))
-        [f2] = ExportDriftPass().check(unit(second))
-        relocated = Finding(
-            pass_id=f2.pass_id,
-            path=f1.path,
-            line=f2.line,
-            message=f2.message,
-            symbol=f2.symbol,
-        )
-        assert f1.line != f2.line
-        assert relocated.fingerprint == f1.fingerprint
-
-
-class TestWholeTree:
-    @pytest.mark.parametrize("pass_obj", all_passes(), ids=lambda p: p.id)
-    def test_real_tree_is_clean(self, pass_obj):
-        units = [
-            ModuleUnit.from_path(path) for path in sorted(REPO_SRC.rglob("*.py"))
-        ]
-        assert run_passes(units, [pass_obj]) == []

@@ -102,6 +102,3 @@ class TestSeamPurity:
             f.symbol == "ambient:time.time" and "endpoint" in f.path
             for f in findings
         ), findings
-
-    def test_real_tree_is_clean(self):
-        assert run_passes(real_units(), [AmbientAuthorityPass()]) == []

@@ -152,7 +152,7 @@ class TestChunkStreamBuilder:
 
     def test_empty_frame_rejected(self):
         builder = ChunkStreamBuilder(connection_id=9, tpdu_units=8)
-        with pytest.raises(ChunkError):
+        with pytest.raises(ChunkError, match="non-empty"):
             builder.add_frame(b"")
 
     def test_custom_tpdu_id_iterator(self):

@@ -69,6 +69,7 @@ class TestQueries:
         assert s.contains(6, 9)
         assert not s.contains(4, 6)
         assert not s.contains(9, 11)
+        assert IntervalSet().contains(5, 5)  # an empty range is always held
 
     def test_membership_operator(self):
         s = IntervalSet()
@@ -100,6 +101,7 @@ class TestQueries:
         s.add(0, 10)
         assert s.is_complete(10)
         assert not s.is_complete(11)
+        assert IntervalSet().is_complete(0)  # nothing to hold, nothing missing
 
     def test_incomplete_with_gap(self):
         s = IntervalSet()

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.state_table import (
@@ -23,6 +28,8 @@ from repro.core.state_table import (
     row_line,
     table_path,
 )
+
+REPO = Path(__file__).parents[2]
 
 
 class TestDeclaredTable:
@@ -145,6 +152,25 @@ class TestMain:
 
     def test_committed_docs_block_is_current(self):
         assert main(["--check"]) == 0
+
+    @staticmethod
+    def _run_module(*args: str) -> subprocess.CompletedProcess[str]:
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "repro.core.state_table", *args],
+            cwd=REPO, text=True, capture_output=True, env={**os.environ, "PYTHONPATH": path},
+        )
+
+    def test_module_check_finds_the_committed_block_up_to_date(self):
+        result = self._run_module("--check")
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert "up to date" in result.stdout
+
+    def test_module_prints_the_block_between_its_markers(self):
+        result = self._run_module()
+        assert result.returncode == 0, result.stderr
+        assert BLOCK_BEGIN in result.stdout and BLOCK_END in result.stdout
+        assert "stateDiagram-v2" in result.stdout
 
     def test_event_alphabet_is_pinned(self):
         # The model checker's interleaving space is exactly this list.

@@ -95,6 +95,9 @@ class TestFrameStore:
         assert not place_frame(store, 1, 4, b"efgh", last=True)
         assert place_frame(store, 1, 0, b"abcd")
         assert store.contents(1) == b"abcdefgh"
+        # A non-final write may end exactly at the frame's known total.
+        assert not place_frame(store, 2, 4, b"efgh", last=True)
+        assert place_frame(store, 2, 0, b"abcdefgh")
 
     def test_interleaved_frames(self):
         store = _store()

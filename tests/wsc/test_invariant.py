@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.errors import ChunkError, ErrorDetectionMismatch
 from repro.core.fragment import split_to_unit_limit
+from repro.core.tuples import FramingTuple
 from repro.core.types import MAX_TPDU_SYMBOLS
 from repro.wsc import invariant as invariant_module
 from repro.wsc import wsc2 as wsc2_module
@@ -282,6 +283,10 @@ class TestEdChunks:
     def test_parse_rejects_data_chunk(self):
         with pytest.raises(ChunkError):
             parse_ed_chunk(make_chunk(units=1))
+        # Three units are 12 bytes, an ED payload's size: only the type
+        # check can refuse this one.
+        with pytest.raises(ChunkError, match="not an ED chunk"):
+            parse_ed_chunk(make_chunk(units=3))
 
     def test_encode_tpdu_totals(self):
         builder = ChunkStreamBuilder(connection_id=1, tpdu_units=12)
@@ -351,3 +356,11 @@ class TestDecodeTpdu:
     def test_empty_rejected(self):
         with pytest.raises(ChunkError):
             decode_tpdu([], EdPayload(0, 0, 0))
+
+    def test_chunks_of_two_pdus_rejected(self):
+        chunks, payload = self._encoded()
+        *pieces, last = [p for c in chunks for p in split_to_unit_limit(c, 5)]
+        for stray in (last.replace(t=FramingTuple(99, last.t_sn, last.t_st)),
+                      last.replace(c=FramingTuple(99, last.c_sn, last.c_st))):
+            with pytest.raises(ChunkError, match="more than one"):
+                decode_tpdu(pieces + [stray], payload)
