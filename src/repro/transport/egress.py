@@ -18,7 +18,9 @@ skips the lanes and calls :meth:`~EgressPacker.ship` directly.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from functools import partial
+from itertools import chain, repeat, zip_longest
+from operator import itemgetter
 from typing import Callable, Protocol
 
 from repro.core.chunk import Chunk
@@ -41,6 +43,9 @@ _TALLIES = Tallies({
         "transport", "shard.cross_shard_packets", "egress packets mixing >1 shard"
     ),
 })
+
+
+_C_ID = itemgetter(3)  # a chunk record's C.ID field
 
 
 class Wire(Protocol):
@@ -72,6 +77,11 @@ class EgressPacker:
         self.flush_window = flush_window
         self._sharded = shards is not None
         self._lanes: list[list[Chunk]] = [[] for _ in range(shards or 1)]
+        #: lane ``i``'s enqueue, one callable shared by every session of
+        #: shard ``i`` (the packer outlives them all).
+        self.enqueue_on: tuple[Callable[[list[Chunk]], None], ...] = tuple(
+            [partial(self.enqueue, lane) for lane in range(len(self._lanes))]
+        )
         self._first_lane = 0
         self._flush_scheduled = False
         self.bytes_sent = 0
@@ -101,32 +111,28 @@ class EgressPacker:
         """Put every waiting chunk on the wire now."""
         self._flush_scheduled = False
         # The lane each conversation came from (none to tell apart on one
-        # lane); passing it marks the packets as flushed.
+        # lane), mapped in C; passing it marks the packets as flushed.
         shard_of: dict[int, int] = {}
         if self._sharded:
-            shard_of = {
-                chunk.c_id: lane
-                for lane, queue in enumerate(self._lanes)
-                for chunk in queue
-            }
+            for lane, queue in enumerate(self._lanes):
+                shard_of.update(zip(map(_C_ID, queue), repeat(lane)))
         chunks = self._drain()
         if chunks:
             self.ship(chunks, shard_of)
 
     def _drain(self) -> list[Chunk]:
-        count = len(self._lanes)
+        lanes = self._lanes
+        count = len(lanes)
         if count == 1:  # one lane is FIFO
-            drained, self._lanes[0] = self._lanes[0], []
+            drained, lanes[0] = lanes[0], []
             return drained
-        lanes = self._lanes[self._first_lane :] + self._lanes[: self._first_lane]
-        self._first_lane = (self._first_lane + 1) % count
-        drained = [
-            chunk
-            for cycle in zip_longest(*lanes)
-            for chunk in cycle
-            if chunk is not None
-        ]
-        for lane in lanes:
+        first = self._first_lane
+        self._first_lane = (first + 1) % count
+        waiting = list(filter(None, lanes[first:] + lanes[:first]))  # empty lanes skipped
+        # One chunk per lane per cycle; zip_longest pads with None, and a
+        # chunk (a non-empty tuple) is never falsy.
+        drained = list(filter(None, chain.from_iterable(zip_longest(*waiting))))
+        for lane in waiting:
             lane.clear()
         return drained
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 from repro.core.bounded import BoundedSet
@@ -107,7 +106,7 @@ class ConnectionState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Connection:
     """One conversation's endpoint-owned state and sessions.
 
@@ -115,7 +114,8 @@ class Connection:
     by an arriving SIGNALING chunk has a *receiver* session.  (A
     bidirectional conversation has both.)  The ledger records this
     connection's NIC→application placements so the 1.0-touch/byte
-    budget is checkable per conversation, not just in aggregate.
+    budget is checkable per conversation, not just in aggregate; it is
+    made at the first placement, so a send-only conversation has none.
     """
 
     config: ConnectionConfig
@@ -125,20 +125,25 @@ class Connection:
     closed_at: float | None = None
     receiver: ReliableReceiver | None = None
     sender: ReliableSender | None = None
-    ledger: TouchLedger = field(default_factory=TouchLedger)
     chunks_in: int = 0
     payload_bytes_in: int = 0
-    _endpoint: "ChunkEndpoint | None" = field(default=None, repr=False)
     _touched_bytes: int = field(default=0, repr=False)
     #: progress-policing watermark: payload bytes seen at the start of
     #: the current progress window (slow-loris defense, see
     #: :attr:`ChunkEndpoint.min_progress_bytes`).
     _progress_bytes: int = field(default=0, repr=False)
     _progress_marked_at: float = field(default=-1.0, repr=False)
+    _ledger: TouchLedger | None = field(default=None, repr=False)
 
     @property
     def connection_id(self) -> int:
         return self.config.connection_id
+
+    @property
+    def ledger(self) -> TouchLedger:
+        if self._ledger is None:
+            self._ledger = TouchLedger()
+        return self._ledger
 
     # ------------------------------------------------------------------
 
@@ -149,7 +154,8 @@ class Connection:
         end_of_connection: bool = False,
     ) -> None:
         """Frame and transmit one external PDU on this conversation."""
-        if self.sender is None:
+        sender = self.sender
+        if sender is None:
             raise EndpointError(
                 f"connection {self.connection_id} has no sender session"
             )
@@ -157,11 +163,8 @@ class Connection:
             raise EndpointError(
                 f"connection {self.connection_id} is {self.state.value}"
             )
-        self.sender.send_frame(
-            payload, frame_id=frame_id, end_of_connection=end_of_connection
-        )
-        if self._endpoint is not None:
-            self.last_activity = self._endpoint.loop.now
+        sender.send_frame(payload, frame_id, end_of_connection)
+        self.last_activity = sender.loop.now
 
     # -- receive-side conveniences -------------------------------------
 
@@ -278,7 +281,7 @@ class ConnectionTable:
         return due
 
 
-@dataclass
+@dataclass(slots=True)
 class EndpointEvents:
     """What demultiplexing one packet produced, per connection."""
 
@@ -381,7 +384,7 @@ class ChunkEndpoint:
         first ACK proves the far table has the C.ID.
         """
         cid = config.connection_id
-        if cid in self.table:
+        if cid in self.table.connections:
             raise EndpointError(f"C.ID {cid} is already open")
         if cid in self.table.evicted_ids:
             raise EndpointError(f"C.ID {cid} was evicted; pick a fresh C.ID")
@@ -397,23 +400,11 @@ class ChunkEndpoint:
                 f"endpoint at capacity ({self.max_connections} connections)"
             )
         sender = ReliableSender(
-            self.loop,
-            None,
-            config,
-            mtu=self.mtu,
-            rto=rto,
-            max_retries=max_retries,
-            policy=policy,
-            transmit_chunks=partial(self.egress.enqueue, self.shard_index or 0),
-            resignal_until_acked=True,
+            self.loop, None, config, self.mtu, rto, max_retries, policy,
+            self.egress.enqueue_on[self.shard_index or 0], True,  # re-signal until acked
         )
-        connection = Connection(
-            config=config,
-            established_at=self.loop.now,
-            last_activity=self.loop.now,
-            sender=sender,
-            _endpoint=self,
-        )
+        now = self.loop.now
+        connection = Connection(config, established_at=now, last_activity=now, sender=sender)
         self.table.add(connection)
         if before is not None:
             _TALLIES.publish(before, self)
@@ -472,8 +463,8 @@ class ChunkEndpoint:
         # rest is grouped by conversation, in arrival order within each.
         groups: dict[int, list[Chunk]] = {}
         for chunk in chunks:
-            cid = chunk.c_id
-            if chunk.type is _ACK:
+            cid = chunk[3]
+            if chunk[0] is _ACK:
                 connection = connections.get(cid)
                 if connection is not None and connection.sender is not None:
                     connection.sender.handle_ack_chunk(chunk)
@@ -497,8 +488,8 @@ class ChunkEndpoint:
             assert session is not None
             payload_bytes = 0
             for chunk in group:
-                if chunk.type is _DATA:
-                    payload_bytes += len(chunk.payload)
+                if chunk[0] is _DATA:
+                    payload_bytes += len(chunk[12])
                     if journey is not None:
                         journey.chunk("demux", chunk, t=now, **self._shard_labels())
             connection.chunks_in += len(group)
@@ -507,7 +498,7 @@ class ChunkEndpoint:
             connection.last_activity = now
 
             received = events.per_connection[cid] = session.receive_chunks(group)
-            self._record_touches(connection)
+            self._record_touches(connection, session.receiver.stream.bytes_placed)
             if received.connection_closed:
                 self.table.mark_closed(connection, now)
                 if journey is not None:
@@ -570,22 +561,13 @@ class ChunkEndpoint:
         )
         receiver._signaled = chunk.payload
         session = ReliableReceiver(
-            transmit=None,
-            mtu=self.mtu,
-            receiver=receiver,
-            transmit_chunks=partial(self.egress.enqueue, self.shard_index or 0),
+            None, self.mtu, receiver, self.egress.enqueue_on[self.shard_index or 0]
         )
         if existing is not None:
             existing.receiver = session
             existing.last_activity = now
             return existing
-        connection = Connection(
-            config=config,
-            established_at=now,
-            last_activity=now,
-            receiver=session,
-            _endpoint=self,
-        )
+        connection = Connection(config, established_at=now, last_activity=now, receiver=session)
         self.table.add(connection)
         events.established.append(cid)
         journey = obs_provenance._tracker
@@ -612,11 +594,9 @@ class ChunkEndpoint:
                         **self._shard_labels(),
                     )
 
-    def _record_touches(self, connection: Connection) -> None:
+    def _record_touches(self, connection: Connection, placed: int) -> None:
         """Per-connection touch accounting: fresh stream placements are
         the single NIC→application bus crossing (Figure 1)."""
-        assert connection.receiver is not None
-        placed = connection.receiver.receiver.stream.bytes_placed
         if placed > connection._touched_bytes:
             connection.ledger.record("nic-to-app", placed - connection._touched_bytes)
             connection._touched_bytes = placed

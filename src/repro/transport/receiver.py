@@ -82,7 +82,7 @@ def _site(framed: bool) -> dict[str, str]:
     return {"site": "frame"} if framed else {}
 
 
-@dataclass
+@dataclass(slots=True)
 class ReceiverEvents:
     """What one packet's processing produced."""
 
@@ -96,7 +96,7 @@ class ReceiverEvents:
     chunks: list[Chunk] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkTransportReceiver:
     """Receiver side of a chunk connection."""
 

@@ -26,11 +26,11 @@ from repro.netsim.events import EventLoop
 from repro.obs import Histogram, Tallies, declare
 from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
-from repro.transport.acks import build_ack_chunk, parse_ack_chunk
-from repro.transport.connection import ConnectionConfig
+from repro.transport.acks import MAX_ACKS_PER_CHUNK, build_ack_chunk, parse_ack_chunk
+from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
-from repro.transport.sender import ChunkTransportSender
+from repro.transport.sender import ChunkTransportSender, _Tpdu
 
 __all__ = ["AdaptiveTpduPolicy", "ReliableSender", "ReliableReceiver"]
 
@@ -78,14 +78,6 @@ class AdaptiveTpduPolicy:
 
 
 @dataclass
-class _Outstanding:
-    """Sender-side per-TPDU retransmission state."""
-
-    retries: int = 0
-    timer_generation: int = 0
-
-
-@dataclass
 class ReliableSender:
     """Sender half of a reliable chunk connection.
 
@@ -113,6 +105,9 @@ class ReliableSender:
     until the TPDU fills.  Finish a transfer with
     ``send_frame(..., end_of_connection=True)``, which closes the final
     TPDU and emits its ED chunk.
+
+    A timed TPDU is its retransmit history record; acknowledged or given
+    up, it leaves the history.  The SIG chunk is built once.
     """
 
     loop: EventLoop
@@ -126,14 +121,14 @@ class ReliableSender:
     resignal_until_acked: bool = False
 
     sender: ChunkTransportSender = field(init=False)
-    _outstanding: dict[int, _Outstanding] = field(init=False, default_factory=dict)
-    _established: bool = field(init=False, default=False)
-    _acked_once: bool = field(init=False, default=False)
     retransmissions: int = field(init=False, default=0)
     gave_up: list[int] = field(init=False, default_factory=list)
     #: retransmission timers that fired, and TPDU ids acknowledged.
     timeouts: int = field(init=False, default=0)
     acks_received: int = field(init=False, default=0)
+    _established: bool = field(init=False, default=False, repr=False)
+    #: the SIG chunk, kept for re-signals until the first ACK arrives.
+    _signal: Chunk | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.sender = ChunkTransportSender(self.config)
@@ -149,35 +144,41 @@ class ReliableSender:
         end_of_connection: bool = False,
     ) -> None:
         """Frame, transmit, and arm timers for any completed TPDUs."""
-        chunks: list[Chunk] = []
-        if not self._established:
-            chunks.append(self.sender.establishment_chunk())
-            self._established = True
-        new_chunks = self.sender.send_frame(
-            payload, frame_id=frame_id, end_of_connection=end_of_connection
-        )
-        chunks += new_chunks
+        chunks = self.sender.send_frame(payload, frame_id, end_of_connection)
         journey = obs_provenance._tracker
         if journey is not None:
-            for chunk in new_chunks:
+            for chunk in chunks:
                 if chunk.type is ChunkType.DATA:
                     journey.chunk("formed", chunk, t=self.loop.now)
-        self._ship(chunks)
-        for chunk in new_chunks:
-            if chunk.type is _ED:
-                self._arm(chunk.t_id)
+        if not self._established:  # the SIG chunk goes first, once
+            self._established = True
+            chunks.insert(0, build_signaling_chunk(self.config))
+            if self.resignal_until_acked:
+                self._signal = chunks[0]
+        (self.transmit_chunks or self._packer.ship)(chunks)
+        tpdus = self.sender._tpdus
+        for chunk in chunks:
+            if chunk[0] is _ED:
+                record = tpdus.get(chunk[6])
+                if record is None:  # trimmed from the history before it was timed
+                    self._give_up(chunk[6])
+                else:
+                    record.session = self
+                    self.loop.schedule(self.rto, record.expire)
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
         """Process an arriving ACK chunk (possibly piggybacked)."""
         before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
-        self._acked_once = True
+        self._signal = None  # the far table has the C.ID: no more re-signals
         t_ids = parse_ack_chunk(chunk)
         self.acks_received += len(t_ids)
+        tpdus = self.sender._tpdus
         for t_id in t_ids:
-            state = self._outstanding.pop(t_id, None)
-            if state is not None:
-                self.sender.acknowledge(t_id)
-                if self.policy is not None and state.retries == 0:
+            record = tpdus.get(t_id)
+            if record is not None and record.session is not None:
+                del tpdus[t_id]
+                record.session = None
+                if self.policy is not None and record.retries == 0:
                     self._resize(self.policy.on_first_try_success())
         if before is not None:
             _SENDER_TALLIES.publish(before, self)
@@ -189,11 +190,12 @@ class ReliableSender:
 
     @property
     def outstanding(self) -> list[int]:
-        return list(self._outstanding)
+        """Timed TPDUs: the history, less a trailing TPDU still filling."""
+        return [t_id for t_id, record in self.sender._tpdus.items() if record.session is not None]
 
     @property
     def finished(self) -> bool:
-        return not self._outstanding
+        return not self.outstanding
 
     @cached_property
     def _packer(self) -> EgressPacker:
@@ -207,37 +209,17 @@ class ReliableSender:
 
     # ------------------------------------------------------------------
 
-    def _ship(self, chunks: list[Chunk]) -> None:
-        if self.transmit_chunks is not None:
-            self.transmit_chunks(chunks)
-        else:
-            self._packer.ship(chunks)
-
-    def _arm(self, t_id: int) -> None:
-        state = self._outstanding.setdefault(t_id, _Outstanding())
-        generation = state.timer_generation
-        delay = self.rto * (2 ** state.retries)
-        self.loop.schedule(delay, lambda: self._timeout(t_id, generation))
-
-    def _timeout(self, t_id: int, generation: int) -> None:
-        state = self._outstanding.get(t_id)
-        if state is None or state.timer_generation != generation:
-            return  # acked, or superseded by a newer timer
+    def _timeout(self, record: _Tpdu) -> None:
+        """*record*'s timer fired while it was outstanding."""
         before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
-        journey = obs_provenance._tracker
         self.timeouts += 1
-        state.retries += 1
-        state.timer_generation += 1
-        if state.retries > self.max_retries:
-            del self._outstanding[t_id]
-            self.gave_up.append(t_id)
+        record.retries += 1
+        if record.retries > self.max_retries:
             if before is not None:
                 _SENDER_TALLIES.publish(before, self)
-            if journey is not None:
-                journey.emit(
-                    "gave_up", self.config.connection_id, 0, 0, t=self.loop.now,
-                    level="tpdu", t_id=t_id,
-                )
+            del self.sender._tpdus[record.t_id]
+            record.session = None
+            self._give_up(record.t_id)
             return
         self.retransmissions += 1
         if before is not None:
@@ -245,15 +227,29 @@ class ReliableSender:
         if self.policy is not None:
             self._resize(self.policy.on_loss())
         # Same identifiers as the original transmission (Section 3.3).
-        chunks = self.sender.retransmit(t_id)
+        chunks = self.sender.retransmit(record.t_id)
+        journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
                 if chunk.type is ChunkType.DATA:
-                    journey.chunk("retransmit", chunk, t=self.loop.now, gen=state.retries)
-        if self.resignal_until_acked and not self._acked_once:
-            chunks.insert(0, self.sender.establishment_chunk())
-        self._ship(chunks)
-        self._arm(t_id)
+                    journey.chunk("retransmit", chunk, t=self.loop.now, gen=record.retries)
+        if self._signal is not None:
+            chunks.insert(0, self._signal)
+        (self.transmit_chunks or self._packer.ship)(chunks)
+        self.loop.schedule(self.rto * (2 ** record.retries), record.expire)
+
+    def _give_up(self, t_id: int) -> None:
+        """Abandon TPDU *t_id*: past ``max_retries``, or trimmed while timed."""
+        before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
+        self.gave_up.append(t_id)
+        if before is not None:
+            _SENDER_TALLIES.publish(before, self)
+        journey = obs_provenance._tracker
+        if journey is not None:
+            journey.emit(
+                "gave_up", self.config.connection_id, 0, 0, t=self.loop.now,
+                level="tpdu", t_id=t_id,
+            )
 
     def _resize(self, units: int) -> None:
         if units != self.sender.tpdu_units:
@@ -264,10 +260,12 @@ class ReliableSender:
 class ReliableReceiver:
     """Receiver half: verify TPDUs, acknowledge them as ACK chunks.
 
-    ACKs for freshly verified TPDUs are handed to *send_ack* as wire
-    packets; duplicate TPDU arrivals re-ACK (the original ACK may have
-    been lost).  Reverse-path data can be piggybacked by supplying
-    *reverse_chunks* at ack time via :meth:`flush_acks`.
+    Freshly verified TPDUs are acknowledged at once; duplicate TPDU
+    arrivals re-ACK (the original ACK may have been lost).  An ACK chunk
+    carries the C.ID of the TPDUs it acknowledges, read off their
+    verdicts and ED chunks, so a TPDU verified before any SIGNALING chunk
+    arrived is still ACKed on its own conversation.  Behind an endpoint,
+    ACKs share envelopes with reverse-path data (Appendix A piggybacking).
     """
 
     transmit: Callable[[bytes], None] | None
@@ -277,9 +275,10 @@ class ReliableReceiver:
     #: the endpoint can mix acknowledgments for several conversations
     #: (and reverse-path data) into shared packets.
     transmit_chunks: Callable[[list[Chunk]], None] | None = None
-    _verified: set[int] = field(init=False, default_factory=set)
-    #: :meth:`flush_acks` calls: ACK batches handed to the wire.
+    #: ACK batches handed to the wire (one per conversation per call).
     ack_batches: int = field(init=False, default=0)
+    #: (C.ID, T.ID) of every TPDU acknowledged, made at the first ACK.
+    _verified: set[tuple[int, int]] | None = field(init=False, default=None, repr=False)
 
     @cached_property
     def _packer(self) -> EgressPacker:
@@ -303,29 +302,35 @@ class ReliableReceiver:
         return events
 
     def _acknowledge(self, events: ReceiverEvents) -> None:
-        to_ack = [v.t_id for v in events.verdicts if v.ok]
-        # Re-acknowledge retransmissions of already verified TPDUs,
-        # whose verdicts fired earlier (the original ACK may be lost).
+        """ACK the TPDUs this call verified and re-ACK retransmitted ED
+        chunks of TPDUs verified earlier: one batch per conversation."""
         verified = self._verified
-        for chunk in events.chunks:
-            if chunk.type is _ED and chunk.t_id in verified and chunk.t_id not in to_ack:
-                to_ack.append(chunk.t_id)
-        if to_ack:
-            self._verified.update(to_ack)
-            self.flush_acks(to_ack)
-
-    def flush_acks(self, t_ids: list[int], reverse_chunks: list[Chunk] | None = None) -> None:
-        connection = self.receiver.config.connection_id if self.receiver.config else 0
+        if verified is None and not events.verdicts:
+            return  # nothing verified, now or before
+        acks: dict[int, list[int]] = {}
+        for verdict in events.verdicts:
+            if verdict.ok:
+                acks.setdefault(verdict.c_id, []).append(verdict.t_id)
+        if verified is not None:
+            for chunk in events.chunks:
+                if chunk[0] is _ED and (chunk[3], chunk[6]) in verified:
+                    t_ids = acks.setdefault(chunk[3], [])
+                    if chunk[6] not in t_ids:
+                        t_ids.append(chunk[6])
+        if not acks:
+            return
+        if verified is None:
+            verified = self._verified = set()
         registry = obs_runtime._registry
-        before = _RECEIVER_TALLIES.read(self) if registry is not None else None
-        self.ack_batches += 1
-        if before is not None:
-            registry.instruments[_ACK_BATCH_SIZE].observe(len(t_ids))
-            _RECEIVER_TALLIES.publish(before, self)
-        chunks = list(reverse_chunks or [])
-        for start in range(0, len(t_ids), 64):
-            chunks.append(build_ack_chunk(connection, t_ids[start : start + 64]))
-        if self.transmit_chunks is not None:
-            self.transmit_chunks(chunks)
-        else:
-            self._packer.ship(chunks)
+        chunks = []
+        for c_id, t_ids in acks.items():
+            before = _RECEIVER_TALLIES.read(self) if registry is not None else None
+            self.ack_batches += 1
+            if before is not None:
+                registry.instruments[_ACK_BATCH_SIZE].observe(len(t_ids))
+                _RECEIVER_TALLIES.publish(before, self)
+            for t_id in t_ids:
+                verified.add((c_id, t_id))
+            for start in range(0, len(t_ids), MAX_ACKS_PER_CHUNK):
+                chunks.append(build_ack_chunk(c_id, t_ids[start : start + MAX_ACKS_PER_CHUNK]))
+        (self.transmit_chunks or self._packer.ship)(chunks)

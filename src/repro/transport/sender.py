@@ -12,6 +12,7 @@ can be used with chunks" (Section 3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
@@ -21,6 +22,9 @@ from repro.obs import Tallies
 from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import encode_tpdu
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
+
+if TYPE_CHECKING:
+    from repro.transport.reliability import ReliableSender
 
 __all__ = ["ChunkTransportSender"]
 
@@ -37,15 +41,25 @@ _TALLIES = Tallies({
 })
 
 
-@dataclass
-class _TpduRecord:
-    """Everything needed to retransmit one TPDU."""
+@dataclass(slots=True, eq=False)
+class _Tpdu:
+    """One TPDU in flight, in the history and (*session* set) timed by a
+    :class:`~repro.transport.reliability.ReliableSender`: history and
+    outstanding set are one table.  Cleared, its queued timer is a no-op."""
 
-    chunks: list[Chunk] = field(default_factory=list)
+    t_id: int
+    chunks: list[Chunk]
     ed_chunk: Chunk | None = None
+    retries: int = 0
+    session: "ReliableSender | None" = None
+
+    def expire(self) -> None:
+        """The retransmission timer's callback."""
+        if self.session is not None:
+            self.session._timeout(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkTransportSender:
     """Sender side of a chunk connection.
 
@@ -58,14 +72,15 @@ class ChunkTransportSender:
 
     Retransmission: :meth:`retransmit` re-emits a TPDU's original chunks
     and ED chunk unchanged, so receiver-side duplicate rejection and the
-    incremental checksum stay correct.
+    incremental checksum stay correct.  The history keeps the newest
+    *history_limit* TPDUs; one trimmed while still timed is given up.
     """
 
     config: ConnectionConfig
     history_limit: int = 1024
 
     _builder: ChunkStreamBuilder = field(init=False)
-    _tpdus: dict[int, _TpduRecord] = field(init=False, default_factory=dict)
+    _tpdus: dict[int, _Tpdu] = field(init=False, default_factory=dict)
     frames_sent: int = field(init=False, default=0)
     tpdus_sent: int = field(init=False, default=0)
     chunks_emitted: int = field(init=False, default=0)
@@ -73,16 +88,12 @@ class ChunkTransportSender:
     retransmitted_chunks: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        tpdu_ids = (
-            implicit_tpdu_ids(0, self.config.tpdu_units)
-            if self.config.implicit_t_id
-            else None
-        )
+        config = self.config
         self._builder = ChunkStreamBuilder(
-            connection_id=self.config.connection_id,
-            tpdu_units=self.config.tpdu_units,
-            unit_words=self.config.unit_words,
-            tpdu_ids=tpdu_ids,
+            config.connection_id,
+            config.tpdu_units,
+            config.unit_words,
+            tpdu_ids=implicit_tpdu_ids(0, config.tpdu_units) if config.implicit_t_id else None,
         )
 
     # ------------------------------------------------------------------
@@ -121,25 +132,27 @@ class ChunkTransportSender:
         frame (a frame may complete zero or many TPDUs).
         """
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
-        chunks = self._builder.add_frame(
-            payload, frame_id=frame_id, end_of_connection=end_of_connection
-        )
+        chunks = self._builder.add_frame(payload, frame_id, end_of_connection)
         self.frames_sent += 1
+        tpdus = self._tpdus
         out: list[Chunk] = []
         for chunk in chunks:
-            record = self._tpdus.get(chunk.t_id)
-            if record is None:
-                record = _TpduRecord()
-                self._tpdus[chunk.t_id] = record
-                while len(self._tpdus) > self.history_limit:
-                    del self._tpdus[next(iter(self._tpdus))]
-            record.chunks.append(chunk)
             out.append(chunk)
-            if chunk.t_st:
-                _payload, ed_chunk = encode_tpdu(record.chunks)
-                record.ed_chunk = ed_chunk
-                self.tpdus_sent += 1
+            t_id = chunk[6]
+            record = tpdus.get(t_id)
+            if record is None:
+                record = tpdus[t_id] = _Tpdu(t_id, [chunk])
+                while len(tpdus) > self.history_limit:  # the oldest goes; a timed one is given up
+                    oldest = tpdus.pop(next(iter(tpdus)))
+                    session, oldest.session = oldest.session, None
+                    if session is not None:
+                        session._give_up(oldest.t_id)
+            else:
+                record.chunks.append(chunk)
+            if chunk[8]:  # T.ST: the TPDU is complete
+                record.ed_chunk = ed_chunk = encode_tpdu(record.chunks)[1]
                 out.append(ed_chunk)
+                self.tpdus_sent += 1
         self.chunks_emitted += len(out)
         if before is not None:
             _TALLIES.publish(before, self)

@@ -13,11 +13,11 @@ What must hold:
 - every chunk formed, decoded or cut is exactly one record: the records
   made equal the chunks the sender returned, plus every chunk a decoder
   handed back, plus every piece of every cut;
-- the validating constructor runs only for the one control chunk the
-  sender makes through the public API (the SIGNALING chunk), and its
-  three are the only ``FramingTuple``s built; no DATA chunk builds one,
-  nor does a TPDU's ERROR_DETECTION chunk (a ``_make`` record: its IDs
-  are the DATA chunks', every other field a constant);
+- the validating constructor never runs and no ``FramingTuple`` is
+  built: not for a DATA chunk, nor for a TPDU's ERROR_DETECTION chunk
+  (a ``_make`` record: its IDs are the DATA chunks', every other field
+  a constant), nor for the SIGNALING chunk (one pack, which holds every
+  field to its width, and a ``_make`` record);
 - ``dataclasses.replace`` is never called.
 """
 
@@ -120,6 +120,6 @@ def test_refragmenting_transfer_makes_one_record_per_chunk(monkeypatch):
     assert all(router.stats.chunks_split > 0 for router in path.routers)
 
     assert made["cut"] > 0 and made["decoded"] > formed  # the path did refragment
-    assert made["validated"] == 1
-    assert made["tuples"] == 3
+    assert made["validated"] == 0
+    assert made["tuples"] == 0
     assert made["validated"] + made["trusted"] == formed + made["decoded"] + made["cut"]

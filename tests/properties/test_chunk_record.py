@@ -2,7 +2,8 @@
 
 ``Chunk._make`` validates nothing, so every site that uses it —
 ``split``, ``split_to_unit_limit``, ``merge``,
-``ChunkStreamBuilder.add_frame`` and ``build_ed_chunk`` — and the
+``ChunkStreamBuilder.add_frame``, ``build_ed_chunk`` and
+``build_signaling_chunk`` — and the
 decoder, which builds its records inline, must only ever produce what
 the public constructor would have accepted.  These properties rebuild each
 result through ``Chunk(type=, size=, length=, c=, t=, x=, payload=)``
@@ -35,6 +36,12 @@ from repro.core.fragment import split, split_to_unit_limit
 from repro.core.reassemble import can_merge, merge
 from repro.core.tuples import FramingTuple
 from repro.core.types import ID_LIMIT, LEN_LIMIT, SIZE_LIMIT, SN_LIMIT, ChunkType
+from repro.core.wire_table import SIGNALING_PAYLOAD
+from repro.transport.connection import (
+    ConnectionConfig,
+    build_signaling_chunk,
+    parse_signaling_chunk,
+)
 from repro.wsc.invariant import EdPayload, build_ed_chunk, parse_ed_chunk
 
 from tests.conftest import make_payload
@@ -235,6 +242,43 @@ def test_build_ed_chunk_makes_constructible_records(c_id, t_id, p0, p1, total_un
         ChunkType.ERROR_DETECTION, FramingTuple(c_id, 0), FramingTuple(t_id, 0), FramingTuple(0, 0)
     )
     assert parse_ed_chunk(chunk) == ed
+
+
+def _signaling_by_the_constructor(config: ConnectionConfig) -> Chunk:
+    """The SIG chunk as the validating constructor makes it, fields as signaled."""
+    flags = (1 if config.implicit_t_id else 0) | (2 if config.regenerate_sns else 0)
+    payload = struct.pack(
+        SIGNALING_PAYLOAD.struct_format, config.connection_id, config.unit_words,
+        min(config.tpdu_units, 0xFFFF), flags, 0, 0,
+    )
+    return Chunk(
+        type=ChunkType.SIGNALING, size=1, length=len(payload) // 4,
+        c=FramingTuple(config.connection_id, 0, False), t=FramingTuple(0, 0, False),
+        x=FramingTuple(0, 0, False), payload=payload,
+    )
+
+
+@pytest.mark.parametrize("regenerate_sns", [False, True])
+@pytest.mark.parametrize("implicit_t_id", [False, True])
+@pytest.mark.parametrize("c_id", [0, 7, ID_LIMIT - 1])
+def test_the_signaling_chunk_is_the_validating_constructors(c_id, implicit_t_id, regenerate_sns):
+    config = ConnectionConfig(
+        connection_id=c_id, unit_words=2, tpdu_units=300,
+        implicit_t_id=implicit_t_id, regenerate_sns=regenerate_sns,
+    )
+    chunk = build_signaling_chunk(config)
+    assert chunk == _signaling_by_the_constructor(config)
+    assert_constructible(chunk)
+    assert parse_signaling_chunk(chunk) == config
+
+
+@pytest.mark.parametrize("c_id", [-1, ID_LIMIT])
+def test_a_signaling_c_id_outside_its_field_raises_what_it_always_raised(c_id):
+    config = ConnectionConfig(connection_id=c_id)
+    with pytest.raises(struct.error):
+        _signaling_by_the_constructor(config)
+    with pytest.raises(struct.error):
+        build_signaling_chunk(config)
 
 
 def test_add_frame_checks_are_hoisted_not_dropped():

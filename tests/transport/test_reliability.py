@@ -10,6 +10,7 @@ from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
+from repro.obs import journey_session
 from repro.transport.acks import (
     MAX_ACKS_PER_CHUNK,
     build_ack_chunk,
@@ -249,3 +250,76 @@ class TestReliableDelivery:
         assert receiver.receiver.stream_bytes() == payload
         # Every verified TPDU must be one the sender originally created.
         assert receiver.receiver.verified_tpdus() == sender.sender.tpdus_sent
+
+
+class TestRetransmitHistoryCap:
+    """The retransmit history and the timed set are one table: a TPDU the
+    history trims while timed is given up then, not timed on to a crash."""
+
+    @staticmethod
+    def _flood(frames):
+        loop = EventLoop()
+        sender = ReliableSender(
+            loop, lambda frame: None, ConnectionConfig(connection_id=3, tpdu_units=16)
+        )
+        with journey_session(clock=lambda: loop.now) as journey:
+            for _ in range(frames):
+                sender.send_frame(make_payload(16))  # one 64-byte TPDU per frame
+            loop.run(until=0.2)
+        given_up = [r.fields["t_id"] for r in journey.records if r.stage == "gave_up"]
+        return sender, given_up
+
+    def test_trimmed_tpdus_are_given_up_and_their_timers_do_nothing(self):
+        sender, given_up = self._flood(1100)  # the history keeps the newest 1024
+        assert sender.gave_up == given_up == list(range(76))
+        assert sender.outstanding == list(range(76, 1100))
+        assert sender.timeouts == sender.retransmissions == 2 * 1024  # at 0.05 s and 0.15 s
+
+    def test_under_the_limit_nothing_is_given_up(self):
+        sender, given_up = self._flood(1000)
+        assert sender.gave_up == given_up == []
+        assert sender.outstanding == list(range(1000))
+        assert sender.timeouts == sender.retransmissions == 2 * 1000
+        assert sender.sender.retransmitted_chunks == 2 * 2 * 1000  # DATA + ED each time
+
+
+class TestAckLabels:
+    def test_an_ack_carries_the_c_id_of_the_tpdus_it_acknowledges(self):
+        """Verified before any SIGNALING chunk arrived, a TPDU of C.ID 42 is
+        still ACKed on C.ID 42 (it used to be C.ID 0)."""
+        wire = []
+        receiver = ReliableReceiver(transmit=wire.append)
+        chunks = ChunkTransportSender(ConnectionConfig(connection_id=42, tpdu_units=4)).send_frame(
+            make_payload(8)
+        )
+        receiver.receive_chunks(chunks)  # two whole TPDUs, no SIG chunk
+        assert receiver.receiver.config is None
+        (ack,) = [c for frame in wire for c in Packet.decode(frame).chunks]
+        assert (ack.type, ack.c_id, parse_ack_chunk(ack)) == (ChunkType.ACK, 42, [0, 1])
+
+    def test_a_re_ack_carries_its_tpdus_c_id_too(self):
+        wire = []
+        receiver = ReliableReceiver(transmit=wire.append)
+        chunks = ChunkTransportSender(ConnectionConfig(connection_id=42, tpdu_units=4)).send_frame(
+            make_payload(4)
+        )
+        receiver.receive_chunks(chunks)
+        receiver.receive_chunks([chunks[-1]])  # the ED chunk again: re-ACK
+        acks = [c for frame in wire for c in Packet.decode(frame).chunks]
+        assert [(c.c_id, parse_ack_chunk(c)) for c in acks] == [(42, [0]), (42, [0])]
+
+    def test_an_endpoint_routes_such_an_ack_to_its_sender(self):
+        from repro.transport.endpoint import ChunkEndpoint
+
+        loop = EventLoop()
+        endpoint = ChunkEndpoint(loop, transmit=lambda frame: None)
+        connection = endpoint.open_connection(ConnectionConfig(connection_id=42, tpdu_units=4))
+        connection.send_frame(make_payload(4))
+        loop.run(until=0.001)
+        wire = []
+        receiver = ReliableReceiver(transmit=wire.append)
+        data = [c for c in connection.sender.sender.retransmit(0)]
+        receiver.receive_chunks(data)  # the SIG chunk was lost: verified unconfigured
+        for frame in wire:
+            endpoint.receive_packet(frame)
+        assert endpoint.acks_unroutable == 0 and connection.finished
