@@ -28,6 +28,8 @@ __all__ = ["MAX_ACKS_PER_CHUNK", "build_ack_chunk", "parse_ack_chunk", "piggybac
 #: Keep ACK chunks comfortably inside any sane MTU.
 MAX_ACKS_PER_CHUNK = 64
 _ACK = ChunkType.ACK  # an enum member read is ~0.1 µs on CPython 3.11
+#: The id words of an ACK chunk of each count, compiled once (~0.4 µs a call).
+_ID_WORDS = tuple(struct.Struct(">%dI" % count) for count in range(MAX_ACKS_PER_CHUNK + 1))
 
 
 def build_ack_chunk(connection_id: int, t_ids: list[int]) -> Chunk:
@@ -44,9 +46,9 @@ def build_ack_chunk(connection_id: int, t_ids: list[int]) -> Chunk:
     if not 0 <= connection_id < ID_LIMIT:
         raise ValueError(f"ID must be in 0..2^32-1, got {connection_id}")
     try:
-        payload = struct.pack(">%dI" % count, *t_ids)
+        payload = _ID_WORDS[count].pack(*t_ids)
     except struct.error:  # an id wider than its word keeps its low 32 bits
-        payload = struct.pack(">%dI" % count, *[t_id & 0xFFFFFFFF for t_id in t_ids])
+        payload = _ID_WORDS[count].pack(*[t_id & 0xFFFFFFFF for t_id in t_ids])
     return Chunk._make(
         _ACK, 1, count, connection_id, 0, False, 0, 0, False, 0, 0, False, payload
     )
@@ -57,7 +59,10 @@ def parse_ack_chunk(chunk: Chunk) -> list[int]:
     if chunk.type is not _ACK:
         raise ChunkError(f"not an ACK chunk: TYPE={chunk.type.name}")
     payload = chunk.payload
-    return list(struct.unpack(">%dI" % (len(payload) // WORD_BYTES), payload))
+    count = len(payload) // WORD_BYTES
+    if count <= MAX_ACKS_PER_CHUNK:
+        return list(_ID_WORDS[count].unpack(payload))
+    return list(struct.unpack(">%dI" % count, payload))
 
 
 def piggyback(

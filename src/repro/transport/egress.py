@@ -19,8 +19,7 @@ skips the lanes and calls :meth:`~EgressPacker.ship` directly.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat, zip_longest
-from operator import itemgetter
+from itertools import zip_longest
 from typing import Callable, Protocol
 
 from repro.core.chunk import Chunk
@@ -43,9 +42,6 @@ _TALLIES = Tallies({
         "transport", "shard.cross_shard_packets", "egress packets mixing >1 shard"
     ),
 })
-
-
-_C_ID = itemgetter(3)  # a chunk record's C.ID field
 
 
 class Wire(Protocol):
@@ -111,11 +107,12 @@ class EgressPacker:
         """Put every waiting chunk on the wire now."""
         self._flush_scheduled = False
         # The lane each conversation came from (none to tell apart on one
-        # lane), mapped in C; passing it marks the packets as flushed.
+        # lane); passing it marks the packets as flushed.
         shard_of: dict[int, int] = {}
         if self._sharded:
             for lane, queue in enumerate(self._lanes):
-                shard_of.update(zip(map(_C_ID, queue), repeat(lane)))
+                for chunk in queue:
+                    shard_of[chunk[3]] = lane
         chunks = self._drain()
         if chunks:
             self.ship(chunks, shard_of)
@@ -128,10 +125,8 @@ class EgressPacker:
             return drained
         first = self._first_lane
         self._first_lane = (first + 1) % count
-        waiting = list(filter(None, lanes[first:] + lanes[:first]))  # empty lanes skipped
-        # One chunk per lane per cycle; zip_longest pads with None, and a
-        # chunk (a non-empty tuple) is never falsy.
-        drained = list(filter(None, chain.from_iterable(zip_longest(*waiting))))
+        waiting = [lane for lane in lanes[first:] + lanes[:first] if lane]  # empty ones skipped
+        drained = [chunk for cycle in zip_longest(*waiting) for chunk in cycle if chunk is not None]
         for lane in waiting:
             lane.clear()
         return drained
