@@ -73,11 +73,8 @@ class EgressPacker:
         self.flush_window = flush_window
         self._sharded = shards is not None
         self._lanes: list[list[Chunk]] = [[] for _ in range(shards or 1)]
-        #: lane ``i``'s enqueue, one callable shared by every session of
-        #: shard ``i`` (the packer outlives them all).
-        self.enqueue_on: tuple[Callable[[list[Chunk]], None], ...] = tuple(
-            [partial(self.enqueue, lane) for lane in range(len(self._lanes))]
-        )
+        #: lane ``i``'s enqueue, one callable shared by every session of shard ``i``.
+        self.enqueue_on = tuple([partial(self.enqueue, lane) for lane in range(len(self._lanes))])
         self._first_lane = 0
         self._flush_scheduled = False
         self.bytes_sent = 0

@@ -176,8 +176,7 @@ class ReliableSender:
         for t_id in t_ids:
             record = tpdus.get(t_id)
             if record is not None and record.session is not None:
-                del tpdus[t_id]
-                record.session = None
+                record.drop(tpdus)
                 if self.policy is not None and record.retries == 0:
                     self._resize(self.policy.on_first_try_success())
         if before is not None:
@@ -217,8 +216,7 @@ class ReliableSender:
         if record.retries > self.max_retries:
             if before is not None:
                 _SENDER_TALLIES.publish(before, self)
-            del self.sender._tpdus[record.t_id]
-            record.session = None
+            record.drop(self.sender._tpdus)
             self._give_up(record.t_id)
             return
         self.retransmissions += 1

@@ -58,6 +58,13 @@ class _Tpdu:
         if self.session is not None:
             self.session._timeout(self)
 
+    def drop(self, history: dict[int, "_Tpdu"]) -> "ReliableSender | None":
+        """Leave *history*, freeing the chunks a queued timer would hold."""
+        del history[self.t_id]
+        session, self.session, self.ed_chunk = self.session, None, None
+        self.chunks.clear()
+        return session
+
 
 @dataclass(slots=True)
 class ChunkTransportSender:
@@ -143,8 +150,8 @@ class ChunkTransportSender:
             if record is None:
                 record = tpdus[t_id] = _Tpdu(t_id, [chunk])
                 while len(tpdus) > self.history_limit:  # the oldest goes; a timed one is given up
-                    oldest = tpdus.pop(next(iter(tpdus)))
-                    session, oldest.session = oldest.session, None
+                    oldest = tpdus[next(iter(tpdus))]
+                    session = oldest.drop(tpdus)
                     if session is not None:
                         session._give_up(oldest.t_id)
             else:

@@ -33,7 +33,7 @@ same seed, same global event order, same delivered bytes.
 
 from __future__ import annotations
 
-from zlib import crc32
+import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -73,7 +73,7 @@ def shard_for(c_id: int, shards: int) -> int:
     """
     if shards < 1:
         raise ValueError(f"need at least one shard (shards={shards})")
-    return crc32(c_id.to_bytes(4, "big")) % shards
+    return zlib.crc32(c_id.to_bytes(4, "big")) % shards
 
 
 @dataclass
@@ -190,9 +190,8 @@ class ShardedEndpoint:
         policy: AdaptiveTpduPolicy | None = None,
     ) -> Connection:
         """Open a locally originated conversation on its owning shard."""
-        shards = self._shards
-        return shards[shard_for(config.connection_id, len(shards))].endpoint.open_connection(
-            config, rto, max_retries, policy
+        return self.endpoint_for(config.connection_id).open_connection(
+            config, rto=rto, max_retries=max_retries, policy=policy
         )
 
     def connection(self, cid: int) -> Connection | None:
@@ -220,10 +219,9 @@ class ShardedEndpoint:
         shard_of: dict[int, int] = {}
         groups: dict[int, list[Chunk]] = {}
         for chunk in packet.chunks:
-            c_id = chunk.c_id
-            index = shard_of.get(c_id)
-            if index is None:  # shard_for, inline: the count was checked at construction
-                index = shard_of[c_id] = crc32(c_id.to_bytes(4, "big")) % count
+            index = shard_of.get(chunk.c_id)
+            if index is None:
+                index = shard_of[chunk.c_id] = shard_for(chunk.c_id, count)
             groups.setdefault(index, []).append(chunk)
         if len(groups) == 1:
             [(index, chunks)] = groups.items()

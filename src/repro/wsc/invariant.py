@@ -45,7 +45,7 @@ from repro.core.types import MAX_TPDU_SYMBOLS, ChunkType
 from repro.obs import Counter, declare
 from repro.obs import runtime as obs_runtime
 from repro.wsc.gf32 import POLY, alpha_pow, gf_mul, gf_mul_const, mul_alpha
-from repro.wsc.wsc2 import _BLOCK, _SHIFT_MASK, Wsc2Accumulator, _fold, _reduce
+from repro.wsc.wsc2 import Wsc2Accumulator
 
 __all__ = [
     "T_ID_POS",
@@ -69,7 +69,6 @@ _T_ID_WEIGHT, _C_ST_WEIGHT = alpha_pow(T_ID_POS), alpha_pow(C_ST_POS)
 _times_t_id_weight = gf_mul_const(_T_ID_WEIGHT)
 
 _ED_PAYLOAD = struct.Struct(">III")
-_RUN_BYTES = 4 * _BLOCK  # the longest run add_bytes folds in one block
 # An enum member read is ~0.1 µs on CPython 3.11.
 _DATA, _ED = ChunkType.DATA, ChunkType.ERROR_DETECTION
 
@@ -227,79 +226,33 @@ def parse_ed_chunk(chunk: Chunk) -> EdPayload:
     return EdPayload.decode(chunk.payload)
 
 
-# An ED payload is made once per TPDU by setting its slots directly, as
-# a verdict is (a frozen dataclass's __init__ goes through object.__setattr__).
-_SET_P0, _SET_P1, _SET_TOTAL_UNITS = (
-    EdPayload.__dict__[name].__set__ for name in ("p0", "p1", "total_units")
-)
-
-
 def encode_tpdu(chunks: list[Chunk]) -> tuple[EdPayload, Chunk]:
     """Sender-side encoding of one complete TPDU.
 
     *chunks* are the TPDU's DATA chunks (any order, any fragmentation —
     the result is invariant).  Returns the parity payload and the ready
     ERROR_DETECTION chunk to transmit alongside the data.
-
-    One step per chunk with the parities in locals: a whole chunk is
-    :meth:`TpduInvariant.add_units` over all its units — the same checks,
-    the same run fold, the same trigger rule — with nothing to dispatch.
     """
     if not chunks:
         raise ChunkError("a TPDU needs at least one DATA chunk")
-    c_id, t_id = chunks[0][3], chunks[0][6]
-    p0, p1 = _id_parities(c_id, t_id)
+    c_id = chunks[0].c_id
+    t_id = chunks[0].t_id
+    invariant = TpduInvariant(c_id, t_id)
     total_units = 0
     for chunk in chunks:
-        ctype, size, length, chunk_c_id, _, c_st, chunk_t_id, t_sn, t_st, x_id, _, x_st, payload = (
-            chunk
-        )
-        if chunk_c_id != c_id or chunk_t_id != t_id:
+        if chunk.c_id != c_id or chunk.t_id != t_id:
             raise ChunkError("chunks span more than one (connection, TPDU)")
-        if ctype is not _DATA:
-            raise ChunkError("only DATA chunks contribute to the TPDU invariant")
-        if length < 1:
-            raise ChunkError(f"unit range [0, {length}) out of chunk bounds")
-        end = t_sn + length
-        if end * size > MAX_TPDU_SYMBOLS:
-            raise ChunkError(
-                f"TPDU data would occupy symbol {end * size - 1} "
-                f">= limit {MAX_TPDU_SYMBOLS}"
-            )
-        start = t_sn * size
-        if type(payload) is bytes and 0 < len(payload) <= _RUN_BYTES and 0 <= start <= _SHIFT_MASK:
-            run_p0, h = _fold(payload)  # add_bytes' one-block branch
-            p0 ^= run_p0
-            p1 ^= _reduce(h << start)
-        else:
-            run = Wsc2Accumulator()
-            run.add_bytes(start, payload)
-            p0 ^= run.p0
-            p1 ^= run.p1
-        if c_st:
-            p0 ^= 1
-            p1 ^= _C_ST_WEIGHT
-        if x_st or t_st:
-            x_id_weight, x_st_weight = _x_pair_weight(end - 1)
-            if x_id:
-                x_id &= 0xFFFFFFFF
-                p0 ^= x_id
-                p1 ^= gf_mul(x_id_weight, x_id)
-            if x_st:
-                p0 ^= 1
-                p1 ^= x_st_weight
-        if end > total_units:
-            total_units = end
+        length = chunk.length
+        invariant.add_units(chunk, 0, length)
+        if chunk.t_sn + length > total_units:
+            total_units = chunk.t_sn + length
+    p0, p1 = invariant.p0, invariant.p1
     # The ED chunk straight from the parities (build_ed_chunk's record).
     ed_chunk = Chunk._make(
         _ED, 1, 3, c_id, 0, False, t_id, 0, False, 0, 0, False,
         _ED_PAYLOAD.pack(p0, p1, total_units),
     )
-    ed = EdPayload.__new__(EdPayload)
-    _SET_P0(ed, p0)
-    _SET_P1(ed, p1)
-    _SET_TOTAL_UNITS(ed, total_units)
-    return ed, ed_chunk
+    return EdPayload(p0, p1, total_units), ed_chunk
 
 
 def decode_tpdu(chunks: list[Chunk], ed: EdPayload) -> bytes:

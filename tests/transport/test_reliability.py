@@ -282,6 +282,25 @@ class TestRetransmitHistoryCap:
         assert sender.timeouts == sender.retransmissions == 2 * 1000
         assert sender.sender.retransmitted_chunks == 2 * 2 * 1000  # DATA + ED each time
 
+    def test_a_tpdu_that_leaves_the_history_frees_its_chunks(self):
+        """Trimmed, acknowledged or given up, a record keeps no chunks for
+        the dead timer still queued on it."""
+        loop = EventLoop()
+        sender = ReliableSender(
+            loop, lambda frame: None, ConnectionConfig(connection_id=3, tpdu_units=16),
+            max_retries=0,
+        )
+        sender.sender.history_limit = 2
+        records = []
+        for t_id in range(3):
+            sender.send_frame(make_payload(16))
+            records.append(sender.sender._tpdus[t_id])
+        sender.handle_ack_chunk(build_ack_chunk(3, [1]))
+        loop.run()
+        assert sender.gave_up == [0, 2]  # trimmed while timed, then past max_retries
+        assert sender.timeouts == 1 and sender.sender._tpdus == {}
+        assert [(r.chunks, r.ed_chunk, r.session) for r in records] == [([], None, None)] * 3
+
 
 class TestAckLabels:
     def test_an_ack_carries_the_c_id_of_the_tpdus_it_acknowledges(self):

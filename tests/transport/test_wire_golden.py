@@ -27,6 +27,7 @@ from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.netsim.shardloop import ShardedLoop
 from repro.netsim.topology import HopSpec
+from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.reliability import ReliableReceiver, ReliableSender
@@ -43,9 +44,18 @@ class WireHash:
         self._digest = hashlib.sha256()
         self.frames = 0
 
-    def tap(self, tag: bytes, send: Callable[[bytes], None]) -> Callable[[bytes], None]:
+    def tap(
+        self,
+        tag: bytes,
+        send: Callable[[bytes], None],
+        recorded: Callable[[bytes], bytes] = bytes,
+    ) -> Callable[[bytes], None]:
+        """Hash ``recorded(frame)`` — the frame as the digest first saw
+        it — and send the frame itself."""
+
         def transmit(frame: bytes) -> None:
-            self._digest.update(tag + len(frame).to_bytes(4, "big") + frame)
+            hashed = recorded(frame)
+            self._digest.update(tag + len(hashed).to_bytes(4, "big") + hashed)
             self.frames += 1
             send(frame)
 
@@ -90,10 +100,25 @@ def endpoint_wire(shards: int | None) -> tuple[str, int]:
     return wire.hexdigest(), wire.frames
 
 
-def standalone_wire() -> tuple[str, int]:
-    """One reliable conversation, 5% loss forward, ACKs on a clean link."""
+def standalone_wire(ack_c_ids: list[int]) -> tuple[str, int]:
+    """One reliable conversation, 5% loss forward, ACKs on a clean link.
+
+    This run loses its SIGNALING chunk, so its receiver is never
+    configured.  When the digest was recorded, such a receiver labelled
+    its ACK chunks C.ID 0; they now carry the C.ID of the TPDUs they
+    acknowledge.  Each ACK chunk's C.ID is appended to *ack_c_ids* and
+    hashed as 0, so every other byte is still held to the recording.
+    """
     loop = EventLoop()
     wire = WireHash()
+
+    def as_recorded(frame: bytes) -> bytes:
+        chunks = Packet.decode(frame).chunks
+        for index, chunk in enumerate(chunks):
+            if chunk.type is ChunkType.ACK:
+                ack_c_ids.append(chunk.c_id)
+                chunks[index] = build_ack_chunk(0, parse_ack_chunk(chunk))
+        return Packet(chunks).encode()
 
     def deliver_acks(frame: bytes) -> None:
         for chunk in Packet.decode(frame).chunks:
@@ -101,7 +126,7 @@ def standalone_wire() -> tuple[str, int]:
                 sender.handle_ack_chunk(chunk)
 
     reverse = Link(loop, deliver=deliver_acks, mtu=MTU)
-    receiver = ReliableReceiver(transmit=wire.tap(b"<", reverse.send), mtu=MTU)
+    receiver = ReliableReceiver(transmit=wire.tap(b"<", reverse.send, as_recorded), mtu=MTU)
     forward = Link(
         loop, deliver=receiver.receive_packet, mtu=MTU, loss_rate=0.05,
         rng=substream(11, "forward"),
@@ -136,10 +161,8 @@ def test_sharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
 
 
 def test_standalone_reliable_pair_wire_is_byte_identical_to_the_recorded_run():
-    # Re-recorded for one change only: this run loses its SIGNALING chunk,
-    # and the 32 ACK chunks its receiver sends while unconfigured now carry
-    # C.ID 5, the C.ID of the TPDUs they acknowledge, not 0.  Every other
-    # byte of the 68 frames is as first recorded.
-    assert standalone_wire() == (
-        "552f4c97371695b656c9b48d1be335b02d8728b67c7fb16e1585072bcdde1ae0", 68,
+    ack_c_ids: list[int] = []
+    assert standalone_wire(ack_c_ids) == (
+        "7b0c79bdcd5a75a09982cfa587653ed57b1c2fe24c8932f25b94b39f0edb8c67", 68,
     )
+    assert ack_c_ids == [5] * 32  # the conversation's C.ID, not 0
