@@ -220,6 +220,10 @@ class ChunkStreamBuilder:
         x_sn = 0
         while x_sn < n_units:
             run = min(self._current_tpdu_units - self._t_sn, n_units - x_sn)
+            if run == n_units and type(payload) is bytes:
+                piece = payload  # the frame is the chunk's payload: immutable, no copy
+            else:
+                piece = bytes(data[x_sn * unit_bytes : (x_sn + run) * unit_bytes])
             last_of_frame = x_sn + run == n_units
             last_of_connection = end_of_connection and last_of_frame
             last_of_tpdu = last_of_connection or self._t_sn + run == self._current_tpdu_units
@@ -228,8 +232,7 @@ class ChunkStreamBuilder:
                     _DATA, self.unit_words, run,
                     self.connection_id, self._c_sn, last_of_connection,
                     self._t_id, self._t_sn, last_of_tpdu,
-                    x_id, x_sn, last_of_frame,
-                    bytes(data[x_sn * unit_bytes : (x_sn + run) * unit_bytes]),
+                    x_id, x_sn, last_of_frame, piece,
                 )
             )
             x_sn += run

@@ -85,6 +85,11 @@ class IntervalSet:
         i = bisect_right(self._starts, start) - 1
         return i >= 0 and self._ends[i] >= end
 
+    def intersects(self, start: int, end: int) -> bool:
+        """True if any unit of ``[start, end)`` is present: one bisect, no walk."""
+        i = bisect_right(self._ends, start)
+        return i < len(self._starts) and self._starts[i] < end
+
     def gaps(self, start: int, end: int) -> list[tuple[int, int]]:
         """The sub-ranges of ``[start, end)`` not present, in order
         (bisects to the window and walks only it)."""

@@ -54,8 +54,8 @@ class PlacementBuffer:
     limit_bytes: int | None = 256 * 1024 * 1024
     budget: SharedPlacementBudget | None = None
     budget_key: object = None
-    _data: bytearray = field(default_factory=bytearray)
-    _received: IntervalSet = field(default_factory=IntervalSet)
+    _data: bytearray = field(default_factory=bytearray, init=False)
+    _received: IntervalSet = field(default_factory=IntervalSet, init=False)
     bytes_placed: int = 0
     duplicate_bytes: int = 0
     #: writes refused because they overlapped placed bytes with
@@ -85,11 +85,17 @@ class PlacementBuffer:
                 f"write [{offset}, {end}) beyond the {self.limit_bytes}-byte "
                 f"region limit (corrupted sequence number?)"
             )
-        gaps = self._received.gaps(offset, end)
-        if gaps != [(offset, end)]:
+        # The region ends where the highest placed byte does, so a write at
+        # or past its end overlaps nothing; below it, one bisect decides.
+        received, size = self._received, len(self._data)
+        fresh = len(data)
+        if offset < size and received.intersects(offset, end):
             # Some of the range is already placed: what lies between the
-            # gaps must agree.  The views are released before any region
-            # growth below — a live export would pin the bytearray's size.
+            # gaps must agree, and only the gaps are fresh.  The views are
+            # released before any region growth below — a live export
+            # would pin the bytearray's size.
+            gaps = received.gaps(offset, end)
+            fresh = 0
             with memoryview(self._data) as placed, memoryview(data) as incoming:
                 lo = offset
                 for gap_start, gap_end in gaps + [(end, end)]:
@@ -99,19 +105,20 @@ class PlacementBuffer:
                             f"write [{offset}, {end}) disagrees with already-"
                             f"placed bytes in [{lo}, {gap_start})"
                         )
+                    fresh += gap_end - gap_start
                     lo = gap_end
-        if len(self._data) < end:
-            growth = end - len(self._data)
-            if self.budget is not None and not self.budget.reserve(self.budget_key, growth):
+        if size < end:
+            if self.budget is not None and not self.budget.reserve(self.budget_key, end - size):
                 raise BudgetExceededError(
                     f"write [{offset}, {end}) refused by the shared "
                     f"placement budget (key={self.budget_key!r})"
                 )
-            self._data.extend(b"\x00" * growth)
-        self._data[offset:end] = data
-        fresh = 0
-        for lo, hi in self._received.insert(offset, end):
-            fresh += hi - lo
+            if offset > size:  # a hole before the write reads as zeros
+                self._data.extend(bytes(offset - size))
+            self._data[offset:] = data  # replaces the tail and grows: one write
+        else:
+            self._data[offset:end] = data
+        received.insert(offset, end)
         self.bytes_placed += fresh
         self.duplicate_bytes += len(data) - fresh
         return fresh

@@ -19,6 +19,7 @@ byte-run kernel in :mod:`repro.wsc.wsc2` leans on ``alpha = x`` and on
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable
 
 __all__ = [
@@ -125,7 +126,8 @@ def gf_mul_const(weight: int) -> Callable[[int], int]:
     Multiplying by a constant is GF(2)-linear in the value's bits, so the
     product is the XOR of one table entry per value byte.  The tables are
     built from the 32 basis products ``weight * x^k`` (``mul_alpha``
-    steps), each entry from a smaller one plus one basis product.
+    steps), each entry from a smaller one plus one basis product.  The
+    tables are 32-bit arrays, 4 KiB a weight: callers cache one per weight.
     """
     basis = []
     product = weight & _MASK32
@@ -134,7 +136,7 @@ def gf_mul_const(weight: int) -> Callable[[int], int]:
         product = mul_alpha(product)
     tables = []
     for byte in range(4):
-        table = [0] * 256
+        table = array("I", bytes(4 * 256))
         for value in range(1, 256):
             low = value & -value  # its lowest set bit
             table[value] = table[value ^ low] ^ basis[8 * byte + low.bit_length() - 1]

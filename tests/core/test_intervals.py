@@ -177,6 +177,7 @@ def test_queries_match_model(pairs, qstart, qlen):
     qend = qstart + qlen
     assert s.contains(qstart, qend) == set(range(qstart, qend)).issubset(model)
     assert s.overlaps(qstart, qend) == len(set(range(qstart, qend)) & model)
+    assert s.intersects(qstart, qend) == bool(set(range(qstart, qend)) & model)
     gaps = s.gaps(qstart, qend)
     assert {u for lo, hi in gaps for u in range(lo, hi)} == (
         set(range(qstart, qend)) - model

@@ -156,10 +156,19 @@ class TestReleaseBytes:
 
 def test_placement_buffer_grows_one_keyed_reservation():
     budget = SharedPlacementBudget(pool_bytes=1000, min_share_bytes=100)
+    reserved = []
+    reserve = budget.reserve
+    budget.reserve = lambda key, nbytes: reserved.append((key, nbytes)) or reserve(key, nbytes)
     buffer = PlacementBuffer(limit_bytes=None, budget=budget, budget_key="k")
     buffer.place(0, b"x" * 100)
     buffer.place(100, b"y" * 100)
     assert budget.held("k") == 200
+    # Each append reserves its growth once, a hole before it included;
+    # a write inside the region reserves nothing.
+    buffer.place(250, b"z" * 50)
+    buffer.place(200, b"w" * 50)
+    assert reserved == [("k", 100), ("k", 100), ("k", 100)]
+    assert budget.held("k") == len(buffer._data) == 300
 
 
 class TestRefusedWriteReservesNothing:
@@ -176,7 +185,10 @@ class TestRefusedWriteReservesNothing:
 
     @staticmethod
     def snapshot(budget, buffer):
-        return budget.held("k"), budget.reserved_total, len(buffer._data), buffer.contents()
+        return (
+            budget.held("k"), budget.reserved_total, len(buffer._data), buffer.contents(),
+            buffer.bytes_placed,
+        )
 
     def test_write_beyond_total_bytes(self):
         budget, buffer = self.placed_region(total_bytes=150)
@@ -190,8 +202,10 @@ class TestRefusedWriteReservesNothing:
         before = self.snapshot(budget, buffer)
         with pytest.raises(InconsistentOverlapError):
             buffer.place(90, b"z" * 100)  # [90, 100) disagrees, [100, 190) is fresh
+        with pytest.raises(InconsistentOverlapError):
+            buffer.place(40, b"abcz")  # inside the region, its last byte disagrees
         assert self.snapshot(budget, buffer) == before
-        assert buffer.overlap_conflicts == 1
+        assert buffer.overlap_conflicts == 2
 
     def test_contradicted_end_marker(self):
         budget, buffer = self.placed_region()

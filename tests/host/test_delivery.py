@@ -31,6 +31,14 @@ class TestPlacementBuffer:
         assert buffer.place(2, b"cdef") == 2
         assert buffer.bytes_placed == 6
         assert buffer.duplicate_bytes == 2
+        # Exactly adjacent to placed bytes is fresh: past a hole, at the
+        # region's end, and filling the hole between two placed runs.
+        assert buffer.place(10, b"kl") == 2
+        assert buffer.place(12, b"mn") == 2
+        assert buffer.place(6, b"gh") == 2
+        assert buffer.place(8, b"ij") == 2
+        assert (buffer.bytes_placed, buffer.duplicate_bytes) == (14, 2)
+        assert buffer.contents() == b"abcdefghijklmn"
 
     def test_duplicate_overwrite_is_idempotent(self):
         buffer = PlacementBuffer()

@@ -52,11 +52,13 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-CALLS_PER_DATA_CHUNK = 25
+CALLS_PER_DATA_CHUNK = 23
 OBS_CALLS_PER_PACKET = 0
 #: smoke-scale workload -> calls into ``repro`` per decoded chunk (the
 #: values this tree measures on CPython 3.11, rounded up).
-CALLS_PER_DECODED_CHUNK = {"mux_256": 27, "sharded_1k": 32, "recv_disorder": 17}
+CALLS_PER_DECODED_CHUNK = {
+    "mux_256": 27, "sharded_1k": 32, "recv_disorder": 17, "small_frames": 25,
+}
 SEED = 1993
 SMOKE_SCALE = 1 / 16
 

@@ -1,13 +1,15 @@
 """The constant-weight multiply equals the definition.
 
 T.ID and C.ID sit at fixed positions (Figure 5), so their weights are
-constants, and multiplying by a constant is GF(2)-linear in the value's
-bits: ``gf_mul_const`` answers with four byte-table lookups built from
-32 basis products.  These properties hold it to ``gf_mul`` — the
-bit-serial definition — over full-width values and the edges (0, 1,
-all-ones, every single bit), and a whole TPDU whose T.ID and C.ID lie
-near 2**32 to the ``add_symbol`` oracle, on the sender and through the
-receiver.
+constants, and X.ID's is fixed by its final T.SN (Figure 6); multiplying
+by a constant is GF(2)-linear in the value's bits: ``gf_mul_const``
+answers with four byte-table lookups built from 32 basis products.
+These properties hold it to ``gf_mul`` — the bit-serial definition —
+over full-width values and the edges (0, 1, all-ones, every single bit),
+for the ID weights and the X pair's cached multipliers from the first
+to the last T.SN a TPDU can hold, and a whole TPDU whose T.ID and C.ID
+lie near 2**32 to the ``add_symbol`` oracle, on the sender and through
+the receiver.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.fragment import split_to_unit_limit
+from repro.core.types import MAX_TPDU_SYMBOLS
 from repro.wsc import invariant as invariant_module
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.gf32 import alpha_pow, gf_mul, gf_mul_const
@@ -26,12 +29,21 @@ from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes
 
 from tests.conftest import make_chunk
 
-WEIGHTS = {"T.ID": alpha_pow(T_ID_POS), "C.ID": alpha_pow(C_ID_POS)}
+#: final T.SNs whose X.ID multiplier is checked: the first, a one-unit-word
+#: TPDU of 16 units, a byte's edge, and the last symbol a TPDU can hold.
+X_FINAL_T_SNS = (0, 15, 255, MAX_TPDU_SYMBOLS - 1)
+WEIGHTS = {
+    "T.ID": alpha_pow(T_ID_POS),
+    "C.ID": alpha_pow(C_ID_POS),
+    **{f"X.ID@{t_sn}": alpha_pow(X_PAIR_BASE + 2 * t_sn) for t_sn in X_FINAL_T_SNS},
+}
 #: the multipliers the invariant runs, beside fresh ones built here: C.ID's
-#: is the T.ID table applied to alpha * C.ID, read off the ID rows' parities.
+#: is the T.ID table applied to alpha * C.ID, read off the ID rows' parities;
+#: X.ID's is the one cached for its final T.SN.
 RUNNING = {
     "T.ID": invariant_module._times_t_id_weight,
     "C.ID": lambda value: invariant_module._id_parities(value, 0)[1],
+    **{f"X.ID@{t_sn}": invariant_module._x_pair_weight(t_sn)[0] for t_sn in X_FINAL_T_SNS},
 }
 EDGES = [0, 1, 0xFFFFFFFF, *(1 << bit for bit in range(32))]
 
