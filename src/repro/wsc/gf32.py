@@ -126,8 +126,9 @@ def gf_mul_const(weight: int) -> Callable[[int], int]:
     Multiplying by a constant is GF(2)-linear in the value's bits, so the
     product is the XOR of one table entry per value byte.  The tables are
     built from the 32 basis products ``weight * x^k`` (``mul_alpha``
-    steps), each entry from a smaller one plus one basis product.  The
-    tables are 32-bit arrays, 4 KiB a weight: callers cache one per weight.
+    steps): a byte's table doubles eight times, the entries with bit k set
+    being those below 2^k plus basis product k.  They are 32-bit arrays,
+    4 KiB a weight: callers cache one per weight.
     """
     basis = []
     product = weight & _MASK32
@@ -136,11 +137,10 @@ def gf_mul_const(weight: int) -> Callable[[int], int]:
         product = mul_alpha(product)
     tables = []
     for byte in range(4):
-        table = array("I", bytes(4 * 256))
-        for value in range(1, 256):
-            low = value & -value  # its lowest set bit
-            table[value] = table[value ^ low] ^ basis[8 * byte + low.bit_length() - 1]
-        tables.append(table)
+        table = [0]
+        for product in basis[8 * byte : 8 * byte + 8]:
+            table += [entry ^ product for entry in table]  # the values with this bit set
+        tables.append(array("I", table))
     t0, t1, t2, t3 = tables
 
     def times_weight(value: int) -> int:
