@@ -31,8 +31,8 @@ class TestPlacementBuffer:
         assert buffer.place(2, b"cdef") == 2
         assert buffer.bytes_placed == 6
         assert buffer.duplicate_bytes == 2
-        # Exactly adjacent to placed bytes is fresh: past a hole, at the
-        # region's end, and filling the hole between two placed runs.
+        # A write past a hole, one exactly at the region's end, and two
+        # filling the hole flush against placed bytes are all fresh.
         assert buffer.place(10, b"kl") == 2
         assert buffer.place(12, b"mn") == 2
         assert buffer.place(6, b"gh") == 2
