@@ -22,9 +22,9 @@ from __future__ import annotations
 import random
 
 from _common import make_bytes, print_table, register_bench, scaled
-from repro.baselines.aal import Aal5Reassembler, aal5_segment
-from repro.baselines.framing_info import FIELDS, PROTOCOLS, Presence, matrix_rows
-from repro.baselines.ipfrag import fragment_datagram
+from repro.paper.aal import Aal5Reassembler, aal5_segment
+from repro.paper.framing_info import FIELDS, PROTOCOLS, Presence, matrix_rows
+from repro.paper.ipfrag import fragment_datagram
 from repro.core.fragment import split_to_unit_limit
 from repro.core.reassemble import coalesce
 
@@ -104,7 +104,7 @@ def test_chunk_demux_is_uniform():
 # ----------------------------------------------------------------------
 
 def flag_parse_cost(frame_bytes=512, frames=40):
-    from repro.baselines.flagstream import FlagStreamDecoder, encode_frames
+    from repro.paper.flagstream import FlagStreamDecoder, encode_frames
 
     payload = [make_bytes(frame_bytes, seed=i) for i in range(frames)]
     blob = encode_frames(payload)

@@ -8,7 +8,7 @@ into one pass instead of one buffer-walk per layer.
 Reproduction: run a 3-layer protocol stack (checksum, decrypt,
 byteswap) both layered and integrated over the same words; report
 memory traffic (the paper's currency) and wall time; assert identical
-results with a >2x traffic reduction.  ``host.ilp`` is that layered
+results with a >2x traffic reduction.  ``paper.ilp`` is that layered
 reference.  The live column measures the code that runs:
 ``ChunkTransportReceiver`` on a reversed MTU-296 transfer, where each
 chunk is decoded, checked and placed in one step — its data touches per
@@ -28,7 +28,7 @@ import repro
 from _common import print_table, register_bench, scaled
 from repro.core.packet import pack_chunks, repack
 from repro.core.types import ChunkType
-from repro.host.ilp import (
+from repro.paper.ilp import (
     byteswap_function,
     checksum_function,
     run_integrated,

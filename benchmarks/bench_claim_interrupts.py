@@ -19,9 +19,9 @@ from __future__ import annotations
 from _common import make_bytes, print_table, register_bench
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.packet import Packet, pack_chunks
-from repro.host.interrupts import PerPacketNic, PerPduNic
+from repro.paper.interrupts import PerPacketNic, PerPduNic
 from repro.netsim.events import EventLoop
-from repro.netsim.multipath import aurora_stripe
+from repro.paper.multipath import aurora_stripe
 
 TPDUS = 16
 TPDU_UNITS = 512  # 2 KiB

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 from _common import build_stream, print_table, register_bench, scaled
 from repro.core.packet import Packet, pack_chunks
-from repro.host.receiver import (
+from repro.paper.receiver import (
     ImmediateReceiver,
     ReassembleReceiver,
     ReorderReceiver,
 )
 from repro.netsim.events import EventLoop
-from repro.netsim.multipath import aurora_stripe
+from repro.paper.multipath import aurora_stripe
 
 STRATEGIES = [
     ("immediate", ImmediateReceiver),

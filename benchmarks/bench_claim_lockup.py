@@ -17,7 +17,7 @@ budget; count lock-up events and rejected fragments.
 from __future__ import annotations
 
 from _common import make_bytes, print_table, register_bench
-from repro.baselines.ipfrag import IpReassembler, fragment_datagram
+from repro.paper.ipfrag import IpReassembler, fragment_datagram
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import pack_chunks

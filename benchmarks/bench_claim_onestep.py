@@ -20,7 +20,7 @@ import random
 import time
 
 from _common import make_chunk, print_table, register_bench
-from repro.baselines.ipfrag import IpReassembler, fragment_datagram, refragment
+from repro.paper.ipfrag import IpReassembler, fragment_datagram, refragment
 from repro.core.fragment import split_to_unit_limit
 from repro.core.reassemble import coalesce
 

@@ -16,8 +16,8 @@ IP < compressed chunks < plain chunks < XTP on small MTUs.
 from __future__ import annotations
 
 from _common import make_bytes, print_table, register_bench
-from repro.baselines.ipfrag import IP_HEADER_BYTES, fragment_datagram
-from repro.baselines.xtp import packetize
+from repro.paper.ipfrag import IP_HEADER_BYTES, fragment_datagram
+from repro.paper.xtp import packetize
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.compress import HeaderCompressor, implicit_tpdu_ids
 from repro.core.packet import pack_chunks

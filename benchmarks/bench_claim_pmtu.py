@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from _common import make_bytes, print_table, register_bench
-from repro.baselines.pathmtu import PathMtuProber, PmtuSender
+from repro.paper.pathmtu import PathMtuProber, PmtuSender
 from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link

@@ -22,7 +22,7 @@ from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
 from repro.netsim.events import EventLoop
-from repro.netsim.turner import BottleneckQueue
+from repro.paper.turner import BottleneckQueue
 
 TPDUS = 24
 TPDU_UNITS = 128

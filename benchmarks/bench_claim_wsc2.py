@@ -23,9 +23,9 @@ from __future__ import annotations
 import random
 
 from _common import make_bytes, print_table, register_bench, scaled
-from repro.wsc.crc import Crc32, crc32
+from repro.paper.crc import Crc32, crc32
 from repro.wsc.gf32 import gf_mul
-from repro.wsc.inet import InetChecksum, inet_checksum
+from repro.paper.inet import InetChecksum, inet_checksum
 from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes, wsc2_encode
 
 DATA = make_bytes(4096, seed=11)

@@ -18,7 +18,7 @@ import random
 from _common import build_tpdu_with_ed, print_table, register_bench, scaled
 from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import pack_chunks
-from repro.wsc.crc import crc32
+from repro.paper.crc import crc32
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.invariant import TpduInvariant, parse_ed_chunk
 

@@ -74,7 +74,7 @@ def header_bytes(chunks, profile):
 
 def header_bytes_huffman(chunks, profile):
     """Packet-scope: compact headers + the static Huffman code."""
-    from repro.core.packetcomp import CompressedPacketCodec
+    from repro.paper.packetcomp import CompressedPacketCodec
 
     payload = sum(c.payload_bytes for c in chunks)
     codec = CompressedPacketCodec(profile)
@@ -94,7 +94,7 @@ def test_huffman_packet_scope_beats_plain_varints():
     huffman = header_bytes_huffman(chunks, profile)
     assert huffman < plain
     # And it round-trips exactly.
-    from repro.core.packetcomp import CompressedPacketCodec
+    from repro.paper.packetcomp import CompressedPacketCodec
 
     codec = CompressedPacketCodec(profile)
     assert codec.decode(codec.encode(chunks)) == chunks

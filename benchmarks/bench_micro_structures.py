@@ -13,7 +13,7 @@ import random
 
 from _common import build_stream, make_bytes, register_bench, scaled
 from repro.core.fragment import split_to_unit_limit
-from repro.core.huffman import DEFAULT_HEADER_CODE
+from repro.paper.huffman import DEFAULT_HEADER_CODE
 from repro.core.intervals import IntervalSet
 from repro.core.virtual import VirtualReassembler
 

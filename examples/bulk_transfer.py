@@ -16,7 +16,8 @@ import random
 
 from repro.app import BulkTransferApp
 from repro.core import pack_chunks
-from repro.netsim import EventLoop, aurora_stripe
+from repro.netsim import EventLoop
+from repro.paper.multipath import aurora_stripe
 from repro.transport import (
     ChunkTransportReceiver,
     ChunkTransportSender,

@@ -1,22 +1,28 @@
 """repro — a reproduction of Feldmeier, "A Data Labelling Technique for
 High-Performance Protocol Processing and Its Consequences" (SIGCOMM '93).
 
-Subpackages:
+Subpackages on the transfer path, in layering order:
 
 - :mod:`repro.core` — chunks, fragmentation, reassembly, packets, wire
-  codec, virtual reassembly, header compression;
+  codec, virtual reassembly, the signalled compression profile;
 - :mod:`repro.wsc` — GF(2^32), the WSC-2 code, the fragmentation-
   invariant TPDU layout, and the end-to-end verification matrix;
 - :mod:`repro.netsim` — the discrete-event network substrate (links,
-  multipath skew, chunk-aware routers);
-- :mod:`repro.baselines` — IP fragmentation, XTP, AAL5/AAL3-4, an
-  in-order transport, and the Appendix B framing matrix;
-- :mod:`repro.host` — bus cost model, the three receiver strategies,
-  Integrated Layer Processing, placement buffers;
-- :mod:`repro.transport` — a chunk transport (sender/receiver) with
-  per-TPDU WSC-2 and identifier-preserving retransmission;
-- :mod:`repro.crypto` — XTEA and order-(in)dependent cipher modes;
-- :mod:`repro.app` — bulk transfer and video playout applications.
+  reorder models, shared bottlenecks, chunk-aware routers);
+- :mod:`repro.host` — the touch ledger, placement buffers and the
+  shared placement budget;
+- :mod:`repro.transport` — a chunk transport (sender/receiver, endpoint,
+  shards) with per-TPDU WSC-2 and identifier-preserving retransmission;
+- :mod:`repro.app` — bulk transfer, video playout and adversarial
+  applications.
+
+Above them, :mod:`repro.paper` holds the figure models the paper
+measures chunks against: the reorder and reassemble receivers, NIC and
+ILP models, CRC and Internet checksums, Turner's drop policy, multipath
+skew, packet-scope compression, IP fragmentation, XTP, AAL, and XTEA
+with its cipher modes.  No transfer imports it.  Beside the stack,
+:mod:`repro.obs` is the instrumentation and :mod:`repro.analysis` the
+lint passes and model checker.
 
 Quickstart::
 

@@ -58,20 +58,19 @@ CONTAINER_MUTATORS: frozenset[str] = frozenset(
     }
 )
 
-#: The product packages, in architecture-DAG order (docs/architecture.md);
-#: ``obs`` / ``analysis`` are tooling.  Each pass names the
-#: subset it means: layering the stack below ``app`` / ``baselines``,
-#: hot-path-copy ``transport`` + ``host`` + ``wsc``, ambient-authority
-#: all of it.
+#: The product packages, in architecture-DAG order (docs/architecture.md):
+#: the transfer path, then the figure models in ``paper``; ``obs`` /
+#: ``analysis`` are tooling.  Each pass names the subset it means:
+#: layering the transfer stack below ``app``, hot-path-copy
+#: ``transport`` + ``host`` + ``wsc``, ambient-authority all of it.
 PRODUCT_PACKAGES: tuple[str, ...] = (
     "core",
-    "crypto",
     "wsc",
     "netsim",
     "host",
     "transport",
     "app",
-    "baselines",
+    "paper",
 )
 
 

@@ -281,19 +281,17 @@ class ProjectGraph:
         roots: Iterable[str],
         *,
         module_filter: frozenset[str] | None = None,
-        skip: frozenset[str] = frozenset(),
     ) -> set[str]:
         """Function qualnames reachable from *roots* via the call graph.
 
         *module_filter*, when given, restricts traversal to functions
-        whose module is in the set; *skip* drops individual qualnames
-        (and never traverses through them).
+        whose module is in the set.
         """
         seen: set[str] = set()
         queue: deque[str] = deque(q for q in roots if q in self.functions)
         while queue:
             qual = queue.popleft()
-            if qual in seen or qual in skip:
+            if qual in seen:
                 continue
             info = self.functions[qual]
             if module_filter is not None and info.module not in module_filter:
@@ -302,6 +300,6 @@ class ProjectGraph:
             for call in self.calls_in(info):
                 candidates, _exact = self.resolve_call(info, call)
                 for cand in candidates:
-                    if cand not in seen and cand not in skip:
+                    if cand not in seen:
                         queue.append(cand)
         return seen

@@ -15,11 +15,11 @@ three Python idioms that silently duplicate payload bytes:
 
 "Receive path" is computed interprocedurally: the entry points below
 plus everything reachable from them through the project call graph,
-restricted to the scoped modules.  ``ReorderReceiver`` and
-``ReassembleReceiver`` are exempt by design — they model the paper's
-*contrast* strategies (Section 3.3), whose extra touch is the
-experiment, not a bug.  Writes (slice *assignment* into a placement
-buffer) are the single permitted touch and are never flagged.
+restricted to the scoped modules.  The paper's contrast strategies
+(the reorder and reassemble receivers of Section 3.3, whose extra touch
+is the experiment) live in ``repro.paper``, outside the scope.  Writes
+(slice *assignment* into a placement buffer) are the single permitted
+touch and are never flagged.
 """
 
 from __future__ import annotations
@@ -36,12 +36,7 @@ SCOPED_MODULE = "repro.core.reassemble"
 SCOPED_PACKAGES = frozenset({"transport", "host", "wsc"})
 
 #: method/function names that start a receive path.
-ENTRY_NAMES = frozenset(
-    {"receive_packet", "receive_chunk", "_receive_chunk", "on_chunk", "on_packet", "_arrive"}
-)
-
-#: strategies whose double-touch is the point (Section 3.3 contrast).
-EXEMPT_CLASSES = frozenset({"ReorderReceiver", "ReassembleReceiver"})
+ENTRY_NAMES = frozenset({"receive_packet", "receive_chunk"})
 
 #: names that denote payload bytes in this codebase.
 PAYLOAD_NAMES = frozenset({"payload", "data", "frame", "buf", "blob", "body"})
@@ -88,19 +83,13 @@ class HotPathCopyPass(ProjectPass):
         scoped = frozenset(m for m in graph.units if _in_scope(m))
         if not scoped:
             return
-        skip = frozenset(
-            qual
-            for qual, info in graph.functions.items()
-            if info.cls in EXEMPT_CLASSES
-        )
         roots = [
             qual
             for qual, info in graph.functions.items()
             if info.module in scoped
-            and qual not in skip
             and (info.name in ENTRY_NAMES or info.module == SCOPED_MODULE)
         ]
-        hot = graph.reachable(roots, module_filter=scoped, skip=skip)
+        hot = graph.reachable(roots, module_filter=scoped)
 
         for qual in sorted(hot):
             info = graph.functions[qual]

@@ -1,13 +1,16 @@
 """layering: enforce the architecture DAG (docs/architecture.md).
 
-The data path stacks strictly::
+The transfer path stacks strictly, and the figure models sit above it::
 
-    core ─► {wsc, netsim, crypto} ─► host ─► transport ─► {app, baselines}
+    core ─► {wsc, netsim} ─► host ─► transport ─► app ─► paper
 
 Lower layers must never import upward — a ``core`` module that peeks at
 ``transport`` state is the in-repo analogue of a network layer reading
 across framing levels, which the self-describing-chunk design exists to
-forbid.  Two meta layers sit beside the stack:
+forbid.  ``paper`` (the receivers, checksums, NICs and baseline
+protocols the paper measures chunks against) may import the whole
+transfer path, and no layer of it may import ``paper``: what a transfer
+runs is the transfer stack alone.  Two meta layers sit beside the stack:
 
 - ``obs`` may be imported from anywhere (instrumentation) but
   itself depends only on ``core``;
@@ -30,20 +33,19 @@ from repro.analysis.graph import ProjectGraph
 
 __all__ = ["LayeringPass", "ALLOWED_IMPORTS", "META_LAYERS"]
 
-_PRODUCT_STACK = frozenset(PRODUCT_PACKAGES) - {"app", "baselines"}
+_TRANSFER_STACK = frozenset(PRODUCT_PACKAGES) - {"app", "paper"}
 
 #: package -> packages it may import (besides itself and meta layers).
 ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "core": frozenset(),
-    "crypto": frozenset({"core"}),
-    "wsc": frozenset({"core", "crypto"}),
+    "wsc": frozenset({"core"}),
     "netsim": frozenset({"core"}),
-    "host": frozenset({"core", "crypto", "wsc"}),
-    "transport": frozenset({"core", "crypto", "wsc", "netsim", "host"}),
-    "app": _PRODUCT_STACK,
-    "baselines": _PRODUCT_STACK,
+    "host": frozenset({"core", "wsc"}),
+    "transport": frozenset({"core", "wsc", "netsim", "host"}),
+    "app": _TRANSFER_STACK,
+    "paper": _TRANSFER_STACK | {"app"},
     "obs": frozenset({"core"}),
-    "analysis": _PRODUCT_STACK | frozenset({"obs"}),
+    "analysis": _TRANSFER_STACK | {"obs"},
 }
 
 #: importable from every layer (instrumentation).

@@ -2,8 +2,10 @@
 
 Self-describing chunks (Section 2), fragmentation (Appendix C),
 reassembly (Appendix D), packet envelopes, the binary wire format,
-stream framing (Figures 1-2), virtual reassembly (Section 3.3) and
-header compression (Appendix A).
+stream framing (Figures 1-2), virtual reassembly (Section 3.3) and the
+signalled header compression profile (Appendix A).  The packet-scope
+compressor and its Huffman code are figure models in
+:mod:`repro.paper`.
 """
 
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
@@ -29,9 +31,7 @@ from repro.core.errors import (
     VirtualReassemblyError,
 )
 from repro.core.fragment import fragment_for_mtu, split, split_to_unit_limit
-from repro.core.huffman import DEFAULT_HEADER_CODE, HuffmanCode
 from repro.core.intervals import IntervalSet
-from repro.core.packetcomp import CompressedPacketCodec
 from repro.core.packet import (
     Packet,
     pack_chunks,
@@ -84,9 +84,6 @@ __all__ = [
     "implicit_tpdu_ids",
     "elide_ed_headers",
     "restore_ed_headers",
-    "HuffmanCode",
-    "DEFAULT_HEADER_CODE",
-    "CompressedPacketCodec",
     "WORD_BYTES",
     "HEADER_BYTES",
     "PACKET_HEADER_BYTES",

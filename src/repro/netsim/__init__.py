@@ -1,9 +1,11 @@
 """Discrete-event network substrate.
 
 Replaces the paper's AURORA testbed hardware: links with rate, delay,
-MTU and impairments; multipath striping with skew (the 8x155 Mbps
-scenario of Section 1); and chunk-aware fragmenting routers implementing
-the three Figure 4 re-enveloping strategies.
+MTU and impairments; the reorder models a link can apply; a shared
+bottleneck; and chunk-aware fragmenting routers implementing the three
+Figure 4 re-enveloping strategies.  Multipath striping with skew (the
+8x155 Mbps scenario of Section 1), Turner's drop policy, route changes
+and the receiver trace are figure models in :mod:`repro.paper`.
 """
 
 from repro.netsim.bottleneck import (
@@ -13,25 +15,16 @@ from repro.netsim.bottleneck import (
 )
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link, LinkStats
-from repro.netsim.multipath import MultipathChannel, aurora_stripe
-from repro.netsim.router import ChunkRouter, RepackMode, RouterStats
 from repro.netsim.rng import corrupt_bytes, default_rng, substream
+from repro.netsim.router import ChunkRouter, RepackMode, RouterStats
 from repro.netsim.shardloop import ShardedLoop
-from repro.netsim.routechange import RouteSwitcher
 from repro.netsim.topology import ChunkPath, HopSpec, build_chunk_path
-from repro.netsim.trace import ArrivalRecord, ReceiverTrace
-from repro.netsim.turner import BottleneckQueue, QueueStats
 
 __all__ = [
-    "RouteSwitcher",
-    "BottleneckQueue",
-    "QueueStats",
     "EventLoop",
     "ShardedLoop",
     "Link",
     "LinkStats",
-    "MultipathChannel",
-    "aurora_stripe",
     "ChunkRouter",
     "RouterStats",
     "RepackMode",
@@ -41,8 +34,6 @@ __all__ = [
     "HopSpec",
     "ChunkPath",
     "build_chunk_path",
-    "ArrivalRecord",
-    "ReceiverTrace",
     "BottleneckPort",
     "SharedBottleneck",
     "build_shared_bottleneck",

@@ -5,7 +5,7 @@ callback with serialization delay (frame length / rate), propagation
 delay, and optional impairments: loss, single-bit corruption, and
 duplication.  Frames never reorder *within* one link (it is FIFO);
 disorder in the simulator arises from loss/retransmission, from
-multipath striping (:mod:`repro.netsim.multipath`), which is exactly the
+multipath striping (:mod:`repro.paper.multipath`), which is exactly the
 paper's taxonomy of disordering causes (Section 1), and — when a
 ``reorder`` policy from :mod:`repro.netsim.adversary` is plugged in —
 from pathological delivery models (almost-sorted displacement,

@@ -24,7 +24,7 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
-from repro.wsc.crc import crc32
+from repro.paper.crc import crc32
 
 __all__ = [
     "CELL_PAYLOAD",

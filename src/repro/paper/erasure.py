@@ -130,7 +130,5 @@ def repair_missing_word(
 
     Returns the recovered 4-byte word.
     """
-    solved = recover_erasures(
-        invariant.accumulator, expected_p0, expected_p1, [word_position]
-    )
+    solved = recover_erasures(invariant, expected_p0, expected_p1, [word_position])
     return solved[word_position].to_bytes(4, "big")

@@ -4,7 +4,7 @@ Appendix A: "In general, we can use positional information and Huffman
 encoding to reduce the chunk header overhead within a packet."  This
 module supplies the entropy-coding half: a canonical Huffman code built
 from a byte-frequency model, with exact bit-level encode/decode.  The
-packet-scope header compressor (:mod:`repro.core.packetcomp`) pairs it
+packet-scope header compressor (:mod:`repro.paper.packetcomp`) pairs it
 with positional (intra-packet delta) header encoding.
 
 Codes are *canonical* so a code is fully described by its 256 code

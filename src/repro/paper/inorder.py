@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.wsc.crc import crc32
+from repro.paper.crc import crc32
 
 __all__ = [
     "SEGMENT_HEADER_BYTES",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from repro.crypto.xtea import BLOCK_BYTES, Xtea
+from repro.paper.xtea import BLOCK_BYTES, Xtea
 
 __all__ = ["CbcMode", "CbcDisorderedDecryptor", "PositionKeyedMode", "split_blocks"]
 

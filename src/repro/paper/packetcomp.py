@@ -30,8 +30,8 @@ from repro.core.compress import (
     encode_varint,
 )
 from repro.core.errors import CodecError
-from repro.core.huffman import DEFAULT_HEADER_CODE, HuffmanCode
 from repro.core.types import PACKET_HEADER_BYTES
+from repro.paper.huffman import DEFAULT_HEADER_CODE, HuffmanCode
 
 __all__ = ["CompressedPacketCodec"]
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.wsc.crc import crc32
+from repro.paper.crc import crc32
 
 __all__ = [
     "XTP_HEADER_BYTES",

@@ -1,10 +1,9 @@
 """End-to-end error detection: GF(2^32), WSC-2, the TPDU invariant
-(Figures 5-6), the Table 1 verification matrix, and the CRC-32 /
-Internet-checksum baselines the paper compares against.
+(Figures 5-6) and the Table 1 verification matrix.  The CRC-32 /
+Internet-checksum baselines the paper compares against, and erasure
+repair from the WSC-2 parities, are figure models in :mod:`repro.paper`.
 """
 
-from repro.wsc.crc import Crc32, crc32
-from repro.wsc.erasure import ErasureError, recover_erasures, repair_missing_word
 from repro.wsc.endtoend import (
     REASON_CODE_MISMATCH,
     REASON_CONSISTENCY,
@@ -24,7 +23,6 @@ from repro.wsc.gf32 import (
     gf_pow,
     mul_alpha,
 )
-from repro.wsc.inet import InetChecksum, inet_checksum, ones_complement_add
 from repro.wsc.invariant import (
     C_ID_POS,
     C_ST_POS,
@@ -76,12 +74,4 @@ __all__ = [
     "REASON_CODE_MISMATCH",
     "REASON_CONSISTENCY",
     "REASON_REASSEMBLY",
-    "Crc32",
-    "crc32",
-    "ErasureError",
-    "recover_erasures",
-    "repair_missing_word",
-    "InetChecksum",
-    "inet_checksum",
-    "ones_complement_add",
 ]

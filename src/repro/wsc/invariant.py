@@ -170,11 +170,6 @@ class TpduInvariant(Wsc2Accumulator):
                 self.p0 ^= 1
                 self.p1 ^= x_st_weight
 
-    @property
-    def accumulator(self) -> Wsc2Accumulator:
-        """The parity accumulator erasure repair reads: the invariant itself."""
-        return self
-
 
 @dataclass(frozen=True, slots=True)
 class EdPayload:

@@ -16,7 +16,7 @@ Because field addition is commutative and associative, the code can be
 computed **on disordered data**: contributions may be accumulated in any
 arrival order, split across any number of accumulators and combined.
 That is the property the whole chunk design leans on (a CRC has no such
-property — see :mod:`repro.wsc.crc` and the CLAIM-WSC bench).
+property — see :mod:`repro.paper.crc` and the CLAIM-WSC bench).
 
 ``add_symbol`` / ``add_run`` are those sums written out bit-serially:
 the specification and the tests' oracle.  ``add_bytes`` is the kernel

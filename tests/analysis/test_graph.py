@@ -130,13 +130,6 @@ class TestReachability:
         )
         assert reached == {"repro.host.user.use"}
 
-    def test_skip_drops_function(self, tmp_path):
-        graph = build(tmp_path, MINI_TREE)
-        reached = graph.reachable(
-            ["repro.host.user.use"], skip=frozenset({"repro.core.util.helper"})
-        )
-        assert reached == {"repro.host.user.use"}
-
 
 class TestSyntheticOrphans:
     def test_unimported_module_is_an_orphan(self, tmp_path):

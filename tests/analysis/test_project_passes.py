@@ -47,6 +47,14 @@ class TestLayering:
         assert len(findings) == 1
         assert findings[0].line == 5
 
+    def test_transfer_path_import_of_paper_is_flagged(self):
+        findings = project_findings(
+            LayeringPass(), FIXTURES / "transport" / "bad_paper_import.py"
+        )
+        assert symbols(findings) == {
+            "upward-import:repro.transport.bad_paper_import->repro.paper.receiver"
+        }
+
     def test_unknown_package_is_flagged(self, tmp_path):
         path = tmp_path / "repro" / "sidecar" / "rogue.py"
         path.parent.mkdir(parents=True)

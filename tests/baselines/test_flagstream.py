@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.flagstream import (
+from repro.paper.flagstream import (
     FLAG_BEGIN,
     FLAG_END,
     FlagStreamDecoder,

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.baselines.framing_info import FIELDS, PROTOCOLS, Presence, matrix_rows
-from repro.baselines.inorder import InOrderReceiver, Segment, segment_stream
+from repro.paper.framing_info import FIELDS, PROTOCOLS, Presence, matrix_rows
+from repro.paper.inorder import InOrderReceiver, Segment, segment_stream
 from tests.helpers import deterministic_bytes as _payload
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.baselines.ipfrag import (
+from repro.paper.ipfrag import (
     FRAG_UNIT,
     IP_HEADER_BYTES,
     IpFragment,

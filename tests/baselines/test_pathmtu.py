@@ -2,8 +2,8 @@
 
 from dataclasses import dataclass, field
 
-from repro.baselines.pathmtu import PathMtuProber, PmtuSender
 from repro.netsim.events import EventLoop
+from repro.paper.pathmtu import PathMtuProber, PmtuSender
 
 
 @dataclass

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.baselines.aal import (
+from repro.paper.aal import (
     Aal34Reassembler,
     Aal5Reassembler,
     SegmentType,
     aal34_segment,
     aal5_segment,
 )
-from repro.baselines.xtp import (
+from repro.paper.xtp import (
     XTP_HEADER_BYTES,
     XTP_TRAILER_BYTES,
     SuperPacket,

@@ -11,10 +11,10 @@ from repro.core.codec import encode_chunk
 from repro.core.compress import CompressionProfile
 from repro.core.errors import CodecError
 from repro.core.fragment import split_to_unit_limit
-from repro.core.huffman import DEFAULT_HEADER_CODE, HuffmanCode
 from repro.core.packet import pack_chunks
-from repro.core.packetcomp import CompressedPacketCodec
 from repro.core.types import ChunkType
+from repro.paper.huffman import DEFAULT_HEADER_CODE, HuffmanCode
+from repro.paper.packetcomp import CompressedPacketCodec
 from repro.wsc.invariant import encode_tpdu
 
 from tests.conftest import make_payload

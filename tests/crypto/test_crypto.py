@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.modes import (
+from repro.paper.modes import (
     CbcDisorderedDecryptor,
     CbcMode,
     PositionKeyedMode,
     split_blocks,
 )
-from repro.crypto.xtea import BLOCK_BYTES, KEY_BYTES, Xtea
+from repro.paper.xtea import BLOCK_BYTES, KEY_BYTES, Xtea
 
 KEY = bytes(range(16))
 

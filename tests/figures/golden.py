@@ -31,9 +31,9 @@ from typing import Any, Callable, Iterator, NamedTuple
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.fragment import split_to_unit_limit
-from repro.host.receiver import HostReceiver, ImmediateReceiver, ReassembleReceiver
 from repro.obs import Registry, active_journey, install_journey, session, uninstall_journey
 from repro.obs.snapshot import Scalar, diff_snapshots, metric_snapshot
+from repro.paper.receiver import HostReceiver, ImmediateReceiver, ReassembleReceiver
 
 REPO = Path(__file__).resolve().parents[2]
 GOLDEN = REPO / "BENCH_0005.json"

@@ -5,7 +5,7 @@ import random
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import pack_chunks
-from repro.host.interrupts import PerPacketNic, PerPduNic
+from repro.paper.interrupts import PerPacketNic, PerPduNic
 
 from tests.conftest import make_payload
 

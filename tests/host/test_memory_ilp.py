@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.host.ilp import (
+from repro.host.memory import BusModel, TouchLedger
+from repro.paper.ilp import (
     byteswap_function,
     checksum_function,
     run_integrated,
     run_layered,
     xor_decrypt_function,
 )
-from repro.host.memory import BusModel, TouchLedger
 
 
 class TestTouchLedger:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.errors import FragmentationError, ReproError
 from repro.core.fragment import split
 from repro.core.types import ChunkType
-from repro.host.parallel import ProcessingUnit, TypeDemux, parallel_split
+from repro.paper.parallel import ProcessingUnit, TypeDemux, parallel_split
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
 from tests.conftest import make_chunk

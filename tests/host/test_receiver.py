@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
-from repro.host.receiver import (
+from repro.paper.receiver import (
     ImmediateReceiver,
     ReassembleReceiver,
     ReorderReceiver,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 
-from repro.baselines.aal import Aal5Reassembler, aal5_segment
 from repro.core.packet import pack_chunks
+from repro.paper.aal import Aal5Reassembler, aal5_segment
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender

@@ -12,8 +12,8 @@ import pytest
 
 from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
-from repro.netsim.multipath import aurora_stripe
 from repro.netsim.topology import HopSpec, build_chunk_path
+from repro.paper.multipath import aurora_stripe
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender

@@ -20,7 +20,7 @@ from repro.core.codec import decode_chunks, encode_chunk
 from repro.core.compress import CompressionProfile, HeaderCompressor, HeaderDecompressor
 from repro.core.errors import ReproError
 from repro.core.packet import Packet, pack_chunks
-from repro.core.packetcomp import CompressedPacketCodec
+from repro.paper.packetcomp import CompressedPacketCodec
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import EndToEndReceiver

@@ -28,9 +28,9 @@ from repro.core.compress import (
     implicit_tpdu_ids,
 )
 from repro.core.fragment import split_to_unit_limit
-from repro.crypto.modes import PositionKeyedMode
-from repro.crypto.xtea import Xtea
 from repro.host.delivery import PlacementBuffer
+from repro.paper.modes import PositionKeyedMode
+from repro.paper.xtea import Xtea
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.invariant import encode_tpdu
 

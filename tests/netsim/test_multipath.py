@@ -1,9 +1,9 @@
 """Unit tests for multipath striping: skew must cause reorder."""
 
 from repro.netsim.events import EventLoop
-from repro.netsim.multipath import MultipathChannel, aurora_stripe
 from repro.netsim.link import Link
-from repro.netsim.trace import ReceiverTrace
+from repro.paper.multipath import MultipathChannel, aurora_stripe
+from repro.paper.trace import ReceiverTrace
 
 
 def _send_indexed(channel, count, size=1000):

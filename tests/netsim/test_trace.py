@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.netsim.trace import ArrivalRecord, ReceiverTrace
 from repro.obs import session
+from repro.paper.trace import ArrivalRecord, ReceiverTrace
 
 
 def _trace(indices, t0=0.0, dt=1.0):

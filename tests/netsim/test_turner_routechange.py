@@ -4,8 +4,8 @@ from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import Packet, pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
-from repro.netsim.routechange import RouteSwitcher
-from repro.netsim.turner import BottleneckQueue
+from repro.paper.routechange import RouteSwitcher
+from repro.paper.turner import BottleneckQueue
 
 from tests.conftest import make_chunk
 

@@ -11,12 +11,12 @@ import pytest
 import repro.obs.runtime as obs_runtime
 from repro.core.packet import pack_chunks
 from repro.host.memory import TouchLedger
-from repro.host.receiver import ImmediateReceiver, ReorderReceiver
 from repro.netsim.events import EventLoop
 from repro.netsim.shardloop import ShardedLoop
-from repro.netsim.trace import ReceiverTrace
 from repro.obs import journey_session, session
 from repro.obs.report import load_records, main, summarize
+from repro.paper.receiver import ImmediateReceiver, ReorderReceiver
+from repro.paper.trace import ReceiverTrace
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.receiver import ChunkTransportReceiver

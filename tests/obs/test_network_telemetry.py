@@ -22,10 +22,10 @@ chunk's retransmissions — to what the journey tracker recorded.
 from __future__ import annotations
 
 import repro.app.concurrent  # noqa: F401 — every declared series is in the snapshot
-import repro.host.receiver  # noqa: F401
 import repro.netsim.adversary  # noqa: F401
 import repro.netsim.bottleneck  # noqa: F401
-import repro.netsim.trace  # noqa: F401
+import repro.paper.receiver  # noqa: F401
+import repro.paper.trace  # noqa: F401
 from repro.host.pool import GlobalBudgetPool
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link

@@ -31,14 +31,14 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.baselines.ipfrag import IpFragment, IpReassembler
 from repro.core.errors import ReassemblyError
 from repro.core.fragment import split, split_to_unit_limit
 from repro.core.reassemble import coalesce
 from repro.core.virtual import VirtualReassembler
 from repro.host.delivery import PlacementBuffer
-from repro.host.receiver import ReassembleReceiver, ReorderReceiver
 from repro.netsim.adversary import AlmostSortedReorder, InterruptCoalescingReorder
+from repro.paper.ipfrag import IpFragment, IpReassembler
+from repro.paper.receiver import ReassembleReceiver, ReorderReceiver
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender

@@ -53,12 +53,12 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from repro.baselines.ipfrag import FRAG_UNIT, IpFragment, IpReassembler
 from repro.core.errors import InconsistentOverlapError, ReassemblyError
 from repro.core.reassemble import coalesce
 from repro.core.virtual import PduState
 from repro.host.delivery import FrameStore, PlacementBuffer
-from repro.host.receiver import ReassembleReceiver, ReorderReceiver
+from repro.paper.ipfrag import FRAG_UNIT, IpFragment, IpReassembler
+from repro.paper.receiver import ReassembleReceiver, ReorderReceiver
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import REASON_CODE_MISMATCH
 from repro.wsc.invariant import encode_tpdu

@@ -11,12 +11,20 @@ are dropped before counting; the configuration an opener passes in is
 the caller's.
 
 The bound is the two sides together: :data:`OBJECTS_PER_CONVERSATION`.
+The test takes its count in a fresh interpreter: ``gc.get_objects()``
+walks every tracked object, and inside a test session those are the
+whole suite's.
 """
 
 from __future__ import annotations
 
 import gc
+import json
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 from repro.core.packet import pack_chunks
 from repro.netsim.shardloop import ShardedLoop
@@ -26,6 +34,7 @@ from repro.transport.shard import ShardedEndpoint
 #: GC-tracked objects per conversation, opened side plus established side.
 OBJECTS_PER_CONVERSATION = 18
 SAMPLES = 50
+REPO = Path(__file__).parents[2]
 
 
 def _tracked() -> int:
@@ -53,5 +62,10 @@ def objects_per_conversation(samples: int = SAMPLES) -> tuple[float, float]:
 
 
 def test_a_conversation_leaves_few_objects_on_each_side():
-    opened, established = objects_per_conversation()
+    code = ("import json; from tests.transport.test_objects_per_conversation import "
+            "objects_per_conversation; print(json.dumps(objects_per_conversation()))")
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    counted = subprocess.run([sys.executable, "-c", code], cwd=REPO, check=True, text=True,
+                             capture_output=True, env={**os.environ, "PYTHONPATH": path})
+    opened, established = json.loads(counted.stdout)
     assert opened + established <= OBJECTS_PER_CONVERSATION, (opened, established)

@@ -46,7 +46,6 @@ def test_pending_tpdus_hold_slotted_records_and_no_arrivals():
     for checker in checkers:
         reassembly = checker.reassembly
         assert isinstance(checker, TpduInvariant) and isinstance(checker, Wsc2Accumulator)
-        assert checker.accumulator is checker
         assert type(reassembly) is PduState and reassembly.complete
         for record in (checker, reassembly):
             assert not hasattr(record, "__dict__"), type(record).__name__

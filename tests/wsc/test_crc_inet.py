@@ -6,8 +6,8 @@ import zlib
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.wsc.crc import Crc32, crc32
-from repro.wsc.inet import InetChecksum, inet_checksum, ones_complement_add
+from repro.paper.crc import Crc32, crc32
+from repro.paper.inet import InetChecksum, inet_checksum, ones_complement_add
 
 
 class TestCrc32:
