@@ -36,9 +36,11 @@ Three passes run over the whole-program import/call graph
 Two tables are bound to the code by *running* both, not by a pass: the
 wire layout of :mod:`repro.core.wire_table` (``tests/core/
 test_wire_layout.py`` infers every field from live encodings) and the
-lifecycle table of :mod:`repro.core.state_table`
-(``tests/properties/test_lifecycle_conformance.py``, explored
-exhaustively by :mod:`repro.analysis.modelcheck`).  Retired passes, and
+lifecycle table of :mod:`repro.analysis.state_table`, which
+:mod:`repro.analysis.modelcheck` runs against a live endpoint in every
+reachable state of a bounded configuration (``tests/analysis/
+test_modelcheck.py``; ``tests/properties/test_lifecycle_conformance.py``
+takes the same checked steps on random walks).  Retired passes, and
 what holds their property now, are tabled in ``docs/static-analysis.md``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
@@ -49,10 +51,11 @@ cross-run nondeterminism diffs, and — for a watched
 :class:`~repro.transport.shard.ShardedEndpoint` — fails when an event
 one shard runs changes another shard's state.
 
-The analyzer has no command line: ``tests/analysis/test_tree_is_clean.py``
-runs each pass over ``src/repro``, ``benchmarks`` and ``examples`` as
-one tier-1 test id (``test_tree_is_clean[<pass-id>]``), and any finding
-fails it.
+Neither the analyzer nor the lifecycle checker has a command line:
+``tests/analysis/test_tree_is_clean.py`` runs each pass over
+``src/repro``, ``benchmarks`` and ``examples`` as one tier-1 test id
+(``test_tree_is_clean[<pass-id>]``), and any finding fails it;
+``tests/analysis/test_modelcheck.py`` runs the checker.
 """
 
 from __future__ import annotations

@@ -1,58 +1,31 @@
-"""Explicit-state model checking of the declared connection lifecycle.
+"""Exhaustive checking of the live endpoint against the declared lifecycle.
 
-:mod:`repro.core.state_table` declares the connection FSM; this module
-*executes* it.  A bounded configuration (N conversations, a shared
-token pool, a placement cap, a tombstone FIFO capacity) induces a
-finite global state space, and :func:`explore` enumerates every
-reachable interleaving of the event alphabet by breadth-first search —
-exhaustively, to fixpoint, with no sampling.
-
-On every reached state the PR 7 invariants are checked as temporal
-properties:
-
-- **no acked-unplaced bytes** — ``acked <= placed`` per conversation;
-- **tombstone monotonicity** — a conversation in the tombstone FIFO
-  never sits in a live state (the "resurrection" property), and every
-  evicted/refused conversation is in the FIFO;
-- **eviction-reason exclusivity** — each terminal state implies exactly
-  one recorded reason, live states imply none;
-- **budget tokens conserved** — free tokens plus held tokens always
-  equals the pool size, and the pool never goes negative.
-
-A violation yields a :class:`Violation` carrying the shortest event
-trace from the all-CLOSED initial state (BFS gives minimality for
-free).  :func:`counterexample_records` renders that trace in the
-flight-recorder JSONL dialect — ``flight-meta`` header plus ``conn``
--level provenance records — so :func:`repro.obs.perfetto.write_trace`
-turns a counterexample into a Perfetto timeline with one lifecycle
-lane per conversation.
-
-``tombstone-overflow`` is never scheduled as a free event: it fires as
-a *cascade* of the ``tombstone`` effect, exactly like
-:meth:`repro.core.bounded.BoundedSet.add` dropping its oldest entry.
-
-Run ``python -m repro.analysis.modelcheck`` (CI does); the
-``--inject-resurrection`` flag adds the classic bad transition — an
-undeclared revival of a tombstoned C.ID — and demonstrates the checker
-catching it.  That the live endpoint follows the same table is the
-conformance property's job (``tests/properties/
-test_lifecycle_conformance.py``), which offers a tombstoned C.ID every
-event and requires it to stay tombstoned.
+:func:`explore` runs :mod:`repro.analysis.state_table`'s table against a
+live :class:`~repro.transport.endpoint.ChunkEndpoint`: it reaches every
+state (:class:`Snapshot`) of a bounded configuration by breadth-first
+search, replaying each state's event path on a fresh endpoint, and
+checks every offered event with :meth:`LiveEndpoint.step` — the declared
+rows against what the endpoint did, and four invariants read off its
+objects.  The conformance walks take the same steps on random
+sequences.  A violation carries a shortest trace, which
+:func:`counterexample_records` renders as flight-recorder JSONL.
+docs/static-analysis.md, "The lifecycle checker", has the details.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import permutations
 from pathlib import Path
-from typing import Sequence
 
-from repro.core.state_table import (
+from repro.analysis.state_table import (
     CLOSED,
-    EFFECTS,
+    CLOSING,
+    ESTABLISHED,
+    ESTABLISHING,
+    EVENTS,
     EVICTED_IDLE,
     EVICTED_STALLED,
     STATE_TABLE,
@@ -61,117 +34,116 @@ from repro.core.state_table import (
     Transition,
     row_line,
 )
+from repro.core.errors import EndpointError
+from repro.core.packet import Packet
+from repro.core.types import ChunkType
+from repro.host.budget import SharedPlacementBudget
+from repro.netsim.events import EventLoop
+from repro.obs import flight, provenance
+from repro.transport.acks import build_ack_chunk, parse_ack_chunk
+from repro.transport.connection import ConnectionConfig
+from repro.transport.endpoint import ChunkEndpoint, Connection, ConnectionState, ConnectionTable
+from repro.transport.sender import ChunkTransportSender
 
 __all__ = [
+    "ALPHABET",
+    "TIMER_EVENTS",
     "ModelConfig",
-    "ConvState",
-    "GlobalState",
-    "TraceStep",
+    "Snapshot",
+    "Step",
     "Violation",
     "ModelCheckResult",
-    "initial_state",
-    "enabled",
-    "apply_step",
-    "check_invariants",
+    "LiveEndpoint",
     "explore",
-    "with_transition",
-    "injected_resurrection",
     "counterexample_records",
     "write_counterexample",
-    "main",
 ]
 
-#: States whose conversations must appear in the tombstone FIFO, with
-#: the eviction reason each one implies (exclusivity invariant).
-_TOMBSTONE_STATES: dict[str, str] = {
-    EVICTED_IDLE: "idle",
-    EVICTED_STALLED: "stalled",
-    TOMBSTONED: "refused",
-}
+#: Every event something can schedule; ``tombstone-overflow`` only ever
+#: fires as the cascade of a tombstoning row.
+ALPHABET = tuple(event for event in EVENTS if event != "tombstone-overflow")
+#: Endpoint-wide events: one ``sweep()`` reaches every conversation.
+TIMER_EVENTS = ("sweep", "progress-police")
 
-#: Transition ids that *record* an eviction reason when they fire.
-_REASON_OF: dict[str, str] = {
-    "evict-idle": "idle",
-    "evict-closed": "idle",
-    "evict-unacked": "idle",
-    "evict-stalled": "stalled",
-    "refuse-admission": "refused",
-}
+#: C.ID of conversation 0; conversation *i* is ``FIRST_CID + i``.
+FIRST_CID = 9
+#: Simulated seconds per offer.  A ``sweep`` jumps past the idle timeout
+#: and the close linger, so every connection is due; every other offer —
+#: ``progress-police`` included — advances one progress window, which is
+#: all a receiver session needs to miss the progress floor.
+STEP = 1.0
+IDLE = 1000.0
+#: Placement-pool bytes per admission token.
+SHARE = 64 * 1024
+
+#: Tombstone states by the eviction reason whose counter moved.
+_TOMBSTONE_OF = {"idle": EVICTED_IDLE, "stalled": EVICTED_STALLED, "refused": TOMBSTONED}
+_IN_TABLE = (ESTABLISHING, ESTABLISHED, CLOSING)
+
+#: ``(invariant or "declared-row", message, disagreeing row id or "")``.
+Problem = tuple[str, str, str]
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Bounds making the lifecycle state space finite.
-
-    Attributes:
-        conversations: number of concurrent conversations modelled.
-        pool_tokens: size of the shared placement-budget token pool.
-        placement_cap: abstract placed-byte units per conversation.
-        tombstone_capacity: FIFO capacity before the oldest tombstone
-            is forgotten (the BoundedSet bound).
-    """
+    """Bounds making the endpoint's lifecycle state space finite: the
+    C.IDs offered events, the receiver sessions the placement pool can
+    admit, and the tombstone FIFO's capacity."""
 
     conversations: int = 2
     pool_tokens: int = 1
-    placement_cap: int = 2
     tombstone_capacity: int = 1
 
     def __post_init__(self) -> None:
-        if self.conversations < 1:
-            raise ValueError(f"conversations must be positive, got {self.conversations}")
-        if self.pool_tokens < 0:
-            raise ValueError(f"pool_tokens must be >= 0, got {self.pool_tokens}")
-        if self.placement_cap < 1:
-            raise ValueError(f"placement_cap must be positive, got {self.placement_cap}")
-        if self.tombstone_capacity < 1:
-            raise ValueError(
-                f"tombstone_capacity must be positive, got {self.tombstone_capacity}"
-            )
+        for name, least in (("conversations", 1), ("pool_tokens", 0), ("tombstone_capacity", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class ConvState:
-    """One conversation's abstract state."""
+@dataclass(frozen=True, order=True)
+class Snapshot:
+    """The endpoint's lifecycle state, one entry per conversation index."""
 
-    state: str = CLOSED
-    placed: int = 0
-    acked: int = 0
-    token: bool = False
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class GlobalState:
-    """The whole endpoint: conversations, free tokens, tombstone FIFO."""
-
-    convs: tuple[ConvState, ...]
-    tokens: int
+    states: tuple[str, ...]
+    receivers: tuple[bool, ...]
+    registered: int
+    #: conversations in connection-table order (the order a sweep evicts in).
+    order: tuple[int, ...] = ()
+    #: conversations in the tombstone FIFO, oldest first.
     tombstones: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One fired transition in a counterexample trace."""
+class Step:
+    """One offered event (to conversation *conv*, or None for a timer):
+    the rows it fired and the states either side."""
 
-    conv: int
-    transition: Transition
+    event: str
+    conv: int | None
+    fired: tuple[tuple[int, Transition], ...]
+    before: Snapshot
+    after: Snapshot
 
 
 @dataclass(frozen=True)
 class Violation:
-    """An invariant broken on a reachable state, with its shortest trace."""
+    """A broken invariant or a disagreeing row (its id, else ""), with
+    the shortest trace that reaches it."""
 
     invariant: str
     message: str
-    state: GlobalState
-    trace: tuple[TraceStep, ...]
+    row: str
+    trace: tuple[Step, ...]
+
+    @property
+    def state(self) -> Snapshot:
+        return self.trace[-1].after
 
 
 @dataclass
 class ModelCheckResult:
     """Outcome of one exhaustive exploration."""
 
-    config: ModelConfig
     states_explored: int = 0
     edges: int = 0
     fired: dict[str, int] = field(default_factory=dict)
@@ -186,174 +158,275 @@ class ModelCheckResult:
         return sorted(set(table.by_id) - set(self.fired))
 
 
-def initial_state(config: ModelConfig) -> GlobalState:
-    return GlobalState(
-        convs=tuple(ConvState() for _ in range(config.conversations)),
-        tokens=config.pool_tokens,
-    )
+def _config(cid: int) -> ConnectionConfig:
+    return ConnectionConfig(connection_id=cid, tpdu_units=16)
 
 
-def _guard_holds(guard: str, conv: ConvState, state: GlobalState, config: ModelConfig) -> bool:
-    if guard == "":
-        return True
-    if guard == "pool-has-token":
-        return state.tokens > 0
-    if guard == "pool-exhausted":
-        return state.tokens <= 0
-    if guard == "acked-below-placed":
-        return conv.acked < conv.placed
-    if guard == "has-receiver":
-        return conv.token
-    if guard == "receiver-admissible":
-        return not conv.token and state.tokens > 0
-    raise ValueError(f"model checker cannot evaluate guard {guard!r}")
+def _table_state(connection: Connection) -> str:
+    if connection.state is ConnectionState.CLOSED:
+        return CLOSING
+    sender = connection.sender
+    if connection.receiver is None and sender is not None and sender.acks_received == 0:
+        return ESTABLISHING
+    return ESTABLISHED
 
 
-def enabled(
-    state: GlobalState, table: StateTable, config: ModelConfig
-) -> list[tuple[int, Transition]]:
-    """Every ``(conversation, transition)`` firable from *state*.
+class LiveEndpoint:
+    """A fresh :class:`ChunkEndpoint` and its peers: :func:`explore` and
+    the conformance walks both offer it events through :meth:`step`."""
 
-    ``tombstone-overflow`` transitions are excluded: they only fire as
-    a cascade of the ``tombstone`` effect, mirroring BoundedSet.
-    """
-    out: list[tuple[int, Transition]] = []
-    for idx, conv in enumerate(state.convs):
-        for transition in table.transitions:
-            if transition.event == "tombstone-overflow":
-                continue
-            if transition.src != conv.state:
-                continue
-            if _guard_holds(transition.guard, conv, state, config):
-                out.append((idx, transition))
-    return out
-
-
-def apply_step(
-    state: GlobalState, idx: int, transition: Transition, table: StateTable, config: ModelConfig
-) -> tuple[GlobalState, tuple[TraceStep, ...]]:
-    """Fire *transition* on conversation *idx*; returns the successor
-    state and every step taken (the transition itself plus any
-    ``forget-*`` cascade forced by tombstone-FIFO overflow)."""
-    convs = list(state.convs)
-    tokens = state.tokens
-    tombstones = list(state.tombstones)
-    steps: list[TraceStep] = [TraceStep(idx, transition)]
-
-    def fire(conv_idx: int, fired: Transition) -> None:
-        nonlocal tokens
-        conv = convs[conv_idx]
-        conv = replace(
-            conv,
-            state=fired.dst,
-            reason=_REASON_OF.get(fired.transition_id, conv.reason),
+    def __init__(self, config: ModelConfig, table: StateTable = STATE_TABLE) -> None:
+        self.config = config
+        self.table = table
+        self.cids = tuple(range(FIRST_CID, FIRST_CID + config.conversations))
+        self.loop = EventLoop()
+        self.endpoint = ChunkEndpoint(
+            self.loop,
+            transmit=self._transmitted,
+            budget=SharedPlacementBudget(
+                pool_bytes=config.pool_tokens * SHARE, min_share_bytes=SHARE
+            ),
+            table=ConnectionTable(tombstone_capacity=config.tombstone_capacity),
+            idle_timeout=IDLE,
+            close_linger=IDLE,
+            # No conversation here ever meets the floor: policing evicts
+            # every established receiver session one window old.
+            min_progress_bytes=1 << 30,
+            progress_window=STEP,
         )
-        for effect in sorted(fired.effects, key=EFFECTS.index):
-            if effect == "acquire-token":
-                tokens -= 1
-                conv = replace(conv, token=True)
-            elif effect == "release-token":
-                if conv.token:
-                    tokens += 1
-                conv = replace(conv, token=False)
-            elif effect == "tombstone":
-                tombstones.append(conv_idx)
-            elif effect == "place-bytes":
-                # Saturating: the cap bounds the explored space, not the endpoint.
-                conv = replace(conv, placed=min(conv.placed + 1, config.placement_cap))
-            elif effect == "ack-bytes":
-                conv = replace(conv, acked=conv.acked + 1)
-            elif effect == "reset-conversation":
-                conv = ConvState()
-                if conv_idx in tombstones:
-                    tombstones.remove(conv_idx)
-        convs[conv_idx] = conv
-        # FIFO overflow cascade: forgetting the oldest tombstone is a
-        # declared transition too, selected by the victim's state.
-        while len(tombstones) > config.tombstone_capacity:
-            victim = tombstones.pop(0)
-            forget = _forget_transition(table, convs[victim].state)
-            if forget is None:
-                break
-            steps.append(TraceStep(victim, forget))
-            tombstones.insert(0, victim)  # fire() pops it via reset
-            fire(victim, forget)
+        self.peers = {cid: ChunkTransportSender(_config(cid)) for cid in self.cids}
+        count = config.conversations
+        self.state = Snapshot((CLOSED,) * count, (False,) * count, 0)
+        #: refused chunks the table files under each refusal kind.
+        self.expect_unknown = self.expect_evicted = 0
+        self._verified: set[tuple[int, int]] = set()
+        self._unverified_acks: list[tuple[int, int]] = []
 
-    fire(idx, transition)
-    return GlobalState(tuple(convs), tokens, tuple(tombstones)), tuple(steps)
+    def replay(self, path: tuple[Step, ...]) -> None:
+        """Re-run *path*'s offers unchecked: the endpoint is deterministic,
+        so it reaches the state the path recorded."""
+        for taken in path:
+            self._offer(taken.event, taken.conv)
+        if path:
+            self.state = path[-1].after
 
+    # -- the table's side --------------------------------------------
 
-def _forget_transition(table: StateTable, state: str) -> Transition | None:
-    for transition in table.transitions:
-        if transition.event == "tombstone-overflow" and transition.src == state:
-            return transition
-    return None
+    def _expect(
+        self, event: str, conv: int | None
+    ) -> tuple[list[tuple[int, Transition]], Snapshot]:
+        """The rows *event* fires from :attr:`state`, and where they lead."""
+        before = self.state
+        states, receivers = list(before.states), list(before.receivers)
+        order, tombstones = list(before.order), list(before.tombstones)
+        registered = before.registered
+        fired: list[tuple[int, Transition]] = []
 
+        def row(c: int, on: str) -> Transition | None:
+            free = registered < self.config.pool_tokens
+            guards = {
+                "": True,
+                "pool-has-token": free,
+                "pool-exhausted": not free,
+                "has-receiver": receivers[c],
+                "receiver-admissible": free and not receivers[c],
+            }
+            for transition in self.table.outgoing(states[c]):
+                if transition.event == on and guards[transition.guard]:
+                    return transition
+            return None
 
-# ----------------------------------------------------------------------
-# Invariants (the PR 7 properties, phrased over model states)
-# ----------------------------------------------------------------------
+        def fire(c: int, transition: Transition) -> None:
+            nonlocal registered
+            fired.append((c, transition))
+            states[c] = transition.dst
+            effects = transition.effects
+            if "acquire-token" in effects:
+                receivers[c] = True
+                registered += 1
+            if "release-token" in effects and receivers[c]:
+                receivers[c] = False
+                registered -= 1
+            if transition.dst in _IN_TABLE and c not in order:
+                order.append(c)
+            elif transition.dst not in _IN_TABLE and c in order:
+                order.remove(c)
+            if "reset-conversation" in effects:
+                tombstones.remove(c)
+            if "tombstone" in effects:
+                tombstones.append(c)
+                if len(tombstones) > self.config.tombstone_capacity:
+                    forget = row(tombstones[0], "tombstone-overflow")
+                    if forget is not None:
+                        fire(tombstones[0], forget)
 
+        for c in before.order if conv is None else (conv,):
+            transition = row(c, event)
+            if transition is not None:
+                fire(c, transition)
+        return fired, Snapshot(
+            tuple(states), tuple(receivers), registered, tuple(order), tuple(tombstones)
+        )
 
-def check_invariants(state: GlobalState, config: ModelConfig) -> list[tuple[str, str]]:
-    """``(invariant-name, message)`` for every property *state* breaks."""
-    problems: list[tuple[str, str]] = []
+    # -- the endpoint's side -----------------------------------------
 
-    for idx, conv in enumerate(state.convs):
-        if conv.acked > conv.placed:
-            problems.append(
-                (
-                    "acked-unplaced",
-                    f"conversation {idx} acked {conv.acked} > placed {conv.placed}",
+    def _transmitted(self, frame: bytes) -> None:
+        for chunk in Packet.decode(frame).chunks:
+            if chunk.type is ChunkType.ACK:
+                for t_id in parse_ack_chunk(chunk):
+                    if (chunk.c_id, t_id) not in self._verified:
+                        self._unverified_acks.append((chunk.c_id, t_id))
+
+    def _chunks(self, cid: int, event: str) -> list:
+        connection = self.endpoint.connection(cid)
+        if event == "signaling-chunk":
+            if connection is None or connection.receiver is None:
+                # A new receiver session: a fresh peer (C.SN from zero) feeds it.
+                self.peers[cid] = ChunkTransportSender(_config(cid))
+            return [self.peers[cid].establishment_chunk()]
+        if event == "ack-chunk":
+            return [build_ack_chunk(cid, [0])]
+        placed = (
+            connection is not None
+            and connection.receiver is not None
+            and connection.state is ConnectionState.ESTABLISHED
+        )
+        # Where the chunks cannot be placed, any of the conversation's will do.
+        sender = self.peers[cid] if placed else ChunkTransportSender(_config(cid))
+        return sender.send_frame(b"\xa5" * 8, end_of_connection=event == "cst-chunk")
+
+    def _offer(self, event: str, conv: int | None) -> tuple[int, int, bool]:
+        """Run *event* on the endpoint: ``(chunks offered, refused, raised)``."""
+        self.loop.schedule(IDLE if event == "sweep" else STEP, lambda: None)
+        self.loop.run()
+        endpoint = self.endpoint
+        offered = refused = 0
+        raised = False
+        if conv is None:
+            endpoint.sweep()
+        elif event in ("local-open", "local-close"):
+            cid = self.cids[conv]
+            try:
+                if event == "local-open":
+                    endpoint.open_connection(_config(cid))
+                else:
+                    endpoint.close_connection(cid)
+            except EndpointError:
+                raised = True
+        else:
+            chunks = self._chunks(self.cids[conv], event)
+            events = endpoint.receive_packet(Packet(chunks=chunks).encode())
+            for received in events.per_connection.values():
+                self._verified.update((v.c_id, v.t_id) for v in received.verdicts if v.ok)
+            offered, refused = len(chunks), events.refused_chunks
+        self.loop.run()  # this offer's ACKs go out through the transmit check
+        return offered, refused, raised
+
+    def _observe(self, reason: str) -> Snapshot:
+        """The endpoint's state; a new tombstone records *reason*."""
+        before = self.state
+        connections = self.endpoint.table.connections
+        index = {cid: c for c, cid in enumerate(self.cids)}
+        tombstones = tuple(index[cid] for cid in self.endpoint.table.evicted_ids)
+        states = []
+        for c, cid in enumerate(self.cids):
+            if cid in connections:
+                states.append(_table_state(connections[cid]))
+            elif c not in tombstones:
+                states.append(CLOSED)
+            elif before.states[c] in _TOMBSTONE_OF.values():
+                states.append(before.states[c])
+            else:
+                states.append(_TOMBSTONE_OF.get(reason, TOMBSTONED))
+        receivers = tuple(
+            cid in connections and connections[cid].receiver is not None for cid in self.cids
+        )
+        order = tuple(index[cid] for cid in connections)
+        return Snapshot(
+            tuple(states), receivers, self.endpoint.budget.registered, order, tombstones
+        )
+
+    # -- one edge ----------------------------------------------------
+
+    def step(self, event: str, conv: int | None) -> tuple[Step, list[Problem]]:
+        """Offer *event* to conversation *conv* (a timer reaches all) and
+        check the edge; returns the step and what it broke."""
+        if event in TIMER_EVENTS:
+            conv = None
+        before = self.state
+        fired, expected = self._expect(event, conv)
+        stats = self.endpoint.stats()
+        offered, refused, raised = self._offer(event, conv)
+        moved = {key: value - stats[key] for key, value in self.endpoint.stats().items()}
+        stalled = moved["stalled_evictions"]
+        reasons = [
+            reason
+            for reason, count in (("idle", moved["evicted_total"] - stalled),
+                                  ("stalled", stalled), ("refused", moved["connections_refused"]))
+            if count > 0
+        ]
+        after = self.state = self._observe(reasons[0] if len(reasons) == 1 else "")
+        problems = self._invariants(before, after, reasons)
+
+        # The edge: the rows lead exactly where the endpoint went, and
+        # where no row fires nothing moves ...
+        own = next((t.transition_id for c, t in fired if c == conv), "")
+        disagreements: list[tuple[str, str]] = []
+        if after != expected:
+            blame = next((
+                t.transition_id for c, t in reversed(fired)
+                if (after.states[c], after.receivers[c])
+                != (expected.states[c], expected.receivers[c])
+            ), own or (fired[0][1].transition_id if fired else ""))
+            disagreements.append((blame, f"expects {expected}, the endpoint shows {after}"))
+        # ... refusal is exactly a refuse-* row, filed by tombstone ...
+        if offered:
+            if refused not in (0, offered) or (
+                own and (refused == offered) != own.startswith("refuse-")
+            ):
+                disagreements.append((own, f"{refused} of {offered} chunks refused"))
+            filed = (0, refused) if conv in expected.tombstones else (refused, 0)
+            self.expect_unknown += filed[0]
+            self.expect_evicted += filed[1]
+            shown = (moved["refused_unknown"], moved["refused_evicted"])
+            if shown != filed:
+                disagreements.append(
+                    (own, f"refused (unknown, evicted) {shown}, the table says {filed}")
                 )
-            )
+        # ... and a declared local call succeeds.
+        if raised and own:
+            disagreements.append((own, "the endpoint raised"))
+        problems.extend(
+            ("declared-row", f"{event}, {row or 'no row'}: {message}", row)
+            for row, message in disagreements
+        )
+        return Step(event, conv, tuple(fired), before, after), problems
 
-    fifo = set(state.tombstones)
-    for idx in state.tombstones:
-        if state.convs[idx].state not in _TOMBSTONE_STATES:
+    def _invariants(self, before: Snapshot, after: Snapshot, reasons: list[str]) -> list[Problem]:
+        """The four invariants, read from the live objects."""
+        problems: list[Problem] = [
+            ("acked-unplaced", f"C.ID {cid} ACKed T.ID {t_id}, which it never verified", "")
+            for cid, t_id in self._unverified_acks
+        ]
+        self._unverified_acks.clear()
+        problems.extend(
+            ("tombstone-monotonic",
+             f"conversation {c} is tombstoned but resurrected to {after.states[c]}", "")
+            for c in after.tombstones
+            if self.cids[c] in self.endpoint.table.connections
+        )
+        if set(after.tombstones) - set(before.tombstones) and len(reasons) != 1:
             problems.append(
-                (
-                    "tombstone-monotonic",
-                    f"conversation {idx} is tombstoned but resurrected to "
-                    f"{state.convs[idx].state}",
-                )
+                ("reason-exclusive", f"a new tombstone has reasons {reasons or 'none'}", "")
             )
-    for idx, conv in enumerate(state.convs):
-        if conv.state in _TOMBSTONE_STATES and idx not in fifo:
-            problems.append(
-                (
-                    "tombstone-monotonic",
-                    f"conversation {idx} is {conv.state} but missing from the "
-                    "tombstone FIFO",
-                )
-            )
-
-    for idx, conv in enumerate(state.convs):
-        expected = _TOMBSTONE_STATES.get(conv.state, "")
-        if expected and conv.reason != expected:
-            problems.append(
-                (
-                    "reason-exclusive",
-                    f"conversation {idx} in {conv.state} has reason "
-                    f"{conv.reason!r}, expected {expected!r}",
-                )
-            )
-
-    held = sum(1 for conv in state.convs if conv.token)
-    if state.tokens < 0 or state.tokens + held != config.pool_tokens:
-        problems.append(
-            (
+        held, pool = sum(after.receivers), self.config.pool_tokens
+        if after.registered != held or after.registered > pool:
+            problems.append((
                 "token-conserved",
-                f"{state.tokens} free + {held} held != pool of "
-                f"{config.pool_tokens}",
-            )
-        )
-    return problems
-
-
-# ----------------------------------------------------------------------
-# Exhaustive exploration
-# ----------------------------------------------------------------------
+                f"{after.registered} registered, {held} receiver sessions, a pool of {pool}",
+                "",
+            ))
+        return problems
 
 
 def explore(
@@ -361,94 +434,72 @@ def explore(
     config: ModelConfig | None = None,
     stop_at_first: bool = True,
 ) -> ModelCheckResult:
-    """Breadth-first fixpoint over every reachable interleaving.
+    """Breadth-first fixpoint over every reachable endpoint state.
 
-    The bounds in *config* make the space finite, so this terminates
-    without a depth cutoff.  BFS order means any reported violation
-    carries a shortest counterexample trace.
+    Each state is reached by replaying its event path on a fresh
+    :class:`LiveEndpoint` and is offered every event of the alphabet —
+    a timer once, the rest once per conversation.  The endpoint treats
+    its C.IDs alike, so states that differ only by a renaming of the
+    conversations are one state here.  The bounds in *config* make the
+    space finite, and BFS order gives every violation a shortest trace.
+
+    The replays are the search's machinery, not a history: they run with
+    no journey tracker or flight recorder installed (a recorder would
+    dump a black box per replayed stall eviction), though a metrics
+    session still counts them.
     """
     config = config or ModelConfig()
-    result = ModelCheckResult(config=config)
-    root = initial_state(config)
-    parents: dict[GlobalState, tuple[GlobalState, tuple[TraceStep, ...]] | None] = {root: None}
-    queue: deque[GlobalState] = deque([root])
-
-    def trace_to(state: GlobalState) -> tuple[TraceStep, ...]:
-        steps: list[TraceStep] = []
-        cursor: GlobalState | None = state
-        while cursor is not None:
-            edge = parents[cursor]
-            if edge is None:
-                break
-            cursor, taken = edge
-            steps[:0] = taken
-        return tuple(steps)
-
-    def record(state: GlobalState) -> bool:
-        """Check invariants; True when exploration should stop."""
-        for invariant, message in check_invariants(state, config):
-            result.violations.append(
-                Violation(invariant, message, state, trace_to(state))
-            )
-            if stop_at_first:
-                return True
-        return False
-
-    if record(root):
-        result.states_explored = 1
-        return result
-
-    while queue:
-        state = queue.popleft()
-        result.states_explored += 1
-        for idx, transition in enabled(state, table, config):
-            successor, steps = apply_step(state, idx, transition, table, config)
-            result.edges += 1
-            for step in steps:
-                tid = step.transition.transition_id
-                result.fired[tid] = result.fired.get(tid, 0) + 1
-            if successor in parents:
-                continue
-            parents[successor] = (state, steps)
-            if record(successor):
-                result.states_explored += 1
-                return result
-            queue.append(successor)
+    result = ModelCheckResult()
+    offers = [
+        (event, conv)
+        for event in ALPHABET
+        for conv in ((None,) if event in TIMER_EVENTS else range(config.conversations))
+    ]
+    renamings = list(permutations(range(config.conversations)))
+    root = LiveEndpoint(config, table).state
+    paths: dict[Snapshot, tuple[Step, ...]] = {root: ()}
+    queue: deque[Snapshot] = deque([root])
+    tracker, recorder = provenance.active_journey(), flight.active_flight()
+    flight.uninstall_flight()
+    provenance.uninstall_journey()
+    try:
+        while queue:
+            path = paths[queue.popleft()]
+            result.states_explored += 1
+            for event, conv in offers:
+                live = LiveEndpoint(config, table)
+                live.replay(path)
+                step, problems = live.step(event, conv)
+                result.edges += 1
+                for _, transition in step.fired:
+                    tid = transition.transition_id
+                    result.fired[tid] = result.fired.get(tid, 0) + 1
+                trace = path + (step,)
+                result.violations.extend(Violation(*problem, trace) for problem in problems)
+                if problems and stop_at_first:
+                    return result
+                state = min(_rename(step.after, new) for new in renamings)
+                if state not in paths:
+                    paths[state] = trace
+                    queue.append(state)
+    finally:
+        if tracker is not None:
+            provenance.install_journey(tracker)
+        if recorder is not None:
+            flight.install_flight(recorder)
     return result
 
 
-# ----------------------------------------------------------------------
-# Fault injection
-# ----------------------------------------------------------------------
-
-
-def with_transition(table: StateTable, transition: Transition) -> StateTable:
-    """A copy of *table* with one extra transition (fault injection)."""
-    return StateTable(
-        states=table.states,
-        initial=table.initial,
-        transitions=table.transitions + (transition,),
+def _rename(state: Snapshot, new: tuple[int, ...]) -> Snapshot:
+    """*state* with conversation ``c`` renamed ``new[c]``."""
+    old = sorted(range(len(new)), key=new.__getitem__)
+    return Snapshot(
+        tuple(state.states[c] for c in old),
+        tuple(state.receivers[c] for c in old),
+        state.registered,
+        tuple(new[c] for c in state.order),
+        tuple(new[c] for c in state.tombstones),
     )
-
-
-def injected_resurrection() -> Transition:
-    """The canonical bad transition: a tombstoned C.ID re-admitted.
-
-    Injecting this row makes :func:`explore` produce a
-    tombstone-monotonicity counterexample.
-    """
-    return Transition(
-        "bad-resurrect",
-        TOMBSTONED,
-        "signaling-chunk",
-        "ESTABLISHED",
-        notes="INJECTED FAULT: revives a refused C.ID without clearing its tombstone",
-    )
-
-
-# ----------------------------------------------------------------------
-# Counterexample traces (flight-recorder JSONL dialect)
-# ----------------------------------------------------------------------
 
 
 def counterexample_records(violation: Violation) -> list[dict[str, object]]:
@@ -456,43 +507,50 @@ def counterexample_records(violation: Violation) -> list[dict[str, object]]:
 
     Format matches :meth:`repro.obs.flight.FlightRecorder.snapshot`: a
     ``flight-meta`` header then ``conn``-level provenance records, one
-    per fired transition, so :func:`repro.obs.perfetto.journeys_to_trace`
-    renders the counterexample on per-conversation lifecycle lanes.
+    per fired row — or, for a step that fired none, one named by its
+    event with the states the endpoint showed — so
+    :func:`repro.obs.perfetto.journeys_to_trace` renders the trace on
+    per-conversation lifecycle lanes.
     """
-    conversations = len(violation.state.convs)
-    records: list[dict[str, object]] = [
-        {
-            "kind": "flight-meta",
-            "trigger": "modelcheck",
-            "tag": violation.invariant,
-            "seq": 0,
-            "ring_size": len(violation.trace),
-            "conversations": conversations,
-            "records_seen": len(violation.trace),
-            "message": violation.message,
-        }
-    ]
-    for step_index, step in enumerate(violation.trace):
-        transition = step.transition
-        records.append(
-            {
-                "kind": "provenance",
-                "t": float(step_index),
-                "stage": transition.transition_id,
-                "c_id": step.conv,
-                "offset": 0,
-                "length": 0,
-                "gen": 0,
-                "level": "conn",
-                "fields": {
-                    "transition": transition.transition_id,
-                    "from": transition.src,
-                    "to": transition.dst,
-                    "event": transition.event,
-                    "table_line": row_line(transition.transition_id),
-                },
-            }
-        )
+    moves: list[tuple[int, Transition | None, str, str, str]] = []
+    for step in violation.trace:
+        moves.extend((c, t, t.src, t.dst, t.event) for c, t in step.fired)
+        if not step.fired:
+            before, after = step.before.states, step.after.states
+            moves.extend(
+                (c, None, before[c], after[c], step.event)
+                for c in range(len(after))
+                if c == step.conv or before[c] != after[c]
+            )
+    records: list[dict[str, object]] = [{
+        "kind": "flight-meta",
+        "trigger": "modelcheck",
+        "tag": violation.invariant,
+        "seq": 0,
+        "ring_size": len(moves),
+        "conversations": len(violation.state.states),
+        "records_seen": len(moves),
+        "message": violation.message,
+    }]
+    for number, (conv, transition, src, dst, event) in enumerate(moves):
+        tid = None if transition is None else transition.transition_id
+        records.append({
+            "kind": "provenance",
+            "t": float(number),
+            "stage": tid or event,
+            "c_id": conv,
+            "offset": 0,
+            "length": 0,
+            "gen": 0,
+            "level": "conn",
+            "fields": {
+                "transition": tid,
+                "from": src,
+                "to": dst,
+                "event": event,
+                "table_line": 0 if tid is None else row_line(tid),
+            },
+        })
     return records
 
 
@@ -505,77 +563,3 @@ def write_counterexample(violation: Violation, path: Path) -> Path:
     )
     path.write_text(text, encoding="utf-8")
     return path
-
-
-# ----------------------------------------------------------------------
-# CLI
-# ----------------------------------------------------------------------
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.modelcheck",
-        description="exhaustively model-check the declared connection lifecycle",
-    )
-    parser.add_argument("--conversations", type=int, default=2, help="conversations modelled")
-    parser.add_argument("--pool-tokens", type=int, default=1, help="placement-budget pool size")
-    parser.add_argument(
-        "--placement-cap", type=int, default=2, help="placed-byte units per conversation"
-    )
-    parser.add_argument(
-        "--tombstone-capacity", type=int, default=1, help="tombstone FIFO capacity"
-    )
-    parser.add_argument(
-        "--counterexample",
-        type=Path,
-        metavar="DIR",
-        help="directory for counterexample JSONL dumps on violation",
-    )
-    parser.add_argument(
-        "--inject-resurrection",
-        action="store_true",
-        help="inject the tombstone-resurrection fault (demo / CI artifact check)",
-    )
-    args = parser.parse_args(argv)
-
-    config = ModelConfig(
-        conversations=args.conversations,
-        pool_tokens=args.pool_tokens,
-        placement_cap=args.placement_cap,
-        tombstone_capacity=args.tombstone_capacity,
-    )
-    table = STATE_TABLE
-    if args.inject_resurrection:
-        table = with_transition(table, injected_resurrection())
-
-    result = explore(table, config)
-    uncovered = result.uncovered(table)
-    print(
-        f"modelcheck: {result.states_explored} states, {result.edges} edges, "
-        f"{len(result.fired)}/{len(table.by_id)} transitions covered"
-    )
-    if uncovered:
-        print(f"modelcheck: uncovered transitions: {', '.join(uncovered)}")
-    if result.ok:
-        print("modelcheck: all invariants hold on every reachable state")
-        return 0
-    for number, violation in enumerate(result.violations):
-        print(
-            f"modelcheck: VIOLATION [{violation.invariant}] {violation.message} "
-            f"(trace length {len(violation.trace)})"
-        )
-        for step in violation.trace:
-            transition = step.transition
-            print(
-                f"  conv {step.conv}: {transition.src} --{transition.event}--> "
-                f"{transition.dst}  ({transition.transition_id})"
-            )
-        if args.counterexample is not None:
-            path = args.counterexample / f"modelcheck-{number:03d}-{violation.invariant}.jsonl"
-            write_counterexample(violation, path)
-            print(f"  counterexample written to {path}")
-    return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

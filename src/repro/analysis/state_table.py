@@ -2,31 +2,16 @@
 
 The paper's labelling discipline makes per-conversation state explicit
 and finite — establishment on a SIGNALING chunk, close on C.ST,
-eviction with tombstones — but until now that FSM lived implicitly in
-:class:`~repro.transport.endpoint.ChunkEndpoint` /
-:class:`~repro.transport.endpoint.ConnectionTable` code paths.  This
-module is the one authoritative copy: every lifecycle state and every
-transition as a :class:`Transition` row, with the markdown table, the
-mermaid diagram, and the model checker's transition relation *derived*
-from it.
-
-Consumers:
-
-- ``tests/properties/test_lifecycle_conformance.py`` runs the table
-  against a live :class:`~repro.transport.endpoint.ChunkEndpoint`: every
-  row is fired on the endpoint (same observable lifecycle class,
-  refusals exactly where a ``refuse-*`` row says), and every event is
-  also offered where the table has *no* row, where the endpoint may not
-  change a conversation's class.  Nothing in the code points back at
-  the table; the two are reconciled by feeding both the same events.
-- :mod:`repro.analysis.modelcheck` exhaustively enumerates event
-  interleavings over exactly this transition relation and checks the
-  PR 7 invariants as temporal properties.
-- ``docs/architecture.md`` embeds the rendered table + diagram between
-  ``<!-- state-table:begin -->`` / ``<!-- state-table:end -->``
-  markers; ``python -m repro.core.state_table --write`` regenerates the
-  block, ``--check`` (and ``tests/core/test_state_table.py``) fails
-  when it is stale.
+eviction with tombstones — and
+:class:`~repro.transport.endpoint.ChunkEndpoint` implements it.  This
+module declares that automaton once, as :class:`Transition` rows; no
+transfer module imports it and nothing in the endpoint points back at
+it.  :mod:`repro.analysis.modelcheck` runs it against a live endpoint.
+``docs/architecture.md`` embeds the rendered table and mermaid diagram
+between ``<!-- state-table:begin -->`` / ``<!-- state-table:end -->``
+markers: ``python -m repro.analysis.state_table --write`` regenerates
+the block, and ``--check`` (and ``tests/core/test_state_table.py``)
+fails when it is stale.
 """
 
 from __future__ import annotations
@@ -96,27 +81,28 @@ EVENTS: tuple[str, ...] = (
     "tombstone-overflow",
 )
 
-#: Guards the model checker knows how to evaluate.  A receiver session
-#: *is* a held budget token (the endpoint admits one exactly when it
-#: attaches the other), so the role guards read the token bit:
-#: ``has-receiver`` = token held, ``receiver-admissible`` = none held
-#: and the pool can promise one.
+#: Guards, each read off the live endpoint.  A receiver session *is* a
+#: held budget token (the endpoint admits one exactly when it attaches
+#: the other), so the pool guards read ``budget.registered`` and the
+#: role guards the conversation's receiver: ``has-receiver`` = one
+#: attached, ``receiver-admissible`` = none attached and the pool can
+#: promise one.  Nothing here counts bytes: acknowledgment against
+#: verification is checked on every ACK the endpoint transmits.
 GUARDS: tuple[str, ...] = (
     "",
     "pool-has-token",
     "pool-exhausted",
-    "acked-below-placed",
     "has-receiver",
     "receiver-admissible",
 )
 
-#: Effects the model checker knows how to apply, in application order.
+#: Effects, each an observable delta of the endpoint: a budget key
+#: registered or released with a receiver session, a C.ID appended to
+#: the tombstone FIFO, a forgotten C.ID leaving it.
 EFFECTS: tuple[str, ...] = (
     "acquire-token",
     "release-token",
     "tombstone",
-    "place-bytes",
-    "ack-bytes",
     "reset-conversation",
 )
 
@@ -127,13 +113,12 @@ class Transition:
 
     Attributes:
         transition_id: stable kebab-case id, referenced by the
-            conformance property and counterexample traces.
+            lifecycle checker and its counterexample traces.
         src: source state (one of :data:`STATES`).
         event: triggering event (one of :data:`EVENTS`).
         dst: destination state.
         guard: predicate gating the transition ("" = always enabled).
-        effects: state-mutation effects, applied in :data:`EFFECTS`
-            order by the model checker.
+        effects: the endpoint deltas the row promises (:data:`EFFECTS`).
         notes: one-line rationale for the docs table.
     """
 
@@ -273,7 +258,6 @@ STATE_TABLE = StateTable(
             "data-chunk",
             ESTABLISHED,
             guard="has-receiver",
-            effects=("place-bytes",),
             notes="label-routed placement; self-loop (sender-only: refused)",
         ),
         Transition(
@@ -281,9 +265,7 @@ STATE_TABLE = StateTable(
             ESTABLISHED,
             "ack-chunk",
             ESTABLISHED,
-            guard="acked-below-placed",
-            effects=("ack-bytes",),
-            notes="acks may never outrun placement (PR 7 invariant)",
+            notes="self-loop; an ACK the endpoint sends names only verified TPDUs",
         ),
         Transition(
             "close",
@@ -444,8 +426,8 @@ def docs_block(table: StateTable = STATE_TABLE) -> str:
     """The full generated block, marker lines included."""
     parts = [
         BLOCK_BEGIN,
-        "<!-- Generated by `python -m repro.core.state_table --write`;",
-        "     `--check` and the lifecycle conformance property hold it. Do not edit. -->",
+        "<!-- Generated by `python -m repro.analysis.state_table --write`;",
+        "     `--check` holds it, and the lifecycle checker runs it. Do not edit. -->",
         "",
         render_markdown(table),
         "",
@@ -490,7 +472,7 @@ def _source_lines() -> tuple[str, ...]:
 def row_line(transition_id: str) -> int:
     """1-based line of a transition's declaration in this file.
 
-    Used by the model checker so counterexamples carry a clickable
+    Used by the lifecycle checker so counterexamples carry a clickable
     ``file:line`` of the table row.
     """
     needle = f'"{transition_id}"'
@@ -502,7 +484,7 @@ def row_line(transition_id: str) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.core.state_table",
+        prog="python -m repro.analysis.state_table",
         description="render / refresh the generated lifecycle state-machine block",
     )
     parser.add_argument(

@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from repro.obs.provenance import JourneyTracker, StageRecord
+from repro.obs.provenance import StageRecord
 
 __all__ = [
     "journeys_to_trace",

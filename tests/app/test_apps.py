@@ -132,8 +132,6 @@ class TestVideoPlayout:
         later completed frames in the queue."""
         app, packets, frame_data = _video_setup(mtu=200)
         # Drop every packet carrying frame 0 data.
-        from repro.core.packet import Packet
-
         kept = []
         for packet in packets:
             if any(c.is_data and c.x.ident == 0 for c in packet.chunks):

@@ -1,7 +1,5 @@
 """Unit tests for flag-in-stream framing (Appendix B's other option)."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,11 +2,10 @@
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.core import codec
 from repro.core.errors import CodecError
-from repro.core.types import HEADER_BYTES, ChunkType
+from repro.core.types import HEADER_BYTES
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
 from tests.conftest import make_chunk

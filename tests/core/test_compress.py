@@ -1,7 +1,5 @@
 """Unit tests for Appendix A header compression."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

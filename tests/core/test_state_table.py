@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.state_table import (
+from repro.analysis.state_table import (
     BLOCK_BEGIN,
     BLOCK_END,
     CLOSED,
@@ -157,7 +157,7 @@ class TestMain:
     def _run_module(*args: str) -> subprocess.CompletedProcess[str]:
         path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "repro.core.state_table", *args],
+            [sys.executable, "-m", "repro.analysis.state_table", *args],
             cwd=REPO, text=True, capture_output=True, env={**os.environ, "PYTHONPATH": path},
         )
 

@@ -12,7 +12,7 @@ from repro.paper.modes import (
     PositionKeyedMode,
     split_blocks,
 )
-from repro.paper.xtea import BLOCK_BYTES, KEY_BYTES, Xtea
+from repro.paper.xtea import BLOCK_BYTES, Xtea
 
 KEY = bytes(range(16))
 

@@ -6,8 +6,6 @@ frames -> chunk framing -> per-TPDU WSC-2 -> packets -> links/routers
 processing receiver -> verified, correctly placed application data.
 """
 
-import random
-
 import pytest
 
 from repro.core.packet import pack_chunks

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.codec import decode_chunks, encode_chunk
+from repro.core.codec import decode_chunks
 from repro.core.compress import CompressionProfile, HeaderCompressor, HeaderDecompressor
 from repro.core.errors import ReproError
 from repro.core.packet import Packet, pack_chunks

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from repro.core.packet import Packet, pack_chunks
+from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link

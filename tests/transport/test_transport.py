@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
 from repro.core.packet import pack_chunks
 from repro.core.types import ChunkType

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
-from repro.core.tuples import FramingTuple
 from repro.wsc.endtoend import (
     REASON_CODE_MISMATCH,
     REASON_CONSISTENCY,

@@ -1,7 +1,5 @@
 """Unit and property tests for WSC-2 erasure repair."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
 from repro.paper.erasure import ErasureError, recover_erasures, repair_missing_word
-from repro.wsc.invariant import TpduInvariant, encode_tpdu, parse_ed_chunk
+from repro.wsc.invariant import TpduInvariant, encode_tpdu
 from repro.wsc.wsc2 import Wsc2Accumulator, wsc2_encode
 
 from tests.conftest import make_payload
