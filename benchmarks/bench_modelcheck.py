@@ -23,8 +23,8 @@ WIDE = ModelConfig(conversations=3, pool_tokens=2, tombstone_capacity=2)
 @register_bench
 def run(payload_scale: float = 1.0) -> dict:
     """Perf entry point: explore the default and the wide space."""
-    default = explore(STATE_TABLE, DEFAULT)
-    wide = explore(STATE_TABLE, WIDE)
+    default = explore(DEFAULT)
+    wide = explore(WIDE)
     return {
         "modelcheck.states": default.states_explored,
         "modelcheck.edges": default.edges,
@@ -38,22 +38,22 @@ def run(payload_scale: float = 1.0) -> dict:
 
 
 def test_default_space_is_clean_and_covered(benchmark):
-    result = benchmark(explore, STATE_TABLE, DEFAULT)
+    result = benchmark(explore, DEFAULT)
     assert result.ok
-    assert result.uncovered(STATE_TABLE) == []
+    assert result.uncovered() == []
 
 
 def test_wide_space_is_clean(benchmark):
-    result = benchmark(explore, STATE_TABLE, WIDE)
+    result = benchmark(explore, WIDE)
     assert result.ok
-    assert result.uncovered(STATE_TABLE) == []
+    assert result.uncovered() == []
 
 
 def main() -> None:
     rows = [["config", "states", "edges", "covered", "violations", "states/s"]]
     for name, config in (("default", DEFAULT), ("wide", WIDE)):
         start = time.perf_counter()
-        result = explore(STATE_TABLE, config)
+        result = explore(config)
         elapsed = time.perf_counter() - start
         rows.append(
             [

@@ -30,7 +30,6 @@ from repro.analysis.state_table import (
     EVICTED_STALLED,
     STATE_TABLE,
     TOMBSTONED,
-    StateTable,
     Transition,
     row_line,
 )
@@ -153,9 +152,9 @@ class ModelCheckResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def uncovered(self, table: StateTable) -> list[str]:
+    def uncovered(self) -> list[str]:
         """Declared transitions this configuration never fired."""
-        return sorted(set(table.by_id) - set(self.fired))
+        return sorted(set(STATE_TABLE.by_id) - set(self.fired))
 
 
 def _config(cid: int) -> ConnectionConfig:
@@ -175,9 +174,8 @@ class LiveEndpoint:
     """A fresh :class:`ChunkEndpoint` and its peers: :func:`explore` and
     the conformance walks both offer it events through :meth:`step`."""
 
-    def __init__(self, config: ModelConfig, table: StateTable = STATE_TABLE) -> None:
+    def __init__(self, config: ModelConfig) -> None:
         self.config = config
-        self.table = table
         self.cids = tuple(range(FIRST_CID, FIRST_CID + config.conversations))
         self.loop = EventLoop()
         self.endpoint = ChunkEndpoint(
@@ -214,13 +212,15 @@ class LiveEndpoint:
 
     def _expect(
         self, event: str, conv: int | None
-    ) -> tuple[list[tuple[int, Transition]], Snapshot]:
-        """The rows *event* fires from :attr:`state`, and where they lead."""
+    ) -> tuple[list[tuple[int, Transition]], Snapshot, list[tuple[str, str]]]:
+        """The rows *event* fires from :attr:`state`, where they lead,
+        and any row whose guard overlaps an earlier row's on the way."""
         before = self.state
         states, receivers = list(before.states), list(before.receivers)
         order, tombstones = list(before.order), list(before.tombstones)
         registered = before.registered
         fired: list[tuple[int, Transition]] = []
+        overlaps: list[tuple[str, str]] = []
 
         def row(c: int, on: str) -> Transition | None:
             free = registered < self.config.pool_tokens
@@ -231,10 +231,16 @@ class LiveEndpoint:
                 "has-receiver": receivers[c],
                 "receiver-admissible": free and not receivers[c],
             }
-            for transition in self.table.outgoing(states[c]):
-                if transition.event == on and guards[transition.guard]:
-                    return transition
-            return None
+            rows = [
+                transition
+                for transition in STATE_TABLE.outgoing(states[c])
+                if transition.event == on and guards[transition.guard]
+            ]
+            overlaps.extend(  # the guards must partition the event
+                (t.transition_id, f"its guard overlaps {rows[0].transition_id}'s")
+                for t in rows[1:]
+            )
+            return rows[0] if rows else None
 
         def fire(c: int, transition: Transition) -> None:
             nonlocal registered
@@ -266,7 +272,7 @@ class LiveEndpoint:
                 fire(c, transition)
         return fired, Snapshot(
             tuple(states), tuple(receivers), registered, tuple(order), tuple(tombstones)
-        )
+        ), overlaps
 
     # -- the endpoint's side -----------------------------------------
 
@@ -281,8 +287,10 @@ class LiveEndpoint:
         connection = self.endpoint.connection(cid)
         if event == "signaling-chunk":
             if connection is None or connection.receiver is None:
-                # A new receiver session: a fresh peer (C.SN from zero) feeds it.
+                # A new receiver session: a fresh peer (C.SN and T.ID from
+                # zero) feeds it, and the old session's verified T.IDs lapse.
                 self.peers[cid] = ChunkTransportSender(_config(cid))
+                self._verified = {key for key in self._verified if key[0] != cid}
             return [self.peers[cid].establishment_chunk()]
         if event == "ack-chunk":
             return [build_ack_chunk(cid, [0])]
@@ -354,7 +362,7 @@ class LiveEndpoint:
         if event in TIMER_EVENTS:
             conv = None
         before = self.state
-        fired, expected = self._expect(event, conv)
+        fired, expected, overlaps = self._expect(event, conv)
         stats = self.endpoint.stats()
         offered, refused, raised = self._offer(event, conv)
         moved = {key: value - stats[key] for key, value in self.endpoint.stats().items()}
@@ -368,10 +376,10 @@ class LiveEndpoint:
         after = self.state = self._observe(reasons[0] if len(reasons) == 1 else "")
         problems = self._invariants(before, after, reasons)
 
-        # The edge: the rows lead exactly where the endpoint went, and
-        # where no row fires nothing moves ...
+        # The edge: the guards partition each event, the rows lead exactly
+        # where the endpoint went, and where no row fires nothing moves ...
         own = next((t.transition_id for c, t in fired if c == conv), "")
-        disagreements: list[tuple[str, str]] = []
+        disagreements = overlaps
         if after != expected:
             blame = next((
                 t.transition_id for c, t in reversed(fired)
@@ -429,11 +437,7 @@ class LiveEndpoint:
         return problems
 
 
-def explore(
-    table: StateTable = STATE_TABLE,
-    config: ModelConfig | None = None,
-    stop_at_first: bool = True,
-) -> ModelCheckResult:
+def explore(config: ModelConfig | None = None, stop_at_first: bool = True) -> ModelCheckResult:
     """Breadth-first fixpoint over every reachable endpoint state.
 
     Each state is reached by replaying its event path on a fresh
@@ -456,7 +460,7 @@ def explore(
         for conv in ((None,) if event in TIMER_EVENTS else range(config.conversations))
     ]
     renamings = list(permutations(range(config.conversations)))
-    root = LiveEndpoint(config, table).state
+    root = LiveEndpoint(config).state
     paths: dict[Snapshot, tuple[Step, ...]] = {root: ()}
     queue: deque[Snapshot] = deque([root])
     tracker, recorder = provenance.active_journey(), flight.active_flight()
@@ -467,7 +471,7 @@ def explore(
             path = paths[queue.popleft()]
             result.states_explored += 1
             for event, conv in offers:
-                live = LiveEndpoint(config, table)
+                live = LiveEndpoint(config)
                 live.replay(path)
                 step, problems = live.step(event, conv)
                 result.edges += 1

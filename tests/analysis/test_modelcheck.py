@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis import modelcheck
 from repro.analysis.modelcheck import (
     ALPHABET,
     LiveEndpoint,
@@ -29,7 +30,7 @@ from repro.analysis.modelcheck import (
     explore,
     write_counterexample,
 )
-from repro.analysis.state_table import STATE_TABLE
+from repro.analysis.state_table import CLOSED, STATE_TABLE, StateTable, Transition
 from repro.core.types import ChunkType
 from repro.obs.perfetto import journeys_to_trace
 from repro.transport.acks import build_ack_chunk
@@ -54,6 +55,20 @@ def admit_tombstoned(monkeypatch) -> None:
     """``_try_establish`` without its tombstone check: the resurrection."""
     mutate(monkeypatch, ChunkEndpoint, "_try_establish",
            "if cid in self.table.evicted_ids:", "if False:")
+
+
+def ack_on_arrival(monkeypatch) -> None:
+    """A receiver that ACKs each TPDU as its chunks arrive, before it
+    is verified."""
+    acknowledge = ReliableReceiver._acknowledge
+
+    def acks_on_arrival(self, events):
+        acknowledge(self, events)
+        early = sorted({c.t_id for c in events.chunks if c.type is ChunkType.DATA})
+        if early:
+            self.transmit_chunks([build_ack_chunk(events.chunks[0].c_id, early)])
+
+    monkeypatch.setattr(ReliableReceiver, "_acknowledge", acks_on_arrival)
 
 
 @pytest.fixture
@@ -93,7 +108,7 @@ class TestCleanExploration:
         # The default bounds reach all 22 rows on the live endpoint,
         # the tombstone-overflow cascade (forget-*) included.
         result = checked()
-        assert result.uncovered(STATE_TABLE) == []
+        assert result.uncovered() == []
         assert set(result.fired) == set(STATE_TABLE.by_id)
 
     def test_exploration_is_deterministic(self):
@@ -108,7 +123,7 @@ class TestCleanExploration:
         # two others are live, and every row still fires.
         result = checked(ModelConfig(conversations=3, pool_tokens=1, tombstone_capacity=1))
         assert result.ok, result.violations
-        assert result.uncovered(STATE_TABLE) == []
+        assert result.uncovered() == []
         assert (result.states_explored, result.edges) == (176, 3520)
 
     def test_bad_config_is_rejected(self):
@@ -186,18 +201,21 @@ class TestInvariants:
         assert "tombstone-monotonic" in broken
 
     def test_acked_beyond_placed_is_a_violation(self, monkeypatch):
-        acknowledge = ReliableReceiver._acknowledge
-
-        def acks_on_arrival(self, events):
-            # ACK each TPDU as its chunks arrive, before it is verified.
-            acknowledge(self, events)
-            early = sorted({c.t_id for c in events.chunks if c.type is ChunkType.DATA})
-            if early:
-                self.transmit_chunks([build_ack_chunk(events.chunks[0].c_id, early)])
-
-        monkeypatch.setattr(ReliableReceiver, "_acknowledge", acks_on_arrival)
+        ack_on_arrival(monkeypatch)
         live = LiveEndpoint(ModelConfig())
         assert walk(live, ("signaling-chunk", 0), ("data-chunk", 0)) == ["acked-unplaced"]
+
+    def test_acks_are_held_to_the_current_session(self, monkeypatch):
+        # The first session verifies T.ID 0 and closes; once its tombstone
+        # is forgotten the C.ID's next session starts again at T.ID 0 and
+        # ACKs it before verifying it.
+        live = LiveEndpoint(ModelConfig())
+        assert walk(live, ("signaling-chunk", 0), ("data-chunk", 0), ("cst-chunk", 0),
+                    ("sweep", None), ("local-open", 1), ("sweep", None),
+                    ("signaling-chunk", 0)) == []
+        assert live.state.receivers == (True, False)
+        ack_on_arrival(monkeypatch)
+        assert walk(live, ("data-chunk", 0)) == ["acked-unplaced"]
 
     def test_token_leak_is_a_violation(self, monkeypatch):
         mutate(monkeypatch, ChunkEndpoint, "_evict", "self.budget.release(cid)", "pass")
@@ -237,6 +255,19 @@ class TestEdgeCheck:
         first = result.violations[0]
         assert first.row == row
         assert [(step.event, step.conv) for step in first.trace] == events
+
+
+    def test_overlapping_guards_are_named(self, monkeypatch):
+        # A second signalling row out of CLOSED whose guard holds with
+        # establish's: the checker names it instead of taking the first.
+        extra = Transition("establish-twice", CLOSED, "signaling-chunk", CLOSED,
+                           guard="receiver-admissible")
+        monkeypatch.setattr(modelcheck, "STATE_TABLE", StateTable(
+            STATE_TABLE.states, STATE_TABLE.initial, STATE_TABLE.transitions + (extra,)))
+        violation = explore().violations[0]
+        assert (violation.invariant, violation.row) == ("declared-row", "establish-twice")
+        assert "overlaps establish's" in violation.message
+        assert [(step.event, step.conv) for step in violation.trace] == [("signaling-chunk", 0)]
 
 
 class TestInjectedResurrection:
