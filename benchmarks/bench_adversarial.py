@@ -5,8 +5,8 @@ deliberate attacker rather than a merely unreliable network.  This
 bench drives every scenario in :data:`repro.app.adversarial.SCENARIOS`
 — inconsistent-overlap forgery (both forge-after and poison-first),
 almost-sorted and interrupt-coalescing reorder, a signaling storm,
-C.ID churn against a deliberately small tombstone cap, and slow-loris
-tricklers pinning the shared pool — and reports, per scenario: honest
+C.ID churn against a deliberately small tombstone cap, slow-loris
+tricklers pinning the shared pool, and a liar in gap reports — and reports, per scenario: honest
 completions, detection counters, attack volume, Jain fairness over
 honest shares, and peak pool draw.
 
@@ -26,6 +26,7 @@ from repro.app.adversarial import (
     AttackReport,
     check_invariants,
     run_cid_churn,
+    run_gap_liar,
     run_overlap_attack,
     run_reorder_attack,
     run_signaling_storm,
@@ -63,6 +64,7 @@ def run_scenarios(payload_scale: float = 1.0) -> dict[str, AttackReport]:
         "slow-loris": run_slow_loris(
             SEED, honest=honest, attackers=scaled(24, payload_scale, minimum=6)
         ),
+        "gap-liar": run_gap_liar(SEED, conversations=honest),
     }
     for report in reports.values():
         check_invariants(report)

@@ -170,6 +170,16 @@ def _table_state(connection: Connection) -> str:
     return ESTABLISHED
 
 
+def _sends(connection: Connection | None) -> bool:
+    """Whether an ``ack-chunk`` offer first sends a TPDU on *connection*
+    and then acknowledges that one: an open conversation's sender can."""
+    return (
+        connection is not None
+        and connection.sender is not None
+        and connection.state is ConnectionState.ESTABLISHED
+    )
+
+
 class LiveEndpoint:
     """A fresh :class:`ChunkEndpoint` and its peers: :func:`explore` and
     the conformance walks both offer it events through :meth:`step`."""
@@ -230,6 +240,7 @@ class LiveEndpoint:
                 "pool-exhausted": not free,
                 "has-receiver": receivers[c],
                 "receiver-admissible": free and not receivers[c],
+                "acks-sent-tpdu": _sends(self.endpoint.connection(self.cids[c])),
             }
             rows = [
                 transition
@@ -293,7 +304,11 @@ class LiveEndpoint:
                 self._verified = {key for key in self._verified if key[0] != cid}
             return [self.peers[cid].establishment_chunk()]
         if event == "ack-chunk":
-            return [build_ack_chunk(cid, [0])]
+            if connection is None or not _sends(connection):
+                return [build_ack_chunk(cid, [0])]  # names nothing this endpoint sent
+            connection.send_frame(b"\xa5" * 64)  # one whole TPDU, timed, then its ACK
+            assert connection.sender is not None
+            return [build_ack_chunk(cid, connection.sender.outstanding[-1:])]
         placed = (
             connection is not None
             and connection.receiver is not None
@@ -316,7 +331,7 @@ class LiveEndpoint:
             cid = self.cids[conv]
             try:
                 if event == "local-open":
-                    endpoint.open_connection(_config(cid))
+                    endpoint.open_connection(_config(cid), rto=0.0)
                 else:
                     endpoint.close_connection(cid)
             except EndpointError:

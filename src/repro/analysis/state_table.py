@@ -86,14 +86,17 @@ EVENTS: tuple[str, ...] = (
 #: the other), so the pool guards read ``budget.registered`` and the
 #: role guards the conversation's receiver: ``has-receiver`` = one
 #: attached, ``receiver-admissible`` = none attached and the pool can
-#: promise one.  Nothing here counts bytes: acknowledgment against
-#: verification is checked on every ACK the endpoint transmits.
+#: promise one.  ``acks-sent-tpdu``: the ACK names a TPDU the
+#: conversation's sender session is timing (a stray ACK moves nothing).
+#: Nothing here counts bytes: acknowledgment against verification is
+#: checked on every ACK the endpoint transmits.
 GUARDS: tuple[str, ...] = (
     "",
     "pool-has-token",
     "pool-exhausted",
     "has-receiver",
     "receiver-admissible",
+    "acks-sent-tpdu",
 )
 
 #: Effects, each an observable delta of the endpoint: a budget key
@@ -232,7 +235,8 @@ STATE_TABLE = StateTable(
             ESTABLISHING,
             "ack-chunk",
             ESTABLISHED,
-            notes="first ack stops SIGNALING resends; still sender-only",
+            guard="acks-sent-tpdu",
+            notes="first ack of a sent TPDU stops SIGNALING resends; still sender-only",
         ),
         Transition(
             "attach-early",

@@ -17,6 +17,9 @@ required to uphold:
 4. **Honest peers keep a fair share**: conversations the attacker does
    not control complete, with a Jain fairness index above a floor.
 
+A scenario that forges control traffic adds its own teeth: every lie in
+a gap report is refused and counted by the sender, and none is resent.
+
 Every scenario is a pure function of its seed (attack traffic included),
 so a failing invariant is a replayable counterexample.  The scenarios
 are exercised as hypothesis property suites in ``tests/adversarial/``
@@ -51,6 +54,7 @@ from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
 from repro.obs import bind_journey_clock, flight_dump
+from repro.transport.acks import build_gap_report, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.transport.endpoint import ChunkEndpoint, Connection
 
@@ -63,12 +67,15 @@ __all__ = [
     "run_signaling_storm",
     "run_cid_churn",
     "run_slow_loris",
+    "run_gap_liar",
     "SCENARIOS",
 ]
 
 #: C.IDs at or above this base belong to the attacker, never to honest
 #: conversations (which number from 1).
 ATTACKER_CID_BASE = 10_000
+#: A T.ID no honest sender reaches (each numbers its TPDUs from 0).
+UNSENT_T_ID = 2**32 - 2
 
 
 def jain_fairness(shares: list[int]) -> float:
@@ -161,6 +168,13 @@ def _check_invariants(report: AttackReport, fairness_floor: float) -> None:
         f"{tag} refused-key cache exceeded its bound"
     )
 
+    if report.name == "gap-liar":
+        assert report.extra["gap_reports_refused"] == report.extra["gap_lies"], (
+            f"{tag} {report.extra['gap_lies']} lying gap reports, "
+            f"{report.extra['gap_reports_refused']} refused"
+        )
+        assert report.extra["resent"] == 0, f"{tag} a lying gap report drew a resend"
+
     if report.attack_frames > 0 and report.name == "overlap":
         assert report.detected() > 0, (
             f"{tag} {report.attack_frames} forged frames were delivered but "
@@ -188,12 +202,14 @@ def _endpoint_pair(
     wrap_forward: Callable[[Callable[[bytes], None]], Callable[[bytes], None]]
     | None = None,
     idle_timeout: float = 5.0,
+    wrap_reverse: Callable[[Callable[[bytes], None]], Callable[[bytes], None]]
+    | None = None,
 ) -> tuple[ChunkEndpoint, ChunkEndpoint, Link]:
     """A sender/receiver endpoint pair joined by two explicit links.
 
-    *wrap_forward* interposes on the forward delivery path (where an
-    on-path adversary sits); *reorder* plugs a delivery-time policy into
-    the forward link.
+    *wrap_forward* / *wrap_reverse* interpose on the forward / reverse
+    delivery path (where an on-path adversary sits); *reorder* plugs a
+    delivery-time policy into the forward link.
     """
     bind_journey_clock(lambda: loop.now)
     sender = ChunkEndpoint(loop, mtu=1500, idle_timeout=idle_timeout)
@@ -214,7 +230,7 @@ def _endpoint_pair(
     )
     reverse = Link(
         loop,
-        sender.receive_packet,
+        sender.receive_packet if wrap_reverse is None else wrap_reverse(sender.receive_packet),
         rate_bps=622e6,
         delay=0.0005,
         rng=substream(seed, "adversarial", "reverse"),
@@ -622,6 +638,65 @@ def run_slow_loris(
     )
 
 
+def run_gap_liar(
+    seed: int = 1,
+    conversations: int = 6,
+    object_bytes: int = 4096,
+) -> AttackReport:
+    """An on-path forger on the ACK path lies in gap reports.
+
+    Around every genuine ACK chunk it injects, per TPDU acknowledged, a
+    report whose range runs past the TPDU's end (ahead of the ACK, while
+    the TPDU is still timed) and one on the same TPDU behind the ACK
+    (gaps in an acknowledged TPDU), and one report on a T.ID the sender
+    never sent.  The path loses nothing, so any resend is the liar's
+    doing: the sender must refuse and count every lie and resend nothing,
+    and the conversations complete as if the liar were not there.
+    """
+    loop = EventLoop()
+    lies = frames = 0
+
+    def wrap(deliver: Callable[[bytes], None]) -> Callable[[bytes], None]:
+        def forge(frame: bytes) -> None:
+            nonlocal lies, frames
+            chunks: list[Chunk] = []
+            for chunk in Packet.decode(frame).chunks:
+                acked = parse_ack_chunk(chunk) if chunk.type is ChunkType.ACK else []
+                cid = chunk.c_id
+                lying = [build_gap_report(cid, t_id, [(0, 1 << 20)]) for t_id in acked]
+                lying.append(chunk)
+                lying += [build_gap_report(cid, t_id, [(0, 1)]) for t_id in acked]
+                if acked:
+                    lying.append(build_gap_report(cid, UNSENT_T_ID, [(0, 1)]))
+                lies += len(lying) - 1
+                chunks += lying
+            frames += len(chunks) > len(Packet.decode(frame).chunks)
+            deliver(Packet(chunks).encode())
+
+        return forge
+
+    sender, receiver, _ = _endpoint_pair(loop, seed, wrap_reverse=wrap)
+    snapshots = _install_snapshots(receiver)
+    work = ConcurrentWorkload(loop, sender, receiver)
+    work.launch(staggered_specs(conversations, total_bytes=object_bytes, stagger=0.0005))
+    outcomes = work.run()
+    _merge_snapshots(outcomes, snapshots)
+    sessions = [c.sender for c in sender.table.connections.values() if c.sender is not None]
+    return _report(
+        "gap-liar",
+        seed,
+        receiver,
+        outcomes,
+        attack_frames=frames,
+        extra={
+            "gap_lies": lies,
+            "gap_reports_refused": sum(s.gap_reports_refused for s in sessions),
+            "resent": sum(s.retransmissions for s in sessions),
+        },
+        snapshots=snapshots,
+    )
+
+
 #: name → zero-config scenario runner (tests and benchmarks iterate it).
 SCENARIOS: dict[str, Callable[[int], AttackReport]] = {
     "overlap": lambda seed: run_overlap_attack(seed),
@@ -631,4 +706,5 @@ SCENARIOS: dict[str, Callable[[int], AttackReport]] = {
     "signaling-storm": lambda seed: run_signaling_storm(seed),
     "cid-churn": lambda seed: run_cid_churn(seed),
     "slow-loris": lambda seed: run_slow_loris(seed),
+    "gap-liar": lambda seed: run_gap_liar(seed),
 }

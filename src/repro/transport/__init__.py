@@ -8,7 +8,7 @@ from repro.transport.connection import (
     build_signaling_chunk,
     parse_signaling_chunk,
 )
-from repro.transport.acks import build_ack_chunk, parse_ack_chunk, piggyback
+from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.egress import EgressPacker
 from repro.transport.endpoint import (
     ChunkEndpoint,
@@ -39,7 +39,6 @@ __all__ = [
     "ReceiverEvents",
     "build_ack_chunk",
     "parse_ack_chunk",
-    "piggyback",
     "ReliableSender",
     "ReliableReceiver",
     "AdaptiveTpduPolicy",

@@ -26,7 +26,10 @@ from repro.netsim.events import EventLoop
 from repro.obs import Histogram, Tallies, declare
 from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
-from repro.transport.acks import MAX_ACKS_PER_CHUNK, build_ack_chunk, parse_ack_chunk
+from repro.transport.acks import (
+    MAX_ACKS_PER_CHUNK, OPEN_END, build_ack_chunk, build_gap_report, parse_ack_chunk,
+    parse_gap_report,
+)
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.transport.egress import EgressPacker
 from repro.transport.receiver import ChunkTransportReceiver, ReceiverEvents
@@ -44,6 +47,12 @@ _RECEIVER_TALLIES = Tallies(
 )
 _ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
 _ED = ChunkType.ERROR_DETECTION  # an enum member read is ~0.1 µs on CPython 3.11
+#: k: a TPDU still incomplete once k TPDUs sent after it have verified is
+#: lost, not reordered.  A TPDU is two chunks or more (data, ED): no report
+#: is spurious while a packet is one chunk landing at most k places from its
+#: sending order (Istrate; Wu et al.).  A larger k delays every repair.
+REORDER_TPDUS = 3
+_UNSEEN = (-1,) * REORDER_TPDUS  # no T.ID verified yet: the horizon is at -1
 
 
 @dataclass
@@ -126,6 +135,8 @@ class ReliableSender:
     #: retransmission timers that fired, and TPDU ids acknowledged.
     timeouts: int = field(init=False, default=0)
     acks_received: int = field(init=False, default=0)
+    #: gap reports naming no timed TPDU, or ranges outside the one named.
+    gap_reports_refused: int = field(init=False, default=0)
     _established: bool = field(init=False, default=False, repr=False)
     #: the SIG chunk, kept for re-signals until the first ACK arrives.
     _signal: Chunk | None = field(init=False, default=None, repr=False)
@@ -167,17 +178,28 @@ class ReliableSender:
                     self.loop.schedule(self.rto, record.expire)
 
     def handle_ack_chunk(self, chunk: Chunk) -> None:
-        """Process an arriving ACK chunk (possibly piggybacked)."""
+        """Process an arriving ACK chunk (possibly piggybacked) or gap report.
+        Only a TPDU this session times counts, and a gap report is honoured
+        once per timer round; one naming anything else is refused."""
         before = _SENDER_TALLIES.read(self) if obs_runtime._registry is not None else None
-        self._signal = None  # the far table has the C.ID: no more re-signals
-        t_ids = parse_ack_chunk(chunk)
-        self.acks_received += len(t_ids)
         tpdus = self.sender._tpdus
-        for t_id in t_ids:
+        if chunk[8]:  # T.ST: a gap report on TPDU T.ID
+            record, gaps = tpdus.get(chunk[6]), None
+            if record is not None and record.session is not None:
+                last = record.chunks[-1]
+                gaps = parse_gap_report(chunk, last[7] + last[2])
+            if record is None or gaps is None:
+                self.gap_reports_refused += 1
+            elif record.gaps is None:
+                record.gaps = gaps
+                self._repeat(record, self.sender.retransmit(record.t_id, gaps))
+        for t_id in parse_ack_chunk(chunk):
             record = tpdus.get(t_id)
             if record is not None and record.session is not None:
+                self.acks_received += 1
+                self._signal = None  # the far table has the C.ID: no more re-signals
                 record.drop(tpdus)
-                if self.policy is not None and record.retries == 0:
+                if self.policy is not None and record.retries == 0 and record.gaps is None:
                     self._resize(self.policy.on_first_try_success())
         if before is not None:
             _SENDER_TALLIES.publish(before, self)
@@ -219,13 +241,19 @@ class ReliableSender:
             record.drop(self.sender._tpdus)
             self._give_up(record.t_id)
             return
-        self.retransmissions += 1
         if before is not None:
             _SENDER_TALLIES.publish(before, self)
         if self.policy is not None:
             self._resize(self.policy.on_loss())
-        # Same identifiers as the original transmission (Section 3.3).
-        chunks = self.sender.retransmit(record.t_id)
+        # The units this round's report named (else all), and the ED chunk:
+        # it draws a re-ACK if only the ACK was lost.  A new round begins.
+        chunks, record.gaps = self.sender.retransmit(record.t_id, record.gaps, True), None
+        self._repeat(record, chunks)
+        self.loop.schedule(self.rto * (2 ** record.retries), record.expire)
+
+    def _repeat(self, record: _Tpdu, chunks: list[Chunk]) -> None:
+        """Ship *record*'s repeated *chunks* (Section 3.3's same identifiers)."""
+        self.retransmissions += 1
         journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
@@ -234,7 +262,6 @@ class ReliableSender:
         if self._signal is not None:
             chunks.insert(0, self._signal)
         (self.transmit_chunks or self._packer.ship)(chunks)
-        self.loop.schedule(self.rto * (2 ** record.retries), record.expire)
 
     def _give_up(self, t_id: int) -> None:
         """Abandon TPDU *t_id*: past ``max_retries``, or trimmed while timed."""
@@ -277,6 +304,8 @@ class ReliableReceiver:
     ack_batches: int = field(init=False, default=0)
     #: (C.ID, T.ID) of every TPDU acknowledged, made at the first ACK.
     _verified: set[tuple[int, int]] | None = field(init=False, default=None, repr=False)
+    #: C.ID -> its REORDER_TPDUS newest verified T.IDs, ascending.
+    _newest: dict[int, tuple[int, ...]] = field(init=False, default_factory=dict, repr=False)
 
     @cached_property
     def _packer(self) -> EgressPacker:
@@ -306,9 +335,22 @@ class ReliableReceiver:
         if verified is None and not events.verdicts:
             return  # nothing verified, now or before
         acks: dict[int, list[int]] = {}
+        reports: list[Chunk] = []
+        newest = self._newest
         for verdict in events.verdicts:
             if verdict.ok:
-                acks.setdefault(verdict.c_id, []).append(verdict.t_id)
+                c_id, t_id = verdict.c_id, verdict.t_id
+                acks.setdefault(c_id, []).append(t_id)
+                # Gap reports: each incomplete TPDU once, as the horizon (the
+                # REORDER_TPDUS-th newest verified T.ID) passes it.  The old
+                # horizon was verified: in order, nothing lies between.
+                window = newest.get(c_id, _UNSEEN)
+                if t_id > window[0]:
+                    newest[c_id] = moved = tuple(sorted((*window, t_id)))[1:]
+                    span = range(max(window[0] + 1, moved[0] - MAX_ACKS_PER_CHUNK), moved[0])
+                    if span:
+                        for behind, gaps in self.receiver.verifier.gaps(c_id, span, OPEN_END):
+                            reports.append(build_gap_report(c_id, behind, gaps))
         if verified is not None:
             for chunk in events.chunks:
                 if chunk[0] is _ED and (chunk[3], chunk[6]) in verified:
@@ -331,4 +373,4 @@ class ReliableReceiver:
                 verified.add((c_id, t_id))
             for start in range(0, len(t_ids), MAX_ACKS_PER_CHUNK):
                 chunks.append(build_ack_chunk(c_id, t_ids[start : start + MAX_ACKS_PER_CHUNK]))
-        (self.transmit_chunks or self._packer.ship)(chunks)
+        (self.transmit_chunks or self._packer.ship)(chunks + reports)

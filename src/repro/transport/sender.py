@@ -18,9 +18,11 @@ from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.compress import implicit_tpdu_ids
 from repro.core.errors import ChunkError
+from repro.core.fragment import split
 from repro.obs import Tallies
 from repro.obs import runtime as obs_runtime
 from repro.wsc.invariant import encode_tpdu
+from repro.transport.acks import OPEN_END
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 
 if TYPE_CHECKING:
@@ -36,7 +38,7 @@ _TALLIES = Tallies({
         "transport", "retransmissions", "identifier-preserving TPDU retransmissions"
     ),
     "retransmitted_chunks": (
-        "transport", "sender.retransmitted_chunks", "chunks re-emitted unchanged"
+        "transport", "sender.retransmitted_chunks", "chunks re-emitted with their original labels"
     ),
 })
 
@@ -52,6 +54,8 @@ class _Tpdu:
     ed_chunk: Chunk | None = None
     retries: int = 0
     session: "ReliableSender | None" = None
+    #: the unit ranges a gap report named since the timer last fired.
+    gaps: list[tuple[int, int]] | None = None
 
     def expire(self) -> None:
         """The retransmission timer's callback."""
@@ -176,14 +180,25 @@ class ChunkTransportSender:
 
     # ------------------------------------------------------------------
 
-    def retransmit(self, t_id: int) -> list[Chunk]:
-        """Re-emit a TPDU's chunks with their *original* identifiers."""
+    def retransmit(
+        self, t_id: int, gaps: list[tuple[int, int]] | None = None, ed: bool = False
+    ) -> list[Chunk]:
+        """Re-emit the units in *gaps* of a TPDU (by default all of it) with
+        their *original* identifiers, cut from its chunks by Appendix C's
+        split, which keeps every label; its ED chunk if *ed* or a gap reaches
+        past the TPDU's last unit."""
         record = self._tpdus.get(t_id)
         if record is None:
             raise ChunkError(f"TPDU {t_id} is no longer in the retransmit history")
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
-        out = list(record.chunks)
-        if record.ed_chunk is not None:
+        gaps, out = gaps or [(0, OPEN_END)], []
+        for chunk in record.chunks:
+            low, high = chunk[7], chunk[7] + chunk[2]
+            for start, end in gaps:
+                if start < high and end > low:
+                    piece = chunk if end >= high else split(chunk, end - low)[0]
+                    out.append(piece if start <= low else split(piece, start - low)[1])
+        if record.ed_chunk is not None and (ed or gaps[-1][1] > high):
             out.append(record.ed_chunk)
         self.retransmissions += 1
         self.retransmitted_chunks += len(out)

@@ -251,6 +251,30 @@ class EndToEndReceiver:
         """(C.ID, T.ID) keys of TPDUs still awaiting data or ED."""
         return [key for key, check in self._checkers.items() if check is not None]
 
+    def gaps(
+        self, c_id: int, t_ids: range, open_end: int
+    ) -> list[tuple[int, list[tuple[int, int]]]]:
+        """(T.ID, the unit ranges it lacks) of each pending TPDU among
+        *t_ids*: its virtual reassembly's missing ranges, the ED chunk
+        counted as the unit past its last, and a tail nothing bounds yet
+        (neither T.ST nor the ED chunk seen) ending at *open_end*."""
+        out = []
+        for t_id in t_ids:
+            check = self._checkers.get((c_id, t_id))
+            if check is None:
+                continue
+            reassembly, expected = check.reassembly, check.expected
+            if expected is not None:
+                horizon = expected[2]
+            elif reassembly.total_units is not None:
+                horizon = reassembly.total_units + 1  # the data and the ED chunk
+            else:
+                horizon = open_end
+            missing = reassembly.received.missing(horizon)
+            if missing:
+                out.append((t_id, missing))
+        return out
+
     def evict(self, c_id: int, t_id: int) -> None:
         """Drop state for a verdicted TPDU."""
         self._checkers.pop((c_id, t_id), None)

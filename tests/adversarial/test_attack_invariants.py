@@ -26,6 +26,7 @@ from repro.app.adversarial import (
     check_invariants,
     jain_fairness,
     run_cid_churn,
+    run_gap_liar,
     run_overlap_attack,
     run_reorder_attack,
     run_signaling_storm,
@@ -82,6 +83,18 @@ def test_pathological_reorder_never_costs_a_byte(seed, model):
     report = run_reorder_attack(seed, model)
     assert all(o.complete for o in report.outcomes)
     assert jain_fairness(report.honest_shares()) == pytest.approx(1.0)
+
+
+@settings(max_examples=4, deadline=None)
+@given(seed=seeds)
+def test_gap_report_lies_are_refused_counted_and_never_resent(seed):
+    report = run_gap_liar(seed)
+    # Per ACK chunk one unsent T.ID, per TPDU acknowledged a range past
+    # its end and a gap in it once acknowledged: all refused, all counted.
+    assert report.attack_frames > 0
+    assert report.extra["gap_reports_refused"] == report.extra["gap_lies"] > 0
+    assert report.extra["resent"] == 0
+    assert all(o.complete for o in report.outcomes)
 
 
 @settings(max_examples=4, deadline=None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import random
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -55,7 +56,11 @@ def pytest_runtest_setup(item: pytest.Item) -> None:
         import repro.obs as obs
 
         obs.install_journey()
-        obs.install_flight(dump_dir=Path(flight_dir) / _NODE_SLUG.sub("-", item.nodeid)[:120])
+        obs.install_flight(dump_dir=_dump_dir(flight_dir, item))
+
+
+def _dump_dir(flight_dir: str, item: pytest.Item) -> Path:
+    return Path(flight_dir) / _NODE_SLUG.sub("-", item.nodeid)[:120]
 
 
 def pytest_unconfigure(config: pytest.Config) -> None:
@@ -80,6 +85,13 @@ def pytest_runtest_makereport(
         from repro.obs import flight_dump
 
         flight_dump("test_failure", item.nodeid)
+    # Dumps matter only for a failing test: a passed one's directory goes
+    # at teardown (its stall evictions alone can write hundreds of files).
+    flight_dir = getattr(item.config, "_repro_flight_dir", None)
+    if flight_dir and report.failed:
+        item._repro_keep_dumps = True  # type: ignore[attr-defined]
+    if flight_dir and report.when == "teardown" and not getattr(item, "_repro_keep_dumps", False):
+        shutil.rmtree(_dump_dir(flight_dir, item), ignore_errors=True)
 
 try:
     from hypothesis import settings as _hypothesis_settings

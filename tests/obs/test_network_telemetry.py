@@ -178,7 +178,7 @@ SNAPSHOT: dict[str, object] = {
     "transport.ack_batch_size.min": 1,
     "transport.ack_batch_size.sum": 23.0,
     "transport.ack_batches": 23,
-    "transport.acks_received": 23,
+    "transport.acks_received": 21,
     "transport.endpoint.acks_unroutable": 0,
     "transport.endpoint.chunks_routed": 85,
     "transport.endpoint.connections_active": 0,

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.errors import ChunkError
-from repro.core.packet import Packet
+from repro.core.packet import Packet, pack_chunks
 from repro.core.types import ChunkType
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
@@ -13,12 +13,15 @@ from repro.netsim.rng import substream
 from repro.obs import journey_session
 from repro.transport.acks import (
     MAX_ACKS_PER_CHUNK,
+    OPEN_END,
     build_ack_chunk,
+    build_gap_report,
     parse_ack_chunk,
-    piggyback,
+    parse_gap_report,
 )
 from repro.transport.connection import ConnectionConfig
 from repro.transport.reliability import (
+    REORDER_TPDUS,
     AdaptiveTpduPolicy,
     ReliableReceiver,
     ReliableSender,
@@ -100,11 +103,13 @@ class TestAckChunks:
 
 
 class TestPiggyback:
+    """Appendix A: piggybacking is ordinary packing of data and ACK chunks."""
+
     def test_acks_share_packets_with_data(self):
         sender = ChunkTransportSender(ConnectionConfig(connection_id=4, tpdu_units=8))
         data = sender.send_frame(make_payload(8))
         acks = [build_ack_chunk(4, [5, 6])]
-        packets = piggyback(data, acks, mtu=1500)
+        packets = pack_chunks(data + acks, mtu=1500)
         assert len(packets) == 1  # everything rode together
         types = {c.type for c in packets[0].chunks}
         assert ChunkType.ACK in types and ChunkType.DATA in types
@@ -113,7 +118,7 @@ class TestPiggyback:
         """A piggybacked packet decodes with the ordinary packet parser."""
         sender = ChunkTransportSender(ConnectionConfig(connection_id=4, tpdu_units=8))
         data = sender.send_frame(make_payload(8))
-        packets = piggyback(data, [build_ack_chunk(4, [1])], mtu=1500)
+        packets = pack_chunks(data + [build_ack_chunk(4, [1])], mtu=1500)
         decoded = Packet.decode(packets[0].encode())
         assert len(decoded.chunks) == len(packets[0].chunks)
 
@@ -342,3 +347,133 @@ class TestAckLabels:
         for frame in wire:
             endpoint.receive_packet(frame)
         assert endpoint.acks_unroutable == 0 and connection.finished
+
+
+class TestStrayAcks:
+    def test_an_ack_for_a_tpdu_never_timed_leaves_count_and_resignal_as_they_were(self):
+        loop, shipped = EventLoop(), []
+        sender = ReliableSender(
+            loop, None, ConnectionConfig(connection_id=3, tpdu_units=64),
+            transmit_chunks=shipped.extend, resignal_until_acked=True,
+        )
+        sender.handle_ack_chunk(build_ack_chunk(3, [0]))  # nothing sent at all
+        assert (sender.acks_received, sender._signal) == (0, None)
+        sender.send_frame(make_payload(8))  # TPDU 0 is filling, not timed
+        signal = sender._signal
+        assert signal is not None
+        sender.handle_ack_chunk(build_ack_chunk(3, [0]))
+        assert (sender.acks_received, sender._signal) == (0, signal)
+        sender.send_frame(make_payload(8), end_of_connection=True)  # TPDU 0 timed
+        sender.handle_ack_chunk(build_ack_chunk(3, [0, 0]))
+        assert (sender.acks_received, sender._signal, sender.finished) == (1, None, True)
+
+
+def _tpdu_chunks(units: int = 24, limit: int = 4) -> tuple[ChunkTransportSender, list]:
+    """One TPDU of *units* units in chunks of at most *limit*, and its ED chunk."""
+    from repro.core.fragment import split_to_unit_limit
+
+    sender = ChunkTransportSender(ConnectionConfig(connection_id=6, tpdu_units=units))
+    sent = sender.send_frame(make_payload(units))
+    record = sender._tpdus[0]
+    record.chunks[:] = [p for c in record.chunks for p in split_to_unit_limit(c, limit)]
+    return sender, [*record.chunks, record.ed_chunk] if sent else []
+
+
+class TestGapReports:
+    def test_a_gap_report_is_an_ack_chunk_with_t_st_and_acknowledges_nothing(self):
+        from repro.core.codec import decode_chunk, encode_chunk
+
+        report = build_gap_report(5, 9, [(2, 4), (7, 25)])
+        decoded, _ = decode_chunk(encode_chunk(report))
+        assert decoded == report and decoded.type is ChunkType.ACK
+        assert (decoded.c_id, decoded.t_id, decoded.t_st) == (5, 9, True)
+        assert parse_gap_report(decoded, 24) == [(2, 4), (7, 25)]
+        assert parse_gap_report(decoded, 23) is None  # past a 23-unit TPDU and its ED
+        assert parse_ack_chunk(decoded) == []
+        assert not build_ack_chunk(5, [9]).t_st  # a plain ACK is unchanged
+
+    def test_past_half_an_ack_chunk_of_ranges_the_last_runs_to_the_end(self):
+        gaps = [(2 * i, 2 * i + 1) for i in range(MAX_ACKS_PER_CHUNK)]
+        sent = parse_gap_report(build_gap_report(1, 0, gaps), 2 * MAX_ACKS_PER_CHUNK)
+        half = MAX_ACKS_PER_CHUNK // 2
+        assert sent == [*gaps[: half - 1], (gaps[half - 1][0], OPEN_END)]
+
+    def test_retransmit_cuts_exactly_the_gaps_and_keeps_every_label(self):
+        sender, chunks = _tpdu_chunks()
+        pieces = sender.retransmit(0, [(2, 5), (7, 8), (23, 24)])
+        assert [(p.t.sn, p.length) for p in pieces] == [(2, 2), (4, 1), (7, 1), (23, 1)]
+        for piece in pieces:
+            assert piece.c.sn - piece.t.sn == chunks[0].c.sn - chunks[0].t.sn
+            assert piece.t.ident == 0 and piece.x.sn - piece.t.sn == chunks[0].x.sn
+        assert pieces[-1].t.st  # the cut keeps the TPDU's end on its last unit
+        assert sender.retransmit(0, [(24, 25)]) == [chunks[-1]]  # the ED chunk alone
+        assert sender.retransmit(0, [(0, OPEN_END)]) == chunks == sender.retransmit(0)
+
+    def _session(self):
+        loop, shipped = EventLoop(), []
+        sender = ReliableSender(
+            loop, None, ConnectionConfig(connection_id=6, tpdu_units=24),
+            transmit_chunks=shipped.extend,
+        )
+        sender.send_frame(make_payload(24))
+        shipped.clear()
+        return sender, shipped
+
+    def test_an_honest_report_is_repaired_once_per_timer_round(self):
+        sender, shipped = self._session()
+        report = build_gap_report(6, 0, [(3, 9)])
+        sender.handle_ack_chunk(report)
+        assert [(c.t.sn, c.length) for c in shipped] == [(3, 6)]
+        sender.handle_ack_chunk(report)  # a duplicate: not a lie, not repaired again
+        assert len(shipped) == 1 and sender.gap_reports_refused == 0
+        assert sender.retransmissions == 1
+        sender.loop.run()  # the timer repeats only the reported units, and the ED chunk
+        assert [(c.type, c.length) for c in shipped[1:3]] == [
+            (ChunkType.DATA, 6), (ChunkType.ERROR_DETECTION, 3)
+        ]
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            build_gap_report(6, 0, [(3, 26)]),  # past the TPDU's end and its ED
+            build_gap_report(6, 0, [(5, 9), (2, 3)]),  # not ascending
+            build_gap_report(6, 0, [(4, 4)]),  # empty
+            build_gap_report(6, 7, [(0, 1)]),  # a T.ID never sent
+        ],
+        ids=["past-end", "descending", "empty", "unsent"],
+    )
+    def test_a_lying_report_is_refused_counted_and_never_resent(self, report):
+        sender, shipped = self._session()
+        sender.handle_ack_chunk(report)
+        assert (sender.gap_reports_refused, shipped, sender.retransmissions) == (1, [], 0)
+
+    def test_a_report_on_an_acknowledged_tpdu_is_refused(self):
+        sender, shipped = self._session()
+        sender.handle_ack_chunk(build_ack_chunk(6, [0]))
+        sender.handle_ack_chunk(build_gap_report(6, 0, [(0, 1)]))
+        assert (sender.gap_reports_refused, shipped) == (1, [])
+
+    def test_a_lost_unit_is_reported_and_repeated_alone_before_the_timer(self):
+        loop, wire = EventLoop(), []
+        sender = ReliableSender(
+            loop, None, ConnectionConfig(connection_id=6, tpdu_units=16), rto=1.0,
+            transmit_chunks=wire.extend,
+        )
+        acks = []
+        receiver = ReliableReceiver(None, transmit_chunks=acks.extend)
+        for index in range(REORDER_TPDUS + 1):
+            sender.send_frame(make_payload(16, seed=index))
+        lost = wire[1]  # TPDU 0's one DATA chunk: its ED chunk (wire[2]) arrives
+        assert lost.is_data and lost.t_id == 0
+        receiver.receive_chunks([c for c in wire if c is not lost])
+        reports = [c for c in acks if c.t_st]
+        assert [(c.t_id, parse_gap_report(c, 16)) for c in reports] == [(0, [(0, 16)])]
+        wire.clear()
+        for chunk in acks:
+            sender.handle_ack_chunk(chunk)
+        assert wire == [lost] and sender.timeouts == 0
+        acks.clear()
+        receiver.receive_chunks(wire)
+        for chunk in acks:
+            sender.handle_ack_chunk(chunk)
+        assert sender.finished and receiver.receiver.duplicate_chunks == 0
