@@ -46,6 +46,7 @@ from repro.transport.sender import ChunkTransportSender
 
 __all__ = [
     "ALPHABET",
+    "VARIANTS",
     "TIMER_EVENTS",
     "ModelConfig",
     "Snapshot",
@@ -58,9 +59,13 @@ __all__ = [
     "write_counterexample",
 ]
 
-#: Every event something can schedule; ``tombstone-overflow`` only ever
-#: fires as the cascade of a tombstoning row.
-ALPHABET = tuple(event for event in EVENTS if event != "tombstone-overflow")
+#: Offers the table files under another of its events: a stray ACK is an
+#: ``ack-chunk`` naming no TPDU its conversation times (``ack-chunk``
+#: itself first sends a TPDU where it can, and acknowledges that one).
+VARIANTS = {"stray-ack": "ack-chunk"}
+#: Every event something can schedule, and the variants; ``tombstone-
+#: overflow`` only ever fires as the cascade of a tombstoning row.
+ALPHABET = (*(event for event in EVENTS if event != "tombstone-overflow"), *VARIANTS)
 #: Endpoint-wide events: one ``sweep()`` reaches every conversation.
 TIMER_EVENTS = ("sweep", "progress-police")
 
@@ -180,6 +185,14 @@ def _sends(connection: Connection | None) -> bool:
     )
 
 
+def _acks_timed(connection: Connection | None, chunks: list) -> bool:
+    """Whether *chunks* acknowledge a TPDU *connection*'s sender is timing."""
+    sender = None if connection is None else connection.sender
+    return sender is not None and not {
+        t_id for chunk in chunks if chunk.type is ChunkType.ACK for t_id in parse_ack_chunk(chunk)
+    }.isdisjoint(sender.outstanding)
+
+
 class LiveEndpoint:
     """A fresh :class:`ChunkEndpoint` and its peers: :func:`explore` and
     the conformance walks both offer it events through :meth:`step`."""
@@ -214,18 +227,20 @@ class LiveEndpoint:
         """Re-run *path*'s offers unchecked: the endpoint is deterministic,
         so it reaches the state the path recorded."""
         for taken in path:
-            self._offer(taken.event, taken.conv)
+            self._offer(taken.event, taken.conv, self._prepare(taken.event, taken.conv))
         if path:
             self.state = path[-1].after
 
     # -- the table's side --------------------------------------------
 
     def _expect(
-        self, event: str, conv: int | None
+        self, event: str, conv: int | None, chunks: list
     ) -> tuple[list[tuple[int, Transition]], Snapshot, list[tuple[str, str]]]:
-        """The rows *event* fires from :attr:`state`, where they lead,
-        and any row whose guard overlaps an earlier row's on the way."""
+        """The rows *event* fires from :attr:`state` as the endpoint is
+        about to take *chunks*, where they lead, and any row whose guard
+        overlaps an earlier row's on the way."""
         before = self.state
+        acked = conv is not None and _acks_timed(self.endpoint.connection(self.cids[conv]), chunks)
         states, receivers = list(before.states), list(before.receivers)
         order, tombstones = list(before.order), list(before.tombstones)
         registered = before.registered
@@ -240,7 +255,7 @@ class LiveEndpoint:
                 "pool-exhausted": not free,
                 "has-receiver": receivers[c],
                 "receiver-admissible": free and not receivers[c],
-                "acks-sent-tpdu": _sends(self.endpoint.connection(self.cids[c])),
+                "acks-sent-tpdu": c == conv and acked,
             }
             rows = [
                 transition
@@ -278,7 +293,7 @@ class LiveEndpoint:
                         fire(tombstones[0], forget)
 
         for c in before.order if conv is None else (conv,):
-            transition = row(c, event)
+            transition = row(c, VARIANTS.get(event, event))
             if transition is not None:
                 fire(c, transition)
         return fired, Snapshot(
@@ -303,12 +318,13 @@ class LiveEndpoint:
                 self.peers[cid] = ChunkTransportSender(_config(cid))
                 self._verified = {key for key in self._verified if key[0] != cid}
             return [self.peers[cid].establishment_chunk()]
-        if event == "ack-chunk":
-            if connection is None or not _sends(connection):
-                return [build_ack_chunk(cid, [0])]  # names nothing this endpoint sent
+        if event == "ack-chunk" and _sends(connection):
+            assert connection is not None and connection.sender is not None
             connection.send_frame(b"\xa5" * 64)  # one whole TPDU, timed, then its ACK
-            assert connection.sender is not None
             return [build_ack_chunk(cid, connection.sender.outstanding[-1:])]
+        if event in ("ack-chunk", "stray-ack"):
+            # Every TPDU an offer sends is acknowledged in that offer.
+            return [build_ack_chunk(cid, [0])]
         placed = (
             connection is not None
             and connection.receiver is not None
@@ -318,10 +334,18 @@ class LiveEndpoint:
         sender = self.peers[cid] if placed else ChunkTransportSender(_config(cid))
         return sender.send_frame(b"\xa5" * 8, end_of_connection=event == "cst-chunk")
 
-    def _offer(self, event: str, conv: int | None) -> tuple[int, int, bool]:
-        """Run *event* on the endpoint: ``(chunks offered, refused, raised)``."""
+    def _prepare(self, event: str, conv: int | None) -> list:
+        """Advance the clock to *event* and make the chunks it offers
+        (none for a local call or a timer)."""
         self.loop.schedule(IDLE if event == "sweep" else STEP, lambda: None)
         self.loop.run()
+        if conv is None or event in ("local-open", "local-close"):
+            return []
+        return self._chunks(self.cids[conv], event)
+
+    def _offer(self, event: str, conv: int | None, chunks: list) -> tuple[int, int, bool]:
+        """Run *event*, with its *chunks*, on the endpoint:
+        ``(chunks offered, refused, raised)``."""
         endpoint = self.endpoint
         offered = refused = 0
         raised = False
@@ -337,7 +361,6 @@ class LiveEndpoint:
             except EndpointError:
                 raised = True
         else:
-            chunks = self._chunks(self.cids[conv], event)
             events = endpoint.receive_packet(Packet(chunks=chunks).encode())
             for received in events.per_connection.values():
                 self._verified.update((v.c_id, v.t_id) for v in received.verdicts if v.ok)
@@ -377,9 +400,10 @@ class LiveEndpoint:
         if event in TIMER_EVENTS:
             conv = None
         before = self.state
-        fired, expected, overlaps = self._expect(event, conv)
         stats = self.endpoint.stats()
-        offered, refused, raised = self._offer(event, conv)
+        chunks = self._prepare(event, conv)
+        fired, expected, overlaps = self._expect(event, conv, chunks)
+        offered, refused, raised = self._offer(event, conv, chunks)
         moved = {key: value - stats[key] for key, value in self.endpoint.stats().items()}
         stalled = moved["stalled_evictions"]
         reasons = [

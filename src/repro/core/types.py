@@ -23,6 +23,7 @@ __all__ = [
     "SN_LIMIT",
     "SIZE_LIMIT",
     "LEN_LIMIT",
+    "OPEN_END",
     "is_control_type",
 ]
 
@@ -51,6 +52,10 @@ ID_LIMIT: Final[int] = 1 << 32
 SN_LIMIT: Final[int] = 1 << 64
 SIZE_LIMIT: Final[int] = 1 << 16
 LEN_LIMIT: Final[int] = 1 << 32
+
+#: The end of a gap report's unit range that nothing bounds yet (neither
+#: the TPDU's T.ST nor its ED chunk seen): the largest 32-bit word.
+OPEN_END: Final[int] = ID_LIMIT - 1
 
 
 class ChunkType(enum.IntEnum):

@@ -24,7 +24,7 @@ import struct
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
-from repro.core.types import ID_LIMIT, WORD_BYTES, ChunkType
+from repro.core.types import ID_LIMIT, OPEN_END, WORD_BYTES, ChunkType
 
 __all__ = [
     "MAX_ACKS_PER_CHUNK", "OPEN_END", "build_ack_chunk", "build_gap_report",
@@ -33,8 +33,6 @@ __all__ = [
 
 #: Keep ACK chunks comfortably inside any sane MTU.
 MAX_ACKS_PER_CHUNK = 64
-#: A gap's end when the receiver has seen neither the TPDU's T.ST nor its ED chunk.
-OPEN_END = 0xFFFFFFFF
 _MOST_GAPS = MAX_ACKS_PER_CHUNK // 2
 _ACK = ChunkType.ACK  # an enum member read is ~0.1 µs on CPython 3.11
 #: The id words of an ACK chunk of each count, compiled once (~0.4 µs a call).

@@ -27,8 +27,7 @@ from repro.obs import Histogram, Tallies, declare
 from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 from repro.transport.acks import (
-    MAX_ACKS_PER_CHUNK, OPEN_END, build_ack_chunk, build_gap_report, parse_ack_chunk,
-    parse_gap_report,
+    MAX_ACKS_PER_CHUNK, build_ack_chunk, build_gap_report, parse_ack_chunk, parse_gap_report,
 )
 from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.transport.egress import EgressPacker
@@ -48,10 +47,11 @@ _RECEIVER_TALLIES = Tallies(
 _ACK_BATCH_SIZE = declare(Histogram, "transport", "ack_batch_size", "TPDU ids per ACK flush")
 _ED = ChunkType.ERROR_DETECTION  # an enum member read is ~0.1 µs on CPython 3.11
 #: k: a TPDU still incomplete once k TPDUs sent after it have verified is
-#: lost, not reordered.  A TPDU is two chunks or more (data, ED): no report
-#: is spurious while a packet is one chunk landing at most k places from its
-#: sending order (Istrate; Wu et al.).  A larger k delays every repair.
-REORDER_TPDUS = 3
+#: lost, not reordered (Istrate; Wu et al.).  Routers repacking chunks into
+#: smaller packets reorder: on lossy_path, mux_256 and sharded_1k (seeds 1993,
+#: 7) a TPDU that lost no chunk verified behind at most one later TPDU, so 2
+#: is the least k that reports nothing still in flight.  More delays repairs.
+REORDER_TPDUS = 2
 _UNSEEN = (-1,) * REORDER_TPDUS  # no T.ID verified yet: the horizon is at -1
 
 
@@ -192,7 +192,7 @@ class ReliableSender:
                 self.gap_reports_refused += 1
             elif record.gaps is None:
                 record.gaps = gaps
-                self._repeat(record, self.sender.retransmit(record.t_id, gaps))
+                self._repeat(record, self.sender.retransmit(record.t_id, gaps), record.retries + 1)
         for t_id in parse_ack_chunk(chunk):
             record = tpdus.get(t_id)
             if record is not None and record.session is not None:
@@ -248,17 +248,18 @@ class ReliableSender:
         # The units this round's report named (else all), and the ED chunk:
         # it draws a re-ACK if only the ACK was lost.  A new round begins.
         chunks, record.gaps = self.sender.retransmit(record.t_id, record.gaps, True), None
-        self._repeat(record, chunks)
+        self._repeat(record, chunks, record.retries)
         self.loop.schedule(self.rto * (2 ** record.retries), record.expire)
 
-    def _repeat(self, record: _Tpdu, chunks: list[Chunk]) -> None:
-        """Ship *record*'s repeated *chunks* (Section 3.3's same identifiers)."""
+    def _repeat(self, record: _Tpdu, chunks: list[Chunk], gen: int) -> None:
+        """Ship *record*'s repeated *chunks* (Section 3.3's same identifiers),
+        traced as retransmission generation *gen* (0 is the first send)."""
         self.retransmissions += 1
         journey = obs_provenance._tracker
         if journey is not None:
             for chunk in chunks:
                 if chunk.type is ChunkType.DATA:
-                    journey.chunk("retransmit", chunk, t=self.loop.now, gen=record.retries)
+                    journey.chunk("retransmit", chunk, t=self.loop.now, gen=gen)
         if self._signal is not None:
             chunks.insert(0, self._signal)
         (self.transmit_chunks or self._packer.ship)(chunks)
@@ -349,7 +350,7 @@ class ReliableReceiver:
                     newest[c_id] = moved = tuple(sorted((*window, t_id)))[1:]
                     span = range(max(window[0] + 1, moved[0] - MAX_ACKS_PER_CHUNK), moved[0])
                     if span:
-                        for behind, gaps in self.receiver.verifier.gaps(c_id, span, OPEN_END):
+                        for behind, gaps in self.receiver.verifier.gaps(c_id, span):
                             reports.append(build_gap_report(c_id, behind, gaps))
         if verified is not None:
             for chunk in events.chunks:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError, VirtualReassemblyError
-from repro.core.types import ChunkType
+from repro.core.types import OPEN_END, ChunkType
 from repro.core.virtual import PduState
 from repro.obs import Tallies
 from repro.obs import provenance as obs_provenance
@@ -251,13 +251,12 @@ class EndToEndReceiver:
         """(C.ID, T.ID) keys of TPDUs still awaiting data or ED."""
         return [key for key, check in self._checkers.items() if check is not None]
 
-    def gaps(
-        self, c_id: int, t_ids: range, open_end: int
-    ) -> list[tuple[int, list[tuple[int, int]]]]:
+    def gaps(self, c_id: int, t_ids: range) -> list[tuple[int, list[tuple[int, int]]]]:
         """(T.ID, the unit ranges it lacks) of each pending TPDU among
         *t_ids*: its virtual reassembly's missing ranges, the ED chunk
         counted as the unit past its last, and a tail nothing bounds yet
-        (neither T.ST nor the ED chunk seen) ending at *open_end*."""
+        (neither T.ST nor the ED chunk seen) ending at
+        :data:`~repro.core.types.OPEN_END`."""
         out = []
         for t_id in t_ids:
             check = self._checkers.get((c_id, t_id))
@@ -269,7 +268,7 @@ class EndToEndReceiver:
             elif reassembly.total_units is not None:
                 horizon = reassembly.total_units + 1  # the data and the ED chunk
             else:
-                horizon = open_end
+                horizon = OPEN_END
             missing = reassembly.received.missing(horizon)
             if missing:
                 out.append((t_id, missing))

@@ -33,9 +33,9 @@ from repro.analysis.modelcheck import (
 from repro.analysis.state_table import CLOSED, STATE_TABLE, StateTable, Transition
 from repro.core.types import ChunkType
 from repro.obs.perfetto import journeys_to_trace
-from repro.transport.acks import build_ack_chunk
+from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.endpoint import ChunkEndpoint, ConnectionTable
-from repro.transport.reliability import ReliableReceiver
+from repro.transport.reliability import ReliableReceiver, ReliableSender
 
 
 def mutate(monkeypatch, owner: type, name: str, old: str, new: str) -> None:
@@ -102,7 +102,7 @@ class TestCleanExploration:
         result = checked()
         assert result.ok, result.violations
         # Conversation relabellings are one state: 41 of the 81 states.
-        assert (result.states_explored, result.edges) == (41, 574)
+        assert (result.states_explored, result.edges) == (41, 656)
 
     def test_every_declared_transition_is_covered(self):
         # The default bounds reach all 22 rows on the live endpoint,
@@ -124,7 +124,7 @@ class TestCleanExploration:
         result = checked(ModelConfig(conversations=3, pool_tokens=1, tombstone_capacity=1))
         assert result.ok, result.violations
         assert result.uncovered() == []
-        assert (result.states_explored, result.edges) == (176, 3520)
+        assert (result.states_explored, result.edges) == (176, 4048)
 
     def test_bad_config_is_rejected(self):
         with pytest.raises(ValueError, match="conversations"):
@@ -145,6 +145,18 @@ class TestSemantics:
         assert [(c, t.transition_id) for c, t in step.fired] == [(0, "establish")]
         assert step.after == Snapshot(("ESTABLISHED", "CLOSED"), (True, False), 1, (0,))
         assert live.endpoint.budget.registered == 1
+
+    def test_only_the_ack_of_a_sent_tpdu_establishes(self):
+        # A stray ACK to an opened conversation that has sent nothing fires
+        # no row and moves nothing; the ACK of a TPDU it sent establishes.
+        live = LiveEndpoint(ModelConfig())
+        live.step("local-open", 0)
+        step, problems = live.step("stray-ack", 0)
+        assert (problems, step.fired, step.after) == ([], (), step.before)
+        assert step.after.states[0] == "ESTABLISHING"
+        step, problems = live.step("ack-chunk", 0)
+        assert problems == []
+        assert [t.transition_id for _, t in step.fired] == ["establish-acked"]
 
     def test_admission_refusal_needs_exhausted_pool(self):
         live = LiveEndpoint(ModelConfig())
@@ -256,6 +268,26 @@ class TestEdgeCheck:
         assert first.row == row
         assert [(step.event, step.conv) for step in first.trace] == events
 
+
+    def test_a_stray_ack_that_establishes_is_named(self, monkeypatch):
+        # handle_ack_chunk counting every T.ID an ACK names, as it once
+        # did: a stray ACK ends re-signalling and establishes.
+        handle = ReliableSender.handle_ack_chunk
+
+        def counts_every_t_id(self, chunk):
+            before = self.acks_received
+            handle(self, chunk)
+            self.acks_received = before + len(parse_ack_chunk(chunk))
+            self._signal = None
+
+        monkeypatch.setattr(ReliableSender, "handle_ack_chunk", counts_every_t_id)
+        result = explore(stop_at_first=False)
+        assert {v.invariant for v in result.violations} == {"declared-row"}
+        first = result.violations[0]
+        assert first.row == "" and first.message.startswith("stray-ack, no row: ")
+        assert [(step.event, step.conv) for step in first.trace] == [
+            ("local-open", 0), ("stray-ack", 0)
+        ]
 
     def test_overlapping_guards_are_named(self, monkeypatch):
         # A second signalling row out of CLOSED whose guard holds with

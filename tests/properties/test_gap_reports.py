@@ -12,6 +12,12 @@ by send order as the event loop breaks them.
 Every unit a report names, and the ED chunk when it names the unit past
 the TPDU's last, must then be in a dropped packet: a report is a loss,
 never a reorder.  With nothing dropped there is no report at all.
+
+Those properties hold for any bound; the bound itself is read off the
+``lossy_path`` benchmark path, whose routers repack chunks into smaller
+packets and so reorder them.  With no report to change what is sent,
+``REORDER_TPDUS`` is one more than the most later TPDUs that verify
+ahead of a TPDU that lost no chunk.
 """
 
 from __future__ import annotations
@@ -19,18 +25,23 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bench_e2e.workloads import WORKLOADS
 from repro.core.fragment import split_to_unit_limit
+from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.netsim.adversary import AlmostSortedReorder
+from repro.netsim.link import Link
 from repro.transport.acks import parse_gap_report
 from repro.transport.connection import ConnectionConfig
 from repro.transport.reliability import REORDER_TPDUS, ReliableReceiver
 from repro.transport.sender import ChunkTransportSender
+from repro.wsc.endtoend import EndToEndReceiver
 
 from tests.conftest import deterministic_bytes
 
 C_ID = 4
 FRAME_TIME = 1e-4  # nominal spacing of packets on the wire
+_TPDU_TYPES = (ChunkType.DATA, ChunkType.ERROR_DETECTION)
 
 
 @st.composite
@@ -99,3 +110,32 @@ def test_reorder_within_the_bound_reports_nothing(transfer):
     arrivals, dropped, _ = transfer
     assert not dropped
     assert _reports(arrivals) == []
+
+
+def test_the_bound_is_the_least_above_the_benchmark_path_reorder(monkeypatch):
+    lost: set[int] = set()  # T.IDs with a DATA or ED chunk in a dropped frame
+    verified: list[int] = []
+    send, acknowledge = Link.send, ReliableReceiver._acknowledge
+
+    def lossy_send(link, frame):
+        before = link.stats.frames_lost
+        send(link, frame)
+        if link.stats.frames_lost != before:
+            lost.update(c.t_id for c in Packet.decode(frame).chunks if c.type in _TPDU_TYPES)
+
+    def recording(session, events):
+        verified.extend(v.t_id for v in events.verdicts if v.ok)
+        acknowledge(session, events)
+
+    monkeypatch.setattr(Link, "send", lossy_send)
+    monkeypatch.setattr(ReliableReceiver, "_acknowledge", recording)
+    monkeypatch.setattr(EndToEndReceiver, "gaps", lambda *_: [])  # the timer repeats alone
+    workload, ahead = WORKLOADS["lossy_path"], 0  # one conversation
+    for seed in (1993, 7):
+        lost.clear()
+        verified.clear()
+        workload.run(workload.build(seed, 1.0))
+        for position, t_id in enumerate(verified):
+            if t_id not in lost:
+                ahead = max(ahead, sum(later > t_id for later in verified[:position]))
+    assert ahead == REORDER_TPDUS - 1

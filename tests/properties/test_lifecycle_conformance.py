@@ -10,7 +10,7 @@ says (state, receiver, budget, tombstones), refuses exactly on a
 ``refuse-*`` row under the right counter and does not raise on a local
 call; where it has none, nothing moves.  Two conversations, one
 admission token, a one-entry tombstone FIFO, all eight schedulable
-events; simulated time only, no unseeded randomness.
+events and the stray ACK; simulated time only, no unseeded randomness.
 """
 
 from __future__ import annotations

@@ -432,6 +432,18 @@ class TestGapReports:
             (ChunkType.DATA, 6), (ChunkType.ERROR_DETECTION, 3)
         ]
 
+    def test_a_repair_is_traced_as_a_retransmission_not_a_first_send(self):
+        # Provenance's generation 0 is the original transmission: a repair
+        # made before any timer fired is generation 1, as the first timer
+        # repeat is.
+        sender, shipped = self._session()
+        with journey_session(clock=lambda: sender.loop.now) as journey:
+            sender.handle_ack_chunk(build_gap_report(6, 0, [(3, 9)]))
+            sender.loop.run(until=sender.rto * 1.5)
+        repeats = [(r.offset, r.length, r.gen) for r in journey.records if r.stage == "retransmit"]
+        assert sender.timeouts == 1
+        assert repeats == [(12, 24, 1), (12, 24, 1)]  # units [3, 9): the repair, then the timer
+
     @pytest.mark.parametrize(
         "report",
         [

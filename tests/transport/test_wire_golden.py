@@ -163,7 +163,7 @@ def test_unsharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
 
 def test_sharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
     assert endpoint_wire(4) == (
-        "aebdc20ce3ca44c7400152f33a2845aaad114be4cc8768d412bf81780fa48712", 85,
+        "453886626d4dc994781e61bafeb1fd7219a843e00d6446c14afd26926c483eb0", 85,
     )
 
 

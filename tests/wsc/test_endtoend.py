@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
+from repro.core.types import OPEN_END
 from repro.wsc.endtoend import (
     REASON_CODE_MISMATCH,
     REASON_CONSISTENCY,
@@ -372,12 +373,9 @@ def _parities(ed_chunk):
     return payload.p0, payload.p1
 
 
-OPEN = 1 << 32
-
-
 class TestGaps:
     """What a pending TPDU still lacks, as a gap report names it: the ED
-    chunk is the unit past the last; an unbounded tail ends at *open_end*."""
+    chunk is the unit past the last; an unbounded tail ends at OPEN_END."""
 
     def _pending(self, keep):
         data, ed = _tpdu(tpdu_units=12, frames=1)
@@ -392,15 +390,15 @@ class TestGaps:
             ({0, 2, 3, 4}, [(3, 6)]),  # the ED chunk arrived: a data gap only
             ({0, 1, 3}, [(6, 9), (12, 13)]),  # T.ST seen, the ED chunk not
             ({0, 1, 4}, [(6, 12)]),  # the ED chunk's unit count bounds a lost T.ST
-            ({0, 1}, [(6, OPEN)]),  # neither T.ST nor ED: an open tail
-            ({2}, [(0, 6), (9, OPEN)]),
+            ({0, 1}, [(6, OPEN_END)]),  # neither T.ST nor ED: an open tail
+            ({2}, [(0, 6), (9, OPEN_END)]),
         ],
     )
     def test_a_pending_tpdu_lacks_its_missing_units_and_its_ed_chunk(self, keep, lacks):
         receiver = self._pending(keep)
-        assert receiver.gaps(5, range(3), OPEN) == [(0, lacks)]
+        assert receiver.gaps(5, range(3)) == [(0, lacks)]
 
     def test_a_verdicted_or_unseen_tpdu_lacks_nothing(self):
         receiver = self._pending({0, 1, 2, 3, 4})
         assert receiver.verified == 1
-        assert receiver.gaps(5, range(3), OPEN) == []
+        assert receiver.gaps(5, range(3)) == []
