@@ -44,7 +44,7 @@ takes the same checked steps on random walks).  Retired passes, and
 what holds their property now, are tabled in ``docs/static-analysis.md``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
-sanitizer (``REPRO_SIMSAN=1`` / ``pytest --simsan``) that fingerprints
+sanitizer (``REPRO_SIMSAN=1``) that fingerprints
 scheduled payload buffers, detects mutation-after-schedule aliasing
 with the scheduling backtrace, maintains a schedule audit digest for
 cross-run nondeterminism diffs, and — for a watched

@@ -35,7 +35,7 @@ Enabling it
 
 - ``REPRO_SIMSAN=1`` in the environment (the test suite's ``conftest``
   installs the sanitizer for the whole session — CI runs a dedicated
-  lane this way), or ``pytest --simsan``;
+  lane this way);
 - programmatically::
 
       from repro.analysis import simsan

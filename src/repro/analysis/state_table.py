@@ -7,21 +7,15 @@ eviction with tombstones — and
 module declares that automaton once, as :class:`Transition` rows; no
 transfer module imports it and nothing in the endpoint points back at
 it.  :mod:`repro.analysis.modelcheck` runs it against a live endpoint.
-``docs/architecture.md`` embeds the rendered table and mermaid diagram
-between ``<!-- state-table:begin -->`` / ``<!-- state-table:end -->``
-markers: ``python -m repro.analysis.state_table --write`` regenerates
-the block, and ``--check`` (and ``tests/core/test_state_table.py``)
-fails when it is stale.
+``docs/architecture.md`` embeds it as a generated table and mermaid
+diagram, which ``tests/test_docs_blocks.py`` holds to these rows.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
 
 __all__ = [
     "Transition",
@@ -29,19 +23,8 @@ __all__ = [
     "STATES",
     "INITIAL_STATE",
     "STATE_TABLE",
-    "BLOCK_BEGIN",
-    "BLOCK_END",
-    "render_markdown",
-    "render_mermaid",
-    "docs_block",
-    "extract_block",
-    "table_path",
     "row_line",
-    "main",
 ]
-
-BLOCK_BEGIN = "<!-- state-table:begin -->"
-BLOCK_END = "<!-- state-table:end -->"
 
 #: Lifecycle states.  ``EVICTED-idle`` covers both sweep reasons (idle
 #: timeout and close-linger) because they share every downstream
@@ -387,90 +370,9 @@ STATE_TABLE = StateTable(
 assert STATE_TABLE.validate() == []
 
 
-def render_markdown(table: StateTable = STATE_TABLE) -> str:
-    """The transition relation as GitHub markdown (deterministic)."""
-    lines = [
-        f"### Connection lifecycle — {len(table.states)} states, "
-        f"{len(table.transitions)} transitions",
-        "",
-        "| id | from | event | to | guard | effects | notes |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for t in table.transitions:
-        effects = ", ".join(t.effects) if t.effects else "—"
-        guard = t.guard or "—"
-        lines.append(
-            f"| `{t.transition_id}` | {t.src} | {t.event} | {t.dst} "
-            f"| {guard} | {effects} | {t.notes} |"
-        )
-    return "\n".join(lines)
-
-
-def _mermaid_alias(state: str) -> str:
-    return state.replace("-", "_")
-
-
-def render_mermaid(table: StateTable = STATE_TABLE) -> str:
-    """The FSM as a mermaid ``stateDiagram-v2`` (deterministic)."""
-    lines = ["stateDiagram-v2"]
-    for state in table.states:
-        alias = _mermaid_alias(state)
-        if alias != state:
-            lines.append(f'    state "{state}" as {alias}')
-    lines.append(f"    [*] --> {_mermaid_alias(table.initial)}")
-    for t in table.transitions:
-        label = t.event if not t.guard else f"{t.event} [{t.guard}]"
-        lines.append(
-            f"    {_mermaid_alias(t.src)} --> {_mermaid_alias(t.dst)}: {label}"
-        )
-    return "\n".join(lines)
-
-
-def docs_block(table: StateTable = STATE_TABLE) -> str:
-    """The full generated block, marker lines included."""
-    parts = [
-        BLOCK_BEGIN,
-        "<!-- Generated by `python -m repro.analysis.state_table --write`;",
-        "     `--check` holds it, and the lifecycle checker runs it. Do not edit. -->",
-        "",
-        render_markdown(table),
-        "",
-        "```mermaid",
-        render_mermaid(table),
-        "```",
-        "",
-        BLOCK_END,
-    ]
-    return "\n".join(parts)
-
-
-def _splice(text: str, block: str) -> str:
-    """Replace (or append) the generated block inside *text*."""
-    begin = text.find(BLOCK_BEGIN)
-    end = text.find(BLOCK_END)
-    if begin != -1 and end != -1 and end > begin:
-        return text[:begin] + block + text[end + len(BLOCK_END):]
-    suffix = "" if text.endswith("\n") else "\n"
-    return text + suffix + "\n## The connection lifecycle (generated)\n\n" + block + "\n"
-
-
-def extract_block(text: str) -> str | None:
-    """The committed generated block of a docs file, or None."""
-    begin = text.find(BLOCK_BEGIN)
-    end = text.find(BLOCK_END)
-    if begin == -1 or end == -1 or end < begin:
-        return None
-    return text[begin:end + len(BLOCK_END)]
-
-
-def table_path() -> Path:
-    """Where the authoritative table lives."""
-    return Path(__file__)
-
-
 @lru_cache(maxsize=1)
 def _source_lines() -> tuple[str, ...]:
-    return tuple(table_path().read_text(encoding="utf-8").splitlines())
+    return tuple(Path(__file__).read_text(encoding="utf-8").splitlines())
 
 
 def row_line(transition_id: str) -> int:
@@ -484,46 +386,3 @@ def row_line(transition_id: str) -> int:
         if needle in line:
             return number
     return 1
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.state_table",
-        description="render / refresh the generated lifecycle state-machine block",
-    )
-    parser.add_argument(
-        "--docs",
-        type=Path,
-        default=Path("docs") / "architecture.md",
-        help="docs file carrying the generated block",
-    )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="rewrite the generated block in --docs (default: print it)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when the committed block is stale",
-    )
-    args = parser.parse_args(argv)
-    block = docs_block()
-    if args.check:
-        committed = extract_block(args.docs.read_text(encoding="utf-8"))
-        if committed != block:
-            print(f"state-table: generated block in {args.docs} is stale", file=sys.stderr)
-            return 1
-        print(f"state-table: {args.docs} is up to date")
-        return 0
-    if args.write:
-        text = args.docs.read_text(encoding="utf-8")
-        args.docs.write_text(_splice(text, block), encoding="utf-8")
-        print(f"state-table: wrote generated block to {args.docs}")
-        return 0
-    print(block)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -103,9 +103,13 @@ class ConcurrentWorkload:
     specs: list[ConversationSpec] = field(default_factory=list)
     launched: int = 0
     refused: int = 0
-    #: complete outcomes evaluated by :meth:`outcome`.
-    completed: int = 0
     _active: int = field(default=0, repr=False)
+    _completed_ids: set[int] = field(default_factory=set, repr=False)
+
+    @property
+    def completed(self) -> int:
+        """Conversations :meth:`outcome` has found complete, each counted once."""
+        return len(self._completed_ids)
 
     def launch(self, specs: list[ConversationSpec]) -> None:
         """Schedule every conversation at its start time."""
@@ -198,9 +202,9 @@ class ConcurrentWorkload:
         expected = deterministic_payload(spec.connection_id, spec.total_bytes)
         received = receiver_conn.stream_bytes()[: spec.total_bytes]
         outcome.complete = received == expected
-        if outcome.complete:
+        if outcome.complete and spec.connection_id not in self._completed_ids:
             before = _TALLIES.read(self) if obs_runtime._registry is not None else None
-            self.completed += 1
+            self._completed_ids.add(spec.connection_id)
             if before is not None:
                 _TALLIES.publish(before, self)
         return outcome

@@ -138,10 +138,10 @@ class ChunkStreamBuilder:
     tpdu_units: int
     unit_words: int = 1
     start_c_sn: int = 0
-    #: T.IDs / X.IDs to draw; ``None`` counts up from 0 (a plain integer
-    #: each, so a builder that is never given a sequence makes none).
+    #: T.IDs to draw; ``None`` counts up from 0 (a plain integer each, so
+    #: a builder that is never given a sequence makes none).  X.IDs count
+    #: up from 0 unless :meth:`add_frame` is handed a ``frame_id``.
     tpdu_ids: Iterator[int] | None = None
-    xpdu_ids: Iterator[int] | None = None
 
     _c_sn: int = field(init=False)
     _t_id: int = field(init=False)
@@ -203,13 +203,11 @@ class ChunkStreamBuilder:
                 f"frame of {len(payload)} bytes is not a whole number of "
                 f"{unit_bytes}-byte atomic units"
             )
-        if frame_id is not None:
-            x_id = frame_id
-        elif self.xpdu_ids is None:
+        if frame_id is None:
             x_id = self._next_x_id
             self._next_x_id += 1
         else:
-            x_id = next(self.xpdu_ids)
+            x_id = frame_id
         if not 0 <= x_id < ID_LIMIT:
             _out_of_field("X.ID", x_id, ID_LIMIT)
         n_units = len(payload) // unit_bytes

@@ -14,11 +14,8 @@ Consumers:
   ``tests/core/test_wire_layout.py`` infers every field's offset and
   width (and every flag bit) from live encodings and asserts them equal
   to these rows.
-- ``docs/wire-format.md`` embeds the rendered tables between
-  ``<!-- wire-tables:begin -->`` / ``<!-- wire-tables:end -->`` markers;
-  ``python -m repro.core.wire_table --write`` regenerates the block and
-  ``--check`` (run by ``tests/core/test_wire_table.py``) fails when the
-  committed block is stale.
+- ``docs/wire-format.md`` embeds the tables as a generated block, which
+  ``tests/test_docs_blocks.py`` holds to these rows.
 - Import-time asserts pin the derived byte totals to the constants in
   :mod:`repro.core.types`, so this module cannot itself drift from the
   widths the codec is tested against.
@@ -27,8 +24,7 @@ Consumers:
 from __future__ import annotations
 
 import struct
-import sys
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from repro.core.types import (
     HEADER_BYTES,
@@ -46,20 +42,11 @@ __all__ = [
     "PACKET_ENVELOPE",
     "SIGNALING_PAYLOAD",
     "TABLES",
-    "BLOCK_BEGIN",
-    "BLOCK_END",
-    "render_markdown",
-    "docs_block",
-    "extract_block",
-    "main",
 ]
 
 #: struct format character → byte width, for the unsigned big-endian
 #: integer types the wire formats use.
 _FMT_WIDTHS = {"B": 1, "H": 2, "I": 4, "Q": 8}
-
-BLOCK_BEGIN = "<!-- wire-tables:begin -->"
-BLOCK_END = "<!-- wire-tables:end -->"
 
 
 class WireField(NamedTuple):
@@ -166,102 +153,3 @@ _LIMITS = {"SIZE": SIZE_LIMIT, "LEN": LEN_LIMIT, "ID": ID_LIMIT, "SN": SN_LIMIT}
 assert all(
     1 << 8 * f.width == _LIMITS[f.name.rpartition(".")[2]] for f in CHUNK_HEADER.fields[2:]
 )
-
-
-def render_markdown(table: WireTable) -> str:
-    """One table as GitHub markdown (deterministic, trailing-newline-free)."""
-    lines = [
-        f"### `{table.table_id}` — {table.title} "
-        f"({table.total_bytes} bytes, `\"{table.struct_format}\"`)",
-        "",
-        "| offset | field | bytes | struct | notes |",
-        "|---|---|---|---|---|",
-    ]
-    for field in table.fields:
-        lines.append(
-            f"| {field.offset} | {field.name} | {field.width} "
-            f"| `{field.fmt}` | {field.notes} |"
-        )
-    return "\n".join(lines)
-
-
-def docs_block() -> str:
-    """The full generated block, marker lines included."""
-    parts = [
-        BLOCK_BEGIN,
-        "<!-- Generated by `python -m repro.core.wire_table --write`;",
-        "     checked by tests/core/test_wire_table.py. Do not edit. -->",
-    ]
-    for table_id in sorted(TABLES):
-        parts.append("")
-        parts.append(render_markdown(TABLES[table_id]))
-    parts.append("")
-    parts.append(BLOCK_END)
-    return "\n".join(parts)
-
-
-def _splice(text: str, block: str) -> str:
-    """Replace (or append) the generated block inside *text*."""
-    begin = text.find(BLOCK_BEGIN)
-    end = text.find(BLOCK_END)
-    if begin != -1 and end != -1 and end > begin:
-        return text[:begin] + block + text[end + len(BLOCK_END):]
-    suffix = "" if text.endswith("\n") else "\n"
-    return text + suffix + "\n## Header-width tables (generated)\n\n" + block + "\n"
-
-
-def extract_block(text: str) -> str | None:
-    """The committed generated block of a docs file, or None."""
-    begin = text.find(BLOCK_BEGIN)
-    end = text.find(BLOCK_END)
-    if begin == -1 or end == -1 or end < begin:
-        return None
-    return text[begin:end + len(BLOCK_END)]
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    # The codec imports this module on the runtime path; the CLI's
-    # imports stay here so importing the tables does not pay for them.
-    import argparse
-    from pathlib import Path
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.core.wire_table",
-        description="render / refresh the generated header-width tables",
-    )
-    parser.add_argument(
-        "--docs",
-        type=Path,
-        default=Path("docs") / "wire-format.md",
-        help="docs file carrying the generated block",
-    )
-    parser.add_argument(
-        "--write",
-        action="store_true",
-        help="rewrite the generated block in --docs (default: print it)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="exit 1 when the committed block is stale",
-    )
-    args = parser.parse_args(argv)
-    block = docs_block()
-    if args.check:
-        committed = extract_block(args.docs.read_text(encoding="utf-8"))
-        if committed != block:
-            print(f"wire_table: generated block in {args.docs} is stale", file=sys.stderr)
-            return 1
-        print(f"wire_table: {args.docs} is up to date")
-        return 0
-    if args.write:
-        text = args.docs.read_text(encoding="utf-8")
-        args.docs.write_text(_splice(text, block), encoding="utf-8")
-        print(f"wire_table: wrote generated block to {args.docs}")
-        return 0
-    print(block)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -8,6 +8,8 @@ from repro.app.concurrent import (
     staggered_specs,
 )
 from repro.netsim.events import EventLoop
+from repro.obs import session
+from repro.obs.snapshot import metric_snapshot
 from repro.transport.endpoint import ChunkEndpoint
 
 
@@ -105,3 +107,17 @@ def test_conversations_share_packets_on_the_wire():
     outcomes = work.run()
     assert all(o.complete for o in outcomes)
     assert sender.mixed_packets > 0
+
+
+def test_each_conversation_counts_complete_once():
+    """Evaluating outcomes again (``summary`` after ``run``) counts nothing twice."""
+    loop = EventLoop()
+    sender, receiver = endpoint_pair(loop)
+    with session() as (registry, _):
+        work = ConcurrentWorkload(loop, sender, receiver)
+        work.launch(staggered_specs(4, total_bytes=1024, stagger=0.001))
+        work.run()
+        assert work.summary()["complete"] == 4
+        snapshot = metric_snapshot(registry)
+    assert work.completed == 4
+    assert snapshot["app.workload.conversations_completed"] == 4

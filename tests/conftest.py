@@ -22,20 +22,10 @@ __all__ = ["deterministic_bytes", "make_chunk", "make_payload", "rng"]
 _NODE_SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--simsan",
-        action="store_true",
-        default=False,
-        help="run the whole suite under the repro.analysis.simsan "
-        "event-loop sanitizer (also enabled by REPRO_SIMSAN=1)",
-    )
-
-
 def pytest_configure(config: pytest.Config) -> None:
     from repro.analysis import simsan
 
-    if config.getoption("--simsan") or simsan.enabled_by_env():
+    if simsan.enabled_by_env():
         simsan.install()
         config._repro_simsan_installed = True  # type: ignore[attr-defined]
 

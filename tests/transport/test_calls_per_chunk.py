@@ -115,7 +115,7 @@ def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
 def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
     """(calls into ``repro``, chunks the codec decoded) over one smoke-scale
     pass of workload *name*, with nothing installed: no journey tracker,
-    flight recorder or event-loop observer (``--simsan``)."""
+    flight recorder or event-loop observer (``REPRO_SIMSAN=1``)."""
     decode = codec._decode.__code__
     counts = {"calls": 0, "decoded": 0}
 
