@@ -15,9 +15,7 @@ from repro.core.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,
-    elide_ed_headers,
     implicit_tpdu_ids,
-    restore_ed_headers,
 )
 from repro.core.errors import (
     ChunkError,
@@ -82,8 +80,6 @@ __all__ = [
     "HeaderCompressor",
     "HeaderDecompressor",
     "implicit_tpdu_ids",
-    "elide_ed_headers",
-    "restore_ed_headers",
     "WORD_BYTES",
     "HEADER_BYTES",
     "PACKET_HEADER_BYTES",

@@ -12,6 +12,10 @@ envelope header followed by whole chunks; a LEN=0 sentinel header ends
 the chunk list early when the packet carries trailing padding
 (Section 2: "A chunk with LEN=0 is placed after the last valid chunk in
 the packet").
+
+"The ED chunk does not require a chunk header" (Appendix A): a TPDU's ED
+chunk as ``build_ed_chunk`` makes it, right behind the DATA chunk with
+T.ST, is that header's FLAGS bit3 plus its 12 payload bytes.
 """
 
 from __future__ import annotations
@@ -44,14 +48,18 @@ _HEADER = struct.Struct(CHUNK_HEADER.struct_format)
 _FLAG_C_ST = 0x01
 _FLAG_T_ST = 0x02
 _FLAG_X_ST = 0x04
-#: FLAGS byte -> (C.ST, T.ST, X.ST); bits above the three are ignored.
+_FLAG_ED_FOLLOWS = 0x08
+#: FLAGS byte -> (C.ST, T.ST, X.ST, ED follows); bits above the four are ignored.
 _ST_BITS = tuple(
-    (bool(flags & _FLAG_C_ST), bool(flags & _FLAG_T_ST), bool(flags & _FLAG_X_ST))
+    (bool(flags & _FLAG_C_ST), bool(flags & _FLAG_T_ST), bool(flags & _FLAG_X_ST),
+     bool(flags & _FLAG_ED_FOLLOWS))
     for flags in range(256)
 )
 
 _TYPES = {int(member): member for member in ChunkType}
 _DATA = ChunkType.DATA
+_ED = ChunkType.ERROR_DETECTION
+_ED_BYTES = 3 * WORD_BYTES  # P0, P1 and the TPDU's unit count
 _new = tuple.__new__
 
 #: 44 zero bytes: TYPE=0 and LEN=0 both mark "no more chunks".
@@ -73,7 +81,9 @@ def decode_chunk(data: bytes, offset: int = 0) -> tuple[Chunk | None, int]:
 
     Returns ``(chunk, next_offset)``.  Returns ``(None, next_offset)``
     when a sentinel header (TYPE=0 or LEN=0) is found, or when fewer
-    than a full header's worth of bytes remain (trailing padding).
+    than a full header's worth of bytes remain (trailing padding).  A
+    DATA chunk flagged "ED follows" is returned without the ED chunk
+    behind it, *next_offset* past both; :func:`decode_chunks` returns both.
 
     Raises:
         CodecError: on malformed headers or truncated payloads.
@@ -90,10 +100,19 @@ def encode_chunks(chunks: list[Chunk], pad_to: int | None = None) -> bytes:
     fixed-size envelopes (e.g. cell-like links) decode unambiguously.
     """
     parts = []
-    for chunk in chunks:  # the one encoder: header, then payload, per chunk
+    follows = False
+    for index, chunk in enumerate(chunks, 1):  # the one encoder: header, then payload, per chunk
         ctype, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st, payload = chunk
+        if follows:  # the ED chunk the previous header's bit3 stands for
+            parts.append(payload)
+            follows = False
+            continue
+        follows = t_st and ctype == _DATA and index < len(chunks) and chunks[index][:12] == (
+            _ED, 1, 3, c_id, 0, False, t_id, 0, False, 0, 0, False
+        )
         flags = (
             (_FLAG_C_ST if c_st else 0) | (_FLAG_T_ST if t_st else 0) | (_FLAG_X_ST if x_st else 0)
+            | (_FLAG_ED_FOLLOWS if follows else 0)
         )
         parts.append(_HEADER.pack(ctype, flags, size, length, c_id, c_sn, t_id, t_sn, x_id, x_sn))
         parts.append(payload)
@@ -140,13 +159,22 @@ def _decode(data: bytes, offset: int, most: int) -> tuple[list[Chunk], int]:
                 f"truncated chunk payload: need {offset - start} bytes at offset "
                 f"{start}, have {end_of_data - start}"
             )
-        c_st, t_st, x_st = _ST_BITS[flags]
+        c_st, t_st, x_st, ed_follows = _ST_BITS[flags]
         # Unsigned fields of fixed width, TYPE / SIZE / LEN / payload length
         # checked above: nothing is left for the validating constructor.
         chunks.append(_new(Chunk, (
             chunk_type, size, length, c_id, c_sn, c_st, t_id, t_sn, t_st, x_id, x_sn, x_st,
             bytes(data[start:offset]),
         )))
+        if ed_follows:  # the TPDU's ED chunk, rebuilt as build_ed_chunk makes it
+            if not t_st or chunk_type is not _DATA:
+                raise CodecError(f"ED-follows flag off T.ST DATA at offset {start - HEADER_BYTES}")
+            start, offset = offset, offset + _ED_BYTES
+            if offset > end_of_data:
+                raise CodecError(f"truncated ED chunk: need {_ED_BYTES} bytes at offset {start}")
+            chunks.append(_new(Chunk, (
+                _ED, 1, 3, c_id, 0, False, t_id, 0, False, 0, 0, False, bytes(data[start:offset]),
+            )))
     return chunks, offset
 
 

@@ -21,10 +21,11 @@ Implemented transforms:
   X.ID) are omitted and regenerated at the receiver with counters; the
   transmitter resynchronizes by sending explicit values "at the
   beginning of each PDU" and whenever its own prediction would be wrong.
-- **ED-header elision** (packet scope) — "because the chunk following
-  the last TPDU DATA chunk is always a TPDU ED chunk, the ED chunk does
-  not require a chunk header": :func:`elide_ed_headers` /
-  :func:`restore_ed_headers` implement exactly that.
+
+ED-header elision — "because the chunk following the last TPDU DATA
+chunk is always a TPDU ED chunk, the ED chunk does not require a chunk
+header" — is stateless, so it lives in the fixed-field codec
+(:mod:`repro.core.codec`) and applies to every packet.
 
 All integers in the compact encoding are unsigned LEB128 varints.
 """
@@ -47,8 +48,6 @@ __all__ = [
     "implicit_tpdu_ids",
     "encode_varint",
     "decode_varint",
-    "elide_ed_headers",
-    "restore_ed_headers",
 ]
 
 
@@ -355,76 +354,3 @@ class HeaderDecompressor:
             )
         except ValueError as exc:
             raise CodecError(f"compact header field outside its wire width: {exc}") from None
-
-
-# ----------------------------------------------------------------------
-# Packet-scope ED-header elision
-# ----------------------------------------------------------------------
-
-_ED_MARKER = 0xED
-
-
-def elide_ed_headers(chunks: list[Chunk]) -> list[bytes | Chunk]:
-    """Replace redundant ED-chunk headers with a 1-byte marker + payload.
-
-    An ERROR_DETECTION chunk directly following a DATA chunk that ends
-    its TPDU (T.ST set, same T.ID/C.ID) is emitted as
-    ``bytes([0xED, len_words]) + payload``; everything else passes
-    through unchanged.  :func:`restore_ed_headers` is the exact inverse
-    for ED chunks built by the library convention (SIZE=1, zero SNs,
-    zero X tuple — see ``repro.transport.sender``), which is what makes
-    every header field derivable from the preceding DATA chunk.
-    """
-    out: list[bytes | Chunk] = []
-    prev: Chunk | None = None
-    for chunk in chunks:
-        if (
-            chunk.type is ChunkType.ERROR_DETECTION
-            and prev is not None
-            and prev.is_data
-            and prev.t_st
-            and prev.t_id == chunk.t_id
-            and prev.c_id == chunk.c_id
-            and chunk.size == 1
-            and chunk.length < 256
-            and chunk.c_sn == 0
-            and chunk.t_sn == 0
-            and not (chunk.x_id or chunk.x_sn or chunk.x_st)
-            and not (chunk.c_st or chunk.t_st)
-        ):
-            out.append(bytes((_ED_MARKER, chunk.length)) + chunk.payload)
-        else:
-            out.append(chunk)
-        prev = chunk
-    return out
-
-
-def restore_ed_headers(items: list[bytes | Chunk]) -> list[Chunk]:
-    """Inverse of :func:`elide_ed_headers`."""
-    out: list[Chunk] = []
-    prev: Chunk | None = None
-    for item in items:
-        if isinstance(item, Chunk):
-            out.append(item)
-            prev = item
-            continue
-        if len(item) < 2 or item[0] != _ED_MARKER:
-            raise CodecError("malformed elided-ED record")
-        length = item[1]
-        payload = item[2:]
-        if len(payload) != length * WORD_BYTES:
-            raise CodecError("elided-ED payload length mismatch")
-        if prev is None or not prev.is_data or not prev.t_st:
-            raise CodecError("elided ED chunk without preceding final DATA chunk")
-        chunk = Chunk(
-            type=ChunkType.ERROR_DETECTION,
-            size=1,
-            length=length,
-            c=FramingTuple(prev.c_id, 0, False),
-            t=FramingTuple(prev.t_id, 0, False),
-            x=FramingTuple(0, 0, False),
-            payload=payload,
-        )
-        out.append(chunk)
-        prev = chunk
-    return out

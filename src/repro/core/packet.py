@@ -58,10 +58,11 @@ class Packet:
 
     @property
     def wire_bytes(self) -> int:
-        """Total bytes on the wire, including envelope and padding."""
+        """Total bytes on the wire, including envelope and padding: what
+        :meth:`encode` writes, elided ED chunk headers left out."""
         if self.fixed_size is not None:
             return self.fixed_size
-        return PACKET_HEADER_BYTES + sum(ch.wire_bytes for ch in self.chunks)
+        return len(self.encode())
 
     @property
     def payload_bytes(self) -> int:

@@ -102,7 +102,9 @@ CHUNK_HEADER = WireTable(
     title="Fixed-field chunk header",
     fields=(
         WireField("TYPE", 0, 1, "B", "ChunkType; 0 reserved as the end-of-packet sentinel"),
-        WireField("FLAGS", 1, 1, "B", "bit0=C.ST, bit1=T.ST, bit2=X.ST"),
+        WireField(
+            "FLAGS", 1, 1, "B", "bit0=C.ST, bit1=T.ST, bit2=X.ST, bit3=ED follows (Appendix A)"
+        ),
         WireField("SIZE", 2, 2, "H", "32-bit words per atomic data unit; 0 invalid"),
         WireField("LEN", 4, 4, "I", "atomic units (data) / words (control); 0 marks the sentinel"),
         WireField("C.ID", 8, 4, "I", "connection id"),

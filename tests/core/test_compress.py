@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
+from repro.core.codec import decode_chunks, encode_chunk, encode_chunks
 from repro.core.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,
     decode_varint,
-    elide_ed_headers,
     encode_varint,
     implicit_tpdu_ids,
-    restore_ed_headers,
 )
 from repro.core.errors import CodecError
 from repro.core.types import ChunkType
@@ -163,6 +162,9 @@ class TestProfiles:
 
 
 class TestEdElision:
+    """Appendix A's ED-header elision, which the fixed-field codec applies
+    to every chunk list it encodes."""
+
     def _tpdu_with_ed(self):
         builder = ChunkStreamBuilder(connection_id=3, tpdu_units=6)
         chunks = builder.add_frame(make_payload(6))
@@ -171,29 +173,27 @@ class TestEdElision:
 
     def test_elide_and_restore_roundtrip(self):
         stream = self._tpdu_with_ed()
-        elided = elide_ed_headers(stream)
-        assert any(isinstance(item, bytes) for item in elided)
-        assert restore_ed_headers(elided) == stream
+        wire = encode_chunks(stream)
+        flags = wire[len(wire) - 12 - len(stream[-2].payload) - 44 + 1]
+        assert flags & 0x0A == 0x0A  # T.ST and ED follows on the final DATA chunk
+        assert decode_chunks(wire) == stream
 
     def test_non_adjacent_ed_not_elided(self):
         stream = self._tpdu_with_ed()
         reordered = [stream[-1]] + stream[:-1]  # ED first
-        elided = elide_ed_headers(reordered)
-        assert all(not isinstance(item, bytes) for item in elided)
+        assert encode_chunks(reordered) == b"".join(map(encode_chunk, reordered))
 
     def test_saved_bytes(self):
         stream = self._tpdu_with_ed()
-        elided = elide_ed_headers(stream)
-        raw = sum(it.wire_bytes for it in stream)
-        compact = sum(
-            len(it) if isinstance(it, bytes) else it.wire_bytes for it in elided
-        )
-        assert raw - compact == 42  # 44-byte header replaced by 2 bytes
+        raw = sum(chunk.wire_bytes for chunk in stream)
+        assert raw - len(encode_chunks(stream)) == 44  # the ED header, nothing else
 
     def test_restore_rejects_garbage(self):
-        with pytest.raises(CodecError):
-            restore_ed_headers([b"\xed"])
+        wire = encode_chunks(self._tpdu_with_ed())
+        with pytest.raises(CodecError, match="truncated ED chunk: need 12 bytes"):
+            decode_chunks(wire[:-1])
 
     def test_restore_rejects_orphan_marker(self):
-        with pytest.raises(CodecError):
-            restore_ed_headers([b"\xed\x01" + b"\x00" * 4])
+        first = encode_chunk(make_chunk(units=2))  # no T.ST
+        with pytest.raises(CodecError, match="ED-follows flag off T.ST DATA at offset 0"):
+            decode_chunks(first[:1] + bytes([first[1] | 0x08]) + first[2:] + bytes(12))

@@ -7,9 +7,11 @@ region — ``encode_chunk``, ``encode_packet_header``,
 all-ones of its full width; the bytes that differ are that field's
 ``(offset, width)``.  Flag bits come out the same way, one bit at a
 time, and are compared with the ``bitN=NAME`` notes of the row that
-documents them.  The bytes no settable field reaches must be exactly the
-flag, reserved and constant rows.  Decoding runs the other way: a region
-with exactly one table field set decodes to exactly that label field.
+documents them; the chunk header's "ED follows" bit is read off a final
+DATA chunk encoded with and without its TPDU's ED chunk behind it.  The
+bytes no settable field reaches must be exactly the flag, reserved and
+constant rows.  Decoding runs the other way: a region with exactly one
+table field set decodes to exactly that label field.
 
 This is Huntsman's "Unshuffling fields in data formats" (PAPERS.md) in
 its simplest form: the fields are known, their positions are inferred
@@ -20,7 +22,7 @@ encoder packing ``t_sn`` where ``c_sn`` belongs keeps the format intact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import pytest
@@ -29,11 +31,13 @@ from repro.core.chunk import Chunk
 from repro.core.codec import (
     PACKET_MAGIC,
     decode_chunk,
+    decode_chunks,
     decode_packet_header,
     encode_chunk,
+    encode_chunks,
     encode_packet_header,
 )
-from repro.core.errors import SignalingError
+from repro.core.errors import CodecError, SignalingError
 from repro.core.types import ChunkType
 from repro.core.wire_table import (
     CHUNK_HEADER,
@@ -47,6 +51,7 @@ from repro.transport.connection import (
     build_signaling_chunk,
     parse_signaling_chunk,
 )
+from repro.wsc.invariant import EdPayload, build_ed_chunk
 
 #: The record's fields in ``Chunk._make`` order.
 RECORD = (
@@ -55,11 +60,16 @@ RECORD = (
 )
 
 
-def encode_header(**label: object) -> bytes:
+def encode_header(ed_follows: bool = False, **label: object) -> bytes:
     """The encoding of a chunk whose fields are 0 except *label* (with
-    no payload given, the 44 header bytes alone)."""
+    no payload given, the 44 header bytes alone); with *ed_follows*, as
+    it goes on the wire with its TPDU's ED chunk right behind it."""
     fields: dict[str, object] = {**dict.fromkeys(RECORD, 0), "payload": b"", **label}
-    return encode_chunk(Chunk._make(*(fields[name] for name in RECORD)))
+    chunk = Chunk._make(*(fields[name] for name in RECORD))
+    if not ed_follows:
+        return encode_chunk(chunk)
+    ed = build_ed_chunk(chunk.c_id, chunk.t_id, EdPayload(0, 0, 0))
+    return encode_chunks([chunk, ed])[: -len(ed.payload)]
 
 
 def encode_envelope(flags: int = 0) -> bytes:
@@ -83,6 +93,8 @@ class Region:
     #: documented flag name → the encoder argument that sets it.
     flag_row: str
     flags: dict[str, str]
+    #: flag name → the fields a flag needs set before it can be on the wire.
+    flag_context: dict[str, dict[str, object]] = field(default_factory=dict)
 
     def row(self, name: str) -> WireField:
         return next(row for row in self.table.fields if row.name == name)
@@ -94,10 +106,15 @@ CHUNK_FIELDS = {
     "T.SN": "t_sn", "X.ID": "x_id", "X.SN": "x_sn",
 }
 CHUNK_FLAGS = {"C.ST": "c_st", "T.ST": "t_st", "X.ST": "x_st"}
+ED_FOLLOWS = "ED follows (Appendix A)"
+FINAL_DATA = {"type": ChunkType.DATA, "size": 1, "t_st": True}
 
 
 REGIONS = [
-    Region(CHUNK_HEADER, encode_header, CHUNK_FIELDS, "FLAGS", CHUNK_FLAGS),
+    Region(
+        CHUNK_HEADER, encode_header, CHUNK_FIELDS, "FLAGS",
+        {**CHUNK_FLAGS, ED_FOLLOWS: "ed_follows"}, {ED_FOLLOWS: FINAL_DATA},
+    ),
     Region(PACKET_ENVELOPE, encode_envelope, fields={"FLAGS": "flags"}, flag_row="", flags={}),
     Region(
         SIGNALING_PAYLOAD,
@@ -150,10 +167,11 @@ def inferred_layout(region: Region) -> dict[str, tuple[int, int]]:
         for name, arg in region.fields.items()
     }
     for name, arg in region.flags.items():
-        encoded = region.encode(**{arg: True})
-        byte, width = span(zero, encoded)
+        context = region.flag_context.get(name, {})
+        before, encoded = region.encode(**context), region.encode(**context, **{arg: True})
+        byte, width = span(before, encoded)
         assert width == 1
-        layout[name] = (byte, zero[byte] ^ encoded[byte])
+        layout[name] = (byte, before[byte] ^ encoded[byte])
     return layout
 
 
@@ -213,8 +231,23 @@ def test_chunk_header_decodes_one_field_to_one_label_field():
                 attr: all_ones(region.row(name))
             }, name
     for name, (byte, mask) in documented_bits(region.row(region.flag_row)).items():
-        chunk, _ = decode_chunk(bit_in(base, byte, mask))
-        assert changed_fields(reference, chunk, RECORD) == {CHUNK_FLAGS[name]: True}, name
+        if name in CHUNK_FLAGS:
+            chunk, _ = decode_chunk(bit_in(base, byte, mask))
+            assert changed_fields(reference, chunk, RECORD) == {CHUNK_FLAGS[name]: True}, name
+
+
+def test_ed_follows_decodes_to_the_ed_chunk_build_ed_chunk_makes():
+    byte, mask = documented_bits(REGIONS[0].row("FLAGS"))[ED_FOLLOWS]
+    label = {**FINAL_DATA, "length": 1, "payload": bytes(4), "c_id": 7, "t_id": 9}
+    final, _ = decode_chunk(encode_header(**label))
+    tail = EdPayload(1, 2, 3).encode()
+    flagged = bit_in(encode_header(**label), byte, mask)
+    assert decode_chunks(flagged + tail) == [final, build_ed_chunk(7, 9, EdPayload(1, 2, 3))]
+    with pytest.raises(CodecError, match="truncated ED chunk"):
+        decode_chunks(flagged + tail[:-1])
+    not_final = bit_in(encode_header(**{**label, "t_st": False}), byte, mask)
+    with pytest.raises(CodecError, match="ED-follows flag off T.ST DATA"):
+        decode_chunks(not_final + tail)
 
 
 def test_envelope_decodes_its_flags_and_carries_the_magic():

@@ -12,20 +12,23 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.codec import decode_chunks
+from repro.core.chunk import Chunk
+from repro.core.codec import decode_chunks, encode_chunk, encode_packet_header
 from repro.core.compress import CompressionProfile, HeaderCompressor, HeaderDecompressor
-from repro.core.errors import ReproError
+from repro.core.errors import CodecError, ReproError
 from repro.core.packet import Packet, pack_chunks
+from repro.core.types import ChunkType
 from repro.paper.packetcomp import CompressedPacketCodec
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import EndToEndReceiver
 
-from tests.conftest import make_payload
+from tests.conftest import make_chunk, make_payload
 
 
 def _valid_packet_bytes(seed=1) -> bytes:
@@ -69,6 +72,40 @@ class TestWireCodecFuzz:
             assert chunk.payload_bytes == (
                 chunk.length * (chunk.unit_bytes if chunk.is_data else 4)
             )
+
+
+def _ed_follows_on_first(chunk: Chunk, tail: bytes) -> bytes:
+    """A packet whose first chunk header has FLAGS bit3 (ED follows) set."""
+    wire = encode_chunk(chunk)
+    return encode_packet_header() + wire[:1] + bytes([wire[1] | 0x08]) + wire[2:] + tail
+
+
+class TestEdFollowsFuzz:
+    """FLAGS bit3 where no headerless ED chunk can follow raises
+    ``CodecError`` and nothing else (any other exception fails the test)."""
+
+    @given(st.integers(1, 8), st.integers(1, 3), st.booleans(), st.booleans(),
+           st.binary(min_size=12, max_size=40))
+    @settings(max_examples=60)
+    def test_on_a_data_chunk_without_t_st(self, units, size, c_st, x_st, tail):
+        chunk = make_chunk(units=units, size=size, c_st=c_st, x_st=x_st)
+        with pytest.raises(CodecError, match="ED-follows flag off T.ST DATA at offset 4"):
+            Packet.decode(_ed_follows_on_first(chunk, tail))
+
+    @given(st.sampled_from([t for t in ChunkType if t is not ChunkType.DATA]), st.booleans(),
+           st.integers(1, 6), st.binary(min_size=12, max_size=40))
+    @settings(max_examples=60)
+    def test_on_a_control_chunk(self, ctype, t_st, words, tail):
+        chunk = Chunk._make(ctype, 1, words, 3, 0, False, 9, 0, t_st, 0, 0, False, bytes(4 * words))
+        with pytest.raises(CodecError, match="ED-follows flag off T.ST DATA at offset 4"):
+            Packet.decode(_ed_follows_on_first(chunk, tail))
+
+    @given(st.integers(1, 8), st.integers(1, 3), st.binary(max_size=11))
+    @settings(max_examples=60)
+    def test_with_fewer_than_12_bytes_left(self, units, size, tail):
+        chunk = make_chunk(units=units, size=size, t_st=True)
+        with pytest.raises(CodecError, match="truncated ED chunk: need 12 bytes"):
+            Packet.decode(_ed_follows_on_first(chunk, tail))
 
 
 class TestCompactCodecFuzz:

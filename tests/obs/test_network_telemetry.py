@@ -108,7 +108,10 @@ def test_network_series_keep_their_per_event_values():
     assert events == EVENTS
 
 
-# What the per-event pushes recorded for :func:`_observed`.
+# What the per-event pushes recorded for :func:`_observed`.  The link's
+# bytes and the lossy pair's conn times were re-read when an ED chunk
+# behind its final DATA chunk lost its header (shorter frames, earlier
+# arrivals); nothing else moved.
 
 SNAPSHOT: dict[str, object] = {
     "app.workload.conversations_active": 0,
@@ -144,7 +147,7 @@ SNAPSHOT: dict[str, object] = {
     "netsim.bottleneck.misrouted_chunks": 0,
     "netsim.bottleneck.split_frames": 0,
     "netsim.bottleneck.undecodable_frames": 0,
-    "netsim.link.bytes_delivered": 30716,
+    "netsim.link.bytes_delivered": 29572,
     "netsim.link.frames_corrupted": 0,
     "netsim.link.frames_delivered": 50,
     "netsim.link.frames_dropped_oversize": 0,
@@ -233,7 +236,7 @@ SNAPSHOT: dict[str, object] = {
 # t, c_id, gen, fields).
 
 EVENTS: list[Event] = [
-    ("conn", "established", 0.0020692064516129034, 3, 0, {}),
+    ("conn", "established", 0.002066935483870968, 3, 0, {}),
     ("frame", "delivered", 0.0, 3, 0, {"x_id": 0}),
     ("tpdu", "verified", 0.0, 3, 0, {"t_id": 0, "ok": True}),
     ("chunk", "retransmit", 0.02, 3, 1, {"t_id": 1, "x_id": 1}),
@@ -245,13 +248,13 @@ EVENTS: list[Event] = [
     ("tpdu", "verified", 0.0, 3, 0, {"t_id": 1, "ok": True}),
     ("frame", "delivered", 0.0, 3, 0, {"x_id": 2}),
     ("tpdu", "verified", 0.0, 3, 0, {"t_id": 2, "ok": True}),
-    ("conn", "closed", 0.022245309677419358, 3, 0, {}),
-    ("conn", "established", 0.022248406451612905, 4, 0, {}),
+    ("conn", "closed", 0.022236225806451623, 3, 0, {}),
+    ("conn", "established", 0.02223932258064517, 4, 0, {}),
     ("frame", "delivered", 0.0, 4, 0, {"x_id": 0}),
     ("tpdu", "verified", 0.0, 4, 0, {"t_id": 0, "ok": True}),
     ("frame", "delivered", 0.0, 4, 0, {"x_id": 2}),
     ("tpdu", "verified", 0.0, 4, 0, {"t_id": 2, "ok": True}),
-    ("conn", "closed", 0.02237289677419355, 4, 0, {}),
+    ("conn", "closed", 0.022359270967741946, 4, 0, {}),
     ("chunk", "retransmit", 0.06, 4, 2, {"t_id": 1, "x_id": 1}),
     ("frame", "delivered", 0.0, 4, 0, {"x_id": 1}),
     ("tpdu", "verified", 0.0, 4, 0, {"t_id": 1, "ok": True}),

@@ -3,8 +3,8 @@
 "The chunk syntax transformations that we discuss in this section are
 invertible, because they allow recovery of the original chunk syntax."
 Every transform the library implements — varints, SIZE/C.ID elision,
-implicit T.ID (Figure 7), SN regeneration, and packet-scope ED-header
-elision — must round-trip builder-produced streams bit-exactly.
+implicit T.ID (Figure 7), SN regeneration, and the fixed-field codec's
+ED-header elision — must round-trip builder-produced streams bit-exactly.
 """
 
 from __future__ import annotations
@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
+from repro.core.codec import decode_chunks, encode_chunks
 from repro.core.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,
     decode_varint,
-    elide_ed_headers,
     encode_varint,
     implicit_tpdu_ids,
-    restore_ed_headers,
 )
-from repro.core.types import ChunkType
-from repro.wsc.invariant import encode_tpdu
+from repro.core.packet import Packet, pack_chunks
+from repro.core.tuples import FramingTuple
+from repro.core.types import HEADER_BYTES, ChunkType
+from repro.wsc.invariant import EdPayload, build_ed_chunk, encode_tpdu
 from tests.conftest import make_payload
 
 
@@ -128,20 +129,60 @@ def tpdu_streams_with_ed(draw) -> list[Chunk]:
 
 @given(tpdu_streams_with_ed())
 def test_ed_header_elision_roundtrip(wire):
-    elided = elide_ed_headers(wire)
-    assert restore_ed_headers(elided) == wire
-    # Every ED chunk in wire position is actually elided (they all
+    encoded = encode_chunks(wire)
+    assert decode_chunks(encoded) == wire
+    # Every ED chunk in wire position goes without a header (they all
     # follow their TPDU's final DATA chunk by construction).
     n_ed = sum(1 for c in wire if c.type is ChunkType.ERROR_DETECTION)
-    n_elided = sum(1 for item in elided if isinstance(item, bytes))
-    assert n_elided == n_ed
+    assert len(encoded) == sum(c.wire_bytes for c in wire) - HEADER_BYTES * n_ed
 
 
 @given(tpdu_streams_with_ed())
 def test_ed_header_elision_saves_bytes(wire):
-    elided = elide_ed_headers(wire)
-    plain = sum(c.wire_bytes for c in wire)
-    compact = sum(
-        len(item) if isinstance(item, bytes) else item.wire_bytes for item in elided
-    )
-    assert compact <= plain
+    data = [c for c in wire if c.is_data]
+    assert len(encode_chunks(wire)) == len(encode_chunks(data)) + 12 * (len(wire) - len(data))
+
+
+#: An ED chunk repeated as is, or with one label field off the convention
+#: that lets its header go unsent.
+STRAY_EDS = {
+    "retransmitted": lambda ed: ed,
+    "T.ID": lambda ed: ed.replace(t=FramingTuple(ed.t_id + 1, 0, False)),
+    "C.SN": lambda ed: ed.replace(c=FramingTuple(ed.c_id, 1, False)),
+    "C.ST": lambda ed: ed.replace(c=FramingTuple(ed.c_id, 0, True)),
+    "X.ID": lambda ed: ed.replace(x=FramingTuple(1, 0, False)),
+    "LEN": lambda ed: ed.replace(length=2, payload=ed.payload[:8]),
+}
+
+
+@st.composite
+def streams_with_stray_eds(draw) -> list[Chunk]:
+    """A TPDU stream with stray ED chunks put in anywhere, right behind
+    a final DATA chunk included."""
+    wire = draw(tpdu_streams_with_ed())
+    eds = [c for c in wire if c.type is ChunkType.ERROR_DETECTION]
+    for _ in range(draw(st.integers(0, 4))):
+        stray = STRAY_EDS[draw(st.sampled_from(sorted(STRAY_EDS)))](draw(st.sampled_from(eds)))
+        wire.insert(draw(st.integers(0, len(wire))), stray)
+    return wire
+
+
+@given(streams_with_stray_eds(), st.integers(120, 600), st.booleans())
+def test_packed_packets_decode_to_their_chunks_at_their_wire_size(wire, mtu, fixed):
+    """What ``pack_chunks`` packs round-trips through the codec, and a
+    packet's ``wire_bytes`` is what it encodes to: a header saved for
+    each ED chunk in the convention right behind its final DATA chunk."""
+    for packet in pack_chunks(wire, mtu, fixed_size=fixed):
+        encoded = packet.encode()
+        assert Packet.decode(encoded).chunks == packet.chunks
+        assert packet.wire_bytes == len(encoded) <= mtu
+        assert packet.header_overhead == len(encoded) - packet.payload_bytes
+        if not fixed:
+            elided = sum(
+                data.is_data and data.t_st and ed.type is ChunkType.ERROR_DETECTION
+                and len(ed.payload) == 12
+                and ed == build_ed_chunk(data.c_id, data.t_id, EdPayload.decode(ed.payload))
+                for data, ed in zip(packet.chunks, packet.chunks[1:])
+            )
+            plain = 4 + sum(c.wire_bytes for c in packet.chunks)
+            assert len(encoded) == plain - HEADER_BYTES * elided

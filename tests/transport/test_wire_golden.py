@@ -18,6 +18,13 @@ C.ID 5's ED chunk missing) are the old recording's, the sender then
 repeats that ED chunk alone instead of the whole TPDU, and every
 conversation delivers the same stream.  The other two runs have no
 incomplete TPDU behind the reorder horizon and are unchanged.
+
+Since an ED chunk right behind its TPDU's final DATA chunk goes on the
+wire without a header (Appendix A), the recorded digests hash each frame
+re-expanded to full headers — the envelope, then every decoded chunk
+encoded alone — and a second digest per run pins the raw frames.  Only
+frames that carry an ED chunk may differ from their expansion, so a
+plain ACK frame is byte-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import hashlib
 from typing import Callable
 
 from repro.app.concurrent import ConcurrentWorkload, staggered_specs
+from repro.core.codec import encode_chunk, encode_packet_header
 from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.netsim.bottleneck import build_shared_bottleneck
@@ -44,35 +52,58 @@ from tests.helpers import deterministic_bytes
 MTU = 600
 
 
+def full_headers(chunks: list) -> bytes:
+    """A frame carrying *chunks*, each with its own header."""
+    return encode_packet_header() + b"".join(map(encode_chunk, chunks))
+
+
 class WireHash:
-    """sha256 over every transmitted frame, direction-tagged, in order."""
+    """sha256 over every transmitted frame, direction-tagged, in order:
+    ``recorded`` over each frame as the digest was recorded (full
+    headers), ``raw`` over the frame itself."""
 
     def __init__(self) -> None:
-        self._digest = hashlib.sha256()
+        self._recorded = hashlib.sha256()
+        self._raw = hashlib.sha256()
         self.frames = 0
+        self.first_elided: int | None = None  # the first frame shorter than its expansion
+        self.plain_ack_frames = 0
 
     def tap(
         self,
         tag: bytes,
         send: Callable[[bytes], None],
-        recorded: Callable[[bytes], bytes] = bytes,
+        recorded: Callable[[list], list] = list,
     ) -> Callable[[bytes], None]:
-        """Hash ``recorded(frame)`` — the frame as the digest first saw
-        it — and send the frame itself."""
+        """Hash the frame with ``recorded(chunks)`` for its decoded
+        chunks, each re-expanded to a full header, and the frame as
+        sent; send the frame itself."""
 
         def transmit(frame: bytes) -> None:
-            hashed = recorded(frame)
-            self._digest.update(tag + len(hashed).to_bytes(4, "big") + hashed)
+            chunks = Packet.decode(frame).chunks
+            expanded = full_headers(chunks)
+            if expanded != frame:
+                assert any(chunk.type is ChunkType.ERROR_DETECTION for chunk in chunks)
+                if self.first_elided is None:
+                    self.first_elided = self.frames
+            if all(chunk.type is ChunkType.ACK and not chunk.t_st for chunk in chunks):
+                self.plain_ack_frames += 1
+            hashed = full_headers(recorded(chunks))
+            self._recorded.update(tag + len(hashed).to_bytes(4, "big") + hashed)
+            self._raw.update(tag + len(frame).to_bytes(4, "big") + frame)
             self.frames += 1
             send(frame)
 
         return transmit
 
     def hexdigest(self) -> str:
-        return self._digest.hexdigest()
+        return self._recorded.hexdigest()
+
+    def raw_hexdigest(self) -> str:
+        return self._raw.hexdigest()
 
 
-def endpoint_wire(shards: int | None) -> tuple[str, int]:
+def endpoint_wire(shards: int | None) -> WireHash:
     """Six staggered conversations over a 2%-loss bottleneck."""
     if shards is None:
         loop: EventLoop | ShardedLoop = EventLoop()
@@ -104,10 +135,10 @@ def endpoint_wire(shards: int | None) -> tuple[str, int]:
     assert stats["mixed_packets"] > 0
     if shards is not None:
         assert stats["cross_shard_packets"] > 0
-    return wire.hexdigest(), wire.frames
+    return wire
 
 
-def standalone_wire(ack_c_ids: list[int]) -> tuple[str, int]:
+def standalone_wire(ack_c_ids: list[int]) -> WireHash:
     """One reliable conversation, 5% loss forward, ACKs on a clean link.
 
     This run loses its SIGNALING chunk, so its receiver is never
@@ -119,13 +150,12 @@ def standalone_wire(ack_c_ids: list[int]) -> tuple[str, int]:
     loop = EventLoop()
     wire = WireHash()
 
-    def as_recorded(frame: bytes) -> bytes:
-        chunks = Packet.decode(frame).chunks
+    def as_recorded(chunks: list) -> list:
         for index, chunk in enumerate(chunks):
             if chunk.type is ChunkType.ACK:
                 ack_c_ids.append(chunk.c_id)
                 chunks[index] = build_ack_chunk(0, parse_ack_chunk(chunk))
-        return Packet(chunks).encode()
+        return chunks
 
     def deliver_acks(frame: bytes) -> None:
         for chunk in Packet.decode(frame).chunks:
@@ -152,24 +182,36 @@ def standalone_wire(ack_c_ids: list[int]) -> tuple[str, int]:
     assert sender.finished and not sender.gave_up
     assert sender.retransmissions > 0
     assert receiver.receiver.stream_bytes()[: len(payload)] == payload
-    return wire.hexdigest(), wire.frames
+    return wire
 
 
 def test_unsharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
-    assert endpoint_wire(None) == (
+    wire = endpoint_wire(None)
+    assert (wire.hexdigest(), wire.frames) == (
         "f299dc3dd433d6641b0536ed3aa949ba2a00fc9c8c4a95957d08299c74432739", 150,
+    )
+    assert (wire.raw_hexdigest(), wire.first_elided, wire.plain_ack_frames) == (
+        "2376e7148af616ff0832e2f54ef7ac58377b56ce84837148209e5c960235c8cf", 0, 74,
     )
 
 
 def test_sharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
-    assert endpoint_wire(4) == (
+    wire = endpoint_wire(4)
+    assert (wire.hexdigest(), wire.frames) == (
         "453886626d4dc994781e61bafeb1fd7219a843e00d6446c14afd26926c483eb0", 85,
+    )
+    assert (wire.raw_hexdigest(), wire.first_elided, wire.plain_ack_frames) == (
+        "b6d1485baba91fdb49e066e8525b9c44569999dfecede72b90baa6ae82a8e264", 0, 9,
     )
 
 
 def test_standalone_reliable_pair_wire_is_byte_identical_to_the_recorded_run():
     ack_c_ids: list[int] = []
-    assert standalone_wire(ack_c_ids) == (
+    wire = standalone_wire(ack_c_ids)
+    assert (wire.hexdigest(), wire.frames) == (
         "7b0c79bdcd5a75a09982cfa587653ed57b1c2fe24c8932f25b94b39f0edb8c67", 68,
+    )
+    assert (wire.raw_hexdigest(), wire.first_elided, wire.plain_ack_frames) == (
+        "4d8dfd33b06a1163a6624f57f9cce86e82713394c186ccfff4e3d09bc6816b5d", 0, 32,
     )
     assert ack_c_ids == [5] * 32  # the conversation's C.ID, not 0
