@@ -21,6 +21,7 @@ T.ST, is that header's FLAGS bit3 plus its 12 payload bytes.
 from __future__ import annotations
 
 import struct
+from operator import itemgetter
 
 from repro.core.chunk import Chunk
 from repro.core.errors import CodecError
@@ -61,6 +62,14 @@ _DATA = ChunkType.DATA
 _ED = ChunkType.ERROR_DETECTION
 _ED_BYTES = 3 * WORD_BYTES  # P0, P1 and the TPDU's unit count
 _new = tuple.__new__
+
+#: Appendix A's one rule, which :func:`encode_chunks` and
+#: ``packet.pack_chunks`` both check inline: the chunk right behind a DATA
+#: chunk with T.ST rides header-less when ``ed_fields(chunk) ==
+#: ED_CONVENTION + (c_id, t_id)`` with that DATA chunk's IDs — its TPDU's
+#: ED chunk as ``build_ed_chunk`` makes it.  It costs its payload alone.
+ed_fields = itemgetter(0, 1, 2, 4, 5, 7, 8, 9, 10, 11, 3, 6)
+ED_CONVENTION = (_ED, 1, 3, 0, False, 0, False, 0, 0, False)
 
 #: 44 zero bytes: TYPE=0 and LEN=0 both mark "no more chunks".
 SENTINEL_HEADER = b"\x00" * HEADER_BYTES
@@ -107,8 +116,8 @@ def encode_chunks(chunks: list[Chunk], pad_to: int | None = None) -> bytes:
             parts.append(payload)
             follows = False
             continue
-        follows = t_st and ctype == _DATA and index < len(chunks) and chunks[index][:12] == (
-            _ED, 1, 3, c_id, 0, False, t_id, 0, False, 0, 0, False
+        follows = t_st and ctype == _DATA and index < len(chunks) and (
+            ed_fields(chunks[index]) == ED_CONVENTION + (c_id, t_id)
         )
         flags = (
             (_FLAG_C_ST if c_st else 0) | (_FLAG_T_ST if t_st else 0) | (_FLAG_X_ST if x_st else 0)

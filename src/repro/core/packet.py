@@ -18,14 +18,15 @@ and the packing policies of Figure 3 / Figure 4:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core import codec
+from repro.core.codec import ED_CONVENTION, ed_fields
 from repro.core.chunk import Chunk
 from repro.core.errors import PacketError
 from repro.core.fragment import fragment_for_mtu, split
-from repro.core.reassemble import coalesce
-from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES
+from repro.core.reassemble import can_merge, merge
+from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES, ChunkType
 
 __all__ = [
     "Packet",
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 _ENVELOPE = codec.encode_packet_header()  # flags 0: every packet this library sends
+_DATA = ChunkType.DATA
 
 
 @dataclass(slots=True)
@@ -97,37 +99,59 @@ def _chunk_budget(mtu: int) -> int:
     return budget
 
 
-def pack_chunks(
-    chunks: Iterable[Chunk],
-    mtu: int,
-    fixed_size: bool = False,
-) -> list[Packet]:
-    """Pack *chunks* into packets of at most *mtu* bytes.
+def _first_fit(fill: bool) -> Callable[..., list[Packet]]:
+    # The one packer, made twice (a closure, not a call per packing):
+    # method 2's, and with *fill* method 3's, which splits a chunk that
+    # does not fit the room left at a unit boundary to fill it first.
+    def pack_chunks(chunks: Iterable[Chunk], mtu: int, fixed_size: bool = False) -> list[Packet]:
+        """Pack *chunks* into packets of at most *mtu* bytes.
 
-    Chunks larger than the MTU are fragmented first (Appendix C); then
-    as many chunks as fit are placed per packet (Section 2: "If chunks
-    are smaller than a packet, then as many chunks as fit can be placed
-    in a single packet").  Chunk order is preserved but is semantically
-    irrelevant to receivers.
-    """
-    budget = _chunk_budget(mtu)
-    size = mtu if fixed_size else None
-    packets: list[Packet] = []
-    current: list[Chunk] = []
-    used = 0
-    for chunk in chunks:
-        # A chunk that fits is its own only piece: only one that does not is cut.
-        fits = HEADER_BYTES + len(chunk.payload) <= budget
-        for piece in (chunk,) if fits else fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES):
-            need = HEADER_BYTES + len(piece.payload)
-            if current and used + need > budget:
-                packets.append(Packet(current, size))
-                current, used = [], 0
-            current.append(piece)
-            used += need
-    if current:
-        packets.append(Packet(current, size))
-    return packets
+        Chunks larger than the MTU are fragmented first (Appendix C); then
+        as many chunks as fit are placed per packet (Section 2: "If chunks
+        are smaller than a packet, then as many chunks as fit can be placed
+        in a single packet").  Chunk order is preserved but is semantically
+        irrelevant to receivers.  Each chunk is charged what
+        :meth:`Packet.encode` writes for it: an ED chunk right behind its
+        TPDU's final DATA chunk rides header-less (``codec.ED_CONVENTION``),
+        so such a pair that fits is never split at a packet boundary.
+        """
+        size = mtu if fixed_size else None
+        budget = _chunk_budget(mtu)
+        packets: list[Packet] = []
+        current: list[Chunk] = []
+        used = 0
+        final: Chunk | bool = False  # the last piece, if a DATA chunk with T.ST
+        for chunk in chunks:
+            # A chunk that fits is its own only piece: only one that does not is cut.
+            fits = fill or HEADER_BYTES + len(chunk[12]) <= budget
+            for piece in (chunk,) if fits else fragment_for_mtu(chunk, mtu, PACKET_HEADER_BYTES):
+                need = HEADER_BYTES + len(piece[12])
+                if final and ed_fields(piece) == ED_CONVENTION + (final[3], final[6]) and (
+                    used + need - HEADER_BYTES <= budget
+                ):
+                    need -= HEADER_BYTES  # the codec's rule, inline: no call per chunk
+                else:
+                    while used + need > budget:
+                        units = (budget - used - HEADER_BYTES) // piece.unit_bytes if fill else 0
+                        if 0 < units < piece.length and not piece.is_control:
+                            head, piece = split(piece, units)
+                            current.append(head)
+                            need = HEADER_BYTES + len(piece.payload)
+                        elif not current:
+                            raise PacketError(f"MTU {mtu} cannot hold {piece.describe()}")
+                        packets.append(Packet(current, size))
+                        current, used = [], 0
+                current.append(piece)
+                used += need
+                final = piece[8] and piece[0] is _DATA and piece
+        if current:
+            packets.append(Packet(current, size))
+        return packets
+    return pack_chunks
+
+
+pack_chunks = _first_fit(False)
+_pack_filling = _first_fit(True)
 
 
 def unpack_all(packets: Sequence[Packet]) -> list[Chunk]:
@@ -161,33 +185,22 @@ def repack(packets: Sequence[Packet], mtu: int) -> list[Packet]:
 def repack_with_reassembly(packets: Sequence[Packet], mtu: int) -> list[Packet]:
     """Figure 4 method 3: perform chunk reassembly, then repack.
 
-    Adjacent chunks are merged (Appendix D) before packing, minimizing
-    chunk-header overhead at the cost of the reassembly computation.
-    Because a merged chunk re-fragments losslessly at any unit boundary
-    (Appendix C), packing fills each packet's residual space by
-    splitting rather than starting a fresh packet, so method 3 never
-    needs more packets than method 2's header-preserving repack.
+    Each chunk merges into the one before it where Appendix D allows,
+    minimizing chunk-header overhead at the cost of the reassembly
+    computation; the order stays method 2's, so an ED chunk still
+    follows its TPDU's final DATA chunk.  Because a merged chunk
+    re-fragments losslessly at any unit boundary (Appendix C), packing
+    fills each packet's residual space by splitting rather than
+    starting a fresh packet.  So method 3 never needs more packets than
+    method 2's header-preserving repack, by construction: with every
+    chunk charged the same way, each of its packets ends at least as
+    far along the same stream as method 2's, since merging only drops
+    headers.
     """
-    budget = _chunk_budget(mtu)
-    out: list[Packet] = []
-    current: list[Chunk] = []
-    used = 0
-    for merged in coalesce(unpack_all(packets)):
-        for piece in fragment_for_mtu(merged, mtu, PACKET_HEADER_BYTES):
-            rest: Chunk | None = piece
-            while rest is not None:
-                room = budget - used
-                if rest.wire_bytes <= room:
-                    current.append(rest)
-                    used += rest.wire_bytes
-                    rest = None
-                    continue
-                units_that_fit = (room - HEADER_BYTES) // rest.unit_bytes
-                if 0 < units_that_fit < rest.length and not rest.is_control:
-                    head, rest = split(rest, units_that_fit)
-                    current.append(head)
-                out.append(Packet(chunks=current))
-                current, used = [], 0
-    if current:
-        out.append(Packet(chunks=current))
-    return out
+    merged: list[Chunk] = []
+    for chunk in unpack_all(packets):
+        if merged and can_merge(merged[-1], chunk):
+            merged[-1] = merge(merged[-1], chunk)
+        else:
+            merged.append(chunk)
+    return _pack_filling(merged, mtu)

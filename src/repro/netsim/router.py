@@ -127,21 +127,27 @@ class ChunkRouter:
                 if chunk.is_data:
                     journey.chunk("routed", chunk, t=self.loop.now)
         if self.batch_window > 0:
-            self._pending.extend(chunks)
+            # Waiting chunks that fit a packet go before a chunk that fits one
+            # alone but not behind them; a chunk that must be cut waits with them.
+            for chunk in chunks:
+                pending = self._pending
+                if pending and self._fits([chunk]) and self._fits(pending):
+                    if not self._fits([*pending, chunk]):
+                        self._flush()
+                self._pending.append(chunk)
             if registry is not None:
                 registry.instruments[_PENDING].set(len(self._pending))
-            if self._budget_filled() or not self._flush_scheduled:
-                if self._budget_filled():
-                    self._flush()
-                else:
-                    self._flush_scheduled = True
-                    self.loop.schedule(self.batch_window, self._timed_flush)
+            if Packet(self._pending).wire_bytes >= self.out_mtu:
+                self._flush()
+            elif not self._flush_scheduled:
+                self._flush_scheduled = True
+                self.loop.schedule(self.batch_window, self._timed_flush)
         else:
             self._emit(chunks)
 
-    def _budget_filled(self) -> bool:
-        wire = sum(ch.wire_bytes for ch in self._pending)
-        return wire >= self.out_mtu - PACKET_HEADER_BYTES
+    def _fits(self, chunks: list[Chunk]) -> bool:
+        # Sized as the codec writes them: elided ED headers left out.
+        return Packet(chunks).wire_bytes <= self.out_mtu
 
     def _timed_flush(self) -> None:
         self._flush_scheduled = False

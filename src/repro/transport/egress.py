@@ -6,8 +6,9 @@ operation wherever it happens: pack what is waiting into envelopes
 encode, count, transmit.  :class:`EgressPacker` is that operation.
 
 An endpoint's sessions :meth:`~EgressPacker.enqueue` chunks into a
-*lane* and a flush one ``flush_window`` later drains every lane — one
-chunk per non-empty lane per cycle, the starting lane rotating between
+*lane* and a flush one ``flush_window`` later drains every lane whole,
+in enqueue order — a TPDU's final DATA chunk and its header-less ED
+chunk stay adjacent (Appendix A) — the starting lane rotating between
 flushes so none is structurally first in every envelope.  A plain
 :class:`~repro.transport.endpoint.ChunkEndpoint` has one lane, which is
 FIFO; a :class:`~repro.transport.shard.ShardedEndpoint` has one lane
@@ -19,7 +20,8 @@ skips the lanes and calls :meth:`~EgressPacker.ship` directly.
 from __future__ import annotations
 
 from functools import partial
-from itertools import zip_longest
+from itertools import chain
+from operator import itemgetter
 from typing import Callable, Protocol
 
 from repro.core.chunk import Chunk
@@ -32,6 +34,8 @@ from repro.obs import provenance as obs_provenance
 from repro.obs import runtime as obs_runtime
 
 __all__ = ["Wire", "EgressPacker"]
+
+_C_ID = itemgetter(3)
 
 _TALLIES = Tallies({
     "flushed_packets": ("transport", "endpoint.packets_sent", "egress packets packed"),
@@ -103,36 +107,27 @@ class EgressPacker:
     def flush(self) -> None:
         """Put every waiting chunk on the wire now."""
         self._flush_scheduled = False
-        # The lane each conversation came from (none to tell apart on one
-        # lane); passing it marks the packets as flushed.
-        shard_of: dict[int, int] = {}
-        if self._sharded:
-            for lane, queue in enumerate(self._lanes):
-                for chunk in queue:
-                    shard_of[chunk[3]] = lane
+        lanes = self._lanes  # read for a lane label only where one is needed
         chunks = self._drain()
         if chunks:
-            self.ship(chunks, shard_of)
+            self.ship(chunks, lanes if self._sharded else [])
 
     def _drain(self) -> list[Chunk]:
-        lanes = self._lanes
-        count = len(lanes)
-        if count == 1:  # one lane is FIFO
-            drained, lanes[0] = lanes[0], []
-            return drained
-        first = self._first_lane
-        self._first_lane = (first + 1) % count
-        waiting = [lane for lane in lanes[first:] + lanes[:first] if lane]  # empty ones skipped
-        drained = [chunk for cycle in zip_longest(*waiting) for chunk in cycle if chunk is not None]
-        for lane in waiting:
-            lane.clear()
-        return drained
+        """Every waiting chunk, each lane's together in enqueue order (a final
+        DATA chunk and its ED chunk stay adjacent), the start rotating."""
+        lanes, first = self._lanes, self._first_lane
+        if len(lanes) == 1:  # one lane is FIFO
+            self._lanes = [[]]
+            return lanes[0]
+        self._lanes = [[] for _ in lanes]
+        self._first_lane = (first + 1) % len(lanes)
+        return list(chain.from_iterable(lanes[first:] + lanes[:first]))
 
-    def ship(self, chunks: list[Chunk], shard_of: dict[int, int] | None = None) -> int:
+    def ship(self, chunks: list[Chunk], lanes: list[list[Chunk]] | None = None) -> int:
         """Pack, encode, count and transmit *chunks*; returns the packet count.
 
-        *shard_of* maps each C.ID to the lane it was enqueued on; only
-        :meth:`flush` passes it, so its packets count as flushed.
+        *lanes* are what :meth:`flush` drained (none on the unsharded wire);
+        only flush passes them, so its packets count as flushed.
         """
         transmit = self.wire.transmit
         if transmit is None:
@@ -140,17 +135,22 @@ class EgressPacker:
         before = _TALLIES.read(self) if obs_runtime._registry is not None else None
         journey = obs_provenance._tracker
         packets = pack_chunks(chunks, self.wire.mtu)
+        shard_of: dict[int, int] = {}  # C.ID -> lane, filled where first read
         for packet in packets:
-            first = packet.chunks[0].c_id
-            for chunk in packet.chunks:
-                if chunk.c_id != first:
-                    self.mixed_packets += 1
-                    if shard_of and len({shard_of[c.c_id] for c in packet.chunks}) > 1:
-                        self.cross_shard_packets += 1
-                    break
+            carried = packet.chunks
+            mixed = len(set(map(_C_ID, carried))) > 1
+            if (mixed or journey is not None) and lanes and not shard_of:
+                for lane, queue in enumerate(lanes):
+                    for chunk in queue:
+                        shard_of[chunk[3]] = lane
+            if mixed:
+                self.mixed_packets += 1
+                # Lanes drain contiguously, so a packet spans lanes iff its ends do.
+                if shard_of and shard_of[carried[0][3]] != shard_of[carried[-1][3]]:
+                    self.cross_shard_packets += 1
             if journey is not None:
                 now = None if self.loop is None else self.loop.now
-                for chunk in packet.chunks:
+                for chunk in carried:
                     if chunk.is_data:
                         journey.chunk(
                             "packed", chunk, t=now,
@@ -160,7 +160,7 @@ class EgressPacker:
             self.bytes_sent += len(encoded)
             self.packets_sent += 1
             transmit(encoded)
-        if shard_of is not None:
+        if lanes is not None:
             self.flushed_packets += len(packets)
         if before is not None:
             _TALLIES.publish(before, self)

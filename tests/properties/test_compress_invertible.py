@@ -171,8 +171,19 @@ def streams_with_stray_eds(draw) -> list[Chunk]:
 def test_packed_packets_decode_to_their_chunks_at_their_wire_size(wire, mtu, fixed):
     """What ``pack_chunks`` packs round-trips through the codec, and a
     packet's ``wire_bytes`` is what it encodes to: a header saved for
-    each ED chunk in the convention right behind its final DATA chunk."""
-    for packet in pack_chunks(wire, mtu, fixed_size=fixed):
+    each ED chunk in the convention right behind its final DATA chunk.
+    Packing is first fit at that honest size: the next packet's first
+    chunk, sized as the codec would write it behind this packet's
+    chunks, would not have fit, so no final DATA chunk is parted from
+    its ED chunk where the two fit in one packet."""
+    packets = pack_chunks(wire, mtu, fixed_size=fixed)
+    for packet, following in zip(packets, packets[1:]):
+        data, head = packet.chunks[-1], following.chunks[0]
+        assert 4 + len(encode_chunks([*packet.chunks, head])) > mtu
+        if data.is_data and data.t_st and head.is_control and len(head.payload) == 12:
+            if head == build_ed_chunk(data.c_id, data.t_id, EdPayload.decode(head.payload)):
+                assert 4 + len(encode_chunks(packet.chunks)) + 12 > mtu
+    for packet in packets:
         encoded = packet.encode()
         assert Packet.decode(encoded).chunks == packet.chunks
         assert packet.wire_bytes == len(encoded) <= mtu

@@ -27,6 +27,7 @@ from repro.core.packet import (
 from repro.core.reassemble import coalesce
 from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES, WORD_BYTES
 from tests.conftest import make_payload
+from tests.properties.test_compress_invertible import streams_with_stray_eds
 
 # Smallest MTU that can carry a packet envelope, one chunk header, and
 # one atomic unit (unit_words=1 throughout this suite).
@@ -88,3 +89,15 @@ def test_reassembly_repack_never_needs_more_packets(stream, mtu_in, mtu_out):
     than method 2 on packet count."""
     packets = pack_chunks(stream, mtu_in)
     assert len(repack_with_reassembly(packets, mtu_out)) <= len(repack(packets, mtu_out))
+
+
+@given(streams_with_stray_eds(), st.integers(60, 200), st.integers(60, 200))
+def test_reassembly_repack_never_needs_more_packets_with_ed_chunks(wire, mtu_in, mtu_out):
+    """By construction, not by luck: with ED chunks that ride header-less
+    behind their final DATA chunk and stray control chunks that cannot
+    be cut, method 3 keeps method 2's order and charges, so it is still
+    never worse (a merge that sorts the control chunks last can be)."""
+    packets = pack_chunks(wire, mtu_in)
+    merged = repack_with_reassembly(packets, mtu_out)
+    assert len(merged) <= len(repack(packets, mtu_out))
+    assert coalesce(unpack_all(merged)) == coalesce(wire)

@@ -57,7 +57,7 @@ OBS_CALLS_PER_PACKET = 0
 #: smoke-scale workload -> calls into ``repro`` per decoded chunk (the
 #: values this tree measures on CPython 3.11, rounded up).
 CALLS_PER_DECODED_CHUNK = {
-    "mux_256": 27, "sharded_1k": 32, "recv_disorder": 17, "small_frames": 25, "lossy_path": 29,
+    "mux_256": 27, "sharded_1k": 31, "recv_disorder": 17, "small_frames": 25, "lossy_path": 28,
 }
 SEED = 1993
 SMOKE_SCALE = 1 / 16

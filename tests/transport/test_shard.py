@@ -104,14 +104,24 @@ class TestBoundDivision:
 
 
 class TestRoundRobinPacker:
-    def test_drain_interleaves_one_chunk_per_shard_per_cycle(self):
+    def test_drain_keeps_each_lane_whole_and_rotates(self):
         packer = ShardedEndpoint(ShardedLoop(), shards=3).egress
-        # The drain never inspects the queued objects, so sentinels do.
-        packer.enqueue(0, ["a1", "a2", "a3"])
-        packer.enqueue(1, ["b1"])
+        # The drain never inspects the queued objects, so sentinels do:
+        # each lane's chunks stay together in enqueue order (so a final
+        # DATA chunk and its ED chunk stay adjacent), empty lanes add
+        # nothing, and the next flush starts one lane further on.
+        packer.enqueue(0, ["a1", "a2"])
         packer.enqueue(2, ["c1", "c2"])
-        assert packer._drain() == ["a1", "b1", "c1", "a2", "c2", "a3"]
+        packer.enqueue(0, ["a3"])
+        packer.enqueue(1, ["b1"])
+        assert packer._drain() == ["a1", "a2", "a3", "b1", "c1", "c2"]
         assert packer._drain() == []
+        packer.enqueue(0, ["a1"])
+        packer.enqueue(2, ["c1", "c2"])
+        assert packer._drain() == ["c1", "c2", "a1"]  # starts at lane 2; lane 1 is empty
+        packer.enqueue(1, ["b1", "b2"])
+        packer.enqueue(0, ["a1"])
+        assert packer._drain() == ["a1", "b1", "b2"]  # back to lane 0
 
     def test_starting_shard_rotates_between_flushes(self):
         packer = ShardedEndpoint(ShardedLoop(), shards=3).egress

@@ -5,8 +5,8 @@ streams only, so a packer change that reorders chunks or re-cuts
 envelopes would pass it.  These cases hash every frame each side hands
 its wire, in transmit order, for small seeded lossy runs of the three
 egress users — a plain :class:`ChunkEndpoint` pair, a
-:class:`ShardedEndpoint` pair (four shards, a flush window, so the
-lanes really interleave and the starting lane rotates), and a
+:class:`ShardedEndpoint` pair (four shards, a flush window, so
+several lanes share a flush and the starting lane rotates), and a
 standalone :class:`ReliableSender`/:class:`ReliableReceiver` pair.  The
 digests were recorded before the sharded endpoint was recomposed from
 the unsharded machinery; any refactor of loop, packer or demux must
@@ -25,6 +25,13 @@ re-expanded to full headers — the envelope, then every decoded chunk
 encoded alone — and a second digest per run pins the raw frames.  Only
 frames that carry an ED chunk may differ from their expansion, so a
 plain ACK frame is byte-identical.
+
+The sharded run was re-recorded again when egress stopped interleaving
+lanes chunk by chunk: each lane now drains whole, so a final DATA chunk
+and its ED chunk stay side by side.  Its frames up to 46 are the old
+recording's; frame 47 carries C.ID 4's final DATA chunk of TPDU 8 and
+that TPDU's ED chunk, where it carried C.ID 5's SIGNALING chunk between
+them, and the run sends 83 frames where it sent 85.
 """
 
 from __future__ import annotations
@@ -198,10 +205,10 @@ def test_unsharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
 def test_sharded_endpoint_wire_is_byte_identical_to_the_recorded_run():
     wire = endpoint_wire(4)
     assert (wire.hexdigest(), wire.frames) == (
-        "453886626d4dc994781e61bafeb1fd7219a843e00d6446c14afd26926c483eb0", 85,
+        "7ad53b898fa9bdd7832bb4d988c7ed757d87e3570023fd163dd8e7d225872be2", 83,
     )
     assert (wire.raw_hexdigest(), wire.first_elided, wire.plain_ack_frames) == (
-        "b6d1485baba91fdb49e066e8525b9c44569999dfecede72b90baa6ae82a8e264", 0, 9,
+        "cccd841ad0188139775eed3f550432ee8c0f3e3c2f6d0dd829815fbc17d9ae82", 0, 9,
     )
 
 
