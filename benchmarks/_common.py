@@ -2,7 +2,7 @@
 
 Every ``bench_*.py`` module in this directory is both:
 
-- a pytest-benchmark target (``pytest benchmarks/ --benchmark-only``)
+- a pytest-benchmark target (``pytest benchmarks/ --benchmark-enable --benchmark-only``)
   whose assertions pin the *shape* of the paper's claim, and
 - a standalone script (``python benchmarks/bench_X.py``) that prints the
   reproduced table/figure next to what the paper reports.

@@ -3,7 +3,7 @@
 Timing for the structures everything else stands on — the interval set
 behind virtual reassembly, the virtual reassembler itself, the stream
 framer, and the Huffman coder — so regressions in the hot paths show up
-in ``pytest benchmarks/ --benchmark-only`` next to the protocol-level
+in ``pytest benchmarks/ --benchmark-enable --benchmark-only`` next to the protocol-level
 numbers.
 """
 

@@ -103,7 +103,7 @@ implementation's own knobs.  Regenerate the whole file with
     python benchmarks/generate_experiments.py
 
 or any single table with ``python benchmarks/bench_<id>.py``; timing
-numbers come from ``pytest benchmarks/ --benchmark-only``.  For the
+numbers come from ``pytest benchmarks/ --benchmark-enable --benchmark-only``.  For the
 machine-gated form of these numbers, the tier-1 test ``tests/figures/``
 runs every bench's registered ``run(payload_scale)`` entry point and
 requires its figures and obs counter snapshot, and the paper budgets

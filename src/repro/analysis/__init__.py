@@ -8,15 +8,12 @@ turns those conventions into machine-checked invariants that tier-1
 tests enforce:
 
 - ``wire-width`` — every literal ``struct`` format string names
-  network byte order (the one wire property a same-host round trip
-  cannot see).
-- ``codec-symmetry`` — every public ``encode_*`` has a ``decode_*``
-  twin in the same module, and vice versa.
+  network byte order (a round trip passes in either order; the wire
+  goldens pin the transfer path's bytes, and only this pass sees a
+  native format in the ``xtp`` / ``aal`` / ``modes`` figure models).
 - ``exception-discipline`` — protocol layers raise only the exception
   types defined in :mod:`repro.core.errors` (plus a short builtin
   allowlist), and never use bare/overbroad ``except``.
-- ``export-drift`` — every ``__all__`` entry exists and every public
-  top-level def/class is either exported or underscore-private.
 
 Three passes run over the whole-program import/call graph
 (:mod:`repro.analysis.graph`), and one follows scheduled callbacks:
@@ -41,13 +38,14 @@ lifecycle table of :mod:`repro.analysis.state_table`, which
 reachable state of a bounded configuration (``tests/analysis/
 test_modelcheck.py``; ``tests/properties/test_lifecycle_conformance.py``
 takes the same checked steps on random walks).  Retired passes, and
-what holds their property now, are tabled in ``docs/static-analysis.md``.
+what holds their property now, are tabled in ``docs/static-analysis.md``;
+``__all__`` and the ``encode_*`` / ``decode_*`` pairing are read off the
+imported modules by ``tests/analysis/test_api_surface.py``.
 
 The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
 sanitizer (``REPRO_SIMSAN=1``) that fingerprints
 scheduled payload buffers, detects mutation-after-schedule aliasing
-with the scheduling backtrace, maintains a schedule audit digest for
-cross-run nondeterminism diffs, and — for a watched
+with the scheduling backtrace, and — for a watched
 :class:`~repro.transport.shard.ShardedEndpoint` — fails when an event
 one shard runs changes another shard's state.
 

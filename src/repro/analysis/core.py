@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Inline suppression marker.  ``# protolint: ignore`` silences every
-#: pass on that line; ``# protolint: ignore[wire-width,export-drift]``
+#: pass on that line; ``# protolint: ignore[wire-width,layering]``
 #: silences only the named passes.
 _SUPPRESS_RE = re.compile(r"#\s*protolint:\s*ignore(?:\[([a-zA-Z0-9_,\- ]+)\])?")
 

@@ -94,15 +94,15 @@ class ProjectGraph:
         self.functions: dict[str, FunctionInfo] = {}
         #: bare function name -> qualnames (for conservative resolution)
         self.by_name: dict[str, list[str]] = {}
-        self._imports_of: dict[str, set[str]] = {}
-        self._importers_of: dict[str, set[str]] = {}
         #: ``from pkg import name`` edges where *name* may itself be a
         #: module — resolvable only once every unit has been added.
         self._deferred_edges: list[tuple[str, str, int]] = []
         for unit in units:
             self._add_unit(unit)
+        known = {(edge.importer, edge.target) for edge in self.import_edges}
         for importer, candidate, line in self._deferred_edges:
-            if candidate in self.units and candidate not in self._imports_of[importer]:
+            if candidate in self.units and (importer, candidate) not in known:
+                known.add((importer, candidate))
                 self._add_edge(importer, candidate, line)
 
     # ------------------------------------------------------------------
@@ -111,7 +111,6 @@ class ProjectGraph:
     def _add_unit(self, unit: ModuleUnit) -> None:
         module = unit.module
         self.units[module] = unit
-        self._imports_of.setdefault(module, set())
         alias_table = self.aliases.setdefault(module, {})
 
         for node in ast.walk(unit.tree):
@@ -157,15 +156,11 @@ class ProjectGraph:
 
     def _add_edge(self, importer: str, target: str, line: int) -> None:
         self.import_edges.append(ImportEdge(importer, target, line))
-        self._imports_of.setdefault(importer, set()).add(target)
-        self._importers_of.setdefault(target, set()).add(importer)
         # Implicit parent-package imports: repro.a.b pulls in repro.a.
         parts = target.split(".")
         for depth in range(1, len(parts)):
             parent = ".".join(parts[:depth])
             self.import_edges.append(ImportEdge(importer, parent, line, implicit=True))
-            self._imports_of[importer].add(parent)
-            self._importers_of.setdefault(parent, set()).add(importer)
 
     def _register_function(
         self,
@@ -179,32 +174,6 @@ class ProjectGraph:
         )
         self.functions[qual] = info
         self.by_name.setdefault(node.name, []).append(qual)
-
-    # ------------------------------------------------------------------
-    # import-graph queries
-
-    def imports_of(self, module: str) -> set[str]:
-        return set(self._imports_of.get(module, set()))
-
-    def importers_of(self, module: str) -> set[str]:
-        return set(self._importers_of.get(module, set()))
-
-    def orphan_modules(self) -> list[str]:
-        """Modules in the analyzed set that no other analyzed module
-        imports.
-
-        Package ``__init__`` modules and ``__main__`` entry points are
-        structural (imported implicitly / executed directly) and are
-        exempt, as is the root package itself.
-        """
-        orphans: list[str] = []
-        for module, unit in self.units.items():
-            if unit.path.name in ("__init__.py", "__main__.py"):
-                continue
-            importers = {m for m in self._importers_of.get(module, set()) if m != module}
-            if not importers:
-                orphans.append(module)
-        return sorted(orphans)
 
     # ------------------------------------------------------------------
     # symbol / call resolution

@@ -1,12 +1,20 @@
 """wire-width: every literal struct format string names network byte order.
 
 A native-order struct (``"HBB"``, ``"=I"``) packs the same bytes as
-``">HBB"`` on one host and different bytes on another, so a same-host
-round trip — which is all the test suite can run — never sees it (and
-``"<Q"`` is host-independent but not the wire's order).  This pass
-requires an explicit ``>`` or ``!`` prefix on every literal format
-given to ``struct.Struct`` / ``pack`` / ``unpack`` / ``unpack_from`` /
+``">HBB"`` on one host and different bytes on another (and ``"<Q"`` is
+host-independent but not the wire's order).  This pass requires an
+explicit ``>`` or ``!`` prefix on every literal format given to
+``struct.Struct`` / ``pack`` / ``unpack`` / ``unpack_from`` /
 ``pack_into`` / ``iter_unpack`` / ``calcsize``.
+
+What only it catches: a round trip packs and unpacks with one struct,
+so it passes in either order.  The recorded wire goldens still see a
+native format on the transfer path (``wsc.invariant``'s ED payload, the
+ACK id words), a native format that pads fails its size
+(``paper.inorder``), and ``paper.xtea`` has a known-answer test; the
+literal formats of the other ``repro.paper`` models (``xtp``, ``aal``,
+``modes``) are pinned by nothing else (docs/static-analysis.md, "What
+each component alone catches").
 
 What it no longer checks, and why (docs/static-analysis.md, "Retired
 passes"): header sizes are pinned by :mod:`repro.core.wire_table`'s

@@ -16,10 +16,6 @@ dynamically:
   :class:`~repro.core.errors.SimSanError` (or records a
   :class:`SimSanViolation` in ``report`` mode) on any mismatch,
   pointing at the scheduling call site;
-- independently, it folds every ``(time, seq, callsite)`` schedule
-  event into a running SHA-256 **audit digest**, so two runs of a
-  seeded scenario can be compared for scheduling nondeterminism with a
-  single string comparison;
 - for each :class:`~repro.transport.shard.ShardedEndpoint` handed to
   :meth:`SimSanitizer.watch`, it holds the **shard boundary**: an event
   one shard's member loop runs changes that shard's state and no
@@ -28,7 +24,10 @@ dynamically:
 
 Immutable ``bytes`` payloads are skipped: they cannot mutate, and the
 hot path ships almost exclusively ``bytes`` — which keeps the
-sanitizer's steady-state cost at one hash update per schedule.
+sanitizer's steady-state cost at one walk of the callback's captures
+per schedule.  Seeded-run agreement is not its business: the figures
+golden and ``test_same_seed_runs_are_byte_identical`` compare two runs'
+outputs directly.
 
 Enabling it
 -----------
@@ -42,7 +41,7 @@ Enabling it
 
       with simsan.session() as san:
           loop.run()
-      print(san.audit.digest())
+      print(san.violations)
 """
 
 from __future__ import annotations
@@ -67,7 +66,6 @@ if TYPE_CHECKING:
 __all__ = [
     "SimSanitizer",
     "SimSanViolation",
-    "ScheduleAuditLog",
     "install",
     "uninstall",
     "current",
@@ -180,26 +178,6 @@ class SimSanViolation:
         )
 
 
-class ScheduleAuditLog:
-    """Rolling hash over the ``(time, seq, callsite)`` schedule stream.
-
-    Two runs of the same seeded scenario must produce identical
-    digests; any divergence means scheduling nondeterminism crept in
-    (an unseeded rng, wall-clock coupling, dict-order dependence...).
-    """
-
-    def __init__(self) -> None:
-        self._hash = hashlib.sha256()
-        self.entries = 0
-
-    def record(self, time: float, seq: int, callsite: str) -> None:
-        self._hash.update(f"{time!r}|{seq}|{callsite}\n".encode("utf-8"))
-        self.entries += 1
-
-    def digest(self) -> str:
-        return self._hash.hexdigest()
-
-
 @dataclass(frozen=True)
 class _BufferRecord:
     callsite: str
@@ -214,14 +192,12 @@ class SimSanitizer:
     Attributes:
         raise_on_violation: raise :class:`SimSanError` at dispatch
             (default) instead of only recording the violation.
-        audit: the run's :class:`ScheduleAuditLog`.
         violations: every detected violation (also populated when
             raising, so post-mortem inspection works either way).
             A cross-shard change or unbalanced pool always raises.
     """
 
     raise_on_violation: bool = True
-    audit: ScheduleAuditLog = field(default_factory=ScheduleAuditLog)
     violations: list[SimSanViolation] = field(default_factory=list)
     buffers_tracked: int = 0
     #: per-loop pending records; weak keys so abandoned loops free them.
@@ -311,16 +287,14 @@ class SimSanitizer:
     def on_schedule(
         self, loop: "EventLoop", time: float, seq: int, callback: Callable[[], None]
     ) -> None:
-        callsite = _callsite()
-        self.audit.record(time, seq, callsite)
         if loop in self._members:
-            self._sites[loop, seq] = callsite
+            self._sites[loop, seq] = _callsite()
         buffers = _callback_buffers(callback)
         if not buffers:
             return
         self.buffers_tracked += len(buffers)
         record = _BufferRecord(
-            callsite=callsite,
+            callsite=_callsite(),
             fingerprints=tuple((label, _digest(buf)) for label, buf in buffers),
             backtrace=tuple(traceback.format_stack()[-8:-1]),
         )

@@ -19,7 +19,6 @@ __all__ = [
     "ErrorDetectionMismatch",
     "SignalingError",
     "ErasureError",
-    "NotNestedError",
     "AnalysisError",
     "ObsError",
     "SimSanError",
@@ -81,10 +80,6 @@ class SignalingError(ReproError):
 
 class ErasureError(ReproError):
     """Erasure repair is not possible for this pattern."""
-
-
-class NotNestedError(ReproError):
-    """A lower-level frame straddles a higher-level frame boundary."""
 
 
 class AnalysisError(ReproError):

@@ -14,7 +14,7 @@ The loop exposes a narrow observer seam (:class:`ScheduleObserver`,
 :func:`set_schedule_observer`) used by the opt-in runtime sanitizer
 :mod:`repro.analysis.simsan`: each schedule and each dispatch is
 reported with the event's ``(time, seq)`` identity so the sanitizer can
-fingerprint payload buffers and audit the schedule stream.  The seam is
+fingerprint payload buffers and watch shard boundaries.  The seam is
 a plain module-level hook — this module never imports the analysis
 layer (the layering pass enforces that direction), and with no observer
 installed the cost is one ``is None`` test per event.

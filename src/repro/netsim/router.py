@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Literal
 
 from repro.core.chunk import Chunk
+from repro.core.codec import ED_CONVENTION, ed_fields
 from repro.core.errors import CodecError, FragmentationError, ReassemblyError
 from repro.core.fragment import fragment_for_mtu
 from repro.core.packet import Packet, pack_chunks
@@ -168,7 +169,7 @@ class ChunkRouter:
         if self.mode == "reassemble":
             received = len(chunks)
             try:
-                chunks = coalesce(chunks)
+                chunks = _eds_beside_finals(coalesce(chunks))
             except ReassemblyError:
                 self.stats.batches_unmerged += 1  # forwarded as "repack" would
             self.stats.chunks_merged += received - len(chunks)
@@ -212,3 +213,19 @@ class ChunkRouter:
         """Force out any batched chunks (end-of-run drain)."""
         if self._pending:
             self._flush()
+
+
+def _eds_beside_finals(chunks: list[Chunk]) -> list[Chunk]:
+    """*chunks* with each TPDU's ED chunk moved right behind its final DATA
+    chunk, where the codec sends it without a header (Appendix A);
+    ``coalesce`` queues every control chunk behind all the data."""
+    finals = {(c.c_id, c.t_id): i for i, c in enumerate(chunks) if c.is_data and c.t_st}
+
+    def rank(item: tuple[int, Chunk]) -> float:
+        index, chunk = item
+        key = (chunk.c_id, chunk.t_id)
+        if key in finals and ed_fields(chunk) == ED_CONVENTION + key:
+            return finals[key] + 0.5
+        return index
+
+    return [chunk for _, chunk in sorted(enumerate(chunks), key=rank)]

@@ -5,8 +5,10 @@ import pytest
 from repro.core.fragment import split
 from repro.core.packet import Packet, pack_chunks
 from repro.core.reassemble import coalesce
+from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES, ChunkType
 from repro.netsim.events import EventLoop
 from repro.netsim.router import ChunkRouter
+from repro.netsim.topology import HopSpec, build_chunk_path
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
@@ -83,6 +85,45 @@ class TestSmallToLarge:
             _, frames = _run_router(mode, small, 8192, batch_window=0.01)
             results[mode] = sum(len(f) for f in frames)
         assert results["reassemble"] <= results["repack"] < results["one-per-packet"]
+
+
+class TestReassembleKeepsEdsBesideTheirData:
+    """Method 3 forwards each TPDU's ED chunk right behind its merged final
+    DATA chunk, so the codec sends it without a header (Appendix A): on
+    Figure 4's path no ED chunk that shares a packet with its final DATA
+    chunk keeps its header.  Queued behind all the data, 27 of 218 did."""
+
+    def test_no_ed_chunk_keeps_its_header_beside_its_final_data(self, monkeypatch):
+        encode = Packet.encode
+        counts = {"pairs": 0, "headered": 0}
+
+        def counting_encode(packet: Packet) -> bytes:
+            encoded = encode(packet)
+            finals = {(c.c_id, c.t_id) for c in packet.chunks if c.is_data and c.t_st}
+            pairs = sum(
+                c.type is ChunkType.ERROR_DETECTION and (c.c_id, c.t_id) in finals
+                for c in packet.chunks
+            )
+            full = PACKET_HEADER_BYTES + sum(chunk.wire_bytes for chunk in packet.chunks)
+            counts["pairs"] += pairs
+            counts["headered"] += pairs - (full - len(encoded)) // HEADER_BYTES
+            return encoded
+
+        monkeypatch.setattr(Packet, "encode", counting_encode)
+        loop = EventLoop()
+        receiver = ChunkTransportReceiver()
+        hops = [HopSpec(mtu=4096), HopSpec(mtu=296), HopSpec(mtu=4096)]
+        path = build_chunk_path(
+            loop, hops, receiver.receive_packet, mode="reassemble", batch_window=0.0005
+        )
+        sender = ChunkTransportSender(ConnectionConfig(connection_id=2, tpdu_units=512))
+        payload = bytes(range(256)) * 64
+        for packet in pack_chunks([sender.establishment_chunk(), *sender.close(payload)], 4096):
+            path.send(packet.encode())
+        path.run()
+        assert receiver.stream_bytes() == payload
+        assert counts["pairs"] > 50
+        assert counts["headered"] == 0
 
 
 class TestRouterBehaviour:

@@ -1,10 +1,8 @@
-"""Unit tests for the Turner drop policy and route-change disorder."""
+"""Unit tests for the Turner drop policy."""
 
 from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import Packet, pack_chunks
 from repro.netsim.events import EventLoop
-from repro.netsim.link import Link
-from repro.paper.routechange import RouteSwitcher
 from repro.paper.turner import BottleneckQueue
 
 from tests.conftest import make_chunk
@@ -120,49 +118,3 @@ class TestBottleneckQueue:
 
 def self_complete(delivered):
     return TestBottleneckQueue._complete_tpdus(delivered)
-
-
-class TestRouteSwitcher:
-    def test_switch_causes_overtaking(self):
-        """Packets on the new (faster) route arrive before packets still
-        in flight on the old route — Section 1's route-change disorder."""
-        loop = EventLoop()
-        arrivals = []
-
-        def deliver(frame):
-            arrivals.append((loop.now, int.from_bytes(frame[:4], "big")))
-
-        slow = Link(loop, deliver, rate_bps=1e9, delay=0.050)
-        fast = Link(loop, deliver, rate_bps=1e9, delay=0.001)
-        switcher = RouteSwitcher(primary=slow, alternate=fast)
-        for index in range(10):
-            if index == 5:
-                switcher.switch()
-            switcher.send(index.to_bytes(4, "big") + b"\x00" * 96)
-        loop.run()
-        order = [i for _, i in sorted(arrivals)]
-        assert order != sorted(order)     # disorder happened
-        assert set(order) == set(range(10))  # nothing lost
-        assert order[:5] == [5, 6, 7, 8, 9]  # new-route packets overtook
-
-    def test_scheduled_switch(self):
-        loop = EventLoop()
-        a = Link(loop, lambda f: None, delay=0.01)
-        b = Link(loop, lambda f: None, delay=0.01)
-        switcher = RouteSwitcher(primary=a, alternate=b)
-        switcher.schedule_switch(at=1.0)
-        assert switcher.active_route == "primary"
-        loop.run()
-        assert switcher.active_route == "alternate"
-        assert switcher.switches == 1
-
-    def test_round_trip_switch(self):
-        loop = EventLoop()
-        a = Link(loop, lambda f: None, delay=0.01)
-        b = Link(loop, lambda f: None, delay=0.01)
-        switcher = RouteSwitcher(primary=a, alternate=b)
-        switcher.switch()
-        switcher.switch()
-        assert switcher.active_route == "primary"
-        switcher.send(b"x" * 10)
-        assert a.stats.frames_in == 1 and b.stats.frames_in == 0
