@@ -42,13 +42,6 @@ what holds their property now, are tabled in ``docs/static-analysis.md``;
 ``__all__`` and the ``encode_*`` / ``decode_*`` pairing are read off the
 imported modules by ``tests/analysis/test_api_surface.py``.
 
-The runtime half is :mod:`repro.analysis.simsan`: an opt-in event-loop
-sanitizer (``REPRO_SIMSAN=1``) that fingerprints
-scheduled payload buffers, detects mutation-after-schedule aliasing
-with the scheduling backtrace, and — for a watched
-:class:`~repro.transport.shard.ShardedEndpoint` — fails when an event
-one shard runs changes another shard's state.
-
 Neither the analyzer nor the lifecycle checker has a command line:
 ``tests/analysis/test_tree_is_clean.py`` runs each pass over
 ``src/repro``, ``benchmarks`` and ``examples`` as one tier-1 test id
@@ -58,7 +51,6 @@ Neither the analyzer nor the lifecycle checker has a command line:
 
 from __future__ import annotations
 
-from repro.analysis import simsan
 from repro.analysis.core import Finding, ModuleUnit, Pass, run_passes
 from repro.analysis.modelcheck import ModelCheckResult, ModelConfig, explore
 from repro.analysis.passes import all_passes
@@ -69,7 +61,6 @@ __all__ = [
     "Pass",
     "run_passes",
     "all_passes",
-    "simsan",
     "ModelConfig",
     "ModelCheckResult",
     "explore",

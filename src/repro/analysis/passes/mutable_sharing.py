@@ -14,14 +14,13 @@ per-call, not shared across the module.
 Detection is syntactic: at every ``<obj>.at(time, cb)`` /
 ``<obj>.schedule(delay, cb)`` call site, the callback expression is
 resolved (lambda body; a ``Name`` referring to a ``def`` in the same
-module/function; ``self.method`` is skipped) and its body is scanned
-for mutations of *module-level* names: direct assignment (via
-``global``), subscript/attribute stores on a module-level name, and
-mutating container-method calls (``append``/``update``/...).
-
-The runtime half of this invariant is ``repro.analysis.simsan``, which
-fingerprints scheduled payload buffers and detects
-mutation-after-schedule aliasing dynamically.
+module/function; ``self.method`` to that method of the enclosing class)
+and its body is scanned for mutations of *module-level* names: direct
+assignment (via ``global``), subscript/attribute stores on a
+module-level name, and mutating container-method calls
+(``append``/``update``/...).  The scan reaches one call below the
+callback: a ``self.method(...)`` a scheduled lambda calls is resolved
+and scanned too, as in ``lambda f=frame: self._arrive(f)``.
 """
 
 from __future__ import annotations
@@ -61,6 +60,19 @@ def _local_defs(tree: ast.Module) -> dict[int, dict[str, ast.FunctionDef]]:
     return table
 
 
+def _self_method(
+    node: ast.expr, methods: dict[str, ast.FunctionDef]
+) -> ast.FunctionDef | None:
+    """The enclosing class's method that ``self.<name>`` names, else None."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return methods.get(node.attr)
+    return None
+
+
 class MutableSharingPass(Pass):
     id = "mutable-sharing"
     description = "scheduled callbacks never mutate module-level mutable state"
@@ -70,14 +82,22 @@ class MutableSharingPass(Pass):
         if not module_names:
             return
         defs_by_scope = _local_defs(unit.tree)
+        scanned: set[int] = set()  # a method scheduled twice reports once
 
         # Walk with scope tracking so a Name callback resolves to the
-        # nearest enclosing def first, then module level.
-        def visit(node: ast.AST, scope_chain: list[int]) -> Iterator[Finding]:
+        # nearest enclosing def first, then module level, and
+        # ``self.method`` to the enclosing class's method.
+        def visit(
+            node: ast.AST, scope_chain: list[int], methods: dict[str, ast.FunctionDef]
+        ) -> Iterator[Finding]:
+            if isinstance(node, ast.ClassDef):
+                methods = {
+                    stmt.name: stmt for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+                }
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 scope_chain = scope_chain + [id(node)]
             for child in ast.iter_child_nodes(node):
-                yield from visit(child, scope_chain)
+                yield from visit(child, scope_chain, methods)
             if not isinstance(node, ast.Call):
                 return
             func = node.func
@@ -86,30 +106,40 @@ class MutableSharingPass(Pass):
             if len(node.args) < 2:
                 return
             callback = node.args[-1]
-            body = self._callback_body(callback, scope_chain, defs_by_scope)
-            if body is None:
-                return
-            yield from self._check_body(unit, node, body, module_names)
+            for body in self._callback_bodies(callback, scope_chain, defs_by_scope, methods):
+                if id(body) not in scanned:
+                    scanned.add(id(body))
+                    yield from self._check_body(unit, node, body, module_names)
 
-        yield from visit(unit.tree, [id(unit.tree)])
+        yield from visit(unit.tree, [id(unit.tree)], {})
 
     # ------------------------------------------------------------------
 
-    def _callback_body(
+    def _callback_bodies(
         self,
         callback: ast.expr,
         scope_chain: list[int],
         defs_by_scope: dict[int, dict[str, ast.FunctionDef]],
-    ) -> ast.AST | None:
+        methods: dict[str, ast.FunctionDef],
+    ) -> Iterator[ast.AST]:
         if isinstance(callback, ast.Lambda):
-            return callback.body
-        if isinstance(callback, ast.Name):
+            yield callback.body
+            for node in ast.walk(callback.body):
+                if isinstance(node, ast.Call):
+                    method = _self_method(node.func, methods)
+                    if method is not None:
+                        yield method
+        elif isinstance(callback, ast.Name):
             for scope_id in reversed(scope_chain):
                 found = defs_by_scope.get(scope_id, {}).get(callback.id)
                 if found is not None:
-                    return found
-        # self.method / functools.partial(...): instance state, skip.
-        return None
+                    yield found
+                    return
+        else:
+            method = _self_method(callback, methods)
+            if method is not None:
+                yield method
+        # functools.partial(...) and other objects' methods: not resolved.
 
     def _check_body(
         self,

@@ -5,7 +5,9 @@ A native-order struct (``"HBB"``, ``"=I"``) packs the same bytes as
 host-independent but not the wire's order).  This pass requires an
 explicit ``>`` or ``!`` prefix on every literal format given to
 ``struct.Struct`` / ``pack`` / ``unpack`` / ``unpack_from`` /
-``pack_into`` / ``iter_unpack`` / ``calcsize``.
+``pack_into`` / ``iter_unpack`` / ``calcsize``, and on the literal
+template of a computed one: the left operand of ``"%dI" % n`` and the
+leading literal of ``f"{n}I"`` (a computed lead is no explicit order).
 
 What only it catches: a round trip packs and unpacks with one struct,
 so it passes in either order.  The recorded wire goldens still see a
@@ -48,8 +50,14 @@ def _literal_format(node: ast.Call) -> str | None:
     if not is_struct or not node.args:
         return None
     fmt = node.args[0]
+    if isinstance(fmt, ast.BinOp) and isinstance(fmt.op, ast.Mod):
+        fmt = fmt.left  # ">%dI" % n: the template names the byte order
     if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
         return fmt.value
+    if isinstance(fmt, ast.JoinedStr):  # f">{n}I" reads ">{}I"
+        return "".join(
+            part.value if isinstance(part, ast.Constant) else "{}" for part in fmt.values
+        )
     return None
 
 

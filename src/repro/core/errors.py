@@ -21,7 +21,6 @@ __all__ = [
     "ErasureError",
     "AnalysisError",
     "ObsError",
-    "SimSanError",
     "EndpointError",
     "BudgetExceededError",
     "InconsistentOverlapError",
@@ -89,12 +88,6 @@ class AnalysisError(ReproError):
 class ObsError(ReproError):
     """An observability installation is invalid (e.g. attaching a flight
     recorder while no journey tracker is installed)."""
-
-
-class SimSanError(ReproError):
-    """The runtime sanitizer detected mutation-after-schedule aliasing:
-    a buffer captured by a scheduled callback changed between schedule
-    time and dispatch time (see :mod:`repro.analysis.simsan`)."""
 
 
 class EndpointError(ReproError):

@@ -15,8 +15,8 @@ reclamation (close or idle eviction) frees them.
 The pool is the one thing every shard shares, and
 :meth:`GlobalBudgetPool.lend` / :meth:`GlobalBudgetPool.reclaim`, called
 by a shard's own budget, are the only way per-shard code changes it
-(``repro.analysis.simsan``'s shard watch fails a run whose books stop
-balancing).  Fair-share refusal stays a per-shard decision (each shard
+(the sharded tests assert after each run that the pool's books balance
+against the shard budgets).  Fair-share refusal stays a per-shard decision (each shard
 caps a connection at its share of the endpoint pool), and the refusal
 check runs before any borrowing, so a refused reservation never moves a
 block.  Block granularity keeps the cross-shard channel cold: one lend

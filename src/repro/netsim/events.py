@@ -9,32 +9,18 @@ add_member`; :class:`repro.netsim.shardloop.ShardedLoop` is the
 composer): heap entries are keyed ``(time, member, seq)``, so the
 dispatch loop in :meth:`EventLoop.run` is the only one there is, and a
 lone loop is simply the one-member case.
-
-The loop exposes a narrow observer seam (:class:`ScheduleObserver`,
-:func:`set_schedule_observer`) used by the opt-in runtime sanitizer
-:mod:`repro.analysis.simsan`: each schedule and each dispatch is
-reported with the event's ``(time, seq)`` identity so the sanitizer can
-fingerprint payload buffers and watch shard boundaries.  The seam is
-a plain module-level hook — this module never imports the analysis
-layer (the layering pass enforces that direction), and with no observer
-installed the cost is one ``is None`` test per event.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Protocol
+from typing import Callable
 
 from repro.obs import Tallies
 from repro.obs import runtime as obs_runtime
 
-__all__ = [
-    "EventLoop",
-    "ScheduleObserver",
-    "set_schedule_observer",
-    "get_schedule_observer",
-]
+__all__ = ["EventLoop"]
 
 #: Read off the shared timeline: a run's growth of the clock is the
 #: simulated time it advanced.
@@ -42,33 +28,6 @@ _TALLIES = Tallies({
     "dispatched": ("netsim", "loop.events_processed", "event-loop callbacks run"),
     "now": ("netsim", "loop.sim_time_total", "simulated seconds advanced across run() calls"),
 })
-
-
-class ScheduleObserver(Protocol):
-    """Observer seam for :mod:`repro.analysis.simsan`."""
-
-    def on_schedule(
-        self, loop: "EventLoop", time: float, seq: int, callback: Callable[[], None]
-    ) -> None:
-        """Called when *callback* is enqueued for *time*."""
-
-    def on_dispatch(
-        self, loop: "EventLoop", time: float, seq: int, callback: Callable[[], None]
-    ) -> None:
-        """Called immediately before *callback* runs."""
-
-
-_observer: ScheduleObserver | None = None
-
-
-def set_schedule_observer(observer: ScheduleObserver | None) -> None:
-    """Install (or, with ``None``, remove) the global schedule observer."""
-    global _observer
-    _observer = observer
-
-
-def get_schedule_observer() -> ScheduleObserver | None:
-    return _observer
 
 
 class _Timeline:
@@ -126,10 +85,7 @@ class EventLoop:
         timeline = self._timeline
         if time < timeline.now:
             raise ValueError(f"cannot schedule at {time} < now {timeline.now}")
-        seq = next(self._counter)
-        if _observer is not None:
-            _observer.on_schedule(self, time, seq, callback)
-        heapq.heappush(timeline.queue, (time, self._member, seq, callback, self))
+        heapq.heappush(timeline.queue, (time, self._member, next(self._counter), callback, self))
 
     def run(self, until: float | None = None) -> float:
         """Process events (optionally only up to time *until*).
@@ -141,7 +97,7 @@ class EventLoop:
         before = _TALLIES.read(timeline) if obs_runtime._registry is not None else None
         try:
             while queue:
-                time, _, seq, callback, owner = queue[0]
+                time, _, _, callback, owner = queue[0]
                 if until is not None and time > until:
                     timeline.now = until
                     break
@@ -149,8 +105,6 @@ class EventLoop:
                 timeline.now = time
                 owner._processed += 1
                 timeline.dispatched += 1
-                if _observer is not None:
-                    _observer.on_dispatch(owner, time, seq, callback)
                 callback()
             return timeline.now
         finally:

@@ -14,9 +14,8 @@ none is installed: :func:`flight_dump` is one global load and a
 
 Dumps are written when something *fails*: the adversarial invariant
 harness (:func:`repro.app.adversarial.check_invariants`) dumps before
-re-raising, the event-loop sanitizer dumps before raising
-:class:`~repro.core.errors.SimSanError`, and the multiplexed endpoint
-dumps when it evicts a conversation for stall.  Each dump is a
+re-raising, and the multiplexed endpoint dumps when it evicts a
+conversation for stall.  Each dump is a
 deterministic JSONL artifact — simulated timestamps only, sorted keys,
 sequence-numbered filenames — so two same-seed runs produce
 byte-identical black boxes.
@@ -216,9 +215,9 @@ def active_flight() -> FlightRecorder | None:
 def flight_dump(trigger: str, tag: str = "") -> Path | None:
     """Dump the active flight recorder's black box; no-op uninstalled.
 
-    This is the seam failure sites call — the invariant harness, the
-    simsan raise, the endpoint's stall eviction — so a run that was not
-    being recorded pays a single ``None`` check.
+    This is the seam failure sites call — the invariant harness and the
+    endpoint's stall eviction — so a run that was not being recorded
+    pays a single ``None`` check.
     """
     if _recorder is None:
         return None

@@ -83,8 +83,7 @@ class EndpointShard:
     Deliberately method-free — every behaviour lives on the wrapped
     :class:`ChunkEndpoint` (per-shard state, changed only by events on
     the shard's member loop) or on the owning :class:`ShardedEndpoint`
-    (the composition, on member 0); ``SimSanitizer.watch`` holds that
-    boundary at run time.
+    (the composition, on member 0).
     """
 
     index: int

@@ -2,7 +2,7 @@
 
 import struct
 
-__all__ = ["decode_envelope", "encode_envelope", "read_trailer", "read_word"]
+__all__ = ["decode_envelope", "encode_envelope", "read_ids", "read_trailer", "read_word", "write_ids"]
 
 # TP: native byte order in a wire format.
 _ENVELOPE = struct.Struct("HBB")
@@ -27,3 +27,15 @@ def read_trailer(blob):
 def read_word(blob):
     # Near miss: '!' is network byte order too.
     return struct.unpack_from("!I", blob, 0)
+
+
+def read_ids(payload, count):
+    # TP: a computed format whose template lacks the byte order.
+    return struct.unpack("%dI" % count, payload)
+
+
+def write_ids(ids):
+    # TP: an f-string format whose leading literal is no byte order.
+    native = struct.pack(f"{len(ids)}I", *ids)
+    # Near misses: the same formats, network order in the template.
+    return native, struct.pack(">%dI" % len(ids), *ids), struct.pack(f">{len(ids)}I", *ids)

@@ -51,7 +51,7 @@ class TestModuleNaming:
 class TestWireWidth:
     def test_catches_native_byte_order(self):
         found = symbols(findings_for(WireWidthPass(), FIXTURES / "core" / "bad_wire.py"))
-        assert found == {"fmt:HBB:endian", "fmt:<I:endian"}
+        assert found == {"fmt:HBB:endian", "fmt:<I:endian", "fmt:%dI:endian", "fmt:{}I:endian"}
 
     def test_clean_module_passes(self):
         assert findings_for(WireWidthPass(), CLEAN) == []

@@ -143,15 +143,20 @@ class TestMutableSharing:
         assert symbols(findings) == {
             "shared-mutation:SHARED_LOG.append",
             "shared-rebind:EVENTS",
+            # one call below the callback: Link.send's lambda calls
+            # self._arrive, and self._tick is the callback itself.
+            "shared-mutation:ARRIVALS.append",
+            "shared-store:TICKS",
         }
 
     def test_per_call_closure_state_stays_silent(self):
         # schedule_ok mutates a per-call dict and the caller's own
-        # object; two findings total proves it never fires.
+        # object, Link._deliver its own instance; four findings total
+        # proves none of them fires.
         findings = project_findings(
             MutableSharingPass(), FIXTURES / "netsim" / "bad_sharing.py"
         )
-        assert len(findings) == 2
+        assert len(findings) == 4
 
     def test_subscript_store_on_module_state(self, tmp_path):
         path = tmp_path / "repro" / "netsim" / "store.py"

@@ -1,4 +1,4 @@
-"""Shared fixtures, hypothesis profiles, and the simsan hook.
+"""Shared fixtures, hypothesis profiles, and the flight-recorder hooks.
 
 Data builders live in :mod:`tests.helpers`; they are re-exported here
 so existing ``from tests.conftest import make_chunk`` imports keep
@@ -23,12 +23,6 @@ _NODE_SLUG = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def pytest_configure(config: pytest.Config) -> None:
-    from repro.analysis import simsan
-
-    if simsan.enabled_by_env():
-        simsan.install()
-        config._repro_simsan_installed = True  # type: ignore[attr-defined]
-
     # REPRO_FLIGHT_DIR=<dir> flies the whole suite under the provenance
     # tracker + flight recorder; failing tests dump their black box
     # there (CI uploads the directory as an artifact on failure).
@@ -54,10 +48,6 @@ def _dump_dir(flight_dir: str, item: pytest.Item) -> Path:
 
 
 def pytest_unconfigure(config: pytest.Config) -> None:
-    if getattr(config, "_repro_simsan_installed", False):
-        from repro.analysis import simsan
-
-        simsan.uninstall()
     if getattr(config, "_repro_flight_dir", None):
         import repro.obs as obs
 

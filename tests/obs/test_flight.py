@@ -109,12 +109,12 @@ class TestFlightRecorder:
         with journey_session() as tracker:
             with flight_session(dump_dir=tmp_path) as recorder:
                 _emit_some(tracker, 1, 1)
-                first = recorder.dump("simsan", "weird/label: spaces!")
-                second = recorder.dump("simsan")
-                assert first.name.startswith("flight-000-simsan-")
+                first = recorder.dump("invariant", "weird/label: spaces!")
+                second = recorder.dump("invariant")
+                assert first.name.startswith("flight-000-invariant-")
                 assert "/" not in first.name[7:]
                 assert ":" not in first.name
-                assert second.name == "flight-001-simsan.jsonl"
+                assert second.name == "flight-001-invariant.jsonl"
                 assert recorder.dumps == [first, second]
 
     def test_dump_without_directory_returns_none(self, bare_obs):

@@ -38,7 +38,6 @@ from bench_e2e import workloads
 from repro.core import codec
 from repro.core import packet as packet_mod
 from repro.core.types import ChunkType
-from repro.netsim import events as netsim_events
 from repro.obs import (
     active_flight,
     active_journey,
@@ -114,8 +113,8 @@ def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
 
 def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
     """(calls into ``repro``, chunks the codec decoded) over one smoke-scale
-    pass of workload *name*, with nothing installed: no journey tracker,
-    flight recorder or event-loop observer (``REPRO_SIMSAN=1``)."""
+    pass of workload *name*, with nothing installed: no journey tracker
+    or flight recorder."""
     decode = codec._decode.__code__
     counts = {"calls": 0, "decoded": 0}
 
@@ -127,10 +126,8 @@ def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
 
     assert active_registry() is None
     tracker, recorder = active_journey(), active_flight()
-    observer = netsim_events.get_schedule_observer()
     uninstall_journey()
     uninstall_flight()
-    netsim_events.set_schedule_observer(None)
     try:
         workload = workloads.WORKLOADS[name]
         workload.run(workload.build(SEED, SMOKE_SCALE))  # warm-up
@@ -141,7 +138,6 @@ def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
         finally:
             sys.setprofile(None)
     finally:
-        netsim_events.set_schedule_observer(observer)
         if tracker is not None:
             install_journey(tracker)
         if recorder is not None:
