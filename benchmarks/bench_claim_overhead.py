@@ -19,21 +19,23 @@ from _common import make_bytes, print_table, register_bench
 from repro.paper.ipfrag import IP_HEADER_BYTES, fragment_datagram
 from repro.paper.xtp import packetize
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.compress import HeaderCompressor, implicit_tpdu_ids
+from repro.paper.compress import CompressionProfile, HeaderCompressor, implicit_tpdu_ids
 from repro.core.packet import pack_chunks
 from repro.core.types import PACKET_HEADER_BYTES, ChunkType
-from repro.transport.connection import ConnectionConfig
 from repro.wsc.invariant import encode_tpdu
 
 OBJECT_BYTES = 64 * 1024   # the Cray TCP segment size of [BORM 89]
 TPDU_UNITS = 4096          # 16 KiB TPDUs
 MTUS = (9180, 1500, 576, 296)
+#: SIZE and C.ID by signaling, T.ID implicit (Figure 7); SNs stay explicit.
+PROFILE = CompressionProfile(
+    size_by_type={ChunkType.DATA: 1, ChunkType.ERROR_DETECTION: 1, ChunkType.SIGNALING: 1},
+    connection_id=5,
+    implicit_t_id=True,
+)
 
 
 def chunk_traffic():
-    config = ConnectionConfig(
-        connection_id=5, tpdu_units=TPDU_UNITS, implicit_t_id=True
-    )
     builder = ChunkStreamBuilder(
         connection_id=5,
         tpdu_units=TPDU_UNITS,
@@ -46,7 +48,7 @@ def chunk_traffic():
         frame_chunks = builder.add_frame(payload[offset : offset + step], frame_id=frame_id)
         chunks += frame_chunks
         chunks.append(encode_tpdu([c for c in frame_chunks if c.t.ident == frame_chunks[0].t.ident])[1])
-    return config, chunks
+    return chunks
 
 
 def wire_bytes_ip(mtu: int) -> int:
@@ -65,17 +67,16 @@ def wire_bytes_xtp(mtu: int) -> int:
 
 
 def wire_bytes_chunks(mtu: int) -> int:
-    _, chunks = chunk_traffic()
+    chunks = chunk_traffic()
     return sum(p.wire_bytes for p in pack_chunks(chunks, mtu))
 
 
 def wire_bytes_chunks_compressed(mtu: int) -> int:
-    config, chunks = chunk_traffic()
-    profile = config.compression_profile()
+    chunks = chunk_traffic()
     total = 0
     # Compact headers; fragment first so every piece fits the MTU.
     for packet in pack_chunks(chunks, mtu):
-        compressor = HeaderCompressor(profile)
+        compressor = HeaderCompressor(PROFILE)
         body = sum(len(compressor.encode(c)) for c in packet.chunks)
         total += PACKET_HEADER_BYTES + body
     return total
@@ -128,7 +129,7 @@ def test_overhead_grows_as_mtu_shrinks():
 
 
 def test_chunk_packing_throughput(benchmark):
-    _, chunks = chunk_traffic()
+    chunks = chunk_traffic()
     packets = benchmark(pack_chunks, chunks, 576)
     assert packets
 

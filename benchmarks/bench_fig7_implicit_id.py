@@ -15,7 +15,7 @@ from __future__ import annotations
 from _common import make_bytes, print_table, register_bench, scaled
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.codec import encode_chunk
-from repro.core.compress import (
+from repro.paper.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,

@@ -4,7 +4,7 @@ High-Performance Protocol Processing and Its Consequences" (SIGCOMM '93).
 Subpackages on the transfer path, in layering order:
 
 - :mod:`repro.core` — chunks, fragmentation, reassembly, packets, wire
-  codec, virtual reassembly, the signalled compression profile;
+  codec, virtual reassembly;
 - :mod:`repro.wsc` — GF(2^32), the WSC-2 code, the fragmentation-
   invariant TPDU layout, and the end-to-end verification matrix;
 - :mod:`repro.netsim` — the discrete-event network substrate (links,
@@ -19,7 +19,7 @@ Subpackages on the transfer path, in layering order:
 Above them, :mod:`repro.paper` holds the figure models the paper
 measures chunks against: the reorder and reassemble receivers, NIC and
 ILP models, CRC and Internet checksums, Turner's drop policy, multipath
-skew, packet-scope compression, IP fragmentation, XTP, AAL, and XTEA
+skew, Appendix A header compression, IP fragmentation, XTP, AAL, and XTEA
 with its cipher modes.  No transfer imports it.  Beside the stack,
 :mod:`repro.obs` is the instrumentation and :mod:`repro.analysis` the
 lint passes and model checker.

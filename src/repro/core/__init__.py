@@ -2,21 +2,14 @@
 
 Self-describing chunks (Section 2), fragmentation (Appendix C),
 reassembly (Appendix D), packet envelopes, the binary wire format,
-stream framing (Figures 1-2), virtual reassembly (Section 3.3) and the
-signalled header compression profile (Appendix A).  The packet-scope
-compressor and its Huffman code are figure models in
-:mod:`repro.paper`.
+stream framing (Figures 1-2) and virtual reassembly (Section 3.3).
+Appendix A's header compression is a figure model in
+:mod:`repro.paper.compress`: no transfer runs it.
 """
 
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
 from repro.core.chunk import Chunk
 from repro.core.codec import decode_chunk, decode_chunks, encode_chunk, encode_chunks
-from repro.core.compress import (
-    CompressionProfile,
-    HeaderCompressor,
-    HeaderDecompressor,
-    implicit_tpdu_ids,
-)
 from repro.core.errors import (
     ChunkError,
     CodecError,
@@ -76,10 +69,6 @@ __all__ = [
     "VirtualReassembler",
     "PduState",
     "Arrival",
-    "CompressionProfile",
-    "HeaderCompressor",
-    "HeaderDecompressor",
-    "implicit_tpdu_ids",
     "WORD_BYTES",
     "HEADER_BYTES",
     "PACKET_HEADER_BYTES",

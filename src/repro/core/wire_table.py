@@ -133,7 +133,7 @@ SIGNALING_PAYLOAD = WireTable(
         WireField("C.ID", 0, 4, "I", "connection id being established"),
         WireField("UNIT_WORDS", 4, 2, "H", "SIZE for DATA chunks"),
         WireField("TPDU_UNITS", 6, 2, "H", "TPDU length in atomic units"),
-        WireField("SIG_FLAGS", 8, 2, "H", "bit0=implicit T.ID, bit1=regen SNs"),
+        WireField("SIG_FLAGS", 8, 2, "H", "zero on the wire (no transfer compresses headers)"),
         WireField("RESERVED0", 10, 1, "B", "zero on the wire"),
         WireField("RESERVED1", 11, 1, "B", "zero on the wire"),
     ),

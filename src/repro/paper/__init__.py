@@ -30,6 +30,9 @@ Networks (Section 1):
 
 Header compression (Appendix A):
 
+- :mod:`~repro.paper.compress` — the signalled, invertible header
+  transforms: SIZE and C.ID elision, implicit T.ID (Figure 7) and SN
+  regeneration;
 - :mod:`~repro.paper.packetcomp` / :mod:`~repro.paper.huffman` — the
   packet-scope compressor and its Huffman code.
 
@@ -52,6 +55,7 @@ Encryption (the SIZE field's 64-bit block):
 
 from repro.paper import (
     aal,
+    compress,
     crc,
     erasure,
     flagstream,
@@ -76,6 +80,7 @@ from repro.paper import (
 
 __all__ = [
     "aal",
+    "compress",
     "crc",
     "erasure",
     "flagstream",

@@ -28,6 +28,9 @@ header" — is stateless, so it lives in the fixed-field codec
 (:mod:`repro.core.codec`) and applies to every packet.
 
 All integers in the compact encoding are unsigned LEB128 varints.
+
+A figure model: FIG-7 and CLAIM-OVERHEAD measure it, and no transfer
+runs it — a transfer's chunks go on the wire in the fixed-field codec.
 """
 
 from __future__ import annotations

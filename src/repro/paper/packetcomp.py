@@ -22,7 +22,7 @@ they decompress, re-envelope, and recompress.
 from __future__ import annotations
 
 from repro.core.chunk import Chunk
-from repro.core.compress import (
+from repro.paper.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,

@@ -9,7 +9,9 @@ Appendix A moves seldom-changing header facts into signaling: "when a
 connection is formed, the value of the SIZE field of each chunk TYPE can
 be carried in the signaling message", and "the C.ST bit also could be
 sent as a signaling message".  :class:`ConnectionConfig` is that
-signaled state; it round-trips through a SIGNALING chunk.
+signaled state; it round-trips through a SIGNALING chunk.  The header
+transforms it would enable are a figure model (:mod:`repro.paper.compress`)
+no transfer runs, so the payload's flag word is zero on the wire.
 """
 
 from __future__ import annotations
@@ -18,18 +20,14 @@ import struct
 from dataclasses import dataclass
 
 from repro.core.chunk import Chunk
-from repro.core.compress import CompressionProfile
 from repro.core.errors import SignalingError
 from repro.core.types import WORD_BYTES, ChunkType
 from repro.core.wire_table import SIGNALING_PAYLOAD
 
 __all__ = ["ConnectionConfig", "build_signaling_chunk", "parse_signaling_chunk"]
 
-# conn id, unit words, tpdu units, flags, 2 reserved
+# conn id, unit words, tpdu units, flags (zero), 2 reserved
 _SIG = struct.Struct(SIGNALING_PAYLOAD.struct_format)
-_SIG_MAGIC_FLAGS_IMPLICIT_TID = 0x0001
-_SIG_MAGIC_FLAGS_REGEN_SNS = 0x0002
-_SIG_KNOWN_FLAGS = _SIG_MAGIC_FLAGS_IMPLICIT_TID | _SIG_MAGIC_FLAGS_REGEN_SNS
 # Whole words, so the chunk needs no padding (control LEN counts words).
 assert _SIG.size % WORD_BYTES == 0
 _SIG_WORDS = _SIG.size // WORD_BYTES
@@ -46,28 +44,11 @@ class ConnectionConfig:
             when payloads are 64-bit cipher blocks.
         tpdu_units: TPDU length in atomic units (the error-control
             framing granularity).
-        implicit_t_id / regenerate_sns: header-compression options both
-            ends agree to (Appendix A).
     """
 
     connection_id: int
     unit_words: int = 1
     tpdu_units: int = 256
-    implicit_t_id: bool = False
-    regenerate_sns: bool = False
-
-    def compression_profile(self) -> CompressionProfile:
-        """The equivalent Appendix A compression profile."""
-        return CompressionProfile(
-            size_by_type={
-                ChunkType.DATA: self.unit_words,
-                ChunkType.ERROR_DETECTION: 1,
-                ChunkType.SIGNALING: 1,
-            },
-            connection_id=self.connection_id,
-            implicit_t_id=self.implicit_t_id,
-            regenerate_sns=self.regenerate_sns,
-        )
 
     @property
     def unit_bytes(self) -> int:
@@ -84,13 +65,7 @@ def build_signaling_chunk(config: ConnectionConfig) -> Chunk:
     One pack, which holds every field to its width (an out-of-range C.ID
     raises ``struct.error``), and one unvalidated record around it."""
     payload = _SIG.pack(
-        config.connection_id,
-        config.unit_words,
-        min(config.tpdu_units, 0xFFFF),
-        (_SIG_MAGIC_FLAGS_IMPLICIT_TID if config.implicit_t_id else 0)
-        | (_SIG_MAGIC_FLAGS_REGEN_SNS if config.regenerate_sns else 0),
-        0,
-        0,
+        config.connection_id, config.unit_words, min(config.tpdu_units, 0xFFFF), 0, 0, 0
     )
     return Chunk._make(
         _SIGNALING, 1, _SIG_WORDS, config.connection_id, 0, False, 0, 0, False, 0, 0, False,
@@ -101,30 +76,29 @@ def build_signaling_chunk(config: ConnectionConfig) -> Chunk:
 def parse_signaling_chunk(chunk: Chunk) -> ConnectionConfig:
     """Recover the signaled parameters from an establishment chunk.
 
-    Strict by design: reserved bytes must be zero and no unknown flag
-    bits may be set.  A corrupted establishment must fail loudly here —
-    silently accepting it would install wrong per-connection SIZE/TPDU
-    parameters and mis-place every subsequent chunk of the conversation.
+    Strict by design: the payload is exactly one signaling record whose
+    C.ID is the header's, with the flag word and reserved bytes zero.  A
+    corrupted establishment must fail loudly here — silently accepting it
+    would install wrong per-connection SIZE/TPDU parameters, or key the
+    conversation under a C.ID its chunks do not carry.
     """
     if chunk.type is not _SIGNALING:
         raise SignalingError(f"not a signaling chunk: TYPE={chunk.type.name}")
-    if len(chunk.payload) < _SIG.size:
-        raise SignalingError("signaling payload too short")
-    conn_id, unit_words, tpdu_units, flags, reserved1, reserved2 = _SIG.unpack_from(
-        chunk.payload, 0
-    )
+    if len(chunk.payload) != _SIG.size:
+        raise SignalingError(
+            f"signaling payload too {'short' if len(chunk.payload) < _SIG.size else 'long'}"
+            f" ({len(chunk.payload)} bytes, not {_SIG.size})"
+        )
+    conn_id, unit_words, tpdu_units, flags, reserved1, reserved2 = _SIG.unpack(chunk.payload)
+    if conn_id != chunk.c_id:
+        raise SignalingError(
+            f"signaling payload C.ID {conn_id} differs from its header's {chunk.c_id}"
+        )
     if reserved1 or reserved2:
         raise SignalingError(
             f"nonzero reserved signaling bytes ({reserved1:#04x}, {reserved2:#04x})"
         )
-    if flags & ~_SIG_KNOWN_FLAGS:
-        raise SignalingError(
-            f"unknown signaling flag bits {flags & ~_SIG_KNOWN_FLAGS:#06x}"
-        )
-    return ConnectionConfig(  # positionally: the payload's order, and ~0.3 µs less
-        conn_id,
-        unit_words,
-        tpdu_units,
-        bool(flags & _SIG_MAGIC_FLAGS_IMPLICIT_TID),
-        bool(flags & _SIG_MAGIC_FLAGS_REGEN_SNS),
-    )
+    if flags:
+        raise SignalingError(f"nonzero signaling flag bits {flags:#06x}")
+    # positionally: the payload's order, and ~0.3 µs less
+    return ConnectionConfig(conn_id, unit_words, tpdu_units)

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
-from repro.core.compress import implicit_tpdu_ids
 from repro.core.errors import ChunkError
 from repro.core.fragment import split
 from repro.obs import Tallies
@@ -101,24 +100,13 @@ class ChunkTransportSender:
     def __post_init__(self) -> None:
         config = self.config
         self._builder = ChunkStreamBuilder(
-            config.connection_id,
-            config.tpdu_units,
-            config.unit_words,
-            tpdu_ids=implicit_tpdu_ids(0, config.tpdu_units) if config.implicit_t_id else None,
+            config.connection_id, config.tpdu_units, config.unit_words
         )
 
     # ------------------------------------------------------------------
 
     def set_tpdu_units(self, units: int) -> None:
-        """Resize TPDUs from the next TPDU boundary (Section 3).
-
-        Incompatible with ``implicit_t_id`` (the Figure 7 allocation
-        assumes a fixed stride).
-        """
-        if self.config.implicit_t_id:
-            raise ChunkError(
-                "implicit T.ID allocation requires a fixed TPDU size"
-            )
+        """Resize TPDUs from the next TPDU boundary (Section 3)."""
         self._builder.set_tpdu_units(units)
 
     @property

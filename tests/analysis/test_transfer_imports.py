@@ -20,7 +20,7 @@ REPO = Path(__file__).parents[2]
 
 #: ``repro`` modules ``import bench_e2e.workloads`` loads (the package
 #: roots included).
-TRANSFER_MODULES = 51
+TRANSFER_MODULES = 50
 
 _PROBE = (
     "import json, sys; import bench_e2e.workloads; "

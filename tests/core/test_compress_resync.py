@@ -7,7 +7,7 @@ to the receiver occasionally, such as at the beginning of each PDU."
 from __future__ import annotations
 
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.compress import (
+from repro.paper.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,

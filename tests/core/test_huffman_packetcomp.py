@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.codec import encode_chunk
-from repro.core.compress import CompressionProfile
+from repro.paper.compress import CompressionProfile
 from repro.core.errors import CodecError
 from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import pack_chunks

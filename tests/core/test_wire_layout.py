@@ -38,6 +38,7 @@ from repro.core.codec import (
     encode_packet_header,
 )
 from repro.core.errors import CodecError, SignalingError
+from repro.core.tuples import FramingTuple
 from repro.core.types import ChunkType
 from repro.core.wire_table import (
     CHUNK_HEADER,
@@ -120,8 +121,8 @@ REGIONS = [
         SIGNALING_PAYLOAD,
         encode_signaling,
         fields={"C.ID": "connection_id", "UNIT_WORDS": "unit_words", "TPDU_UNITS": "tpdu_units"},
-        flag_row="SIG_FLAGS",
-        flags={"implicit T.ID": "implicit_t_id", "regen SNs": "regenerate_sns"},
+        flag_row="",
+        flags={},
     ),
 ]
 
@@ -206,7 +207,7 @@ def test_bytes_no_field_reaches_are_the_flag_reserved_and_constant_rows(region):
     }
     zero = region.encode()
     for row in other_rows:
-        if row.name.startswith("RESERVED"):
+        if row.notes.startswith("zero on the wire"):
             assert zero[row.offset:row.offset + row.width] == bytes(row.width)
 
 
@@ -265,18 +266,20 @@ def test_signaling_payload_decodes_one_field_to_one_config_field():
     region = REGIONS[2]
     base = build_signaling_chunk(ConnectionConfig(connection_id=0, unit_words=0, tpdu_units=0))
     reference = parse_signaling_chunk(base)
-    names = ("connection_id", "unit_words", "tpdu_units", "implicit_t_id", "regenerate_sns")
+    names = ("connection_id", "unit_words", "tpdu_units")
+    c_id = region.row("C.ID")
 
     def parse(wire: bytes) -> ConnectionConfig:
-        return parse_signaling_chunk(base.replace(payload=wire))
+        """*wire* as the payload of a SIG chunk whose header names its C.ID."""
+        header_c_id = int.from_bytes(wire[c_id.offset:c_id.offset + c_id.width], "big")
+        return parse_signaling_chunk(
+            base.replace(payload=wire, c=FramingTuple(header_c_id, 0, False))
+        )
 
     for name, attr in region.fields.items():
         config = parse(all_ones_in(base.payload, region.row(name)))
         assert changed_fields(reference, config, names) == {attr: all_ones(region.row(name))}
-    for name, (byte, mask) in documented_bits(region.row(region.flag_row)).items():
-        config = parse(bit_in(base.payload, byte, mask))
-        assert changed_fields(reference, config, names) == {region.flags[name]: True}, name
     for row in region.table.fields:
-        if row.name.startswith("RESERVED"):
+        if row.notes.startswith("zero on the wire"):
             with pytest.raises(SignalingError):
                 parse(all_ones_in(base.payload, row))

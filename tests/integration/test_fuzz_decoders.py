@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.codec import decode_chunks, encode_chunk, encode_packet_header
-from repro.core.compress import CompressionProfile, HeaderCompressor, HeaderDecompressor
+from repro.paper.compress import CompressionProfile, HeaderCompressor, HeaderDecompressor
 from repro.core.errors import CodecError, ReproError
 from repro.core.packet import Packet, pack_chunks
 from repro.core.types import ChunkType

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.compress import (
+from repro.paper.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,

@@ -246,10 +246,9 @@ def test_build_ed_chunk_makes_constructible_records(c_id, t_id, p0, p1, total_un
 
 def _signaling_by_the_constructor(config: ConnectionConfig) -> Chunk:
     """The SIG chunk as the validating constructor makes it, fields as signaled."""
-    flags = (1 if config.implicit_t_id else 0) | (2 if config.regenerate_sns else 0)
     payload = struct.pack(
         SIGNALING_PAYLOAD.struct_format, config.connection_id, config.unit_words,
-        min(config.tpdu_units, 0xFFFF), flags, 0, 0,
+        min(config.tpdu_units, 0xFFFF), 0, 0, 0,
     )
     return Chunk(
         type=ChunkType.SIGNALING, size=1, length=len(payload) // 4,
@@ -258,18 +257,20 @@ def _signaling_by_the_constructor(config: ConnectionConfig) -> Chunk:
     )
 
 
-@pytest.mark.parametrize("regenerate_sns", [False, True])
-@pytest.mark.parametrize("implicit_t_id", [False, True])
+@pytest.mark.parametrize("tpdu_past_field", [False, True])
+@pytest.mark.parametrize("cipher_units", [False, True])
 @pytest.mark.parametrize("c_id", [0, 7, ID_LIMIT - 1])
-def test_the_signaling_chunk_is_the_validating_constructors(c_id, implicit_t_id, regenerate_sns):
+def test_the_signaling_chunk_is_the_validating_constructors(c_id, cipher_units, tpdu_past_field):
     config = ConnectionConfig(
-        connection_id=c_id, unit_words=2, tpdu_units=300,
-        implicit_t_id=implicit_t_id, regenerate_sns=regenerate_sns,
+        connection_id=c_id, unit_words=2 if cipher_units else 1,
+        tpdu_units=0x10000 + 300 if tpdu_past_field else 300,
     )
     chunk = build_signaling_chunk(config)
     assert chunk == _signaling_by_the_constructor(config)
     assert_constructible(chunk)
-    assert parse_signaling_chunk(chunk) == config
+    # a TPDU length past its 16-bit field is signaled at the field's maximum
+    signaled = dataclasses.replace(config, tpdu_units=min(config.tpdu_units, 0xFFFF))
+    assert parse_signaling_chunk(chunk) == signaled
 
 
 @pytest.mark.parametrize("c_id", [-1, ID_LIMIT])

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.codec import decode_chunks, encode_chunks
-from repro.core.compress import (
+from repro.paper.compress import (
     CompressionProfile,
     HeaderCompressor,
     HeaderDecompressor,

@@ -21,7 +21,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
-from repro.core.compress import implicit_tpdu_ids
+from repro.paper.compress import implicit_tpdu_ids
 from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES
 from tests.conftest import make_payload

@@ -1,9 +1,11 @@
-"""Strict establishment parsing: reserved bytes and unknown flag bits.
+"""Strict establishment parsing: reserved bytes, flag bits, length, C.ID.
 
 A corrupted establishment chunk would install wrong per-connection
 SIZE/TPDU parameters and mis-place every subsequent chunk of the
 conversation, so :func:`parse_signaling_chunk` must fail loudly on any
-payload it does not fully understand.
+payload it does not fully understand: one whose flag word or reserved
+bytes are not zero, one that is not exactly one signaling record, and
+one whose C.ID is not the chunk header's.
 """
 
 from __future__ import annotations
@@ -52,10 +54,7 @@ def raw_signaling(
 
 
 def test_well_formed_signaling_parses():
-    config = ConnectionConfig(
-        connection_id=77, unit_words=2, tpdu_units=128,
-        implicit_t_id=True, regenerate_sns=True,
-    )
+    config = ConnectionConfig(connection_id=77, unit_words=2, tpdu_units=128)
     assert parse_signaling_chunk(build_signaling_chunk(config)) == config
 
 
@@ -66,22 +65,52 @@ def test_nonzero_reserved_bytes_rejected(reserved):
         parse_signaling_chunk(chunk)
 
 
-@pytest.mark.parametrize("flags", [0x0004, 0x8000, 0x0007, 0xFFFC])
+@pytest.mark.parametrize("flags", [0x0001, 0x0002, 0x0003, 0x0004, 0x8000, 0x0007, 0xFFFC])
 def test_unknown_flag_bits_rejected(flags):
     chunk = raw_signaling(flags=flags)
     with pytest.raises(SignalingError, match="flag"):
         parse_signaling_chunk(chunk)
 
 
-def test_known_flags_still_accepted():
-    config = parse_signaling_chunk(raw_signaling(flags=0x0003))
-    assert config.implicit_t_id and config.regenerate_sns
-
-
 def test_short_payload_rejected():
     chunk = signaling_chunk_with_payload(b"\x00\x00\x00\x00")
     with pytest.raises(SignalingError, match="short"):
         parse_signaling_chunk(chunk)
+
+
+def test_long_payload_rejected():
+    chunk = signaling_chunk_with_payload(raw_signaling().payload + bytes(4))
+    with pytest.raises(SignalingError, match="long"):
+        parse_signaling_chunk(chunk)
+
+
+def test_payload_c_id_that_is_not_the_headers_rejected():
+    chunk = signaling_chunk_with_payload(raw_signaling(connection_id=5).payload, 9)
+    with pytest.raises(SignalingError, match="C.ID 5 differs from its header's 9"):
+        parse_signaling_chunk(chunk)
+
+
+@pytest.mark.parametrize("established", [False, True], ids=["fresh", "payload-c-id-established"])
+def test_an_endpoint_refuses_a_signaling_chunk_whose_c_ids_disagree(established):
+    """Header C.ID 9, payload C.ID 5: nothing is established, registered or
+    raised, the chunk is counted as unknown, and a sweep leaves one budget
+    token per table entry."""
+    from repro.core.packet import Packet
+    from repro.netsim.events import EventLoop
+    from repro.transport.endpoint import ChunkEndpoint
+
+    endpoint = ChunkEndpoint(EventLoop())
+    if established:
+        endpoint.receive_chunks([build_signaling_chunk(ConnectionConfig(connection_id=5))])
+    table, registered = dict(endpoint.table.connections), endpoint.budget.registered
+    mismatched = signaling_chunk_with_payload(raw_signaling(connection_id=5).payload, 9)
+    events = endpoint.receive_packet(Packet(chunks=[mismatched]).encode())
+    assert events.established == [] and events.refused_chunks == 1
+    assert endpoint.refused_unknown == 1
+    assert endpoint.table.connections == table
+    assert endpoint.budget.registered == registered == len(table)
+    endpoint.sweep(now=10.0)
+    assert endpoint.budget.registered == len(endpoint.table)
 
 
 def test_wrong_type_rejected():

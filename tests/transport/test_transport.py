@@ -20,10 +20,7 @@ from tests.conftest import make_payload
 
 class TestConnectionConfig:
     def test_signaling_roundtrip(self):
-        config = ConnectionConfig(
-            connection_id=77, unit_words=2, tpdu_units=128,
-            implicit_t_id=True, regenerate_sns=True,
-        )
+        config = ConnectionConfig(connection_id=77, unit_words=2, tpdu_units=128)
         chunk = build_signaling_chunk(config)
         assert chunk.type is ChunkType.SIGNALING
         assert parse_signaling_chunk(chunk) == config
@@ -38,13 +35,6 @@ class TestConnectionConfig:
 
         with pytest.raises(SignalingError):
             parse_signaling_chunk(make_chunk())
-
-    def test_compression_profile_matches(self):
-        config = ConnectionConfig(connection_id=5, unit_words=2, implicit_t_id=True)
-        profile = config.compression_profile()
-        assert profile.connection_id == 5
-        assert profile.size_by_type[ChunkType.DATA] == 2
-        assert profile.implicit_t_id
 
     def test_byte_accounting(self):
         config = ConnectionConfig(connection_id=1, unit_words=2, tpdu_units=10)
@@ -130,12 +120,6 @@ class TestSender:
         assert sender.outstanding_tpdus() == [0]
         chunks = sender.send_frame(make_payload(4))
         assert chunks[-1].type is ChunkType.ERROR_DETECTION  # TPDU 0 closed at 8
-
-    def test_implicit_tid_allocation(self):
-        sender = self._sender(tpdu_units=8, implicit_t_id=True)
-        chunks = [c for c in sender.send_frame(make_payload(20)) if c.is_data]
-        for chunk in chunks:
-            assert chunk.t.ident == chunk.c.sn - chunk.t.sn
 
 
 class TestReceiver:
