@@ -16,7 +16,7 @@ quantify each so downstream users know what they cost:
 
 from __future__ import annotations
 
-from _common import make_bytes, make_chunk, print_table, register_bench, scaled
+from _common import make_bytes, print_table, register_bench, scaled
 from repro.core.fragment import fragment_for_mtu
 from repro.core.packet import pack_chunks
 from repro.core.types import PACKET_HEADER_BYTES

@@ -23,7 +23,7 @@ import random
 
 from _common import make_bytes, print_table, register_bench, scaled
 from repro.paper.aal import Aal5Reassembler, aal5_segment
-from repro.paper.framing_info import FIELDS, PROTOCOLS, Presence, matrix_rows
+from repro.paper.framing_info import FIELDS, PROTOCOLS, matrix_rows
 from repro.paper.ipfrag import fragment_datagram
 from repro.core.fragment import split_to_unit_limit
 from repro.core.reassemble import coalesce

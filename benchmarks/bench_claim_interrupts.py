@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from _common import make_bytes, print_table, register_bench
 from repro.core.builder import ChunkStreamBuilder
-from repro.core.packet import Packet, pack_chunks
+from repro.core.packet import pack_chunks
 from repro.paper.interrupts import PerPacketNic, PerPduNic
 from repro.netsim.events import EventLoop
 from repro.paper.multipath import aurora_stripe

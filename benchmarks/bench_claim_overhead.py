@@ -16,7 +16,7 @@ IP < compressed chunks < plain chunks < XTP on small MTUs.
 from __future__ import annotations
 
 from _common import make_bytes, print_table, register_bench
-from repro.paper.ipfrag import IP_HEADER_BYTES, fragment_datagram
+from repro.paper.ipfrag import fragment_datagram
 from repro.paper.xtp import packetize
 from repro.core.builder import ChunkStreamBuilder
 from repro.paper.compress import CompressionProfile, HeaderCompressor, implicit_tpdu_ids
@@ -36,16 +36,14 @@ PROFILE = CompressionProfile(
 
 
 def chunk_traffic():
-    builder = ChunkStreamBuilder(
-        connection_id=5,
-        tpdu_units=TPDU_UNITS,
-        tpdu_ids=implicit_tpdu_ids(0, TPDU_UNITS),
-    )
+    builder = ChunkStreamBuilder(connection_id=5, tpdu_units=TPDU_UNITS)
     payload = make_bytes(OBJECT_BYTES, seed=1)
     chunks = []
     step = TPDU_UNITS * 4
     for frame_id, offset in enumerate(range(0, OBJECT_BYTES, step)):
-        frame_chunks = builder.add_frame(payload[offset : offset + step], frame_id=frame_id)
+        frame_chunks = implicit_tpdu_ids(
+            builder.add_frame(payload[offset : offset + step], frame_id=frame_id)
+        )
         chunks += frame_chunks
         chunks.append(encode_tpdu([c for c in frame_chunks if c.t.ident == frame_chunks[0].t.ident])[1])
     return chunks

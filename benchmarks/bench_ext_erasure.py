@@ -19,7 +19,7 @@ import random
 from _common import make_bytes, print_table, register_bench
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.fragment import split_to_unit_limit
-from repro.paper.erasure import ErasureError, recover_erasures, repair_missing_word
+from repro.paper.erasure import recover_erasures, repair_missing_word
 from repro.wsc.invariant import TpduInvariant, encode_tpdu
 from repro.wsc.wsc2 import Wsc2Accumulator, wsc2_encode
 

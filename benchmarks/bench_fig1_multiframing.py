@@ -10,8 +10,6 @@ drawn, plus benchmark the framer's throughput.
 
 from __future__ import annotations
 
-import pytest
-
 from _common import build_stream, make_bytes, print_table, register_bench, scaled
 from repro.core.builder import ChunkStreamBuilder
 

@@ -18,7 +18,6 @@ import pytest
 
 from _common import build_stream, make_bytes, print_table, register_bench
 from repro.core.packet import (
-    Packet,
     pack_chunks,
     repack,
     repack_one_per_packet,

@@ -25,15 +25,11 @@ from repro.core.types import ChunkType
 
 
 def stream_with_implicit_ids(frames=16, frame_units=24, tpdu_units=32):
-    builder = ChunkStreamBuilder(
-        connection_id=42,
-        tpdu_units=tpdu_units,
-        tpdu_ids=implicit_tpdu_ids(0, tpdu_units),
-    )
+    builder = ChunkStreamBuilder(connection_id=42, tpdu_units=tpdu_units)
     chunks = []
     for i in range(frames):
         chunks += builder.add_frame(make_bytes(frame_units * 4, seed=i), frame_id=i)
-    return chunks
+    return implicit_tpdu_ids(chunks)
 
 
 PROFILES = [

@@ -41,7 +41,7 @@ def main() -> None:
 
     # Pack into 576-byte packets and shuffle them violently.
     packets = pack_chunks(chunks, mtu=576)
-    random.shuffle(packets)
+    random.Random(1993).shuffle(packets)
     print(f"sending {len(packets)} packets, shuffled")
 
     # Receiver side: immediate processing, in arrival order.

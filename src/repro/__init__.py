@@ -22,7 +22,7 @@ ILP models, CRC and Internet checksums, Turner's drop policy, multipath
 skew, Appendix A header compression, IP fragmentation, XTP, AAL, and XTEA
 with its cipher modes.  No transfer imports it.  Beside the stack,
 :mod:`repro.obs` is the instrumentation and :mod:`repro.analysis` the
-lint passes and model checker.
+lifecycle checker.
 
 Quickstart::
 

@@ -24,7 +24,7 @@ keeps that per-unit labelling as the reference and checks them equal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, NoReturn
 
 from repro.core.chunk import Chunk
 from repro.core.errors import ChunkError
@@ -138,13 +138,11 @@ class ChunkStreamBuilder:
     tpdu_units: int
     unit_words: int = 1
     start_c_sn: int = 0
-    #: T.IDs to draw; ``None`` counts up from 0 (a plain integer each, so
-    #: a builder that is never given a sequence makes none).  X.IDs count
-    #: up from 0 unless :meth:`add_frame` is handed a ``frame_id``.
-    tpdu_ids: Iterator[int] | None = None
 
     _c_sn: int = field(init=False)
-    _t_id: int = field(init=False)
+    #: T.IDs count up from 0; X.IDs too, unless :meth:`add_frame` is
+    #: handed a ``frame_id``.
+    _t_id: int = field(init=False, default=0)
     _next_x_id: int = field(init=False, default=0)
     _t_sn: int = field(init=False, default=0)
     _current_tpdu_units: int = field(init=False)
@@ -162,9 +160,6 @@ class ChunkStreamBuilder:
         if not 0 <= self.start_c_sn < SN_LIMIT:
             _out_of_field("C.SN", self.start_c_sn, SN_LIMIT)
         self._c_sn = self.start_c_sn
-        self._t_id = 0 if self.tpdu_ids is None else next(self.tpdu_ids)
-        if not 0 <= self._t_id < ID_LIMIT:
-            _out_of_field("T.ID", self._t_id, ID_LIMIT)
 
     def set_tpdu_units(self, units: int) -> None:
         """Change the TPDU size from the *next* TPDU onward (Section 3)."""
@@ -236,10 +231,9 @@ class ChunkStreamBuilder:
             x_sn += run
             self._c_sn += run
             if last_of_tpdu:
-                t_id = self._t_id + 1 if self.tpdu_ids is None else next(self.tpdu_ids)
-                if not 0 <= t_id < ID_LIMIT:
-                    _out_of_field("T.ID", t_id, ID_LIMIT)
-                self._t_id = t_id
+                self._t_id += 1
+                if self._t_id == ID_LIMIT:
+                    _out_of_field("T.ID", self._t_id, ID_LIMIT)
                 self._t_sn = 0
                 self._current_tpdu_units = self.tpdu_units
             else:

@@ -19,7 +19,6 @@ __all__ = [
     "ErrorDetectionMismatch",
     "SignalingError",
     "ErasureError",
-    "AnalysisError",
     "ObsError",
     "EndpointError",
     "BudgetExceededError",
@@ -79,10 +78,6 @@ class SignalingError(ReproError):
 
 class ErasureError(ReproError):
     """Erasure repair is not possible for this pattern."""
-
-
-class AnalysisError(ReproError):
-    """The static analyzer could not run (bad input, baseline, config)."""
 
 
 class ObsError(ReproError):

@@ -57,8 +57,8 @@ def merge(chunk_a: Chunk, chunk_b: Chunk) -> Chunk:
         chunk_a.x_id, chunk_a.x_sn, chunk_b.x_st,
         # The concatenation below IS the single reassembly touch the
         # paper's <=2.0 touches/byte budget pays for (CLAIM-1STEP
-        # measures it); it is the one copy the receive path may make.
-        chunk_a.payload + chunk_b.payload,  # protolint: ignore[hot-path-copy]
+        # measures it).
+        chunk_a.payload + chunk_b.payload,
     )
 
 

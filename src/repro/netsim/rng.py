@@ -20,7 +20,7 @@ def default_rng() -> random.Random:
     :func:`substream` still behaves identically run to run, it just
     shares its draws with every other forgetful component.  (An
     *unseeded* ``random.Random()`` default was exactly the
-    reproducibility bug the ambient-authority lint pass exists to catch.)
+    reproducibility bug the test suite's ambient-authority guard refuses.)
     """
     return random.Random(0)
 

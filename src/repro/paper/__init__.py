@@ -3,7 +3,7 @@
 No transfer runs these modules; the benchmarks import them to reproduce
 the paper's figures, claims and Appendix B comparison.  They may import
 every layer of the transfer path, and no layer of it may import them
-(``layering``, docs/architecture.md).  The package binds each module by
+(docs/architecture.md, "The layering DAG").  The package binds each module by
 name and re-exports no other name: import a model from its module.
 
 Receivers and hosts (Section 3.3):

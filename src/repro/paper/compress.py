@@ -14,9 +14,9 @@ Implemented transforms:
   so the C.ID travels by signaling and is dropped from headers.
 - **Implicit T.ID** (Figure 7) — "the value of (C.SN − T.SN) is
   identical for each chunk of a TPDU, and this difference can be used in
-  place of an explicit T.ID field."  Senders that allocate TPDU ids as
-  ``C.SN of the TPDU's first unit`` (see :func:`implicit_tpdu_ids`) lose
-  nothing; the decoder reconstructs T.ID exactly.
+  place of an explicit T.ID field."  DATA chunks relabelled so that each
+  TPDU's id is the C.SN of its first unit (:func:`implicit_tpdu_ids`)
+  lose nothing; the decoder reconstructs T.ID exactly.
 - **SN regeneration** — on a channel that preserves order, SNs (and the
   X.ID) are omitted and regenerated at the receiver with counters; the
   transmitter resynchronizes by sending explicit values "at the
@@ -35,9 +35,8 @@ runs it — a transfer's chunks go on the wire in the fixed-field codec.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable
 
 from repro.core.chunk import Chunk
 from repro.core.errors import CodecError
@@ -90,13 +89,19 @@ def decode_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise CodecError("varint too long")
 
 
-def implicit_tpdu_ids(start_c_sn: int, tpdu_units: int) -> Iterator[int]:
-    """TPDU id allocator satisfying the Figure 7 rule T.ID = C.SN − T.SN.
+def implicit_tpdu_ids(chunks: Iterable[Chunk]) -> list[Chunk]:
+    """*chunks* with every DATA chunk relabelled by the Figure 7 rule
+    T.ID = C.SN − T.SN, other chunks as they are.
 
-    Each TPDU's id equals the connection sequence number of its first
-    data unit, which makes the explicit T.ID field redundant.
+    Each TPDU's id becomes the connection sequence number of its first
+    data unit, which makes the explicit T.ID field redundant.  Relabel
+    before a TPDU's ED chunk is made: it carries its TPDU's T.ID.
     """
-    return itertools.count(start_c_sn, tpdu_units)
+    return [
+        chunk.replace(t=FramingTuple(chunk.c_sn - chunk.t_sn, chunk.t_sn, chunk.t_st))
+        if chunk.is_data else chunk
+        for chunk in chunks
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +226,7 @@ class HeaderCompressor:
             raise CodecError(
                 "implicit T.ID requires T.ID == C.SN - T.SN "
                 f"(got T.ID={chunk.t_id}, C.SN={chunk.c_sn}, T.SN={chunk.t_sn}); "
-                "allocate ids with implicit_tpdu_ids()"
+                "relabel with implicit_tpdu_ids()"
             )
         signaled_size = prof.size_by_type.get(chunk.type)
         if signaled_size is not None and signaled_size != chunk.size:

@@ -1,7 +1,5 @@
 """Unit tests for stream framing (Figures 1 and 2)."""
 
-import itertools
-
 import pytest
 
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
@@ -154,13 +152,6 @@ class TestChunkStreamBuilder:
         builder = ChunkStreamBuilder(connection_id=9, tpdu_units=8)
         with pytest.raises(ChunkError, match="non-empty"):
             builder.add_frame(b"")
-
-    def test_custom_tpdu_id_iterator(self):
-        builder = ChunkStreamBuilder(
-            connection_id=9, tpdu_units=2, tpdu_ids=itertools.count(500, 5)
-        )
-        chunks = builder.add_frame(make_payload(5))
-        assert [c.t.ident for c in chunks] == [500, 505, 510]
 
     def test_multi_word_units(self):
         builder = ChunkStreamBuilder(connection_id=9, tpdu_units=4, unit_words=2)

@@ -65,12 +65,11 @@ def _roundtrip(profile: CompressionProfile, items: list[Chunk]) -> list[Chunk]:
 
 
 def _stream_chunks(tpdu_units=8, frames=3, units=10, implicit=False):
-    tpdu_ids = implicit_tpdu_ids(0, tpdu_units) if implicit else None
-    builder = ChunkStreamBuilder(connection_id=42, tpdu_units=tpdu_units, tpdu_ids=tpdu_ids)
+    builder = ChunkStreamBuilder(connection_id=42, tpdu_units=tpdu_units)
     chunks = []
     for i in range(frames):
         chunks += builder.add_frame(make_payload(units, seed=i), frame_id=i)
-    return chunks
+    return implicit_tpdu_ids(chunks) if implicit else chunks
 
 
 class TestProfiles:

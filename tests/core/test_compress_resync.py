@@ -21,14 +21,12 @@ _EXPLICIT_FLAG = 0x08
 
 
 def _stream(tpdus=3, tpdu_units=8):
-    builder = ChunkStreamBuilder(
-        connection_id=4,
-        tpdu_units=tpdu_units,
-        tpdu_ids=implicit_tpdu_ids(0, tpdu_units),
-    )
+    builder = ChunkStreamBuilder(connection_id=4, tpdu_units=tpdu_units)
     chunks = []
     for index in range(tpdus):
-        frame = builder.add_frame(make_payload(tpdu_units, seed=index), frame_id=index)
+        frame = implicit_tpdu_ids(
+            builder.add_frame(make_payload(tpdu_units, seed=index), frame_id=index)
+        )
         for chunk in frame:
             chunks.extend(split_to_unit_limit(chunk, tpdu_units // 2))
     return chunks

@@ -41,19 +41,15 @@ KEY = bytes(range(16))
 
 class TestSnRegenerationDesync:
     def _compact_stream(self, tpdus=4, tpdu_units=8):
-        builder = ChunkStreamBuilder(
-            connection_id=4,
-            tpdu_units=tpdu_units,
-            tpdu_ids=implicit_tpdu_ids(0, tpdu_units),
-        )
+        builder = ChunkStreamBuilder(connection_id=4, tpdu_units=tpdu_units)
         profile = CompressionProfile(
             connection_id=4, implicit_t_id=True, regenerate_sns=True
         )
         compressor = HeaderCompressor(profile)
         records = []  # (tpdu_id, encoded chunk bytes or ed chunk bytes)
         for index in range(tpdus):
-            chunks = builder.add_frame(
-                make_payload(tpdu_units, seed=index), frame_id=index
+            chunks = implicit_tpdu_ids(
+                builder.add_frame(make_payload(tpdu_units, seed=index), frame_id=index)
             )
             # Two chunks per TPDU so the second can ride implicitly.
             halves = []

@@ -54,17 +54,15 @@ def stream_and_profile(draw) -> tuple[list[Chunk], CompressionProfile]:
     connection_id = draw(st.integers(0, 1000))
     tpdu_units = draw(st.integers(2, 10))
     implicit = draw(st.booleans())
-    builder = ChunkStreamBuilder(
-        connection_id=connection_id,
-        tpdu_units=tpdu_units,
-        tpdu_ids=implicit_tpdu_ids(0, tpdu_units) if implicit else None,
-    )
+    builder = ChunkStreamBuilder(connection_id=connection_id, tpdu_units=tpdu_units)
     chunks: list[Chunk] = []
     frame_units = draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))
     for frame_id, units in enumerate(frame_units):
         chunks += builder.add_frame(
             make_payload(units, 1, seed=frame_id + 1), frame_id=frame_id
         )
+    if implicit:
+        chunks = implicit_tpdu_ids(chunks)
     profile = CompressionProfile(
         size_by_type={ChunkType.DATA: 1} if draw(st.booleans()) else {},
         connection_id=connection_id if draw(st.booleans()) else None,

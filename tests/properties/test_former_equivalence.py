@@ -21,25 +21,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
-from repro.paper.compress import implicit_tpdu_ids
 from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES
 from tests.conftest import make_payload
-
-
-@dataclass
-class CountingIds:
-    """A T.ID allocator that records how many ids were drawn from it."""
-
-    ids: Iterator[int]
-    drawn: int = 0
-
-    def __iter__(self) -> "CountingIds":
-        return self
-
-    def __next__(self) -> int:
-        self.drawn += 1
-        return next(self.ids)
 
 
 @dataclass
@@ -48,20 +32,19 @@ class PerUnitLabeller:
 
     State and update order are those of the specification: the TPDU
     size in force is latched when a TPDU starts, a resize takes effect
-    at once only while the TPDU is still empty, and a fresh T.ID is
-    drawn as soon as a unit closes its TPDU.
+    at once only while the TPDU is still empty, and the T.ID counts up
+    as soon as a unit closes its TPDU.
     """
 
     connection_id: int
     tpdu_units: int
     unit_words: int
     c_sn: int
-    tpdu_ids: Iterator[int]
     xpdu_ids: Iterator[int] = field(default_factory=itertools.count)
+    t_id: int = 0
     t_sn: int = 0
 
     def __post_init__(self) -> None:
-        self.t_id = next(self.tpdu_ids)
         self.current_tpdu_units = self.tpdu_units
 
     def set_tpdu_units(self, units: int) -> None:
@@ -94,29 +77,12 @@ class PerUnitLabeller:
             )
             self.c_sn += 1
             if last_of_tpdu:
-                self.t_id = next(self.tpdu_ids)
+                self.t_id += 1
                 self.t_sn = 0
                 self.current_tpdu_units = self.tpdu_units
             else:
                 self.t_sn += 1
         return units
-
-
-@st.composite
-def tpdu_id_allocators(draw, start_c_sn: int, tpdu_units: int):
-    """A zero-argument factory of identical T.ID iterators, or None for
-    the builder's default.  Cycling ids repeat, so adjacent TPDUs may
-    share a T.ID and only the ST bit keeps their chunks apart."""
-    kind = draw(st.sampled_from(["default", "implicit", "strided", "cycling"]))
-    if kind == "default":
-        return None
-    if kind == "implicit":
-        return lambda: implicit_tpdu_ids(start_c_sn, tpdu_units)
-    if kind == "strided":
-        first, step = draw(st.integers(0, 1000)), draw(st.integers(1, 9))
-        return lambda: itertools.count(first, step)
-    pool = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-    return lambda: itertools.cycle(pool)
 
 
 @st.composite
@@ -139,7 +105,6 @@ def scenarios(draw):
         unit_words,
         tpdu_units,
         start_c_sn,
-        draw(tpdu_id_allocators(start_c_sn, tpdu_units)),
         frames,
         draw(st.booleans()),
     )
@@ -147,25 +112,18 @@ def scenarios(draw):
 
 @given(scenarios())
 def test_add_frame_equals_grouped_per_unit_labels(scenario):
-    unit_words, tpdu_units, start_c_sn, allocator, frames, close = scenario
-    # The default allocator is passed as None so the builder's own
-    # itertools.count() is what runs; it never repeats, so agreeing on
-    # current_tpdu_id already means agreeing on how many ids were drawn.
-    former_ids = CountingIds(allocator()) if allocator else None
-    reference_ids = CountingIds(allocator() if allocator else itertools.count())
+    unit_words, tpdu_units, start_c_sn, frames, close = scenario
     former = ChunkStreamBuilder(
         connection_id=7,
         tpdu_units=tpdu_units,
         unit_words=unit_words,
         start_c_sn=start_c_sn,
-        tpdu_ids=former_ids,
     )
     reference = PerUnitLabeller(
         connection_id=7,
         tpdu_units=tpdu_units,
         unit_words=unit_words,
         c_sn=start_c_sn,
-        tpdu_ids=reference_ids,
     )
     for index, (n_units, frame_id, resize) in enumerate(frames):
         if resize is not None:
@@ -182,6 +140,4 @@ def test_add_frame_equals_grouped_per_unit_labels(scenario):
         assert chunks == chunks_from_labels(labels)
         assert former.next_c_sn == reference.c_sn
         assert former.current_tpdu_id == reference.t_id
-        if former_ids is not None:
-            assert former_ids.drawn == reference_ids.drawn
         assert all(type(chunk.payload) is bytes for chunk in chunks)

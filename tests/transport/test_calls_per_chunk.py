@@ -20,6 +20,13 @@ runs them), every call into ``repro`` — sender, network and receiver —
 per chunk the codec decoded stays at most :data:`CALLS_PER_DECODED_CHUNK`.
 ``recv_disorder`` (no endpoint) is the bypass.
 
+The same passes hold module-level state still: a scheduled callback that
+mutates a module-level list, dict or set, or rebinds a module global,
+lets event order leak between conversations and runs.  Every
+module-level name of every loaded ``repro`` module is fingerprinted
+before and after each measured pass (a container by its length and
+``repr``, any other value by identity), and the two must be equal.
+
 Bounds, not exact counts: interpreters differ in what they inline
 (CPython 3.12 inlines comprehensions).
 """
@@ -29,7 +36,7 @@ from __future__ import annotations
 import os
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -63,6 +70,7 @@ SMOKE_SCALE = 1 / 16
 
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 _OBS = os.path.join(_PACKAGE, "obs") + os.sep
+_CONTAINERS = (list, dict, set, bytearray, deque)
 
 
 def _calls_while_receiving() -> tuple[Counter, int, int]:
@@ -111,10 +119,21 @@ def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
     assert obs_per_packet <= OBS_CALLS_PER_PACKET, obs_per_packet
 
 
+def module_state() -> dict[str, object]:
+    """Every module-level name of a loaded ``repro`` module: a container
+    by (length, ``repr``), any other value by identity."""
+    return {
+        f"{name}.{key}": (len(value), repr(value)) if isinstance(value, _CONTAINERS) else id(value)
+        for name, module in list(sys.modules.items()) if name.split(".")[0] == "repro"
+        for key, value in vars(module).items() if not key.startswith("__")
+    }
+
+
 def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
     """(calls into ``repro``, chunks the codec decoded) over one smoke-scale
     pass of workload *name*, with nothing installed: no journey tracker
-    or flight recorder."""
+    or flight recorder.  The pass must leave module-level state as it
+    found it."""
     decode = codec._decode.__code__
     counts = {"calls": 0, "decoded": 0}
 
@@ -132,11 +151,15 @@ def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
         workload = workloads.WORKLOADS[name]
         workload.run(workload.build(SEED, SMOKE_SCALE))  # warm-up
         inputs = workload.build(SEED, SMOKE_SCALE)
+        shared = module_state()
         sys.setprofile(count)
         try:
             state = workload.run(inputs)
         finally:
             sys.setprofile(None)
+        after = module_state()
+        moved = sorted(key for key in shared.keys() & after.keys() if shared[key] != after[key])
+        assert not moved, f"{name} changed module-level state: {moved}"
     finally:
         if tracker is not None:
             install_journey(tracker)
