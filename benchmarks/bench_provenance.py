@@ -21,13 +21,7 @@ from _common import print_table, register_bench, scaled
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
-from repro.obs.provenance import (
-    JourneyTracker,
-    active_journey,
-    install_journey,
-    journey_session,
-    uninstall_journey,
-)
+from repro.obs.provenance import JourneyTracker, active_journey, journey_session
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 
@@ -94,22 +88,18 @@ def measure_uninstalled(nbytes: int = 65536, seed: int = 2) -> dict:
         nonlocal calls
         calls += 1
 
-    previous = active_journey()
+    assert active_journey() is None
     originals = {
         name: getattr(JourneyTracker, name) for name in ("emit", "chunk", "frame")
     }
-    uninstall_journey()
     try:
         for name in originals:
             setattr(JourneyTracker, name, count)
         _transfer(nbytes, 0.0, seed)
-        assert active_journey() is None
         return {"uninstalled_records": calls}
     finally:
         for name, original in originals.items():
             setattr(JourneyTracker, name, original)
-        if previous is not None:
-            install_journey(previous)
 
 
 def test_every_chunk_places_exactly_once():
@@ -127,7 +117,7 @@ def test_figures_are_deterministic():
     assert measure() == measure()
 
 
-def test_uninstalled_run_is_silent():
+def test_uninstalled_run_is_silent(bare_obs):
     assert measure_uninstalled() == {"uninstalled_records": 0}
 
 

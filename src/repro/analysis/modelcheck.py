@@ -38,7 +38,6 @@ from repro.core.packet import Packet
 from repro.core.types import ChunkType
 from repro.host.budget import SharedPlacementBudget
 from repro.netsim.events import EventLoop
-from repro.obs import flight, provenance
 from repro.transport.acks import build_ack_chunk, parse_ack_chunk
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint, Connection, ConnectionState, ConnectionTable
@@ -485,11 +484,6 @@ def explore(config: ModelConfig | None = None, stop_at_first: bool = True) -> Mo
     its C.IDs alike, so states that differ only by a renaming of the
     conversations are one state here.  The bounds in *config* make the
     space finite, and BFS order gives every violation a shortest trace.
-
-    The replays are the search's machinery, not a history: they run with
-    no journey tracker or flight recorder installed (a recorder would
-    dump a black box per replayed stall eviction), though a metrics
-    session still counts them.
     """
     config = config or ModelConfig()
     result = ModelCheckResult()
@@ -502,34 +496,25 @@ def explore(config: ModelConfig | None = None, stop_at_first: bool = True) -> Mo
     root = LiveEndpoint(config).state
     paths: dict[Snapshot, tuple[Step, ...]] = {root: ()}
     queue: deque[Snapshot] = deque([root])
-    tracker, recorder = provenance.active_journey(), flight.active_flight()
-    flight.uninstall_flight()
-    provenance.uninstall_journey()
-    try:
-        while queue:
-            path = paths[queue.popleft()]
-            result.states_explored += 1
-            for event, conv in offers:
-                live = LiveEndpoint(config)
-                live.replay(path)
-                step, problems = live.step(event, conv)
-                result.edges += 1
-                for _, transition in step.fired:
-                    tid = transition.transition_id
-                    result.fired[tid] = result.fired.get(tid, 0) + 1
-                trace = path + (step,)
-                result.violations.extend(Violation(*problem, trace) for problem in problems)
-                if problems and stop_at_first:
-                    return result
-                state = min(_rename(step.after, new) for new in renamings)
-                if state not in paths:
-                    paths[state] = trace
-                    queue.append(state)
-    finally:
-        if tracker is not None:
-            provenance.install_journey(tracker)
-        if recorder is not None:
-            flight.install_flight(recorder)
+    while queue:
+        path = paths[queue.popleft()]
+        result.states_explored += 1
+        for event, conv in offers:
+            live = LiveEndpoint(config)
+            live.replay(path)
+            step, problems = live.step(event, conv)
+            result.edges += 1
+            for _, transition in step.fired:
+                tid = transition.transition_id
+                result.fired[tid] = result.fired.get(tid, 0) + 1
+            trace = path + (step,)
+            result.violations.extend(Violation(*problem, trace) for problem in problems)
+            if problems and stop_at_first:
+                return result
+            state = min(_rename(step.after, new) for new in renamings)
+            if state not in paths:
+                paths[state] = trace
+                queue.append(state)
     return result
 
 
@@ -548,11 +533,11 @@ def _rename(state: Snapshot, new: tuple[int, ...]) -> Snapshot:
 def counterexample_records(violation: Violation) -> list[dict[str, object]]:
     """The violation's trace as flight-dump records.
 
-    Format matches :meth:`repro.obs.flight.FlightRecorder.snapshot`: a
+    Format matches the flight recorder's ``FlightRecorder.snapshot``: a
     ``flight-meta`` header then ``conn``-level provenance records, one
     per fired row — or, for a step that fired none, one named by its
     event with the states the endpoint showed — so
-    :func:`repro.obs.perfetto.journeys_to_trace` renders the trace on
+    the Perfetto exporter's ``journeys_to_trace`` renders the trace on
     per-conversation lifecycle lanes.
     """
     moves: list[tuple[int, Transition | None, str, str, str]] = []

@@ -24,7 +24,7 @@ from repro.netsim.adversary import (
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
 from repro.netsim.rng import substream
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.obs.report import load_records
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 
-from tests.conftest import deterministic_bytes
+from tests.helpers import deterministic_bytes
 
 SEED = 1
 OBJECT_BYTES = 32768  # > fair share with 30 registrants: forces refusals

@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 from repro.core.errors import InconsistentOverlapError
 from repro.host.delivery import FrameStore, PlacementBuffer
 from repro.transport.receiver import ChunkTransportReceiver
-from tests.conftest import make_chunk, make_payload
-from tests.helpers import place_frame
+from tests.helpers import make_chunk, make_payload, place_frame
 
 
 @st.composite

@@ -10,7 +10,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _bulk_setup(object_bytes=1024, tpdu_units=32, mtu=256):

@@ -7,7 +7,7 @@ from repro.core.errors import ChunkError
 from repro.core.tuples import FramingTuple
 from repro.core.types import MAX_TPDU_SYMBOLS
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _unit(data: bytes, c, t, x) -> LabeledUnit:

@@ -7,7 +7,7 @@ from repro.core.errors import ChunkError
 from repro.core.tuples import FramingTuple
 from repro.core.types import HEADER_BYTES, ChunkType
 
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 
 class TestValidation:

@@ -8,8 +8,8 @@ from repro.core.errors import CodecError
 from repro.core.types import HEADER_BYTES
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
-from tests.conftest import make_chunk
 from tests.core.test_fragment_properties import chunks
+from tests.helpers import make_chunk
 
 
 class TestChunkRoundTrip:

@@ -19,7 +19,7 @@ from repro.core.errors import CodecError
 from repro.core.types import ChunkType
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 
 class TestVarint:

@@ -15,7 +15,7 @@ from repro.paper.compress import (
 )
 from repro.core.fragment import split_to_unit_limit
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 _EXPLICIT_FLAG = 0x08
 

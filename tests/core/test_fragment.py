@@ -7,7 +7,7 @@ from repro.core.fragment import fragment_for_mtu, split, split_to_unit_limit
 from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES, ChunkType
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 class TestSplit:

@@ -19,7 +19,7 @@ from repro.core.reassemble import coalesce, merge
 from repro.core.tuples import FramingTuple
 from repro.core.types import ChunkType
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 @st.composite

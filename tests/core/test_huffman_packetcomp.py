@@ -17,7 +17,7 @@ from repro.paper.huffman import DEFAULT_HEADER_CODE, HuffmanCode
 from repro.paper.packetcomp import CompressedPacketCodec
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 class TestHuffmanCode:

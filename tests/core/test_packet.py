@@ -14,7 +14,7 @@ from repro.core.packet import (
 )
 from repro.core.types import PACKET_HEADER_BYTES
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 class TestPacket:

@@ -9,7 +9,7 @@ from repro.core.fragment import split, split_to_unit_limit
 from repro.core.reassemble import can_merge, coalesce, merge
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 class TestMerge:

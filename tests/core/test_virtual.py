@@ -10,7 +10,7 @@ from repro.core.fragment import split_to_unit_limit
 from repro.core.virtual import PduState, VirtualReassembler
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 class TestPduState:

@@ -24,14 +24,14 @@ import json
 import operator
 import random
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from repro.core.builder import ChunkStreamBuilder
 from repro.core.chunk import Chunk
 from repro.core.fragment import split_to_unit_limit
-from repro.obs import Registry, active_journey, install_journey, session, uninstall_journey
+from repro.obs import Registry, session
 from repro.obs.snapshot import Scalar, diff_snapshots, metric_snapshot
 from repro.paper.receiver import HostReceiver, ImmediateReceiver, ReassembleReceiver
 
@@ -55,26 +55,12 @@ def load_registry() -> dict[str, Any]:
     return dict(importlib.import_module("_common").BENCH_REGISTRY)
 
 
-@contextmanager
-def _no_journey() -> Iterator[None]:
-    """Suspend the test's journey tracker (``REPRO_FLIGHT_DIR``): kept,
-    it would record every bench's chunks, up to its bound, for no
-    reader."""
-    tracker = active_journey()
-    uninstall_journey()
-    try:
-        yield
-    finally:
-        if tracker is not None:
-            install_journey(tracker)
-
-
 def observe(fn: Callable[[float], dict[str, Any]]) -> tuple[Snapshot, Snapshot]:
     """Run *fn* at :data:`SCALE` in a fresh observed session, its printout
     discarded: its figures (bools as ints, as JSON reads them back) and
     its metric snapshot."""
     registry = Registry()
-    with _no_journey(), session(registry=registry), redirect_stdout(io.StringIO()):
+    with session(registry=registry), redirect_stdout(io.StringIO()):
         raw = fn(SCALE)
     figures = {key: int(value) if isinstance(value, bool) else value
                for key, value in sorted(raw.items())}

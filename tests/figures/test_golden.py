@@ -43,6 +43,11 @@ GOLDEN_DOCUMENT = json.loads(GOLDEN.read_text())
 GOLDEN_BENCHES = {entry["name"]: entry for entry in GOLDEN_DOCUMENT["benches"]}
 GOLDEN_BUDGETS = {row["name"]: row for row in GOLDEN_DOCUMENT["budgets"]}
 
+# The golden is the unobserved run's figures, as ``python -m
+# tests.figures.golden`` writes them: bench_provenance's idle-cost figure
+# counts tracker calls, and a tracker would record every bench's chunks.
+pytestmark = pytest.mark.usefixtures("bare_obs")
+
 
 @pytest.fixture(scope="module")
 def suite() -> Suite:

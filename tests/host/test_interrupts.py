@@ -7,7 +7,7 @@ from repro.core.fragment import split_to_unit_limit
 from repro.core.packet import pack_chunks
 from repro.paper.interrupts import PerPacketNic, PerPduNic
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _frames(tpdus=4, tpdu_units=64, mtu=296, shuffle_seed=None):

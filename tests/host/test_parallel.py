@@ -10,8 +10,8 @@ from repro.core.types import ChunkType
 from repro.paper.parallel import ProcessingUnit, TypeDemux, parallel_split
 from repro.wsc.invariant import EdPayload, build_ed_chunk
 
-from tests.conftest import make_chunk
 from tests.core.test_fragment_properties import chunks as chunk_strategy
+from tests.helpers import make_chunk
 
 
 def _unit(name="u"):

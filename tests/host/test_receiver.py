@@ -12,7 +12,7 @@ from repro.paper.receiver import (
     ReorderReceiver,
 )
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _timed_chunks(tpdu_units=8, frames=4, shuffle_seed=None, dt=0.01):

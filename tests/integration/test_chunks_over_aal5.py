@@ -18,7 +18,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _traffic(frames=4, tpdu_units=32):

@@ -28,7 +28,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import EndToEndReceiver
 
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 
 def _valid_packet_bytes(seed=1) -> bytes:

@@ -17,7 +17,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _connection_traffic(connection_id, seed, frames=3, tpdu_units=16):

@@ -23,7 +23,7 @@ from repro.core.fragment import split_to_unit_limit
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 TPDU_UNITS = 16
 

@@ -34,7 +34,7 @@ from repro.paper.xtea import Xtea
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 KEY = bytes(range(16))
 

@@ -6,7 +6,7 @@ from repro.core.packet import Packet
 from repro.netsim.bottleneck import build_shared_bottleneck
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import HopSpec
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 class Sink:

@@ -13,7 +13,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 def _receive_all(frames):

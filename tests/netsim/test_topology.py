@@ -7,7 +7,7 @@ from repro.core.reassemble import coalesce
 from repro.netsim.events import EventLoop
 from repro.netsim.topology import HopSpec, build_chunk_path
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 def _deliver_list(loop):

@@ -5,7 +5,7 @@ from repro.core.packet import Packet, pack_chunks
 from repro.netsim.events import EventLoop
 from repro.paper.turner import BottleneckQueue
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 
 def _tpdu_packets(t_id, units=64, mtu=256):

@@ -15,34 +15,7 @@ from repro.obs.flight import (
     install_flight,
     uninstall_flight,
 )
-from repro.obs.provenance import (
-    active_journey,
-    install_journey,
-    journey_session,
-    uninstall_journey,
-)
-
-
-@pytest.fixture
-def bare_obs():
-    """No journey tracker, no flight recorder; restore afterwards.
-
-    The suite may run with a session-global tracker+recorder installed
-    (REPRO_FLIGHT_DIR), so save/restore rather than assume a clean slate.
-    """
-    previous_journey = active_journey()
-    previous_flight = active_flight()
-    uninstall_flight()
-    uninstall_journey()
-    try:
-        yield
-    finally:
-        uninstall_flight()
-        uninstall_journey()
-        if previous_journey is not None:
-            install_journey(previous_journey)
-        if previous_flight is not None:
-            install_flight(previous_flight)
+from repro.obs.provenance import journey_session
 
 
 def _emit_some(tracker, c_id: int, count: int) -> None:

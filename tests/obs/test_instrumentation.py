@@ -23,7 +23,7 @@ from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.reliability import ReliableSender
 from repro.transport.sender import ChunkTransportSender
 from repro.transport.shard import ShardedEndpoint
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 MTU = 1500
 

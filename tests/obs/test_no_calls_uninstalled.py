@@ -19,22 +19,12 @@ from __future__ import annotations
 import os
 import sys
 from collections import Counter
-from collections.abc import Iterator
 
 import pytest
 
 import repro
 from bench_e2e import workloads
-from repro.obs import (
-    active_flight,
-    active_journey,
-    active_registry,
-    install_flight,
-    install_journey,
-    journey_session,
-    uninstall_flight,
-    uninstall_journey,
-)
+from repro.obs import active_journey, journey_session
 
 SEED = 1993
 SMOKE_SCALE = 1 / 16
@@ -73,31 +63,14 @@ def _obs_calls(name: str) -> tuple[Counter, int]:
     return calls, records
 
 
-@pytest.fixture
-def nothing_installed() -> Iterator[None]:
-    """Uninstall what the suite may run under (CI flies it under a journey
-    tracker and a flight recorder); restore it afterwards."""
-    assert active_registry() is None
-    tracker, recorder = active_journey(), active_flight()
-    uninstall_journey()
-    uninstall_flight()
-    try:
-        yield
-    finally:
-        if tracker is not None:
-            install_journey(tracker)
-        if recorder is not None:
-            install_flight(recorder)
-
-
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_an_unobserved_pass_makes_no_call_into_obs(name, nothing_installed):
+def test_an_unobserved_pass_makes_no_call_into_obs(name, bare_obs):
     calls, _ = _obs_calls(name)
     assert not calls, calls.most_common(5)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_a_journey_tracker_is_the_only_obs_code_it_reaches(name, nothing_installed):
+def test_a_journey_tracker_is_the_only_obs_code_it_reaches(name, bare_obs):
     with journey_session():
         calls, records = _obs_calls(name)
     assert {file for file, _ in calls} <= {_PROVENANCE}, calls.most_common(5)

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import io
 
-import pytest
-
 from repro.core.packet import pack_chunks
 from repro.netsim.events import EventLoop
 from repro.netsim.link import Link
@@ -17,28 +15,13 @@ from repro.obs.provenance import (
     active_journey,
     bind_journey_clock,
     frame_labels,
-    install_journey,
     journal_records,
     journey_session,
-    uninstall_journey,
 )
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 
-from tests.conftest import deterministic_bytes, make_chunk
-
-
-@pytest.fixture
-def no_journey():
-    """Run the test with no journey tracker installed, restoring whatever
-    tracker was active (the suite may fly under REPRO_FLIGHT_DIR)."""
-    previous = active_journey()
-    uninstall_journey()
-    try:
-        yield
-    finally:
-        if previous is not None:
-            install_journey(previous)
+from tests.helpers import deterministic_bytes, make_chunk
 
 
 def _transfer(loss: float = 0.0, seed: int = 5, nbytes: int = 4096):
@@ -175,7 +158,7 @@ class TestJourneyTracker:
 class TestHandle:
     """The one handle instrumented code reads: ``provenance._tracker``."""
 
-    def test_session_installs_and_restores(self, no_journey):
+    def test_session_installs_and_restores(self, bare_obs):
         with journey_session(clock=lambda: 3.0) as tracker:
             assert provenance._tracker is tracker
             tracker.chunk("formed", make_chunk(c_id=5, c_sn=2))
@@ -184,7 +167,7 @@ class TestHandle:
         assert provenance._tracker is None
         assert active_journey() is None
 
-    def test_nested_sessions_restore_previous(self, no_journey):
+    def test_nested_sessions_restore_previous(self, bare_obs):
         with journey_session() as outer:
             with journey_session() as inner:
                 assert active_journey() is inner

@@ -23,7 +23,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 from repro.wsc.invariant import EdPayload, build_ed_chunk
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _mixed_traffic(receiver: ChunkTransportReceiver) -> None:

@@ -43,7 +43,7 @@ from repro.transport.connection import (
 )
 from repro.wsc.invariant import EdPayload, build_ed_chunk, parse_ed_chunk
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 ids = st.integers(0, ID_LIMIT - 1)
 #: SNs crowd the ends of the field: zero, ordinary, and within reach of 2**64.

@@ -27,7 +27,7 @@ from repro.core.packet import Packet, pack_chunks
 from repro.core.tuples import FramingTuple
 from repro.core.types import HEADER_BYTES, ChunkType
 from repro.wsc.invariant import EdPayload, build_ed_chunk, encode_tpdu
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 @given(st.integers(0, 2**63 - 1))

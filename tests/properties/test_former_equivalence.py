@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.core.builder import ChunkStreamBuilder, LabeledUnit, chunks_from_labels
 from repro.core.tuples import FramingTuple
 from repro.core.types import WORD_BYTES
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 @dataclass

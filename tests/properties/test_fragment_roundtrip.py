@@ -26,7 +26,7 @@ from repro.core.packet import (
 )
 from repro.core.reassemble import coalesce
 from repro.core.types import HEADER_BYTES, PACKET_HEADER_BYTES, WORD_BYTES
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 from tests.properties.test_compress_invertible import streams_with_stray_eds
 
 # Smallest MTU that can carry a packet envelope, one chunk header, and

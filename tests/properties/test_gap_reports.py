@@ -37,7 +37,7 @@ from repro.transport.reliability import REORDER_TPDUS, ReliableReceiver
 from repro.transport.sender import ChunkTransportSender
 from repro.wsc.endtoend import EndToEndReceiver
 
-from tests.conftest import deterministic_bytes
+from tests.helpers import deterministic_bytes
 
 C_ID = 4
 FRAME_TIME = 1e-4  # nominal spacing of packets on the wire

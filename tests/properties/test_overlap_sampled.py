@@ -43,7 +43,7 @@ from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import deterministic_bytes
+from tests.helpers import deterministic_bytes
 from tests.properties.test_overlap_verdicts import (
     UNIT,
     Piece,

@@ -63,8 +63,7 @@ from repro.transport.receiver import ChunkTransportReceiver
 from repro.wsc.endtoend import REASON_CODE_MISMATCH
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import deterministic_bytes, make_chunk
-from tests.helpers import place_frame
+from tests.helpers import deterministic_bytes, make_chunk, place_frame
 
 Range = tuple[int, int]
 

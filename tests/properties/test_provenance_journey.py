@@ -33,7 +33,7 @@ from repro.obs.provenance import (
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 
-from tests.conftest import deterministic_bytes
+from tests.helpers import deterministic_bytes
 
 
 def _transfer(seed: int, loss: float, nbytes: int):

@@ -33,7 +33,7 @@ from repro.wsc.wsc2 import (
     symbols_from_bytes,
     wsc2_encode,
 )
-from tests.conftest import deterministic_bytes, make_payload
+from tests.helpers import deterministic_bytes, make_payload
 
 
 @st.composite

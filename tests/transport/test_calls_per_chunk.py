@@ -45,15 +45,6 @@ from bench_e2e import workloads
 from repro.core import codec
 from repro.core import packet as packet_mod
 from repro.core.types import ChunkType
-from repro.obs import (
-    active_flight,
-    active_journey,
-    active_registry,
-    install_flight,
-    install_journey,
-    uninstall_flight,
-    uninstall_journey,
-)
 from repro.transport.connection import ConnectionConfig
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
@@ -89,11 +80,6 @@ def _calls_while_receiving() -> tuple[Counter, int, int]:
         if event == "call" and frame.f_code.co_filename.startswith(_PACKAGE):
             calls[frame.f_code.co_filename] += 1
 
-    # Nothing installed, whatever the suite runs under (CI flies it under
-    # a journey tracker).
-    assert active_registry() is None
-    tracker = active_journey()
-    uninstall_journey()
     receiver = ChunkTransportReceiver()
     sys.setprofile(count)
     try:
@@ -101,8 +87,6 @@ def _calls_while_receiving() -> tuple[Counter, int, int]:
             receiver.receive_packet(frame)
     finally:
         sys.setprofile(None)
-        if tracker is not None:
-            install_journey(tracker)
 
     assert receiver.stream_bytes() == payload
     assert receiver.verified_tpdus() == sender.tpdus_sent == 64
@@ -110,7 +94,7 @@ def _calls_while_receiving() -> tuple[Counter, int, int]:
     return calls, len(frames), data_chunks
 
 
-def test_reversed_mtu_296_transfer_is_one_step_per_chunk():
+def test_reversed_mtu_296_transfer_is_one_step_per_chunk(bare_obs):
     calls, packets, data_chunks = _calls_while_receiving()
     assert data_chunks > 300
     per_chunk = sum(calls.values()) / data_chunks
@@ -131,9 +115,8 @@ def module_state() -> dict[str, object]:
 
 def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
     """(calls into ``repro``, chunks the codec decoded) over one smoke-scale
-    pass of workload *name*, with nothing installed: no journey tracker
-    or flight recorder.  The pass must leave module-level state as it
-    found it."""
+    pass of workload *name*; the caller installs nothing (the tests take
+    ``bare_obs``).  The pass must leave module-level state as it found it."""
     decode = codec._decode.__code__
     counts = {"calls": 0, "decoded": 0}
 
@@ -143,35 +126,25 @@ def calls_per_decoded_chunk(name: str) -> tuple[int, int]:
         elif event == "return" and frame.f_code is decode and arg is not None:
             counts["decoded"] += len(arg[0])  # (chunks, offset)
 
-    assert active_registry() is None
-    tracker, recorder = active_journey(), active_flight()
-    uninstall_journey()
-    uninstall_flight()
+    workload = workloads.WORKLOADS[name]
+    workload.run(workload.build(SEED, SMOKE_SCALE))  # warm-up
+    inputs = workload.build(SEED, SMOKE_SCALE)
+    shared = module_state()
+    sys.setprofile(count)
     try:
-        workload = workloads.WORKLOADS[name]
-        workload.run(workload.build(SEED, SMOKE_SCALE))  # warm-up
-        inputs = workload.build(SEED, SMOKE_SCALE)
-        shared = module_state()
-        sys.setprofile(count)
-        try:
-            state = workload.run(inputs)
-        finally:
-            sys.setprofile(None)
-        after = module_state()
-        moved = sorted(key for key in shared.keys() & after.keys() if shared[key] != after[key])
-        assert not moved, f"{name} changed module-level state: {moved}"
+        state = workload.run(inputs)
     finally:
-        if tracker is not None:
-            install_journey(tracker)
-        if recorder is not None:
-            install_flight(recorder)
+        sys.setprofile(None)
+    after = module_state()
+    moved = sorted(key for key in shared.keys() & after.keys() if shared[key] != after[key])
+    assert not moved, f"{name} changed module-level state: {moved}"
     result = workload.check(inputs, state)
     assert not result.failed, result.problems
     return counts["calls"], counts["decoded"]
 
 
 @pytest.mark.parametrize("name", sorted(CALLS_PER_DECODED_CHUNK))
-def test_a_workload_pass_is_one_step_per_decoded_chunk(name):
+def test_a_workload_pass_is_one_step_per_decoded_chunk(name, bare_obs):
     calls, decoded = calls_per_decoded_chunk(name)
     assert decoded > 100
     assert calls / decoded <= CALLS_PER_DECODED_CHUNK[name], (calls, decoded)

@@ -18,7 +18,7 @@ from repro.transport.endpoint import ChunkEndpoint, ConnectionState
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 
 def wire(loop: EventLoop, a: ChunkEndpoint, b: ChunkEndpoint, delay: float = 0.001):

@@ -39,14 +39,6 @@ import pytest
 import repro
 from repro.core import packet as packet_mod
 from repro.netsim.events import EventLoop
-from repro.obs import (
-    active_flight,
-    active_journey,
-    install_flight,
-    install_journey,
-    uninstall_flight,
-    uninstall_journey,
-)
 from repro.transport.connection import ConnectionConfig
 from repro.transport.endpoint import ChunkEndpoint
 from repro.transport.receiver import ChunkTransportReceiver
@@ -97,11 +89,6 @@ def census(receive, frames: list[bytes]) -> Counter:
         stop((frame.f_code, frame.f_lineno))
         return local
 
-    # Nothing installed, whatever the suite runs under (CI flies it under
-    # a journey tracker and a flight recorder).
-    tracker, recorder = active_journey(), active_flight()
-    uninstall_journey()
-    uninstall_flight()
     tracemalloc.start()
     sys.settrace(calls)
     try:
@@ -110,10 +97,6 @@ def census(receive, frames: list[bytes]) -> Counter:
     finally:
         sys.settrace(None)
         tracemalloc.stop()
-        if tracker is not None:
-            install_journey(tracker)
-        if recorder is not None:
-            install_flight(recorder)
     return Counter({(os.path.relpath(code.co_filename, _PACKAGE), code.co_name, line): count
                     for (code, line), count in charges.items()})
 
@@ -132,7 +115,7 @@ def _through_endpoint(establish: bytes, frames: list[bytes]) -> tuple[Counter, b
 
 @pytest.mark.parametrize("path", [_through_receiver, _through_endpoint],
                          ids=["receiver", "endpoint"])
-def test_the_receive_path_copies_a_payload_once(path):
+def test_the_receive_path_copies_a_payload_once(path, bare_obs):
     payload, establish, frames = _transfer()
     assert len(frames) == TRANSFER_BYTES // PAYLOAD_BYTES  # one DATA chunk per packet
     charges, delivered = path(establish, frames)

@@ -28,7 +28,7 @@ from repro.transport.reliability import (
 )
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 class TestAckChunks:
@@ -47,7 +47,7 @@ class TestAckChunks:
             build_ack_chunk(7, list(range(MAX_ACKS_PER_CHUNK + 1)))
 
     def test_parse_rejects_data(self):
-        from tests.conftest import make_chunk
+        from tests.helpers import make_chunk
 
         with pytest.raises(ChunkError):
             parse_ack_chunk(make_chunk())

@@ -20,7 +20,7 @@ from repro.netsim.events import EventLoop
 from repro.transport.connection import ConnectionConfig
 from repro.transport.reliability import ReliableReceiver, ReliableSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 @dataclass

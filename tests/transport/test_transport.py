@@ -15,7 +15,7 @@ from repro.transport.connection import (
 from repro.transport.receiver import ChunkTransportReceiver
 from repro.transport.sender import ChunkTransportSender
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 class TestConnectionConfig:
@@ -31,7 +31,7 @@ class TestConnectionConfig:
 
     def test_parse_rejects_data_chunk(self):
         from repro.core.errors import SignalingError
-        from tests.conftest import make_chunk
+        from tests.helpers import make_chunk
 
         with pytest.raises(SignalingError):
             parse_signaling_chunk(make_chunk())
@@ -285,7 +285,7 @@ class TestConnectionEndIsArrivalOrderInvariant:
 
     @staticmethod
     def _chunk(**labels):
-        from tests.conftest import make_chunk
+        from tests.helpers import make_chunk
 
         return make_chunk(units=5, **labels)
 

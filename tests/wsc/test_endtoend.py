@@ -18,7 +18,7 @@ from repro.wsc.endtoend import (
 )
 from repro.wsc.invariant import EdPayload, TpduInvariant, build_ed_chunk, encode_tpdu
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _tpdu(tpdu_units=12, seed=0, frames=2, connection_id=5):

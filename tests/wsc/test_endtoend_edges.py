@@ -8,7 +8,7 @@ from repro.transport.connection import ConnectionConfig, build_signaling_chunk
 from repro.wsc.endtoend import EndToEndReceiver
 from repro.wsc.invariant import encode_tpdu
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 
 def _tpdu(connection_id=5, tpdu_units=8, seed=0):

@@ -10,7 +10,7 @@ from repro.paper.erasure import ErasureError, recover_erasures, repair_missing_w
 from repro.wsc.invariant import TpduInvariant, encode_tpdu
 from repro.wsc.wsc2 import Wsc2Accumulator, wsc2_encode
 
-from tests.conftest import make_payload
+from tests.helpers import make_payload
 
 symbols_strategy = st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=48)
 

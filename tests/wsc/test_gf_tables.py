@@ -27,7 +27,7 @@ from repro.wsc.gf32 import alpha_pow, gf_mul, gf_mul_const
 from repro.wsc.invariant import C_ID_POS, C_ST_POS, T_ID_POS, X_PAIR_BASE, encode_tpdu
 from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes
 
-from tests.conftest import make_chunk
+from tests.helpers import make_chunk
 
 #: final T.SNs whose X.ID multiplier is checked: the first, a one-unit-word
 #: TPDU of 16 units, a byte's edge, and the last symbol a TPDU can hold.

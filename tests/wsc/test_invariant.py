@@ -28,7 +28,7 @@ from repro.wsc.invariant import (
 )
 from repro.wsc.wsc2 import Wsc2Accumulator, symbols_from_bytes
 
-from tests.conftest import make_chunk, make_payload
+from tests.helpers import make_chunk, make_payload
 
 
 class TestPositionMap:
